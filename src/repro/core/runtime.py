@@ -201,12 +201,7 @@ class AceRuntime:
             space.protocol = self.registry.create(protocol_name, self, space)
             self.spaces.append(space)
             if self._obs is not None:
-                self._obs.emit(
-                    self._sim.now,
-                    "space.new",
-                    node=nid,
-                    data={"sid": idx, "protocol": protocol_name},
-                )
+                self._obs.emit(self._sim.now, "space.new", nid, -1, idx, protocol_name)
         space = self.spaces[idx]
         if space.protocol.name != protocol_name:
             raise ProtocolMisuse(
@@ -230,10 +225,7 @@ class AceRuntime:
             # space.new / space.protocol events to fold per-region wait
             # cycles into per-protocol buckets.
             self._obs.emit(
-                self._sim.now,
-                "region.alloc",
-                node=nid,
-                data={"rid": rid, "sid": sid, "size": size, "proto": space.protocol.name},
+                self._sim.now, "region.alloc", nid, -1, rid, sid, size, space.protocol.name
             )
         return rid
 
@@ -260,12 +252,7 @@ class AceRuntime:
             space.generation += 1
             self._stats.count("ace.change_protocol")
             if self._obs is not None:
-                self._obs.emit(
-                    self._sim.now,
-                    "space.protocol",
-                    node=nid,
-                    data={"sid": sid, "protocol": protocol_name},
-                )
+                self._obs.emit(self._sim.now, "space.protocol", nid, -1, sid, protocol_name)
         yield from self.rendezvous(nid)
         yield from space.protocol.init_space(nid)
 

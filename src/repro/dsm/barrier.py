@@ -86,7 +86,7 @@ class BarrierService:
         if obs is not None:
             epoch = self._epochs[nid]
             self._epochs[nid] = epoch + 1
-            obs.emit(self._sim.now, "barrier.arrive", node=nid, data={"epoch": epoch})
+            obs.emit(self._sim.now, "barrier.arrive", nid, -1, epoch)
         n = self._n_procs
         for r in range(self._rounds):
             peer = (nid + (1 << r)) % n
@@ -101,7 +101,7 @@ class BarrierService:
                 yield fut
                 self._waiting[r][nid] = None
         if obs is not None:
-            obs.emit(self._sim.now, "barrier.release", node=nid, data={"epoch": epoch})
+            obs.emit(self._sim.now, "barrier.release", nid, -1, epoch)
 
     def _on_notify(self, node, src, r):
         self._notify(node.nid, r)

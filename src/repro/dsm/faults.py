@@ -721,15 +721,13 @@ class FaultTransport(Transport):
         return _NO_FAULT
 
     def _note(self, verdict, category, src, dst) -> None:
-        self._counts[self._k[verdict]] += 1
+        key = self._k[verdict]  # "fault.<verdict>": the stat key is the event kind
+        self._counts[key] += 1
         if len(self.log) < _LOG_CAP:
             self.log.append((self.sim.now, verdict, category, src, dst))
         if self._obs is not None:
             self._obs.emit(
-                self.sim.now,
-                "fault." + verdict,
-                node=src if isinstance(src, int) else -1,
-                data={"category": category, "src": src, "dst": dst},
+                self.sim.now, key, src if isinstance(src, int) else -1, -1, category, src, dst
             )
 
     # -- introspection ---------------------------------------------------
@@ -882,10 +880,8 @@ class RetryKit:
         self._counts[self._k_retry] += 1
         if self._obs is not None:
             self._obs.emit(
-                self._transport.sim.now,
-                "rel.retry",
-                node=pend.src,
-                data={"category": pend.category, "dst": pend.dst, "attempt": pend.attempts},
+                self._transport.sim.now, "rel.retry", pend.src, -1,
+                pend.category, pend.dst, pend.attempts,
             )
         self._transport.post(
             pend.src,

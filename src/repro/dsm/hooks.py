@@ -167,7 +167,7 @@ class ProtocolHooks:
 
     def _trace_state(self, nid: int, rid: int, state: str) -> None:
         """Emit a region state transition (callers gate on ``self._obs``)."""
-        self._obs.emit(self._sim.now, "region.state", node=nid, data={"rid": rid, "state": state})
+        self._obs.emit(self._sim.now, "region.state", nid, -1, rid, state)
 
     # ------------------------------------------------------------------
     # allocation and mapping
@@ -248,9 +248,7 @@ class ProtocolHooks:
         if self._obs is not None:
             # Pre-RPC miss marker: attribution reads it as "the next
             # directory wait on this node is for this region".
-            self._obs.emit(
-                self._sim.now, "dsm.miss", node=nid, data={"rid": region.rid, "op": "read"}
-            )
+            self._obs.emit(self._sim.now, "dsm.miss", nid, -1, region.rid, "read")
         yield self._d_start_miss
         fut = Future(name=f"read:{region.rid}@{nid}")
         if nid == region.home:
@@ -317,9 +315,7 @@ class ProtocolHooks:
             return
         self._counts[self._k_write_miss] += 1
         if self._obs is not None:
-            self._obs.emit(
-                self._sim.now, "dsm.miss", node=nid, data={"rid": region.rid, "op": "write"}
-            )
+            self._obs.emit(self._sim.now, "dsm.miss", nid, -1, region.rid, "write")
         yield self._d_start_miss
         fut = Future(name=f"write:{region.rid}@{nid}")
         if nid == region.home:
@@ -380,7 +376,7 @@ class ProtocolHooks:
         payload = region.size if dirty else self.costs.meta_words
         data = copy.data.copy() if dirty else None
         if self._obs is not None:
-            self._obs.emit(self._sim.now, "dsm.miss", node=nid, data={"rid": rid, "op": "flush"})
+            self._obs.emit(self._sim.now, "dsm.miss", nid, -1, rid, "flush")
         # The copy keeps its state until the home has acked the flush:
         # a recall that crosses the flush on the wire must still find
         # the dirty data here and ship it in its ack, or the home would

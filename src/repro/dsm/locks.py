@@ -115,7 +115,7 @@ class LockService:
         yield self._d_handler
         self._counts[self._k_acquire] += 1
         if self._obs is not None:
-            self._obs.emit(self._sim.now, "lock.request", node=nid, data={"rid": rid})
+            self._obs.emit(self._sim.now, "lock.request", nid, -1, rid)
         if nid == region.home:
             # Local fast path still goes through the same grant logic.
             fut = Future(name=f"lock:{rid}@{nid}")
@@ -160,7 +160,7 @@ class LockService:
             now = self._sim.now
             held = now - self._grant_at.pop((rid, src), now)
             self._hold_hist.add(held)
-            self._obs.emit(now, "lock.release", node=src, data={"rid": rid, "held": held})
+            self._obs.emit(now, "lock.release", src, -1, rid, held)
         if st.waiters:
             nxt, fut = st.waiters.popleft()
             st.holder = nxt
@@ -213,9 +213,7 @@ class LockService:
                 continue
             broken += 1
             if self._obs is not None:
-                self._obs.emit(
-                    self._sim.now, "lock.broken", node=dead, data={"rid": region.rid}
-                )
+                self._obs.emit(self._sim.now, "lock.broken", dead, -1, region.rid)
             if st.waiters:
                 nxt, fut = st.waiters.popleft()
                 st.holder = nxt
@@ -231,7 +229,7 @@ class LockService:
             # Stamp the local-grant future so the woken task.step
             # parents to this event (remote grants get their wake
             # parent from the reply receive instead).
-            fut._obs_eid = self._obs.emit(now, "lock.grant", node=dst, data={"rid": rid})
+            fut._obs_eid = self._obs.emit(now, "lock.grant", dst, -1, rid)
         home = self.regions.get(rid).home
         if dst == home:
             fut.resolve(None)

@@ -258,7 +258,7 @@ class RecoveryManager:
         for nid in sorted(self.live):
             if now - self._last_heard[nid] > self._suspect_after[nid]:
                 if self._obs is not None:
-                    self._obs.emit(now, "recovery.suspect", node=nid, data={"silent_for": now - self._last_heard[nid]})
+                    self._obs.emit(now, "recovery.suspect", nid, -1, now - self._last_heard[nid])
                 self._declare_dead(nid)
         if self._active:
             self.sim.schedule(HB_INTERVAL, self._tick)
@@ -294,8 +294,8 @@ class RecoveryManager:
         self._counts[self._k["epochs"]] += 1
         self._install_fence()
         if self._obs is not None:
-            self._obs.emit(now, "recovery.dead", node=nid, data={"epoch": self.epoch, "crash_at": crash_at})
-            self._obs.emit(now, "recovery.epoch", data={"epoch": self.epoch, "live": sorted(self.live)})
+            self._obs.emit(now, "recovery.dead", nid, -1, self.epoch, crash_at)
+            self._obs.emit(now, "recovery.epoch", -1, -1, self.epoch, tuple(sorted(self.live)))
         # 2. Retire the dead node's task: its done future resolves with a
         #    Crashed marker instead of stalling the run.
         task = self._tasks[nid] if nid < len(self._tasks) else None
@@ -324,7 +324,7 @@ class RecoveryManager:
             collector.on_node_dead(nid, self)
         self._check_barrier()
         if self._obs is not None:
-            self._obs.emit(self.sim.now, "recovery.complete", node=nid, data={"epoch": self.epoch, "rehomed": len(rehomed)})
+            self._obs.emit(self.sim.now, "recovery.complete", nid, -1, self.epoch, len(rehomed))
         self.events.append(
             {
                 "nid": nid,
@@ -379,7 +379,7 @@ class RecoveryManager:
                 rehomed[region.rid] = region
                 self._counts[k] += 1
                 if self._obs is not None:
-                    self._obs.emit(self.sim.now, "recovery.rehome", node=succ, data={"rid": region.rid, "from": nid})
+                    self._obs.emit(self.sim.now, "recovery.rehome", succ, -1, region.rid, nid)
                 for peer in sorted(self.live):
                     if peer == succ:
                         continue

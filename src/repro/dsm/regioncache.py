@@ -168,7 +168,7 @@ class RegionCache:
 
     def _trace_state(self, nid: int, rid: int, state: str) -> None:
         """Emit a region state transition (callers gate on ``self._obs``)."""
-        self._obs.emit(self._sim.now, "region.state", node=nid, data={"rid": rid, "state": state})
+        self._obs.emit(self._sim.now, "region.state", nid, -1, rid, state)
 
     # ------------------------------------------------------------------
     # invalidation receive side (handler context)

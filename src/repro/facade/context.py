@@ -129,6 +129,8 @@ class NodeContext:
         self.end_write = partial(backend.end_write, nid)  # (handle)
         self.lock = partial(backend.lock, nid)  # (rid)
         self.unlock = partial(backend.unlock, nid)  # (rid)
+        tracer = backend.machine.tracer
+        self._obs = tracer.tracer("phase") if tracer is not None else None
 
     @property
     def n_procs(self) -> int:
@@ -155,9 +157,8 @@ class NodeContext:
             return
         machine = self.backend.machine
         machine.stats.push_phase(name)
-        tracer = machine.tracer
-        if tracer is not None:
-            tracer.emit(machine.sim.now, "phase", "phase.begin", data=name)
+        if self._obs is not None:
+            self._obs.emit(machine.sim.now, "phase.begin", -1, -1, name)
 
     def pop_phase(self) -> None:
         """End the innermost phase (node 0 only; others no-op)."""
@@ -166,9 +167,8 @@ class NodeContext:
         machine = self.backend.machine
         name = machine.stats.current_phase
         machine.stats.pop_phase()
-        tracer = machine.tracer
-        if tracer is not None:
-            tracer.emit(machine.sim.now, "phase", "phase.end", data=name)
+        if self._obs is not None:
+            self._obs.emit(machine.sim.now, "phase.end", -1, -1, name)
 
     # The remaining forwards keep an adapter frame: ``new_space`` and
     # ``barrier`` supply defaults the backend signature does not have.

@@ -113,6 +113,8 @@ class Machine:
             # round-trip hot path never builds a "node<i>.rpc.<cat>"
             # string twice; run_summary merges them cluster-wide.
             self._rpc_hist_cache = {}
+            # handler -> (stat key, bare name as msg.recv reports it)
+            self._handler_names: dict = {}
         else:
             self._obs = None
 
@@ -292,13 +294,7 @@ class Machine:
         counts["msg.words"] += payload_words
         counts[self._node_sent[src]] += 1
         counts[self._node_recv[dst]] += 1
-        eid = self._obs.emit(
-            self.sim.now,
-            "msg.send",
-            node=src,
-            parent=parent,
-            data={"dst": dst, "category": category, "words": payload_words},
-        )
+        eid = self._obs.emit(self.sim.now, "msg.send", src, parent, dst, category, payload_words)
         delay = self._recv_base + self._per_word * payload_words
         fn = partial(self._arrive_traced, eid, self.nodes[dst], src, handler, args)
         sim = self.sim
@@ -311,19 +307,14 @@ class Machine:
             _heappush(sim._queue, (sim.now + delay, seq, fn))
 
     def _arrive_traced(self, parent_eid, node, src, handler, args) -> None:
-        handler_keys = self._handler_keys
-        hkey = handler_keys.get(handler)
-        if hkey is None:
+        names = self._handler_names
+        named = names.get(handler)
+        if named is None:
             hname = getattr(handler, "__name__", "anon")
-            hkey = handler_keys[handler] = intern_key("handler", hname)
+            named = names[handler] = (intern_key("handler", hname), hname)
+        hkey, hname = named
         self._counts[hkey] += 1
-        eid = self._obs.emit(
-            self.sim.now,
-            "msg.recv",
-            node=node.nid,
-            parent=parent_eid,
-            data={"src": src, "handler": hkey[len("handler."):]},
-        )
+        eid = self._obs.emit(self.sim.now, "msg.recv", node.nid, parent_eid, src, hname)
         buf = self.tracer
         prev_eid, prev_ts = buf.ctx_eid, buf.ctx_ts
         buf.ctx_eid = eid
@@ -341,7 +332,7 @@ class Machine:
             name = self._rpc_names[category] = intern_key("rpc:" + category)
         obs = self._obs
         t0 = self.sim.now
-        eid = obs.emit(t0, "rpc.call", node=src, data={"dst": dst, "category": category})
+        eid = obs.emit(t0, "rpc.call", src, -1, dst, category)
         fut = Future(name=name)
         yield self._d_send
         self._deliver_traced(src, dst, handler, (fut, *args), payload_words, category, parent=eid)
@@ -357,13 +348,7 @@ class Machine:
                 f"node{src}.rpc.{category}"
             )
         hist.add(lat)
-        obs.emit(
-            self.sim.now,
-            "rpc.return",
-            node=src,
-            parent=eid,
-            data={"category": category, "lat": lat},
-        )
+        obs.emit(self.sim.now, "rpc.return", src, eid, category, lat)
         return value
 
     def _reply_traced(self, fut: Future, value=None, payload_words: int = 0, category: str = "am.reply") -> None:
@@ -379,10 +364,7 @@ class Machine:
         # links send to receive, and the context parent links the reply
         # back to the request (or task dispatch) it services.
         eid = self._obs.emit(
-            self.sim.now,
-            "msg.send",
-            parent=self._ctx(),
-            data={"category": category, "words": payload_words},
+            self.sim.now, "msg.send/reply", -1, self._ctx(), category, payload_words
         )
         delay = self._reply_base + self._per_word * payload_words
         fn = partial(self._reply_arrive_traced, eid, category, fut, value)
@@ -396,12 +378,7 @@ class Machine:
             _heappush(sim._queue, (sim.now + delay, seq, fn))
 
     def _reply_arrive_traced(self, parent_eid, category, fut, value) -> None:
-        eid = self._obs.emit(
-            self.sim.now,
-            "msg.recv",
-            parent=parent_eid,
-            data={"category": category, "future": fut.name},
-        )
+        eid = self._obs.emit(self.sim.now, "msg.recv/reply", -1, parent_eid, category, fut.name)
         # Stamp the waker: the task.step this resolve wakes will parent
         # to this receive, carrying the critical path across the wire.
         fut._obs_eid = eid
@@ -467,7 +444,7 @@ class Machine:
         obs = self._obs
         epoch = self._barrier_gen
         if obs is not None:
-            arrive_eid = obs.emit(self.sim.now, "barrier.arrive", node=nid, data={"epoch": epoch})
+            arrive_eid = obs.emit(self.sim.now, "barrier.arrive", nid, -1, epoch)
         fut = self._barrier_fut
         if self._barrier_count == self.n_procs:
             self._barrier_count = 0
@@ -482,10 +459,7 @@ class Machine:
                 # every woken task.step parents to the release.
                 def _release():
                     released._obs_eid = obs.emit(
-                        self.sim.now,
-                        "barrier.release",
-                        parent=arrive_eid,
-                        data={"epoch": epoch},
+                        self.sim.now, "barrier.release", -1, arrive_eid, epoch
                     )
                     released.resolve(None)
 

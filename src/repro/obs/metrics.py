@@ -72,7 +72,7 @@ class MetricsWindow:
 
     # -- the hot path ----------------------------------------------------
     def observe(self, ts: int, kind: str, data) -> None:
-        """Accumulate one event; called inline by ``TraceBuffer.emit``."""
+        """Accumulate one event; called inline by a metered buffer's emit closures."""
         if kind not in TRACKED_KINDS:
             return
         w = ts // self.width

@@ -2,14 +2,29 @@
 
 Counters (:mod:`repro.machine.stats`) answer *how many*; this module
 answers *which, when, and because of what*.  A :class:`TraceBuffer` is
-a bounded ring of :class:`TraceEvent` records — task lifecycle,
-message send/receive, RPC round trips, region state transitions, lock
-and barrier epochs, application phases — each stamped with the
-simulated cycle, the node it happened on, and a **causal parent id**
-linking effects to the event that produced them (a receive points at
-its send, an RPC return at its call).  Exporters
-(:mod:`repro.obs.export`) turn the ring into JSONL or a
-Chrome/Perfetto ``trace_event`` file.
+a bounded ring of event records — task lifecycle, message
+send/receive, RPC round trips, region state transitions, lock and
+barrier epochs, application phases — each stamped with the simulated
+cycle, the node it happened on, and a **causal parent id** linking
+effects to the event that produced them (a receive points at its send,
+an RPC return at its call).  Exporters (:mod:`repro.obs.export`) turn
+the ring into JSONL or a Chrome/Perfetto ``trace_event`` file.
+
+Storage model
+-------------
+The ring is one flat deque of scalars, nine consecutive slots per
+event::
+
+    ts, layer, shape, node, parent, a, b, c, d
+
+where ``a..d`` are the event's payload values, positional against the
+field names :data:`FIELDS` declares for ``shape``, and the event id is
+implicit in the record's position.  No per-event object exists: the
+slots hold ints, strings and ``None`` (a payload list travels as a
+tuple of ints), none of which the cyclic collector tracks, so a full
+ring costs the collector nothing.  :meth:`TraceBuffer.events`
+materialises :class:`TraceEvent` objects, dict payloads included, when
+the ring is *read*.  DESIGN.md §7 has the reasoning and the numbers.
 
 Zero cost when off
 ------------------
@@ -38,16 +53,96 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import NamedTuple
 
+from repro.obs.metrics import TRACKED_KINDS
+
+#: ring slots per event: ts, layer, shape, node, parent + four payload values
+_WIDTH = 9
+
+_FAULT = ("category", "src", "dst")
+
+#: The payload schema: event shape -> the names of its payload fields,
+#: in emit-argument order.  A shape is the event kind, plus a
+#: ``/variant`` suffix where one kind is emitted with two layouts (an
+#: RPC reply has no ``dst``; its receive names a future, not a
+#: handler).  A tuple of names materialises as a dict payload; a bare
+#: string says the single payload value *is* the payload (the kernel's
+#: task names).  An event whose shape is not declared here is refused
+#: at its emit site.
+FIELDS: dict[str, tuple | str] = {
+    # kernel
+    "task.spawn": "task",
+    "task.step": "task",
+    "task.block": ("task", "on"),
+    "task.finish": "task",
+    "task.crash": "task: error",
+    "task.retire": "task",
+    # machine
+    "msg.send": ("dst", "category", "words"),
+    "msg.send/reply": ("category", "words"),
+    "msg.recv": ("src", "handler"),
+    "msg.recv/reply": ("category", "future"),
+    "rpc.call": ("dst", "category"),
+    "rpc.return": ("category", "lat"),
+    "barrier.arrive": ("epoch",),  # machine (hw) and dsm barrier layers
+    "barrier.release": ("epoch",),
+    # dsm
+    "region.state": ("rid", "state"),
+    "dsm.miss": ("rid", "op"),
+    "lock.request": ("rid",),
+    "lock.grant": ("rid",),
+    "lock.release": ("rid", "held"),
+    "lock.broken": ("rid",),
+    "rel.retry": ("category", "dst", "attempt"),
+    "fault.drop": _FAULT,
+    "fault.dup": _FAULT,
+    "fault.delay": _FAULT,
+    "fault.crash": _FAULT,
+    "fault.link_down": _FAULT,
+    "fault.stall": _FAULT,
+    "recovery.suspect": ("silent_for",),
+    "recovery.dead": ("epoch", "crash_at"),
+    "recovery.epoch": ("epoch", "live"),
+    "recovery.rehome": ("rid", "from"),
+    "recovery.complete": ("epoch", "rehomed"),
+    # runtime, sanitizer, facade
+    "space.new": ("sid", "protocol"),
+    "space.protocol": ("sid", "protocol"),
+    "region.alloc": ("rid", "sid", "size", "proto"),
+    "sanitize.race": ("kind", "rid", "nodes"),
+    "sanitize.violation": ("kind", "rid"),
+    "phase.begin": "phase",
+    "phase.end": "phase",
+}
+
+
+class _Shapes(dict):
+    """shape -> (kind, fields); a miss is an undeclared event."""
+
+    def __missing__(self, shape):
+        raise ValueError(
+            f"undeclared trace event {shape!r}: declare its payload fields in repro.obs.trace.FIELDS"
+        )
+
+
+_SHAPES = _Shapes((shape, (shape.partition("/")[0], fields)) for shape, fields in FIELDS.items())
+
+
+def _payload(fields, values):
+    """The payload a record's values stand for (see :data:`FIELDS`)."""
+    if fields.__class__ is str:
+        return values[0]
+    return {f: list(v) if v.__class__ is tuple else v for f, v in zip(fields, values)}
+
 
 class TraceEvent(NamedTuple):
-    """One simulated event.
+    """One simulated event, as :meth:`TraceBuffer.events` returns it.
 
     ``parent`` is the id of the event that caused this one (``-1`` for
     roots): a ``msg.recv`` parents to its ``msg.send``, a ``msg.send``
     issued inside an RPC parents to the ``rpc.call``, an ``rpc.return``
     parents to its ``rpc.call``.  ``node`` is ``-1`` when the event is
     not tied to one node (kernel bookkeeping, global barrier release).
-    ``data`` is a small dict, a string, or ``None``.
+    ``data`` is a small dict or a string, as :data:`FIELDS` declares.
     """
 
     eid: int
@@ -148,20 +243,24 @@ class Histogram:
 class Tracer:
     """A per-layer emit handle bound to one :class:`TraceBuffer`.
 
-    Layers hold exactly one of these (or ``None``) and call
-    :meth:`emit`; the layer name is curried in so hot traced paths
-    pass only what varies per event.
+    Layers hold exactly one of these (or ``None``) and call ``emit``;
+    the layer name is curried in so hot traced paths pass only what
+    varies per event::
+
+        eid = obs.emit(ts, shape, node, parent, *payload_values)
+
+    ``node`` and ``parent`` default to ``-1``; the payload values (at
+    most four) are positional, in the order :data:`FIELDS` declares
+    for ``shape``.  Returns the event's id, for use as a later parent.
+    ``emit`` is the closure :meth:`TraceBuffer.tracer` built — calling
+    it runs exactly one Python frame.
     """
 
-    __slots__ = ("layer", "_emit")
+    __slots__ = ("layer", "emit")
 
-    def __init__(self, buf: "TraceBuffer", layer: str):
+    def __init__(self, layer: str, emit):
         self.layer = layer
-        self._emit = buf.emit
-
-    def emit(self, ts: int, kind: str, node: int = -1, parent: int = -1, data=None) -> int:
-        """Record one event; returns its id (for use as a later parent)."""
-        return self._emit(ts, self.layer, kind, node, parent, data)
+        self.emit = emit
 
 
 class TraceBuffer:
@@ -178,19 +277,15 @@ class TraceBuffer:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive: {capacity}")
         self.capacity = capacity
-        self.dropped = 0
-        self._events: deque = deque(maxlen=capacity)
-        self._next_id = 0
+        # At the bound, extending by one record evicts exactly the oldest.
+        ring = self._ring = deque(maxlen=capacity * _WIDTH)
+        self._cleared_at = 0  # events emitted before the last clear()
         self.hists: dict[str, Histogram] = {}
         # Optional windowed-metrics sink (repro.obs.metrics.MetricsWindow).
         # Fed inline at emit time, so it sees every event even after the
         # ring has evicted it — a tiny ring plus metrics is the cheap
-        # "leave it on" configuration.  When None, emit() stays the
-        # original two-branch append (the common case selects the plain
-        # emit body once, at construction).
+        # "leave it on" configuration.
         self.metrics = metrics
-        if metrics is not None:
-            self.emit = self._emit_metered  # type: ignore[method-assign]
         # Current dispatch context: the event id heading the kernel
         # dispatch executing right now (a task.step or a msg.recv) and
         # its timestamp.  The kernel and machine publish it; traced
@@ -199,31 +294,49 @@ class TraceBuffer:
         self.ctx_eid = -1
         self.ctx_ts = -1
 
+        # The emit closures.  Every layer's closure shares the one
+        # ``emitted`` cell, which is also the next event id: ids are
+        # positions in the emitted stream, so a record need not carry
+        # its own, and ``dropped`` falls out of the same count.  The
+        # metered body is chosen here, once, so an unmetered buffer
+        # never tests for a window.
+        emitted = 0
+        extend = ring.extend
+        shapes = _SHAPES
+
+        def unmetered(layer):
+            def emit(ts, shape, node=-1, parent=-1, a=None, b=None, c=None, d=None):
+                nonlocal emitted
+                shapes[shape]  # refuse an undeclared event here, at its emit site
+                eid = emitted
+                emitted = eid + 1
+                extend((ts, layer, shape, node, parent, a, b, c, d))
+                return eid
+
+            return emit
+
+        def metered(layer):
+            observe = metrics.observe
+
+            def emit(ts, shape, node=-1, parent=-1, a=None, b=None, c=None, d=None):
+                nonlocal emitted
+                kind, fields = shapes[shape]
+                eid = emitted
+                emitted = eid + 1
+                extend((ts, layer, shape, node, parent, a, b, c, d))
+                if kind in TRACKED_KINDS:
+                    observe(ts, kind, _payload(fields, (a, b, c, d)))
+                return eid
+
+            return emit
+
+        self._bind = unmetered if metrics is None else metered
+        self._emitted = lambda: emitted
+
     # -- recording ------------------------------------------------------
-    def emit(self, ts: int, layer: str, kind: str, node: int = -1, parent: int = -1, data=None) -> int:
-        """Append an event; returns its id."""
-        eid = self._next_id
-        self._next_id = eid + 1
-        q = self._events
-        if len(q) == self.capacity:
-            self.dropped += 1
-        q.append(TraceEvent(eid, ts, layer, kind, node, parent, data))
-        return eid
-
-    def _emit_metered(self, ts: int, layer: str, kind: str, node: int = -1, parent: int = -1, data=None) -> int:
-        """emit() variant installed when a MetricsWindow is attached."""
-        eid = self._next_id
-        self._next_id = eid + 1
-        q = self._events
-        if len(q) == self.capacity:
-            self.dropped += 1
-        q.append(TraceEvent(eid, ts, layer, kind, node, parent, data))
-        self.metrics.observe(ts, kind, data)
-        return eid
-
     def tracer(self, layer: str) -> Tracer:
         """A per-layer emit handle (build once, at layer construction)."""
-        return Tracer(self, layer)
+        return Tracer(layer, self._bind(layer))
 
     def hist(self, name: str) -> Histogram:
         """The named histogram, created on first use."""
@@ -233,21 +346,32 @@ class TraceBuffer:
         return h
 
     # -- reading --------------------------------------------------------
+    @property
+    def dropped(self) -> int:
+        """Events the ring has evicted since construction or ``clear()``."""
+        return self._emitted() - self._cleared_at - len(self)
+
     def events(self) -> list[TraceEvent]:
-        """Snapshot of the surviving events, oldest first."""
-        return list(self._events)
+        """The surviving events, oldest first, materialised from the ring."""
+        out = []
+        eid = self._emitted() - len(self)
+        for ts, layer, shape, node, parent, *values in zip(*[iter(self._ring)] * _WIDTH):
+            kind, fields = _SHAPES[shape]
+            out.append(TraceEvent(eid, ts, layer, kind, node, parent, _payload(fields, values)))
+            eid += 1
+        return out
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._ring) // _WIDTH
 
     def clear(self) -> None:
         """Drop all events and histograms (ids keep increasing)."""
-        self._events.clear()
-        self.dropped = 0
+        self._ring.clear()
+        self._cleared_at = self._emitted()
         self.hists.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"TraceBuffer({len(self._events)}/{self.capacity} events, "
+            f"TraceBuffer({len(self)}/{self.capacity} events, "
             f"{self.dropped} dropped, {len(self.hists)} hists)"
         )

@@ -200,8 +200,7 @@ class DynamicChecker:
         self._seen.add(key)
         rec = RaceRecord(kind, rid, nodes, detail)
         self.races.append(rec)
-        self._emit("sanitize.race", nodes[-1],
-                   {"kind": kind, "rid": rid, "nodes": list(nodes)})
+        self._emit("sanitize.race", nodes[-1], kind, rid, nodes)
 
     def _violation(self, kind: str, rid: int, nid: int, detail: str) -> None:
         key = (kind, rid, nid)
@@ -209,12 +208,12 @@ class DynamicChecker:
             return
         self._seen.add(key)
         self.violations.append(AccessViolation(kind, rid, nid, detail))
-        self._emit("sanitize.violation", nid, {"kind": kind, "rid": rid})
+        self._emit("sanitize.violation", nid, kind, rid)
 
-    def _emit(self, event: str, nid: int, data: dict) -> None:
+    def _emit(self, event: str, nid: int, *payload) -> None:
         if self._obs is not None:
             now = self._sim.now if self._sim is not None else 0
-            self._obs.emit(now, event, node=nid, data=data)
+            self._obs.emit(now, event, nid, -1, *payload)
 
     # -- reporting --------------------------------------------------------
     @property

@@ -227,10 +227,7 @@ class Task:
             # issued while this task runs parent back to it.
             buf = self._obs_buf
             buf.ctx_eid = obs.emit(
-                now,
-                "task.step",
-                parent=-1 if fut is None else fut._obs_eid,
-                data=self.name,
+                now, "task.step", -1, -1 if fut is None else fut._obs_eid, self.name
             )
             buf.ctx_ts = now
         self.blocked_on = None
@@ -242,14 +239,14 @@ class Task:
                 if trace:
                     trace(now, f"{self.name} finished")
                 if obs is not None:
-                    obs.emit(now, "task.finish", data=self.name)
+                    obs.emit(now, "task.finish", -1, -1, self.name)
                 self.done.resolve(stop.value)
                 return
             except BaseException as err:  # task crashed: propagate via its future
                 if trace:
                     trace(now, f"{self.name} raised {err!r}")
                 if obs is not None:
-                    obs.emit(now, "task.crash", data=f"{self.name}: {err!r}")
+                    obs.emit(now, "task.crash", -1, -1, f"{self.name}: {err!r}")
                 self.done.fail(err)
                 return
             cls = item.__class__
@@ -358,7 +355,7 @@ class Task:
                 # blocked on ``item`` — the raw material for cycle
                 # attribution (repro.obs.attrib classifies the future's
                 # name into wait buckets).
-                obs.emit(now, "task.block", data={"task": self.name, "on": item.name})
+                obs.emit(now, "task.block", -1, -1, self.name, item.name)
             item._callbacks.append(self._wake)
             return
 
@@ -507,7 +504,7 @@ class Simulator:
         task.done._fail_hook = self._note_failure
         self._tasks.append(task)
         if self._obs is not None:
-            self._obs.emit(self.now, "task.spawn", data=name)
+            self._obs.emit(self.now, "task.spawn", -1, -1, name)
         self.schedule(0, task._resume)
         return task
 
@@ -546,7 +543,7 @@ class Simulator:
             pass
         task.gen.close()
         if self._obs is not None:
-            self._obs.emit(self.now, "task.retire", data=task.name)
+            self._obs.emit(self.now, "task.retire", -1, -1, task.name)
         if self._trace:
             self._trace(self.now, f"{task.name} retired")
         task.done.resolve(result)

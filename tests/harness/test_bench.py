@@ -1,0 +1,66 @@
+"""tools/bench.py: the regression gate cannot skip a suite, the seed
+baseline covers every smoke suite, and ``--trace-overhead`` records
+the tracer's wall factor in the bench JSON."""
+
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(ROOT / "tools"))
+
+import bench  # noqa: E402
+
+
+def _suite(rows, events=100, wall=0.5):
+    return {"wall_s": wall, "events": events, "events_per_s": round(events / wall), "rows": rows}
+
+
+def test_gate_fails_on_a_suite_the_baseline_lacks():
+    rows = [["TSP", "ace", 1234]]
+    report = {"suites": {"smoke": _suite(rows), "smoke_serve": _suite(rows)}}
+    baseline = {"suites": {"smoke": _suite(rows)}}
+    gated = bench.compare(report, baseline, gate=True)
+    assert len(gated) == 2 and "cycles identical" in gated[0]
+    assert gated[1].startswith("smoke_serve: not in baseline") and "REGRESSED" in gated[1]
+    # without --gate the comparison stays informational: common suites only
+    assert bench.compare(report, baseline) == [gated[0].split("  throughput")[0]]
+    # an empty baseline leaves the gate nothing to compare — every suite fails it
+    assert all("REGRESSED" in line for line in bench.compare(report, {}, gate=True))
+
+
+def test_seed_baseline_covers_every_smoke_suite():
+    seed = json.loads((ROOT / "BENCH_seed.json").read_text())
+    report = bench.run_bench([], n_procs=2, smoke=True)
+    assert set(report["suites"]) == {"smoke", "smoke_table4", "smoke_serve"}
+    for name in report["suites"]:
+        assert seed["suites"][name]["rows"] and seed["suites"][name]["events"], name
+    lines = bench.compare(report, seed, gate=True)
+    assert len(lines) == 3 and all("cycles identical" in line for line in lines), lines
+    # (the wall backstop is the one host-dependent clause; not this test's business)
+    assert not any("REGRESSED" in line.replace("wall REGRESSED", "") for line in lines), lines
+
+
+def test_cli_gate_exits_nonzero_without_a_serve_baseline(tmp_path, capsys):
+    seed = json.loads((ROOT / "BENCH_seed.json").read_text())
+    del seed["suites"]["smoke_serve"]
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps(seed))
+    argv = ["--smoke", "--baseline", str(stale), "--out", str(tmp_path / "bench.json")]
+    assert bench.main(argv + ["--gate"]) == 1
+    assert "smoke_serve: not in baseline: REGRESSED" in capsys.readouterr().out
+    assert bench.main(argv) == 0
+
+
+def test_trace_overhead_row_is_written_to_the_bench_json(tmp_path, capsys):
+    out = tmp_path / "overhead.json"
+    assert bench.main(["--trace-overhead", "--procs", "2", "--repeat", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    row = report["trace_overhead"]
+    assert set(row) == {"suite", "repeat", "off_wall_s", "on_wall_s", "factor",
+                        "events_emitted", "cycles_identical"}
+    assert row["repeat"] == 2 and row["cycles_identical"] is True
+    assert row["events_emitted"] > 10_000
+    assert row["factor"] == round(row["on_wall_s"] / row["off_wall_s"], 3)
+    assert report["host"]["cpus"] and report["n_procs"] == 2
+    assert "cycles identical" in capsys.readouterr().out

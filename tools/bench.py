@@ -62,12 +62,13 @@ def suite_fig7a(n_procs: int, apps: list[str] | None = None, tracer_factory=None
 
     ``tracer_factory`` (used by ``--trace-overhead``) builds a fresh
     :class:`repro.obs.TraceBuffer` per run; simulated cycles must be
-    bit-identical with and without one.
+    bit-identical with and without one.  The traced result also counts
+    the trace events emitted (``events_emitted``).
     """
     from repro.facade import run_spmd
     from repro.harness.experiments import _PROGRAMS, FIG7_WORKLOADS
 
-    rows, events = [], 0
+    rows, events, emitted = [], 0, 0
     t0 = time.perf_counter()
     for app, make_wl in FIG7_WORKLOADS.items():
         if apps is not None and app not in apps:
@@ -79,7 +80,12 @@ def suite_fig7a(n_procs: int, apps: list[str] | None = None, tracer_factory=None
             res = run_spmd(program_fn(wl, sc_plan), backend=backend, n_procs=n_procs, tracer=tracer)
             rows.append([app, backend, res.time])
             events = _acc(events, _events(res))
-    return _result(rows, events, time.perf_counter() - t0)
+            if tracer is not None:
+                emitted += len(tracer) + tracer.dropped
+    result = _result(rows, events, time.perf_counter() - t0)
+    if tracer_factory is not None:
+        result["events_emitted"] = emitted
+    return result
 
 
 def suite_fig7b(n_procs: int) -> dict:
@@ -220,8 +226,7 @@ def run_bench(suites: list[str], n_procs: int, smoke: bool = False, repeat: int 
         # signal for the closure backend)
         report["suites"]["smoke_table4"] = _repeated(suite_table4, repeat, n_procs=2, apps=["TSP"])
         # tiny serving run: proves the serve stack and its determinism
-        # without burning minutes (absent from old baselines, so the
-        # gate's compare() simply skips it there)
+        # without burning minutes
         report["suites"]["smoke_serve"] = _repeated(suite_serve, repeat, n_procs=2, requests=256)
         return report
     for name in suites:
@@ -244,6 +249,8 @@ def compare(
 
     With ``gate=True`` the lines also flag performance regressions:
 
+    * a suite the baseline does not have fails the gate — a gate that
+      skips what it cannot compare checks nothing for that suite;
     * ``events`` (kernel steps; deterministic and host-independent, so
       it is the meaningful "no worse" signal) may not grow past
       ``events_tolerance`` × baseline;
@@ -254,6 +261,8 @@ def compare(
     for name, cur in report["suites"].items():
         base = baseline.get("suites", {}).get(name)
         if base is None:
+            if gate:
+                lines.append(f"{name}: not in baseline: REGRESSED (gate has nothing to compare)")
             continue
         speedup = base["wall_s"] / cur["wall_s"] if cur["wall_s"] else float("inf")
         cycles_ok = base["rows"] == cur["rows"]
@@ -274,8 +283,6 @@ def compare(
                 delta = (cur_eps - base_eps) / base_eps * 100
                 line += f"  throughput {base_eps} -> {cur_eps} events/s ({delta:+.1f}%)"
         lines.append(line)
-    if gate and not lines:
-        lines.append("no suites in common with baseline: REGRESSED (gate has nothing to check)")
     return lines
 
 
@@ -329,26 +336,31 @@ def profile_suite(name: str, n_procs: int, out: Path | None, top: int = 20) -> i
     return 0
 
 
-def trace_overhead(n_procs: int) -> int:
-    """Run fig7a with tracing off, then on; report the wall-clock delta.
+def trace_overhead(n_procs: int, repeat: int = 1) -> dict:
+    """fig7a with tracing off and on, ``repeat`` times each (interleaved);
+    the tracer's wall factor from the best wall of each side.
 
     The simulated-cycle rows must be bit-identical — tracing is pure
-    observation.  Returns a nonzero exit code if they differ.
+    observation; ``cycles_identical`` says whether they were.
     """
     from repro.obs import TraceBuffer
 
-    print("fig7a with tracing off ...", file=sys.stderr)
-    off = suite_fig7a(n_procs=n_procs)
-    print("fig7a with tracing on ...", file=sys.stderr)
-    on = suite_fig7a(n_procs=n_procs, tracer_factory=lambda: TraceBuffer(capacity=1 << 18))
-    overhead = (on["wall_s"] - off["wall_s"]) / off["wall_s"] * 100 if off["wall_s"] else 0.0
-    identical = off["rows"] == on["rows"]
-    print(
-        f"trace overhead (fig7a, {n_procs} procs): "
-        f"{off['wall_s']:.3f}s off -> {on['wall_s']:.3f}s on "
-        f"({overhead:+.1f}% wall)  cycles {'identical' if identical else 'DIFFER (BUG)'}"
-    )
-    return 0 if identical else 1
+    off, on = [], []
+    for i in range(repeat):
+        print(f"fig7a with tracing off, then on ({i + 1}/{repeat}) ...", file=sys.stderr)
+        off.append(suite_fig7a(n_procs=n_procs))
+        on.append(suite_fig7a(n_procs=n_procs, tracer_factory=lambda: TraceBuffer(capacity=1 << 18)))
+    off_wall = min(r["wall_s"] for r in off)
+    on_wall = min(r["wall_s"] for r in on)
+    return {
+        "suite": "fig7a",
+        "repeat": repeat,
+        "off_wall_s": off_wall,
+        "on_wall_s": on_wall,
+        "factor": round(on_wall / off_wall, 3),
+        "events_emitted": on[0]["events_emitted"],
+        "cycles_identical": all(r["rows"] == off[0]["rows"] for r in off + on),
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -360,7 +372,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="run each suite N times; record best-of-N wall with "
                              "min/median/max/stddev spread (default 1)")
     parser.add_argument("--trace-overhead", action="store_true",
-                        help="run fig7a off+on tracing, report wall delta, check cycles identical")
+                        help="run fig7a off+on tracing (best of --repeat), record the wall factor "
+                             "in the bench JSON, check cycles identical")
     parser.add_argument("--profile", choices=sorted(SUITES), default=None, metavar="SUITE",
                         help="cProfile one suite; dump top-20 cumulative to a JSON artifact")
     parser.add_argument("--out", type=Path, default=None, help="output path (default BENCH_<stamp>.json)")
@@ -369,20 +382,30 @@ def main(argv: list[str] | None = None) -> int:
                         help="fail on perf regressions vs --baseline, not just cycle mismatches")
     args = parser.parse_args(argv)
 
-    if args.trace_overhead:
-        return trace_overhead(n_procs=args.procs)
+    if args.repeat < 1:
+        parser.error(f"--repeat must be >= 1 (got {args.repeat})")
     if args.profile:
         return profile_suite(args.profile, n_procs=args.procs, out=args.out)
 
     # Read the baseline up front: a bad path should fail before the
     # suites burn minutes, not after.
     baseline = json.loads(args.baseline.read_text()) if args.baseline else None
-    if args.repeat < 1:
-        parser.error(f"--repeat must be >= 1 (got {args.repeat})")
-    report = run_bench(args.suites, n_procs=args.procs, smoke=args.smoke, repeat=args.repeat)
+    if args.trace_overhead:
+        report = run_bench([], n_procs=args.procs, repeat=args.repeat)
+        row = report["trace_overhead"] = trace_overhead(args.procs, args.repeat)
+    else:
+        report = run_bench(args.suites, n_procs=args.procs, smoke=args.smoke, repeat=args.repeat)
     out = args.out or Path(f"BENCH_{report['stamp'].replace(':', '')}.json")
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
+    if args.trace_overhead:
+        print(
+            f"trace overhead (fig7a, {args.procs} procs, best of {args.repeat}): "
+            f"{row['off_wall_s']:.3f}s off -> {row['on_wall_s']:.3f}s on "
+            f"({row['factor']:.2f}x wall, {row['events_emitted']} events)  "
+            f"cycles {'identical' if row['cycles_identical'] else 'DIFFER (BUG)'}"
+        )
+        return 0 if row["cycles_identical"] else 1
     for name, suite in report["suites"].items():
         eps = suite["events_per_s"]
         spread = suite.get("spread")

@@ -48,7 +48,7 @@ def table4_throughput():
     """(before, after) table4 suite blocks from committed BENCH files.
 
     *Before* is the interpreter-era artifact pinned above; *after* is
-    the newest stamped artifact in the repo root.  Returns (None, None)
+    the newest stamped artifact in the repo root that ran table4.  Returns (None, None)
     when either is missing so EXPERIMENTS.md can still regenerate from
     a partial checkout.
     """
@@ -66,7 +66,8 @@ def table4_throughput():
         p for p in glob.glob(os.path.join(root, "BENCH_*.json"))
         if "seed" not in os.path.basename(p)
     )
-    after = suite(stamped[-1]) if stamped else None
+    # a partial run (one suite, a --trace-overhead row) has no table4 block
+    after = next((s for s in map(suite, reversed(stamped)) if s), None)
     if after is before:  # same file: nothing to compare
         return None, None
     return before, after
