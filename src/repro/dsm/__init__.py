@@ -36,7 +36,7 @@ from repro.dsm.recovery import Crashed, RecoveryManager
 from repro.dsm.directory import DirEntry, DirectoryService
 from repro.dsm.regioncache import RegionCache
 from repro.dsm.hooks import ProtocolHooks
-from repro.dsm.coherence import CoherenceEngine, DirectoryEngine
+from repro.dsm.coherence import CoherenceEngine
 from repro.dsm.locks import LockService
 from repro.dsm.barrier import BarrierService
 
@@ -48,7 +48,6 @@ __all__ = [
     "Crashed",
     "DSMCosts",
     "DirEntry",
-    "DirectoryEngine",
     "DirectoryService",
     "EngineView",
     "FaultPlan",

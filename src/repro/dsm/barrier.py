@@ -33,7 +33,23 @@ class BarrierService:
         self._n_procs = n
         self._stats = transport.stats
         self._sim = transport.sim
-        self._request = transport.request
+        if transport.recovery is not None and algorithm == "dissemination":
+            # Crash recovery shrinks barrier membership through the
+            # manager's crash-aware hw rendezvous; the dissemination
+            # rounds have no membership to shrink (round structure is a
+            # function of n), so the combination cannot survive a death.
+            raise ValueError(
+                "on_crash recovery requires the 'hw' barrier algorithm "
+                "(dissemination rounds cannot shrink membership)"
+            )
+        # Each dissemination notify is a port notify (DESIGN.md §9): on a
+        # lossy fabric a dropped one would park its receiver forever and
+        # a duplicate would over-count a round's flag, releasing a
+        # *future* barrier early.  The hardware path needs nothing — the
+        # control network is reliable by construction.
+        port = transport.port("barrier")
+        self._send = port.send
+        self._h_notify = port.hears(self._on_notify, "barrier.notify_ack")
         self._hw_barrier = transport.hw_barrier
         self._rounds = max(1, (n - 1).bit_length())
         # dissemination state: per round, per node, count of notifies seen
@@ -45,33 +61,6 @@ class BarrierService:
         tracer = transport.tracer
         self._obs = tracer.tracer("barrier") if tracer is not None else None
         self._epochs = [0] * n
-        if not transport.reliable:
-            self._install_reliable(transport)
-
-    def _install_reliable(self, transport) -> None:
-        """Ack'd dissemination rounds for a lossy fabric.
-
-        Each notify becomes a retried, sequence-numbered round trip: a
-        dropped notify would park its receiver forever, and a duplicate
-        would over-count a round's flag and release a *future* barrier
-        early.  The hardware path needs nothing — the control network
-        is reliable by construction.
-        """
-        from repro.dsm.faults import SeenOnce
-
-        if transport.recovery is not None and self.algorithm == "dissemination":
-            # Crash recovery shrinks barrier membership through the
-            # manager's crash-aware hw rendezvous; the dissemination
-            # rounds have no membership to shrink (round structure is a
-            # function of n), so the combination cannot survive a death.
-            raise ValueError(
-                "on_crash recovery requires the 'hw' barrier algorithm "
-                "(dissemination rounds cannot shrink membership)"
-            )
-        self._notify_seen = SeenOnce(transport)
-        self._reply = transport.reply
-        self._request = transport.kit.rpc
-        self._on_notify = self._on_notify_r
 
     def wait(self, nid: int):
         """Generator: block until all ``n_procs`` nodes have arrived."""
@@ -90,8 +79,8 @@ class BarrierService:
         n = self._n_procs
         for r in range(self._rounds):
             peer = (nid + (1 << r)) % n
-            yield from self._request(
-                nid, peer, self._on_notify, r, payload_words=1, category="barrier.notify"
+            yield from self._send(
+                nid, peer, self._h_notify, r, payload_words=1, category="barrier.notify"
             )
             if self._flags[r][nid] > 0:
                 self._flags[r][nid] -= 1
@@ -113,8 +102,3 @@ class BarrierService:
             fut.resolve(None)
         else:
             self._flags[r][nid] += 1
-
-    def _on_notify_r(self, node, src, fut, r, seq=None):
-        if self._notify_seen.first(src, seq):
-            self._notify(node.nid, r)
-        self._reply(fut, None, payload_words=1, category="barrier.notify_ack")

@@ -57,9 +57,7 @@ class CoherenceEngine:
     over one transport, cross-wires the two handler edges that span
     layers (recall → cache, invalidation ack → directory), and exposes
     the hook generators as its own attributes so ``yield from
-    engine.start_read(...)`` drives the hooks frame directly — callers
-    of the old monolithic ``DirectoryEngine`` work unchanged, cycle for
-    cycle.
+    engine.start_read(...)`` drives the hooks frame directly.
 
     Parameters
     ----------
@@ -160,7 +158,3 @@ class CoherenceEngine:
         self.end_write = hooks.end_write
         self.flush = hooks.flush
         self.copy_of = self.cache.copy_of
-
-
-#: Backwards-compatible name: the monolithic engine this composition replaced.
-DirectoryEngine = CoherenceEngine

@@ -69,11 +69,11 @@ class DirectoryService:
 
     #: Crash-recovery manager; set by :meth:`enable_recovery`.
     _recovery = None
-    #: Futures that must be served remote-style even though their source
-    #: is the region's home (see :meth:`enable_recovery`).  The class
-    #: default is an immutable empty set: without recovery nothing is
-    #: ever marked and the membership probes below are constant-false.
-    _remote_self: frozenset = frozenset()
+    #: Requests that crossed the fabric and are not yet answered (the
+    #: port's view; bound by :meth:`enable_recovery`).  One whose source
+    #: is the region's home must be served remote-style.  Immutable empty
+    #: default: without recovery the probes below are constant-false.
+    _wire_calls = frozenset()
 
     def __init__(
         self,
@@ -109,60 +109,42 @@ class DirectoryService:
         self._cat_upgrade_ack = intern_key(prefix, "upgrade_ack")
         self._cat_inval = intern_key(prefix, "inval")
         self._cat_flush_ack = intern_key(prefix, "flush_ack")
-        # Transport operations, pre-bound.
-        self._reply = transport.reply
-        self._post = transport.post
-        # Stable bound-method handler objects: message sends fetch an
-        # attribute instead of materializing a bound method per call,
-        # and the machine's handler-stat cache hits on identity.
-        self._h_map_lookup = self._on_map_lookup
-        self._h_read_req = self._on_read_req
-        self._h_write_req = self._on_write_req
-        self._h_grant_ack = self._on_grant_ack
+        # The fabric, through the reliability seam (DESIGN.md §9): on an
+        # exactly-once transport these are its own bound methods and the
+        # wire handlers below are the plain bound methods — stable
+        # objects, so sends fetch an attribute instead of materializing a
+        # bound method per call and the machine's handler-stat cache
+        # hits on identity.
+        port = self.port = transport.port(prefix)
+        self._reply = port.reply
+        self._post = port.post
+        self._h_map_lookup = port.idempotent(self._on_map_lookup)  # pure metadata read
+        self._h_read_req = port.serves(self._on_read_req)
+        self._h_write_req = port.serves(self._on_write_req)
+        # A retried flush must never re-execute: the home may have granted
+        # ownership onward, and the stale writeback would clobber it.
+        self._h_flush = port.serves(self._on_flush)
+        self._h_grant_ack = port.hears(self._on_grant_ack, intern_key(prefix, "grant_ack_ack"))
         self._h_inval_ack = self._on_inval_ack
-        self._h_flush = self._on_flush
         # Node-side invalidation handler; see wire_cache.
         self._h_inval_req = None
+        ops = ("read_req", "write_req", "flush", "inval", "map_lookup")
+        port.watch(tuple(intern_key(prefix, op) for op in ops), self)
         if not transport.reliable:
-            self._install_reliable(transport)
-
-    def _install_reliable(self, transport) -> None:
-        """Swap in retry/dedup variants for an at-least-once fabric.
-
-        Same construction-time idiom as the machine's traced paths: on
-        a reliable transport none of this runs and the handlers above
-        stay bound untouched.  Requests arrive sequence-numbered (the
-        sender's :class:`~repro.dsm.faults.RetryKit` retransmits until
-        the reply lands); the :class:`~repro.dsm.faults.DedupTable`
-        admits each ``(src, seq)`` once and replays recorded replies to
-        late duplicates, so handler side effects stay exactly-once.
-        """
-        from repro.dsm.faults import DedupTable, SeenOnce
-
-        self._kit = transport.kit
-        self._dedup = DedupTable(transport, self.prefix)
-        self._reply_raw = transport.reply
-        self._reply = self._dedup.reply
-        self._ga_seen = SeenOnce(transport)
-        self._cat_ga_ack = intern_key(self.prefix, "grant_ack_ack")
-        self._h_map_lookup = self._on_map_lookup_r
-        self._h_read_req = self._on_read_req_r
-        self._h_write_req = self._on_write_req_r
-        self._h_grant_ack = self._on_grant_ack_r
-        self._h_flush = self._on_flush_r
-        self._begin_recall = self._begin_recall_r
-        transport.watchdog.register_directory(self)
+            # Acked fan-out (out of the port's two idioms, DESIGN.md §9):
+            # on an exactly-once fabric a recall's ack is an explicit
+            # inval_ack *message*; on a lossy one it is the reply to the
+            # retried post, collected through on_ack.
+            self._begin_recall = self._begin_recall_r
 
     def enable_recovery(self, manager) -> None:
         """Join crash recovery (called via the composing engine when the
         transport carries a :class:`~repro.dsm.recovery.RecoveryManager`).
 
         Classifies this directory's message categories for the manager's
-        in-flight sweep and swaps in the recovery-tolerant invalidation
-        ack collector: after a death, acks from recalls the manager
-        canceled or orphaned are absorbed instead of raising.  The swap
-        happens at construction time, before any recall runs, so every
-        ``on_ack`` partial captures the tolerant bound method.
+        in-flight sweep; with a manager set, the invalidation ack
+        collector absorbs acks of recalls the manager canceled or
+        orphaned instead of raising.
         """
         p = self.prefix
         manager.register_home_categories(
@@ -172,7 +154,6 @@ class DirectoryService:
         manager.register_push_categories((self._cat_inval,))
         manager.register_ack_categories((intern_key(p, "grant_ack"),))
         self._recovery = manager
-        self._apply_inval_ack = self._apply_inval_ack_t
         # Re-homing can leave a survivor's *remote* miss addressed to
         # itself: its request to the dead home is retargeted (or was
         # queued there and re-admitted) after the survivor became the
@@ -180,9 +161,10 @@ class DirectoryService:
         # in the remote-miss epilogue, so the serve path must grant
         # remote-style (data reply + busy window) — a home-style grant
         # would open home_readers/home_writing that no continuation ever
-        # closes, wedging the entry.  Such futures are marked here and
-        # consumed by _serve_read/_serve_write.
-        self._remote_self = set()
+        # closes, wedging the entry.  A home's own misses call the plain
+        # handlers in place, so "came through the wire shim and is still
+        # unanswered" identifies exactly these requests.
+        self._wire_calls = self.port.open_calls
 
     def wire_cache(self, cache) -> None:
         """Bind the node-side invalidation handler recalls are sent to."""
@@ -261,13 +243,10 @@ class DirectoryService:
         return True
 
     def _serve_read(self, region: Region, ent: DirEntry, src: int, fut: Future) -> None:
-        if src == region.home:
-            if fut in self._remote_self:
-                self._remote_self.discard(fut)  # re-homed self-request
-            else:
-                ent.home_readers += 1
-                fut.resolve(None)
-                return
+        if src == region.home and fut not in self._wire_calls:
+            ent.home_readers += 1
+            fut.resolve(None)
+            return
         ent.sharers.add(src)
         # The entry stays busy until the grantee acknowledges install:
         # otherwise a queued write's invalidation could overtake the
@@ -282,17 +261,14 @@ class DirectoryService:
         )
 
     def _serve_write(self, region: Region, ent: DirEntry, src: int, fut: Future) -> None:
-        if src == region.home:
-            if fut in self._remote_self:
-                self._remote_self.discard(fut)  # re-homed self-request
-            else:
-                ent.home_writing = True
-                # A re-homed node can hold a sharer-state copy of its own
-                # region; the local grant epilogue reverts it to the home
-                # alias (see hooks), so it stops being a sharer here.
-                ent.sharers.discard(src)
-                fut.resolve(None)
-                return
+        if src == region.home and fut not in self._wire_calls:
+            ent.home_writing = True
+            # A re-homed node can hold a sharer-state copy of its own
+            # region; the local grant epilogue reverts it to the home
+            # alias (see hooks), so it stops being a sharer here.
+            ent.sharers.discard(src)
+            fut.resolve(None)
+            return
         had_copy = src in ent.sharers
         ent.sharers.discard(src)
         ent.owner = src
@@ -316,48 +292,6 @@ class DirectoryService:
         self._drain(region, ent)
 
     # ------------------------------------------------------------------
-    # reliable variants (installed over the handlers above when the
-    # transport may drop/duplicate/reorder; see _install_reliable)
-    # ------------------------------------------------------------------
-    def _on_map_lookup_r(self, node, src, fut, rid, seq=None):
-        # Idempotent (pure metadata read): re-execution re-replies and
-        # the sender's resolve-once gate keeps only the first.
-        self._on_map_lookup(node, src, fut, rid)
-
-    def _on_read_req_r(self, node, src, fut, rid, seq=None):
-        if self._dedup.admit(src, seq, fut):
-            # A *fabric* request (seq-numbered; the home's local misses
-            # pass seq=None) from the region's own home only exists
-            # after re-homing: grant it remote-style.  See enable_recovery.
-            if seq is not None and self._recovery is not None and src == self.regions.get(rid).home:
-                self._remote_self.add(fut)
-            self._on_read_req(node, src, fut, rid)
-
-    def _on_write_req_r(self, node, src, fut, rid, seq=None):
-        if self._dedup.admit(src, seq, fut):
-            if seq is not None and self._recovery is not None and src == self.regions.get(rid).home:
-                self._remote_self.add(fut)
-            self._on_write_req(node, src, fut, rid)
-
-    def _on_flush_r(self, node, src, fut, rid, data, seq=None):
-        # A retried flush must never re-execute: the home may have
-        # granted ownership onward, and replaying the stale writeback
-        # would clobber newer home data.
-        if self._dedup.admit(src, seq, fut):
-            self._on_flush(node, src, fut, rid, data)
-
-    def _on_grant_ack_r(self, node, src, fut, rid, seq=None):
-        # Clearing busy twice could release a *later* grant's window,
-        # so duplicates ack without touching the entry.
-        if self._ga_seen.first(src, seq):
-            region = self.regions.get(rid)
-            ent = self.entry(rid)
-            ent.busy = False
-            ent.grantee = None
-            self._drain(region, ent)
-        self._reply_raw(fut, None, payload_words=1, category=self._cat_ga_ack)
-
-    # ------------------------------------------------------------------
     # recall / invalidation fan-out
     # ------------------------------------------------------------------
     def _begin_recall(self, region, ent, kind, src, fut, targets) -> None:
@@ -376,14 +310,14 @@ class DirectoryService:
             )
 
     def _begin_recall_r(self, region, ent, kind, src, fut, targets) -> None:
-        # Reliable fan-out: each invalidation is an ack'd RetryKit send;
+        # Lossy fan-out: each invalidation is an ack'd, retried post;
         # the node-side cache acks exactly once per logical request
         # (dedup there), so each callback below fires exactly once.
         ent.busy = True
         ent.pending = {"kind": kind, "src": src, "fut": fut, "need": len(targets)}
         self._counts[self._k_recall] += 1
         for target, mode in targets:
-            self._kit.post(
+            self._post(
                 region.home,
                 target,
                 self._h_inval_req,
@@ -400,40 +334,12 @@ class DirectoryService:
     def _apply_inval_ack(self, rid, target, mode, data):
         region = self.regions.get(rid)
         ent = self.entry(rid)
-        if data is not None:
-            np.copyto(region.home_data, data)
-        if ent.owner == target:
-            ent.owner = None
-        ent.sharers.discard(target)
-        if mode in self._sharer_modes:
-            ent.sharers.add(target)
-        pending = ent.pending
-        if pending is None:  # pragma: no cover - acks only while pending
-            raise ProtocolError(f"stray invalidation ack for region {rid}")
-        pending["need"] -= 1
-        if pending["need"] > 0:
-            return
-        ent.busy = False
-        ent.pending = None
-        if pending["kind"] == "read":
-            self._serve_read(region, ent, pending["src"], pending["fut"])
-        else:
-            self._serve_write(region, ent, pending["src"], pending["fut"])
-        self._drain(region, ent)
-
-    def _apply_inval_ack_t(self, rid, target, mode, data):
-        """Recovery-tolerant ack collector (see :meth:`enable_recovery`).
-
-        Two departures from the strict version: an ack with no pending
-        recall is counted and dropped instead of raising (the manager
-        canceled the recall when its home died — every surviving ack is
-        then structurally stray), and a recall whose requester died
-        (``orphan`` mark) completes without serving anyone.
-        """
-        region = self.regions.get(rid)
-        ent = self.entry(rid)
         pending = ent.pending
         if pending is None:
+            # Only after a death: the manager canceled the recall when its
+            # home died, so every surviving ack is structurally stray.
+            if self._recovery is None:  # pragma: no cover - acks only while pending
+                raise ProtocolError(f"stray invalidation ack for region {rid}")
             self._recovery.count_stray_ack()
             return
         if data is not None:
@@ -442,18 +348,19 @@ class DirectoryService:
             ent.owner = None
         ent.sharers.discard(target)
         if mode in self._sharer_modes and target != region.home:
-            # A recalled copy *on the home node itself* (a re-homed
-            # survivor that was granted remote-style) reverts to the
-            # home alias, not to a sharer copy — the hr/hw admission
-            # gate is the home's coherence mechanism, so it must not
-            # be re-listed as a sharer.  See regioncache._apply_inval.
+            # The home itself is a recall target only after re-homing (a
+            # survivor granted remote-style).  Its recalled copy reverts
+            # to the home alias at its next local grant (the epilogue in
+            # ProtocolHooks.start_read/start_write), not to a sharer copy
+            # — the hr/hw admission gate is the home's coherence
+            # mechanism, so it must not be re-listed as a sharer.
             ent.sharers.add(target)
         pending["need"] -= 1
         if pending["need"] > 0:
             return
         ent.busy = False
         ent.pending = None
-        if not pending.get("orphan"):
+        if not pending.get("orphan"):  # recovery marks a dead requester's recall
             if pending["kind"] == "read":
                 self._serve_read(region, ent, pending["src"], pending["fut"])
             else:

@@ -15,15 +15,15 @@ in by providing the same eight operations":
 :class:`FaultTransport`
     A :class:`~repro.dsm.transport.Transport` wrapping the simulated
     machine that applies a fault plan at the injection point.  It sets
-    ``reliable = False``, which makes every protocol layer install its
-    retry/dedup variants at construction (the same instance-attribute
-    swap idiom as the machine's traced paths — with faults off no
-    ``FaultTransport`` exists and the fast paths are untouched).
-:class:`RetryKit`
-    Sequence-numbered at-least-once delivery: reliable RPC and ack'd
-    one-way sends with timeout/retry/exponential backoff.  Receivers
-    dedup on ``(src, seq)`` (see :class:`DedupTable`), so at-least-once
-    transport stays semantically exactly-once.
+    ``reliable = False`` and hands every service a :class:`RetryPort`.
+:class:`RetryPort`
+    The lossy-fabric form of :class:`~repro.dsm.transport.Port`, and
+    the one place that knows how a message becomes exactly-once: the
+    only user of :class:`RetryKit` (sequence-numbered sends with
+    timeout/retry/exponential backoff) and of the ``(src, seq)``
+    receive-side dedup (:class:`DedupTable`, :class:`SeenOnce`).  With
+    faults off none of it exists and the plain port *is* the
+    transport's bound methods.
 :class:`LivenessWatchdog` / :class:`StallReport` / :class:`StallError`
     Retry exhaustion converts a silent stall into a structured report:
     blocked tasks with their wait reasons, every in-flight reliable
@@ -53,7 +53,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from random import Random
 
-from repro.dsm.transport import Transport, as_transport
+from repro.dsm.transport import Port, Transport, as_transport
 from repro.machine.stats import intern_key
 from repro.sim.errors import DeadlockError
 from repro.sim.future import _UNSET, Future
@@ -282,10 +282,10 @@ class StallError(DeadlockError):
 class LivenessWatchdog:
     """Turns retry exhaustion into a :class:`StallReport`.
 
-    Protocol services register themselves at construction (directory
-    state providers, and the message categories whose first argument
-    names a region), so the report can say *which region at which home*
-    is stuck rather than just which task.
+    Services register through their port's ``watch`` at construction
+    (directory state providers, and the message categories whose first
+    argument names a region), so the report can say *which region at
+    which home* is stuck rather than just which task.
     """
 
     def __init__(self, transport: "FaultTransport"):
@@ -295,17 +295,12 @@ class LivenessWatchdog:
         self._directories: list = []
         self._rid_categories: set[str] = set()
 
-    def register_directory(self, directory) -> None:
-        """Register a DirectoryService: state dumps + rid-first categories."""
-        self._directories.append(directory)
-        p = directory.prefix
-        self._rid_categories.update(
-            f"{p}.{op}" for op in ("read_req", "write_req", "flush", "inval", "map_lookup")
-        )
-
-    def register_rid_categories(self, categories) -> None:
-        """Declare message categories whose first payload arg is a region id."""
-        self._rid_categories.update(categories)
+    def watch(self, rid_categories, directory=None) -> None:
+        """Declare message categories whose first payload arg is a region
+        id, and optionally a DirectoryService whose busy entries to dump."""
+        self._rid_categories.update(rid_categories)
+        if directory is not None:
+            self._directories.append(directory)
 
     def report(self, reason: str) -> StallReport:
         sim = self._sim
@@ -404,9 +399,9 @@ class DedupTable:
     ``(src, seq)`` is *admitted* once; while its effects are still in
     flight, duplicates are ignored (the original's reply will come);
     after the reply is sent, duplicates get the recorded reply
-    re-transmitted without re-executing the handler.  Local calls
-    (``seq is None`` — same-node requests never retransmit) bypass the
-    table entirely.
+    re-transmitted without re-executing the handler.  Only wire
+    deliveries reach it (through :meth:`RetryPort.serves`); a node's
+    call to itself runs the plain handler.
 
     Recorded replies are garbage-collected (see ``_GC_LAG``) so the
     table plateaus instead of growing for the whole run.
@@ -437,10 +432,8 @@ class DedupTable:
         self._kit = transport.kit
         self._since_gc = 0
 
-    def admit(self, src: int, seq: int | None, fut: Future) -> bool:
+    def admit(self, src: int, seq: int, fut: Future) -> bool:
         """True exactly once per logical request; replays recorded replies."""
-        if seq is None:
-            return True
         key = (src, seq)
         sent = self._sent.get(key)
         if sent is not None:
@@ -593,6 +586,9 @@ class FaultTransport(Transport):
             from repro.dsm.recovery import RecoveryManager
 
             self.recovery = RecoveryManager(self, on_crash)
+
+    def port(self, prefix: str) -> "RetryPort":
+        return RetryPort(self, prefix)
 
     # -- Transport operations -------------------------------------------
     def request(self, src, dst, handler, *args, payload_words: int = 0, category: str = "am.request"):
@@ -777,11 +773,10 @@ class _PendingCall:
 class RetryKit:
     """Sequence-numbered reliable calls over an unreliable transport.
 
-    ``kit.rpc`` matches ``transport.rpc``'s signature so protocol
-    layers can swap it in as their ``self._rpc``; the handler receives
-    the usual ``(node, src, fut, *args)`` plus a trailing ``seq``
-    keyword-compatible positional (reliable handlers declare
-    ``seq=None`` so direct local calls work unchanged).  ``kit.post``
+    ``kit.rpc`` matches ``transport.rpc``'s signature (it is a
+    :class:`RetryPort`'s ``call``/``send``); what arrives is the usual
+    ``(node, src, fut, *args)`` plus a trailing ``seq``, which the
+    port's receive shims strip before the handler runs.  ``kit.post``
     is the ack'd one-way send for handler context: it retries until the
     receiver's reply resolves its future, invoking ``on_ack(value)``
     exactly once.
@@ -897,3 +892,66 @@ class RetryKit:
 def _ack_adapter(on_ack, fut) -> None:
     if fut._exc is None:
         on_ack(fut._value)
+
+
+# ---------------------------------------------------------------------------
+# the reliability seam: what services talk to
+# ---------------------------------------------------------------------------
+class RetryPort(Port):
+    """The port of an at-least-once fabric (``FaultTransport.port``).
+
+    ``call``/``send`` are :meth:`RetryKit.rpc` (a task-context notify
+    blocks until acknowledged — a lost lock release or barrier notify
+    would wedge its receiver), ``post`` is :meth:`RetryKit.post` (and
+    takes ``on_ack=``), ``reply`` records what it sends.  Each receive
+    binder returns a shim that strips the trailing wire ``seq``; the
+    shim keeps the handler's ``__self__`` (the recovery sweep and the
+    stall report resolve owners through it) and is counted by the
+    machine as ``handler.<name>_r`` — except under a ``proto.*`` prefix,
+    where it keeps the handler's own name.  Both spellings are stat
+    keys that reports and the lossy golden traces already use.
+    """
+
+    def __init__(self, transport: FaultTransport, prefix: str):
+        kit = transport.kit
+        self.call = self.send = kit.rpc
+        self.post = kit.post
+        self._dedup = DedupTable(transport, prefix)
+        self.reply = self._dedup.reply
+        self.first = SeenOnce(transport).first
+        #: admitted, not-yet-answered wire calls (fut -> (src, seq)): how a
+        #: home tells a request that crossed the fabric from a local one
+        self.open_calls = self._dedup._fut_keys
+        self._ack = transport.reply
+        self._suffix = "" if prefix.startswith("proto.") else "_r"
+        self.watch = transport.watchdog.watch  # stall-report metadata
+
+    def _shim(self, shim, handler):
+        shim.__name__ = handler.__name__ + self._suffix
+        shim.__self__ = handler.__self__
+        return shim
+
+    def serves(self, handler):
+        admit = self._dedup.admit
+
+        def shim(node, src, fut, *args):
+            if admit(src, args[-1], fut):
+                handler(node, src, fut, *args[:-1])
+
+        return self._shim(shim, handler)
+
+    def idempotent(self, handler):
+        return self._shim(lambda node, src, *args: handler(node, src, *args[:-1]), handler)
+
+    def hears(self, handler, ack_category: str):
+        first, ack = self.first, self._ack
+
+        def shim(node, src, fut, *args):
+            # Re-running could undo later state (release a re-granted
+            # lock, clear a newer busy window); a duplicate's original
+            # ack may be what was lost, so every delivery is acked.
+            if first(src, args[-1]):
+                handler(node, src, *args[:-1])
+            ack(fut, None, payload_words=1, category=ack_category)
+
+        return self._shim(shim, handler)

@@ -78,8 +78,10 @@ class ProtocolHooks:
         self._entry = directory.entry
         self._fire_deferred = cache._fire_deferred
         self._drain = directory._drain
-        self._rpc = transport.rpc
-        self._post = transport.post
+        # Remote round trips and the grant ack (which closes the home's
+        # busy window) go through the directory's port (DESIGN.md §9).
+        self._rpc = directory.port.call
+        self._post = directory.port.post
         self._nodes = transport.nodes
         # Stat keys and message categories are interned once here so the
         # per-access path never builds an f-string (see machine.stats).
@@ -108,29 +110,23 @@ class ProtocolHooks:
         self._d_start_miss = Delay(costs.start_miss)
         self._d_end_op = Delay(costs.end_op)
         self._d_flush = Delay(costs.flush)
-        # Home-side handlers, as the directory's stable bound methods
-        # (these already point at the directory's reliable variants when
-        # the transport is lossy — it swapped them in its own __init__).
+        # Home-side handlers, as the directory's stable wire bindings;
+        # the home's own misses call the plain handlers in place (a
+        # request that never crosses the wire needs no reliability).
         self._h_map_lookup = directory._h_map_lookup
         self._h_read_req = directory._h_read_req
         self._h_write_req = directory._h_write_req
         self._h_grant_ack = directory._h_grant_ack
         self._h_flush = directory._h_flush
-        if not transport.reliable:
-            # Requester side of the reliability contract: every remote
-            # round trip goes through the RetryKit (sequence-numbered,
-            # retransmitted until the reply lands), and the grant ack —
-            # which closes the directory's busy window — is ack'd too.
-            self._kit = transport.kit
-            self._rpc = self._kit.rpc
-            self._send_grant_ack = self._send_grant_ack_r
+        self._local_read_req = directory._on_read_req
+        self._local_write_req = directory._on_write_req
         if checker is not None:
             self._install_checked(checker)
 
     def _install_checked(self, checker) -> None:
         """Swap in access hooks that validate cache-level mapping
-        discipline before delegating (instance-attribute pattern, like
-        the reliable variants above: zero cost when no checker is set).
+        discipline before delegating (instance-attribute pattern: zero
+        cost when no checker is set).
 
         The runtime-level wrapper already checks *handle*-level
         discipline for every protocol; this cache-level probe
@@ -252,7 +248,7 @@ class ProtocolHooks:
         yield self._d_start_miss
         fut = Future(name=f"read:{region.rid}@{nid}")
         if nid == region.home:
-            self._h_read_req(self._nodes[nid], nid, fut, region.rid)
+            self._local_read_req(self._nodes[nid], nid, fut, region.rid)
             yield fut
             if copy.state != self._home_state:
                 # Post-recovery only: a re-homed node's copy can sit in
@@ -319,7 +315,7 @@ class ProtocolHooks:
         yield self._d_start_miss
         fut = Future(name=f"write:{region.rid}@{nid}")
         if nid == region.home:
-            self._h_write_req(self._nodes[nid], nid, fut, region.rid)
+            self._local_write_req(self._nodes[nid], nid, fut, region.rid)
             yield fut
             if copy.state != self._home_state:
                 # Post-recovery only; see start_read's local branch.
@@ -398,20 +394,9 @@ class ProtocolHooks:
         self._count("flush")
 
     def _send_grant_ack(self, nid: int, region) -> None:
+        # On a lossy fabric the port retries it (a lost grant ack would
+        # leave the home entry busy forever) and the home re-acks.
         self._post(
-            nid,
-            region.home,
-            self._h_grant_ack,
-            region.rid,
-            payload_words=1,
-            category=self._cat_grant_ack,
-        )
-
-    def _send_grant_ack_r(self, nid: int, region) -> None:
-        # A lost grant ack would leave the home entry busy forever, so
-        # on a lossy fabric it is a retried send; the home acks back and
-        # dedups re-deliveries (see DirectoryService._on_grant_ack_r).
-        self._kit.post(
             nid,
             region.home,
             self._h_grant_ack,

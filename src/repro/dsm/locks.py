@@ -60,12 +60,22 @@ class LockService:
         self._counts = transport.stats.counter_ref()
         self._sim = transport.sim
         self._nodes = transport.nodes
-        self._rpc = transport.rpc
-        self._request = transport.request
-        self._reply = transport.reply
+        # Acquire is a call, release a notify (DESIGN.md §9): on a lossy
+        # fabric the port dedups acquires (a re-executed one would trip
+        # the double-acquire error, or queue the holder behind itself)
+        # and makes release an ack'd round trip that runs once (a lost
+        # release would hold the lock forever; a re-run one would
+        # release on the *next* holder's behalf).
+        port = transport.port(stats_prefix)
+        self._rpc = port.call
+        self._send = port.send
+        self._reply = port.reply
         self._d_handler = Delay(self.LOCK_HANDLER_COST)
-        self._h_acquire = self._on_acquire
-        self._h_release = self._on_release
+        self._h_acquire = port.serves(self._on_acquire)
+        self._h_release = port.hears(self._on_release, intern_key(stats_prefix, "rel_ack"))
+        port.watch((self._cat_req, self._cat_rel))
+        if transport.recovery is not None:
+            transport.recovery.register_locks(self)
         # Observability: lock grant/release events plus a hold-time
         # histogram, measured home-side (grant issued → release
         # received) so both endpoints share one clock.  None when off.
@@ -73,34 +83,6 @@ class LockService:
         self._obs = tracer.tracer(stats_prefix) if tracer is not None else None
         self._hold_hist = tracer.hist(stats_prefix + ".hold") if tracer is not None else None
         self._grant_at: dict = {}
-        if not transport.reliable:
-            self._install_reliable(transport)
-
-    def _install_reliable(self, transport) -> None:
-        """Swap in ack'd, deduped lock rounds for a lossy fabric.
-
-        Acquire becomes a sequence-numbered retried RPC with home-side
-        dedup (a retransmitted acquire re-executing ``_on_acquire``
-        would trip the double-acquire error — or worse, enqueue the
-        holder behind itself).  Release, a fire-and-forget message on a
-        reliable fabric, becomes an ack'd round trip: a lost release
-        would leave the lock held forever.
-        """
-        from repro.dsm.faults import DedupTable, SeenOnce
-
-        self._kit = transport.kit
-        self._dedup = DedupTable(transport, self.prefix)
-        self._reply_raw = transport.reply
-        self._reply = self._dedup.reply
-        self._rel_seen = SeenOnce(transport)
-        self._cat_rel_ack = intern_key(self.prefix, "rel_ack")
-        self._rpc = self._kit.rpc
-        self._h_acquire = self._on_acquire_r
-        self._h_release = self._on_release_r
-        self.release = self._release_r
-        transport.watchdog.register_rid_categories((self._cat_req, self._cat_rel))
-        if transport.recovery is not None:
-            transport.recovery.register_locks(self)
 
     def _state(self, region) -> _LockState:
         st = region.meta.get(self._key)
@@ -134,7 +116,7 @@ class LockService:
         if nid == region.home:
             self._on_release(self._nodes[nid], nid, rid)
         else:
-            yield from self._request(
+            yield from self._send(
                 nid, region.home, self._h_release, rid, payload_words=2, category=self._cat_rel
             )
 
@@ -167,31 +149,6 @@ class LockService:
             self._grant(nxt, fut, rid)
         else:
             st.holder = None
-
-    # -- reliable variants (installed by _install_reliable) -------------
-    def _release_r(self, nid: int, rid: int):
-        """Generator: ack'd release (retried until the home confirms)."""
-        region = self.regions.get(rid)
-        yield self._d_handler
-        self._counts[self._k_release] += 1
-        if nid == region.home:
-            self._on_release(self._nodes[nid], nid, rid)
-        else:
-            yield from self._rpc(
-                nid, region.home, self._h_release, rid, payload_words=2, category=self._cat_rel
-            )
-
-    def _on_acquire_r(self, node, src, fut, rid, seq=None):
-        if self._dedup.admit(src, seq, fut):
-            self._on_acquire(node, src, fut, rid)
-
-    def _on_release_r(self, node, src, fut, rid, seq=None):
-        # A duplicate release must not re-run the handler: the lock may
-        # already be re-granted, and releasing on the new holder's
-        # behalf raises (correctly) on a reliable fabric.
-        if self._rel_seen.first(src, seq):
-            self._on_release(node, src, rid)
-        self._reply_raw(fut, None, payload_words=1, category=self._cat_rel_ack)
 
     def break_dead(self, dead: int, manager) -> int:
         """Crash recovery: break locks the dead node holds, prune its waits.

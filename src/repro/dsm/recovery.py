@@ -401,6 +401,11 @@ class RecoveryManager:
         pass
 
     # -- 4: pending sweep ------------------------------------------------
+    def cancel(self, pend) -> None:
+        """Take a call out of the retry table and silence its ack chain."""
+        self.transport.kit.pending.pop(pend.seq, None)
+        pend.fut._callbacks.clear()
+
     def _sweep_pending(self, dead: int) -> None:
         kit = self.transport.kit
         counts = self._counts
@@ -410,30 +415,22 @@ class RecoveryManager:
             kind, extra = self._categories.get(pend.category, (None, None))
             if kind == "custom":
                 getattr(pend.handler.__self__, extra)(self, pend, dead)
-                continue
-            if pend.src == dead:
-                # The caller died: nobody is waiting for this call's ack
-                # anymore, and firing its callbacks against rebuilt state
-                # would corrupt it — neutralize.
-                kit.pending.pop(pend.seq, None)
-                pend.fut._callbacks.clear()
+            elif pend.src == dead or kind not in ("home", "push"):
+                # Neutralize.  Either the caller died (nobody waits for
+                # this ack anymore, and firing its callbacks against
+                # rebuilt state would corrupt it), or this is an "ack" /
+                # unregistered call to the dead node, safe to abandon.
+                self.cancel(pend)
                 counts[self._k["abandoned"]] += 1
-                continue
-            # pend.dst == dead
-            if kind == "home":
-                region = extra.get(pend.call_args[0])
+            elif kind == "home":
                 kit.pending.pop(pend.seq, None)
-                self.retarget(pend, region.home)
-            elif kind == "push":
+                self.retarget(pend, extra.get(pend.call_args[0]).home)
+            else:  # "push"
                 # Acknowledge on the dead target's behalf so the fan-out
                 # counter completes; its on_ack chain prunes the target.
                 kit.pending.pop(pend.seq, None)
                 counts[self._k["fake_acks"]] += 1
                 self.transport._resolve_once(pend.fut, None)
-            else:  # "ack" and unregistered categories
-                kit.pending.pop(pend.seq, None)
-                pend.fut._callbacks.clear()
-                counts[self._k["abandoned"]] += 1
 
     def retarget(self, pend, new_dst: int) -> None:
         """Re-issue a reliable call at a new destination (same seq, same
@@ -544,15 +541,10 @@ class RecoveryManager:
         ent.busy = False
         ent.grantee = None
         # Requests from the successor itself — re-admitted here or still
-        # parked on the old home's queue — must be granted remote-style:
-        # the requester is suspended in its remote-miss epilogue (see
+        # parked on the old home's queue — are granted remote-style (the
+        # requester is suspended in its remote-miss epilogue): they all
+        # crossed the wire, which is what the directory keys on (see
         # DirectoryService.enable_recovery).
-        for kind, src, fut in reqs:
-            if src == succ:
-                directory._remote_self.add(fut)
-        for item in ent.queue:
-            if item[1] == succ:
-                directory._remote_self.add(item[2])
         for kind, src, fut in reqs:
             if not directory._admit(kind, src, fut, region, ent):
                 ent.queue.append((kind, src, fut))

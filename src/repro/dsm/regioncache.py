@@ -74,6 +74,9 @@ class RegionCache:
         # Home-side invalidation-ack handler; see wire_directory.
         self._h_inval_ack = None
         if not transport.reliable:
+            # Acked fan-out receive (out of the port's idioms, DESIGN.md
+            # §9): a recall's ack may be *deferred* past the handler, so
+            # this side keeps its own per-seq record.
             self._install_reliable(transport)
         if checker is not None:
             self._install_checked(checker)
@@ -115,8 +118,8 @@ class RegionCache:
     def _install_reliable(self, transport) -> None:
         """Swap in the ack'd invalidation receive side (lossy fabric).
 
-        Reliable invalidations arrive as sequence-numbered RetryKit
-        sends carrying a future; the ack is a reply on that future
+        Reliable invalidations arrive as sequence-numbered retried
+        posts carrying a future; the ack is a reply on that future
         (data rides along), and ``_inval_done`` keeps each logical
         invalidation exactly-once: duplicates of an unapplied/deferred
         request are dropped (the original will ack), duplicates of a
@@ -191,15 +194,6 @@ class RegionCache:
         # The table's next-state map for this recall mode; states it
         # does not cover (already invalid, home alias) keep their state.
         copy.state = self._inval_next[mode].get(st, st)
-        if copy.node == region.home and copy.state != self._home_state:
-            # Only possible after crash recovery: the re-homed successor
-            # held a remote-state copy of its own region (it was granted
-            # remote-style mid-re-home).  A recall returns it to the home
-            # alias — its writeback (captured above) rides the ack and
-            # lands in home_data like any owner's, and from here on the
-            # hr/hw admission gate keeps the home's accesses coherent.
-            copy.data = region.home_data
-            copy.state = self._home_state
         if self._obs is not None:
             self._trace_state(copy.node, region.rid, copy.state)
         payload = region.size if dirty else self.costs.meta_words
@@ -226,7 +220,7 @@ class RegionCache:
     # ------------------------------------------------------------------
     # reliable variants (installed by _install_reliable)
     # ------------------------------------------------------------------
-    def _on_inval_req_r(self, node, src_home, fut, rid, mode, seq=None):
+    def _on_inval_req_r(self, node, src_home, fut, rid, mode, seq):
         done = self._inval_done.get(seq)
         if done is not None:
             if done is not _DEFER:
@@ -237,8 +231,7 @@ class RegionCache:
         if copy is None:  # pragma: no cover - directory targets only holders
             raise ProtocolError(f"invalidate for uncached region {rid} at node {node.nid}")
         if copy.meta["read_count"] or copy.meta["write_count"]:
-            if seq is not None:
-                self._inval_done[seq] = _DEFER
+            self._inval_done[seq] = _DEFER
             copy.meta["deferred"].append((mode, fut, seq))
             self._counts[self._k_inval_deferred] += 1
             return
@@ -255,8 +248,7 @@ class RegionCache:
         if self._obs is not None:
             self._trace_state(copy.node, region.rid, copy.state)
         payload = region.size if dirty else self.costs.meta_words
-        if seq is not None:
-            self._inval_done[seq] = (data, payload)
+        self._inval_done[seq] = (data, payload)
         self._after(
             self.costs.inval_handler,
             partial(self._reply, fut, data, payload_words=payload, category=self._cat_inval_ack),
@@ -268,14 +260,13 @@ class RegionCache:
             mode, fut, seq = deferred.pop(0)
             self._apply_inval_r(copy, mode, fut, seq)
 
-    def _on_inval_req_rt(self, node, src_home, fut, rid, mode, seq=None):
+    def _on_inval_req_rt(self, node, src_home, fut, rid, mode, seq):
         """Recovery-tolerant invalidation receive (see _install_reliable):
         an invalidation for a copy this node no longer holds is already
         satisfied — ack it idempotently."""
         if self.tables[node.nid].get(rid) is None and self._inval_done.get(seq) is None:
             payload = self.costs.meta_words
-            if seq is not None:
-                self._inval_done[seq] = (None, payload)
+            self._inval_done[seq] = (None, payload)
             self._after(
                 self.costs.inval_handler,
                 partial(self._reply, fut, None, payload_words=payload, category=self._cat_inval_ack),

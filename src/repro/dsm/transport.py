@@ -55,25 +55,22 @@ class Transport:
     ``tracer``, and ``machine`` (the underlying machine, or ``None``
     for fabrics not backed by one).
 
-    ``reliable`` declares the fabric's delivery contract.  The default
-    (``True``) promises exactly-once delivery, as the CM-5's CMAML
-    does; the protocol layers then run their lean fast paths.  A fabric
-    that may drop, duplicate, or reorder messages (e.g.
-    :class:`~repro.dsm.faults.FaultTransport`) sets it ``False``, and
-    the protocol layers swap in sequence-numbered retry/dedup variants
-    at construction — the same zero-cost idiom as the traced machine
-    paths, so a reliable fabric pays nothing for the machinery.
+    ``reliable`` declares the delivery contract: ``True`` promises
+    exactly-once delivery, as the CM-5's CMAML does.  Services do not
+    branch on it — they take a :meth:`port` at construction, and the
+    port implements the contract for its fabric (DESIGN.md §9).
     """
 
     machine: object | None = None
     reliable: bool = True
-    #: Crash-recovery manager (:class:`repro.dsm.recovery.RecoveryManager`)
-    #: or ``None``.  Only :class:`~repro.dsm.faults.FaultTransport`
-    #: constructed with ``on_crash=`` ever sets it; every layer that can
-    #: participate in recovery (directory, locks, protocols, collectors)
-    #: checks this attribute at construction and registers itself when
-    #: present — the same swap-at-construction idiom as ``reliable``.
+    #: Crash-recovery manager (:class:`repro.dsm.recovery.RecoveryManager`),
+    #: set only by a :class:`~repro.dsm.faults.FaultTransport` built with
+    #: ``on_crash=``; layers that can take part register at construction.
     recovery = None
+
+    def port(self, prefix: str) -> "Port":
+        """The send/receive seam one service (stats ``prefix``) talks through."""
+        return Port(self)
 
     def request(self, src: int, dst: int, handler: Callable, *args, **kw):
         raise NotImplementedError
@@ -97,6 +94,61 @@ class Transport:
 
     def hw_barrier(self, nid: int):
         raise NotImplementedError
+
+
+class Port:
+    """How one service sends and receives, whatever the fabric loses.
+
+    Two idioms cover every exchange in the core (DESIGN.md §9):
+
+    *call* — ``yield from port.call(src, dst, h, *args)`` is a round
+    trip; the receiver is bound as ``h = port.serves(handler)`` and
+    answers with ``port.reply(fut, value)``.
+    *notify* — one-way, ``yield from port.send(...)`` from task context
+    or ``port.post(...)`` from handler context; the receiver is bound
+    as ``h = port.hears(handler, ack_category)``.
+
+    On an exactly-once fabric (this class, from ``Transport.port``) each
+    attribute *is* the transport's own bound method and the receive
+    binders return their argument, so the same code objects run with
+    the same ``(delay, seq)`` draws as if the seam were not there.  A
+    lossy fabric's :class:`~repro.dsm.faults.RetryPort` keeps this
+    surface and supplies the retries and the receive-side dedup.
+    Handlers never see the wire's sequence number, and a node's request
+    to itself binds the plain handler — it never crosses the wire.
+
+    The rule for receivers: one that is safe to re-execute (a pure read,
+    a set-add) is bound with ``idempotent`` — a duplicate re-replies and
+    the sender's resolve-once gate keeps the first.  Anything else is
+    ``serves`` (a duplicate gets the recorded reply, the handler does
+    not run again) or ``hears`` (a duplicate is only re-acknowledged).
+    ``first`` and ``watch`` exist for the acked fan-outs and the stall
+    report; here they do nothing.
+    """
+
+    def __init__(self, transport: Transport):
+        self.call = transport.rpc
+        self.reply = transport.reply
+        self.send = transport.request
+        self.post = transport.post
+
+    @staticmethod
+    def serves(handler):
+        return handler
+
+    idempotent = serves
+
+    @staticmethod
+    def hears(handler, ack_category: str):
+        return handler
+
+    @staticmethod
+    def first(src: int, seq) -> bool:
+        return True
+
+    @staticmethod
+    def watch(rid_categories, directory=None) -> None:
+        pass
 
 
 class SimTransport(Transport):

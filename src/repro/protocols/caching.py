@@ -36,23 +36,19 @@ class CachedCopyProtocol(Protocol):
     MAP_COLD_COST = 45
     UNMAP_COST = 6
     ALIAS_HOME = True
+    _kit = None  # probed by the frozen protocols/legacy.py (exactly-once fabric only)
 
     def __init__(self, runtime, space):
         super().__init__(runtime, space)
         self._copies: list[dict[int, RegionCopy]] = [dict() for _ in range(self.transport.n_procs)]
-        transport = self.transport
-        if transport.reliable:
-            self._kit = None
-            self._rpc = transport.rpc
-        else:
-            # Lossy fabric: fetches/updates go through the RetryKit and
-            # the home dedups sequence numbers (see repro.dsm.faults).
-            from repro.dsm.faults import DedupTable, SeenOnce
-
-            self._kit = transport.kit
-            self._rpc = self._kit.rpc
-            self._dedup = DedupTable(transport, f"proto.{self.spec.name}")
-            self._push_seen = SeenOnce(transport)
+        # The fabric, through the reliability seam (DESIGN.md §9).  The
+        # fetch handler is idempotent (metadata read + set-add in
+        # _fetch_extra): a retransmitted fetch simply re-replies.
+        port = self.port = self.transport.port(f"proto.{self.spec.name}")
+        self._rpc = port.call
+        self._post = port.post
+        self._reply = port.reply
+        self._h_fetch = port.idempotent(self._on_fetch)
 
     # -- data management ----------------------------------------------
     def create(self, nid: int, size: int):
@@ -76,7 +72,7 @@ class CachedCopyProtocol(Protocol):
             data, extra = yield from self._rpc(
                 nid,
                 region.home,
-                self._on_fetch,
+                self._h_fetch,
                 rid,
                 payload_words=2,  # request is metadata-only; the reply carries data
                 category=f"proto.{self.spec.name}.fetch",
@@ -108,13 +104,10 @@ class CachedCopyProtocol(Protocol):
         return copy
 
     # -- home-side fetch (handler context) ------------------------------
-    def _on_fetch(self, node, src, fut, rid, seq=None):
-        # Idempotent (metadata read + set-add in _fetch_extra), so a
-        # retransmitted fetch simply re-replies; the requester's
-        # resolve-once gate keeps the first reply.
+    def _on_fetch(self, node, src, fut, rid):
         region = self.regions.get(rid)
         extra = self._fetch_extra(rid, src)
-        self.transport.reply(
+        self._reply(
             fut,
             (region.home_data.copy(), extra),
             payload_words=region.size,
@@ -122,7 +115,7 @@ class CachedCopyProtocol(Protocol):
         )
 
     def _ack_state(self, state: dict, _value=None) -> None:
-        """Shared fan-out ack bookkeeping (reliable push on_ack hook)."""
+        """Shared fan-out ack bookkeeping (lossy-fabric push on_ack hook)."""
         state["need"] -= 1
         if state["need"] == 0:
             state["done"].resolve(None)
@@ -180,7 +173,7 @@ class CachedTableProtocol(TableProtocol, CachedCopyProtocol):
     """Cached-copy data management with table-interpreted hook dispatch.
 
     The MRO runs :class:`CachedCopyProtocol`'s constructor (copy
-    tables, reliability kit) before :class:`TableProtocol` compiles the
+    tables, port) before :class:`TableProtocol` compiles the
     hook entry points, so compiled actions may rely on both.  Most
     table-driven library protocols derive from this.
     """

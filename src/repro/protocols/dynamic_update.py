@@ -92,10 +92,18 @@ class DynamicUpdateProtocol(CachedTableProtocol):
     def __init__(self, runtime, space):
         super().__init__(runtime, space)
         self._sharers: dict[int, set[int]] = {}
-        #: recovery-active only: (src, seq) -> {"rid", "data", "state"}
-        #: for updates whose fan-out has not fully acked (a dead home
-        #: strands these; on_node_dead re-issues from the new home).
+        #: recovery-active only: writer -> {"rid", "data", "state"} for
+        #: the update whose fan-out has not fully acked (a writer blocks
+        #: per update, so at most one each; a dead home strands these
+        #: and on_node_dead re-issues from the new home).
         self._open_updates: dict = {}
+        # On a lossy fabric a delayed duplicate of update K can arrive
+        # after update K+1 (the writer only blocks per update), and
+        # re-applying it would roll home data back — so it is served
+        # once and duplicates get the recorded ack.  Pushes likewise: a
+        # delayed duplicate must not overwrite a newer one.
+        self._h_update = self.port.serves(self._on_update)
+        self._h_apply = self.port.hears(self._on_apply_r, "proto.DynamicUpdate.push_ack")
 
     def _fetch_extra(self, rid: int, src: int):
         self._sharers.setdefault(rid, set()).add(src)
@@ -115,7 +123,7 @@ class DynamicUpdateProtocol(CachedTableProtocol):
             yield from self._rpc(
                 nid,
                 region.home,
-                self._on_update,
+                self._h_update,
                 region.rid,
                 data,
                 payload_words=region.size,
@@ -123,28 +131,22 @@ class DynamicUpdateProtocol(CachedTableProtocol):
             )
 
     # -- home side (handler context) -------------------------------------
-    def _on_update(self, node, src, fut, rid, data, seq=None):
-        # On a lossy fabric a delayed duplicate of update K can arrive
-        # after update K+1 (the writer only blocks per update), and
-        # re-applying it would roll home data back — so the dedup table
-        # gates the whole handler, replaying the recorded ack instead.
-        if self._kit is not None and not self._dedup.admit(src, seq, fut):
-            return
-        reply = self.transport.reply if self._kit is None else self._dedup.reply
+    def _on_update(self, node, src, fut, rid, data):
         region = self.regions.get(rid)
         np.copyto(region.home_data, data)
         done = Future(name=f"du:{rid}@home")
         done.add_callback(
-            lambda _: reply(fut, None, payload_words=1, category="proto.DynamicUpdate.update_ack")
+            lambda _: self._reply(
+                fut, None, payload_words=1, category="proto.DynamicUpdate.update_ack"
+            )
         )
         state = self._fan_out(region, data, exclude=src, done=done)
-        if self._recovery is not None and state is not None and seq is not None:
+        if self._recovery is not None and state is not None:
             # If the home dies mid-fan-out the writer would stall on the
             # update ack forever; record enough to re-issue the pushes
             # from the successor home.
-            key = (src, seq)
-            self._open_updates[key] = {"rid": rid, "data": data, "state": state}
-            done.add_callback(lambda _fut, _k=key: self._open_updates.pop(_k, None))
+            self._open_updates[src] = {"rid": rid, "data": data, "state": state}
+            done.add_callback(lambda _fut: self._open_updates.pop(src, None))
 
     def _fan_out(self, region, data, exclude: int, done: Future):
         """Multicast ``data`` to every sharer except ``exclude``; resolve
@@ -155,44 +157,46 @@ class DynamicUpdateProtocol(CachedTableProtocol):
             done.resolve(None)
             return None
         state = {"need": len(targets), "done": done}
-        if self._kit is not None:
-            track = self._recovery is not None
-            if track:
-                state["pending"] = set(targets)
+        # Acked fan-out (out of the port's idioms, DESIGN.md §9): on an
+        # exactly-once fabric each sharer answers with an explicit
+        # push_ack *message*; on a lossy one the ack is the reply to the
+        # retried post, collected through on_ack.
+        if self.transport.reliable:
             for t in targets:
-                on_ack = (
-                    partial(self._ack_target, state, t) if track else partial(self._ack_state, state)
-                )
-                self._kit.post(
+                self._post(
                     region.home,
                     t,
-                    self._on_apply_r,
+                    self._on_apply,
                     region.rid,
                     data,
+                    state,
                     payload_words=region.size,
                     category="proto.DynamicUpdate.push",
-                    on_ack=on_ack,
                 )
             return state
+        track = self._recovery is not None
+        if track:
+            state["pending"] = set(targets)
         for t in targets:
-            self.transport.post(
-                region.home,
-                t,
-                self._on_apply,
-                region.rid,
-                data,
-                state,
-                payload_words=region.size,
-                category="proto.DynamicUpdate.push",
-            )
+            on_ack = partial(self._ack_target, state, t) if track else partial(self._ack_state, state)
+            self._push_acked(region, t, data, on_ack)
         return state
 
+    def _push_acked(self, region, target: int, data, on_ack) -> None:
+        self._post(
+            region.home,
+            target,
+            self._h_apply,
+            region.rid,
+            data,
+            payload_words=region.size,
+            category="proto.DynamicUpdate.push",
+            on_ack=on_ack,
+        )
+
     def _on_apply(self, node, src, rid, data, state):
-        copy = self._copies[node.nid].get(rid)
-        if copy is not None:
-            np.copyto(copy.data, data)
-            copy.state = "valid"
-        self.transport.post(
+        self._on_apply_r(node, src, rid, data)
+        self._post(
             node.nid,
             src,
             self._on_apply_ack,
@@ -201,21 +205,16 @@ class DynamicUpdateProtocol(CachedTableProtocol):
             category="proto.DynamicUpdate.push_ack",
         )
 
-    def _on_apply_r(self, node, src, fut, rid, data, seq=None):
-        # Sharer-side dedup: a delayed duplicate of an old push must not
-        # overwrite a newer one.  Duplicates still ack (their original
-        # ack may have been the drop).
-        if self._push_seen.first(src, seq):
-            copy = self._copies[node.nid].get(rid)
-            if copy is not None:
-                np.copyto(copy.data, data)
-                copy.state = "valid"
-        self.transport.reply(fut, None, payload_words=1, category="proto.DynamicUpdate.push_ack")
+    def _on_apply_r(self, node, src, rid, data):
+        """Install a pushed update (all a lossy-fabric sharer does: the
+        port acks)."""
+        copy = self._copies[node.nid].get(rid)
+        if copy is not None:
+            np.copyto(copy.data, data)
+            copy.state = "valid"
 
     def _on_apply_ack(self, node, src, state):
-        state["need"] -= 1
-        if state["need"] == 0:
-            state["done"].resolve(None)
+        self._ack_state(state)
 
     # -- crash recovery ---------------------------------------------------
     def _ack_target(self, state: dict, target: int, _value=None) -> None:
@@ -249,13 +248,6 @@ class DynamicUpdateProtocol(CachedTableProtocol):
                 if t in manager.dead:
                     self._ack_target(entry["state"], t)
                 else:
-                    self._kit.post(
-                        region.home,
-                        t,
-                        self._on_apply_r,
-                        region.rid,
-                        entry["data"],
-                        payload_words=region.size,
-                        category="proto.DynamicUpdate.push",
-                        on_ack=partial(self._ack_target, entry["state"], t),
+                    self._push_acked(
+                        region, t, entry["data"], partial(self._ack_target, entry["state"], t)
                     )

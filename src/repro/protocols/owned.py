@@ -30,13 +30,15 @@ Interesting rows, beyond MSI:
   alias state never decays into ``shared`` (its copy *is* canonical
   storage).
 
-Reliability: requests ride :class:`~repro.dsm.faults.RetryKit` RPC
-with home-side dedup; the owner's supply goes through the dedup
-table's recording reply, so a retried ``read_req`` whose supply was
-dropped replays the recorded grant instead of re-running the forward.
-Invalidations are ack'd posts whose ack *is* the (possibly dirty)
-writeback; a deferred invalidation stays unacknowledged — retries keep
-it alive — until the open access releases.
+Reliability (DESIGN.md §9): requests are port *calls*; the owner's
+supply goes through the port's recording reply, so on a lossy fabric a
+retried ``read_req`` whose supply was dropped replays the recorded
+grant instead of re-running the forward.  Invalidations, forwards and
+grant acks are *acked* posts (:meth:`OwnedProtocol._post_acked`) whose
+ack is a message on both fabrics — for an invalidation it *is* the
+(possibly dirty) writeback; a deferred invalidation stays
+unacknowledged — retries keep it alive — until the open access
+releases.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from functools import partial
 
 import numpy as np
 
+from repro.dsm.faults import _ack_adapter
 from repro.memory import RegionCopy
 from repro.protocols.base import ProtocolSpec, TableProtocol
 from repro.protocols.registry import default_registry
@@ -262,6 +265,9 @@ class OwnedProtocol(TableProtocol):
     #: open hr/hw that the table's remote rows never close.  Immutable
     #: empty default: nothing is ever marked without recovery.
     _remote_self: frozenset = frozenset()
+    #: Unanswered requests that crossed the fabric (the port's view; bound
+    #: only under recovery, where a home's own fetches are called in place).
+    _wire_calls = frozenset()
 
     def __init__(self, runtime, space):
         super().__init__(runtime, space)
@@ -275,20 +281,27 @@ class OwnedProtocol(TableProtocol):
         # once the invalidation was *applied* (used to re-ack retries)
         self._inval_ack: dict = {}
         transport = self.transport
-        if transport.reliable:
-            self._kit = None
-            self._rpc = transport.rpc
-            self._reply = transport.reply
-            self._dedup_admit = lambda src, seq, fut: True
-        else:
-            from repro.dsm.faults import DedupTable, SeenOnce
-
-            self._kit = transport.kit
-            self._rpc = self._kit.rpc
-            self._dedup = DedupTable(transport, "proto.Owned")
-            self._reply = self._dedup.reply
-            self._dedup_admit = self._dedup.admit
-            self._seen = SeenOnce(transport)
+        port = self.port = transport.port("proto.Owned")
+        self._rpc = port.call
+        self._reply = port.reply
+        self._h_read_req = port.serves(self._on_read_req)
+        self._h_write_req = port.serves(self._on_write_req)
+        self._h_flush = port.serves(self._on_flush)
+        # The acked fan-out (out of the port's idioms, DESIGN.md §9): the
+        # receivers below ack by message on both fabrics, so they keep
+        # the wire ``seq`` and gate their one-time effect on port.first.
+        self._first = port.first
+        # A home's own fetch is a call in place on an exactly-once fabric
+        # (and in recovery runs, whose grant style _remote_self steers).
+        # On a plain lossy fabric it rides the wire to itself instead: its
+        # grant may be a remote owner's supply, and a dropped one must be
+        # retransmitted and replayed like any remote request's — a bare
+        # local future would hang.
+        self._home_in_place = transport.reliable or self._recovery is not None
+        if not transport.reliable:
+            self._post_acked = port.post  # same signature, retried
+        if self._recovery is not None:
+            self._wire_calls = port.open_calls
 
     # -- lifecycle ---------------------------------------------------------
     def init_space(self, nid: int):
@@ -315,7 +328,7 @@ class OwnedProtocol(TableProtocol):
                 yield from self._rpc(
                     nid,
                     region.home,
-                    self._on_flush,
+                    self._h_flush,
                     rid,
                     data,
                     payload_words=region.size,
@@ -326,7 +339,7 @@ class OwnedProtocol(TableProtocol):
                 yield from self._rpc(
                     nid,
                     region.home,
-                    self._on_flush,
+                    self._h_flush,
                     rid,
                     None,
                     payload_words=2,
@@ -447,14 +460,7 @@ class OwnedProtocol(TableProtocol):
     def _fetch(self, nid: int, handle, kind: str):
         """Request access from the home; install whatever grant arrives."""
         region = handle.region
-        handler = self._on_read_req if kind == "r" else self._on_write_req
-        if nid == region.home and (self._kit is None or self._recovery is not None):
-            # Reliable fabric (and recovery runs, whose grant style the
-            # handlers steer via _remote_self): invoke the handler in
-            # place — no wire, no loss.  On a plain lossy fabric the
-            # home's own request rides the seq'd self-RPC instead, so a
-            # dropped grant/supply is retransmitted and dedup-replayed
-            # like any remote request; a bare local future would hang.
+        if nid == region.home and self._home_in_place:
             fut = Future(name=f"owned:{kind}req@{nid}")
             if handle.state != "home" and self._recovery is not None:
                 # Post-recovery only: a re-homed node fetching from a
@@ -462,13 +468,14 @@ class OwnedProtocol(TableProtocol):
                 # state is a remote state, so the grant must be
                 # remote-style (data + busy window), not hr/hw.
                 self._remote_self.add(fut)
+            handler = self._on_read_req if kind == "r" else self._on_write_req
             handler(self.transport.nodes[nid], nid, fut, region.rid)
             val = yield fut
         else:
             val = yield from self._rpc(
                 nid,
                 region.home,
-                handler,
+                self._h_read_req if kind == "r" else self._h_write_req,
                 region.rid,
                 payload_words=2,
                 category=f"proto.Owned.{'read' if kind == 'r' else 'write'}_req",
@@ -503,42 +510,29 @@ class OwnedProtocol(TableProtocol):
         return
         yield  # pragma: no cover - makes this a generator
 
-    # -- reliable plumbing ---------------------------------------------------
+    # -- acked fan-out plumbing ------------------------------------------------
     def _post_acked(self, src, dst, handler, *args, payload_words=0, category="", on_ack=None):
-        """Ack'd one-way send: RetryKit post when lossy, plain post + an
-        explicit future when the fabric is reliable (same handler shape:
-        ``(node, src, fut, *args, seq=None)``)."""
-        if self._kit is not None:
-            return self._kit.post(
-                src, dst, handler, *args, payload_words=payload_words, category=category, on_ack=on_ack
-            )
+        """Ack'd one-way send, exactly-once-fabric form: plain post plus an
+        explicit future the receiver replies to (the lossy form is the
+        port's retried post — same handler shape, ``seq`` appended)."""
         fut = Future(name="owned:" + category)
         if on_ack is not None:
-            from repro.dsm.faults import _ack_adapter
-
             fut.add_callback(partial(_ack_adapter, on_ack))
         self.transport.post(
             src, dst, handler, fut, *args, payload_words=payload_words, category=category
         )
         return fut
 
-    def _first(self, src, seq) -> bool:
-        return True if self._kit is None else self._seen.first(src, seq)
-
     # -- home side: admission (handler context) --------------------------------
-    def _on_read_req(self, node, src, fut, rid, seq=None):
-        if not self._dedup_admit(src, seq, fut):
-            return
-        # A fabric request (seq-numbered) from the region's own home only
-        # exists after re-homing: grant it remote-style (_remote_self).
-        if seq is not None and self._recovery is not None and src == self.regions.get(rid).home:
+    def _on_read_req(self, node, src, fut, rid):
+        # A request that crossed the fabric from the region's own home
+        # only exists after re-homing: grant it remote-style.
+        if fut in self._wire_calls and src == self.regions.get(rid).home:
             self._remote_self.add(fut)
         self._admit(rid, "r", src, fut)
 
-    def _on_write_req(self, node, src, fut, rid, seq=None):
-        if not self._dedup_admit(src, seq, fut):
-            return
-        if seq is not None and self._recovery is not None and src == self.regions.get(rid).home:
+    def _on_write_req(self, node, src, fut, rid):
+        if fut in self._wire_calls and src == self.regions.get(rid).home:
             self._remote_self.add(fut)
         self._admit(rid, "w", src, fut)
 
@@ -676,7 +670,7 @@ class OwnedProtocol(TableProtocol):
         if not ent["busy"]:
             self._drain(rid)
 
-    def _on_grant_ack(self, node, src, fut, rid, seq=None):
+    def _on_grant_ack(self, node, src, fut, rid, seq=None):  # acked fan-out: keeps seq
         self.transport.reply(fut, None, payload_words=1, category="proto.Owned.grant_ack_ok")
         if not self._first(src, seq):
             return
@@ -708,9 +702,7 @@ class OwnedProtocol(TableProtocol):
                 ent["queue"].appendleft((kind, src, fut))
                 return
 
-    def _on_flush(self, node, src, fut, rid, data, seq=None):
-        if not self._dedup_admit(src, seq, fut):
-            return
+    def _on_flush(self, node, src, fut, rid, data):
         ent = self._entry(rid)
         if ent["owner"] == src:
             ent["owner"] = None
@@ -720,7 +712,7 @@ class OwnedProtocol(TableProtocol):
         self._reply(fut, None, payload_words=1, category="proto.Owned.flush_ack")
 
     # -- target side: recalls and forwards (handler context) --------------------
-    def _on_invalidate(self, node, src, fut, rid, seq=None):
+    def _on_invalidate(self, node, src, fut, rid, seq=None):  # acked fan-out: keeps seq
         nid = node.nid
         key = (nid, rid)
         if not self._first(src, seq):
@@ -764,7 +756,7 @@ class OwnedProtocol(TableProtocol):
             category="proto.Owned.inval_ack",
         )
 
-    def _on_fwd_read(self, node, src, fut, rid, requester, rfut, seq=None):
+    def _on_fwd_read(self, node, src, fut, rid, requester, rfut, seq=None):  # acked fan-out
         # Delivery-ack immediately: the forward's outcome travels on the
         # requester's own reply future, so a retransmit only needs
         # re-acking (the effect below is applied exactly once).
@@ -797,7 +789,7 @@ class OwnedProtocol(TableProtocol):
             return
         self._supply(nid, copy, requester, rfut)
 
-    def _on_fwd_miss(self, node, src, fut, rid, requester, rfut, seq=None):
+    def _on_fwd_miss(self, node, src, fut, rid, requester, rfut, seq=None):  # acked fan-out
         """Home side of the forward/flush race: retry admission."""
         self.transport.reply(fut, None, payload_words=1, category="proto.Owned.fwd_miss_ack")
         if not self._first(src, seq):
@@ -843,9 +835,7 @@ class OwnedProtocol(TableProtocol):
         supply will never come — prune the dead owner and re-admit the
         requester, who is granted from home data (the owner's dirty
         copy is lost; fail-stop)."""
-        kit = self.transport.kit
-        kit.pending.pop(pend.seq, None)
-        pend.fut._callbacks.clear()
+        manager.cancel(pend)
         if pend.src == dead:
             manager.count("abandoned")
             return

@@ -123,6 +123,9 @@ class SelfInvalidateProtocol(CachedTableProtocol):
         self._epoch = [0] * n
         # The directory, in its entirety: (rid, epoch) -> writer nid.
         self._epoch_writer: dict = {}
+        # A late duplicate of an old epoch's write-back must not clobber
+        # newer canonical data: served once, duplicates get the old ack.
+        self._h_writeback = self.port.serves(self._on_writeback)
 
     # -- actions (table-referenced) ---------------------------------------
     def act_hit(self, nid: int, handle):
@@ -137,7 +140,7 @@ class SelfInvalidateProtocol(CachedTableProtocol):
         data, _extra = yield from self._rpc(
             nid,
             region.home,
-            self._on_fetch,
+            self._h_fetch,
             region.rid,
             payload_words=2,
             category="proto.SelfInvalidate.fetch",
@@ -158,7 +161,7 @@ class SelfInvalidateProtocol(CachedTableProtocol):
         yield from self._rpc(
             nid,
             region.home,
-            self._on_writeback,
+            self._h_writeback,
             region.rid,
             epoch,
             data,
@@ -194,15 +197,10 @@ class SelfInvalidateProtocol(CachedTableProtocol):
             )
         self._epoch_writer[key] = src
 
-    def _on_writeback(self, node, src, fut, rid, epoch, data, seq=None):
-        # A late duplicate of an old epoch's write-back must not clobber
-        # newer canonical data, so retransmits are dedup'd, not re-run.
-        if self._kit is not None and not self._dedup.admit(src, seq, fut):
-            return
+    def _on_writeback(self, node, src, fut, rid, epoch, data):
         self._note_writer(rid, epoch, src)
         np.copyto(self.regions.get(rid).home_data, data)
-        reply = self.transport.reply if self._kit is None else self._dedup.reply
-        reply(fut, None, payload_words=1, category="proto.SelfInvalidate.wb_ack")
+        self._reply(fut, None, payload_words=1, category="proto.SelfInvalidate.wb_ack")
 
     # flush_node: the inherited default (drop non-home copies) is exact —
     # write self-downgrade keeps home data current synchronously, so

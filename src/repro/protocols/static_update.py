@@ -104,6 +104,9 @@ class StaticUpdateProtocol(CachedTableProtocol):
         super().__init__(runtime, space)
         self._sharers: dict[int, set[int]] = {}
         self._dirty: list[set[int]] = [set() for _ in range(self.transport.n_procs)]
+        # A delayed duplicate of a previous barrier's push must not
+        # overwrite this barrier's data: heard once, always re-acked.
+        self._h_push = self.port.hears(self._on_push_r, "proto.StaticUpdate.push_ack")
 
     def _fetch_extra(self, rid: int, src: int):
         self._sharers.setdefault(rid, set()).add(src)
@@ -141,41 +144,26 @@ class StaticUpdateProtocol(CachedTableProtocol):
             yield Delay(self.PUSH_SETUP_COST)
             done = Future(name=f"su:barrier@{nid}")
             state = {"need": sum(len(t) for _, t in pushes), "done": done}
+            # Acked fan-out (out of the port's idioms, DESIGN.md §9): an
+            # explicit push_ack *message* on an exactly-once fabric, the
+            # reply to the retried post (on_ack) on a lossy one.
+            reliable = self.transport.reliable
+            on_ack = partial(self._ack_state, state)
             for region, targets in pushes:
                 data = region.home_data.copy()
                 self._count("push", len(targets))
+                cost = {"payload_words": region.size, "category": "proto.StaticUpdate.push"}
                 for t in targets:
-                    if self._kit is not None:
-                        self._kit.post(
-                            nid,
-                            t,
-                            self._on_push_r,
-                            region.rid,
-                            data,
-                            payload_words=region.size,
-                            category="proto.StaticUpdate.push",
-                            on_ack=partial(self._ack_state, state),
-                        )
+                    if reliable:
+                        self._post(nid, t, self._on_push, region.rid, data, state, **cost)
                     else:
-                        self.transport.post(
-                            nid,
-                            t,
-                            self._on_push,
-                            region.rid,
-                            data,
-                            state,
-                            payload_words=region.size,
-                            category="proto.StaticUpdate.push",
-                        )
+                        self._post(nid, t, self._h_push, region.rid, data, on_ack=on_ack, **cost)
             yield done
 
     # -- sharer side (handler context) -----------------------------------
     def _on_push(self, node, src, rid, data, state):
-        copy = self._copies[node.nid].get(rid)
-        if copy is not None:
-            np.copyto(copy.data, data)
-            copy.state = "valid"
-        self.transport.post(
+        self._on_push_r(node, src, rid, data)
+        self._post(
             node.nid,
             src,
             self._on_push_ack,
@@ -184,18 +172,13 @@ class StaticUpdateProtocol(CachedTableProtocol):
             category="proto.StaticUpdate.push_ack",
         )
 
-    def _on_push_ack(self, node, src, state):
-        state["need"] -= 1
-        if state["need"] == 0:
-            state["done"].resolve(None)
+    def _on_push_r(self, node, src, rid, data):
+        """Install a pushed region (all a lossy-fabric sharer does: the
+        port acks)."""
+        copy = self._copies[node.nid].get(rid)
+        if copy is not None:
+            np.copyto(copy.data, data)
+            copy.state = "valid"
 
-    def _on_push_r(self, node, src, fut, rid, data, seq=None):
-        # Sharer-side dedup: a delayed duplicate of a previous barrier's
-        # push must not overwrite this barrier's data (see the dynamic
-        # protocol's _on_apply_r).  Duplicates still ack.
-        if self._push_seen.first(src, seq):
-            copy = self._copies[node.nid].get(rid)
-            if copy is not None:
-                np.copyto(copy.data, data)
-                copy.state = "valid"
-        self.transport.reply(fut, None, payload_words=1, category="proto.StaticUpdate.push_ack")
+    def _on_push_ack(self, node, src, state):
+        self._ack_state(state)

@@ -24,7 +24,9 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from functools import partial
 
+from repro.dsm.faults import FaultPlan, LinkFaults
 from repro.facade import run_spmd
 from repro.sim import Channel, Delay, Future, Simulator
 
@@ -46,26 +48,74 @@ def trace_digest(lines: list[str]) -> str:
 
 
 # ---------------------------------------------------------------- cases
-def _spmd_fingerprint(app: str, backend: str, n_procs: int, seed: int | None) -> dict:
-    # Imported lazily: the harness pulls in every app module.
-    from repro.harness import experiments as E
-
-    program_fn, sc_plan, _ = E._PROGRAMS[app]
-    wl = E.FIG7_WORKLOADS[app]()
+def _fingerprint(run) -> dict:
+    """Time, trace digest and full stats of ``run(trace=hook)`` (a RunResult,
+    or run_serve's ``(RunResult, report)`` pair)."""
     lines: list[str] = []
-    res = run_spmd(
-        program_fn(wl, sc_plan),
-        backend=backend,
-        n_procs=n_procs,
-        jitter_seed=seed,
-        trace=lambda t, msg: lines.append(f"{t} {msg}"),
-    )
+    res = run(trace=lambda t, msg: lines.append(f"{t} {msg}"))
+    if isinstance(res, tuple):
+        res = res[0]
     return {
         "time": res.time,
         "n_trace": len(lines),
         "trace_sha256": trace_digest(lines),
         "stats": {k: int(v) for k, v in sorted(res.stats.snapshot().items())},
     }
+
+
+def _spmd_fingerprint(
+    app: str, backend: str, n_procs: int, seed: int | None, variant: str = "SC", **run_kw
+) -> dict:
+    # Imported lazily: the harness pulls in every app module.
+    from repro.harness import experiments as E
+
+    program = E._PROGRAMS[app][0](E.FIG7_WORKLOADS[app](), E.plan_for(app, variant))
+    return _fingerprint(
+        partial(run_spmd, program, backend=backend, n_procs=n_procs, jitter_seed=seed, **run_kw)
+    )
+
+
+# Lossy / crash / serve pins: the retrying Port (repro.dsm.faults) is the
+# only code these runs add over the cases above, so their full stats
+# snapshots (rel.*, fault.*, *.dup_request, handler.*_r) pin it exactly.
+def _lossy(app: str, plan, variant: str = "SC") -> dict:
+    return _spmd_fingerprint(app, "ace", 4, None, variant, fault_plan=plan)
+
+
+def _heavy(seed: int):
+    """Enough loss that a 4-node micro-run hits every dedup/replay path."""
+    return FaultPlan(seed=seed, default=LinkFaults(drop=0.08, dup=0.08, delay=0.1))
+
+
+def _ring(protocol: str, plan, rounds: int = 4, **run_kw) -> dict:
+    from repro.harness.recovery_workload import ring_program
+
+    return _fingerprint(
+        partial(run_spmd, ring_program(protocol, rounds), n_procs=4, fault_plan=plan, **run_kw)
+    )
+
+
+def _locked_counter(plan, **run_kw) -> dict:
+    from repro.harness.recovery_workload import locked_counter_program
+
+    return _fingerprint(
+        partial(run_spmd, locked_counter_program(8), n_procs=3, fault_plan=plan, **run_kw)
+    )
+
+
+def _serve_adaptive_lossy() -> dict:
+    from repro.serve import AdaptiveController, ServeWorkload, run_serve
+
+    wl = ServeWorkload(
+        n_keys=16, n_shards=2, n_requests=384, batch=16, rate=60.0,
+        read_frac=0.95, shift_at=0.5, shift_read_frac=0.05, think_cycles=5, seed=13,
+    )
+    controller = AdaptiveController(
+        {s: "DynamicUpdate" for s in range(wl.n_shards)}, write_protocol="Owned"
+    )
+    return _fingerprint(
+        partial(run_serve, wl, controller=controller, n_procs=3, fault_plan=FaultPlan.drop_retry(5))
+    )
 
 
 def _kernel_micro(seed: int | None) -> dict:
@@ -162,6 +212,34 @@ CASES = {
     "water_ace": lambda: _spmd_fingerprint("Water", "ace", 4, None),
     "fuzz_corpus": _fuzz_corpus,
     "table4_tsp": _table4_tsp,
+    "em3d_sc_canonical0": lambda: _lossy("EM3D", FaultPlan.canonical(0)),
+    "em3d_sc_drop1": lambda: _lossy("EM3D", FaultPlan.drop_retry(1)),
+    "water_sc_canonical0": lambda: _lossy("Water", FaultPlan.canonical(0)),
+    "water_sc_drop1": lambda: _lossy("Water", FaultPlan.drop_retry(1)),
+    "em3d_static_drop1": lambda: _lossy("EM3D", FaultPlan.drop_retry(1), "static"),
+    "em3d_dynamic_drop1": lambda: _lossy("EM3D", FaultPlan.drop_retry(1), "dynamic"),
+    "ring_sc_crash": lambda: _ring("SC", FaultPlan.crash(1, 1500, seed=1), on_crash="recover"),
+    "ring_owned_crash": lambda: _ring("Owned", FaultPlan.crash(2, 2200, seed=2), on_crash="recover"),
+    "ring_du_crash": lambda: _ring(
+        "DynamicUpdate", FaultPlan.crash(3, 2900, seed=3), on_crash="recover"
+    ),
+    "ring_owned_crash_lossy": lambda: _ring(
+        "Owned",
+        FaultPlan.crash(0, 800, seed=4, faults=LinkFaults(drop=0.03, dup=0.03)),
+        on_crash="recover",
+    ),
+    "em3d_static_canonical0": lambda: _lossy("EM3D", FaultPlan.canonical(0), "static"),
+    "ring_owned_heavy2": lambda: _ring("Owned", _heavy(2), rounds=12),
+    "ring_selfinv_heavy3": lambda: _ring("SelfInvalidate", _heavy(3), rounds=12),
+    "ring_du_heavy4": lambda: _ring("DynamicUpdate", _heavy(4), rounds=12),
+    "locked_counter_heavy0": lambda: _locked_counter(_heavy(0)),
+    "locked_counter_dissemination_drop1": lambda: _locked_counter(
+        FaultPlan.drop_retry(1, drop=0.10), barrier_algorithm="dissemination"
+    ),
+    "locked_counter_dissemination_heavy5": lambda: _locked_counter(
+        _heavy(5), barrier_algorithm="dissemination"
+    ),
+    "serve_adaptive_drop5": _serve_adaptive_lossy,
 }
 
 

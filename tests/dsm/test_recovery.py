@@ -75,6 +75,32 @@ def test_recover_smoke(protocol):
     assert event["rehomed_regions"] == 1  # the region homed at the victim
 
 
+def test_crash_during_owned_forward_still_reroutes(monkeypatch):
+    """An Owned ``fwd_read`` in flight to a crashed owner is swept by the
+    protocol's own handler, which the manager reaches through
+    ``pend.handler.__self__`` — a handler the fabric cannot resolve to
+    its owner (a bare closure) would strand the forwarded reader."""
+    from repro.protocols.owned import OwnedProtocol
+
+    swept = []
+    inner = OwnedProtocol._recover_fwd_read
+
+    def spy(self, manager, pend, dead):
+        swept.append((pend.src, pend.dst, pend.call_args[1]))
+        inner(self, manager, pend, dead)
+
+    monkeypatch.setattr(OwnedProtocol, "_recover_fwd_read", spy)
+    victim = 0
+    res = run_ring("Owned", FaultPlan.crash(victim, at=1150, seed=3), on_crash="recover")
+    # Home 1 had forwarded node 3's read to owner 0, which is dead: the
+    # read is re-admitted at the home and served from home data.
+    assert (1, victim, 3) in swept
+    assert res.stats.get("recovery.retargeted") >= 1
+    for nid in range(1, N_PROCS):
+        np.testing.assert_array_equal(res.results[nid], expected_result(nid, ROUNDS, SIZE))
+    assert isinstance(res.results[victim], Crashed)
+
+
 def test_recover_is_deterministic():
     plan = FaultPlan.crash(2, at=2200, seed=7)
     a = run_ring("SC", plan, on_crash="recover")
