@@ -2,9 +2,9 @@
 
 Isolates the primitives the fast path optimizes — task spawn/resume
 throughput, delay-0 scheduling through the same-cycle ring vs the heap
-(jitter disables the ring), future resolution wake-ups — so a kernel
-regression shows up here before it shows up as minutes in the paper
-experiments.
+(jitter disables the ring), future resolution wake-ups, spawn-and-join
+churn — so a kernel regression shows up here before it shows up as
+minutes in the paper experiments.
 
 Run with::
 
@@ -51,14 +51,14 @@ def test_delay0_heap_under_jitter(benchmark):
 
 
 def test_future_wakeup_chain(benchmark):
-    """Ping-pong through futures: resolution + pre-bound wake thunks."""
+    """Ping-pong through futures: resolution + a waker made per block."""
 
     def run() -> int:
         sim = Simulator()
         rounds = 500
 
         # Resolve-before-wait exercises the resolved-future resume path;
-        # pairing tasks through fresh futures exercises add_callback.
+        # pairing tasks through fresh futures exercises the blocked one.
         def solo():
             for _ in range(rounds):
                 fut = Future()
@@ -67,8 +67,9 @@ def test_future_wakeup_chain(benchmark):
                 assert got == 42
                 yield Delay(1)
 
-        # Blocked waits: consumer parks on each future (add_callback)
-        # and is woken by producer's resolve (the _on_resolved thunk).
+        # Blocked waits: consumer parks on each future (its waker,
+        # task._on_resolved, goes on the callback list) and is woken
+        # by producer's resolve.
         chain = [Future() for _ in range(rounds)]
 
         def producer():
@@ -87,3 +88,30 @@ def test_future_wakeup_chain(benchmark):
         return sim.events
 
     assert benchmark(run) > 0
+
+
+def test_spawn_and_join_churn(benchmark):
+    """Short-lived tasks spawned and joined in waves: spawn cost plus
+    what a finished task costs to release (it must leave the live-task
+    table and be freed by reference counting, or the collector pays)."""
+    waves, fanout = 40, 100
+
+    def run() -> int:
+        sim = Simulator()
+
+        def child(d):
+            yield Delay(d)
+
+        def spawner():
+            for w in range(waves):
+                kids = [sim.spawn(child(1 + i % 7), name=f"k{w}.{i}") for i in range(fanout)]
+                for kid in kids:
+                    yield kid.done
+
+        sim.spawn(spawner(), name="spawner")
+        sim.run()
+        assert not sim.blocked_tasks()
+        return sim.events
+
+    # per child: its start, its one delay, the spawner's join on it
+    assert benchmark(run) == 1 + 3 * waves * fanout

@@ -304,7 +304,7 @@ class LivenessWatchdog:
 
     def report(self, reason: str) -> StallReport:
         sim = self._sim
-        blocked = [t for t in sim._tasks if t.blocked_on is not None]
+        blocked = sim.blocked_tasks()
         tasks = [
             {"task": t.name, "waiting_on": getattr(t.blocked_on, "name", "") or "<unnamed>"}
             for t in blocked

@@ -404,7 +404,7 @@ class RecoveryManager:
     def cancel(self, pend) -> None:
         """Take a call out of the retry table and silence its ack chain."""
         self.transport.kit.pending.pop(pend.seq, None)
-        pend.fut._callbacks.clear()
+        pend.fut._callbacks = None
 
     def _sweep_pending(self, dead: int) -> None:
         kit = self.transport.kit

@@ -90,6 +90,7 @@ class Machine:
         self._recv_base = self.config.network_latency + self.config.am_receive_overhead
         self._reply_base = self.config.am_send_overhead + self._recv_base
         self._per_word = self.config.per_word_transfer
+        self._n_nodes = len(self.nodes)  # the n_procs property is a frame per message
         self._d_send = Delay(self.config.am_send_overhead)
         # Observability (DESIGN.md §7): decided once, here.  Traced
         # variants shadow the class methods via instance attributes;
@@ -194,7 +195,7 @@ class Machine:
         )
 
     def _deliver(self, src, dst, handler, args, payload_words, category) -> None:
-        if not (0 <= dst < self.n_procs):
+        if not (0 <= dst < self._n_nodes):
             raise ValueError(f"bad destination node {dst}")
         counts = self._counts
         key = self._msg_keys.get(category)
@@ -281,7 +282,7 @@ class Machine:
         )
 
     def _deliver_traced(self, src, dst, handler, args, payload_words, category, parent=-1):
-        if not (0 <= dst < self.n_procs):
+        if not (0 <= dst < self._n_nodes):
             raise ValueError(f"bad destination node {dst}")
         if parent == -1:
             parent = self._ctx()

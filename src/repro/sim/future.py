@@ -29,7 +29,10 @@ class Future:
         self.name = name
         self._value = _UNSET
         self._exc: BaseException | None = None
-        self._callbacks: list = []
+        # None until the first waiter: most futures are resolved with
+        # nobody (or only the kernel's inline path) waiting, and never
+        # pay for the list.
+        self._callbacks: list | None = None
         # Set by the kernel on task ``done`` futures: lets a crash be
         # reported fail-fast instead of scanning every task per event.
         self._fail_hook = None
@@ -70,7 +73,7 @@ class Future:
         self._value = value
         callbacks = self._callbacks
         if callbacks:
-            self._callbacks = []
+            self._callbacks = None
             for fn in callbacks:
                 fn(self)
 
@@ -88,13 +91,16 @@ class Future:
         """Call ``fn(self)`` when resolved (immediately if already resolved)."""
         if self.resolved:
             fn(self)
+        elif self._callbacks is None:
+            self._callbacks = [fn]
         else:
             self._callbacks.append(fn)
 
     def _fire(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            fn(self)
+        callbacks, self._callbacks = self._callbacks, None
+        if callbacks:
+            for fn in callbacks:
+                fn(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "resolved" if self.resolved else "pending"

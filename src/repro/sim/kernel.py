@@ -23,38 +23,56 @@ Per-event overhead bounds every experiment in the repository, so the
 hot path is engineered to allocate nothing beyond what the event model
 requires (see DESIGN.md §6 for the full story):
 
+* **The run loop is the scheduler.**  Heap and ring entries carry the
+  :class:`Task` itself where a resume is due; :meth:`Simulator.run`
+  recognises it (``fn.__class__ is Task``) and advances the generator
+  in place — wait-value unpacking, ``send``/``throw``, the
+  ``Delay``/``Future`` dispatch, re-scheduling — so a task event costs
+  no Python frame beyond the generator's own.  Anything else in an
+  entry is a plain callable and is called.  Whether the run is fuzzed
+  (``jitter_seed``), traced (``tracer=`` / ``trace=``) or bounded
+  (``until=``) is decided once per ``run()`` and held in locals; there
+  is one loop and one copy of the step for every mode.
 * **Same-cycle ring.**  ``schedule(0, fn)`` — by far the most common
   call — appends ``(seq, fn)`` to a FIFO deque instead of paying a
-  ``heapq`` push/pop of a 4-tuple.  Ring and heap entries are merged
-  by the global ``(time, seq)`` order at pop time, so event order is
-  bit-identical to the single-heap implementation.
-* **Pre-bound resume thunks.**  Each :class:`Task` carries its resume
-  callables (and its generator's ``send``/``throw`` methods), built
-  once at spawn; the kernel never allocates a closure or bound method
-  per yield, and the whole step — wait-value unpacking, generator
-  advance, re-schedule — is one Python call per event.
+  ``heapq`` push/pop.  Ring and heap entries are merged by the global
+  ``(time, seq)`` order at pop time, so event order is bit-identical
+  to a single heap (``tests/sim/test_kernel_oracle.py`` holds the
+  kernel to exactly that reference).
 * **Lean heap entries.**  Canonical (non-fuzzed) runs store 3-tuples
   ``(time, seq, fn)``; only fuzzed runs pay for the 4-tuple with the
   random tie-breaker.  Ordering is ``(time, seq)`` either way.
 * **Inline trampoline.**  When a task yields ``Delay(0)`` or an
   already-resolved :class:`Future` and *no other event is pending at
   the current cycle*, its continuation would be the very next event —
-  so the kernel steps the generator again immediately (bounded by
+  so the loop steps the generator again immediately (bounded by
   ``_TRAMPOLINE_MAX``), skipping the queue round-trip.  The same
   applies to a nonzero ``Delay`` when every queued event is strictly
-  later than the task's resume time: the kernel advances ``now``
+  later than the task's resume time: the loop advances ``now``
   in place and keeps stepping (disabled under ``run(until=...)``
   and structured tracing, where the heap path enforces the pause
   boundary / the pinned ``task.step`` stream).  The pending checks
   make this unobservable: ordering, cycle counts, and event counts
   are exactly what the queue would have produced.
-* **Batched ring drain.**  When the heap holds nothing at the ring's
-  cycle, the run loop drains the whole same-cycle ring — including
-  events appended mid-drain — through one dispatch loop instead of
-  re-entering the scheduler per event.
-* **Fail-fast flag.**  A task crash used to be detected by scanning
-  every task after every event; now ``Future.fail`` on a task's
-  ``done`` future records the first failure on the simulator directly.
+* **Draining flag.**  When the heap holds nothing at the ring's cycle
+  the loop sets a local "still draining" flag and takes every further
+  event straight off the ring — including ones appended mid-drain —
+  without re-comparing ring and heap, until the ring is empty.  Sound
+  because nothing executed at this cycle can put an earlier event on
+  the heap: delay-0 schedules land on the ring (``_ring_time == now``)
+  and positive delays land strictly in the future, which also keeps
+  every drained event inside an ``until`` bound that admitted the
+  first.  The flag is a local, so a run that ends by exception or
+  pause forgets it and the next ``run()`` decides afresh.
+* **Released on finish.**  ``Simulator._tasks`` is the table of *live*
+  tasks, in spawn order; a task leaves it when it finishes, crashes or
+  is retired.  A task holds no bound method of itself (its waker is
+  made when it actually blocks and dropped when it fires), so a
+  finished task is freed by reference counting alone — spawn-and-join
+  churn leaves nothing for the cyclic collector.
+* **Fail-fast flag.**  ``Future.fail`` on a task's ``done`` future
+  records the first failure on the simulator directly and raises it
+  through the event that caused it; nothing is scanned per event.
 * **Pooled delays.**  ``Delay(n)`` for small ``n`` returns a shared
   immutable singleton, so the dominant yield type costs no allocation.
 
@@ -147,235 +165,47 @@ class Task:
     ``task.done`` is a :class:`Future` resolved with the generator's
     return value (or failed with its exception), so tasks can join on
     one another by yielding it.
+
+    A task is data: :meth:`Simulator.run` steps it.  Events that resume
+    a task carry the task object itself.
     """
 
-    __slots__ = (
-        "name",
-        "gen",
-        "done",
-        "blocked_on",
-        "_sim",
-        "_wait_fut",
-        "_resume",
-        "_wake",
-        "_send",
-        "_throw",
-        "_queue",
-        "_ring",
-        "_jitter",
-        "_obs",
-        "_obs_buf",
-    )
+    __slots__ = ("name", "gen", "done", "blocked_on", "_sim", "_wait_fut", "_send", "_throw")
 
     def __init__(self, gen: Generator, name: str, sim: "Simulator"):
         self.gen = gen
         self.name = name
         self.done = Future(name=f"done:{name}")
         self.blocked_on: Future | None = None
+        # One-way: the simulator refers back only through its live-task
+        # table, which a finished task has left — no reference cycle.
         self._sim = sim
         self._wait_fut: Future | None = None
-        # Resume thunks and generator entry points pre-bound once per
-        # task: the scheduler stores these directly in events instead
-        # of allocating a fresh closure (or bound method) every yield.
-        self._resume = self._step
-        self._wake = self._on_resolved
         self._send = gen.send
         self._throw = gen.throw
-        # The simulator's event structures never get reassigned, so
-        # each task keeps direct references and skips three attribute
-        # loads per step.
-        self._queue = sim._queue
-        self._ring = sim._ring
-        self._jitter = sim._jitter
-        # Structured tracing handle, resolved once at spawn: None when
-        # observability is off, so the per-step cost of the disabled
-        # path is one slot load and branch (see repro.obs.trace).
-        self._obs = sim._obs
-        self._obs_buf = sim._obs_buf
-
-    def _step(self) -> None:
-        """Advance the generator one yield (plus inline trampolining).
-
-        This is the entire per-event hot path — wait-value unpacking,
-        ``gen.send``, and re-scheduling are merged into one call so an
-        event costs a single Python frame beyond the generator itself.
-        """
-        fut = self._wait_fut
-        if fut is None:
-            value = exc = None
-        else:
-            self._wait_fut = None
-            exc = fut._exc
-            value = None if exc is not None else fut._value
-        sim = self._sim
-        send = self._send
-        resume = self._resume
-        trace = sim._trace
-        queue = self._queue
-        ring = self._ring
-        jitter = self._jitter
-        now = sim.now  # time cannot advance while a task is stepping
-        obs = self._obs
-        if obs is not None:
-            # The wake parent is the event that resolved the awaited
-            # future (reply receive, barrier release, lock grant — set
-            # by the resolver via Future._obs_eid), or -1 for plain
-            # delays and locally-resolved futures.  Attribution pairs
-            # this step with the task's preceding ``task.block``;
-            # critical-path extraction follows the parent edge.  The
-            # step becomes the buffer's dispatch context, so sends
-            # issued while this task runs parent back to it.
-            buf = self._obs_buf
-            buf.ctx_eid = obs.emit(
-                now, "task.step", -1, -1 if fut is None else fut._obs_eid, self.name
-            )
-            buf.ctx_ts = now
-        self.blocked_on = None
-        steps = _TRAMPOLINE_MAX
-        while True:
-            try:
-                item = send(value) if exc is None else self._throw(exc)
-            except StopIteration as stop:
-                if trace:
-                    trace(now, f"{self.name} finished")
-                if obs is not None:
-                    obs.emit(now, "task.finish", -1, -1, self.name)
-                self.done.resolve(stop.value)
-                return
-            except BaseException as err:  # task crashed: propagate via its future
-                if trace:
-                    trace(now, f"{self.name} raised {err!r}")
-                if obs is not None:
-                    obs.emit(now, "task.crash", -1, -1, f"{self.name}: {err!r}")
-                self.done.fail(err)
-                return
-            cls = item.__class__
-            if cls is not Delay and cls is not Future:
-                # Rare: a Delay/Future subclass, or an illegal yield.
-                if isinstance(item, Delay):
-                    cls = Delay
-                elif isinstance(item, Future):
-                    cls = Future
-                else:
-                    self.done.fail(
-                        SimulationError(
-                            f"task {self.name} yielded {item!r}; only Delay or Future "
-                            "may reach the kernel (use 'yield from' for sub-operations)"
-                        )
-                    )
-                    return
-            if cls is Delay:
-                cycles = item.cycles
-                if trace:
-                    trace(now, f"{self.name} delay {cycles}")
-                if (
-                    cycles == 0
-                    and steps > 0
-                    and not ring
-                    and jitter is None
-                    and sim._failure is None
-                    and (not queue or queue[0][0] > now)
-                ):
-                    # This continuation would be the sole next event;
-                    # run it now and skip the queue round-trip.
-                    steps -= 1
-                    sim.events += 1
-                    value = exc = None
-                    continue
-                if (
-                    steps > 0
-                    and not ring
-                    and jitter is None
-                    and sim._failure is None
-                    and sim._until is None
-                    and obs is None
-                    and (not queue or queue[0][0] > now + cycles)
-                ):
-                    # Nonzero-delay inlining: the continuation is still
-                    # the sole next event (every queued event is
-                    # strictly later than now + cycles), so advance
-                    # simulated time here and keep stepping.  Event
-                    # count and (time, seq) order are exactly what the
-                    # heap round-trip would have produced.  Disabled
-                    # under run(until=...) — the heap path enforces the
-                    # pause boundary — and with structured tracing on,
-                    # so the pinned obs event stream (one ``task.step``
-                    # per kernel dispatch) is unchanged.
-                    steps -= 1
-                    sim.events += 1
-                    sim.now = now = now + cycles
-                    value = exc = None
-                    continue
-                # schedule(cycles, resume), inlined — one call per
-                # yield is a measurable share of the event loop.  Delay
-                # guarantees cycles >= 0, so the negative check is moot.
-                seq = sim._seq
-                sim._seq = seq + 1
-                if jitter is not None:
-                    _heappush(queue, (now + cycles, jitter.random(), seq, resume))
-                elif cycles == 0 and (not ring or sim._ring_time == now):
-                    sim._ring_time = now
-                    ring.append((seq, resume))
-                else:
-                    _heappush(queue, (now + cycles, seq, resume))
-                return
-            if item._value is not _UNSET or item._exc is not None:
-                if (
-                    steps > 0
-                    and not ring
-                    and jitter is None
-                    and sim._failure is None
-                    and (not queue or queue[0][0] > now)
-                ):
-                    steps -= 1
-                    sim.events += 1
-                    exc = item._exc
-                    value = None if exc is not None else item._value
-                    continue
-                # Resume this cycle but *after* already-queued
-                # events, so a resolved future never lets a task
-                # jump the queue (schedule(0, ...), inlined).
-                self._wait_fut = item
-                seq = sim._seq
-                sim._seq = seq + 1
-                if jitter is not None:
-                    _heappush(queue, (now, jitter.random(), seq, resume))
-                elif not ring or sim._ring_time == now:
-                    sim._ring_time = now
-                    ring.append((seq, resume))
-                else:
-                    _heappush(queue, (now, seq, resume))
-                return
-            self.blocked_on = item
-            if trace:
-                trace(now, f"{self.name} waits on {item.name}")
-            if obs is not None:
-                # Pure observation: the span from this event to the
-                # task's next ``task.step`` is exactly the cycles spent
-                # blocked on ``item`` — the raw material for cycle
-                # attribution (repro.obs.attrib classifies the future's
-                # name into wait buckets).
-                obs.emit(now, "task.block", -1, -1, self.name, item.name)
-            item._callbacks.append(self._wake)
-            return
 
     def _on_resolved(self, fut: Future) -> None:
-        # Equivalent to sim.schedule(0, self._resume), inlined: future
-        # resolution is one of the two hottest kernel entry points.
+        """Waker: the future this task blocked on was resolved.
+
+        ``sim.schedule(0, self)``, inlined — future resolution is one
+        of the two hottest kernel entry points.  Registered as a fresh
+        bound method when the task blocks; bound methods compare by
+        ``(self, function)``, so :meth:`Simulator.retire` can still
+        remove it."""
         self._wait_fut = fut
         sim = self._sim
         now = sim.now
         seq = sim._seq
         sim._seq = seq + 1
-        jitter = self._jitter
-        ring = self._ring
+        jitter = sim._jitter
+        ring = sim._ring
         if jitter is not None:
-            _heappush(self._queue, (now, jitter.random(), seq, self._resume))
+            _heappush(sim._queue, (now, jitter.random(), seq, self))
         elif not ring or sim._ring_time == now:
             sim._ring_time = now
-            ring.append((seq, self._resume))
+            ring.append((seq, self))
         else:
-            _heappush(self._queue, (now, seq, self._resume))
+            _heappush(sim._queue, (now, seq, self))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Task {self.name}>"
@@ -407,7 +237,6 @@ class Simulator:
         "_jitter",
         "_obs",
         "_obs_buf",
-        "_until",
     )
 
     def __init__(
@@ -431,21 +260,19 @@ class Simulator:
         self.events: int = 0  # events executed (queue pops + inline steps)
         # Heap of (time, seq, fn) — canonical runs — or
         # (time, jitter, seq, fn) under schedule fuzzing.  Both orders
-        # reduce to (time, seq); fn is always entry[-1].
+        # reduce to (time, seq); fn is always entry[-1], and is either
+        # a Task to step or a callable to call.
         self._queue: list = []
         self._ring: deque = deque()  # FIFO of (seq, fn) at time _ring_time
         self._ring_time: int = 0
         self._seq = 0
-        self._tasks: list[Task] = []
+        # Live tasks by (unique) name, in spawn order.  _names outlives
+        # them: one key per spawn ever made.
+        self._tasks: dict[str, Task] = {}
         self._names: dict[str, int] = {}
         self._trace = trace
         self._running = False
         self._failure: BaseException | None = None
-        # Bound of the current run(until=...) call, or None.  The
-        # nonzero-delay trampoline consults it: inlined time advances
-        # must not cross a pause boundary, so bounded runs always take
-        # the heap path for positive delays.
-        self._until: int | None = None
         self._jitter = random.Random(jitter_seed) if jitter_seed is not None else None
         # Per-layer tracer handle, or None: resolved once here so the
         # disabled path never probes or formats anything.  The buffer
@@ -488,7 +315,7 @@ class Simulator:
         ``worker``, ``worker~1``, ``worker~2``.
         """
         if name == "task":
-            name = f"task#{len(self._tasks)}"
+            name = f"task#{len(self._names)}"  # spawns so far, finished or not
         n = self._names.get(name, 0)
         if n:
             base = name
@@ -502,11 +329,15 @@ class Simulator:
             self._names[name] = 1
         task = Task(gen, name=name, sim=self)
         task.done._fail_hook = self._note_failure
-        self._tasks.append(task)
+        self._tasks[name] = task
         if self._obs is not None:
             self._obs.emit(self.now, "task.spawn", -1, -1, name)
-        self.schedule(0, task._resume)
+        self.schedule(0, task)
         return task
+
+    def blocked_tasks(self) -> list[Task]:
+        """Live tasks suspended on an unresolved future, in spawn order."""
+        return [t for t in self._tasks.values() if t.blocked_on is not None]
 
     def retire(self, task: Task, result=None) -> None:
         """Force-terminate ``task`` from outside, resolving ``done`` with ``result``.
@@ -514,33 +345,31 @@ class Simulator:
         Used by the crash-recovery layer (:mod:`repro.dsm.recovery`)
         when a node is declared dead: its task cannot finish on its own
         (the fabric drops everything it sends), so the recovery manager
-        retires it in place of a normal ``StopIteration``.
+        retires it in place of a normal ``StopIteration``.  Retiring a
+        task that already finished is a no-op.
 
-        The task may have resume events already queued (a pre-crash
-        reply "in the wire", a delay it yielded before dying).  Those
-        events reference the task's pre-bound ``_resume`` thunk and
-        cannot be unscheduled, so instead the generator entry points are
-        swapped for a stub that parks the task on a fresh, never-
-        resolved future — a stray wake becomes a harmless no-op.  The
-        task is removed from the deadlock scan so that parked state
-        never reads as a stall.
+        A blocked task's waker is taken off the future it waits on.
+        The task may also have resume events already queued (a
+        pre-crash reply "in the wire", a delay it yielded before
+        dying).  Those entries hold the task itself and cannot be
+        unscheduled, so instead the generator entry points are swapped
+        for a stub that parks the task on a fresh, never-resolved
+        future — a stray resume becomes a harmless no-op.  The task
+        leaves the live table, so that parked state never reads as a
+        stall.
         """
         if task.done._value is not _UNSET or task.done._exc is not None:
             return  # already finished on its own
         fut = task.blocked_on
         if fut is not None:
-            try:
-                fut._callbacks.remove(task._wake)
-            except ValueError:
-                pass
+            waiters = fut._callbacks  # None once cancelled or fired
+            if waiters and task._on_resolved in waiters:
+                waiters.remove(task._on_resolved)
             task.blocked_on = None
         task._wait_fut = None
         task._send = _retired_step
         task._throw = _retired_throw
-        try:
-            self._tasks.remove(task)
-        except ValueError:
-            pass
+        self._tasks.pop(task.name, None)
         task.gen.close()
         if self._obs is not None:
             self._obs.emit(self.now, "task.retire", -1, -1, task.name)
@@ -563,6 +392,10 @@ class Simulator:
     def run(self, until: int | None = None) -> int:
         """Drain the event queue; return the final simulated time.
 
+        With ``until``, stop before the first event later than that
+        cycle, leave it queued, and return ``until``; a later ``run``
+        resumes exactly there.
+
         Raises
         ------
         DeadlockError
@@ -573,79 +406,186 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        self._until = until
         queue = self._queue
         ring = self._ring
+        popleft = ring.popleft
         heappop = heapq.heappop
-        fired = 0  # queue pops this run; folded into self.events on exit
+        tasks = self._tasks
+        jitter = self._jitter
+        trace = self._trace
+        obs = self._obs
+        buf = self._obs_buf
+        # The two trampolines, decided once.  ``inline`` steps a task
+        # again at the same cycle; ``leap`` also lets it cross a
+        # positive delay, which must not jump a pause boundary nor
+        # merge two of the traced stream's ``task.step`` events.
+        inline = jitter is None and self._failure is None
+        leap = inline and until is None and obs is None
+        now = self.now  # local mirror: only this loop moves time
+        fired = 0  # events this run; folded into self.events on exit
+        draining = False  # see "Draining flag" in the module docstring
         try:
-            if until is None:
-                # Hot loop: no pause check per event.  Next event =
-                # global (time, seq) minimum across both structures;
-                # ring entries all share time _ring_time.
-                while queue or ring:
-                    # A non-empty ring implies a canonical run, so the
-                    # heap holds 3-tuples and seq sits at index 1.
+            while True:
+                # -- next event: the (time, seq) minimum of ring and heap
+                if draining and ring:
+                    fn = popleft()[1]
+                else:
+                    draining = from_ring = False
                     if ring:
-                        if not queue or queue[0][0] > self._ring_time:
-                            # Batched delivery: every queued event is
-                            # strictly later than the ring, and nothing
-                            # executed at this cycle can change that —
-                            # delay-0 schedules land on the ring (it is
-                            # non-empty, so ``_ring_time == now`` holds)
-                            # and positive delays land strictly in the
-                            # future.  Drain the whole ring, including
-                            # events appended mid-drain, in one dispatch
-                            # loop: same pops, same (time, seq) order,
-                            # same event count as the per-event path.
-                            self.now = self._ring_time
-                            popleft = ring.popleft
-                            while ring:
-                                fired += 1
-                                popleft()[1]()
-                            continue
-                        if queue[0][0] == self._ring_time and queue[0][1] > ring[0][0]:
-                            # Mixed same-cycle case (an earlier-seq heap
-                            # entry may interleave): single-step it.
-                            self.now = self._ring_time
-                            fn = ring.popleft()[1]
-                            fired += 1
-                            fn()
-                            continue
-                    entry = heappop(queue)
-                    self.now = entry[0]
-                    fired += 1
-                    entry[-1]()
-            else:
-                while queue or ring:
-                    if ring:
-                        time = self._ring_time
-                        use_ring = not queue or (
-                            queue[0][0] > time
-                            or (queue[0][0] == time and queue[0][1] > ring[0][0])
-                        )
-                        if not use_ring:
-                            time = queue[0][0]
-                    else:
-                        use_ring = False
-                        time = queue[0][0]
-                    if time > until:
+                        when = self._ring_time
+                        if not queue or queue[0][0] > when:
+                            draining = from_ring = True
+                        else:
+                            # A non-empty ring implies a canonical run,
+                            # so the heap holds 3-tuples: seq at index 1.
+                            head = queue[0]
+                            from_ring = head[0] == when and head[1] > ring[0][0]
+                    if not from_ring:
+                        if not queue:
+                            break
+                        when = queue[0][0]
+                    if until is not None and when > until:
                         self.now = until
-                        return self.now
-                    if use_ring:
-                        fn = ring.popleft()[1]
-                    else:
-                        fn = heappop(queue)[-1]
-                    self.now = time
-                    fired += 1
+                        return until
+                    fn = popleft()[1] if from_ring else heappop(queue)[-1]
+                    self.now = now = when
+                fired += 1
+                if fn.__class__ is not Task:
                     fn()
+                    continue
+
+                # -- step a task: the entry held the Task this event resumes
+                task = fn
+                fut = task._wait_fut
+                if fut is None:
+                    value = exc = None
+                else:
+                    task._wait_fut = None
+                    task.blocked_on = None
+                    exc = fut._exc
+                    value = None if exc is not None else fut._value
+                if obs is not None:
+                    # The wake parent is the event that resolved the
+                    # awaited future (reply receive, barrier release,
+                    # lock grant — set by the resolver via
+                    # Future._obs_eid), or -1 for plain delays and
+                    # locally-resolved futures.  Attribution pairs this
+                    # step with the task's preceding ``task.block``;
+                    # critical-path extraction follows the parent edge.
+                    # The step becomes the buffer's dispatch context, so
+                    # sends issued while this task runs parent back to it.
+                    buf.ctx_eid = obs.emit(
+                        now, "task.step", -1, -1 if fut is None else fut._obs_eid, task.name
+                    )
+                    buf.ctx_ts = now
+                send = task._send
+                steps = _TRAMPOLINE_MAX
+                while True:
+                    try:
+                        item = send(value) if exc is None else task._throw(exc)
+                    except StopIteration as stop:
+                        if trace:
+                            trace(now, f"{task.name} finished")
+                        if obs is not None:
+                            obs.emit(now, "task.finish", -1, -1, task.name)
+                        del tasks[task.name]
+                        task.done.resolve(stop.value)
+                        break
+                    except BaseException as err:  # task crashed: propagate via its future
+                        if trace:
+                            trace(now, f"{task.name} raised {err!r}")
+                        if obs is not None:
+                            obs.emit(now, "task.crash", -1, -1, f"{task.name}: {err!r}")
+                        del tasks[task.name]
+                        task.done.fail(err)
+                        break
+                    cls = item.__class__
+                    if cls is not Delay and cls is not Future:
+                        # Rare: a Delay/Future subclass, or an illegal yield.
+                        if isinstance(item, Delay):
+                            cls = Delay
+                        elif not isinstance(item, Future):
+                            del tasks[task.name]
+                            task.done.fail(
+                                SimulationError(
+                                    f"task {task.name} yielded {item!r}; only Delay or Future "
+                                    "may reach the kernel (use 'yield from' for sub-operations)"
+                                )
+                            )
+                            break
+                    if cls is Delay:
+                        cycles = item.cycles
+                        when = now + cycles
+                        if trace:
+                            trace(now, f"{task.name} delay {cycles}")
+                        if (
+                            steps > 0
+                            and inline
+                            and not ring
+                            and (cycles == 0 or leap)
+                            and (not queue or queue[0][0] > when)
+                        ):
+                            # This continuation would be the sole next
+                            # event — every queued event is strictly
+                            # later than ``when`` — so run it now, moving
+                            # time here if the delay is positive.  Event
+                            # count and (time, seq) order are exactly what
+                            # the queue round-trip would have produced.
+                            # (A drain in progress stays valid: the heap is
+                            # strictly later than the new cycle too.)
+                            steps -= 1
+                            fired += 1
+                            self.now = now = when
+                            value = exc = None
+                            continue
+                    elif item._value is not _UNSET or item._exc is not None:
+                        if steps > 0 and inline and not ring and (not queue or queue[0][0] > now):
+                            steps -= 1
+                            fired += 1
+                            exc = item._exc
+                            value = None if exc is not None else item._value
+                            continue
+                        # Resume this cycle but *after* already-queued
+                        # events, so a resolved future never lets a task
+                        # jump the queue.
+                        task._wait_fut = item
+                        cycles = 0
+                        when = now
+                    else:
+                        task.blocked_on = item
+                        if trace:
+                            trace(now, f"{task.name} waits on {item.name}")
+                        if obs is not None:
+                            # Pure observation: the span from this event to
+                            # the task's next ``task.step`` is exactly the
+                            # cycles spent blocked on ``item`` — the raw
+                            # material for cycle attribution
+                            # (repro.obs.attrib classifies the future's
+                            # name into wait buckets).
+                            obs.emit(now, "task.block", -1, -1, task.name, item.name)
+                        if item._callbacks is None:
+                            item._callbacks = [task._on_resolved]
+                        else:
+                            item._callbacks.append(task._on_resolved)
+                        break
+                    # schedule(cycles, task), inlined.  Delay guarantees
+                    # cycles >= 0, so the negative check is moot.
+                    seq = self._seq
+                    self._seq = seq + 1
+                    if jitter is not None:
+                        _heappush(queue, (when, jitter.random(), seq, task))
+                    elif cycles == 0 and (not ring or self._ring_time == now):
+                        self._ring_time = now
+                        ring.append((seq, task))
+                    else:
+                        _heappush(queue, (when, seq, task))
+                    break
         finally:
             self.events += fired
             self._running = False
-            self._until = None
         if self._failure is not None:
             raise self._failure
-        blocked = [t for t in self._tasks if t.blocked_on is not None]
+        blocked = self.blocked_tasks()
         if blocked:
             raise DeadlockError(blocked)
         return self.now

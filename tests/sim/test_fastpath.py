@@ -110,9 +110,9 @@ def test_spawn_duplicate_names_get_unique_suffixes():
     def idle():
         yield Delay(1)
 
-    names = [sim.spawn(idle(), name="worker").name for _ in range(3)]
-    assert names == ["worker", "worker~1", "worker~2"]
-    assert len({t.done.name for t in sim._tasks}) == 3
+    tasks = [sim.spawn(idle(), name="worker") for _ in range(3)]
+    assert [t.name for t in tasks] == ["worker", "worker~1", "worker~2"]
+    assert len({t.done.name for t in tasks}) == 3
     sim.run()
 
 

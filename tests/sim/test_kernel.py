@@ -1,8 +1,10 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
+
 import pytest
 
-from repro.sim import DeadlockError, Delay, Future, SimulationError, Simulator
+from repro.sim import DeadlockError, Delay, Future, SimulationError, Simulator, Task
 
 
 def test_empty_run_returns_zero():
@@ -267,3 +269,127 @@ def test_trace_hook_records_events():
     sim.run()
     assert any("traced" in msg and "delay" in msg for _, msg in events)
     assert any("finished" in msg for _, msg in events)
+
+
+# ------------------------------------------------- task release (no cycles)
+def _spawn_and_join(sim, n):
+    def child(i):
+        yield Delay(1 + i % 5)
+        return i
+
+    def parent():
+        total = 0
+        for wave in range(n // 50):
+            kids = [sim.spawn(child(i), name=f"k{wave}.{i}") for i in range(50)]
+            for kid in kids:
+                total += yield kid.done
+        return total
+
+    return sim.spawn(parent(), name="parent")
+
+
+def test_finished_tasks_leave_the_live_table():
+    sim = Simulator()
+    root = _spawn_and_join(sim, 1000)
+    sim.run()
+    assert root.done.result() == 20 * sum(range(50))
+    assert sim.blocked_tasks() == []
+    assert len(sim._tasks) == 0
+
+
+def test_finished_task_is_freed_by_refcounting_alone():
+    """The deterministic proxy for "no GC work over finished tasks":
+    with the cyclic collector off and the caller's handles dropped, no
+    Task survives a spawn-and-join run."""
+
+    def live_tasks():
+        return [o for o in gc.get_objects() if type(o) is Task]
+
+    gc.collect()
+    before = len(live_tasks())
+    gc.disable()
+    try:
+        sim = Simulator()
+        root = _spawn_and_join(sim, 1000)
+        sim.run()
+        del root
+        assert len(live_tasks()) == before
+    finally:
+        gc.enable()
+
+
+def test_future_without_waiters_never_allocates_callbacks():
+    sim = Simulator()
+    early, unused = Future(name="early"), Future(name="unused")
+
+    def task():
+        early.resolve(1)
+        yield early  # resolved before the wait: resumed without a waker
+        yield Delay(1)
+
+    t = sim.spawn(task(), name="t")
+    sim.run()
+    assert early._callbacks is None and unused._callbacks is None
+    assert t.done._callbacks is None  # finished unjoined
+
+
+def test_deadlock_lists_blocked_tasks_in_spawn_order():
+    sim = Simulator()
+    gates = [Future(name=f"gate{i}") for i in range(3)]
+
+    def waiter(i):
+        yield Delay(3 - i)  # blocks in reverse spawn order
+        yield gates[i]
+
+    def bystander():
+        yield Delay(10)
+
+    sim.spawn(waiter(0), name="w0")
+    sim.spawn(bystander(), name="done-by-then")
+    sim.spawn(waiter(1), name="w1")
+    sim.spawn(waiter(2), name="w2")
+    with pytest.raises(DeadlockError) as exc:
+        sim.run()
+    assert [t.name for t in exc.value.blocked_tasks] == ["w0", "w1", "w2"]
+    assert exc.value.wait_reasons == {"w0": "gate0", "w1": "gate1", "w2": "gate2"}
+    assert [t.name for t in sim.blocked_tasks()] == ["w0", "w1", "w2"]
+
+
+def test_retire_finished_is_noop_and_blocked_removes_waker():
+    sim = Simulator()
+    gate = Future(name="gate")
+
+    def quick():
+        yield Delay(1)
+        return "mine"
+
+    def stuck():
+        yield gate
+
+    done, blocked = sim.spawn(quick(), name="quick"), sim.spawn(stuck(), name="stuck")
+    sim.schedule(9, lambda: None)  # keeps the bounded run from running dry
+    sim.run(until=5)
+    sim.retire(done, "overwritten?")
+    assert done.done.result() == "mine"
+    assert gate._callbacks == [blocked._on_resolved]
+    sim.retire(blocked, "gone")
+    assert gate._callbacks == []
+    assert blocked.done.result() == "gone" and blocked.blocked_on is None
+    events = sim.events
+    gate.resolve(None)  # wakes nobody
+    assert sim.run() == 9 and sim.events == events + 1
+    assert sim.blocked_tasks() == [] and len(sim._tasks) == 0
+
+
+def test_default_names_do_not_repeat_after_tasks_finish():
+    sim = Simulator()
+
+    def idle():
+        yield Delay(1)
+
+    first = [sim.spawn(idle()).name for _ in range(3)]
+    sim.run()
+    later = [sim.spawn(idle()).name for _ in range(3)]
+    sim.run()
+    assert first == ["task#0", "task#1", "task#2"]
+    assert later == ["task#3", "task#4", "task#5"]

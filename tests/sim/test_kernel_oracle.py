@@ -1,0 +1,332 @@
+"""Differential oracle for the event kernel.
+
+``RefSim`` is the scheduler the kernel's fast paths claim to be
+indistinguishable from: one heap ordered by ``(time, seq)``, one pop
+per event, no same-cycle ring, no trampoline, no batched drain, no
+in-loop task stepping.  Generated programs — delays (zero, pooled and
+beyond the pool), futures resolved or failed before and after the
+wait, mid-run spawns and joins, plain scheduled callables, ``retire``
+of blocked / queued / finished tasks, a crashing task, deadlocks, and
+``run(until=b)`` split at random bounds — run on both, and the real
+kernel must match on step order, ``now``, ``events`` and every task's
+result.  Under a ``jitter_seed`` the reference draws the same one
+tie-breaker per ``schedule``, so fuzzed schedules are held to it too.
+"""
+
+import heapq
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim import DeadlockError, Delay, Future, Simulator
+
+N_FUTURES = 4
+N_TOPS = 3
+
+
+class Boom(Exception):
+    pass
+
+
+# ---------------------------------------------------------------- reference
+class RefTask:
+    def __init__(self, gen, name):
+        self.gen, self.name = gen, name
+        self.done = Future(name=f"done:{name}")
+        self.blocked_on = None
+        self.retired = False
+
+
+class RefSim:
+    """Single-heap reference scheduler (see the module docstring)."""
+
+    def __init__(self, jitter_seed=None):
+        self.now = self.events = self._seq = 0
+        self._heap = []
+        self._live = []
+        self._rnd = random.Random(jitter_seed) if jitter_seed is not None else None
+        self._failure = None
+
+    def schedule(self, delay, fn):
+        tie = self._rnd.random() if self._rnd is not None else 0
+        heapq.heappush(self._heap, (self.now + delay, tie, self._seq, fn))
+        self._seq += 1
+
+    def spawn(self, gen, name):
+        task = RefTask(gen, name)
+        self._live.append(task)
+        self.schedule(0, lambda: self._step(task, None))
+        return task
+
+    def retire(self, task, result=None):
+        if task.done.resolved:
+            return
+        task.retired, task.blocked_on = True, None
+        self._live.remove(task)
+        task.gen.close()
+        task.done.resolve(result)
+
+    def _step(self, task, fut):
+        if task.retired:
+            return  # a resume that was already queued: fires, does nothing
+        task.blocked_on = None
+        try:
+            if fut is not None and fut._exc is not None:
+                item = task.gen.throw(fut._exc)
+            else:
+                item = task.gen.send(None if fut is None else fut._value)
+        except StopIteration as stop:
+            self._live.remove(task)
+            task.done.resolve(stop.value)
+        except BaseException as err:
+            self._live.remove(task)
+            task.done.fail(err)
+            self._failure = err
+            raise
+        else:
+            if isinstance(item, Delay):
+                self.schedule(item.cycles, lambda: self._step(task, None))
+            elif item.resolved:
+                self.schedule(0, lambda: self._step(task, item))
+            else:
+                task.blocked_on = item
+                item.add_callback(
+                    lambda f: task.retired or self.schedule(0, lambda: self._step(task, f))
+                )
+
+    def run(self, until=None):
+        while self._heap:
+            if until is not None and self._heap[0][0] > until:
+                self.now = until
+                return until
+            self.now, _, _, fn = heapq.heappop(self._heap)
+            self.events += 1
+            fn()
+        if self._failure is not None:
+            raise self._failure
+        blocked = [t for t in self._live if t.blocked_on is not None]
+        if blocked:
+            raise DeadlockError(blocked)
+        return self.now
+
+
+# ----------------------------------------------------------------- programs
+def interpret(sim, env, name, script):
+    """One task: run ``script`` against ``sim`` (real or reference),
+    logging every op with the cycle it executed at."""
+    log, futs = env["log"], env["futs"]
+    kids, spawned = [], 0
+    for i, op in enumerate(script):
+        log.append((name, i, op[0], sim.now))
+        kind = op[0]
+        if kind == "delay":
+            yield Delay(op[1])
+        elif kind == "wait":
+            try:
+                got = yield futs[op[1]]
+            except Boom as err:
+                got = f"caught {err}"
+            log.append((name, i, "woke", got, sim.now))
+        elif kind == "resolve":
+            if not futs[op[1]].resolved:
+                futs[op[1]].resolve((name, i))
+        elif kind == "fail":
+            if not futs[op[1]].resolved:
+                futs[op[1]].fail(Boom(f"{name}.{i}"))
+        elif kind == "spawn":
+            kid_name = f"{name}.{spawned}"
+            spawned += 1
+            kid = sim.spawn(interpret(sim, env, kid_name, op[1]), name=kid_name)
+            kids.append(kid)
+            env["tasks"].append(kid)
+        elif kind == "join":
+            if kids:
+                got = yield kids.pop(0).done
+                log.append((name, i, "joined", got, sim.now))
+        elif kind == "call":
+            cid = env["calls"] = env["calls"] + 1
+            sim.schedule(op[1], lambda cid=cid: log.append(("callable", cid, sim.now)))
+        elif kind == "retire":
+            target = env["tasks"][op[1]]
+            if target.name != name:  # a running generator cannot be closed
+                sim.retire(target, "retired")
+        elif kind == "crash":
+            raise Boom(f"crash {name}.{i}")
+    return (name, "finished")
+
+
+def execute(make_sim, program):
+    """Run ``program`` = (top-level scripts, until-bounds) on a fresh
+    simulator; return everything observable."""
+    scripts, bounds = program
+    sim = make_sim()
+    futs = [Future(name=f"f{i}") for i in range(N_FUTURES)]
+    env = {"log": [], "futs": futs, "calls": 0, "tasks": []}
+    for i, script in enumerate(scripts):
+        env["tasks"].append(sim.spawn(interpret(sim, env, f"t{i}", script), name=f"t{i}"))
+    segments = []
+    try:
+        for bound in [*bounds, None]:
+            sim.run(until=bound)
+            segments.append((sim.now, sim.events))
+    except DeadlockError as err:
+        segments.append(("deadlock", [(t.name, t.blocked_on.name) for t in err.blocked_tasks]))
+    except Boom as err:
+        segments.append(("crash", str(err)))
+    results = []
+    for task in env["tasks"]:
+        done = task.done
+        state = repr(done._exc) if done._exc is not None else done._value if done.resolved else "-"
+        results.append((task.name, state))
+    return {
+        "log": env["log"],
+        "segments": segments,
+        "now": sim.now,
+        "events": sim.events,
+        "results": results,
+        "calls": env["calls"],
+    }
+
+
+def check(program, jitter_seed=None):
+    want = execute(lambda: RefSim(jitter_seed), program)
+    got = execute(lambda: Simulator(jitter_seed=jitter_seed), program)
+    assert got == want
+    # every scheduled callable fired exactly once (a crash cuts the run
+    # short: then none fired twice, and both sides agree on which did)
+    fired = [entry[1] for entry in got["log"] if entry[0] == "callable"]
+    assert len(fired) == len(set(fired))
+    if got["segments"][-1][0] != "crash":
+        assert sorted(fired) == list(range(1, got["calls"] + 1))
+    if jitter_seed is not None:
+        assert execute(lambda: Simulator(jitter_seed=jitter_seed), program) == got
+    return got
+
+
+DELAYS = st.sampled_from([0, 0, 0, 1, 2, 3, 7, 511, 512, 900])
+FUTS = st.integers(0, N_FUTURES - 1)
+LEAF_OPS = st.one_of(
+    st.tuples(st.just("delay"), DELAYS),
+    st.tuples(st.just("wait"), FUTS),
+    st.tuples(st.just("resolve"), FUTS),
+    st.tuples(st.just("resolve"), FUTS),
+    st.tuples(st.just("fail"), FUTS),
+    st.tuples(st.just("call"), st.sampled_from([0, 0, 1, 5])),
+)
+OPS = st.one_of(
+    LEAF_OPS,
+    LEAF_OPS,
+    st.tuples(st.just("spawn"), st.lists(LEAF_OPS, max_size=4)),
+    st.tuples(st.just("join")),
+    st.tuples(st.just("retire"), st.integers(0, N_TOPS - 1)),
+)
+SCRIPTS = st.lists(st.lists(OPS, max_size=10), min_size=N_TOPS, max_size=N_TOPS)
+BOUNDS = st.lists(st.integers(0, 1500), max_size=3).map(sorted)
+CRASH = st.tuples(st.integers(0, N_TOPS - 1), st.integers(0, 10))
+
+
+def with_crash(scripts, crash):
+    """Plant a ``crash`` op (rarely: most programs should run to the end)."""
+    if crash is None:
+        return scripts
+    who, where = crash
+    script = scripts[who]
+    return [*scripts[:who], [*script[:where], ("crash",), *script[where:]], *scripts[who + 1 :]]
+
+
+PROGRAMS = st.builds(
+    lambda scripts, crash, bounds: (with_crash(scripts, crash), bounds),
+    SCRIPTS,
+    st.one_of(st.none(), st.none(), st.none(), CRASH),
+    BOUNDS,
+)
+
+# ------------------------------------------------------------- fixed cases
+FIXED = {
+    # one task alone: every yield is inlined until the trampoline bound
+    "trampoline_bound": ([[("delay", 0)] * 70 + [("delay", 3)] * 70, [], []], []),
+    # a heap event due at exactly the resume time goes first: no inlining
+    "equal_time_is_not_later": (
+        [
+            [("delay", 1), ("delay", 0), ("call", 0), ("delay", 2), ("call", 0)],
+            [("delay", 1), ("delay", 0), ("call", 0)],
+            [("delay", 3), ("call", 0)],
+        ],
+        [],
+    ),
+    # ring and heap entries interleave at one cycle
+    "ring_heap_same_cycle": (
+        [
+            [("call", 1), ("delay", 1), ("call", 0), ("delay", 0), ("resolve", 0)],
+            [("delay", 1), ("wait", 0), ("call", 0)],
+            [("call", 1), ("wait", 0), ("delay", 0)],
+        ],
+        [],
+    ),
+    # resolved before the wait, failed after it, and a join on a finished kid
+    "future_orders": (
+        [
+            [("resolve", 0), ("wait", 0), ("wait", 1), ("spawn", [("delay", 2)]), ("delay", 9), ("join",)],
+            [("delay", 4), ("fail", 1), ("wait", 1)],
+            [("wait", 2)],
+        ],
+        [],
+    ),
+    # retire: a blocked task, one with a resume queued, a finished one
+    "retire_each_state": (
+        [
+            [("wait", 3), ("call", 0)],
+            [("delay", 5), ("call", 0)],
+            [("delay", 1), ("retire", 0), ("retire", 1), ("resolve", 3), ("delay", 9), ("retire", 1)],
+        ],
+        [],
+    ),
+    "crash_mid_run": ([[("delay", 2), ("crash",)], [("delay", 1), ("delay", 5)], [("wait", 0)]], []),
+    "deadlock_spawn_order": ([[("wait", 1)], [("delay", 3)], [("spawn", [("wait", 2)]), ("wait", 0)]], []),
+    "until_split": (
+        [
+            [("delay", 3), ("delay", 0), ("call", 5), ("delay", 600)],
+            [("delay", 7), ("resolve", 0)],
+            [("wait", 0), ("delay", 0), ("delay", 2)],
+        ],
+        [0, 3, 7, 8, 700],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIXED))
+@pytest.mark.parametrize("jitter_seed", [None, 11])
+def test_fixed_programs_match_reference(case, jitter_seed):
+    check(FIXED[case], jitter_seed)
+
+
+def test_fixed_programs_reach_what_they_name():
+    """The fixed cases must actually end the way their names say."""
+    assert check(FIXED["crash_mid_run"])["segments"][-1] == ("crash", "crash t0.1")
+    assert check(FIXED["deadlock_spawn_order"])["segments"][-1] == (
+        "deadlock",
+        [("t0", "f1"), ("t2", "f0"), ("t2.0", "f2")],
+    )
+    assert dict(check(FIXED["retire_each_state"])["results"])["t0"] == "retired"
+    assert check(FIXED["trampoline_bound"])["events"] == 3 + 140
+
+
+@settings(max_examples=60, deadline=None)
+@given(PROGRAMS)
+def test_random_programs_match_reference(program):
+    check(program)
+
+
+@settings(max_examples=30, deadline=None)
+@given(PROGRAMS, st.integers(0, 2**16))
+def test_random_programs_match_reference_fuzzed(program, jitter_seed):
+    check(program, jitter_seed)
+
+
+@pytest.mark.slow
+@settings(max_examples=1500, deadline=None)
+@given(PROGRAMS, st.one_of(st.none(), st.integers(0, 2**16)))
+def test_random_programs_match_reference_sweep(program, jitter_seed):
+    check(program, jitter_seed)
