@@ -1,8 +1,6 @@
-#!/usr/bin/env python
-"""Sanitizer driver: lint AceC kernels and dynamically check the SPMD apps.
+"""``lint`` — the sanitizers over every kernel and app.
 
-Three batteries, each with a hard expectation; any deviation is a
-nonzero exit:
+Three batteries, each with a hard expectation; any deviation fails:
 
 1. **Static lint** — every AceC kernel compiles with ``sanitize=True``
    at every optimization level: the annotation-discipline checker must
@@ -25,33 +23,17 @@ nonzero exit:
    count bit-identical to the unchecked run (the checker charges no
    cycles).
 
-Usage::
-
-    PYTHONPATH=src python tools/lint.py                 # everything
-    PYTHONPATH=src python tools/lint.py --static-only
-    PYTHONPATH=src python tools/lint.py --dynamic-only
-    PYTHONPATH=src python tools/lint.py --out lint.json
+``--static-only`` runs batteries 1–2, ``--dynamic-only`` battery 3.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.apps import acec_sources as K  # noqa: E402
-from repro.compiler.driver import (  # noqa: E402
-    OPT_BASE,
-    OPT_DIRECT,
-    OPT_LI,
-    OPT_LI_MC,
-    compile_source,
-)
-from repro.compiler.errors import AnnotationError  # noqa: E402
-from repro.facade.context import run_spmd  # noqa: E402
+from repro.apps import acec_sources as K
+from repro.cli.common import APPS, FAILED, OK, add_shared
+from repro.compiler.driver import OPT_BASE, OPT_DIRECT, OPT_LI, OPT_LI_MC, compile_source
+from repro.compiler.errors import AnnotationError
+from repro.facade import run_spmd
+from repro.harness.experiments import run_app
 
 ALL_OPTS = (OPT_BASE, OPT_LI, OPT_LI_MC, OPT_DIRECT)
 
@@ -176,71 +158,51 @@ def _seeded_race_program(state):
     return program
 
 
-def lint_dynamic(n_procs: int) -> tuple[list[dict], int]:
-    import repro.harness.experiments as E
+def _dynamic_row(app: str, expect_clean: bool, base, checked) -> dict:
+    ck = checked.checker
+    return {
+        "app": app,
+        "expect": "clean" if expect_clean else "races-reported",
+        "clean": ck.clean,
+        "races": len(ck.races),
+        "violations": len(ck.violations),
+        "accesses": ck.accesses_checked,
+        "cycles_identical": checked.time == base.time,
+        "ok": checked.time == base.time and ck.clean == expect_clean,
+        "report": [str(r) for r in ck.report()],
+    }
 
-    rows, failures = [], 0
-    for app, (prog_f, base_plan, _custom) in sorted(E._PROGRAMS.items()):
-        workload = E.FIG7_WORKLOADS[app]()
-        program = prog_f(workload, base_plan)
-        base = run_spmd(program, n_procs=n_procs)
-        checked = run_spmd(program, n_procs=n_procs, check=True)
-        ck = checked.checker
-        expect_clean = app in EXPECT_CLEAN
-        ok = (checked.time == base.time) and (ck.clean == expect_clean)
-        row = {
-            "app": app,
-            "expect": "clean" if expect_clean else "races-reported",
-            "clean": ck.clean,
-            "races": len(ck.races),
-            "violations": len(ck.violations),
-            "accesses": ck.accesses_checked,
-            "cycles_identical": checked.time == base.time,
-            "ok": ok,
-            "report": [str(r) for r in ck.report()],
-        }
+
+def lint_dynamic(n_procs: int) -> tuple[list[dict], int]:
+    rows = []
+    for app in sorted(APPS):
+        row = _dynamic_row(app, app in EXPECT_CLEAN, run_app(app, n_procs=n_procs),
+                           run_app(app, n_procs=n_procs, check=True))
         rows.append(row)
-        if not ok:
-            failures += 1
         print(
             f"  dynamic {app:10s} expect={row['expect']:15s} "
             f"races={row['races']:2d} cycles_ok={row['cycles_identical']} "
-            f"-> {'ok' if ok else 'FAIL'}"
+            f"-> {'ok' if row['ok'] else 'FAIL'}"
         )
 
     # the seeded race must be caught, at identical cycle count
-    base = run_spmd(_seeded_race_program({}), n_procs=2)
     checked = run_spmd(_seeded_race_program({}), n_procs=2, check=True)
-    ck = checked.checker
-    caught = any(r.kind == "ww" for r in ck.races)
-    ok = caught and checked.time == base.time
-    rows.append(
-        {
-            "app": "seeded-ww-race",
-            "expect": "races-reported",
-            "clean": ck.clean,
-            "races": len(ck.races),
-            "violations": len(ck.violations),
-            "accesses": ck.accesses_checked,
-            "cycles_identical": checked.time == base.time,
-            "ok": ok,
-            "report": [str(r) for r in ck.report()],
-        }
-    )
-    if not ok:
-        failures += 1
-    print(f"  dynamic seeded-ww-race caught={caught} -> {'ok' if ok else 'FAIL'}")
-    return rows, failures
+    row = _dynamic_row("seeded-ww-race", False, run_spmd(_seeded_race_program({}), n_procs=2), checked)
+    caught = any(r.kind == "ww" for r in checked.checker.races)
+    row["ok"] = row["ok"] and caught
+    rows.append(row)
+    print(f"  dynamic seeded-ww-race caught={caught} -> {'ok' if row['ok'] else 'FAIL'}")
+    return rows, sum(not r["ok"] for r in rows)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--static-only", action="store_true")
-    parser.add_argument("--dynamic-only", action="store_true")
-    parser.add_argument("--n-procs", type=int, default=4)
-    parser.add_argument("--out", default=None, help="write a JSON report here")
-    args = parser.parse_args(argv)
+def configure(parser) -> None:
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--static-only", action="store_true", help="kernels and fixtures only")
+    mode.add_argument("--dynamic-only", action="store_true", help="the SPMD apps only")
+    add_shared(parser, "procs", "out")
 
+
+def run(args, art) -> int:
     report: dict = {}
     failures = 0
     if not args.dynamic_only:
@@ -251,17 +213,12 @@ def main(argv=None) -> int:
         report["fixtures"], f = lint_fixtures()
         failures += f
     if not args.static_only:
-        print(f"dynamic check: SPMD apps on {args.n_procs} nodes")
-        report["dynamic"], f = lint_dynamic(args.n_procs)
+        print(f"dynamic check: SPMD apps on {args.procs} nodes")
+        report["dynamic"], f = lint_dynamic(args.procs)
         failures += f
 
     report["failures"] = failures
-    if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-        print(f"report written to {args.out}")
+    if art.requested:
+        print(f"report written to {art.write(report)}")
     print("lint:", "PASS" if failures == 0 else f"FAIL ({failures} problem(s))")
-    return 0 if failures == 0 else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return OK if failures == 0 else FAILED

@@ -28,12 +28,15 @@ FIG7_WORKLOADS = {
     "Water": lambda: water.WaterWorkload(n_molecules=24, n_steps=2, seed=4),
 }
 
+#: app -> (program factory, {variant: plan}); ``custom`` is the app's
+#: Fig. 7b protocol, EM3D also names the two §3.3 ladder steps
 _PROGRAMS = {
-    "Barnes-Hut": (barnes_hut.bh_program, barnes_hut.SC_PLAN, barnes_hut.CUSTOM_PLAN),
-    "BSC": (bsc.bsc_program, bsc.SC_PLAN, bsc.CUSTOM_PLAN),
-    "EM3D": (em3d.em3d_program, em3d.SC_PLAN, em3d.STATIC_PLAN),
-    "TSP": (tsp.tsp_program, tsp.SC_PLAN, tsp.CUSTOM_PLAN),
-    "Water": (water.water_program, water.SC_PLAN, water.CUSTOM_PLAN),
+    "Barnes-Hut": (barnes_hut.bh_program, {"SC": barnes_hut.SC_PLAN, "custom": barnes_hut.CUSTOM_PLAN}),
+    "BSC": (bsc.bsc_program, {"SC": bsc.SC_PLAN, "custom": bsc.CUSTOM_PLAN}),
+    "EM3D": (em3d.em3d_program, {"SC": em3d.SC_PLAN, "custom": em3d.STATIC_PLAN,
+                                 "dynamic": em3d.DYNAMIC_PLAN, "static": em3d.STATIC_PLAN}),
+    "TSP": (tsp.tsp_program, {"SC": tsp.SC_PLAN, "custom": tsp.CUSTOM_PLAN}),
+    "Water": (water.water_program, {"SC": water.SC_PLAN, "custom": water.CUSTOM_PLAN}),
 }
 
 TABLE4_KERNELS = {
@@ -80,21 +83,30 @@ class Row:
         return iter((self.app, self.variant, self.cycles))
 
 
-# --------------------------------------------------------------- tracing
+# --------------------------------------------------------------- app cells
 def plan_for(app: str, variant: str) -> dict:
     """Resolve a plan by short name: ``SC``/``custom`` for every app,
     plus ``dynamic``/``static`` for EM3D (the §3.3 ladder)."""
-    program_fn, sc_plan, custom_plan = _PROGRAMS[app]
-    plans = {"SC": sc_plan, "custom": custom_plan}
-    if app == "EM3D":
-        plans["dynamic"] = em3d.DYNAMIC_PLAN
-        plans["static"] = em3d.STATIC_PLAN
+    plans = _PROGRAMS[app][1]
     try:
         return plans[variant]
     except KeyError:
         raise ValueError(
             f"unknown variant {variant!r} for {app}; choose from {sorted(plans)}"
         ) from None
+
+
+def run_app(app: str, variant: str = "SC", backend: str = "ace", n_procs: int = BENCH_PROCS, **run_kw):
+    """Run one experiment cell: a paper app's bench-scale workload under
+    a named plan, on ``backend`` with ``n_procs`` nodes.
+
+    The single place a paper app is put on a machine: the figure rows
+    below, every ``python -m repro`` subcommand and the golden pins go
+    through it.  ``run_kw`` is passed to :func:`repro.facade.run_spmd`
+    (``fault_plan=``, ``check=``, ``tracer=``, ``jitter_seed=`` ...).
+    """
+    program = _PROGRAMS[app][0](FIG7_WORKLOADS[app](), plan_for(app, variant))
+    return run_spmd(program, backend=backend, n_procs=n_procs, **run_kw)
 
 
 def trace_run(
@@ -105,86 +117,72 @@ def trace_run(
     capacity: int = 1 << 18,
     metrics=None,
 ):
-    """Run one (app, plan) with observability on; returns ``(RunResult, TraceBuffer)``.
+    """:func:`run_app` with observability on; returns ``(RunResult, TraceBuffer)``.
 
-    This is the recording entry point ``tools/trace.py`` and the
-    examples build on: same workloads as fig7a/fig7b, but with a
-    :class:`repro.obs.TraceBuffer` wired through every layer.
     ``metrics`` is an optional :class:`repro.obs.MetricsWindow` fed
     inline at emit time (it sees every event even if the ring wraps).
     """
     from repro.obs import TraceBuffer
 
-    program_fn, _, _ = _PROGRAMS[app]
-    plan = plan_for(app, variant)
-    wl = FIG7_WORKLOADS[app]()
     buf = TraceBuffer(capacity=capacity, metrics=metrics)
-    res = run_spmd(program_fn(wl, plan), backend=backend, n_procs=n_procs, tracer=buf)
-    return res, buf
+    return run_app(app, variant, backend, n_procs, tracer=buf), buf
 
 
-# --------------------------------------------------------------- figure 7a
-def fig7a_rows(n_procs: int = BENCH_PROCS) -> list[Row]:
-    """Ace runtime vs CRL, both running the SC invalidation protocol."""
-    rows = []
-    for app, make_wl in FIG7_WORKLOADS.items():
-        program_fn, sc_plan, _ = _PROGRAMS[app]
-        wl = make_wl()
+# --------------------------------------------------------------- figures 7a, 7b, §3.3
+def fig7a_runs(n_procs: int = BENCH_PROCS, apps: list[str] | None = None, run=run_app):
+    """Ace runtime vs CRL, both running the SC invalidation protocol:
+    yields ``(app, backend, RunResult)``.  ``run`` is the cell runner
+    (:func:`run_app`, or a traced twin with its signature)."""
+    for app in apps or FIG7_WORKLOADS:
         for backend in ("crl", "ace"):
-            res = run_spmd(program_fn(wl, sc_plan), backend=backend, n_procs=n_procs)
-            rows.append(Row(app, backend, res.time))
-    return rows
+            yield app, backend, run(app, "SC", backend, n_procs)
 
 
-# --------------------------------------------------------------- figure 7b
+def fig7b_runs(n_procs: int = BENCH_PROCS):
+    """SC vs application-specific protocols, on Ace: yields ``(app, variant, RunResult)``."""
+    for app in FIG7_WORKLOADS:
+        for variant in ("SC", "custom"):
+            yield app, variant, run_app(app, variant, n_procs=n_procs)
+
+
+def _rows(runs) -> list[Row]:
+    return [Row(app, label, res.time) for app, label, res in runs]
+
+
+def fig7a_rows(n_procs: int = BENCH_PROCS) -> list[Row]:
+    return _rows(fig7a_runs(n_procs))
+
+
 def fig7b_rows(n_procs: int = BENCH_PROCS) -> list[Row]:
-    """SC vs application-specific protocols, on Ace."""
-    rows = []
-    for app, make_wl in FIG7_WORKLOADS.items():
-        program_fn, sc_plan, custom_plan = _PROGRAMS[app]
-        wl = make_wl()
-        for variant, plan in (("SC", sc_plan), ("custom", custom_plan)):
-            res = run_spmd(program_fn(wl, plan), backend="ace", n_procs=n_procs)
-            rows.append(Row(app, variant, res.time))
-    return rows
+    return _rows(fig7b_runs(n_procs))
 
 
-# --------------------------------------------------------------- §3.3 ladder
 def sec33_ladder_rows(n_procs: int = BENCH_PROCS) -> list[Row]:
     """EM3D: SC → dynamic update → static update (§3.3's 3.5x / 5x)."""
-    wl = FIG7_WORKLOADS["EM3D"]()
-    rows = []
-    for variant, plan in (
-        ("SC", em3d.SC_PLAN),
-        ("DynamicUpdate", em3d.DYNAMIC_PLAN),
-        ("StaticUpdate", em3d.STATIC_PLAN),
-    ):
-        res = run_spmd(em3d.em3d_program(wl, plan), backend="ace", n_procs=n_procs)
-        rows.append(Row("EM3D", variant, res.time))
-    return rows
+    ladder = (("SC", "SC"), ("DynamicUpdate", "dynamic"), ("StaticUpdate", "static"))
+    return [Row("EM3D", name, run_app("EM3D", variant, n_procs=n_procs).time) for name, variant in ladder]
 
 
 # --------------------------------------------------------------- table 4
 TABLE4_LEVELS = [OPT_BASE, OPT_LI, OPT_LI_MC, OPT_DIRECT]
 
 
-def table4_rows(apps: list[str] | None = None, n_procs: int = 4) -> list[Row]:
-    """Compiler-optimization ladder + hand-optimized, per kernel."""
-    rows = []
-    for app, spec in TABLE4_KERNELS.items():
-        if apps is not None and app not in apps:
-            continue
+def table4_runs(apps: list[str] | None = None, n_procs: int = 4):
+    """Compiler-optimization ladder + hand-optimized, per kernel:
+    yields ``(app, level, RunResult)``."""
+    for app in apps or TABLE4_KERNELS:
+        spec = TABLE4_KERNELS[app]
         wl = spec["wl"]
         host = spec["host"](wl)
         src = spec["source"](wl)
-        for level in TABLE4_LEVELS:
-            run = run_compiled(compile_source(src, opt=level), n_procs=n_procs, host_data=host)
-            rows.append(Row(app, level.name, run.time))
-        hand = run_compiled(
-            compile_source(spec["hand"](wl), opt=OPT_BASE), n_procs=n_procs, host_data=host
-        )
-        rows.append(Row(app, "hand", hand.time))
-    return rows
+        ladder = [(level.name, src, level) for level in TABLE4_LEVELS]
+        for name, source, level in ladder + [("hand", spec["hand"](wl), OPT_BASE)]:
+            run = run_compiled(compile_source(source, opt=level), n_procs=n_procs, host_data=host)
+            yield app, name, run.run_result
+
+
+def table4_rows(apps: list[str] | None = None, n_procs: int = 4) -> list[Row]:
+    return _rows(table4_runs(apps, n_procs))
 
 
 # --------------------------------------------------------------- table 3

@@ -139,7 +139,7 @@ class Stats:
         Selects every ``node<i>.<rest>`` counter; with ``prefix``, only
         those whose ``rest`` matches it under the same whole-token rule
         as :meth:`with_prefix`.  The summarizers in
-        :mod:`repro.obs.export` and ``tools/profile.py`` use this to
+        :mod:`repro.obs.export` and ``repro profile`` use this to
         render per-node tables without re-parsing key strings.
         """
         bare = None if prefix is None else prefix.rstrip(".")

@@ -169,7 +169,7 @@ class Attribution:
         return sum(self.buckets.values()) == self.total
 
     def to_dict(self) -> dict:
-        """JSON-friendly form (what ``tools/profile.py`` writes)."""
+        """JSON-friendly form (what ``repro profile`` writes)."""
         return {
             "res_time": self.res_time,
             "n_nodes": self.n_nodes,

@@ -10,7 +10,7 @@ Three consumers, three formats:
   round trips, and B/E slices for application phases.  Simulated
   cycles map 1:1 to the viewer's microseconds;
 * :func:`message_mix` / :func:`run_summary` — the per-(app, protocol)
-  breakdown ``tools/trace.py`` prints: message counts and words by
+  breakdown ``repro trace`` prints: message counts and words by
   category, stall cycles spent blocked on RPC round trips, and
   latency-histogram digests.
 """
@@ -246,7 +246,7 @@ def per_node_messages(stats) -> dict:
 
 
 def run_summary(result, buf: TraceBuffer) -> dict:
-    """The full per-run digest ``tools/trace.py`` renders.
+    """The full per-run digest ``repro trace`` renders.
 
     ``result`` is a :class:`~repro.facade.context.RunResult` from a run
     with ``tracer=buf``.

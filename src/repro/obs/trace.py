@@ -38,7 +38,7 @@ swap in a *traced variant of the whole method* at construction
 (:class:`~repro.machine.machine.Machine` selects ``_deliver`` /
 ``rpc`` / ``reply`` implementations once), so with tracing off the
 executed bytecode is byte-for-byte the pre-observability fast path.
-``tools/bench.py --baseline`` and the golden-trace tests enforce that
+``repro bench --baseline`` and the golden-trace tests enforce that
 simulated cycles are bit-identical with tracing off *and* on — the
 trace is pure observation and never perturbs scheduling.
 

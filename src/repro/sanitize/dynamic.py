@@ -23,7 +23,7 @@ Also checked:
 
 Zero-cost when off: the runtime installs its checker wrappers as
 instance attributes only when ``check=True``; the default construction
-path is bit-identical to an unchecked run (``tools/bench.py --gate``
+path is bit-identical to an unchecked run (``repro bench --gate``
 holds cycle equality).  The wrappers themselves add bookkeeping but no
 :class:`~repro.sim.Delay`, so even a *checked* run reports the same
 simulated cycle count — only wall time pays.

@@ -14,7 +14,7 @@ layer consumes —
   from one artifact;
 * the small-scope model checker (:mod:`repro.verify.modelcheck`)
   enumerates all message interleavings directly over the rows;
-* ``tools/protocol_docs.py`` renders the protocol reference in
+* ``python -m repro docs`` renders the protocol reference in
   DESIGN.md/README from the same fields, so the docs cannot drift.
 
 A :class:`Transition` row reads::

@@ -67,11 +67,10 @@ def _spmd_fingerprint(
     app: str, backend: str, n_procs: int, seed: int | None, variant: str = "SC", **run_kw
 ) -> dict:
     # Imported lazily: the harness pulls in every app module.
-    from repro.harness import experiments as E
+    from repro.harness.experiments import run_app
 
-    program = E._PROGRAMS[app][0](E.FIG7_WORKLOADS[app](), E.plan_for(app, variant))
     return _fingerprint(
-        partial(run_spmd, program, backend=backend, n_procs=n_procs, jitter_seed=seed, **run_kw)
+        partial(run_app, app, variant, backend, n_procs, jitter_seed=seed, **run_kw)
     )
 
 

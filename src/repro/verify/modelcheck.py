@@ -1160,7 +1160,7 @@ def check_table(
 def seeded_mutations(table: ProtocolTable) -> list[tuple[str, ProtocolTable]]:
     """Deliberately broken variants of an invalidation table.
 
-    Used by ``tools/modelcheck.py --seeded`` and the test suite to
+    Used by ``repro modelcheck --seeded`` and the test suite to
     prove the checker has teeth: each mutation is type-well-formed
     (tables re-validate on construction) but semantically wrong, and
     the checker must refute every one of them.

@@ -1,15 +1,14 @@
-"""tools/bench.py: the regression gate cannot skip a suite, the seed
-baseline covers every smoke suite, and ``--trace-overhead`` records
-the tracer's wall factor in the bench JSON."""
+"""``repro bench``: the regression gate cannot skip a suite or an event
+count, the seed baseline covers every suite with events, and
+``--trace-overhead`` records the tracer's wall factor in the report."""
 
 import json
-import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[2]
-sys.path.insert(0, str(ROOT / "tools"))
+from repro import cli
+from repro.cli import bench
 
-import bench  # noqa: E402
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def _suite(rows, events=100, wall=0.5):
@@ -29,16 +28,33 @@ def test_gate_fails_on_a_suite_the_baseline_lacks():
     assert all("REGRESSED" in line for line in bench.compare(report, {}, gate=True))
 
 
+def test_gate_holds_the_deterministic_event_count_to_the_baseline():
+    rows = [["TSP", "ace", 1234]]
+    baseline = {"suites": {"smoke": _suite(rows, events=100)}}
+
+    def gated(events, wall=0.5):
+        return bench.compare({"suites": {"smoke": _suite(rows, events, wall)}}, baseline, gate=True)[0]
+
+    assert "REGRESSED" not in gated(100) and "REGRESSED" not in gated(99)
+    assert "events 100 -> 101 REGRESSED" in gated(101)  # no tolerance: the count is deterministic
+    assert "REGRESSED" not in gated(100, wall=50.0)  # host time is perf/'s job, not the gate's
+    # a baseline suite without an event count gives the gate nothing to hold events to
+    baseline["suites"]["smoke"]["events"] = None
+    assert "events not in baseline: REGRESSED" in gated(100)
+
+
 def test_seed_baseline_covers_every_smoke_suite():
     seed = json.loads((ROOT / "BENCH_seed.json").read_text())
+    assert set(seed["suites"]) == set(bench.SUITES) | {"smoke", "smoke_table4", "smoke_serve"}
+    for name, suite in seed["suites"].items():
+        assert suite["rows"] and suite["events"], name
     report = bench.run_bench([], n_procs=2, smoke=True)
     assert set(report["suites"]) == {"smoke", "smoke_table4", "smoke_serve"}
-    for name in report["suites"]:
-        assert seed["suites"][name]["rows"] and seed["suites"][name]["events"], name
     lines = bench.compare(report, seed, gate=True)
     assert len(lines) == 3 and all("cycles identical" in line for line in lines), lines
-    # (the wall backstop is the one host-dependent clause; not this test's business)
-    assert not any("REGRESSED" in line.replace("wall REGRESSED", "") for line in lines), lines
+    assert not any("REGRESSED" in line for line in lines), lines
+    for name, suite in report["suites"].items():
+        assert suite["events"] == seed["suites"][name]["events"], name
 
 
 def test_cli_gate_exits_nonzero_without_a_serve_baseline(tmp_path, capsys):
@@ -46,15 +62,20 @@ def test_cli_gate_exits_nonzero_without_a_serve_baseline(tmp_path, capsys):
     del seed["suites"]["smoke_serve"]
     stale = tmp_path / "stale.json"
     stale.write_text(json.dumps(seed))
-    argv = ["--smoke", "--baseline", str(stale), "--out", str(tmp_path / "bench.json")]
-    assert bench.main(argv + ["--gate"]) == 1
+    argv = ["bench", "--smoke", "--baseline", str(stale), "--out", str(tmp_path / "bench.json")]
+    assert cli.main(argv + ["--gate"]) == 1
     assert "smoke_serve: not in baseline: REGRESSED" in capsys.readouterr().out
-    assert bench.main(argv) == 0
+    assert cli.main(argv) == 0
+    report = json.loads((tmp_path / "bench.json").read_text())
+    suite = report["suites"]["smoke"]
+    assert suite["wall_s"] > 0 and suite["events"] > 0 and suite["rows"]
+    assert report["command"] == "bench" and report["stamp"] and report["host"]["cpus"]
 
 
 def test_trace_overhead_row_is_written_to_the_bench_json(tmp_path, capsys):
     out = tmp_path / "overhead.json"
-    assert bench.main(["--trace-overhead", "--procs", "2", "--repeat", "2", "--out", str(out)]) == 0
+    argv = ["bench", "--trace-overhead", "--procs", "2", "--repeat", "2", "--out", str(out)]
+    assert cli.main(argv) == 0
     report = json.loads(out.read_text())
     row = report["trace_overhead"]
     assert set(row) == {"suite", "repeat", "off_wall_s", "on_wall_s", "factor",

@@ -1,0 +1,116 @@
+"""``python -m repro``: one parser, one vocabulary, one exit-code policy.
+
+Every CI invocation has a tiny-input twin here, run in-process; the
+structural test at the bottom keeps the shared plumbing single.
+"""
+
+import argparse
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from repro import cli
+from repro.cli.common import seed_set
+
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
+
+
+def _run(argv: str, tmp_path) -> int:
+    return cli.main(argv.replace("OUT", str(tmp_path)).split())
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_subcommand_has_help(command, capsys):
+    assert cli.main([command, "--help"]) == 0
+    assert f"python -m repro {command}" in capsys.readouterr().out
+
+
+#: (the CI step's twin on tiny inputs, documented exit code)
+INVOCATIONS = [
+    ("bench --smoke --baseline BENCH_seed.json --gate --out OUT/bench.json", 0),
+    ("bench --suites serve --procs 4 --baseline BENCH_seed.json --gate --out OUT/bench.json", 0),
+    ("bench --suites serve --procs 2 --baseline BENCH_seed.json --out OUT/bench.json", 1),  # cycles differ
+    ("bench --repeat 0", 2),
+    ("bench --baseline OUT/missing.json", 2),
+    ("sweep --smoke --jobs 1 --compare-serial --out OUT/sweep.json", 0),
+    ("chaos --apps TSP --procs 2 --seeds 0 --out OUT/chaos", 0),
+    ("chaos --apps TSP --procs 2 --plan drop_retry --seeds 1 --no-stall-check --out OUT/chaos", 0),
+    ("chaos --crash --procs 3 --seeds 0-1 --out OUT/recovery", 0),
+    ("chaos --seeds 3-1", 2),
+    ("chaos --seeds x", 2),
+    ("chaos --apps TSP,EM3D", 2),  # lists are space-separated
+    ("serve --requests 128 --procs 2 --protocol DynamicUpdate --out OUT/serve.json", 0),
+    ("serve --requests 128 --procs 2 --adaptive", 0),
+    ("serve --requests 256 --procs 2 --compare", 1),  # too short for adaptive to win
+    ("serve --protocol StaticUpdate", 2),  # not a serving candidate
+    ("modelcheck --check", 0),
+    ("modelcheck SC SelfInvalidate DynamicUpdate --seeded", 0),
+    ("modelcheck Owned --nodes 2 --seeded", 0),
+    ("modelcheck StaticUpdate", 2),  # no checker model
+    ("docs --check", 0),
+    ("lint --static-only --out OUT/lint-static.json", 0),
+    ("lint --dynamic-only --procs 2 --out OUT/lint-dynamic.json", 0),
+    ("profile --apps TSP --variants SC custom --procs 2 --check --out OUT/profiles", 0),
+    ("profile --apps TSP --variants dynamic --check", 2),  # only EM3D has it: nothing to check
+    ("trace --apps TSP --procs 2 --out OUT/traces/summaries.json", 0),
+    ("nope", 2),
+    ("", 2),
+]
+
+
+@pytest.mark.parametrize("argv, status", INVOCATIONS, ids=[a or "<none>" for a, _ in INVOCATIONS])
+def test_ci_invocation_twins_return_the_documented_exit_code(argv, status, tmp_path, capsys):
+    assert _run(argv, tmp_path) == status
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if status == 2:  # a usage error is one line under the usage banner
+        assert re.search(r"^python -m repro.*: error: .+$", err.splitlines()[-1])
+
+
+def test_seed_sets_parse_or_refuse():
+    assert seed_set("0,2,5-7") == [0, 2, 5, 6, 7]
+    assert seed_set("4") == [4] and seed_set("3-3") == [3]
+    for bad in ("x", "1-", "3-1", "", "1,,2", "-1"):
+        with pytest.raises(argparse.ArgumentTypeError, match="bad seed set"):
+            seed_set(bad)
+
+
+def test_out_names_the_report_or_the_directory_and_every_json_is_stamped(tmp_path):
+    # PATH.json: the report itself, per-run files beside it
+    assert _run("trace --apps TSP --variants SC --procs 2 --out OUT/a/summaries.json", tmp_path) == 0
+    # any other PATH: a directory holding <command>.json and the per-run files
+    assert _run("trace --apps TSP --variants SC --procs 2 --out OUT/b", tmp_path) == 0
+    for report in (tmp_path / "a" / "summaries.json", tmp_path / "b" / "trace.json"):
+        doc = json.loads(report.read_text())
+        assert doc["command"] == "trace" and doc["stamp"] and doc["host"]["cpus"]
+        assert list(doc["runs"]) == ["TSP/SC"]
+        assert (report.parent / "tsp-sc.trace.jsonl").exists()
+        assert (report.parent / "tsp-sc.perfetto.json").exists()
+    assert _run("chaos --crash --procs 3 --seeds 0 --no-stall-check --out OUT/r", tmp_path) == 0
+    cell = json.loads((tmp_path / "r" / "crash-SC-seed0.json").read_text())
+    assert cell["command"] == "chaos" and cell["host"] and cell["problems"] == []
+
+
+def test_the_shared_plumbing_exists_once():
+    sources = {p: p.read_text() for p in (ROOT / "src").rglob("*.py")}
+    sources |= {p: p.read_text() for p in (ROOT / "tests").rglob("*.py")}
+
+    def hits(pattern, under=ROOT):
+        return sorted(str(p.relative_to(ROOT)) for p, text in sources.items()
+                      if under in p.parents and re.search(pattern, text))
+
+    assert not (ROOT / "tools").exists()
+    assert hits(r"ArgumentParser\(", SRC) == ["src/repro/cli/__init__.py"]
+    assert hits("_PROG" + "RAMS") == ["src/repro/harness/experiments.py"]  # (spelt so that this file is no hit)
+    assert hits(r"sys\.path\.insert") == []
+    assert hits(r"json\.dumps?\(", SRC / "cli") == [
+        "src/repro/cli/common.py",      # the artifact writer
+        "src/repro/cli/modelcheck.py",  # certificates: package data, not artifacts
+        "src/repro/cli/serve.py",       # the report, printed
+    ]
+    flags = sum(len(re.findall(r"\.add_argument\(", text))
+                for p, text in sources.items() if SRC / "cli" in p.parents)
+    assert flags <= 50, flags

@@ -1,25 +1,26 @@
 """The parallel sweep driver: matrix construction, cell determinism,
-merged-artifact schema, and bench/chaos interoperability."""
+merged-report schema, and bench/chaos interoperability."""
 
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
-
-import sweep  # noqa: E402
+from repro import cli
+from repro.cli import bench, sweep
+from repro.cli.common import CELL_KEYS, UsageError, build_matrix
 
 
 def test_build_matrix_cross_product():
-    cells = sweep.build_matrix(["TSP", "EM3D"], [2, 4], ["none", "canonical"], [0, 1])
+    cells = build_matrix(["TSP", "EM3D"], [2, 4], ["none", "canonical"], [0, 1])
     # pairs: TSP-SC, EM3D-SC, EM3D-dynamic, EM3D-static; "none" cells
     # collapse the seed axis (a fault-free run has no seed to vary)
     assert len(cells) == 4 * 2 * (1 + 2)
-    assert all(set(sweep.CELL_KEYS) <= set(c) for c in cells)
+    assert all(set(CELL_KEYS) <= set(c) for c in cells)
     none_cells = [c for c in cells if c["plan"] == "none"]
     assert all(c["seed"] == 0 for c in none_cells)
+    # an empty matrix is refused: "all checks passed" over zero cells is a lie
+    with pytest.raises(UsageError, match="no cell to run"):
+        build_matrix(["TSP"], [2], ["canonical"], [])
 
 
 def test_run_cell_records_measurements():
@@ -50,8 +51,6 @@ def test_run_cell_deterministic_and_pool_invisible():
 
 def test_merged_artifact_is_bench_comparable():
     """The suites.sweep block must satisfy bench.compare()'s schema."""
-    import bench
-
     cells = [dict(app="TSP", variant="SC", procs=2, plan="none", seed=0)]
     records, wall = sweep.sweep(cells, jobs=1)
     report = sweep.merge(records, wall, jobs=1)
@@ -68,9 +67,9 @@ def test_merged_artifact_is_bench_comparable():
 
 def test_smoke_matrix_cli(tmp_path):
     out = tmp_path / "sweep.json"
-    rc = sweep.main(["--smoke", "--jobs", "2", "--out", str(out)])
-    assert rc == 0
+    assert cli.main(["sweep", "--smoke", "--jobs", "2", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
+    assert report["command"] == "sweep" and report["stamp"] and report["host"]["cpus"]
     assert len(report["cells"]) == 4  # TSP+EM3D x SC x {none, canonical seed 0}
     assert all(not c["stalled"] for c in report["cells"])
     faulted = [c for c in report["cells"] if c["plan"] == "canonical"]
@@ -80,24 +79,34 @@ def test_smoke_matrix_cli(tmp_path):
     )
 
 
-def test_chaos_from_sweep_roundtrip(tmp_path):
-    """chaos --from-sweep must verify a fresh sweep artifact clean."""
-    import chaos
-
+def test_chaos_from_sweep_roundtrip(tmp_path, capsys):
+    """chaos --from-sweep must verify a fresh sweep report clean — and
+    refuse one with no faulted cell, or with a cycle count it cannot reproduce."""
     out = tmp_path / "sweep.json"
-    rc = sweep.main(
-        ["--apps", "TSP", "--procs", "2", "--seeds", "0", "--jobs", "1",
-         "--out", str(out)]
-    )
-    assert rc == 0
-    rc = chaos.main(["--from-sweep", str(out), "--out", str(tmp_path / "artifacts")])
-    assert rc == 0
+    argv = ["sweep", "--apps", "TSP", "--procs", "2", "--seeds", "0", "--jobs", "1", "--out", str(out)]
+    assert cli.main(argv) == 0
+    replay = ["chaos", "--from-sweep", str(out), "--out", str(tmp_path / "artifacts")]
+    assert cli.main(replay) == 0
+    assert "TSP-SC-2-canonical-0: ok" in capsys.readouterr().out
+
+    report = json.loads(out.read_text())
+    faulted = next(c for c in report["cells"] if c["plan"] == "canonical")
+    faulted["cycles"] += 1
+    out.write_text(json.dumps(report))
+    assert cli.main(replay) == 1
+    assert f"!= recorded {faulted['cycles']}" in capsys.readouterr().out
+    assert (tmp_path / "artifacts" / "TSP-SC-2-canonical-0-plan.json").exists()
+
+    report["cells"] = [c for c in report["cells"] if c["plan"] == "none"]
+    out.write_text(json.dumps(report))
+    assert cli.main(replay) == 2
+    assert "no faulted cell to verify" in capsys.readouterr().err
 
 
 @pytest.mark.slow
 def test_compare_serial_full_matrix(tmp_path):
     """16-cell acceptance shape: pool and serial physics identical."""
-    cells = sweep.build_matrix(["TSP", "EM3D"], [4], ["none", "canonical"], [0, 1, 2])
+    cells = build_matrix(["TSP", "EM3D"], [4], ["none", "canonical"], [0, 1, 2])
     assert len(cells) == 16
     records, _ = sweep.sweep(cells, jobs=4)
     assert sweep.compare_serial(cells, records) == []

@@ -57,17 +57,10 @@ def _capture(case: str) -> dict:
 
 
 def _untraced_cycles(case: str) -> int:
-    from repro.facade import run_spmd
-    from repro.harness.experiments import _PROGRAMS, FIG7_WORKLOADS, plan_for
+    from repro.harness.experiments import run_app
 
     app, variant, n_procs = CASES[case]
-    program_fn, _, _ = _PROGRAMS[app]
-    res = run_spmd(
-        program_fn(FIG7_WORKLOADS[app](), plan_for(app, variant)),
-        backend="ace",
-        n_procs=n_procs,
-    )
-    return res.time
+    return run_app(app, variant, n_procs=n_procs).time
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

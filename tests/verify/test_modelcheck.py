@@ -10,7 +10,7 @@ Three batteries:
   certifies nothing);
 * the committed certificates under ``src/repro/verify/certs/`` are
   pinned to the tables' content fingerprints, so editing any row
-  without re-running ``tools/modelcheck.py --write-certs`` fails CI.
+  without re-running ``repro modelcheck --write-certs`` fails CI.
 """
 
 from __future__ import annotations
@@ -85,13 +85,13 @@ def test_mutation_counterexamples_are_short():
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_committed_certificate_is_pinned_to_table_fingerprint(name):
     path = CERT_DIR / f"{name}.json"
-    assert path.exists(), f"missing certificate {path}; run tools/modelcheck.py --write-certs"
+    assert path.exists(), f"missing certificate {path}; run repro modelcheck --write-certs"
     cert = json.loads(path.read_text())
     assert cert["ok"] is True
     assert cert["violations"] == []
     assert cert["table_fingerprint"] == TABLES[name].fingerprint(), (
         f"{name}: table edited without re-certifying; "
-        "run tools/modelcheck.py --write-certs"
+        "run repro modelcheck --write-certs"
     )
     assert cert["family"] == FAMILY[name]
     assert cert["states"] > 0 and cert["transitions"] > 0
