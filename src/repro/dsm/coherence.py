@@ -124,11 +124,10 @@ class CoherenceEngine:
             n_shards=n_dir_shards,
             table=self.table,
         )
-        # The two cross-layer handler edges, wired once: the directory's
-        # recall fan-out posts to the cache's invalidation handler; the
-        # cache's acks post back to the directory's collection handler.
+        # The one cross-layer handler edge, wired once: the directory's
+        # recall fan-out posts to the cache's invalidation handler (the
+        # port carries each ack back to the recall that asked).
         self.directory.wire_cache(self.cache)
-        self.cache.wire_directory(self.directory)
         hooks = self.hooks = ProtocolHooks(
             transport,
             regions,

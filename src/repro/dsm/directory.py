@@ -14,8 +14,8 @@ across nodes (each shard's handlers and tables move together — they
 share no state with other shards).
 
 This layer runs entirely in handler context.  It sends data grants and
-acks through the :class:`~repro.dsm.transport.Transport` and calls
-into the node side only through the invalidation handler wired in by
+acks through its :class:`~repro.dsm.transport.Port` and calls into the
+node side only through the invalidation handler bound by
 :meth:`wire_cache` — it never touches a
 :class:`~repro.memory.region.RegionCopy`.
 """
@@ -30,7 +30,7 @@ import numpy as np
 from repro.dsm.costs import DSMCosts
 from repro.dsm.errors import ProtocolError
 from repro.dsm.msi import MSI_TABLE, engine_view
-from repro.dsm.transport import Transport
+from repro.dsm.transport import Acks, Transport
 from repro.machine.stats import intern_key
 from repro.memory import Region, RegionDirectory
 from repro.sim import Future
@@ -117,7 +117,7 @@ class DirectoryService:
         # hits on identity.
         port = self.port = transport.port(prefix)
         self._reply = port.reply
-        self._post = port.post
+        self._fan_out = port.fan_out
         self._h_map_lookup = port.idempotent(self._on_map_lookup)  # pure metadata read
         self._h_read_req = port.serves(self._on_read_req)
         self._h_write_req = port.serves(self._on_write_req)
@@ -125,17 +125,10 @@ class DirectoryService:
         # ownership onward, and the stale writeback would clobber it.
         self._h_flush = port.serves(self._on_flush)
         self._h_grant_ack = port.hears(self._on_grant_ack, intern_key(prefix, "grant_ack_ack"))
-        self._h_inval_ack = self._on_inval_ack
         # Node-side invalidation handler; see wire_cache.
         self._h_inval_req = None
         ops = ("read_req", "write_req", "flush", "inval", "map_lookup")
         port.watch(tuple(intern_key(prefix, op) for op in ops), self)
-        if not transport.reliable:
-            # Acked fan-out (out of the port's two idioms, DESIGN.md §9):
-            # on an exactly-once fabric a recall's ack is an explicit
-            # inval_ack *message*; on a lossy one it is the reply to the
-            # retried post, collected through on_ack.
-            self._begin_recall = self._begin_recall_r
 
     def enable_recovery(self, manager) -> None:
         """Join crash recovery (called via the composing engine when the
@@ -167,8 +160,11 @@ class DirectoryService:
         self._wire_calls = self.port.open_calls
 
     def wire_cache(self, cache) -> None:
-        """Bind the node-side invalidation handler recalls are sent to."""
-        self._h_inval_req = cache._h_inval_req
+        """Bind the node-side invalidation handler recalls fan out to; its
+        answer (the writeback, when dirty) comes back as an ``inval_ack``."""
+        self._h_inval_req = self.port.answers(
+            cache._on_inval_req, intern_key(self.prefix, "inval_ack"), "_on_inval_ack"
+        )
 
     # ------------------------------------------------------------------
     # entry addressing: (shard, region)
@@ -222,9 +218,7 @@ class DirectoryService:
             if ent.home_writing and src != home:
                 return False
             if ent.owner is not None and ent.owner != src:
-                self._begin_recall(
-                    region, ent, kind, src, fut, targets=[(ent.owner, self._recall_read)]
-                )
+                self._begin_recall(region, ent, kind, src, fut, [ent.owner], self._recall_read)
                 return True
             self._serve_read(region, ent, src, fut)
             return True
@@ -233,11 +227,11 @@ class DirectoryService:
             return False
         targets = []
         if ent.owner is not None and ent.owner != src:
-            targets.append((ent.owner, self._recall_write))
+            targets.append(ent.owner)
         if ent.sharers:
-            targets.extend((s, self._recall_write) for s in sorted(ent.sharers) if s != src)
+            targets.extend(s for s in sorted(ent.sharers) if s != src)
         if targets:
-            self._begin_recall(region, ent, kind, src, fut, targets=targets)
+            self._begin_recall(region, ent, kind, src, fut, targets, self._recall_write)
             return True
         self._serve_write(region, ent, src, fut)
         return True
@@ -294,44 +288,23 @@ class DirectoryService:
     # ------------------------------------------------------------------
     # recall / invalidation fan-out
     # ------------------------------------------------------------------
-    def _begin_recall(self, region, ent, kind, src, fut, targets) -> None:
+    def _begin_recall(self, region, ent, kind, src, fut, targets, mode) -> None:
         ent.busy = True
-        ent.pending = {"kind": kind, "src": src, "fut": fut, "need": len(targets)}
+        acks = Acks(partial(self._apply_inval_ack, region.rid, mode))
+        ent.pending = {"kind": kind, "src": src, "fut": fut, "acks": acks}
         self._counts[self._k_recall] += 1
-        for target, mode in targets:
-            self._post(
-                region.home,
-                target,
-                self._h_inval_req,
-                region.rid,
-                mode,
-                payload_words=self.costs.meta_words,
-                category=self._cat_inval,
-            )
+        self._fan_out(
+            region.home,
+            targets,
+            self._h_inval_req,
+            region.rid,
+            mode,
+            acks=acks,
+            payload_words=self.costs.meta_words,
+            category=self._cat_inval,
+        )
 
-    def _begin_recall_r(self, region, ent, kind, src, fut, targets) -> None:
-        # Lossy fan-out: each invalidation is an ack'd, retried post;
-        # the node-side cache acks exactly once per logical request
-        # (dedup there), so each callback below fires exactly once.
-        ent.busy = True
-        ent.pending = {"kind": kind, "src": src, "fut": fut, "need": len(targets)}
-        self._counts[self._k_recall] += 1
-        for target, mode in targets:
-            self._post(
-                region.home,
-                target,
-                self._h_inval_req,
-                region.rid,
-                mode,
-                payload_words=self.costs.meta_words,
-                category=self._cat_inval,
-                on_ack=partial(self._apply_inval_ack, region.rid, target, mode),
-            )
-
-    def _on_inval_ack(self, node, src, rid, target, mode, data):
-        self._apply_inval_ack(rid, target, mode, data)
-
-    def _apply_inval_ack(self, rid, target, mode, data):
+    def _apply_inval_ack(self, rid, mode, target, data):
         region = self.regions.get(rid)
         ent = self.entry(rid)
         pending = ent.pending
@@ -355,8 +328,7 @@ class DirectoryService:
             # — the hr/hw admission gate is the home's coherence
             # mechanism, so it must not be re-listed as a sharer.
             ent.sharers.add(target)
-        pending["need"] -= 1
-        if pending["need"] > 0:
+        if pending["acks"].waiting:
             return
         ent.busy = False
         ent.pending = None
@@ -412,7 +384,7 @@ class DirectoryService:
                     pending = {
                         "kind": ent.pending["kind"],
                         "src": ent.pending["src"],
-                        "awaiting_acks": ent.pending["need"],
+                        "awaiting_acks": len(ent.pending["acks"].waiting),
                     }
                 out.append(
                     {

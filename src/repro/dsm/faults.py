@@ -57,10 +57,10 @@ from repro.dsm.transport import Port, Transport, as_transport
 from repro.machine.stats import intern_key
 from repro.sim.errors import DeadlockError
 from repro.sim.future import _UNSET, Future
+from repro.sim.kernel import Timer
 
 _NEVER = float("inf")
 _NO_FAULT = (0,)  # shared verdict: one delivery, no extra delay
-_DEFER = object()  # sentinel: invalidation seen but deferred (no ack yet)
 
 #: Cap on the in-memory fault log (counters keep exact totals beyond it).
 _LOG_CAP = 65536
@@ -476,34 +476,31 @@ def _kit_watermark(kit) -> int:
 
 
 class SeenOnce:
-    """Dedup for one-way ack'd notifications keyed ``(src, seq)``.
+    """Receive-side record of acked one-way messages keyed ``(src, seq)``.
 
-    Pass the (fault) transport to enable the same watermark+age GC as
-    :class:`DedupTable`; without it the set grows for the whole run
-    (the original, unbounded behavior).
+    :meth:`first` admits each logical message once; ``acked`` holds the
+    ack a fan-out receiver sent — absent while the request is unapplied
+    or deferred — for replay to duplicates.  Same watermark+age GC as
+    :class:`DedupTable`.
     """
 
-    __slots__ = ("_seen", "_sim", "_kit", "_since_gc")
+    __slots__ = ("_seen", "acked", "_sim", "_kit", "_since_gc")
 
-    def __init__(self, transport: Transport | None = None):
+    def __init__(self, transport: "FaultTransport"):
         self._seen: dict = {}  # (src, seq) -> cycle recorded
-        self._sim = transport.sim if transport is not None else None
-        self._kit = transport.kit if transport is not None else None
+        self.acked: dict = {}  # (src, seq) -> (value, payload_words)
+        self._sim = transport.sim
+        self._kit = transport.kit
         self._since_gc = 0
 
-    def first(self, src: int, seq: int | None) -> bool:
-        if seq is None:
-            return True
+    def first(self, src: int, seq: int) -> bool:
         key = (src, seq)
         if key in self._seen:
             return False
-        if self._sim is not None:
-            self._seen[key] = self._sim.now
-            self._since_gc += 1
-            if self._since_gc >= _GC_EVERY:
-                self._gc()
-        else:
-            self._seen[key] = 0
+        self._seen[key] = self._sim.now
+        self._since_gc += 1
+        if self._since_gc >= _GC_EVERY:
+            self._gc()
         return True
 
     def _gc(self) -> None:
@@ -513,6 +510,7 @@ class SeenOnce:
         seen = self._seen
         for key in [k for k, stamp in seen.items() if k[1] < watermark and stamp < horizon]:
             del seen[key]
+            self.acked.pop(key, None)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +530,7 @@ class FaultTransport(Transport):
     reliable = False
     #: Cluster generation: bumped by the recovery manager at each death
     #: declaration.  Reliable calls are stamped with the epoch they were
-    #: issued in (:attr:`_PendingCall.epoch`); the fabric fence installed
-    #: at a death discards traffic from/to dead incarnations.
+    #: issued in (:attr:`_PendingCall.epoch`).
     epoch = 0
 
     def __init__(
@@ -570,6 +567,10 @@ class FaultTransport(Transport):
             for v in ("drop", "dup", "delay", "crash", "link_down", "stall")
         }
         self._k_dup_reply = intern_key("fault", "dup_reply_suppressed")
+        #: The epoch fence: nodes the recovery manager has declared dead.
+        #: Traffic from or to one is discarded at the injection point.
+        self.dead: set[int] = set()
+        self._k_fenced = intern_key("recovery", "fenced")
         self._obs = machine.tracer.tracer("faults") if machine.tracer is not None else None
         #: bounded in-memory fault log: (cycle, verdict, category, src, dst)
         self.log: list = []
@@ -577,8 +578,8 @@ class FaultTransport(Transport):
         self.retry_policy = retry_policy or RetryPolicy()
         self.kit = RetryKit(self, self.retry_policy, self.watchdog)
         if on_crash is not None:
-            # Constructed last so the manager can wrap fully-initialized
-            # transport surfaces (hw_barrier, _verdict).  Services built
+            # Constructed last so the manager can wrap a fully-initialized
+            # transport surface (hw_barrier).  Services built
             # on top of this transport find it as ``self.recovery`` and
             # register themselves — with on_crash unset this attribute
             # stays the Transport class default (None) and no recovery
@@ -651,6 +652,10 @@ class FaultTransport(Transport):
 
     def _verdict(self, src, dst, category):
         """Decide this message's fate: ``None`` (drop) or extra-delay list."""
+        dead = self.dead
+        if dead and (src in dead or dst in dead):
+            self._counts[self._k_fenced] += 1
+            return None
         plan = self.plan
         now = self.sim.now
         # Structural faults first (no randomness): crashed endpoints,
@@ -739,6 +744,9 @@ class FaultTransport(Transport):
 # ---------------------------------------------------------------------------
 # reliable delivery
 # ---------------------------------------------------------------------------
+_UNARMED = Timer(None)  # shared "no timeout set": cancelling it is harmless
+
+
 class _PendingCall:
     __slots__ = (
         "seq",
@@ -753,6 +761,7 @@ class _PendingCall:
         "attempts",
         "born",
         "epoch",
+        "timer",
     )
 
     def __init__(self, seq, fut, src, dst, handler, args, call_args, payload_words, category, born, epoch):
@@ -768,6 +777,7 @@ class _PendingCall:
         self.attempts = 0
         self.born = born
         self.epoch = epoch  # cluster generation the call was issued in
+        self.timer = _UNARMED  # the retry timeout; cancelled once the call is settled
 
 
 class RetryKit:
@@ -778,8 +788,7 @@ class RetryKit:
     ``(node, src, fut, *args)`` plus a trailing ``seq``, which the
     port's receive shims strip before the handler runs.  ``kit.post``
     is the ack'd one-way send for handler context: it retries until the
-    receiver's reply resolves its future, invoking ``on_ack(value)``
-    exactly once.
+    receiver's reply resolves the future it returns.
 
     Retries re-send the *same* future object — messages carry Python
     object references, so the original and every retransmission race to
@@ -790,7 +799,7 @@ class RetryKit:
 
     def __init__(self, transport: FaultTransport, policy: RetryPolicy, watchdog: LivenessWatchdog):
         self._transport = transport
-        self._after = transport.after
+        self._timer = transport.sim.timer
         self._policy = policy
         self._watchdog = watchdog
         watchdog.kit = self
@@ -829,9 +838,11 @@ class RetryKit:
         yield self._d_send
         pend.attempts = 1
         self._transport._send(src, dst, handler, pend.args, payload_words, category)
-        self._after(self._policy.timeout_for(1), partial(self._check, pend))
+        # _arm and settle, inlined: every reliable round trip passes here
+        pend.timer = self._timer(self._policy.timeout_for(1), partial(self._check, pend))
         value = yield fut
         self.pending.pop(pend.seq, None)
+        pend.timer.cancel()
         return value
 
     def post(
@@ -842,32 +853,39 @@ class RetryKit:
         *args,
         payload_words: int = 0,
         category: str = "rel.post",
-        on_ack=None,
     ) -> Future:
         """Ack'd one-way send from handler context; returns the ack future."""
         fut = Future(name="rel:" + category)
-        if on_ack is not None:
-            fut.add_callback(partial(_ack_adapter, on_ack))
         pend = self._track(fut, src, dst, handler, args, payload_words, category)
+        fut.add_callback(lambda _fut: self.settle(pend))
         pend.attempts = 1
-        # First attempt pays the sender overhead like transport.post.
-        self._transport.post(
-            src, dst, handler, *pend.args, payload_words=payload_words, category=category
-        )
-        self._after(self._policy.timeout_for(1), partial(self._check, pend))
+        self.transmit(pend)
         return fut
 
+    def transmit(self, pend: _PendingCall) -> None:
+        """(Re)send from handler context — the first attempt pays the
+        sender overhead like ``transport.post`` — and (re)arm the timeout."""
+        pend.timer.cancel()
+        self._transport.post(
+            pend.src,
+            pend.dst,
+            pend.handler,
+            *pend.args,
+            payload_words=pend.payload_words,
+            category=pend.category,
+        )
+        self._arm(pend)
+
+    def _arm(self, pend: _PendingCall) -> None:
+        pend.timer = self._timer(self._policy.timeout_for(pend.attempts), partial(self._check, pend))
+
+    def settle(self, pend: _PendingCall) -> None:
+        """The call is answered or given up: out of the table, timeout off."""
+        self.pending.pop(pend.seq, None)
+        pend.timer.cancel()
+
     def _check(self, pend: _PendingCall) -> None:
-        if self.pending.get(pend.seq) is not pend:
-            # Completed (rpc pops on return) or canceled — the crash
-            # recovery sweep removes abandoned calls from the table, and
-            # their orphaned retry timers must go quiet instead of
-            # retrying into the fence until the watchdog trips.
-            return
-        fut = pend.fut
-        if fut._value is not _UNSET or fut._exc is not None:
-            self.pending.pop(pend.seq, None)
-            return
+        # Fires only for a call still unanswered: settling one cancels this.
         if pend.attempts >= self._policy.max_attempts:
             self._watchdog.trip(pend)
             return  # pragma: no cover - trip always raises
@@ -878,20 +896,7 @@ class RetryKit:
                 self._transport.sim.now, "rel.retry", pend.src, -1,
                 pend.category, pend.dst, pend.attempts,
             )
-        self._transport.post(
-            pend.src,
-            pend.dst,
-            pend.handler,
-            *pend.args,
-            payload_words=pend.payload_words,
-            category=pend.category,
-        )
-        self._after(self._policy.timeout_for(pend.attempts), partial(self._check, pend))
-
-
-def _ack_adapter(on_ack, fut) -> None:
-    if fut._exc is None:
-        on_ack(fut._value)
+        self.transmit(pend)
 
 
 # ---------------------------------------------------------------------------
@@ -902,15 +907,21 @@ class RetryPort(Port):
 
     ``call``/``send`` are :meth:`RetryKit.rpc` (a task-context notify
     blocks until acknowledged — a lost lock release or barrier notify
-    would wedge its receiver), ``post`` is :meth:`RetryKit.post` (and
-    takes ``on_ack=``), ``reply`` records what it sends.  Each receive
-    binder returns a shim that strips the trailing wire ``seq``; the
-    shim keeps the handler's ``__self__`` (the recovery sweep and the
-    stall report resolve owners through it) and is counted by the
-    machine as ``handler.<name>_r`` — except under a ``proto.*`` prefix,
-    where it keeps the handler's own name.  Both spellings are stat
-    keys that reports and the lossy golden traces already use.
+    would wedge its receiver), ``post`` and each leg of ``fan_out`` are
+    :meth:`RetryKit.post` (the reply to the retried post is the ack),
+    ``reply`` records what it sends.  Each receive binder returns a shim
+    that strips the trailing wire ``seq``; the shim keeps the handler's
+    ``__self__`` (the recovery sweep and the stall report resolve owners
+    through it) and is counted by the machine as ``handler.<name>_r`` —
+    except under a ``proto.*`` prefix, where it keeps the handler's own
+    name.  An ``answers`` shim is ``<name>_r`` wherever the exactly-once
+    ack is a message (so the two exchanges count apart), and
+    ``<name>_rt`` for a core service once crash recovery is armed.  All
+    of these spellings are stat keys that reports and the lossy golden
+    traces already use.
     """
+
+    lossy = True
 
     def __init__(self, transport: FaultTransport, prefix: str):
         kit = transport.kit
@@ -918,16 +929,18 @@ class RetryPort(Port):
         self.post = kit.post
         self._dedup = DedupTable(transport, prefix)
         self.reply = self._dedup.reply
-        self.first = SeenOnce(transport).first
+        self._seen = SeenOnce(transport)
         #: admitted, not-yet-answered wire calls (fut -> (src, seq)): how a
         #: home tells a request that crossed the fabric from a local one
         self.open_calls = self._dedup._fut_keys
         self._ack = transport.reply
+        self._after = transport.after
         self._suffix = "" if prefix.startswith("proto.") else "_r"
+        self._recovering = transport.recovery is not None
         self.watch = transport.watchdog.watch  # stall-report metadata
 
-    def _shim(self, shim, handler):
-        shim.__name__ = handler.__name__ + self._suffix
+    def _shim(self, shim, handler, suffix=None):
+        shim.__name__ = handler.__name__ + (self._suffix if suffix is None else suffix)
         shim.__self__ = handler.__self__
         return shim
 
@@ -944,7 +957,7 @@ class RetryPort(Port):
         return self._shim(lambda node, src, *args: handler(node, src, *args[:-1]), handler)
 
     def hears(self, handler, ack_category: str):
-        first, ack = self.first, self._ack
+        first, ack = self._seen.first, self._ack
 
         def shim(node, src, fut, *args):
             # Re-running could undo later state (release a re-granted
@@ -955,3 +968,35 @@ class RetryPort(Port):
             ack(fut, None, payload_words=1, category=ack_category)
 
         return self._shim(shim, handler)
+
+    def fan_out(self, src, targets, handler, *args, acks=None, payload_words=0, category="rel.post"):
+        post = self.post
+        for target in targets:
+            fut = post(src, target, handler, *args, payload_words=payload_words, category=category)
+            if acks is not None:
+                acks.waiting.append(target)
+                fut.add_callback(partial(acks.heard, target))
+
+    def answers(self, handler, ack_category: str, ack_name: str | None = None):
+        first, acked = self._seen.first, self._seen.acked
+        reply, after = self._ack, self._after
+
+        def ack(key, fut, value=None, payload_words=1, delay=0):
+            acked[key] = (value, payload_words)
+            if delay:
+                after(delay, partial(reply, fut, value, payload_words=payload_words, category=ack_category))
+            else:
+                reply(fut, value, payload_words=payload_words, category=ack_category)
+
+        def shim(node, src, fut, *args):
+            key = (src, args[-1])
+            if first(src, args[-1]):
+                handler(node, src, partial(ack, key, fut), *args[:-1])
+            elif key in acked:
+                value, payload_words = acked[key]
+                reply(fut, value, payload_words=payload_words, category=ack_category)
+            # else unapplied or deferred: the original will answer
+
+        if ack_name is None:
+            return self._shim(shim, handler, "")
+        return self._shim(shim, handler, "_rt" if self._suffix and self._recovering else "_r")

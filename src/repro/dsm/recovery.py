@@ -96,7 +96,7 @@ class RecoveryManager:
     Constructed by :class:`~repro.dsm.faults.FaultTransport` when an
     ``on_crash`` mode is requested; services and protocols find it as
     ``transport.recovery`` and register themselves at construction
-    (the same construction-time swap idiom as ``reliable``).
+    (decided once, at construction).
     """
 
     def __init__(self, transport, mode: str):
@@ -107,13 +107,15 @@ class RecoveryManager:
         self.sim = transport.sim
         self.n_procs = transport.n_procs
         self.live: set[int] = set(range(self.n_procs))
-        self.dead: set[int] = set()
+        #: shared with the fabric, where it is the epoch fence: traffic
+        #: from or to a member is discarded at the injection point
+        self.dead: set[int] = transport.dead
         self.epoch = 0
         #: per-death event records (chaos artifacts; see summary())
         self.events: list[dict] = []
         self._tasks: list = []
-        self._active = False
         self._open_tasks = 0
+        self._heartbeat = None  # the pending _tick timer while tasks are open
         # Registered participants.
         self._engines: list = []
         self._locks: list = []
@@ -149,7 +151,6 @@ class RecoveryManager:
         # Crash-aware hardware barrier: replace the transport's binding
         # *before* any service binds it (services are constructed after
         # the transport, so they pick this up).
-        self._base_verdict = transport._verdict
         self._bar_arrived: set[int] = set()
         self._bar_gen = 0
         self._bar_fut = Future(name="recovery:hw_barrier:0")
@@ -228,18 +229,15 @@ class RecoveryManager:
         for nid in range(self.n_procs):
             self._last_heard[nid] = now
             self._suspect_after[nid] = SUSPECT_AFTER + rng.randrange(SUSPECT_JITTER)
-        self._active = self._open_tasks > 0
-        if self._active:
-            self.sim.schedule(HB_INTERVAL, self._tick)
+        if self._open_tasks:
+            self._heartbeat = self.sim.timer(HB_INTERVAL, self._tick)
 
     def _note_task_done(self, fut) -> None:
         self._open_tasks -= 1
-        if self._open_tasks <= 0:
-            self._active = False  # pending ticks become no-ops; queue drains
+        if not self._open_tasks:
+            self._heartbeat.cancel()  # nobody left to watch: do not hold the clock
 
     def _tick(self) -> None:
-        if not self._active:
-            return
         now = self.sim.now
         # Heartbeats: every declared-live node posts to every live peer.
         # The posts ride the fault fabric — charged, droppable, and
@@ -260,8 +258,8 @@ class RecoveryManager:
                 if self._obs is not None:
                     self._obs.emit(now, "recovery.suspect", nid, -1, now - self._last_heard[nid])
                 self._declare_dead(nid)
-        if self._active:
-            self.sim.schedule(HB_INTERVAL, self._tick)
+        if self._open_tasks:  # a declaration above may have retired the last one
+            self._heartbeat = self.sim.timer(HB_INTERVAL, self._tick)
 
     def _on_hb(self, node, src) -> None:
         self._last_heard[src] = self.sim.now
@@ -292,7 +290,6 @@ class RecoveryManager:
         self.dead.add(nid)
         self.live.discard(nid)
         self._counts[self._k["epochs"]] += 1
-        self._install_fence()
         if self._obs is not None:
             self._obs.emit(now, "recovery.dead", nid, -1, self.epoch, crash_at)
             self._obs.emit(now, "recovery.epoch", -1, -1, self.epoch, tuple(sorted(self.live)))
@@ -336,26 +333,6 @@ class RecoveryManager:
                 "live": sorted(self.live),
             }
         )
-
-    # -- 1: epoch fence --------------------------------------------------
-    def _install_fence(self) -> None:
-        """Swap the transport's verdict for one that drops dead endpoints.
-
-        Instance-attribute wrapper, installed only at the first death:
-        fault runs without a declared death never pay the check.
-        """
-        dead = frozenset(self.dead)
-        inner = self._base_verdict
-        counts = self._counts
-        k_fenced = self._k["fenced"]
-
-        def fenced_verdict(src, dst, category):
-            if src in dead or dst in dead:
-                counts[k_fenced] += 1
-                return None
-            return inner(src, dst, category)
-
-        self.transport._verdict = fenced_verdict
 
     # -- 3: re-homing ----------------------------------------------------
     def successor(self, nid: int) -> int:
@@ -403,7 +380,7 @@ class RecoveryManager:
     # -- 4: pending sweep ------------------------------------------------
     def cancel(self, pend) -> None:
         """Take a call out of the retry table and silence its ack chain."""
-        self.transport.kit.pending.pop(pend.seq, None)
+        self.transport.kit.settle(pend)
         pend.fut._callbacks = None
 
     def _sweep_pending(self, dead: int) -> None:
@@ -423,12 +400,11 @@ class RecoveryManager:
                 self.cancel(pend)
                 counts[self._k["abandoned"]] += 1
             elif kind == "home":
-                kit.pending.pop(pend.seq, None)
                 self.retarget(pend, extra.get(pend.call_args[0]).home)
             else:  # "push"
                 # Acknowledge on the dead target's behalf so the fan-out
-                # counter completes; its on_ack chain prunes the target.
-                kit.pending.pop(pend.seq, None)
+                # completes; the resolve settles the call and its
+                # collector prunes the target.
                 counts[self._k["fake_acks"]] += 1
                 self.transport._resolve_once(pend.fut, None)
 
@@ -436,18 +412,12 @@ class RecoveryManager:
         """Re-issue a reliable call at a new destination (same seq, same
         future — the receiver's dedup table keeps effects exactly-once
         even if the old home had already admitted the original)."""
-        kit = self.transport.kit
         pend.dst = new_dst
         pend.attempts = 1
         pend.born = self.sim.now
         pend.epoch = self.epoch
-        kit.pending[pend.seq] = pend
         self._counts[self._k["retargeted"]] += 1
-        self.transport.post(
-            pend.src, new_dst, pend.handler, *pend.args,
-            payload_words=pend.payload_words, category=pend.category,
-        )
-        self.transport.after(kit._policy.timeout_for(1), partial(kit._check, pend))
+        self.transport.kit.transmit(pend)
 
     # -- 5: directory/cache rebuild --------------------------------------
     def _rebuild_engine(self, engine, dead: int, rehomed: dict) -> None:

@@ -15,13 +15,8 @@ layer boundary adds no indirection on the hit path.
 
 from __future__ import annotations
 
-from functools import partial
-
-import numpy as np
-
 from repro.dsm.costs import DSMCosts
 from repro.dsm.errors import ProtocolError
-from repro.dsm.faults import _DEFER
 from repro.dsm.msi import MSI_TABLE, engine_view
 from repro.dsm.transport import Transport
 from repro.machine.stats import intern_key
@@ -31,8 +26,10 @@ from repro.memory import Region, RegionCopy, RegionDirectory
 class RegionCache:
     """Per-node cached-copy tables and the invalidation receive side."""
 
-    #: writeback log, a dict only on recovery-enabled fabrics (see
-    #: _install_reliable) — class default keeps the probe one attr read.
+    #: (nid, rid) -> data of that node's last applied dirty writeback; a
+    #: dict only when crash recovery is armed.  If the ack carrying it dies
+    #: with the home, the re-homed rebuild adopts it from here instead of
+    #: losing a surviving node's writes.
     _wb_log = None
 
     def __init__(
@@ -64,28 +61,17 @@ class RegionCache:
         self.tables: list[dict[int, RegionCopy]] = [dict() for _ in range(transport.n_procs)]
         self._counts = transport.stats.counter_ref()
         self._k_inval_deferred = intern_key(prefix, "inval_deferred")
-        self._cat_inval_ack = intern_key(prefix, "inval_ack")
         self._sim = transport.sim
-        self._post = transport.post
-        self._after = transport.after
-        self._defer_post = transport.defer_post
-        # Stable bound handler (see DirectoryService).
-        self._h_inval_req = self._on_inval_req
-        # Home-side invalidation-ack handler; see wire_directory.
-        self._h_inval_ack = None
-        if not transport.reliable:
-            # Acked fan-out receive (out of the port's idioms, DESIGN.md
-            # §9): a recall's ack may be *deferred* past the handler, so
-            # this side keeps its own per-seq record.
-            self._install_reliable(transport)
+        if transport.recovery is not None:
+            self._wb_log = {}
         if checker is not None:
             self._install_checked(checker)
 
     def _install_checked(self, checker) -> None:
         """Swap in sanitizer-notifying variants of install/invalidate.
 
-        Same pattern as :meth:`_install_reliable`: a checker-less cache
-        keeps the original methods, so the dynamic sanitizer is strictly
+        A checker-less cache keeps the original methods, so the dynamic
+        sanitizer is strictly
         zero-cost when off.  Notifications change no simulated state and
         charge no cycles, so even a checked run keeps its clock.
         """
@@ -98,52 +84,13 @@ class RegionCache:
             checker.cache_installed(nid, region.rid)
             return copy
 
-        def _apply_inval(copy, mode):
-            inner_apply(copy, mode)
+        def _apply_inval(copy, mode, ack):
+            inner_apply(copy, mode, ack)
             if copy.state == "invalid":
                 checker.cache_invalidated(copy.node, copy.region.rid)
 
         self.install = install
         self._apply_inval = _apply_inval
-
-        inner_apply_r = self._apply_inval_r
-
-        def _apply_inval_r(copy, mode, fut, seq):
-            inner_apply_r(copy, mode, fut, seq)
-            if copy.state == "invalid":
-                checker.cache_invalidated(copy.node, copy.region.rid)
-
-        self._apply_inval_r = _apply_inval_r
-
-    def _install_reliable(self, transport) -> None:
-        """Swap in the ack'd invalidation receive side (lossy fabric).
-
-        Reliable invalidations arrive as sequence-numbered retried
-        posts carrying a future; the ack is a reply on that future
-        (data rides along), and ``_inval_done`` keeps each logical
-        invalidation exactly-once: duplicates of an unapplied/deferred
-        request are dropped (the original will ack), duplicates of a
-        completed one get the recorded ack replayed.
-        """
-        self._inval_done: dict = {}  # seq -> _DEFER | (data, payload_words)
-        self._reply = transport.reply
-        self._h_inval_req = self._on_inval_req_r
-        self._fire_deferred = self._fire_deferred_r
-        if transport.recovery is not None:
-            # Crash recovery can re-issue a recall this node already
-            # applied (the re-homed successor cannot know which of the
-            # old home's invalidations landed) — tolerate instead of
-            # treating a missing copy as a protocol bug.
-            self._h_inval_req = self._on_inval_req_rt
-            # (nid, rid) -> data of this node's last applied dirty
-            # writeback: if the ack carrying it dies with the home, the
-            # re-homed rebuild adopts it from here instead of losing a
-            # surviving node's writes.
-            self._wb_log: dict = {}
-
-    def wire_directory(self, directory) -> None:
-        """Bind the home-side handler invalidation acks are sent to."""
-        self._h_inval_ack = directory._h_inval_ack
 
     # ------------------------------------------------------------------
     # copy management
@@ -176,100 +123,40 @@ class RegionCache:
     # ------------------------------------------------------------------
     # invalidation receive side (handler context)
     # ------------------------------------------------------------------
-    def _on_inval_req(self, node, src_home, rid, mode):
+    def _on_inval_req(self, node, src_home, ack, rid, mode):
+        """A recall from the home; ``ack(data, payload_words, delay)`` answers
+        it — at once, or when the open access that defers it ends."""
         copy = self.tables[node.nid].get(rid)
-        if copy is None:  # pragma: no cover - directory targets only holders
-            raise ProtocolError(f"invalidate for uncached region {rid} at node {node.nid}")
+        if copy is None:
+            if self._wb_log is None:  # pragma: no cover - directory targets only holders
+                raise ProtocolError(f"invalidate for uncached region {rid} at node {node.nid}")
+            # Crash recovery can re-issue a recall this node already
+            # applied (the re-homed successor cannot know which of the
+            # old home's invalidations landed): already satisfied.
+            ack(None, self.costs.meta_words, self.costs.inval_handler)
+            return
         if copy.meta["read_count"] or copy.meta["write_count"]:
-            copy.meta["deferred"].append(mode)
+            copy.meta["deferred"].append((mode, ack))
             self._counts[self._k_inval_deferred] += 1
             return
-        self._apply_inval(copy, mode)
+        self._apply_inval(copy, mode, ack)
 
-    def _apply_inval(self, copy: RegionCopy, mode: str) -> None:
-        region = copy.region
-        st = copy.state
-        dirty = st in self._dirty_states
-        data = copy.data.copy() if dirty else None
-        # The table's next-state map for this recall mode; states it
-        # does not cover (already invalid, home alias) keep their state.
-        copy.state = self._inval_next[mode].get(st, st)
-        if self._obs is not None:
-            self._trace_state(copy.node, region.rid, copy.state)
-        payload = region.size if dirty else self.costs.meta_words
-        # handler work before the ack leaves the node; defer_post keeps
-        # the causal link to the inval request across the deferral
-        self._defer_post(
-            self.costs.inval_handler,
-            copy.node,
-            region.home,
-            self._h_inval_ack,
-            region.rid,
-            copy.node,
-            mode,
-            data,
-            payload_words=payload,
-            category=self._cat_inval_ack,
-        )
-
-    def _fire_deferred(self, copy: RegionCopy) -> None:
-        deferred = copy.meta["deferred"]
-        while deferred:
-            self._apply_inval(copy, deferred.pop(0))
-
-    # ------------------------------------------------------------------
-    # reliable variants (installed by _install_reliable)
-    # ------------------------------------------------------------------
-    def _on_inval_req_r(self, node, src_home, fut, rid, mode, seq):
-        done = self._inval_done.get(seq)
-        if done is not None:
-            if done is not _DEFER:
-                data, payload = done
-                self._reply(fut, data, payload_words=payload, category=self._cat_inval_ack)
-            return
-        copy = self.tables[node.nid].get(rid)
-        if copy is None:  # pragma: no cover - directory targets only holders
-            raise ProtocolError(f"invalidate for uncached region {rid} at node {node.nid}")
-        if copy.meta["read_count"] or copy.meta["write_count"]:
-            self._inval_done[seq] = _DEFER
-            copy.meta["deferred"].append((mode, fut, seq))
-            self._counts[self._k_inval_deferred] += 1
-            return
-        self._apply_inval_r(copy, mode, fut, seq)
-
-    def _apply_inval_r(self, copy: RegionCopy, mode: str, fut, seq) -> None:
+    def _apply_inval(self, copy: RegionCopy, mode: str, ack) -> None:
         region = copy.region
         st = copy.state
         dirty = st in self._dirty_states
         data = copy.data.copy() if dirty else None
         if dirty and self._wb_log is not None:
             self._wb_log[(copy.node, region.rid)] = data
+        # The table's next-state map for this recall mode; states it
+        # does not cover (already invalid, home alias) keep their state.
         copy.state = self._inval_next[mode].get(st, st)
         if self._obs is not None:
             self._trace_state(copy.node, region.rid, copy.state)
-        payload = region.size if dirty else self.costs.meta_words
-        self._inval_done[seq] = (data, payload)
-        self._after(
-            self.costs.inval_handler,
-            partial(self._reply, fut, data, payload_words=payload, category=self._cat_inval_ack),
-        )
+        # handler work before the ack leaves the node
+        ack(data, region.size if dirty else self.costs.meta_words, self.costs.inval_handler)
 
-    def _fire_deferred_r(self, copy: RegionCopy) -> None:
+    def _fire_deferred(self, copy: RegionCopy) -> None:
         deferred = copy.meta["deferred"]
         while deferred:
-            mode, fut, seq = deferred.pop(0)
-            self._apply_inval_r(copy, mode, fut, seq)
-
-    def _on_inval_req_rt(self, node, src_home, fut, rid, mode, seq):
-        """Recovery-tolerant invalidation receive (see _install_reliable):
-        an invalidation for a copy this node no longer holds is already
-        satisfied — ack it idempotently."""
-        if self.tables[node.nid].get(rid) is None and self._inval_done.get(seq) is None:
-            payload = self.costs.meta_words
-            self._inval_done[seq] = (None, payload)
-            self._after(
-                self.costs.inval_handler,
-                partial(self._reply, fut, None, payload_words=payload, category=self._cat_inval_ack),
-            )
-            return
-        self._on_inval_req_r(node, src_home, fut, rid, mode, seq)
+            self._apply_inval(copy, *deferred.pop(0))

@@ -22,9 +22,11 @@ invariant; the golden-trace pins enforce it.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.machine import Machine
+from repro.sim.future import Future
 
 
 class Transport:
@@ -96,10 +98,39 @@ class Transport:
         raise NotImplementedError
 
 
+class Acks:
+    """The collecting end of one acked fan-out (the port's third idiom).
+
+    ``waiting`` lists the targets not yet heard from (one entry per
+    post, so a target asked twice is listed twice); each answer calls
+    ``on_ack(target, value)`` and the last resolves ``done``, if a
+    future was given.  Crash recovery may :meth:`answer` on a dead
+    target's behalf.
+    """
+
+    __slots__ = ("waiting", "done", "on_ack")
+
+    def __init__(self, on_ack=None, done: Future | None = None):
+        self.waiting: list[int] = []
+        self.done = done
+        self.on_ack = on_ack
+
+    def answer(self, target: int, value=None) -> None:
+        self.waiting.remove(target)
+        if self.on_ack is not None:
+            self.on_ack(target, value)
+        if not self.waiting and self.done is not None:
+            self.done.resolve(None)
+
+    def heard(self, target: int, fut: Future) -> None:
+        """Future callback: the ack a post to ``target`` carried came back."""
+        self.answer(target, fut._value)
+
+
 class Port:
     """How one service sends and receives, whatever the fabric loses.
 
-    Two idioms cover every exchange in the core (DESIGN.md §9):
+    Three idioms cover every exchange in the core (DESIGN.md §9):
 
     *call* — ``yield from port.call(src, dst, h, *args)`` is a round
     trip; the receiver is bound as ``h = port.serves(handler)`` and
@@ -107,30 +138,47 @@ class Port:
     *notify* — one-way, ``yield from port.send(...)`` from task context
     or ``port.post(...)`` from handler context; the receiver is bound
     as ``h = port.hears(handler, ack_category)``.
+    *fan-out* — ``port.fan_out(src, targets, h, *args, acks=Acks(...))``
+    from handler context posts to every target and collects one answer
+    each; the receiver is bound as ``h = port.answers(handler,
+    ack_category)`` and is called ``handler(node, src, ack, *args)``,
+    where ``ack(value, payload_words, delay)`` may be invoked later (a
+    deferred invalidation).
 
-    On an exactly-once fabric (this class, from ``Transport.port``) each
-    attribute *is* the transport's own bound method and the receive
-    binders return their argument, so the same code objects run with
-    the same ``(delay, seq)`` draws as if the seam were not there.  A
-    lossy fabric's :class:`~repro.dsm.faults.RetryPort` keeps this
-    surface and supplies the retries and the receive-side dedup.
-    Handlers never see the wire's sequence number, and a node's request
-    to itself binds the plain handler — it never crosses the wire.
+    On an exactly-once fabric (this class, from ``Transport.port``) the
+    first two idioms *are* the transport's own bound methods and every
+    receive binder returns its argument, so the same code objects run
+    with the same ``(delay, seq)`` draws as if the seam were not there;
+    a fan-out post carries its ``ack``, which answers with a reply to a
+    future — or, when ``answers`` was given an ``ack_name``, with a
+    message counted as ``handler.<ack_name>``.  A lossy fabric's
+    :class:`~repro.dsm.faults.RetryPort` keeps this surface and
+    supplies the retries and the receive-side dedup.  Handlers never
+    see the wire's sequence number, and a node's request to itself
+    binds the plain handler — it never crosses the wire.
 
     The rule for receivers: one that is safe to re-execute (a pure read,
     a set-add) is bound with ``idempotent`` — a duplicate re-replies and
     the sender's resolve-once gate keeps the first.  Anything else is
     ``serves`` (a duplicate gets the recorded reply, the handler does
-    not run again) or ``hears`` (a duplicate is only re-acknowledged).
-    ``first`` and ``watch`` exist for the acked fan-outs and the stall
-    report; here they do nothing.
+    not run again), ``hears`` (a duplicate is only re-acknowledged) or
+    ``answers`` (a duplicate is dropped until the ack is out, then gets
+    it again).  ``lossy`` says whether a reply can be lost; ``watch``
+    feeds the stall report and here does nothing.
     """
+
+    lossy = False
 
     def __init__(self, transport: Transport):
         self.call = transport.rpc
         self.reply = transport.reply
         self.send = transport.request
         self.post = transport.post
+        self._after = transport.after
+        self._defer_post = transport.defer_post
+        #: fan-out handler -> ``make(acks, target, src)``, the ``ack`` a
+        #: post of it carries (registered by :meth:`answers`)
+        self._ack_makers: dict = {}
 
     @staticmethod
     def serves(handler):
@@ -142,9 +190,58 @@ class Port:
     def hears(handler, ack_category: str):
         return handler
 
-    @staticmethod
-    def first(src: int, seq) -> bool:
-        return True
+    def fan_out(self, src, targets, handler, *args, acks=None, payload_words=0, category="am.post"):
+        """Post ``handler(node, src, ack, *args)`` to every target; ``acks``
+        (an :class:`Acks`, or None to only have it delivered) collects."""
+        post, make_ack = self.post, self._ack_makers[handler]
+        for target in targets:
+            if acks is not None:
+                acks.waiting.append(target)
+            post(
+                src, target, handler, make_ack(acks, target, src), *args,
+                payload_words=payload_words, category=category,
+            )
+
+    def answers(self, handler, ack_category: str, ack_name: str | None = None):
+        """Bind a fan-out receiver.  Its ``ack`` travels as a reply, or —
+        given ``ack_name`` — as a message counted ``handler.<ack_name>``."""
+        if ack_name is None:
+            reply, after = self.reply, self._after
+
+            def send(fut, value=None, payload_words=1, delay=0):
+                if delay:
+                    after(delay, partial(reply, fut, value, payload_words=payload_words, category=ack_category))
+                else:
+                    reply(fut, value, payload_words=payload_words, category=ack_category)
+
+            def make_ack(acks, target, src):
+                fut = Future(name=ack_category)
+                if acks is not None:
+                    fut.add_callback(partial(acks.heard, target))
+                return partial(send, fut)
+
+        else:
+            post, defer_post = self.post, self._defer_post
+
+            def collect(node, src, acks, value):
+                if acks is not None:
+                    acks.answer(src, value)
+
+            collect.__name__ = ack_name
+
+            def send(acks, target, src, value=None, payload_words=1, delay=0):
+                if delay:
+                    defer_post(
+                        delay, target, src, collect, acks, value,
+                        payload_words=payload_words, category=ack_category,
+                    )
+                else:
+                    post(target, src, collect, acks, value, payload_words=payload_words, category=ack_category)
+
+            make_ack = partial(partial, send)  # make_ack(acks, target, src) = partial(send, acks, target, src)
+
+        self._ack_makers[handler] = make_ack
+        return handler
 
     @staticmethod
     def watch(rid_categories, directory=None) -> None:

@@ -114,12 +114,6 @@ class CachedCopyProtocol(Protocol):
             category=f"proto.{self.spec.name}.fetch_data",
         )
 
-    def _ack_state(self, state: dict, _value=None) -> None:
-        """Shared fan-out ack bookkeeping (lossy-fabric push on_ack hook)."""
-        state["need"] -= 1
-        if state["need"] == 0:
-            state["done"].resolve(None)
-
     def _fetch_extra(self, rid: int, src: int):
         """Home-side hook at fetch time (register sharers, return versions)."""
         return None

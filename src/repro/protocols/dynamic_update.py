@@ -27,10 +27,9 @@ checker and the protocol reference docs.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
+from repro.dsm.transport import Acks
 from repro.protocols.base import ProtocolSpec
 from repro.protocols.caching import CachedTableProtocol
 from repro.protocols.registry import default_registry
@@ -92,7 +91,7 @@ class DynamicUpdateProtocol(CachedTableProtocol):
     def __init__(self, runtime, space):
         super().__init__(runtime, space)
         self._sharers: dict[int, set[int]] = {}
-        #: recovery-active only: writer -> {"rid", "data", "state"} for
+        #: recovery-active only: writer -> {"rid", "data", "acks"} for
         #: the update whose fan-out has not fully acked (a writer blocks
         #: per update, so at most one each; a dead home strands these
         #: and on_node_dead re-issues from the new home).
@@ -103,7 +102,9 @@ class DynamicUpdateProtocol(CachedTableProtocol):
         # once and duplicates get the recorded ack.  Pushes likewise: a
         # delayed duplicate must not overwrite a newer one.
         self._h_update = self.port.serves(self._on_update)
-        self._h_apply = self.port.hears(self._on_apply_r, "proto.DynamicUpdate.push_ack")
+        self._h_apply = self.port.answers(
+            self._on_apply, "proto.DynamicUpdate.push_ack", "_on_apply_ack"
+        )
 
     def _fetch_extra(self, rid: int, src: int):
         self._sharers.setdefault(rid, set()).add(src)
@@ -116,9 +117,7 @@ class DynamicUpdateProtocol(CachedTableProtocol):
         data = np.array(handle.data, copy=True)
         if nid == region.home:
             # Home's copy aliases home_data: canonical store already current.
-            done = Future(name=f"du:{region.rid}@{nid}")
-            self._fan_out(region, data, exclude=nid, done=done)
-            yield done
+            yield self._push(region, data, exclude=nid, name=f"du:{region.rid}@{nid}").done
         else:
             yield from self._rpc(
                 nid,
@@ -134,93 +133,51 @@ class DynamicUpdateProtocol(CachedTableProtocol):
     def _on_update(self, node, src, fut, rid, data):
         region = self.regions.get(rid)
         np.copyto(region.home_data, data)
-        done = Future(name=f"du:{rid}@home")
-        done.add_callback(
+        acks = self._push(region, data, exclude=src, name=f"du:{rid}@home")
+        acks.done.add_callback(
             lambda _: self._reply(
                 fut, None, payload_words=1, category="proto.DynamicUpdate.update_ack"
             )
         )
-        state = self._fan_out(region, data, exclude=src, done=done)
-        if self._recovery is not None and state is not None:
+        if self._recovery is not None and acks.waiting:
             # If the home dies mid-fan-out the writer would stall on the
             # update ack forever; record enough to re-issue the pushes
             # from the successor home.
-            self._open_updates[src] = {"rid": rid, "data": data, "state": state}
-            done.add_callback(lambda _fut: self._open_updates.pop(src, None))
+            self._open_updates[src] = {"rid": rid, "data": data, "acks": acks}
+            acks.done.add_callback(lambda _fut: self._open_updates.pop(src, None))
 
-    def _fan_out(self, region, data, exclude: int, done: Future):
-        """Multicast ``data`` to every sharer except ``exclude``; resolve
-        ``done`` when all have acknowledged.  Returns the fan-out state
-        dict (None when there was nothing to send)."""
+    def _push(self, region, data, exclude: int, name: str) -> Acks:
+        """Multicast ``data`` to every sharer except ``exclude``; the
+        returned collector's ``done`` resolves when all have answered."""
+        acks = Acks(done=Future(name=name))
         targets = sorted(self._sharers.get(region.rid, set()) - {exclude, region.home})
-        if not targets:
-            done.resolve(None)
-            return None
-        state = {"need": len(targets), "done": done}
-        # Acked fan-out (out of the port's idioms, DESIGN.md §9): on an
-        # exactly-once fabric each sharer answers with an explicit
-        # push_ack *message*; on a lossy one the ack is the reply to the
-        # retried post, collected through on_ack.
-        if self.transport.reliable:
-            for t in targets:
-                self._post(
-                    region.home,
-                    t,
-                    self._on_apply,
-                    region.rid,
-                    data,
-                    state,
-                    payload_words=region.size,
-                    category="proto.DynamicUpdate.push",
-                )
-            return state
-        track = self._recovery is not None
-        if track:
-            state["pending"] = set(targets)
-        for t in targets:
-            on_ack = partial(self._ack_target, state, t) if track else partial(self._ack_state, state)
-            self._push_acked(region, t, data, on_ack)
-        return state
+        if targets:
+            self._push_to(region, targets, data, acks)
+        else:
+            acks.done.resolve(None)
+        return acks
 
-    def _push_acked(self, region, target: int, data, on_ack) -> None:
-        self._post(
+    def _push_to(self, region, targets, data, acks: Acks) -> None:
+        self.port.fan_out(
             region.home,
-            target,
+            targets,
             self._h_apply,
             region.rid,
             data,
+            acks=acks,
             payload_words=region.size,
             category="proto.DynamicUpdate.push",
-            on_ack=on_ack,
         )
 
-    def _on_apply(self, node, src, rid, data, state):
-        self._on_apply_r(node, src, rid, data)
-        self._post(
-            node.nid,
-            src,
-            self._on_apply_ack,
-            state,
-            payload_words=1,
-            category="proto.DynamicUpdate.push_ack",
-        )
-
-    def _on_apply_r(self, node, src, rid, data):
-        """Install a pushed update (all a lossy-fabric sharer does: the
-        port acks)."""
+    def _on_apply(self, node, src, ack, rid, data):
+        """Install a pushed update and answer it."""
         copy = self._copies[node.nid].get(rid)
         if copy is not None:
             np.copyto(copy.data, data)
             copy.state = "valid"
-
-    def _on_apply_ack(self, node, src, state):
-        self._ack_state(state)
+        ack()
 
     # -- crash recovery ---------------------------------------------------
-    def _ack_target(self, state: dict, target: int, _value=None) -> None:
-        state["pending"].discard(target)
-        self._ack_state(state)
-
     def _register_recovery(self, manager) -> None:
         super()._register_recovery(manager)
         manager.register_home_categories(("proto.DynamicUpdate.update",), self.regions)
@@ -230,7 +187,7 @@ class DynamicUpdateProtocol(CachedTableProtocol):
         """Shrink the sharer sets and finish fan-outs a dead home stranded.
 
         Pushes *to* a dead sharer were fake-acked by the manager's sweep
-        (their ``_ack_target`` already ran); pushes *from* a dead home
+        (their collector already heard them); pushes *from* a dead home
         were abandoned, so the writer's update would never complete.
         The successor home re-issues those pushes — ``home_data`` (which
         the old home applied before dying and the successor adopted)
@@ -240,14 +197,16 @@ class DynamicUpdateProtocol(CachedTableProtocol):
         for sharers in self._sharers.values():
             sharers.discard(dead)
         for _key, entry in sorted(self._open_updates.items()):
-            pending = entry["state"].get("pending")
-            if not pending or entry["rid"] not in rehomed:
+            acks = entry["acks"]
+            if not acks.waiting or entry["rid"] not in rehomed:
                 continue
-            region = rehomed[entry["rid"]]
-            for t in sorted(pending):
+            waiting = sorted(acks.waiting)
+            for t in waiting:
                 if t in manager.dead:
-                    self._ack_target(entry["state"], t)
-                else:
-                    self._push_acked(
-                        region, t, entry["data"], partial(self._ack_target, entry["state"], t)
-                    )
+                    acks.answer(t)
+            self._push_to(
+                rehomed[entry["rid"]],
+                [t for t in waiting if t not in manager.dead],
+                entry["data"],
+                Acks(acks.answer),
+            )

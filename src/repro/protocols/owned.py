@@ -34,11 +34,9 @@ Reliability (DESIGN.md §9): requests are port *calls*; the owner's
 supply goes through the port's recording reply, so on a lossy fabric a
 retried ``read_req`` whose supply was dropped replays the recorded
 grant instead of re-running the forward.  Invalidations, forwards and
-grant acks are *acked* posts (:meth:`OwnedProtocol._post_acked`) whose
-ack is a message on both fabrics — for an invalidation it *is* the
-(possibly dirty) writeback; a deferred invalidation stays
-unacknowledged — retries keep it alive — until the open access
-releases.
+grant acks go out through the port's *fan-out*; an invalidation's answer
+*is* the (possibly dirty) writeback, and a deferred invalidation stays
+unanswered until the open access releases.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.dsm.faults import _ack_adapter
+from repro.dsm.transport import Acks
 from repro.memory import RegionCopy
 from repro.protocols.base import ProtocolSpec, TableProtocol
 from repro.protocols.registry import default_registry
@@ -268,6 +266,10 @@ class OwnedProtocol(TableProtocol):
     #: Unanswered requests that crossed the fabric (the port's view; bound
     #: only under recovery, where a home's own fetches are called in place).
     _wire_calls = frozenset()
+    #: (nid, rid) -> that node's last applied dirty writeback, kept only
+    #: under recovery: if the answer carrying it dies with the home, the
+    #: re-homed rebuild adopts it from here.
+    _wb_log = None
 
     def __init__(self, runtime, space):
         super().__init__(runtime, space)
@@ -277,29 +279,24 @@ class OwnedProtocol(TableProtocol):
         # window / recall-or-forward pending / FIFO queue / the home
         # task's own open accesses)
         self._dir: dict[int, dict] = {}
-        # (nid, rid) -> recorded invalidation ack value; present only
-        # once the invalidation was *applied* (used to re-ack retries)
-        self._inval_ack: dict = {}
-        transport = self.transport
-        port = self.port = transport.port("proto.Owned")
+        port = self.port = self.transport.port("proto.Owned")
         self._rpc = port.call
         self._reply = port.reply
+        self._fan_out = port.fan_out
         self._h_read_req = port.serves(self._on_read_req)
         self._h_write_req = port.serves(self._on_write_req)
         self._h_flush = port.serves(self._on_flush)
-        # The acked fan-out (out of the port's idioms, DESIGN.md §9): the
-        # receivers below ack by message on both fabrics, so they keep
-        # the wire ``seq`` and gate their one-time effect on port.first.
-        self._first = port.first
-        # A home's own fetch is a call in place on an exactly-once fabric
+        self._h_grant_ack = port.answers(self._on_grant_ack, "proto.Owned.grant_ack_ok")
+        self._h_invalidate = port.answers(self._on_invalidate, "proto.Owned.inval_ack")
+        self._h_fwd_read = port.answers(self._on_fwd_read, "proto.Owned.fwd_ack")
+        self._h_fwd_miss = port.answers(self._on_fwd_miss, "proto.Owned.fwd_miss_ack")
+        # A home's own fetch is a call in place where no reply can be lost
         # (and in recovery runs, whose grant style _remote_self steers).
         # On a plain lossy fabric it rides the wire to itself instead: its
         # grant may be a remote owner's supply, and a dropped one must be
         # retransmitted and replayed like any remote request's — a bare
         # local future would hang.
-        self._home_in_place = transport.reliable or self._recovery is not None
-        if not transport.reliable:
-            self._post_acked = port.post  # same signature, retried
+        self._home_in_place = not port.lossy or self._recovery is not None
         if self._recovery is not None:
             self._wire_calls = port.open_calls
 
@@ -488,10 +485,10 @@ class OwnedProtocol(TableProtocol):
         if tag != "grant":
             # Close the home's busy window; for forwarded reads this is
             # also what records us as a sharer (record_sharer row).
-            self._post_acked(
+            self._fan_out(
                 nid,
-                region.home,
-                self._on_grant_ack,
+                (region.home,),
+                self._h_grant_ack,
                 region.rid,
                 payload_words=1,
                 category="proto.Owned.grant_ack",
@@ -509,19 +506,6 @@ class OwnedProtocol(TableProtocol):
                     self._supply(nid, handle, item[1], item[2])
         return
         yield  # pragma: no cover - makes this a generator
-
-    # -- acked fan-out plumbing ------------------------------------------------
-    def _post_acked(self, src, dst, handler, *args, payload_words=0, category="", on_ack=None):
-        """Ack'd one-way send, exactly-once-fabric form: plain post plus an
-        explicit future the receiver replies to (the lossy form is the
-        port's retried post — same handler shape, ``seq`` appended)."""
-        fut = Future(name="owned:" + category)
-        if on_ack is not None:
-            fut.add_callback(partial(_ack_adapter, on_ack))
-        self.transport.post(
-            src, dst, handler, fut, *args, payload_words=payload_words, category=category
-        )
-        return fut
 
     # -- home side: admission (handler context) --------------------------------
     def _on_read_req(self, node, src, fut, rid):
@@ -557,10 +541,10 @@ class OwnedProtocol(TableProtocol):
                 ent["busy"] = True
                 ent["pending"] = {"kind": "f", "src": src, "fut": fut}
                 self._count("forward")
-                self._post_acked(
+                self._fan_out(
                     home,
-                    owner,
-                    self._on_fwd_read,
+                    (owner,),
+                    self._h_fwd_read,
                     rid,
                     src,
                     fut,
@@ -583,17 +567,17 @@ class OwnedProtocol(TableProtocol):
         targets += sorted(x for x in ent["sharers"] if x != src and x not in targets)
         if targets:  # guard: copies_elsewhere
             ent["busy"] = True
-            ent["pending"] = {"kind": "w", "src": src, "fut": fut, "need": len(targets)}
-            for t in targets:
-                self._post_acked(
-                    home,
-                    t,
-                    self._on_invalidate,
-                    rid,
-                    payload_words=2,
-                    category="proto.Owned.invalidate",
-                    on_ack=partial(self._collect_ack, rid, t),
-                )
+            acks = Acks(partial(self._collect_ack, rid))
+            ent["pending"] = {"kind": "w", "src": src, "fut": fut, "acks": acks}
+            self._fan_out(
+                home,
+                targets,
+                self._h_invalidate,
+                rid,
+                acks=acks,
+                payload_words=2,
+                category="proto.Owned.invalidate",
+            )
             return True
         self._grant_write(rid, ent, src, fut)
         return True
@@ -660,8 +644,7 @@ class OwnedProtocol(TableProtocol):
         if ent["owner"] == target:
             ent["owner"] = None
         ent["sharers"].discard(target)
-        pend["need"] -= 1
-        if pend["need"] > 0:
+        if pend["acks"].waiting:
             return
         ent["pending"] = None
         ent["busy"] = False
@@ -670,10 +653,8 @@ class OwnedProtocol(TableProtocol):
         if not ent["busy"]:
             self._drain(rid)
 
-    def _on_grant_ack(self, node, src, fut, rid, seq=None):  # acked fan-out: keeps seq
-        self.transport.reply(fut, None, payload_words=1, category="proto.Owned.grant_ack_ok")
-        if not self._first(src, seq):
-            return
+    def _on_grant_ack(self, node, src, ack, rid):
+        ack()
         ent = self._entry(rid)
         if not ent["busy"]:
             return
@@ -712,30 +693,19 @@ class OwnedProtocol(TableProtocol):
         self._reply(fut, None, payload_words=1, category="proto.Owned.flush_ack")
 
     # -- target side: recalls and forwards (handler context) --------------------
-    def _on_invalidate(self, node, src, fut, rid, seq=None):  # acked fan-out: keeps seq
+    def _on_invalidate(self, node, src, ack, rid):
         nid = node.nid
-        key = (nid, rid)
-        if not self._first(src, seq):
-            # Retransmit: re-ack only if the invalidation was applied;
-            # while it is deferred the retry keeps the call alive and
-            # the eventual apply sends the one real ack.
-            if key in self._inval_ack:
-                self.transport.reply(
-                    fut, self._inval_ack[key], payload_words=1, category="proto.Owned.inval_ack"
-                )
-            return
         copy = self._copies[nid].get(rid)
         if copy is None or copy.state == "invalid":
-            self._inval_ack[key] = None
-            self.transport.reply(fut, None, payload_words=1, category="proto.Owned.inval_ack")
-            return
-        if copy.meta["use"] > 0:
-            self._inval_ack.pop(key, None)
-            copy.meta["deferred"].append(("inval", fut))
-            return
-        self._apply_invalidate(nid, copy, fut)
+            ack()
+        elif copy.meta["use"] > 0:
+            # Unanswered until the open access releases; on a lossy
+            # fabric the home's retries keep the recall alive meanwhile.
+            copy.meta["deferred"].append(("inval", ack))
+        else:
+            self._apply_invalidate(nid, copy, ack)
 
-    def _apply_invalidate(self, nid, copy, fut) -> None:
+    def _apply_invalidate(self, nid, copy, ack) -> None:
         region = copy.region
         dirty = copy.state in ("excl", "owned")
         data = np.array(copy.data, copy=True) if dirty else None
@@ -748,21 +718,14 @@ class OwnedProtocol(TableProtocol):
             copy.data = region.home_data
             copy.state = "home"
         self._count("invalidated")
-        self._inval_ack[(nid, region.rid)] = data
-        self.transport.reply(
-            fut,
-            data,
-            payload_words=region.size if dirty else 1,
-            category="proto.Owned.inval_ack",
-        )
+        if dirty and self._wb_log is not None:
+            self._wb_log[(nid, region.rid)] = data
+        ack(data, region.size if dirty else 1)
 
-    def _on_fwd_read(self, node, src, fut, rid, requester, rfut, seq=None):  # acked fan-out
+    def _on_fwd_read(self, node, src, ack, rid, requester, rfut):
         # Delivery-ack immediately: the forward's outcome travels on the
-        # requester's own reply future, so a retransmit only needs
-        # re-acking (the effect below is applied exactly once).
-        self.transport.reply(fut, None, payload_words=1, category="proto.Owned.fwd_ack")
-        if not self._first(src, seq):
-            return
+        # requester's own reply future.
+        ack()
         nid = node.nid
         copy = self._copies[nid].get(rid)
         if copy is None or copy.state == "invalid":
@@ -773,10 +736,10 @@ class OwnedProtocol(TableProtocol):
             # read — by then the flush has (or will have) cleared the
             # owner, and admission grants from home data.
             self._count("fwd_miss")
-            self._post_acked(
+            self._fan_out(
                 nid,
-                self.regions.get(rid).home,
-                self._on_fwd_miss,
+                (self.regions.get(rid).home,),
+                self._h_fwd_miss,
                 rid,
                 requester,
                 rfut,
@@ -789,11 +752,9 @@ class OwnedProtocol(TableProtocol):
             return
         self._supply(nid, copy, requester, rfut)
 
-    def _on_fwd_miss(self, node, src, fut, rid, requester, rfut, seq=None):  # acked fan-out
+    def _on_fwd_miss(self, node, src, ack, rid, requester, rfut):
         """Home side of the forward/flush race: retry admission."""
-        self.transport.reply(fut, None, payload_words=1, category="proto.Owned.fwd_miss_ack")
-        if not self._first(src, seq):
-            return
+        ack()
         ent = self._entry(rid)
         pend = ent["pending"]
         if pend is None or pend.get("kind") != "f" or pend.get("fut") is not rfut:
@@ -819,6 +780,7 @@ class OwnedProtocol(TableProtocol):
     def _register_recovery(self, manager) -> None:
         super()._register_recovery(manager)
         self._remote_self = set()
+        self._wb_log = {}
         manager.register_home_categories(
             ("proto.Owned.read_req", "proto.Owned.write_req", "proto.Owned.flush"),
             self.regions,
@@ -904,14 +866,14 @@ class OwnedProtocol(TableProtocol):
         # Freshest-writer adoption: a surviving owner's dirty copy is
         # the authoritative version of the region.  An owner still
         # listed whose copy is already invalid applied a recall whose
-        # writeback ack died with the home — the recorded inval ack
-        # still holds that data.
+        # writeback ack died with the home — the writeback log still
+        # holds that data.
         if ent["owner"] is not None:
             ocopy = self._copies[ent["owner"]].get(rid)
             if ocopy is not None and ocopy.state in ("excl", "owned"):
                 np.copyto(region.home_data, ocopy.data)
             else:
-                rec = self._inval_ack.get((ent["owner"], rid))
+                rec = self._wb_log.get((ent["owner"], rid))
                 if rec is not None:
                     np.copyto(region.home_data, rec)
         # The successor's own copy becomes the home alias.

@@ -31,10 +31,9 @@ writer is the home; the fall-through row rejects everything else.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
+from repro.dsm.transport import Acks
 from repro.protocols.base import ProtocolMisuse, ProtocolSpec
 from repro.protocols.caching import CachedTableProtocol
 from repro.protocols.registry import default_registry
@@ -106,7 +105,9 @@ class StaticUpdateProtocol(CachedTableProtocol):
         self._dirty: list[set[int]] = [set() for _ in range(self.transport.n_procs)]
         # A delayed duplicate of a previous barrier's push must not
         # overwrite this barrier's data: heard once, always re-acked.
-        self._h_push = self.port.hears(self._on_push_r, "proto.StaticUpdate.push_ack")
+        self._h_push = self.port.answers(
+            self._on_push, "proto.StaticUpdate.push_ack", "_on_push_ack"
+        )
 
     def _fetch_extra(self, rid: int, src: int):
         self._sharers.setdefault(rid, set()).add(src)
@@ -142,43 +143,26 @@ class StaticUpdateProtocol(CachedTableProtocol):
             pushes.append((region, targets))
         if pushes:
             yield Delay(self.PUSH_SETUP_COST)
-            done = Future(name=f"su:barrier@{nid}")
-            state = {"need": sum(len(t) for _, t in pushes), "done": done}
-            # Acked fan-out (out of the port's idioms, DESIGN.md §9): an
-            # explicit push_ack *message* on an exactly-once fabric, the
-            # reply to the retried post (on_ack) on a lossy one.
-            reliable = self.transport.reliable
-            on_ack = partial(self._ack_state, state)
+            acks = Acks(done=Future(name=f"su:barrier@{nid}"))
             for region, targets in pushes:
-                data = region.home_data.copy()
                 self._count("push", len(targets))
-                cost = {"payload_words": region.size, "category": "proto.StaticUpdate.push"}
-                for t in targets:
-                    if reliable:
-                        self._post(nid, t, self._on_push, region.rid, data, state, **cost)
-                    else:
-                        self._post(nid, t, self._h_push, region.rid, data, on_ack=on_ack, **cost)
-            yield done
+                self.port.fan_out(
+                    nid,
+                    targets,
+                    self._h_push,
+                    region.rid,
+                    region.home_data.copy(),
+                    acks=acks,
+                    payload_words=region.size,
+                    category="proto.StaticUpdate.push",
+                )
+            yield acks.done
 
     # -- sharer side (handler context) -----------------------------------
-    def _on_push(self, node, src, rid, data, state):
-        self._on_push_r(node, src, rid, data)
-        self._post(
-            node.nid,
-            src,
-            self._on_push_ack,
-            state,
-            payload_words=1,
-            category="proto.StaticUpdate.push_ack",
-        )
-
-    def _on_push_r(self, node, src, rid, data):
-        """Install a pushed region (all a lossy-fabric sharer does: the
-        port acks)."""
+    def _on_push(self, node, src, ack, rid, data):
+        """Install a pushed region and answer it."""
         copy = self._copies[node.nid].get(rid)
         if copy is not None:
             np.copyto(copy.data, data)
             copy.state = "valid"
-
-    def _on_push_ack(self, node, src, state):
-        self._ack_state(state)
+        ack()

@@ -64,6 +64,10 @@ requires (see DESIGN.md §6 for the full story):
   every drained event inside an ``until`` bound that admitted the
   first.  The flag is a local, so a run that ends by exception or
   pause forgets it and the next ``run()`` decides afresh.
+* **Cancellable timers.**  :meth:`Simulator.timer` entries carry a
+  :class:`Timer`; the loop tests for one where it pops the heap (timers
+  take a positive delay, so never the ring) and drops a cancelled one
+  before the clock moves or the event is counted.
 * **Released on finish.**  ``Simulator._tasks`` is the table of *live*
   tasks, in spawn order; a task leaves it when it finishes, crashes or
   is retired.  A task holds no bound method of itself (its waker is
@@ -157,6 +161,25 @@ def _retired_step(_value=None):
 def _retired_throw(*_args):
     """Stand-in ``gen.throw`` for a retired task."""
     return Future(name="retired")
+
+
+class Timer:
+    """A scheduled callback that can be called off (:meth:`Simulator.timer`).
+
+    A live timer is an ordinary event.  A cancelled one is dropped when
+    it reaches the head of the queue: it is never run, never counted in
+    ``Simulator.events`` and never moves the clock — a run whose tail is
+    only cancelled timers ends at its last live event.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[], None] | None):
+        self.fn = fn
+
+    def cancel(self) -> None:
+        """Call the timer off (a no-op once it has fired)."""
+        self.fn = None
 
 
 class Task:
@@ -305,6 +328,24 @@ class Simulator:
             raise SimulationError(f"cannot schedule in the past: {time} < {self.now}")
         self.schedule(time - self.now, fn)
 
+    def timer(self, delay: int, fn: Callable[[], None]) -> Timer:
+        """``schedule(delay, fn)`` with a handle whose ``cancel()`` calls it off.
+
+        Same ``seq`` draw and tie-break order as :meth:`schedule`.  The
+        delay must be positive: timers live on the heap only, so the
+        same-cycle ring never has to look for one.
+        """
+        if delay <= 0:
+            raise SimulationError(f"a timer needs a positive delay, got {delay}")
+        timer = Timer(fn)
+        seq = self._seq
+        self._seq = seq + 1
+        if self._jitter is not None:
+            _heappush(self._queue, (self.now + delay, self._jitter.random(), seq, timer))
+        else:
+            _heappush(self._queue, (self.now + delay, seq, timer))
+        return timer
+
     # -- task interface -------------------------------------------------
     def spawn(self, gen: Generator, name: str = "task") -> Task:
         """Register a generator as a task and start it at the current time.
@@ -410,6 +451,7 @@ class Simulator:
         ring = self._ring
         popleft = ring.popleft
         heappop = heapq.heappop
+        timer_cls = Timer
         tasks = self._tasks
         jitter = self._jitter
         trace = self._trace
@@ -429,6 +471,7 @@ class Simulator:
                 # -- next event: the (time, seq) minimum of ring and heap
                 if draining and ring:
                     fn = popleft()[1]
+                    cls = fn.__class__
                 else:
                     draining = from_ring = False
                     if ring:
@@ -445,12 +488,26 @@ class Simulator:
                             break
                         when = queue[0][0]
                     if until is not None and when > until:
+                        if not from_ring:
+                            head = queue[0][-1]
+                            if head.__class__ is timer_cls and head.fn is None:
+                                heappop(queue)  # a dead timer is no reason to stop
+                                continue
                         self.now = until
                         return until
-                    fn = popleft()[1] if from_ring else heappop(queue)[-1]
+                    if from_ring:
+                        fn = popleft()[1]
+                        cls = fn.__class__
+                    else:
+                        fn = heappop(queue)[-1]
+                        cls = fn.__class__
+                        if cls is timer_cls:
+                            fn = fn.fn  # its callback: a plain callable
+                            if fn is None:  # cancelled: as if never scheduled
+                                continue
                     self.now = now = when
                 fired += 1
-                if fn.__class__ is not Task:
+                if cls is not Task:
                     fn()
                     continue
 

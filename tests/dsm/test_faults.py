@@ -27,11 +27,11 @@ import re
 from pathlib import Path
 
 from repro.dsm import FaultPlan, FaultTransport, OneShot, RetryPolicy, StallError, as_transport
-from repro.dsm.transport import Port
+from repro.dsm.transport import Acks, Port
 from repro.dsm.faults import LinkFaults, RetryPort
 from repro.facade import run_spmd
 from repro.machine import Machine, MachineConfig
-from repro.sim import Delay, Simulator
+from repro.sim import Delay, Future, Simulator
 from repro.sim.errors import DeadlockError
 
 N_PROCS = 3
@@ -242,19 +242,6 @@ def test_none_plan_matches_fault_free_results():
     assert wrapped.backend.transport.fault_counts() == {}
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "accounting artefact, pinned not fixed: under any FaultPlan RunResult.time is sim.now "
-        "after the queue drains, which includes the last no-op RetryKit._check timer / recovery "
-        "_tick.  On the armed_idle rows (perf seed 2026) the last proc* task finishes at exactly "
-        "the fault-free cycle — EM3D 203,356 / Water 255,210 / Barnes-Hut 53,170 — while res.time "
-        "reports 206,402 / 260,066 / 58,148 (tails 3,046 / 4,856 / 4,978, always < "
-        "RetryPolicy.timeout = 6000).  The fix is timers that do not hold the clock; "
-        "'time = last task finish' is not a drop-in (76 of 510 fault-free tier-1 runs end "
-        "14-394 cycles after the last task, on in-flight messages).  See DESIGN.md §9."
-    ),
-)
 def test_idle_fault_plan_costs_zero_cycles():
     from repro.apps import barnes_hut, em3d, water
 
@@ -280,12 +267,27 @@ def test_idle_fault_plan_costs_zero_cycles():
 
 
 class _Svc:
-    """A service with one call handler and one notify handler."""
+    """A service with one call, one notify and one fan-out handler."""
 
     def __init__(self, port):
         self.port = port
         self.served: list = []
         self.heard: list = []
+        self.polled: list = []
+        self.held: list = []  # acks of polls it deferred
+        self.answers: list = []  # what its collector heard: (target, value)
+
+    def _on_poll(self, node, src, ack, x):
+        self.polled.append((node.nid, x))
+        if x < 0:
+            self.held.append(ack)  # answered later, like a deferred invalidation
+        else:
+            ack(x * 10, payload_words=3)
+
+    def poll(self, src, targets, x):
+        acks = Acks(lambda target, value: self.answers.append((target, value)), Future(name="polled"))
+        self.port.fan_out(src, targets, self.h_poll, x, acks=acks, payload_words=2, category="svc.poll")
+        return acks
 
     def _on_ask(self, node, src, fut, x):
         self.served.append(x)
@@ -308,6 +310,7 @@ def test_plain_port_is_the_transports_own_methods():
     assert port.serves(handler) is handler
     assert port.idempotent(handler) is handler
     assert port.hears(handler, "svc.ack") is handler
+    assert port.answers(handler, "svc.ack") is handler
 
 
 def _dup_everything():
@@ -370,6 +373,89 @@ def test_retry_port_idempotent_receivers_re_execute():
     assert transport.stats.get("svc.dup_request") == transport.stats.get("svc.replayed_reply") == 0
 
 
+@pytest.mark.parametrize("ack_name", ["_on_poll_ack", None])
+def test_plain_port_fans_out_and_collects_one_answer_per_target(ack_name):
+    sim = Simulator()
+    transport = as_transport(Machine(sim, MachineConfig(n_procs=3)))
+    svc = _Svc(transport.port("svc"))
+    svc.h_poll = svc.port.answers(svc._on_poll, "svc.poll_ack", ack_name)
+    acks = svc.poll(0, [1, 2], 4)
+    assert acks.waiting == [1, 2] and not acks.done.resolved
+    sim.run()
+    assert sorted(svc.polled) == [(1, 4), (2, 4)]
+    assert sorted(svc.answers) == [(1, 40), (2, 40)]  # once per target
+    assert acks.waiting == [] and acks.done.resolved
+    stats = transport.stats
+    assert stats.get("handler._on_poll") == 2
+    # The ack is a counted message under the service's category: a post to
+    # the named collector, or (no name) the reply to the future the post carried.
+    assert stats.get("msg.svc.poll") == 2 and stats.get("msg.svc.poll_ack") == 2
+    assert stats.get("msg.words") == 2 * 2 + 2 * 3
+    assert stats.get("handler._on_poll_ack") == (2 if ack_name else 0)
+
+
+def _spy_on_acks(transport):
+    """Record every raw reply the fabric is asked to send (before the port binds it)."""
+    sent, inner = [], transport.reply
+
+    def reply(fut, value=None, payload_words=0, category="am.reply"):
+        sent.append((category, value, payload_words))
+        inner(fut, value, payload_words=payload_words, category=category)
+
+    transport.reply = reply
+    return sent
+
+
+def test_retry_port_answers_once_and_replays_the_recorded_ack():
+    sim, transport, svc = _dup_everything()
+    sent = _spy_on_acks(transport)
+    svc.port = transport.port("svc")
+    svc.h_poll = svc.port.answers(svc._on_poll, "svc.poll_ack", "_on_poll_ack")
+    assert svc.h_poll.__name__ == "_on_poll_r" and svc.h_poll.__self__ is svc
+    acks = svc.poll(0, [1], 4)
+    sim.run()
+    assert svc.polled == [(1, 4)]  # the duplicate delivery did not re-run the handler
+    assert svc.answers == [(1, 40)] and acks.done.resolved  # ...nor answer the collector twice
+    assert transport.stats.get("handler._on_poll_r") == 2
+    # The duplicate found the request completed: same value, same payload, again.
+    assert sent == [("svc.poll_ack", 40, 3)] * 2
+    assert not transport.kit.pending
+    assert sim.now < transport.retry_policy.timeout  # answered: its retry timer was called off
+
+
+def test_retry_port_drops_duplicates_of_a_deferred_request():
+    sim, transport, svc = _dup_everything()
+    sent = _spy_on_acks(transport)
+    svc.port = transport.port("svc")
+    svc.h_poll = svc.port.answers(svc._on_poll, "svc.poll_ack", "_on_poll_ack")
+    acks = svc.poll(0, [1], -1)
+    sim.run(until=3000)  # both copies delivered; the handler is sitting on the ack
+    assert transport.stats.get("handler._on_poll_r") == 2
+    assert svc.polled == [(1, -1)] and sent == [] and svc.answers == []
+    svc.held.pop()(7, payload_words=2)  # the open access ended
+    sim.run()
+    assert sent == [("svc.poll_ack", 7, 2)]
+    assert svc.answers == [(1, 7)] and acks.done.resolved and not transport.kit.pending
+
+
+def test_sweep_answers_for_a_dead_target_and_the_collector_completes():
+    sim = Simulator()
+    machine = Machine(sim, MachineConfig(n_procs=3))
+    transport = FaultTransport(machine, FaultPlan.crash(2, at=0), on_crash="recover")
+    manager = transport.recovery
+    manager.register_push_categories(("svc.poll",))
+    svc = _Svc(transport.port("svc"))
+    svc.h_poll = svc.port.answers(svc._on_poll, "svc.poll_ack", "_on_poll_ack")
+    acks = svc.poll(0, [1, 2], 4)
+    sim.run(until=2000)  # node 1 answered; node 2 crash-stopped at cycle 0
+    assert svc.answers == [(1, 40)] and acks.waiting == [2]
+    manager._finalize_death(2, 0, sim.now)
+    assert svc.answers == [(1, 40), (2, None)] and acks.done.resolved
+    assert transport.stats.get("recovery.fake_acks") == 1
+    assert not transport.kit.pending
+    assert sim.run() == 2000  # nothing left to retry: no timer holds the clock
+
+
 def test_protocol_ports_keep_the_handlers_own_stat_name():
     _, transport, svc = _dup_everything()
     port = transport.port("proto.X")
@@ -391,10 +477,15 @@ def test_only_the_port_names_the_retry_machinery():
         if pattern.search(line)
     ]
     assert not offenders, "\n".join(offenders)
-    # _install_reliable survives only on the acked fan-out's receive side.
-    installers = [
-        path.relative_to(src).as_posix()
+    # The fan-out is the port's too: no service installs a lossy twin, reads
+    # the fabric's delivery contract, or takes the wire's sequence number.
+    plain = allowed - {src / "dsm" / "recovery.py"} | {src / "dsm" / "transport.py"}
+    twins = re.compile(r"def _install_reliable|\.reliable\b|\bseq=None\b")
+    leaks = [
+        f"{path.relative_to(src)}:{n}: {line.strip()}"
         for path in sorted(src.rglob("*.py"))
-        if path not in allowed and "def _install_reliable" in path.read_text()
+        if path not in plain
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if twins.search(line)
     ]
-    assert installers == ["dsm/regioncache.py"]
+    assert not leaks, "\n".join(leaks)

@@ -393,3 +393,70 @@ def test_default_names_do_not_repeat_after_tasks_finish():
     sim.run()
     assert first == ["task#0", "task#1", "task#2"]
     assert later == ["task#3", "task#4", "task#5"]
+
+
+# -- cancellable timers ------------------------------------------------------
+
+
+def test_cancelled_timer_never_runs_and_is_not_an_event():
+    sim = Simulator()
+    rang = []
+    live = sim.timer(5, lambda: rang.append(("live", sim.now)))
+    dead = sim.timer(3, lambda: rang.append(("dead", sim.now)))
+    dead.cancel()
+    assert sim.run() == 5
+    assert rang == [("live", 5)] and sim.events == 1
+    live.cancel()  # after it fired: a no-op
+    assert sim.run() == 5 and sim.events == 1
+
+
+def test_tail_of_cancelled_timers_does_not_move_the_clock():
+    sim = Simulator()
+
+    def task():
+        guard = sim.timer(6000, lambda: None)
+        yield Delay(40)
+        guard.cancel()
+
+    sim.spawn(task(), name="t")
+    assert sim.run() == 40 and sim.now == 40
+
+
+def test_run_until_neither_stops_at_nor_is_advanced_by_a_cancelled_timer():
+    sim = Simulator()
+    sim.schedule(10, lambda: None)
+    sim.timer(20, lambda: None).cancel()
+    assert sim.run(until=15) == 10  # ran dry at 10: the dead timer at 20 is not "later work"
+    sim.timer(5, lambda: None).cancel()
+    sim.schedule(30, lambda: None)  # due at cycle 40
+    assert sim.run(until=20) == 20  # a live event is
+    assert sim.run() == 40 and sim.events == 2
+
+
+def test_blocked_tasks_behind_cancelled_timers_still_deadlock():
+    sim = Simulator()
+    gate = Future(name="gate")
+
+    def stuck():
+        sim.timer(100, lambda: None).cancel()
+        yield gate
+
+    sim.spawn(stuck(), name="stuck")
+    with pytest.raises(DeadlockError):
+        sim.run()
+    assert sim.now == 0
+
+
+@pytest.mark.parametrize("jitter_seed", [None, 3])
+def test_live_timer_is_schedule_with_a_handle(jitter_seed):
+    def order(arm):
+        sim = Simulator(jitter_seed=jitter_seed)
+        log = []
+        for tag in "abcd":
+            (arm(sim) if tag == "c" else sim.schedule)(7, lambda tag=tag: log.append((tag, sim.now)))
+        sim.run()
+        return log, sim._seq, sim.events
+
+    assert order(lambda sim: sim.timer) == order(lambda sim: sim.schedule)
+    with pytest.raises(SimulationError):
+        Simulator().timer(0, lambda: None)

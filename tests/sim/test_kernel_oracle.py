@@ -5,12 +5,15 @@ indistinguishable from: one heap ordered by ``(time, seq)``, one pop
 per event, no same-cycle ring, no trampoline, no batched drain, no
 in-loop task stepping.  Generated programs — delays (zero, pooled and
 beyond the pool), futures resolved or failed before and after the
-wait, mid-run spawns and joins, plain scheduled callables, ``retire``
-of blocked / queued / finished tasks, a crashing task, deadlocks, and
-``run(until=b)`` split at random bounds — run on both, and the real
+wait, mid-run spawns and joins, plain scheduled callables, timers set
+and cancelled, ``retire`` of blocked / queued / finished tasks, a
+crashing task, deadlocks, and ``run(until=b)`` split at random bounds
+— run on both, and the real
 kernel must match on step order, ``now``, ``events`` and every task's
 result.  Under a ``jitter_seed`` the reference draws the same one
 tie-breaker per ``schedule``, so fuzzed schedules are held to it too.
+A cancelled timer is, to the reference, an entry taken back out of the
+heap: it drew its ``seq`` and is otherwise as if never scheduled.
 """
 
 import heapq
@@ -24,6 +27,7 @@ from repro.sim import DeadlockError, Delay, Future, Simulator
 
 N_FUTURES = 4
 N_TOPS = 3
+N_TIMERS = 3
 
 
 class Boom(Exception):
@@ -39,6 +43,16 @@ class RefTask:
         self.retired = False
 
 
+class RefTimer:
+    def __init__(self, heap, entry):
+        self.heap, self.entry = heap, entry
+
+    def cancel(self):
+        if self.entry in self.heap:  # seq is unique, so == never reaches fn
+            self.heap.remove(self.entry)
+            heapq.heapify(self.heap)
+
+
 class RefSim:
     """Single-heap reference scheduler (see the module docstring)."""
 
@@ -51,8 +65,13 @@ class RefSim:
 
     def schedule(self, delay, fn):
         tie = self._rnd.random() if self._rnd is not None else 0
-        heapq.heappush(self._heap, (self.now + delay, tie, self._seq, fn))
+        entry = (self.now + delay, tie, self._seq, fn)
+        heapq.heappush(self._heap, entry)
         self._seq += 1
+        return entry
+
+    def timer(self, delay, fn):
+        return RefTimer(self._heap, self.schedule(delay, fn))
 
     def spawn(self, gen, name):
         task = RefTask(gen, name)
@@ -148,6 +167,12 @@ def interpret(sim, env, name, script):
         elif kind == "call":
             cid = env["calls"] = env["calls"] + 1
             sim.schedule(op[1], lambda cid=cid: log.append(("callable", cid, sim.now)))
+        elif kind == "timer":
+            tid = env["timers_set"] = env["timers_set"] + 1
+            env["timers"][op[2]] = sim.timer(op[1], lambda tid=tid: log.append(("timer", tid, sim.now)))
+        elif kind == "cancel":
+            if env["timers"][op[1]] is not None:
+                env["timers"][op[1]].cancel()  # live, fired or already cancelled
         elif kind == "retire":
             target = env["tasks"][op[1]]
             if target.name != name:  # a running generator cannot be closed
@@ -163,7 +188,7 @@ def execute(make_sim, program):
     scripts, bounds = program
     sim = make_sim()
     futs = [Future(name=f"f{i}") for i in range(N_FUTURES)]
-    env = {"log": [], "futs": futs, "calls": 0, "tasks": []}
+    env = {"log": [], "futs": futs, "calls": 0, "tasks": [], "timers": [None] * N_TIMERS, "timers_set": 0}
     for i, script in enumerate(scripts):
         env["tasks"].append(sim.spawn(interpret(sim, env, f"t{i}", script), name=f"t{i}"))
     segments = []
@@ -198,6 +223,8 @@ def check(program, jitter_seed=None):
     # short: then none fired twice, and both sides agree on which did)
     fired = [entry[1] for entry in got["log"] if entry[0] == "callable"]
     assert len(fired) == len(set(fired))
+    rang = [entry[1] for entry in got["log"] if entry[0] == "timer"]
+    assert len(rang) == len(set(rang))  # a timer fires at most once
     if got["segments"][-1][0] != "crash":
         assert sorted(fired) == list(range(1, got["calls"] + 1))
     if jitter_seed is not None:
@@ -214,6 +241,8 @@ LEAF_OPS = st.one_of(
     st.tuples(st.just("resolve"), FUTS),
     st.tuples(st.just("fail"), FUTS),
     st.tuples(st.just("call"), st.sampled_from([0, 0, 1, 5])),
+    st.tuples(st.just("timer"), st.sampled_from([1, 1, 2, 5, 600]), st.integers(0, N_TIMERS - 1)),
+    st.tuples(st.just("cancel"), st.integers(0, N_TIMERS - 1)),
 )
 OPS = st.one_of(
     LEAF_OPS,
@@ -293,6 +322,21 @@ FIXED = {
         ],
         [0, 3, 7, 8, 700],
     ),
+    # a live timer ties with a callable and a task resume; cancelled ones sit
+    # under the head, at the head of a split, and alone in the tail
+    "timers_live_and_dead": (
+        [
+            [("timer", 2, 0), ("call", 1), ("timer", 1, 1), ("delay", 1), ("cancel", 0), ("delay", 3)],
+            [("timer", 5, 2), ("delay", 2), ("call", 0), ("timer", 600, 0), ("delay", 1), ("cancel", 0)],
+            [("delay", 4), ("cancel", 2), ("cancel", 1), ("timer", 1, 1)],
+        ],
+        [2, 4, 300],
+    ),
+    # blocked tasks and nothing but cancelled timers left: still a deadlock
+    "deadlock_behind_dead_timer": (
+        [[("timer", 600, 0), ("wait", 0)], [("delay", 2), ("cancel", 0)], []],
+        [],
+    ),
 }
 
 
@@ -311,6 +355,11 @@ def test_fixed_programs_reach_what_they_name():
     )
     assert dict(check(FIXED["retire_each_state"])["results"])["t0"] == "retired"
     assert check(FIXED["trampoline_bound"])["events"] == 3 + 140
+    timers = check(FIXED["timers_live_and_dead"])
+    assert [e[1:] for e in timers["log"] if e[0] == "timer"] == [(2, 1), (5, 5)]
+    assert timers["now"] == 5  # not 603: the cancelled tail never moved the clock
+    dead = check(FIXED["deadlock_behind_dead_timer"])
+    assert dead["segments"][-1] == ("deadlock", [("t0", "f0")]) and dead["now"] == 2
 
 
 @settings(max_examples=60, deadline=None)
