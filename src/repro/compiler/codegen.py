@@ -35,7 +35,9 @@ into ``pending`` and flushes one ``Delay`` right before each runtime
 interaction.  Fusing static costs to segment granularity is safe
 because no flush can occur *inside* a segment — the total pending at
 every flush point is identical, so the yielded ``Delay`` stream (and
-therefore simulated cycles and golden traces) is too.
+therefore simulated cycles and golden traces) is too.  As there, the
+flush is its own ``Delay``, never a ``lead`` on the runtime call that
+follows: ``work(n)`` makes it unbounded (see ``interp.py``).
 """
 
 from __future__ import annotations

@@ -6,6 +6,10 @@ is identical across optimization levels and the Table 4 deltas come
 only from the annotation ops each level leaves behind.  Annotation ops
 call straight into :class:`~repro.core.runtime.AceRuntime`, honouring
 the ``direct`` flag the direct-dispatch pass set.
+
+The flush stays a ``Delay`` of its own, not a ``lead`` on the runtime
+call (DESIGN.md §6, "One charge per access"): ``work(n)`` makes it
+unbounded, and a lead must stay shorter than the shortest message.
 """
 
 from __future__ import annotations

@@ -5,6 +5,12 @@ space via the region→space hash table, then call through the space's
 protocol pointers.  ``direct=True`` on a primitive skips the dispatch
 charge — that is exactly what the compiler's direct-dispatch
 optimization emits when dataflow analysis proves the protocol unique.
+
+``unmap`` and the four access primitives are plain functions that
+*return the protocol's generator*; the dispatch charge travels down as
+the hook's ``lead`` argument and the protocol's first fixed charge
+absorbs it (DESIGN.md §6, "One charge per access"): a hit is one
+kernel event, not two.
 """
 
 from __future__ import annotations
@@ -18,11 +24,14 @@ from repro.protocols.registry import ProtocolRegistry, default_registry
 from repro.sim import Delay
 
 
-def _stale_handle(handle, space: Space) -> ProtocolMisuse:
-    return ProtocolMisuse(
-        f"stale handle for region {handle.region.rid}: space {space.sid} "
-        "changed protocol since it was mapped — re-map after Ace_ChangeProtocol"
-    )
+#: The protocol entry points the runtime hands its dispatch charge to.
+_LED_HOOKS = ("map", "unmap", "start_read", "end_read", "start_write", "end_write")
+
+
+def _takes_lead(hook) -> bool:
+    """Does ``hook`` (a function or bound method) declare a ``lead`` parameter?"""
+    code = getattr(hook, "__code__", None)
+    return code is not None and "lead" in code.co_varnames[: code.co_argcount]
 
 
 class AceRuntime:
@@ -112,6 +121,7 @@ class AceRuntime:
         # Delay singletons for the fixed runtime charges (see sim.kernel:
         # pooled anyway, but a pre-bound attribute also skips __new__).
         self._d_dispatch = Delay(self.config.dispatch_cost)
+        self._lead = self.config.dispatch_cost  # ... or joins the protocol's first charge
         self._d_space_create = Delay(self.config.space_create)
         self._d_gmalloc_extra = Delay(self.config.gmalloc_extra)
         self._d_change_protocol = Delay(self.config.change_protocol)
@@ -141,8 +151,6 @@ class AceRuntime:
         """
         inner_map = self.map
         inner_unmap = self.unmap
-        inner_start_read = self.start_read
-        inner_start_write = self.start_write
         inner_rendezvous = self.rendezvous
         inner_lock = self.lock
         inner_unlock = self.unlock
@@ -156,13 +164,12 @@ class AceRuntime:
             yield from inner_unmap(nid, handle, direct)
             checker.unmapped(nid, handle.region.rid)
 
-        def cstart_read(nid, handle, direct=False):
-            checker.access(nid, handle.region.rid, write=False)
-            yield from inner_start_read(nid, handle, direct)
+        def caccess(inner_start, write):
+            def cstart(nid, handle, direct=False):
+                checker.access(nid, handle.region.rid, write=write)
+                return inner_start(nid, handle, direct)
 
-        def cstart_write(nid, handle, direct=False):
-            checker.access(nid, handle.region.rid, write=True)
-            yield from inner_start_write(nid, handle, direct)
+            return cstart
 
         def crendezvous(nid):
             checker.barrier_arrive(nid)
@@ -178,8 +185,8 @@ class AceRuntime:
 
         self.map = cmap
         self.unmap = cunmap
-        self.start_read = cstart_read
-        self.start_write = cstart_write
+        self.start_read = caccess(self.start_read, write=False)
+        self.start_write = caccess(self.start_write, write=True)
         self.rendezvous = crendezvous
         self.lock = clock
         self.unlock = cunlock
@@ -198,7 +205,7 @@ class AceRuntime:
         self._space_ctr[nid] += 1
         if idx == len(self.spaces):
             space = Space(sid=idx)
-            space.protocol = self.registry.create(protocol_name, self, space)
+            space.protocol = self._create_protocol(protocol_name, space)
             self.spaces.append(space)
             if self._obs is not None:
                 self._obs.emit(self._sim.now, "space.new", nid, -1, idx, protocol_name)
@@ -248,13 +255,39 @@ class AceRuntime:
         yield from self.rendezvous(nid)
         if nid == 0:
             space.pdata = {}
-            space.protocol = self.registry.create(protocol_name, self, space)
+            space.protocol = self._create_protocol(protocol_name, space)
             space.generation += 1
             self._stats.count("ace.change_protocol")
             if self._obs is not None:
                 self._obs.emit(self._sim.now, "space.protocol", nid, -1, sid, protocol_name)
         yield from self.rendezvous(nid)
         yield from space.protocol.init_space(nid)
+
+    def _create_protocol(self, protocol_name: str, space: Space):
+        """Instantiate ``protocol_name`` for ``space``.  A hook that
+        declares no ``lead`` (a user protocol's plain ``(nid, handle)``
+        generators, a table hook bound straight to its one action, the
+        frozen ``protocols/legacy.py``) is wrapped once, here, so the
+        access primitives stay branch-free."""
+        proto = self.registry.create(protocol_name, self, space)
+        for name in _LED_HOOKS:
+            hook = getattr(proto, name)
+            if not _takes_lead(hook):
+                setattr(proto, name, self._charge_then(hook))
+        return proto
+
+    def _charge_then(self, hook):
+        """The charge rule in its general form: the lead (this runtime's
+        dispatch) as a ``Delay`` of its own, then ``hook`` — what a hook
+        that absorbs its lead must equal, cycle for cycle (the oracle of
+        ``tests/core/test_access_charges.py``)."""
+
+        def led(nid, arg, lead=0):
+            if lead:
+                yield self._d_dispatch
+            return (yield from hook(nid, arg))
+
+        return led
 
     def barrier(self, nid: int, sid: int):
         """Generator: ``Ace_Barrier(space)`` — the space's protocol barrier."""
@@ -285,10 +318,9 @@ class AceRuntime:
     def map(self, nid: int, rid: int, direct: bool = False):
         """Generator: ``ACE_MAP`` — region id → local handle."""
         space = self._space_of_rid(rid)
-        if not direct and not space.protocol.spec.hardware:
-            yield self._d_dispatch
         self._counts["ace.map"] += 1
-        handle = yield from space.protocol.map(nid, rid)
+        proto = space.protocol
+        handle = yield from proto.map(nid, rid, self._lead if proto.soft and not direct else 0)
         meta = handle.meta
         meta["ace_gen"] = space.generation
         # Cache the region→space resolution on the handle: §4.1's hash
@@ -296,73 +328,55 @@ class AceRuntime:
         meta["ace_space"] = space
         return handle
 
+    # Plain functions from here on (module docstring).  Every shared
+    # access in the system funnels through the four access primitives,
+    # so they inline the space lookup rather than share a helper.
     def unmap(self, nid: int, handle, direct: bool = False):
-        """Generator: ``ACE_UNMAP``."""
+        """``ACE_UNMAP`` (returns the protocol's generator)."""
         space = self._space_of_handle(handle)
-        if not direct and not space.protocol.spec.hardware:
-            yield self._d_dispatch
         self._counts["ace.unmap"] += 1
-        yield from space.protocol.unmap(nid, handle)
+        proto = space.protocol
+        return proto.unmap(nid, handle, self._lead if proto.soft and not direct else 0)
 
-    # The four access primitives below inline ``_dispatch`` (and fetch
-    # ``space.protocol`` once): every shared access in the system funnels
-    # through them, so one saved call and attribute probe each is a
-    # measurable slice of fig7a/fig7b wall time.
     def start_read(self, nid: int, handle, direct: bool = False):
-        """Generator: ``ACE_START_READ``."""
+        """``ACE_START_READ`` (returns the protocol's generator)."""
         meta = handle.meta
-        space = meta.get("ace_space")
-        if space is None:
-            space = self._space_of_rid(handle.region.rid)
-        if meta.get("ace_gen") != space.generation:
-            raise _stale_handle(handle, space)
+        space = meta.get("ace_space")  # stamped, with ace_gen, by map
+        if space is None or meta["ace_gen"] != space.generation:
+            raise self._stale_handle(handle)
         self._counts["ace.start_read"] += 1
         proto = space.protocol
-        if proto.soft and not direct:
-            yield self._d_dispatch
-        yield from proto.start_read(nid, handle)
+        return proto.start_read(nid, handle, self._lead if proto.soft and not direct else 0)
 
     def end_read(self, nid: int, handle, direct: bool = False):
-        """Generator: ``ACE_END_READ``."""
+        """``ACE_END_READ`` (returns the protocol's generator)."""
         meta = handle.meta
         space = meta.get("ace_space")
-        if space is None:
-            space = self._space_of_rid(handle.region.rid)
-        if meta.get("ace_gen") != space.generation:
-            raise _stale_handle(handle, space)
+        if space is None or meta["ace_gen"] != space.generation:
+            raise self._stale_handle(handle)
         self._counts["ace.end_read"] += 1
         proto = space.protocol
-        if proto.soft and not direct:
-            yield self._d_dispatch
-        yield from proto.end_read(nid, handle)
+        return proto.end_read(nid, handle, self._lead if proto.soft and not direct else 0)
 
     def start_write(self, nid: int, handle, direct: bool = False):
-        """Generator: ``ACE_START_WRITE``."""
+        """``ACE_START_WRITE`` (returns the protocol's generator)."""
         meta = handle.meta
         space = meta.get("ace_space")
-        if space is None:
-            space = self._space_of_rid(handle.region.rid)
-        if meta.get("ace_gen") != space.generation:
-            raise _stale_handle(handle, space)
+        if space is None or meta["ace_gen"] != space.generation:
+            raise self._stale_handle(handle)
         self._counts["ace.start_write"] += 1
         proto = space.protocol
-        if proto.soft and not direct:
-            yield self._d_dispatch
-        yield from proto.start_write(nid, handle)
+        return proto.start_write(nid, handle, self._lead if proto.soft and not direct else 0)
 
     def end_write(self, nid: int, handle, direct: bool = False):
-        """Generator: ``ACE_END_WRITE``."""
+        """``ACE_END_WRITE`` (returns the protocol's generator)."""
         meta = handle.meta
         space = meta.get("ace_space")
-        if space is None:
-            space = self._space_of_rid(handle.region.rid)
-        if meta.get("ace_gen") != space.generation:
-            raise _stale_handle(handle, space)
+        if space is None or meta["ace_gen"] != space.generation:
+            raise self._stale_handle(handle)
         self._counts["ace.end_write"] += 1
         proto = space.protocol
-        if proto.soft and not direct:
-            yield self._d_dispatch
-        yield from proto.end_write(nid, handle)
+        return proto.end_write(nid, handle, self._lead if proto.soft and not direct else 0)
 
     # ------------------------------------------------------------------
     # services used by protocols
@@ -391,6 +405,13 @@ class AceRuntime:
         if space is not None:
             return space
         return self._space_of_rid(handle.region.rid)
+
+    def _stale_handle(self, handle) -> ProtocolMisuse:
+        space = self._space_of_handle(handle)  # raises for a region no space owns
+        return ProtocolMisuse(
+            f"stale handle for region {handle.region.rid}: space {space.sid} "
+            "changed protocol since it was mapped — re-map after Ace_ChangeProtocol"
+        )
 
     def space_protocol(self, sid: int) -> str:
         """Name of the protocol currently bound to ``sid`` (for tests/tools)."""

@@ -11,6 +11,12 @@ All public operations are generators to be driven by a node's task
 table's cycles and perform whatever communication the directory state
 requires, through the transport.
 
+``map``/``unmap`` and the four access hooks take a ``lead``: cycles
+the caller owes for its own bookkeeping (the Ace runtime's dispatch;
+CRL passes none).  The hook's first fixed charge absorbs them into one
+``Delay``, yielded before the hook reads anything a handler can
+change: the caller's charge costs no kernel event (DESIGN.md §6).
+
 Hot-path notes: the collaborator operations this layer needs per
 access (copy tables, directory entry lookup, transport rpc/post) are
 bound as instance attributes at construction, so the hit path performs
@@ -31,6 +37,7 @@ from repro.dsm.transport import Transport
 from repro.machine.stats import intern_key
 from repro.memory import RegionCopy
 from repro.sim import Delay, Future
+from repro.sim.kernel import _DELAY_POOL as _POOL, _DELAY_POOL_SIZE as _POOL_SIZE
 
 
 class ProtocolHooks:
@@ -101,14 +108,16 @@ class ProtocolHooks:
         self._k_map_hit = intern_key(p, "map_hit")
         self._k_unmap = intern_key(p, "unmap")
         # Delay singletons per cost-table entry: the dominant yields of
-        # every access allocate and validate nothing.
+        # every access allocate and validate nothing.  The charges a
+        # lead can join are (validated) cycle counts: lead + cost indexes
+        # the kernel's Delay pool.
         self._d_create = Delay(costs.create)
-        self._d_map_hit = Delay(costs.map_hit)
-        self._d_map_cold = Delay(costs.map_cold)
-        self._d_unmap = Delay(costs.unmap)
-        self._d_start_hit = Delay(costs.start_hit)
+        self._c_map_hit = Delay(costs.map_hit).cycles
+        self._c_map_cold = Delay(costs.map_cold).cycles
+        self._c_unmap = Delay(costs.unmap).cycles
+        self._c_start_hit = Delay(costs.start_hit).cycles
         self._d_start_miss = Delay(costs.start_miss)
-        self._d_end_op = Delay(costs.end_op)
+        self._c_end_op = Delay(costs.end_op).cycles
         self._d_flush = Delay(costs.flush)
         # Home-side handlers, as the directory's stable wire bindings;
         # the home's own misses call the plain handlers in place (a
@@ -136,21 +145,17 @@ class ProtocolHooks:
         path.  The probe charges no cycles.
         """
         self._checker = checker
-        inner_start_read = self.start_read
-        inner_start_write = self.start_write
 
-        def start_read(nid, copy):
-            if copy.meta["map_count"] <= 0:
-                checker.unmapped_use(nid, copy.rid, where="coherence start_read")
-            yield from inner_start_read(nid, copy)
+        def checked(inner_start, where):
+            def start(nid, copy, lead=0):
+                if copy.meta["map_count"] <= 0:
+                    checker.unmapped_use(nid, copy.rid, where=where)
+                return inner_start(nid, copy, lead)
 
-        def start_write(nid, copy):
-            if copy.meta["map_count"] <= 0:
-                checker.unmapped_use(nid, copy.rid, where="coherence start_write")
-            yield from inner_start_write(nid, copy)
+            return start
 
-        self.start_read = start_read
-        self.start_write = start_write
+        self.start_read = checked(self.start_read, "coherence start_read")
+        self.start_write = checked(self.start_write, "coherence start_write")
 
     # ------------------------------------------------------------------
     # helpers
@@ -179,14 +184,14 @@ class ProtocolHooks:
             self._trace_state(nid, region.rid, self._home_state)
         return region.rid
 
-    def map(self, nid: int, rid: int):
+    def map(self, nid: int, rid: int, lead: int = 0):
         """Generator: map ``rid`` on node ``nid``; returns the RegionCopy."""
-        copy = self._copies[nid].get(rid)
+        copy = self._copies[nid].get(rid)  # only this node's own task installs copies
         if copy is not None:
-            yield self._d_map_hit
+            yield _POOL[c] if (c := lead + self._c_map_hit) < _POOL_SIZE else Delay(c)
             self._counts[self._k_map_hit] += 1
         else:
-            yield self._d_map_cold
+            yield _POOL[c] if (c := lead + self._c_map_cold) < _POOL_SIZE else Delay(c)
             region = self.regions.get(rid)
             if region.home != nid and self.costs.map_needs_lookup:
                 # CRL-style: learn the region's metadata from its home.
@@ -204,13 +209,13 @@ class ProtocolHooks:
         copy.mapped = True
         return copy
 
-    def unmap(self, nid: int, copy: RegionCopy):
+    def unmap(self, nid: int, copy: RegionCopy, lead: int = 0):
         """Generator: unmap; the copy stays cached (unmapped-region cache)."""
         if copy.meta["map_count"] <= 0:
             raise ProtocolError(f"unmap of unmapped region {copy.rid} on node {nid}")
         if copy.meta["read_count"] or copy.meta["write_count"]:
             raise ProtocolError(f"unmap of region {copy.rid} with open accesses on node {nid}")
-        yield self._d_unmap
+        yield _POOL[c] if (c := lead + self._c_unmap) < _POOL_SIZE else Delay(c)
         copy.meta["map_count"] -= 1
         copy.mapped = copy.meta["map_count"] > 0
         self._counts[self._k_unmap] += 1
@@ -218,10 +223,10 @@ class ProtocolHooks:
     # ------------------------------------------------------------------
     # read / write entry points (called from node tasks)
     # ------------------------------------------------------------------
-    def start_read(self, nid: int, copy: RegionCopy):
+    def start_read(self, nid: int, copy: RegionCopy, lead: int = 0):
         """Generator: acquire a readable copy (blocks on a miss)."""
         region = copy.region
-        yield self._d_start_hit
+        yield _POOL[c] if (c := lead + self._c_start_hit) < _POOL_SIZE else Delay(c)
         # The directory entry is cached on the copy itself (it is
         # created once per region and never replaced), so the hot path
         # here (and in the other three access primitives) is a single
@@ -273,12 +278,12 @@ class ProtocolHooks:
             self._send_grant_ack(nid, region)
         meta["read_count"] += 1
 
-    def end_read(self, nid: int, copy: RegionCopy):
+    def end_read(self, nid: int, copy: RegionCopy, lead: int = 0):
         """Generator: release a read; may fire deferred invalidations."""
         meta = copy.meta
         if meta["read_count"] <= 0:
             raise ProtocolError(f"end_read without start_read on region {copy.rid} node {nid}")
-        yield self._d_end_op
+        yield _POOL[c] if (c := lead + self._c_end_op) < _POOL_SIZE else Delay(c)
         meta["read_count"] -= 1
         if copy.state == self._home_state:
             key = self._key
@@ -291,10 +296,10 @@ class ProtocolHooks:
         elif meta["read_count"] == 0:
             self._fire_deferred(copy)
 
-    def start_write(self, nid: int, copy: RegionCopy):
+    def start_write(self, nid: int, copy: RegionCopy, lead: int = 0):
         """Generator: acquire an exclusive copy (blocks until granted)."""
         region = copy.region
-        yield self._d_start_hit
+        yield _POOL[c] if (c := lead + self._c_start_hit) < _POOL_SIZE else Delay(c)
         meta = copy.meta
         key = self._key
         ent = meta.get(key)
@@ -338,12 +343,12 @@ class ProtocolHooks:
             self._send_grant_ack(nid, region)
         meta["write_count"] += 1
 
-    def end_write(self, nid: int, copy: RegionCopy):
+    def end_write(self, nid: int, copy: RegionCopy, lead: int = 0):
         """Generator: release a write (copy stays dirty-exclusive; lazy write-back)."""
         meta = copy.meta
         if meta["write_count"] <= 0:
             raise ProtocolError(f"end_write without start_write on region {copy.rid} node {nid}")
-        yield self._d_end_op
+        yield _POOL[c] if (c := lead + self._c_end_op) < _POOL_SIZE else Delay(c)
         meta["write_count"] -= 1
         if copy.state == self._home_state:
             key = self._key

@@ -23,6 +23,7 @@ import numpy as np
 from repro.memory import Region
 from repro.sim import Delay
 from repro.sim.errors import SimulationError
+from repro.sim.kernel import _DELAY_POOL as _POOL, _DELAY_POOL_SIZE as _POOL_SIZE
 from repro.spec.table import HOOK_EVENTS, KEEP, WILDCARD, ProtocolTable, TableError
 
 
@@ -112,6 +113,12 @@ class Protocol:
     task; the base implementations charge nothing and do nothing, so a
     subclass only pays for what it customizes.
 
+    ``map``/``unmap`` and the four access hooks may declare a third
+    parameter, ``lead``: the runtime's dispatch cycles, which the hook
+    adds to its own first fixed charge (one kernel event per access,
+    not two — DESIGN.md §6).  A hook written as plain ``(nid, handle)``
+    still works: the runtime then yields its dispatch ``Delay`` itself.
+
     Parameters
     ----------
     runtime:
@@ -179,27 +186,14 @@ class Protocol:
         """Translate a region id to a local handle (may fetch data)."""
         raise NotImplementedError
 
-    def unmap(self, nid: int, handle):
-        """Release a mapping (cached data may be retained)."""
-        return
-        yield  # pragma: no cover - makes this a generator
+    # -- unmap and the access hooks ------------------------------------------
+    def _null_hook(self, nid: int, handle, lead: int = 0):
+        """A null hook: nothing happens but the caller's ``lead``, and
+        without one (direct dispatch, a hardware protocol) the call
+        builds no generator at all."""
+        return self._charge(lead) if lead else ()
 
-    # -- access hooks -------------------------------------------------------
-    def start_read(self, nid: int, handle):
-        return
-        yield  # pragma: no cover - makes this a generator
-
-    def end_read(self, nid: int, handle):
-        return
-        yield  # pragma: no cover - makes this a generator
-
-    def start_write(self, nid: int, handle):
-        return
-        yield  # pragma: no cover - makes this a generator
-
-    def end_write(self, nid: int, handle):
-        return
-        yield  # pragma: no cover - makes this a generator
+    unmap = start_read = end_read = start_write = end_write = _null_hook
 
     # -- synchronization hooks -----------------------------------------------
     def barrier(self, nid: int):
@@ -234,7 +228,7 @@ class Protocol:
     # -- helpers for subclasses ------------------------------------------------
     def _charge(self, cycles: int):
         """Generator: charge handler work to the calling task."""
-        yield Delay(cycles)
+        yield _POOL[cycles] if 0 <= cycles < _POOL_SIZE else Delay(cycles)
 
 
 class TableProtocol(Protocol):
@@ -253,7 +247,8 @@ class TableProtocol(Protocol):
     Dispatch semantics, chosen to be cycle-compatible with the
     hand-written hooks they replaced:
 
-    1. charge the event's *entry cost* (``table.entry_costs``), if any;
+    1. charge the event's *entry cost* (``table.entry_costs``) plus the
+       caller's ``lead``, if any, as one ``Delay``;
     2. read the copy's current state (after the entry charge — a
        concurrent handler may have moved it during those cycles);
     3. first matching row wins: explicit-state rows in definition
@@ -262,10 +257,13 @@ class TableProtocol(Protocol):
     4. charge the row's cost, run its actions in order, then apply the
        ``next`` state.
 
-    Events with no rows inherit the base class's null hooks.  A
-    single-row event with no state filter, guard, costs, or state
-    change binds its action *directly* as the hook — the interpreter
-    adds zero frames on such paths.
+    An event whose only row is an unguarded wildcard reads nothing
+    between steps 1 and 4, so its entry cost, row cost and lead are a
+    single charge.  Events with no rows inherit the base class's null
+    hooks.  A single-row event with no state filter, guard, costs, or
+    state change binds its action *directly* as the hook — the
+    interpreter adds zero frames on such paths (the action takes no
+    ``lead``, so there the runtime charges its dispatch itself).
     """
 
     #: the declarative core; subclasses must override.
@@ -302,31 +300,34 @@ class TableProtocol(Protocol):
             ) from None
 
     def _compile_hook(self, tbl: ProtocolTable, event: str, rows):
-        entry = tbl.entry_costs.get(event, 0)
-        d_entry = Delay(entry) if entry else None
+        first = tbl.entry_costs.get(event, 0)
         ordered = [t for t in rows if t.state != WILDCARD] + [
             t for t in rows if t.state == WILDCARD
         ]
+        # A lone unguarded wildcard row is always taken and nothing is
+        # read before its cost: it is one charge with the entry cost.
+        row = ordered[0]
+        lone = len(ordered) == 1 and row.state == WILDCARD and not row.guard
+        if lone:
+            first += row.cost
         compiled = tuple(
             (
                 None if t.state == WILDCARD else t.state,
                 self._resolve("g_", t.guard) if t.guard else None,
-                Delay(t.cost) if t.cost else None,
+                Delay(t.cost) if t.cost and not lone else None,
                 tuple(self._resolve("act_", a) for a in t.actions),
                 None if t.next == KEEP else t.next,
             )
             for t in ordered
         )
-        if d_entry is None and len(compiled) == 1:
-            state, guard, delay, acts, nxt = compiled[0]
-            if state is None and guard is None and delay is None and nxt is None and len(acts) == 1:
-                return acts[0]  # the action generator IS the hook
+        if lone and not first and row.next == KEEP and len(row.actions) == 1:
+            return compiled[0][3][0]  # the action generator IS the hook
 
-        def hook(nid, handle, _entry=d_entry, _rows=compiled):
-            if _entry is not None:
-                yield _entry
+        def hook(nid, handle, lead=0):
+            if c := lead + first:
+                yield _POOL[c] if c < _POOL_SIZE else Delay(c)
             st = handle.state
-            for state, guard, delay, acts, nxt in _rows:
+            for state, guard, delay, acts, nxt in compiled:
                 if state is not None and st != state:
                     continue
                 if guard is not None and not guard(nid, handle):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.memory import RegionCopy
-from repro.protocols.base import Protocol, TableProtocol
+from repro.protocols.base import _POOL, _POOL_SIZE, Protocol, TableProtocol
 from repro.sim import Delay
 
 
@@ -49,23 +49,24 @@ class CachedCopyProtocol(Protocol):
         self._post = port.post
         self._reply = port.reply
         self._h_fetch = port.idempotent(self._on_fetch)
+        self._d_create = Delay(self.CREATE_COST)
 
     # -- data management ----------------------------------------------
     def create(self, nid: int, size: int):
-        yield Delay(self.CREATE_COST)
+        yield self._d_create
         region = self.regions.alloc(home=nid, size=size)
         self._install(nid, region)
         self._count("create")
         return region.rid
 
-    def map(self, nid: int, rid: int):
-        copy = self._copies[nid].get(rid)
+    def map(self, nid: int, rid: int, lead: int = 0):
+        copy = self._copies[nid].get(rid)  # only this node's own task installs copies
         if copy is not None:
-            yield Delay(self.MAP_HIT_COST)
+            yield _POOL[c] if (c := lead + self.MAP_HIT_COST) < _POOL_SIZE else Delay(c)
             self._count("map_hit")
             copy.mapped = True
             return copy
-        yield Delay(self.MAP_COLD_COST)
+        yield _POOL[c] if (c := lead + self.MAP_COLD_COST) < _POOL_SIZE else Delay(c)
         region = self.regions.get(rid)
         copy = self._install(nid, region)
         if nid != region.home:
@@ -88,8 +89,8 @@ class CachedCopyProtocol(Protocol):
         copy.mapped = True
         return copy
 
-    def unmap(self, nid: int, handle):
-        yield Delay(self.UNMAP_COST)
+    def unmap(self, nid: int, handle, lead: int = 0):
+        yield _POOL[c] if (c := lead + self.UNMAP_COST) < _POOL_SIZE else Delay(c)
         handle.mapped = False
 
     def _install(self, nid: int, region) -> RegionCopy:

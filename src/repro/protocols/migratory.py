@@ -31,7 +31,7 @@ from collections import deque
 import numpy as np
 
 from repro.memory import RegionCopy
-from repro.protocols.base import ProtocolSpec, TableProtocol
+from repro.protocols.base import _POOL, _POOL_SIZE, ProtocolSpec, TableProtocol
 from repro.protocols.registry import default_registry
 from repro.sim import Delay, Future
 from repro.spec import ProtocolTable, Transition
@@ -102,6 +102,8 @@ class MigratoryProtocol(TableProtocol):
 
     CREATE_COST = MIGRATORY_TABLE.cost("create")
     MAP_COST = MIGRATORY_TABLE.cost("map")
+    UNMAP_COST = MIGRATORY_TABLE.cost("unmap")
+    RELEASE_COST = MIGRATORY_TABLE.cost("release")
     START_HIT_COST = MIGRATORY_TABLE.cost("start_hit")
     MISS_COST = MIGRATORY_TABLE.cost("miss")
 
@@ -110,6 +112,7 @@ class MigratoryProtocol(TableProtocol):
         self._copies: list[dict[int, RegionCopy]] = [dict() for _ in range(self.transport.n_procs)]
         # home-side: rid -> {"loc": nid, "busy": bool, "queue": deque}
         self._dir: dict[int, dict] = {}
+        self._d_create = Delay(self.CREATE_COST)
 
     # -- lifecycle ---------------------------------------------------------
     def init_space(self, nid: int):
@@ -132,7 +135,7 @@ class MigratoryProtocol(TableProtocol):
 
     # -- data management -------------------------------------------------
     def create(self, nid: int, size: int):
-        yield Delay(self.CREATE_COST)
+        yield self._d_create
         region = self.regions.alloc(home=nid, size=size)
         copy = RegionCopy(region, nid)
         copy.data = region.home_data
@@ -143,22 +146,20 @@ class MigratoryProtocol(TableProtocol):
         self._dir[region.rid] = {"loc": nid, "busy": False, "queue": deque()}
         return region.rid
 
-    def map(self, nid: int, rid: int):
+    def map(self, nid: int, rid: int, lead: int = 0):
         copy = self._copies[nid].get(rid)
+        yield _POOL[c] if (c := lead + self.MAP_COST) < _POOL_SIZE else Delay(c)
         if copy is None:
-            yield Delay(self.MAP_COST)
             region = self.regions.get(rid)
             copy = RegionCopy(region, nid)
             copy.meta["use"] = 0
             copy.meta["deferred"] = []
             self._copies[nid][rid] = copy
-        else:
-            yield Delay(self.MAP_COST)
         copy.mapped = True
         return copy
 
-    def unmap(self, nid: int, handle):
-        yield Delay(self.table.cost("unmap"))
+    def unmap(self, nid: int, handle, lead: int = 0):
+        yield _POOL[c] if (c := lead + self.UNMAP_COST) < _POOL_SIZE else Delay(c)
         handle.mapped = False
 
     # -- guards / actions (table-referenced) --------------------------------
@@ -200,10 +201,10 @@ class MigratoryProtocol(TableProtocol):
         return
         yield  # pragma: no cover - makes this a generator
 
-    def end_read(self, nid: int, handle):
+    def end_read(self, nid: int, handle, lead: int = 0):
         # Registered null (see module docstring) — kept imperative, not
         # a table row, but identical to the end_write release path.
-        yield Delay(self.table.cost("release"))
+        yield _POOL[c] if (c := lead + self.RELEASE_COST) < _POOL_SIZE else Delay(c)
         yield from self.act_release(nid, handle)
 
     # -- home side (handler context) ----------------------------------------

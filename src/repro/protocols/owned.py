@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.dsm.transport import Acks
 from repro.memory import RegionCopy
-from repro.protocols.base import ProtocolSpec, TableProtocol
+from repro.protocols.base import _POOL, _POOL_SIZE, ProtocolSpec, TableProtocol
 from repro.protocols.registry import default_registry
 from repro.sim import Delay, Future
 from repro.spec import ProtocolTable, Transition
@@ -254,6 +254,7 @@ class OwnedProtocol(TableProtocol):
 
     CREATE_COST = OWNED_TABLE.cost("create")
     MAP_COST = OWNED_TABLE.cost("map")
+    UNMAP_COST = OWNED_TABLE.cost("unmap")
 
     #: Futures that must be granted remote-style even though their
     #: source is the region's home: after re-homing, a survivor can be
@@ -297,6 +298,7 @@ class OwnedProtocol(TableProtocol):
         # retransmitted and replayed like any remote request's — a bare
         # local future would hang.
         self._home_in_place = not port.lossy or self._recovery is not None
+        self._d_create = Delay(self.CREATE_COST)
         if self._recovery is not None:
             self._wire_calls = port.open_calls
 
@@ -345,14 +347,14 @@ class OwnedProtocol(TableProtocol):
 
     # -- data management ---------------------------------------------------
     def create(self, nid: int, size: int):
-        yield Delay(self.CREATE_COST)
+        yield self._d_create
         region = self.regions.alloc(home=nid, size=size)
         self._install_home(nid, region)
         self._count("create")
         return region.rid
 
-    def map(self, nid: int, rid: int):
-        yield Delay(self.MAP_COST)
+    def map(self, nid: int, rid: int, lead: int = 0):
+        yield _POOL[c] if (c := lead + self.MAP_COST) < _POOL_SIZE else Delay(c)
         copy = self._copies[nid].get(rid)
         if copy is None:
             region = self.regions.get(rid)
@@ -363,8 +365,8 @@ class OwnedProtocol(TableProtocol):
         copy.mapped = True
         return copy
 
-    def unmap(self, nid: int, handle):
-        yield Delay(self.table.cost("unmap"))
+    def unmap(self, nid: int, handle, lead: int = 0):
+        yield _POOL[c] if (c := lead + self.UNMAP_COST) < _POOL_SIZE else Delay(c)
         handle.mapped = False
 
     def _install_home(self, nid: int, region) -> RegionCopy:

@@ -94,13 +94,14 @@ class RaceDetectProtocol(CachedTableProtocol):
         self._agg: dict = {}
         #: confirmed races: (epoch, rid, readers, writers)
         self.races: list = []
+        self._d_record = Delay(self.RECORD_COST)
 
     # -- guards / instrumentation actions ---------------------------------
     def g_epoch_stale_remote(self, nid: int, handle) -> bool:
         return handle.meta.get("epoch") != self._epoch[nid] and handle.region.home != nid
 
     def _touch(self, nid: int, handle, kind: str):
-        yield Delay(self.RECORD_COST)
+        yield self._d_record
         rec = self._touched[nid].setdefault(handle.region.rid, {"r": False, "w": False})
         rec[kind] = True
 

@@ -103,6 +103,7 @@ class StaticUpdateProtocol(CachedTableProtocol):
         super().__init__(runtime, space)
         self._sharers: dict[int, set[int]] = {}
         self._dirty: list[set[int]] = [set() for _ in range(self.transport.n_procs)]
+        self._d_push_setup = Delay(self.PUSH_SETUP_COST)
         # A delayed duplicate of a previous barrier's push must not
         # overwrite this barrier's data: heard once, always re-acked.
         self._h_push = self.port.answers(
@@ -142,7 +143,7 @@ class StaticUpdateProtocol(CachedTableProtocol):
                 continue
             pushes.append((region, targets))
         if pushes:
-            yield Delay(self.PUSH_SETUP_COST)
+            yield self._d_push_setup
             acks = Acks(done=Future(name=f"su:barrier@{nid}"))
             for region, targets in pushes:
                 self._count("push", len(targets))

@@ -14,6 +14,10 @@ Regenerate (only when an *intentional* semantic change is made)::
 
     PYTHONPATH=src python -m repro.verify.golden tests/verify/golden_traces.json
 
+Before overwriting, it prints which top-level keys of each case stayed
+the same and which changed: paste that table where the re-pin is
+recorded (CHANGES.md), so no ``time`` or ``stats`` moves unnoticed.
+
 Task names are normalized by stripping the ``~<n>`` duplicate-name
 suffix :meth:`~repro.sim.kernel.Simulator.spawn` appends, so the
 spawn-collision fix does not perturb the fingerprint.
@@ -246,11 +250,26 @@ def capture_all() -> dict:
     return {name: make() for name, make in CASES.items()}
 
 
+def changed_keys(stored, fresh) -> list[str]:
+    """Top-level keys on which a stored fingerprint and a fresh one differ."""
+    if not (isinstance(stored, dict) and isinstance(fresh, dict)):
+        return [] if stored == fresh else ["*"]
+    return sorted(k for k in set(stored) | set(fresh) if stored.get(k) != fresh.get(k))
+
+
 if __name__ == "__main__":  # pragma: no cover - regeneration entry point
     import sys
+    from pathlib import Path
 
-    path = sys.argv[1] if len(sys.argv) > 1 else "tests/verify/golden_traces.json"
+    path = Path(sys.argv[1] if len(sys.argv) > 1 else "tests/verify/golden_traces.json")
     data = capture_all()
+    stored = json.loads(path.read_text()) if path.exists() else {}
+    # What the overwrite moves, case by case: a deliberate re-pin pastes this.
+    print("| case | same | changed |\n|---|---|---|")
+    for name in sorted(data):
+        changed = changed_keys(stored.get(name), data[name])
+        same = sorted(set(data[name]) - set(changed)) if name in stored else []
+        print(f"| `{name}` | {', '.join(same) or '-'} | {', '.join(changed) or '-'} |")
     with open(path, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -103,12 +103,11 @@ def test_to_dict_is_json_shaped():
     assert set(d["what_if"]) == set(WHAT_IF_PRESETS)
 
 
-def test_tolerates_wrapped_ring():
-    # Satellite regression: with a tiny ring most causal parents are
+def test_tolerates_wrapped_ring(wrapped_trace_run):
+    # Satellite regression: with a wrapped ring causal parents are
     # evicted; extraction must skip those edges, count them, and still
     # return a bounded path over the surviving suffix.
-    res, buf = trace_run("TSP", "SC", n_procs=4, capacity=256)
-    assert buf.dropped > 0
+    res, buf = wrapped_trace_run("TSP", "SC", n_procs=4)
     cp = critical_path(buf, res.time)
     assert cp.orphaned_edges > 0
     assert 0 <= cp.length <= res.time

@@ -155,12 +155,11 @@ def test_ring_overflow_reported(tmp_path):
     assert header["trace"]["dropped"] == buf.dropped
 
 
-def test_perfetto_tolerates_wrapped_ring(tmp_path):
+def test_perfetto_tolerates_wrapped_ring(tmp_path, wrapped_trace_run):
     # Regression: a wrapped ring leaves msg.recv / rpc.return events
     # whose causal parent was evicted; the exporter must skip the flow
     # arrow / slice and count the orphan instead of KeyError-ing.
-    res, buf = trace_run("TSP", "SC", n_procs=4, capacity=256)
-    assert buf.dropped > 0
+    res, buf = wrapped_trace_run("TSP", "SC", n_procs=4)
     path = tmp_path / "wrapped.perfetto.json"
     to_perfetto(buf, path)
     doc = json.loads(path.read_text())
@@ -185,10 +184,10 @@ def test_orphaned_edges_zero_without_drops(tsp_run):
     assert s["orphaned_edges"] == 0
 
 
-def test_orphaned_edges_counted_in_summary():
+def test_orphaned_edges_counted_in_summary(wrapped_trace_run):
     from repro.obs import orphaned_edges
 
-    res, buf = trace_run("TSP", "SC", n_procs=2, capacity=64)
+    res, buf = wrapped_trace_run("TSP", "SC", n_procs=2)
     n = orphaned_edges(buf)
     assert n > 0
     assert run_summary(res, buf)["orphaned_edges"] == n

@@ -149,9 +149,10 @@ def test_violating_seed_is_replayable():
     assert r1.time == r2.time
     assert r1.results == r2.results
     r3 = run_spmd(factory(), backend="ace", n_procs=4, jitter_seed=8)
-    # different seed: same answer (the protocol is correct), often
-    # different schedule; we only require determinism per seed
-    assert r3.results == r1.results
+    # different seed: same answer (the protocol is correct), often a
+    # different schedule — each node's ``seen`` tuple is the order it
+    # won the lock in, so only the totals are comparable across seeds
+    assert [total for total, _ in r3.results] == [total for total, _ in r1.results]
 
 
 def test_report_summary_strings():

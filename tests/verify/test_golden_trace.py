@@ -30,12 +30,15 @@ def test_golden_case_matches_seed_kernel(case):
     got = golden.CASES[case]()
     want = _STORED[case]
     if got != want:
-        diff = {
-            k: (want.get(k), got.get(k))
-            for k in set(want) | set(got)
-            if want.get(k) != got.get(k)
-        } if isinstance(want, dict) and isinstance(got, dict) else (want, got)
+        diff = {k: (want.get(k), got.get(k)) for k in golden.changed_keys(want, got)}
         pytest.fail(f"golden mismatch in {case}: {diff}")
+
+
+def test_changed_keys_names_what_a_regeneration_would_move():
+    stored = {"time": 5, "n_trace": 9, "stats": {"a": 1}}
+    assert golden.changed_keys(stored, dict(stored)) == []
+    assert golden.changed_keys(stored, {**stored, "n_trace": 7, "extra": 0}) == ["extra", "n_trace"]
+    assert golden.changed_keys(None, stored) == ["*"]
 
 
 def test_no_stale_stored_cases():
