@@ -12,11 +12,11 @@ records, per suite:
 * ``wall_s`` / ``events_per_s`` — informational only.  Host time is
   ``perf/run.py``'s job.
 
-``--baseline`` compares against an earlier report; with ``--gate``
-(CI, against ``BENCH_seed.json``) a suite the baseline lacks, or one
-whose event count grew, fails too.  ``--smoke`` is the seconds-long
-version: TSP on 2 nodes through fig7a and table4 plus a 256-request
-serve run.
+``--baseline`` compares ``rows`` and ``events`` against an earlier
+report; with ``--gate`` (CI, against ``BENCH_seed.json``) a suite the
+baseline lacks, or one whose event count grew, fails too.  ``--smoke``
+is the seconds-long version: TSP on 2 nodes through fig7a and table4
+plus a 256-request serve run.
 """
 
 from __future__ import annotations
@@ -124,14 +124,17 @@ def run_bench(suites: list[str], n_procs: int, smoke: bool = False, repeat: int 
 def compare(report: dict, baseline: dict, gate: bool = False) -> list[str]:
     """Human-readable lines for the suites of ``report`` against ``baseline``.
 
-    Simulated-cycle rows must match exactly — a kernel change that
-    alters them is a correctness bug, and the comparison says so.
+    Each line says what the gate holds: simulated-cycle rows must match
+    exactly — a kernel change that alters them is a correctness bug,
+    and the comparison says so — and ``events``, which is deterministic,
+    is shown against the baseline's.  Wall clock is not compared:
+    baselines travel across hosts and kernels (this run's own
+    ``wall_s`` is in the report; host time is ``perf/run.py``'s job).
 
     With ``gate=True`` a suite also fails (``REGRESSED``) when the
     baseline has nothing to hold it to — no such suite, or no event
     count: a gate that skips what it cannot compare checks nothing —
-    or when ``events`` exceeds the baseline's.  Wall clock and
-    throughput are printed, never gated: baselines travel across hosts.
+    or when ``events`` exceeds the baseline's.
     """
     lines = []
     for name, cur in report["suites"].items():
@@ -140,22 +143,17 @@ def compare(report: dict, baseline: dict, gate: bool = False) -> list[str]:
             if gate:
                 lines.append(f"{name}: not in baseline: REGRESSED (gate has nothing to compare)")
             continue
-        speedup = base["wall_s"] / cur["wall_s"] if cur["wall_s"] else float("inf")
         cycles_ok = base["rows"] == cur["rows"]
-        line = (
-            f"{name}: {base['wall_s']:.3f}s -> {cur['wall_s']:.3f}s "
-            f"({speedup:.2f}x)  cycles {'identical' if cycles_ok else 'DIFFER (BUG)'}"
-        )
-        if gate:
-            base_ev, cur_ev = base.get("events"), cur["events"]
-            if base_ev is None:
-                line += "  events not in baseline: REGRESSED (gate has nothing to compare)"
-            elif cur_ev > base_ev:
-                line += f"  events {base_ev} -> {cur_ev} REGRESSED"
-            base_eps, cur_eps = base.get("events_per_s"), cur.get("events_per_s")
-            if base_eps and cur_eps:
-                delta = (cur_eps - base_eps) / base_eps * 100
-                line += f"  throughput {base_eps} -> {cur_eps} events/s ({delta:+.1f}%)"
+        line = f"{name}: cycles {'identical' if cycles_ok else 'DIFFER (BUG)'}"
+        base_ev, cur_ev = base.get("events"), cur["events"]
+        if not base_ev:
+            line += "  events not in baseline"
+            if gate:
+                line += ": REGRESSED (gate has nothing to compare)"
+        else:
+            line += f"  events {base_ev} -> {cur_ev} ({(cur_ev - base_ev) / base_ev * 100:+.1f}%)"
+            if gate and cur_ev > base_ev:
+                line += " REGRESSED"
         lines.append(line)
     return lines
 

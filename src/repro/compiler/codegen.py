@@ -27,17 +27,19 @@ The emitted program is still a generator over the simulation kernel
 and reproduces the interpreter's behaviour *bit-for-bit*: the same
 ``Delay`` values flushed at the same points, the same runtime calls in
 the same order, the same error messages on the same inputs.  The
-interpreter stays untouched as the differential-testing oracle
+interpreter stays as the differential-testing oracle
 (``tests/compiler/test_codegen_oracle.py`` pins the equivalence).
 
 Cost accounting invariant: the interpreter accumulates per-op costs
-into ``pending`` and flushes one ``Delay`` right before each runtime
+into ``pending`` and settles them right before each runtime
 interaction.  Fusing static costs to segment granularity is safe
 because no flush can occur *inside* a segment — the total pending at
 every flush point is identical, so the yielded ``Delay`` stream (and
-therefore simulated cycles and golden traces) is too.  As there, the
-flush is its own ``Delay``, never a ``lead`` on the runtime call that
-follows: ``work(n)`` makes it unbounded (see ``interp.py``).
+therefore simulated cycles and golden traces) is too.  As there, one
+rule settles the pending cycles ``p`` of an annotation op: ``p <=
+runtime.lead_room`` rides the access as its ``lead``, anything longer
+(``work(n)`` is unbounded) and every library builtin is flushed as a
+``Delay`` of its own (see ``interp.py``).
 """
 
 from __future__ import annotations
@@ -779,12 +781,13 @@ def bind_node(program: ClosureProgram, ctx, bb, prints, host_data):
     with the node id pre-applied.
     """
     env = _BindEnv(ctx, bb, prints, host_data)
+    room = env.runtime.lead_room
     runners: dict = {}
     block_tables: dict = {}
     for name, ft in program.funcs.items():
         blocks: list = []
         block_tables[name] = blocks
-        runners[name] = _make_runner(ft, blocks)
+        runners[name] = _make_runner(ft, blocks, room)
     for name, ft in program.funcs.items():
         table = block_tables[name]
         for acts, term in ft.blocks:
@@ -795,7 +798,7 @@ def bind_node(program: ClosureProgram, ctx, bb, prints, host_data):
     # Recursive calls to main() go through runners["main"], which must
     # NOT flush at its ret (the interpreter only flushes once, at the
     # very end of Interp.run()).
-    main_top = _make_runner(program.funcs["main"], block_tables["main"], top=True)
+    main_top = _make_runner(program.funcs["main"], block_tables["main"], room, top=True)
     return main_top([], [0])
 
 
@@ -821,7 +824,7 @@ def _bind_action(a, env, runners):
     return a  # _JMP / _BR / _RET are fully static
 
 
-def _make_runner(ft: _FuncTemplate, blocks: list, top: bool = False):
+def _make_runner(ft: _FuncTemplate, blocks: list, lead_room: int, top: bool = False):
     """Build the per-activation driver for one function.
 
     ``blocks`` is the (possibly still-empty) bound-action table,
@@ -839,7 +842,8 @@ def _make_runner(ft: _FuncTemplate, blocks: list, top: bool = False):
     the remaining tags are ordered by measured frequency (annotation
     ops before calls).  The per-block terminator pays at most two
     compares.  Pending-cycle flushes index the kernel's Delay pool
-    directly instead of going through ``Delay.__new__``.
+    directly instead of going through ``Delay.__new__``; pending cycles
+    within ``lead_room`` (the runtime's) ride the annotation op instead.
     """
     nslots = ft.nslots
     param_slots = ft.param_slots
@@ -868,14 +872,18 @@ def _make_runner(ft: _FuncTemplate, blocks: list, top: bool = False):
                     st[0] += 1
                     p = st[0]
                     st[0] = 0
-                    yield pool[p] if p < pool_size else Delay(p)
-                    yield from act[1](act[2], act[3](regs), act[4])
+                    if p > lead_room:  # too long to ride the access as its lead
+                        yield pool[p] if p < pool_size else Delay(p)
+                        p = 0
+                    yield from act[1](act[2], act[3](regs), act[4], p)
                 elif tag == _MAP:
                     st[0] += 1
                     p = st[0]
                     st[0] = 0
-                    yield pool[p] if p < pool_size else Delay(p)
-                    regs[act[1]] = yield from act[3](act[4], int(act[2](regs)), act[5])
+                    if p > lead_room:
+                        yield pool[p] if p < pool_size else Delay(p)
+                        p = 0
+                    regs[act[1]] = yield from act[3](act[4], int(act[2](regs)), act[5], p)
                 elif tag == _LIB:
                     st[0] += 1
                     p = st[0]

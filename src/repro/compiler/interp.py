@@ -1,15 +1,17 @@
 """IR interpreter: runs compiled AceC as an SPMD program on the Ace runtime.
 
 Every plain IR op charges a small fixed cycle cost, batched into one
-``Delay`` right before the next runtime interaction — so compute cost
+charge right before the next runtime interaction — so compute cost
 is identical across optimization levels and the Table 4 deltas come
 only from the annotation ops each level leaves behind.  Annotation ops
 call straight into :class:`~repro.core.runtime.AceRuntime`, honouring
 the ``direct`` flag the direct-dispatch pass set.
 
-The flush stays a ``Delay`` of its own, not a ``lead`` on the runtime
-call (DESIGN.md §6, "One charge per access"): ``work(n)`` makes it
-unbounded, and a lead must stay shorter than the shortest message.
+One rule settles the pending cycles ``p`` before an annotation op
+(DESIGN.md §6, "One event per hop"): ``p <= runtime.lead_room`` rides
+the access as its ``lead``; anything longer is flushed first (``work(n)``
+is unbounded, a lead must stay shorter than the shortest message), and
+so is everything pending before a library builtin.
 """
 
 from __future__ import annotations
@@ -55,10 +57,14 @@ class Interp:
         self.pending = 0
 
     # -- cost batching ---------------------------------------------------
-    def _flush(self):
-        if self.pending:
-            cycles, self.pending = self.pending, 0
-            yield Delay(cycles)
+    def _flush(self, room: int = 0):
+        """Settle the pending cycles: as a ``Delay``, or — within ``room``
+        — returned, to be the ``lead`` of the annotation op that follows."""
+        cycles, self.pending = self.pending, 0
+        if cycles <= room:
+            return cycles
+        yield Delay(cycles)
+        return 0
 
     # -- entry -------------------------------------------------------------
     def run(self):
@@ -132,14 +138,14 @@ class Interp:
                 if ins.dst is not None:
                     env[ins.dst] = result
             elif op == "map":
-                yield from self._flush()
+                lead = yield from self._flush(self._runtime.lead_room)
                 rid = int(val(ins.args[0]))
-                env[ins.dst] = yield from self._runtime.map(self.ctx.nid, rid, direct=ins.direct)
+                env[ins.dst] = yield from self._runtime.map(self.ctx.nid, rid, ins.direct, lead)
             elif op in ("unmap", "start_read", "end_read", "start_write", "end_write"):
-                yield from self._flush()
+                lead = yield from self._flush(self._runtime.lead_room)
                 h = val(ins.args[0])
                 fn_rt = getattr(self._runtime, op)
-                yield from fn_rt(self.ctx.nid, h, direct=ins.direct)
+                yield from fn_rt(self.ctx.nid, h, ins.direct, lead)
             else:  # pragma: no cover - lowering emits only the ops above
                 raise AceRuntimeErr(f"unknown IR op {op!r}")
             i += 1

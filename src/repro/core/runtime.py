@@ -10,7 +10,8 @@ optimization emits when dataflow analysis proves the protocol unique.
 *return the protocol's generator*; the dispatch charge travels down as
 the hook's ``lead`` argument and the protocol's first fixed charge
 absorbs it (DESIGN.md §6, "One charge per access"): a hit is one
-kernel event, not two.
+kernel event, not two.  A caller that owes cycles of its own (AceC's
+pending compute) adds them as a trailing ``lead``, at most ``lead_room``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from repro.sim import Delay
 
 #: The protocol entry points the runtime hands its dispatch charge to.
 _LED_HOOKS = ("map", "unmap", "start_read", "end_read", "start_write", "end_write")
+
+#: The dearest fixed charge a lead can join (a cold SC map): test_access_charges.py
+#: holds every cost table and registry ``ProtocolTable`` to it.
+DEAREST_LED_CHARGE = 60
 
 
 def _takes_lead(hook) -> bool:
@@ -122,6 +127,13 @@ class AceRuntime:
         # pooled anyway, but a pre-bound attribute also skips __new__).
         self._d_dispatch = Delay(self.config.dispatch_cost)
         self._lead = self.config.dispatch_cost  # ... or joins the protocol's first charge
+        #: The most cycles a caller may add to a primitive's ``lead``: with
+        #: the dispatch and the dearest charge they join, still shorter than
+        #: the shortest message (DESIGN.md §6).  0 — nothing folds — under a
+        #: checker, which hears each access at its own cycle.
+        cfg = self.machine.config
+        room = cfg.network_latency + cfg.am_receive_overhead - 1 - self._lead - DEAREST_LED_CHARGE
+        self.lead_room = max(room, 0) if checker is None else 0
         self._d_space_create = Delay(self.config.space_create)
         self._d_gmalloc_extra = Delay(self.config.gmalloc_extra)
         self._d_change_protocol = Delay(self.config.change_protocol)
@@ -155,19 +167,19 @@ class AceRuntime:
         inner_lock = self.lock
         inner_unlock = self.unlock
 
-        def cmap(nid, rid, direct=False):
-            handle = yield from inner_map(nid, rid, direct)
+        def cmap(nid, rid, direct=False, lead=0):
+            handle = yield from inner_map(nid, rid, direct, lead)
             checker.map_acquired(nid, handle.region.rid)
             return handle
 
-        def cunmap(nid, handle, direct=False):
-            yield from inner_unmap(nid, handle, direct)
+        def cunmap(nid, handle, direct=False, lead=0):
+            yield from inner_unmap(nid, handle, direct, lead)
             checker.unmapped(nid, handle.region.rid)
 
         def caccess(inner_start, write):
-            def cstart(nid, handle, direct=False):
+            def cstart(nid, handle, direct=False, lead=0):
                 checker.access(nid, handle.region.rid, write=write)
-                return inner_start(nid, handle, direct)
+                return inner_start(nid, handle, direct, lead)
 
             return cstart
 
@@ -278,13 +290,13 @@ class AceRuntime:
 
     def _charge_then(self, hook):
         """The charge rule in its general form: the lead (this runtime's
-        dispatch) as a ``Delay`` of its own, then ``hook`` — what a hook
-        that absorbs its lead must equal, cycle for cycle (the oracle of
-        ``tests/core/test_access_charges.py``)."""
+        dispatch plus the caller's own) as one ``Delay``, then ``hook`` —
+        what a hook that absorbs its lead must equal, cycle for cycle (the
+        oracle of ``tests/core/test_access_charges.py``)."""
 
         def led(nid, arg, lead=0):
             if lead:
-                yield self._d_dispatch
+                yield Delay(lead)
             return (yield from hook(nid, arg))
 
         return led
@@ -315,12 +327,12 @@ class AceRuntime:
     # ------------------------------------------------------------------
     # Figure 3 primitives (what the compiler inserts)
     # ------------------------------------------------------------------
-    def map(self, nid: int, rid: int, direct: bool = False):
+    def map(self, nid: int, rid: int, direct: bool = False, lead: int = 0):
         """Generator: ``ACE_MAP`` — region id → local handle."""
         space = self._space_of_rid(rid)
         self._counts["ace.map"] += 1
         proto = space.protocol
-        handle = yield from proto.map(nid, rid, self._lead if proto.soft and not direct else 0)
+        handle = yield from proto.map(nid, rid, lead + self._lead if proto.soft and not direct else lead)
         meta = handle.meta
         meta["ace_gen"] = space.generation
         # Cache the region→space resolution on the handle: §4.1's hash
@@ -331,14 +343,14 @@ class AceRuntime:
     # Plain functions from here on (module docstring).  Every shared
     # access in the system funnels through the four access primitives,
     # so they inline the space lookup rather than share a helper.
-    def unmap(self, nid: int, handle, direct: bool = False):
+    def unmap(self, nid: int, handle, direct: bool = False, lead: int = 0):
         """``ACE_UNMAP`` (returns the protocol's generator)."""
         space = self._space_of_handle(handle)
         self._counts["ace.unmap"] += 1
         proto = space.protocol
-        return proto.unmap(nid, handle, self._lead if proto.soft and not direct else 0)
+        return proto.unmap(nid, handle, lead + self._lead if proto.soft and not direct else lead)
 
-    def start_read(self, nid: int, handle, direct: bool = False):
+    def start_read(self, nid: int, handle, direct: bool = False, lead: int = 0):
         """``ACE_START_READ`` (returns the protocol's generator)."""
         meta = handle.meta
         space = meta.get("ace_space")  # stamped, with ace_gen, by map
@@ -346,9 +358,9 @@ class AceRuntime:
             raise self._stale_handle(handle)
         self._counts["ace.start_read"] += 1
         proto = space.protocol
-        return proto.start_read(nid, handle, self._lead if proto.soft and not direct else 0)
+        return proto.start_read(nid, handle, lead + self._lead if proto.soft and not direct else lead)
 
-    def end_read(self, nid: int, handle, direct: bool = False):
+    def end_read(self, nid: int, handle, direct: bool = False, lead: int = 0):
         """``ACE_END_READ`` (returns the protocol's generator)."""
         meta = handle.meta
         space = meta.get("ace_space")
@@ -356,9 +368,9 @@ class AceRuntime:
             raise self._stale_handle(handle)
         self._counts["ace.end_read"] += 1
         proto = space.protocol
-        return proto.end_read(nid, handle, self._lead if proto.soft and not direct else 0)
+        return proto.end_read(nid, handle, lead + self._lead if proto.soft and not direct else lead)
 
-    def start_write(self, nid: int, handle, direct: bool = False):
+    def start_write(self, nid: int, handle, direct: bool = False, lead: int = 0):
         """``ACE_START_WRITE`` (returns the protocol's generator)."""
         meta = handle.meta
         space = meta.get("ace_space")
@@ -366,9 +378,9 @@ class AceRuntime:
             raise self._stale_handle(handle)
         self._counts["ace.start_write"] += 1
         proto = space.protocol
-        return proto.start_write(nid, handle, self._lead if proto.soft and not direct else 0)
+        return proto.start_write(nid, handle, lead + self._lead if proto.soft and not direct else lead)
 
-    def end_write(self, nid: int, handle, direct: bool = False):
+    def end_write(self, nid: int, handle, direct: bool = False, lead: int = 0):
         """``ACE_END_WRITE`` (returns the protocol's generator)."""
         meta = handle.meta
         space = meta.get("ace_space")
@@ -376,7 +388,7 @@ class AceRuntime:
             raise self._stale_handle(handle)
         self._counts["ace.end_write"] += 1
         proto = space.protocol
-        return proto.end_write(nid, handle, self._lead if proto.soft and not direct else 0)
+        return proto.end_write(nid, handle, lead + self._lead if proto.soft and not direct else lead)
 
     # ------------------------------------------------------------------
     # services used by protocols

@@ -57,7 +57,7 @@ from repro.dsm.transport import Port, Transport, as_transport
 from repro.machine.stats import intern_key
 from repro.sim.errors import DeadlockError
 from repro.sim.future import _UNSET, Future
-from repro.sim.kernel import Timer
+from repro.sim.kernel import Delay, Timer
 
 _NEVER = float("inf")
 _NO_FAULT = (0,)  # shared verdict: one delivery, no extra delay
@@ -602,11 +602,13 @@ class FaultTransport(Transport):
             partial(self._send, src, dst, handler, args, payload_words, category),
         )
 
-    def rpc(self, src, dst, handler, *args, payload_words: int = 0, category: str = "am.rpc"):
+    def rpc(self, src, dst, handler, *args, payload_words: int = 0, category: str = "am.rpc", lead: int = 0):
         # NOTE: the *raw* rpc has no retries — on a lossy link it can
         # block forever.  Fault-hardened layers use ``self.kit.rpc``;
         # this path exists for protocols that have not been hardened
         # (they are simply not chaos-safe).
+        if lead:  # never folded here: the plan reads ``now`` at the injection instant
+            yield Delay(lead)
         fut = Future(name="rpc:" + category)
         yield self._d_send
         self._send(src, dst, handler, (fut, *args), payload_words, category)
@@ -831,8 +833,10 @@ class RetryKit:
         self._counts[self._k_calls] += 1
         return pend
 
-    def rpc(self, src, dst, handler, *args, payload_words: int = 0, category: str = "rel.rpc"):
+    def rpc(self, src, dst, handler, *args, payload_words: int = 0, category: str = "rel.rpc", lead: int = 0):
         """Generator: reliable request/reply round trip (drop-in for rpc)."""
+        if lead:  # as FaultTransport.rpc: the caller's charge stays its own event
+            yield Delay(lead)
         fut = Future(name="rel:" + category)
         pend = self._track(fut, src, dst, handler, args, payload_words, category)
         yield self._d_send

@@ -117,6 +117,9 @@ class ProtocolHooks:
         self._c_unmap = Delay(costs.unmap).cycles
         self._c_start_hit = Delay(costs.start_hit).cycles
         self._d_start_miss = Delay(costs.start_miss)
+        # A remote miss hands start_miss to its rpc as ``lead`` — unless crash
+        # recovery can re-home the region meanwhile: then the home is read after.
+        self._miss_lead = 0 if transport.recovery is not None else self._d_start_miss.cycles
         self._c_end_op = Delay(costs.end_op).cycles
         self._d_flush = Delay(costs.flush)
         # Home-side handlers, as the directory's stable wire bindings;
@@ -250,9 +253,11 @@ class ProtocolHooks:
             # Pre-RPC miss marker: attribution reads it as "the next
             # directory wait on this node is for this region".
             self._obs.emit(self._sim.now, "dsm.miss", nid, -1, region.rid, "read")
-        yield self._d_start_miss
-        fut = Future(name=f"read:{region.rid}@{nid}")
+        lead = self._miss_lead
+        if not lead or nid == region.home:
+            yield self._d_start_miss
         if nid == region.home:
+            fut = Future(name=f"read:{region.rid}@{nid}")
             self._local_read_req(self._nodes[nid], nid, fut, region.rid)
             yield fut
             if copy.state != self._home_state:
@@ -270,6 +275,7 @@ class ProtocolHooks:
                 region.rid,
                 payload_words=self.costs.meta_words,
                 category=self._cat_read_req,
+                lead=lead,
             )
             np.copyto(copy.data, data)
             copy.state = self._fill_read
@@ -317,9 +323,11 @@ class ProtocolHooks:
         self._counts[self._k_write_miss] += 1
         if self._obs is not None:
             self._obs.emit(self._sim.now, "dsm.miss", nid, -1, region.rid, "write")
-        yield self._d_start_miss
-        fut = Future(name=f"write:{region.rid}@{nid}")
+        lead = self._miss_lead
+        if not lead or nid == region.home:
+            yield self._d_start_miss
         if nid == region.home:
+            fut = Future(name=f"write:{region.rid}@{nid}")
             self._local_write_req(self._nodes[nid], nid, fut, region.rid)
             yield fut
             if copy.state != self._home_state:
@@ -334,6 +342,7 @@ class ProtocolHooks:
                 region.rid,
                 payload_words=self.costs.meta_words,
                 category=self._cat_write_req,
+                lead=lead,
             )
             if data is not None:
                 np.copyto(copy.data, data)

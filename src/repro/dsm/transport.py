@@ -39,9 +39,10 @@ class Transport:
         caller's send overhead, then returns once injected).
     ``post(src, dst, handler, *args, payload_words=, category=)``
         One-way send from *handler* context (no task to charge).
-    ``rpc(src, dst, handler, *args, payload_words=, category=)``
+    ``rpc(src, dst, handler, *args, payload_words=, category=, lead=0)``
         Generator: request/reply round trip; the handler receives a
         ``Future`` first and must eventually :meth:`reply` to it.
+        ``lead``: cycles the caller owes before the send (may join it).
     ``reply(fut, value=None, payload_words=, category=)``
         Resolve an RPC future after the reply latency.
     ``after(delay, fn)``

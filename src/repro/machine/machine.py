@@ -31,7 +31,8 @@ from typing import Callable
 
 from repro.machine.config import MachineConfig
 from repro.machine.stats import Stats, intern_key
-from repro.sim import Delay, Future, Simulator
+from repro.sim import Delay, Future, SimulationError, Simulator
+from repro.sim.kernel import _DELAY_POOL as _POOL, _DELAY_POOL_SIZE as _POOL_SIZE
 
 
 class Node:
@@ -91,11 +92,12 @@ class Machine:
         self._reply_base = self.config.am_send_overhead + self._recv_base
         self._per_word = self.config.per_word_transfer
         self._n_nodes = len(self.nodes)  # the n_procs property is a frame per message
-        self._d_send = Delay(self.config.am_send_overhead)
+        self._send_overhead = self.config.am_send_overhead
+        self._d_send = Delay(self._send_overhead)
         # Observability (DESIGN.md §7): decided once, here.  Traced
         # variants shadow the class methods via instance attributes;
-        # their scheduling (delay, seq) streams are identical to the
-        # fast path, so simulated cycles do not move.
+        # every arrival and resume lands on the fast path's cycle, so
+        # simulated cycles do not move.
         self.tracer = tracer
         if tracer is not None:
             self._obs = tracer.tracer("machine")
@@ -160,12 +162,10 @@ class Machine:
         """Send a message from *handler context* (no task to charge).
 
         The sender-side overhead is folded into the delivery latency,
-        modeling the coprocessor injecting the message.
+        modeling the coprocessor injecting the message: one heap entry,
+        at ``now + am_send_overhead + recv_base + per_word * words``.
         """
-        self.sim.schedule(
-            self.config.am_send_overhead,
-            partial(self._deliver, src, dst, handler, args, payload_words, category),
-        )
+        self._deliver(src, dst, handler, args, payload_words, category, self._send_overhead)
 
     def defer_post(
         self,
@@ -181,20 +181,17 @@ class Machine:
 
         Handler-side deferred work that ends in a send (e.g. the
         invalidation-handler cost before the ack leaves) goes through
-        here so the traced variant can capture the causal context *now*
-        — by the time the deferral fires, the handler extent is gone.
-        Cost model: identical to ``schedule(delay, lambda: post(...))``
-        (two schedule draws, same delays).
+        here: nothing can observe the deferral, so the message is one
+        heap entry, ``delay`` cycles after a :meth:`post`'s (the traced
+        variant keeps the deferral and the injection as events).
         """
-        self.sim.schedule(
-            delay,
-            partial(
-                self.post, src, dst, handler, *args,
-                payload_words=payload_words, category=category,
-            ),
+        if delay < 0:
+            raise SimulationError(f"negative defer_post delay: {delay}")
+        self._deliver(
+            src, dst, handler, args, payload_words, category, delay + self._send_overhead
         )
 
-    def _deliver(self, src, dst, handler, args, payload_words, category) -> None:
+    def _deliver(self, src, dst, handler, args, payload_words, category, sender_cycles=0) -> None:
         if not (0 <= dst < self._n_nodes):
             raise ValueError(f"bad destination node {dst}")
         counts = self._counts
@@ -204,12 +201,12 @@ class Machine:
         counts[key] += 1
         counts["msg.total"] += 1
         counts["msg.words"] += payload_words
-        delay = self._recv_base + self._per_word * payload_words
+        delay = sender_cycles + self._recv_base + self._per_word * payload_words
         # The arrival event is a C-level partial rather than a closure:
         # closing over seven variables would turn them all into cells
         # and slow the whole delivery path down.
         fn = partial(self._arrive, self.nodes[dst], src, handler, args)
-        # sim.schedule(delay, fn), inlined — delivery is the hottest
+        # Simulator.schedule(delay, fn), inlined — delivery is the hottest
         # scheduling site outside the kernel itself.  delay is always
         # positive (recv_base includes the network latency), so the
         # same-cycle ring never applies here.
@@ -237,9 +234,12 @@ class Machine:
             self.sim.spawn(result, name=f"handler@{node.nid}")
 
     # -- traced variants (installed over the fast path by __init__) -----
-    # Each mirrors its untraced twin exactly — same counter bumps, same
-    # inlined schedule with the same (delay, seq) draws — plus causal
-    # event emission.  Keeping them separate (instead of branching
+    # Each mirrors its untraced twin — same counter bumps, same arrival
+    # and resume cycles — plus causal event emission.  They do not fold
+    # (DESIGN.md §6): a post's injection and an rpc's ``lead`` stay
+    # events of their own, because ``msg.send``/``rpc.call`` are stamped
+    # at those instants — which makes the traced fabric the fold's
+    # differential oracle.  Keeping them separate (instead of branching
     # inside the fast path) is what makes tracing-off literally free.
     def _ctx(self) -> int:
         """Current dispatch context (task step or handler receive), or -1.
@@ -253,9 +253,9 @@ class Machine:
         return buf.ctx_eid if buf.ctx_ts == self.sim.now else -1
 
     def _post_traced(self, src, dst, handler, *args, payload_words=0, category="am.post"):
-        # Same schedule as post() (send overhead folded into delivery);
-        # the causal parent is captured *now*, because by the time the
-        # partial fires the emitting extent is gone.
+        # The message is injected (counted, ``msg.send``) after the send
+        # overhead; the causal parent is captured *now*, because by the
+        # time the partial fires the emitting extent is gone.
         self.sim.schedule(
             self.config.am_send_overhead,
             partial(
@@ -265,8 +265,8 @@ class Machine:
         )
 
     def _defer_post_traced(self, delay, src, dst, handler, *args, payload_words=0, category="am.post"):
-        # Two schedule draws with the same delays as the untraced
-        # defer_post; only the captured causal parent differs.
+        # The deferral, then the injection: two events before the
+        # arrival, which lands on the untraced defer_post's cycle.
         self.sim.schedule(
             delay,
             partial(
@@ -327,7 +327,9 @@ class Machine:
         if result is not None and hasattr(result, "send"):
             self.sim.spawn(result, name=f"handler@{node.nid}")
 
-    def _rpc_traced(self, src, dst, handler, *args, payload_words: int = 0, category: str = "am.rpc"):
+    def _rpc_traced(self, src, dst, handler, *args, payload_words: int = 0, category: str = "am.rpc", lead: int = 0):
+        if lead:  # the general form: the caller's charge as its own event
+            yield Delay(lead)
         name = self._rpc_names.get(category)
         if name is None:
             name = self._rpc_names[category] = intern_key("rpc:" + category)
@@ -393,12 +395,14 @@ class Machine:
         *args,
         payload_words: int = 0,
         category: str = "am.rpc",
+        lead: int = 0,
     ):
         """Generator: request/reply round trip; returns the reply value.
 
         The handler receives a :class:`Future` as its first payload
         argument and must eventually call :meth:`reply` on it (possibly
-        from a later handler on another node).
+        from a later handler on another node).  ``lead``: cycles the caller
+        owes before the send; they join its overhead in one ``Delay`` (§6).
         """
         name = self._rpc_names.get(category)
         if name is None:
@@ -406,7 +410,7 @@ class Machine:
         fut = Future(name=name)
         # am_request, inlined: the delegation frame would otherwise sit
         # on the resume path of every round trip in the system.
-        yield self._d_send
+        yield _POOL[c] if (c := lead + self._send_overhead) < _POOL_SIZE else Delay(c)
         self._deliver(src, dst, handler, (fut, *args), payload_words, category)
         value = yield fut
         return value
@@ -422,7 +426,7 @@ class Machine:
         counts["msg.words"] += payload_words
         delay = self._reply_base + self._per_word * payload_words
         fn = fut.resolve if value is None else partial(fut.resolve, value)
-        # sim.schedule(delay, fn), inlined; delay > 0 (it includes a
+        # Simulator.schedule(delay, fn), inlined; delay > 0 (it includes a
         # full send + receive overhead), so the ring never applies.
         sim = self.sim
         seq = sim._seq

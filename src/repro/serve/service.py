@@ -92,10 +92,9 @@ def serve_program(workload: ServeWorkload, traffic: dict, controller, shared: di
         for e in range(n_epochs):
             for r in my_reqs[e * wl.batch:(e + 1) * wl.batch]:
                 arr = int(arrival[r])
-                if sim.now < arr:
-                    yield Delay(arr - sim.now)
-                if wl.think_cycles:
-                    yield Delay(wl.think_cycles)
+                # arrival wait + think time, one charge: nothing is read between them
+                if wait := max(arr - sim.now, 0) + wl.think_cycles:
+                    yield Delay(wait)
                 k = int(keys[r])
                 h = handles.get(k)
                 if h is None:

@@ -16,6 +16,13 @@ honest:
   fabric;
 * the sanitizer and the stale-handle check still see an access before
   any cycle of it is charged.
+
+The rule's wire and compiler forms ("One event per hop") get the same
+four: a miss's ``start_miss`` rides its send and AceC's pending cycles
+ride the access only inside a bound shorter than the shortest message;
+a remote miss and an AceC hit have event budgets; the folding plain
+fabric equals the unfolded traced and fault fabrics cell by cell; and a
+checked run folds nothing.
 """
 
 from __future__ import annotations
@@ -24,13 +31,16 @@ import inspect
 
 import pytest
 
+from repro.compiler import OPT_BASE, compile_source, run_compiled
+from repro.compiler.interp import Interp
 from repro.core import AceConfig
-from repro.core.runtime import _LED_HOOKS
+from repro.core.runtime import _LED_HOOKS, DEAREST_LED_CHARGE
 from repro.dsm import ACE_SC_COSTS, CRL_COSTS, FaultPlan
 from repro.facade import run_spmd
 from repro.facade.context import AceBackend, NodeContext
-from repro.harness.experiments import run_app
+from repro.harness.experiments import FIG7_WORKLOADS, run_app
 from repro.machine import Machine, MachineConfig
+from repro.obs import TraceBuffer
 from repro.protocols import ProtocolRegistry, default_registry
 from repro.protocols.base import ProtocolMisuse
 from repro.protocols.hw_assisted import HW_SC_COSTS
@@ -77,6 +87,36 @@ def test_coalesced_charge_is_shorter_than_the_shortest_message():
         f"am_receive_overhead {cfg.am_receive_overhead} = {shortest}): an arrival scheduled "
         "after the access began could land inside the coalesced charge"
     )
+
+
+def test_a_miss_charge_and_a_full_lead_are_shorter_than_the_shortest_message():
+    cfg, dispatch = MachineConfig(), AceConfig().dispatch_cost
+    shortest = cfg.network_latency + cfg.am_receive_overhead
+    # a remote miss: start_miss rides the request's send overhead
+    for owner, costs in (("ACE_SC_COSTS", ACE_SC_COSTS), ("HW_SC_COSTS", HW_SC_COSTS),
+                         ("CRL_COSTS", CRL_COSTS)):
+        assert costs.start_miss + cfg.am_send_overhead < shortest, (
+            f"{owner}.start_miss {costs.start_miss} + am_send_overhead {cfg.am_send_overhead} "
+            f"is not below the shortest one-way message ({shortest} cycles)"
+        )
+    # an AceC access: the pending cycles ride the dispatch and the charge
+    # it joins.  CRL's tables never see a lead (its runtime passes none).
+    owner, charge, cycles = max(
+        (c for c in _absorbing_charges() if c[0] != "CRL_COSTS"), key=lambda c: c[2]
+    )
+    assert cycles <= DEAREST_LED_CHARGE, (
+        f"{owner}.{charge} = {cycles} cycles is dearer than core.runtime.DEAREST_LED_CHARGE "
+        f"({DEAREST_LED_CHARGE}), which AceRuntime.lead_room is derived from"
+    )
+    room = AceBackend(Machine(Simulator(), cfg)).runtime.lead_room
+    assert room == 69 and room + dispatch + DEAREST_LED_CHARGE < shortest, (
+        f"lead_room {room} + dispatch_cost {dispatch} + dearest led charge {DEAREST_LED_CHARGE} "
+        f"= {room + dispatch + DEAREST_LED_CHARGE} is not below the shortest message ({shortest})"
+    )
+    # nothing folds on a machine whose messages are that short, or under a checker
+    fast = MachineConfig(network_latency=20, am_receive_overhead=10)
+    assert AceBackend(Machine(Simulator(), fast)).runtime.lead_room <= 0
+    assert AceBackend(Machine(Simulator(), cfg), check=True).runtime.lead_room == 0
 
 
 # ------------------------------------------------------- (ii) event budgets
@@ -132,6 +172,65 @@ def test_null_hook_is_one_event_dispatched_and_nothing_direct():
 
     run_spmd(program, backend="ace", n_procs=1)
     assert made["direct"] == () and inspect.isgenerator(made["dispatched"])
+
+
+@pytest.mark.parametrize("backend", ["ace", "crl"])
+@pytest.mark.parametrize("access", ["read", "write"])
+def test_uncontended_remote_miss_is_seven_events(backend, access):
+    """lead+start_hit | start_miss+send | request arrives | reply arrives |
+    task wakes | grant ack arrives | end_*."""
+    box = {}
+
+    def program(miss):
+        def run(ctx):
+            sid = yield from ctx.new_space("SC")
+            if ctx.nid == 0:
+                box["rid"] = yield from ctx.gmalloc(sid, 4)
+            yield from ctx.barrier()
+            if ctx.nid == 1:
+                h = yield from ctx.map(box["rid"])
+                if miss:
+                    yield from getattr(ctx, "start_" + access)(h)
+                    yield from getattr(ctx, "end_" + access)(h)
+            yield from ctx.barrier()
+
+        return run
+
+    with_miss, without = (run_spmd(program(miss), backend=backend, n_procs=2) for miss in (True, False))
+    assert with_miss.stats.get(f"{'ace.sc' if backend == 'ace' else 'crl'}.{access}_miss") == 1
+    assert with_miss.machine.sim.events - without.machine.sim.events == 7
+
+
+_ACEC_READS = """
+void main() {
+    int s = ace_new_space("SC");
+    shared double *p;
+    p = ace_gmalloc(s, 4);
+    mapped double *h;
+    h = ace_map(p);
+    %s
+}
+"""
+
+
+def _acec_run(body: str, backend: str = "closures", **kw):
+    prog = compile_source(_ACEC_READS % body, opt=OPT_BASE, backend=backend, **kw)
+    return run_compiled(prog, n_procs=1)
+
+
+@pytest.mark.parametrize("backend", ["closures", "interp"])
+def test_acec_pending_cycles_ride_the_access(backend):
+    """A hit whose pending compute fits ``lead_room`` is one event; past
+    it (``work(500)``) the flush stays an event of its own."""
+    def events_per_pair(before):
+        pair = before + " ace_start_read(h); ace_end_read(h);"
+        few, many = (_acec_run(pair * n, backend).run_result.machine.sim.events for n in (2, 2 + K))
+        assert (many - few) % K == 0
+        return (many - few) // K
+
+    assert events_per_pair("") == 2          # start_read 1 + end_read 1
+    assert events_per_pair("work(60);") == 2  # 60 + the ops' own cycles <= 69
+    assert events_per_pair("work(500);") == 3  # flush 1 + start_read 1 + end_read 1
 
 
 # ------------------------------------------- (iii) lead == the general form
@@ -213,7 +312,56 @@ def test_lead_matches_the_general_wrapper(protocol, plan, plain_registry):
             assert led_events < plain_events
 
 
-# ------------------------------------------ (iv) checks come before charges
+def test_general_wrapper_charges_the_whole_lead(plain_registry):
+    """A lead is not always ``dispatch_cost``: an AceC kernel hands its
+    pending cycles down too, and a lead-less protocol must be charged
+    all of them — the time of an interpreter that flushes first (a
+    checked run: ``lead_room`` 0)."""
+    body = "work(40); ace_start_write(h); h[0] = 1; ace_end_write(h); ace_unmap(h); h = ace_map(p);" * 3
+    led, plain = _acec_run(body), _acec_run(body, registry=plain_registry)
+    ir = compile_source(_ACEC_READS % body, opt=OPT_BASE).ir
+    flushed = run_spmd(lambda ctx: Interp(ir, ctx, {}, [], None).run(), n_procs=1, check=True)
+    assert flushed.machine.sim.events > led.run_result.machine.sim.events  # it really flushed
+    assert plain.time == flushed.time == led.time
+
+
+# ------------------------------------ (iv) folded fabric == unfolded fabrics
+#: cells whose armed-but-idle ``time`` already differed from the plain
+#: run's on the parent commit, by ``on_crash``: a lossy port's
+#: task-context notify blocks until acknowledged (lock release, the SC
+#: and Owned flush on ``change_protocol``), recovery fences the barrier
+_LOCKED = {"BSC/SC", "BSC/custom", "TSP/SC", "ring/HwSC", "ring/SC"}
+_ARMED_DIFFERS = {None: _LOCKED | {"ring/Owned"}, "recover": _LOCKED | {"Water/custom"}}
+
+
+def _cells():
+    for app in FIG7_WORKLOADS:
+        for variant in ("SC", "custom"):
+            yield f"{app}/{variant}", lambda app=app, variant=variant, **kw: run_app(
+                app, variant, n_procs=4, **kw)
+    for protocol in default_registry.names():
+        yield f"ring/{protocol}", lambda protocol=protocol, **kw: run_spmd(
+            _round_trip(protocol), n_procs=4, **kw)
+
+
+@pytest.mark.parametrize("cell,run", [pytest.param(name, run, id=name) for name, run in _cells()])
+def test_plain_fabric_matches_the_traced_and_the_armed_idle_fabric(cell, run):
+    """The plain fabric folds (one heap entry per post, ``start_miss`` on
+    the send); the traced twins and the fault fabric do not.  They are
+    its differential oracle: same results, same clock, same counters."""
+    plain, traced = run(), run(tracer=TraceBuffer(1 << 18))
+    assert repr(traced.results) == repr(plain.results) and traced.time == plain.time
+    counters = traced.stats.snapshot()  # adds node<i>.msg.* to the plain run's
+    assert {k: counters.get(k) for k in plain.stats.snapshot()} == plain.stats.snapshot()
+    # the oracle did not fold (equal only where a cell posts nothing and never misses remotely)
+    assert traced.machine.sim.events >= plain.machine.sim.events + (cell != "BSC/custom")
+    for crash, differs in _ARMED_DIFFERS.items():
+        if cell not in differs:
+            armed = run(fault_plan=FaultPlan(), on_crash=crash)
+            assert repr(armed.results) == repr(plain.results) and armed.time == plain.time, crash
+
+
+# ------------------------------------------- (v) checks come before charges
 def test_checked_apps_report_what_they_always_did():
     #: app -> (races, accesses checked): the findings of the unfused runtime
     findings = {"BSC": (0, 172), "Barnes-Hut": (192, 768), "EM3D": (0, 7296),
@@ -223,6 +371,30 @@ def test_checked_apps_report_what_they_always_did():
         ck = checked.checker
         assert (len(ck.races), ck.accesses_checked) == expected, app
         assert not ck.violations and checked.time == base.time, app
+
+
+def test_checked_acec_run_folds_nothing():
+    """Under a checker ``lead_room`` is 0: every access is heard at its
+    own cycle, after the flush, and charged exactly dispatch + hit."""
+    heard, delays = [], {}
+
+    class Spy(DynamicChecker):
+        def access(self, nid, rid, write):
+            heard.append(sim.now)
+            super().access(nid, rid, write)
+
+    def log(now, line):
+        if " delay " in line:
+            delays[now] = int(line.rsplit(" ", 1)[1])
+
+    body = "work(40); ace_start_read(h); ace_end_read(h);" * 3
+    ir = compile_source(_ACEC_READS % body, opt=OPT_BASE).ir
+    sim = Simulator(trace=log)
+    backend = AceBackend(Machine(sim, MachineConfig(n_procs=1)), checker=Spy(1))
+    assert backend.runtime.lead_room == 0
+    sim.run_all([Interp(ir, NodeContext(backend, 0), {}, [], None).run()])
+    hit = AceConfig().dispatch_cost + ACE_SC_COSTS.start_hit
+    assert len(heard) == 3 and [delays[t] for t in heard] == [hit] * 3
 
 
 def test_checker_and_stale_check_run_before_any_charge():

@@ -101,6 +101,41 @@ def test_crash_during_owned_forward_still_reroutes(monkeypatch):
     assert isinstance(res.results[victim], Crashed)
 
 
+def test_miss_begun_just_before_the_declaration_reads_the_new_home():
+    """The home of a miss is read after its ``start_miss`` charge while
+    recovery is armed: a declaration inside the charge re-homes the
+    region, and a destination read before it would be the dead node —
+    fenced forever, never swept (the call is not tracked yet).  That is
+    why the charge rides the send as a ``lead`` only on fabrics that
+    cannot re-home (DESIGN.md §6)."""
+    box = {}
+
+    def program(start):
+        def run(ctx):
+            sid = yield from ctx.new_space("SC")
+            if ctx.nid == 2:
+                box["rid"] = yield from ctx.gmalloc(sid, 4)
+            yield from ctx.barrier()
+            h = yield from ctx.map(box["rid"])
+            yield from ctx.barrier()
+            if ctx.nid != 1:
+                return (yield from ctx.compute(20_000))
+            yield from ctx.compute(start - ctx.machine.sim.now)
+            return list((yield from ctx.read_region(h)))
+
+        return run
+
+    def run(start):
+        return run_spmd(program(start), n_procs=N_PROCS, fault_plan=FaultPlan.crash(2, 1500),
+                        on_crash="recover")
+
+    (event,) = run(30_000).backend.transport.recovery.summary()["events"]
+    # dispatch + start_hit = 28 cycles, then start_miss = 45: every
+    # access that is inside its start_miss at the declaration
+    for start in range(event["declared_at"] - 72, event["declared_at"] - 27, 11):
+        assert run(start).results[1] == [0.0] * 4, start
+
+
 def test_recover_is_deterministic():
     plan = FaultPlan.crash(2, at=2200, seed=7)
     a = run_ring("SC", plan, on_crash="recover")

@@ -20,10 +20,11 @@ def test_gate_fails_on_a_suite_the_baseline_lacks():
     report = {"suites": {"smoke": _suite(rows), "smoke_serve": _suite(rows)}}
     baseline = {"suites": {"smoke": _suite(rows)}}
     gated = bench.compare(report, baseline, gate=True)
-    assert len(gated) == 2 and "cycles identical" in gated[0]
+    assert len(gated) == 2 and gated[0] == "smoke: cycles identical  events 100 -> 100 (+0.0%)"
     assert gated[1].startswith("smoke_serve: not in baseline") and "REGRESSED" in gated[1]
-    # without --gate the comparison stays informational: common suites only
-    assert bench.compare(report, baseline) == [gated[0].split("  throughput")[0]]
+    # without --gate the comparison stays informational: common suites only,
+    # the same cycles and events (never another host's wall clock)
+    assert bench.compare(report, baseline) == gated[:1]
     # an empty baseline leaves the gate nothing to compare — every suite fails it
     assert all("REGRESSED" in line for line in bench.compare(report, {}, gate=True))
 
@@ -36,11 +37,14 @@ def test_gate_holds_the_deterministic_event_count_to_the_baseline():
         return bench.compare({"suites": {"smoke": _suite(rows, events, wall)}}, baseline, gate=True)[0]
 
     assert "REGRESSED" not in gated(100) and "REGRESSED" not in gated(99)
-    assert "events 100 -> 101 REGRESSED" in gated(101)  # no tolerance: the count is deterministic
+    assert "events 100 -> 101 (+1.0%) REGRESSED" in gated(101)  # no tolerance: the count is deterministic
+    assert gated(80).endswith("events 100 -> 80 (-20.0%)")
     assert "REGRESSED" not in gated(100, wall=50.0)  # host time is perf/'s job, not the gate's
     # a baseline suite without an event count gives the gate nothing to hold events to
     baseline["suites"]["smoke"]["events"] = None
     assert "events not in baseline: REGRESSED" in gated(100)
+    ungated = bench.compare({"suites": {"smoke": _suite(rows)}}, baseline)[0]
+    assert ungated.endswith("events not in baseline") and "DIFFER" not in ungated
 
 
 def test_seed_baseline_covers_every_smoke_suite():

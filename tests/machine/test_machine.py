@@ -3,7 +3,8 @@
 import pytest
 
 from repro.machine import Machine, MachineConfig
-from repro.sim import Delay, Simulator
+from repro.obs import TraceBuffer
+from repro.sim import Delay, Future, SimulationError, Simulator
 
 
 def make_machine(n=4, **cfg):
@@ -104,6 +105,82 @@ def test_post_from_handler_context_chains():
     t = sim.spawn(caller())
     sim.run()
     assert t.done.result() == "data-from-3"
+
+
+# -- one event per hop (DESIGN.md §6): a message from handler context is
+# one heap entry, whatever sender-side cycles precede its injection
+@pytest.mark.parametrize("words", [0, 16])
+def test_post_and_defer_post_arrive_at_the_closed_form_time_in_one_event(words):
+    cfg = MachineConfig()
+    one_way = (cfg.am_send_overhead + cfg.network_latency + cfg.am_receive_overhead
+               + cfg.per_word_transfer * words)
+    for defer in (0, 37):
+        sim, m = make_machine()
+        arrivals = []
+
+        def handler(node, src, value):
+            arrivals.append((sim.now, node.nid, src, value))
+
+        if defer:
+            m.defer_post(defer, 0, 2, handler, "v", payload_words=words, category="test.cat")
+        else:
+            m.post(0, 2, handler, "v", payload_words=words, category="test.cat")
+        # counted at the call: the message exists from here on
+        assert (m.stats.get("msg.test.cat"), m.stats.get("msg.total")) == (1, 1)
+        assert m.stats.get("msg.words") == words
+        sim.run()
+        assert arrivals == [(defer + one_way, 2, 0, "v")]
+        assert sim.events == 1, f"{'defer_post' if defer else 'post'}: {sim.events} events"
+
+
+def test_reply_is_one_event():
+    sim, m = make_machine()
+    fut = Future()
+    m.reply(fut, "v", payload_words=16)
+    sim.run()
+    cfg = m.config
+    assert sim.now == (cfg.am_send_overhead + cfg.network_latency + cfg.am_receive_overhead
+                       + 16 * cfg.per_word_transfer)
+    assert fut.result() == "v" and sim.events == 1
+
+
+def test_post_rejects_a_bad_destination_or_delay_at_the_call_site():
+    sim, m = make_machine(n=2)
+    with pytest.raises(ValueError, match="destination"):
+        m.post(0, 5, lambda node, src: None)
+    with pytest.raises(ValueError, match="destination"):
+        m.defer_post(10, 0, -1, lambda node, src: None)
+    with pytest.raises(SimulationError, match="negative"):
+        m.defer_post(-1, 0, 1, lambda node, src: None)
+    assert m.stats.get("msg.total") == 0 and sim.run() == 0 and sim.events == 0
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+def test_rpc_lead_joins_the_send_overhead(traced):
+    """``lead`` cycles are charged before the send: folded into the send
+    overhead's ``Delay`` on the plain fabric, an event of their own on
+    the traced one — the same round trip either way."""
+    def round_trip(lead):
+        sim = Simulator()
+        m = Machine(sim, MachineConfig(n_procs=4), tracer=TraceBuffer(64) if traced else None)
+        sent = []
+
+        def handler(node, src, fut, x):
+            sent.append(sim.now)
+            m.reply(fut, x * 2)
+
+        def caller():
+            return (yield from m.rpc(0, 3, handler, 21, lead=lead)), sim.now
+
+        task = sim.spawn(caller())
+        sim.run()
+        return task.done.result(), sent, sim.events
+
+    cfg = MachineConfig()
+    one_way = cfg.am_send_overhead + cfg.network_latency + cfg.am_receive_overhead
+    (value, at), sent, events = round_trip(45)
+    assert (value, at, sent) == (42, 45 + 2 * one_way, [45 + one_way])
+    assert events == round_trip(0)[2] + (1 if traced else 0)
 
 
 def test_stats_count_messages():
