@@ -29,10 +29,10 @@ Pipeline (mirroring the paper's SUIF-based compiler):
 6. **Execution** — two bit-identical backends run the optimized IR as
    an SPMD program on the simulated Ace runtime, charging per-op cycle
    costs so Table 4's ladder falls out of real pass behaviour:
-   :mod:`codegen` (default) walks the IR once and emits pre-bound
-   Python closures fused per basic block; :mod:`interp` is the
-   tree-walking interpreter, retained as the differential-testing
-   oracle (``compile_source(backend="interp")``).
+   :mod:`codegen` (default) walks the IR once and emits one Python
+   generator per function; :mod:`interp` is the tree-walking
+   interpreter, retained as the differential-testing oracle
+   (``compile_source(backend="interp")``).
 """
 
 from repro.compiler.driver import (

@@ -72,6 +72,12 @@ class CompiledProgram:
     def dump(self) -> str:
         return self.ir.dump()
 
+    def emitted(self, func: str | None = None) -> str:
+        """The Python the closures backend runs, for one function or all:
+        ``dump()``'s listing, one stage later."""
+        sources = self.closures().sources
+        return sources[func] if func is not None else "\n".join(sources.values())
+
     def closures(self):
         """The closure-compiled form (built once, after the passes ran)."""
         if self._closures is None:
@@ -116,8 +122,8 @@ def compile_source(
     violation.  ``pass_stats["sanitize"]`` records both clean phases.
 
     ``backend`` picks the execution engine ``run_compiled`` will use:
-    ``"closures"`` (default) walks the optimized IR once and emits
-    pre-bound Python closures; ``"interp"`` is the tree-walking
+    ``"closures"`` (default) walks the optimized IR once and emits one
+    Python generator per function; ``"interp"`` is the tree-walking
     interpreter, kept as the differential-testing oracle.  Both produce
     bit-identical results, simulated cycles, and kernel event streams.
     """

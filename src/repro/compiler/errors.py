@@ -14,6 +14,11 @@ class AceSyntaxError(AceCompileError):
         self.col = col
 
 
+class AceInternalError(AceCompileError):
+    """The backend met IR of a shape lowering never builds: a pass or
+    hand-built ``FuncIR`` broke the structure it emits from."""
+
+
 class AnnotationError(AceCompileError):
     """Annotation-discipline violations found by the sanitizer.
 

@@ -97,6 +97,17 @@ class LoopInfo:
     header: str
     body: set          # block names strictly inside the loop (incl. header)
     exit: str
+    step: str | None = None  # a ``for``'s step block: where ``continue`` lands
+
+
+@dataclass
+class IfInfo:
+    """A structured conditional recorded during lowering."""
+
+    head: str          # the block whose ``br`` decides
+    then: str
+    els: str | None    # without an ``else`` the ``br`` falls to ``join``
+    join: str
 
 
 @dataclass
@@ -109,6 +120,7 @@ class FuncIR:
     blocks: dict = field(default_factory=dict)  # name -> Block
     arrays: dict = field(default_factory=dict)  # unique name -> size
     loops: list = field(default_factory=list)   # LoopInfo, innermost-first
+    ifs: list = field(default_factory=list)     # IfInfo
     var_types: dict = field(default_factory=dict)  # unique name -> TypeSpec
 
     def block_order(self) -> list:

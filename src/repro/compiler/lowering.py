@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.compiler import ast_nodes as A
 from repro.compiler.builtins_def import ANNOTATION_CALLS, BUILTINS
 from repro.compiler.errors import AceCompileError
-from repro.compiler.ir import Block, Const, FuncIR, Instr, LoopInfo, ProgramIR
+from repro.compiler.ir import Block, Const, FuncIR, IfInfo, Instr, LoopInfo, ProgramIR
 
 
 class _FuncLowerer:
@@ -147,6 +147,9 @@ class _FuncLowerer:
         then_b = self._new_block()
         else_b = self._new_block() if stmt.els else None
         join_b = self._new_block()
+        self.ir.ifs.append(
+            IfInfo(self.block.name, then_b.name, else_b.name if else_b else None, join_b.name)
+        )
         self.emit(
             Instr(
                 "br",
@@ -215,7 +218,10 @@ class _FuncLowerer:
             members.add(step_b.name)
         members.discard(exit_b.name)
         self.ir.loops.append(
-            LoopInfo(preheader=preheader.name, header=header.name, body=members, exit=exit_b.name)
+            LoopInfo(
+                preheader=preheader.name, header=header.name, body=members, exit=exit_b.name,
+                step=step_b.name if step_b else None,
+            )
         )
         self._set_block(exit_b)
 
