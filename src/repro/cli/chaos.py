@@ -4,11 +4,13 @@ Default mode: for each cell of the app × variant matrix, run the
 workload fault-free, re-run it under seeded fault plans (``--plan``),
 and require the final results to equal the fault-free run's.  The
 retry/dedup machinery in ``repro.dsm.faults`` is what makes that hold;
-this is its end-to-end proof.  ``--from-sweep`` does the same for the
-faulted cells of a ``sweep`` report, and additionally requires each
-replay to reproduce the cycles (or the stall) the sweep recorded — the
-sweep and the replay see the same physics, or somebody's determinism
-is broken.
+this is its end-to-end proof.  ``--plan none`` arms the machinery and
+injects nothing: each cell must also match the fault-free run's cycles
+with no retry — "armed costs zero simulated cycles", app by app.
+``--from-sweep`` does the same for the faulted cells of a ``sweep``
+report, and additionally requires each replay to reproduce the cycles
+(or the stall) the sweep recorded — the sweep and the replay see the
+same physics, or somebody's determinism is broken.
 
 A second check (skip with ``--no-stall-check``) injects a permanently
 dead link and requires the run to end in a
@@ -114,7 +116,7 @@ def verify_cells(cells: list[dict], art) -> int:
         if (app, variant, procs) not in baselines:
             t0 = time.time()
             base = run_app(app, variant, n_procs=procs)
-            baselines[app, variant, procs] = canon(app, base.results)
+            baselines[app, variant, procs] = canon(app, base.results), base.time
             print(f"{app} [{variant}] on {procs} nodes, fault-free: {base.time} cycles "
                   f"({time.time() - t0:.2f}s)")
         plan = PLANS[cell["plan"]](cell["seed"])
@@ -133,11 +135,16 @@ def verify_cells(cells: list[dict], art) -> int:
         problems = []
         if cell.get("stalled"):
             problems.append("a stall was recorded; replay completed")
-        if not equal(baselines[app, variant, procs], canon(app, res.results), app in APPROX_APPS):
+        base_results, base_time = baselines[app, variant, procs]
+        if not equal(base_results, canon(app, res.results), app in APPROX_APPS):
             problems.append("results differ from fault-free baseline")
         if cell.get("cycles") not in (None, res.time):
             problems.append(f"cycles {res.time} != recorded {cell['cycles']}")
         stats = res.stats
+        idle = cell["plan"] == "none"
+        if idle and (res.time != base_time or stats.get("rel.retry")):
+            # Armed but idle costs zero simulated cycles (DESIGN.md §9).
+            problems.append(f"an idle plan must match the fault-free {base_time} cycles, no retries")
         detail = (
             f"{res.time} cycles, {stats.get('fault.drop')} dropped, "
             f"{stats.get('fault.dup')} duplicated, {stats.get('fault.delay')} delayed, "
@@ -149,7 +156,7 @@ def verify_cells(cells: list[dict], art) -> int:
             save_repro(art, tag, plan)
         else:
             print(f"  {tag}: ok — {detail}")
-            if stats.get("fault.drop") + stats.get("fault.dup") == 0:
+            if not idle and stats.get("fault.drop") + stats.get("fault.dup") == 0:
                 print(f"  {tag}: note — plan injected no faults")
     return failures
 
@@ -293,8 +300,9 @@ def stall_check(art) -> int:
 
 
 def configure(parser) -> None:
-    parser.add_argument("--plan", choices=["canonical", "drop_retry"], default="canonical",
-                        help="fault plan family (default canonical: drop + duplicate + delay)")
+    parser.add_argument("--plan", choices=["canonical", "drop_retry", "none"], default="canonical",
+                        help="fault plan family (default canonical: drop + duplicate + delay; "
+                             "none: armed but idle, must match the fault-free run cycle for cycle)")
     parser.add_argument("--no-stall-check", action="store_true",
                         help="skip the dead-link StallReport check")
     parser.add_argument("--from-sweep", type=existing_file, default=None, metavar="SWEEP_JSON",

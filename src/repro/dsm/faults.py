@@ -49,15 +49,17 @@ Modeling notes
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from heapq import heappush as _heappush
 from random import Random
 
 from repro.dsm.transport import Port, Transport, as_transport
 from repro.machine.stats import intern_key
 from repro.sim.errors import DeadlockError
 from repro.sim.future import _UNSET, Future
-from repro.sim.kernel import Delay, Timer
+from repro.sim.kernel import Delay
 
 _NEVER = float("inf")
 _NO_FAULT = (0,)  # shared verdict: one delivery, no extra delay
@@ -122,6 +124,14 @@ class FaultPlan:
     stalls: dict = field(default_factory=dict)  # node -> (start, end, extra_delay)
     link_down: dict = field(default_factory=dict)  # (src, dst) -> dead-from cycle
     one_shots: list = field(default_factory=list)  # [OneShot, ...]
+
+    @property
+    def quiet(self) -> bool:
+        """True when nothing here can ever fire: no rate, one-shot, crash,
+        stall or dead link anywhere (a ``seed`` alone injects nothing)."""
+        rates = (self.default, *self.per_category.values(), *self.per_link.values())
+        return not (any(lf.any for lf in rates) or self.crashes or self.stalls
+                    or self.link_down or self.one_shots)
 
     # -- stock plans ----------------------------------------------------
     @classmethod
@@ -220,7 +230,7 @@ class StallReport:
     reason: str
     blocked_tasks: list
     tasks: list  # [{"task": name, "waiting_on": future name}, ...]
-    in_flight: list  # [{"category", "src", "dst", "region", "attempts", ...}, ...]
+    in_flight: list  # [{"category", "src", "dst", "region", "attempts", "deadline", ...}, ...]
     directory: list  # non-quiescent DirEntry dumps
     #: Nodes most likely responsible for the stall: destinations of
     #: repeatedly-retried in-flight calls (the silent ends of the stuck
@@ -239,10 +249,12 @@ class StallReport:
             )
         for call in self.in_flight:
             region = "" if call.get("region") is None else f" region {call['region']}"
+            due = call.get("deadline")
             lines.append(
                 f"in flight: {call['category']} node {call['src']} -> "
                 f"home {call['dst']}{region}, {call['attempts']} attempts "
                 f"over {call['age']} cycles"
+                + ("" if due is None else f", next retry due at cycle {due}")
             )
         for ent in self.directory:
             lines.append(
@@ -346,12 +358,13 @@ class LivenessWatchdog:
             "args": tuple(_short(a) for a in args),
             "attempts": pend.attempts,
             "age": self._sim.now - pend.born,
+            "deadline": pend.deadline,  # cycle the next retry is due (None: not sent yet)
         }
 
     def trip(self, pend: "_PendingCall") -> None:
         """Raise a :class:`StallError` for an exhausted call.
 
-        Called from a retry-timer event, so the raise propagates out of
+        Called from the retry sweeper's event, so the raise propagates out of
         :meth:`Simulator.run` — the run terminates with a report
         instead of spinning or hanging.
         """
@@ -525,6 +538,10 @@ class FaultTransport(Transport):
     surviving copy, so counters, traces, and latency math stay the
     machine's.  Replies go through a resolve-once gate, since a
     duplicated or replayed reply must not resolve a future twice.
+
+    The plan is read at construction — a :attr:`FaultPlan.quiet` one can
+    never fire, so its verdict is the epoch fence alone — and must not be
+    mutated during the run.
     """
 
     reliable = False
@@ -561,7 +578,9 @@ class FaultTransport(Transport):
         self._per_word = machine._per_word
         self._rng = Random(plan.seed)
         self._shot_hits = [0] * len(plan.one_shots)
+        self._quiet = plan.quiet
         self._counts = machine.stats.counter_ref()
+        self._msg_keys = machine._msg_keys
         self._k = {
             v: intern_key("fault", v)
             for v in ("drop", "dup", "delay", "crash", "link_down", "stall")
@@ -597,10 +616,20 @@ class FaultTransport(Transport):
         self._send(src, dst, handler, args, payload_words, category)
 
     def post(self, src, dst, handler, *args, payload_words: int = 0, category: str = "am.post"):
-        self.sim.schedule(
-            self._send_overhead,
-            partial(self._send, src, dst, handler, args, payload_words, category),
-        )
+        self._inject(src, dst, handler, args, payload_words, category)
+
+    def _inject(self, src, dst, handler, args, payload_words, category) -> None:
+        # The injection instant stays an event of its own (the plan reads
+        # ``now`` there), pushed the way Machine._deliver pushes an arrival.
+        fn = partial(self._send, src, dst, handler, args, payload_words, category)
+        if not self._send_overhead:  # a same-cycle event belongs on the kernel's ring
+            return self.after(0, fn)
+        sim = self.sim
+        seq = sim._seq
+        sim._seq = seq + 1
+        when = sim.now + self._send_overhead
+        jitter = sim._jitter
+        _heappush(sim._queue, (when, seq, fn) if jitter is None else (when, jitter.random(), seq, fn))
 
     def rpc(self, src, dst, handler, *args, payload_words: int = 0, category: str = "am.rpc", lead: int = 0):
         # NOTE: the *raw* rpc has no retries — on a lossy link it can
@@ -619,15 +648,22 @@ class FaultTransport(Transport):
         deliveries = self._verdict(None, None, category)
         if deliveries is None:
             return
-        machine = self.machine
         counts = self._counts
-        key = machine._msg_key(category)
-        base_delay = self._reply_base + self._per_word * payload_words
+        key = self._msg_keys.get(category) or self.machine._msg_key(category)
+        fn = partial(self._resolve_once, fut, value)
+        # Pushed as Machine.reply pushes (the delay is a full send + receive
+        # overhead: never the ring).
+        sim = self.sim
+        jitter = sim._jitter
+        base = sim.now + self._reply_base + self._per_word * payload_words
         for extra in deliveries:
             counts[key] += 1
             counts["msg.total"] += 1
             counts["msg.words"] += payload_words
-            self.sim.schedule(base_delay + extra, partial(self._resolve_once, fut, value))
+            seq = sim._seq
+            sim._seq = seq + 1
+            when = base + extra
+            _heappush(sim._queue, (when, seq, fn) if jitter is None else (when, jitter.random(), seq, fn))
 
     def _resolve_once(self, fut, value) -> None:
         # Duplicated replies, replayed recorded replies, and late
@@ -658,6 +694,8 @@ class FaultTransport(Transport):
         if dead and (src in dead or dst in dead):
             self._counts[self._k_fenced] += 1
             return None
+        if self._quiet:  # nothing in the plan can fire: the fence was the whole verdict
+            return _NO_FAULT
         plan = self.plan
         now = self.sim.now
         # Structural faults first (no randomness): crashed endpoints,
@@ -746,9 +784,6 @@ class FaultTransport(Transport):
 # ---------------------------------------------------------------------------
 # reliable delivery
 # ---------------------------------------------------------------------------
-_UNARMED = Timer(None)  # shared "no timeout set": cancelling it is harmless
-
-
 class _PendingCall:
     __slots__ = (
         "seq",
@@ -763,7 +798,7 @@ class _PendingCall:
         "attempts",
         "born",
         "epoch",
-        "timer",
+        "deadline",
     )
 
     def __init__(self, seq, fut, src, dst, handler, args, call_args, payload_words, category, born, epoch):
@@ -779,7 +814,7 @@ class _PendingCall:
         self.attempts = 0
         self.born = born
         self.epoch = epoch  # cluster generation the call was issued in
-        self.timer = _UNARMED  # the retry timeout; cancelled once the call is settled
+        self.deadline = None  # the one live arming: cycle the next retry is due, if any
 
 
 class RetryKit:
@@ -797,11 +832,18 @@ class RetryKit:
     resolve one cell and the transport's resolve-once gate picks the
     winner.  One shared sequence counter gives every logical call a
     globally unique ``seq``; receivers dedup on ``(src, seq)``.
+
+    **One retry clock** (DESIGN.md §9).  Arming a call stamps
+    ``pend.deadline`` — its one live arming — and queues ``(deadline,
+    pend)`` on the FIFO of its timeout, whose deadlines are therefore in
+    order.  One kernel timer, the sweeper, waits for the earliest head,
+    checks the due entries whose deadline is still their call's, and is
+    called off when :attr:`pending` empties.
     """
 
     def __init__(self, transport: FaultTransport, policy: RetryPolicy, watchdog: LivenessWatchdog):
         self._transport = transport
-        self._timer = transport.sim.timer
+        self._sim = transport.sim
         self._policy = policy
         self._watchdog = watchdog
         watchdog.kit = self
@@ -812,6 +854,14 @@ class RetryKit:
         self._k_calls = intern_key("rel", "calls")
         self._obs = transport._obs
         self._d_send = transport._d_send
+        # One FIFO per distinct timeout, longest first: of two entries due
+        # at one cycle, the one armed earlier is checked first.
+        timeouts = [policy.timeout_for(max(a, 1)) for a in range(policy.max_attempts + 1)]
+        fifos = {t: deque() for t in sorted(set(timeouts), reverse=True)}
+        self._fifos = list(fifos.values())
+        self._levels = [(t, fifos[t]) for t in timeouts]  # by attempt number
+        self._sweeper = None  # the kernel Timer, live while _sweep_at is a cycle
+        self._sweep_at = _NEVER
 
     def _track(self, fut, src, dst, handler, call_args, payload_words, category) -> _PendingCall:
         seq = self._seq
@@ -826,7 +876,7 @@ class RetryKit:
             call_args,
             payload_words,
             category,
-            self._transport.sim.now,
+            self._sim.now,
             self._transport.epoch,
         )
         self.pending[seq] = pend
@@ -841,12 +891,11 @@ class RetryKit:
         pend = self._track(fut, src, dst, handler, args, payload_words, category)
         yield self._d_send
         pend.attempts = 1
-        self._transport._send(src, dst, handler, pend.args, payload_words, category)
-        # _arm and settle, inlined: every reliable round trip passes here
-        pend.timer = self._timer(self._policy.timeout_for(1), partial(self._check, pend))
+        # pend.dst, not dst: a death declared inside the send charge re-homed the call
+        self._transport._send(src, pend.dst, handler, pend.args, payload_words, category)
+        self._arm(pend)
         value = yield fut
-        self.pending.pop(pend.seq, None)
-        pend.timer.cancel()
+        self.settle(pend)
         return value
 
     def post(
@@ -861,7 +910,7 @@ class RetryKit:
         """Ack'd one-way send from handler context; returns the ack future."""
         fut = Future(name="rel:" + category)
         pend = self._track(fut, src, dst, handler, args, payload_words, category)
-        fut.add_callback(lambda _fut: self.settle(pend))
+        fut.add_callback(partial(self.settle, pend))
         pend.attempts = 1
         self.transmit(pend)
         return fut
@@ -869,27 +918,51 @@ class RetryKit:
     def transmit(self, pend: _PendingCall) -> None:
         """(Re)send from handler context — the first attempt pays the
         sender overhead like ``transport.post`` — and (re)arm the timeout."""
-        pend.timer.cancel()
-        self._transport.post(
-            pend.src,
-            pend.dst,
-            pend.handler,
-            *pend.args,
-            payload_words=pend.payload_words,
-            category=pend.category,
+        self._transport._inject(
+            pend.src, pend.dst, pend.handler, pend.args, pend.payload_words, pend.category
         )
         self._arm(pend)
 
     def _arm(self, pend: _PendingCall) -> None:
-        pend.timer = self._timer(self._policy.timeout_for(pend.attempts), partial(self._check, pend))
+        timeout, fifo = self._levels[pend.attempts]
+        pend.deadline = deadline = self._sim.now + timeout  # orphans any older entry
+        fifo.append((deadline, pend))
+        if deadline < self._sweep_at:
+            self._wake(deadline)
 
-    def settle(self, pend: _PendingCall) -> None:
-        """The call is answered or given up: out of the table, timeout off."""
+    def _wake(self, deadline: int) -> None:
+        if self._sweep_at != _NEVER:
+            self._sweeper.cancel()
+        self._sweep_at = deadline
+        self._sweeper = self._sim.timer(deadline - self._sim.now, self._sweep)
+
+    def settle(self, pend: _PendingCall, _fut=None) -> None:
+        """The call is answered or given up (also its ack future's
+        callback): out of the table, timeout off."""
         self.pending.pop(pend.seq, None)
-        pend.timer.cancel()
+        pend.deadline = None
+        if not self.pending and self._sweep_at != _NEVER:
+            # Every queued entry is stale now, and a live sweeper would
+            # hold the clock past the run's last real event.
+            self._sweeper.cancel()
+            self._sweep_at = _NEVER
+            for fifo in self._fifos:
+                fifo.clear()
+
+    def _sweep(self) -> None:
+        now = self._sweep_at = self._sim.now  # a retransmit below must not re-wake
+        for fifo in self._fifos:
+            while fifo and (fifo[0][0] <= now or fifo[0][1].deadline != fifo[0][0]):
+                deadline, pend = fifo.popleft()
+                if pend.deadline == deadline:  # else settled or re-armed since: stale
+                    self._check(pend)
+        self._sweep_at = _NEVER  # fired: nothing to call off
+        heads = [fifo[0][0] for fifo in self._fifos if fifo]  # live and later than now
+        if heads:
+            self._wake(min(heads))
 
     def _check(self, pend: _PendingCall) -> None:
-        # Fires only for a call still unanswered: settling one cancels this.
+        # Reached only for a call still unanswered at its own deadline.
         if pend.attempts >= self._policy.max_attempts:
             self._watchdog.trip(pend)
             return  # pragma: no cover - trip always raises
@@ -897,7 +970,7 @@ class RetryKit:
         self._counts[self._k_retry] += 1
         if self._obs is not None:
             self._obs.emit(
-                self._transport.sim.now, "rel.retry", pend.src, -1,
+                self._sim.now, "rel.retry", pend.src, -1,
                 pend.category, pend.dst, pend.attempts,
             )
         self.transmit(pend)

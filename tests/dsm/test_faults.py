@@ -28,9 +28,10 @@ from pathlib import Path
 
 from repro.dsm import FaultPlan, FaultTransport, OneShot, RetryPolicy, StallError, as_transport
 from repro.dsm.transport import Acks, Port
-from repro.dsm.faults import LinkFaults, RetryPort
+from repro.dsm.faults import LinkFaults, RetryKit, RetryPort
 from repro.facade import run_spmd
 from repro.machine import Machine, MachineConfig
+from repro.obs import TraceBuffer
 from repro.sim import Delay, Future, Simulator
 from repro.sim.errors import DeadlockError
 
@@ -115,6 +116,36 @@ def test_one_shot_validates_action():
         OneShot("explode")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("default", LinkFaults(drop=0.1)),
+        ("default", LinkFaults(dup=0.1)),
+        ("default", LinkFaults(delay=0.1)),
+        ("per_category", {"ace.sc.read_req": LinkFaults(drop=0.1)}),
+        ("per_link", {(0, 1): LinkFaults(delay=0.1)}),
+        ("crashes", {2: 0}),
+        ("stalls", {1: (0, 100, 50)}),
+        ("link_down", {(1, 0): 0}),
+        ("one_shots", [OneShot("drop")]),
+    ],
+)
+def test_any_fault_alone_makes_a_plan_not_quiet(field, value):
+    assert not FaultPlan(**{field: value}).quiet
+    plan = FaultPlan.none()
+    setattr(plan, field, value)
+    assert not plan.quiet  # mutated after construction, before the run: still seen
+
+
+def test_a_plan_that_cannot_fire_is_quiet():
+    assert FaultPlan().quiet and FaultPlan.none(seed=9).quiet  # a seed injects nothing
+    # rates that are all zero are no rates
+    assert FaultPlan(per_category={"x": LinkFaults()}, per_link={(0, 1): LinkFaults()}).quiet
+    for stock in (FaultPlan.canonical(0), FaultPlan.drop_retry(0), FaultPlan.dead_link(1, 0),
+                  FaultPlan.crash(1, 100)):
+        assert not stock.quiet
+
+
 def test_retry_policy_backoff_caps():
     pol = RetryPolicy(timeout=100, max_timeout=400, max_attempts=5)
     assert [pol.timeout_for(a) for a in range(1, 6)] == [100, 200, 400, 400, 400]
@@ -174,9 +205,54 @@ def test_one_shot_drop_triggers_exactly_one_retry():
     assert res.stats.get("rel.retry") >= 1
 
 
-def test_faults_observable_in_trace():
-    from repro.obs import TraceBuffer
+def _retry_cycles(buf):
+    return [(ev.ts, ev.data["category"], ev.data["attempt"])
+            for ev in buf.events() if ev.kind == "rel.retry"]
 
+
+#: Recorded on the per-call-timer kit (PR 19): the deadline queue must
+#: re-send at exactly these cycles.
+_SHORT = RetryPolicy(timeout=500, max_timeout=4000, max_attempts=5)
+_DEAD_LINK_RETRIES = {
+    None: ([6550, 18550, 42550, 90550, 186550, 282550, 378550, 474550, 570550, 666550, 762550],
+           858550),
+    _SHORT: ([1050, 2050, 4050, 8050], 12050),
+}
+_ONE_SHOT_RETRIES = {
+    None: (20660, [(7071, "ace.lock.req", 2), (7560, "ace.sc.write_req", 2)]),
+    _SHORT: (15160, [
+        (1571, "ace.lock.req", 2), (2060, "ace.sc.write_req", 2), (2571, "ace.lock.req", 3),
+        (3590, "ace.sc.write_req", 2), (3598, "ace.lock.req", 2), (4598, "ace.lock.req", 3),
+        (5028, "ace.lock.req", 2), (6576, "ace.sc.write_req", 2), (6584, "ace.lock.req", 2),
+        (7584, "ace.lock.req", 3), (8014, "ace.lock.req", 2), (9562, "ace.sc.write_req", 2),
+        (9570, "ace.lock.req", 2), (10570, "ace.lock.req", 3), (11000, "ace.lock.req", 2),
+        (12548, "ace.sc.write_req", 2), (14636, "ace.sc.read_req", 2),
+    ]),
+}
+
+
+@pytest.mark.parametrize("policy", [None, _SHORT], ids=["default", "short"])
+def test_retries_fire_at_the_pinned_cycles(policy):
+    cycles, stalled_at = _DEAD_LINK_RETRIES[policy]
+    buf = TraceBuffer()
+    with pytest.raises(StallError) as exc:
+        run_spmd(make_counter_prog(), n_procs=N_PROCS, fault_plan=FaultPlan.dead_link(1, 0),
+                 retry_policy=policy, tracer=buf)
+    assert exc.value.report.now == stalled_at
+    assert _retry_cycles(buf) == [
+        (cycle, "ace.lock.req", attempt) for attempt, cycle in enumerate(cycles, 2)
+    ]
+
+    time, retries = _ONE_SHOT_RETRIES[policy]
+    plan = FaultPlan.none()
+    plan.one_shots.append(OneShot("drop", category="ace.sc.write_req"))
+    buf = TraceBuffer()
+    res = run_counter(plan, retry_policy=policy, tracer=buf)
+    assert res.results == [EXPECTED] * N_PROCS
+    assert (res.time, _retry_cycles(buf)) == (time, retries)
+
+
+def test_faults_observable_in_trace():
     buf = TraceBuffer()
     res = run_counter(FaultPlan.canonical(0), tracer=buf)
     assert res.results == [EXPECTED] * N_PROCS
@@ -210,6 +286,10 @@ def test_dead_link_raises_stall_report():
     assert blob["reason"] == report.reason
     # And the human summary names the stuck home.
     assert "home" in report.summary()
+    # ...and when each stuck call would next have been re-sent: the one
+    # that tripped was due this very cycle.
+    assert report.now in [c["deadline"] for c in calls]
+    assert f"next retry due at cycle {report.now}" in report.summary()
 
 
 def test_crashed_node_stalls_survivors_with_report():
@@ -259,6 +339,48 @@ def test_idle_fault_plan_costs_zero_cycles():
         for armed in ({}, {"on_crash": "recover"}):
             tails.append(run_spmd(program, n_procs=8, fault_plan=FaultPlan(), **armed).time - off)
     assert tails == [0] * 6
+
+
+def test_idle_run_keeps_one_retry_timer_and_a_short_heap(monkeypatch):
+    """One retry clock: however many reliable calls are in flight, the
+    kernel heap holds one live kit timer (plus the recovery heartbeat),
+    so an armed run's heap stays about as short as an unarmed one's."""
+    from repro.apps import em3d
+    from repro.dsm.recovery import RecoveryManager
+    from repro.sim.kernel import Timer
+
+    program = em3d.em3d_program(
+        em3d.EM3DWorkload(n_e=48, n_h=48, degree=3, pct_remote=0.25, n_iters=4, seed=10),
+        em3d.SC_PLAN,
+    )
+    lengths, timers = [], []
+    deliver = Machine._deliver
+
+    def sampling_deliver(self, *args, **kwargs):  # once per message, armed or not
+        queue = self.sim._queue
+        lengths.append(len(queue))
+        timers.append(sorted(e[-1].fn.__func__.__qualname__ for e in queue
+                             if e[-1].__class__ is Timer and e[-1].fn is not None))
+        deliver(self, *args, **kwargs)
+
+    monkeypatch.setattr(Machine, "_deliver", sampling_deliver)
+
+    def sample(**armed):
+        lengths.clear()
+        timers.clear()
+        res = run_spmd(program, n_procs=8, **armed)
+        return res, max(lengths), {tuple(t) for t in timers}
+
+    sweep, tick = RetryKit._sweep.__qualname__, RecoveryManager._tick.__qualname__
+    _, unarmed_max, live = sample()
+    assert live == {()}
+    res, armed_max, live = sample(fault_plan=FaultPlan())
+    assert res.stats.get("rel.calls") > 500 and res.time > 10 * RetryPolicy().timeout
+    assert live <= {(), (sweep,)}
+    assert armed_max <= 2 * unarmed_max
+    # (a heartbeat round is a burst of n * (n - 1) posts, so no length bound here)
+    _, _, live = sample(fault_plan=FaultPlan(), on_crash="recover")
+    assert live <= {(), (tick,), tuple(sorted((tick, sweep)))}
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +576,84 @@ def test_sweep_answers_for_a_dead_target_and_the_collector_completes():
     assert transport.stats.get("recovery.fake_acks") == 1
     assert not transport.kit.pending
     assert sim.run() == 2000  # nothing left to retry: no timer holds the clock
+
+
+def _armings(kit, pend):
+    """Queued deadlines of ``pend``: (the live ones, all of them)."""
+    queued = [d for fifo in kit._fifos for d, p in fifo if p is pend]
+    return [d for d in queued if d == pend.deadline], queued
+
+
+def test_a_call_has_one_live_arming_and_stale_deadlines_are_skipped():
+    """A ``_check`` retransmit and a ``retarget`` each re-arm the call:
+    the new deadline is its only live one, and the sweeper passes the
+    orphaned entries without re-sending anything for them."""
+    sim = Simulator()
+    policy = RetryPolicy(timeout=500, max_timeout=4000, max_attempts=4)
+    transport = FaultTransport(Machine(sim, MachineConfig(n_procs=3)), FaultPlan.dead_link(0, 1),
+                               retry_policy=policy, on_crash="recover")
+    kit, svc = transport.kit, _Svc(transport.port("svc"))
+    h_ask = svc.port.serves(svc._on_ask)
+    answers = {}
+
+    def client(name, x):
+        answers[name] = yield from svc.port.call(0, 1, h_ask, x, category="svc.ask")
+
+    sim.spawn(client("a", 21), name="a")
+    sim.spawn(client("b", 4), name="b")
+    sim.run(until=100)  # both sent at 60 into the dead link, armed for 560
+    a, b = sorted(kit.pending.values(), key=lambda p: p.seq)
+    assert _armings(kit, a) == ([560], [560]) and kit._sweep_at == 560
+
+    sim.run(until=700)  # the sweep at 560 re-sent both: attempt 2, due 1000 later
+    assert transport.stats.get("rel.retry") == 2
+    assert (a.attempts, _armings(kit, a)) == (2, ([1560], [1560]))
+
+    transport.recovery.retarget(a, 2)  # attempt 1 again, at a node that answers
+    assert (a.attempts, _armings(kit, a)) == (1, ([1200], [1560, 1200]))
+    assert kit._sweep_at == 1200  # the sweeper moved up to the new earliest deadline
+
+    sim.run(until=1150)  # answered; its two entries wait for the sweeper, both stale
+    assert answers == {"a": 42} and a.deadline is None and list(kit.pending) == [b.seq]
+    assert _armings(kit, a) == ([], [1560, 1200])
+
+    sim.run(until=1300)  # the sweep at 1200 dropped them and re-sent nothing
+    assert transport.stats.get("rel.retry") == 2
+    assert _armings(kit, a) == ([], []) and kit._sweep_at == 1560
+
+    sim.run(until=1600)  # b alone is re-sent at 1560
+    assert transport.stats.get("rel.retry") == 3
+    assert _armings(kit, b) == ([3560], [3560])
+
+    with pytest.raises(StallError) as exc:  # b: attempt 4 at 3560, exhausted at 7560
+        sim.run()
+    assert exc.value.report.now == 7560
+    assert [c["seq"] for c in exc.value.report.in_flight] == [b.seq]
+    assert svc.served == [21]
+
+
+def test_the_plan_is_read_at_construction():
+    """A quiet plan's verdict is the fence alone; a plan given its faults
+    before the transport exists is honoured like any other."""
+    def fabric(plan):
+        sim = Simulator()
+        transport = FaultTransport(Machine(sim, MachineConfig(n_procs=3)), plan)
+        heard = []
+        for dst in (1, 2):
+            transport.post(0, dst, lambda node, src: heard.append(node.nid))
+        return sim, transport, heard
+
+    sim, transport, heard = fabric(FaultPlan())
+    transport.dead.add(2)  # declared dead: a quiet fabric still fences it
+    sim.run()
+    assert heard == [1]
+    assert transport.stats.get("recovery.fenced") == 1 and transport.fault_counts() == {}
+
+    plan = FaultPlan.none()
+    plan.link_down[(0, 2)] = 0  # mutated before the run, as the chaos properties do
+    sim, transport, heard = fabric(plan)
+    sim.run()
+    assert heard == [1] and transport.fault_counts() == {"link_down": 1}
 
 
 def test_protocol_ports_keep_the_handlers_own_stat_name():

@@ -101,6 +101,31 @@ def test_crash_during_owned_forward_still_reroutes(monkeypatch):
     assert isinstance(res.results[victim], Crashed)
 
 
+def _read_begun_at(start):
+    """Node 2 homes a region and crash-stops at 1500; node 1 begins its
+    first read of the region at cycle ``start``."""
+    box = {}
+
+    def run(ctx):
+        sid = yield from ctx.new_space("SC")
+        if ctx.nid == 2:
+            box["rid"] = yield from ctx.gmalloc(sid, 4)
+        yield from ctx.barrier()
+        h = yield from ctx.map(box["rid"])
+        yield from ctx.barrier()
+        if ctx.nid != 1:
+            return (yield from ctx.compute(20_000))
+        yield from ctx.compute(start - ctx.machine.sim.now)
+        return list((yield from ctx.read_region(h)))
+
+    return run_spmd(run, n_procs=N_PROCS, fault_plan=FaultPlan.crash(2, 1500), on_crash="recover")
+
+
+def _declared_at():
+    (event,) = _read_begun_at(30_000).backend.transport.recovery.summary()["events"]
+    return event["declared_at"]
+
+
 def test_miss_begun_just_before_the_declaration_reads_the_new_home():
     """The home of a miss is read after its ``start_miss`` charge while
     recovery is armed: a declaration inside the charge re-homes the
@@ -108,32 +133,24 @@ def test_miss_begun_just_before_the_declaration_reads_the_new_home():
     fenced forever, never swept (the call is not tracked yet).  That is
     why the charge rides the send as a ``lead`` only on fabrics that
     cannot re-home (DESIGN.md §6)."""
-    box = {}
-
-    def program(start):
-        def run(ctx):
-            sid = yield from ctx.new_space("SC")
-            if ctx.nid == 2:
-                box["rid"] = yield from ctx.gmalloc(sid, 4)
-            yield from ctx.barrier()
-            h = yield from ctx.map(box["rid"])
-            yield from ctx.barrier()
-            if ctx.nid != 1:
-                return (yield from ctx.compute(20_000))
-            yield from ctx.compute(start - ctx.machine.sim.now)
-            return list((yield from ctx.read_region(h)))
-
-        return run
-
-    def run(start):
-        return run_spmd(program(start), n_procs=N_PROCS, fault_plan=FaultPlan.crash(2, 1500),
-                        on_crash="recover")
-
-    (event,) = run(30_000).backend.transport.recovery.summary()["events"]
+    declared_at = _declared_at()
     # dispatch + start_hit = 28 cycles, then start_miss = 45: every
     # access that is inside its start_miss at the declaration
-    for start in range(event["declared_at"] - 72, event["declared_at"] - 27, 11):
-        assert run(start).results[1] == [0.0] * 4, start
+    for start in range(declared_at - 72, declared_at - 27, 11):
+        assert _read_begun_at(start).results[1] == [0.0] * 4, start
+
+
+def test_call_retargeted_inside_its_send_charge_keeps_one_retry_deadline():
+    """After ``start_miss`` comes am_send_overhead = 60, and the call is
+    tracked by then: a declaration inside the send charge retargets it
+    (one arming) and the resuming ``kit.rpc`` arms it again.  Two timers
+    on one call once left the first running past the answer — a
+    StallError twelve timeouts after node 3 had replied at 10,212."""
+    declared_at = _declared_at()
+    for start in range(declared_at - 130, declared_at - 79, 10):
+        res = _read_begun_at(start)
+        assert (res.results[1], res.time) == ([0.0] * 4, 20625), start
+        assert res.stats.get("recovery.retargeted") == 1 and not res.stats.get("rel.retry")
 
 
 def test_recover_is_deterministic():

@@ -38,6 +38,9 @@ INVOCATIONS = [
     ("sweep --smoke --jobs 1 --compare-serial --out OUT/sweep.json", 0),
     ("chaos --apps TSP --procs 2 --seeds 0 --out OUT/chaos", 0),
     ("chaos --apps TSP --procs 2 --plan drop_retry --seeds 1 --no-stall-check --out OUT/chaos", 0),
+    ("chaos --apps EM3D --procs 2 --plan none --seeds 0 --no-stall-check --out OUT/chaos", 0),
+    # the idle check bites: a lossy port's lock release waits for its ack, so armed TSP is not free
+    ("chaos --apps TSP --procs 2 --plan none --seeds 0 --no-stall-check --out OUT/chaos", 1),
     ("chaos --crash --procs 3 --seeds 0-1 --out OUT/recovery", 0),
     ("chaos --seeds 3-1", 2),
     ("chaos --seeds x", 2),
