@@ -109,17 +109,22 @@ def traced_pairs(args) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------- cell matrix
 def build_matrix(apps: list[str], procs: list[int], plans: list[str], seeds: list[int]) -> list[dict]:
     """The app × variant × nodes × plan × seed cross product, as plain
-    dicts (picklable, JSON-able).  Variants are SC everywhere plus
-    EM3D's two update protocols — the three paper protocols whose
-    reliability machinery differs; a fault-free plan has no seed axis."""
+    dicts (picklable, JSON-able).  A faulted plan runs every app under SC
+    and under its custom protocol (EM3D's is named static) plus EM3D's
+    dynamic step.  The idle ``none`` plan, which has no seed axis, keeps to
+    SC and EM3D's ladder until ROADMAP item 3(b): an armed port's notify
+    blocks on its ack, so TSP's and Water's custom cells cannot yet match
+    the fault-free clock."""
     pairs = [(app, "SC") for app in apps]
     if "EM3D" in apps:
         pairs += [("EM3D", "dynamic"), ("EM3D", "static")]
+    pairs += [(app, "custom") for app in apps if app != "EM3D"]
     cells = [
         dict(app=app, variant=variant, procs=n, plan=plan, seed=seed)
         for app, variant in pairs
         for n in procs
         for plan in plans
+        if plan != "none" or variant != "custom"
         for seed in (seeds if plan != "none" else [0])
     ]
     if not cells:

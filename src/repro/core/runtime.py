@@ -278,9 +278,8 @@ class AceRuntime:
     def _create_protocol(self, protocol_name: str, space: Space):
         """Instantiate ``protocol_name`` for ``space``.  A hook that
         declares no ``lead`` (a user protocol's plain ``(nid, handle)``
-        generators, a table hook bound straight to its one action, the
-        frozen ``protocols/legacy.py``) is wrapped once, here, so the
-        access primitives stay branch-free."""
+        generators, a table hook bound straight to its one action) is
+        wrapped once, here, so the access primitives stay branch-free."""
         proto = self.registry.create(protocol_name, self, space)
         for name in _LED_HOOKS:
             hook = getattr(proto, name)

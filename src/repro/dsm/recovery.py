@@ -120,7 +120,6 @@ class RecoveryManager:
         self._engines: list = []
         self._locks: list = []
         self._protocols: list = []
-        self._collectors: list = []
         self._region_dirs: list = []
         #: category -> ("home", regions) | ("push", None) | ("ack", None)
         #:             | ("custom", method_name)
@@ -174,9 +173,6 @@ class RecoveryManager:
     def register_protocol(self, proto) -> None:
         self._protocols.append(proto)
         self._add_region_dir(proto.regions)
-
-    def register_collector(self, collector) -> None:
-        self._collectors.append(collector)
 
     def register_home_categories(self, categories, regions) -> None:
         """Calls in these categories target ``regions.get(args[0]).home``:
@@ -316,9 +312,6 @@ class RecoveryManager:
         broken = 0
         for service in self._locks:
             broken += service.break_dead(nid, self)
-        # 8. Collective membership shrink.
-        for collector in self._collectors:
-            collector.on_node_dead(nid, self)
         self._check_barrier()
         if self._obs is not None:
             self._obs.emit(self.sim.now, "recovery.complete", nid, -1, self.epoch, len(rehomed))

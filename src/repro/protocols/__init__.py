@@ -30,8 +30,10 @@ Shipped protocols
 ``Owned``           MOESI-style owned state; dirty owners supply readers
 ==================  =====================================================
 
-:mod:`repro.protocols.blocks` holds the §6 protocol-building-block
-library (ack collection, home queues, sharer directories, versions).
+The §6 protocol building blocks: the acked fan-out is the port's
+``fan_out`` + :class:`~repro.dsm.transport.Acks` (every protocol reaches
+the wire through its port, so it survives a lossy fabric);
+:mod:`repro.protocols.blocks` holds the sharer directory.
 """
 
 from repro.protocols.base import Handle, Protocol, ProtocolSpec

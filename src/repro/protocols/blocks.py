@@ -2,160 +2,23 @@
 
 "Protocol development would also be facilitated by the creation of a
 library of protocol building blocks ... We are currently attempting to
-isolate the primitives needed for such a library."  This module is
-that library, distilled from the patterns the shipped protocols repeat:
+isolate the primitives needed for such a library."  The patterns the
+shipped protocols repeat, and where each lives:
 
-``AckCollector``
-    fan a payload out to a set of nodes and resolve a future when all
-    have acknowledged (update pushes, invalidation storms, drains);
-``HomeQueue``
-    FIFO serialization point at a region's home (counters, migratory
-    hand-offs, lock-like grants);
+*acked fan-out* — send a payload to a set of nodes and learn when all
+    have answered (update pushes, invalidation storms, drains): the
+    port's ``fan_out`` with an :class:`~repro.dsm.transport.Acks`
+    collector, receivers bound with ``answers`` (DESIGN.md §9).  It is
+    part of the port, not of this module, because it has to survive a
+    lossy fabric: a fan-out that posts on its own skips the retries.
 ``SharerDirectory``
-    per-region sharer sets with registration and pruning;
-``VersionTable``
-    monotonically versioned regions for revalidation protocols.
+    per-region sharer sets with registration and pruning.
 
 :class:`~repro.protocols.buffered_update.BufferedUpdateProtocol` is
-built entirely from these blocks as the worked demonstration.
+built from these two as the worked demonstration.
 """
 
 from __future__ import annotations
-
-from collections import deque
-
-from repro.dsm.transport import as_transport
-from repro.sim import Future
-
-
-class AckCollector:
-    """Send a handler to ``targets`` and resolve ``done`` after all acks.
-
-    The receiving handler must call :meth:`ack` exactly once per
-    delivery (typically via :meth:`ack_handler` posted back).
-
-    Accepts any coherence-core fabric (a machine or a
-    :class:`~repro.dsm.transport.Transport`); messaging goes through
-    the transport's one-way ``post``.
-    """
-
-    def __init__(self, fabric, name: str = "acks"):
-        transport = as_transport(fabric)
-        self.transport = transport
-        self.machine = transport.machine
-        self._post = transport.post
-        self.name = name
-        # Crash recovery (None on every other fabric): open fan-outs
-        # track their unacked target set so the manager can shrink a
-        # collective whose member died instead of waiting forever.
-        self._recovery = transport.recovery
-        self._open: list = []
-        if self._recovery is not None:
-            self._recovery.register_collector(self)
-            # Acks keep the pending set exact (instance-attribute swap,
-            # so reliable/non-recovery fabrics run the original path).
-            self._on_ack = self._on_ack_tracked
-
-    def fan_out(self, src: int, targets, handler, *args, payload_words=0, category=None):
-        """Post ``handler(node, src, *args, collector_state)`` to each
-        target; returns a Future resolved when every target acked."""
-        done = Future(name=f"{self.name}:fanout@{src}")
-        targets = list(targets)
-        if not targets:
-            done.resolve(None)
-            return done
-        state = {"need": len(targets), "done": done}
-        if self._recovery is not None:
-            state["pending"] = set(targets)
-            self._open.append(state)
-            done.add_callback(lambda _fut, _s=state: self._open.remove(_s))
-        for t in targets:
-            self._post(
-                src,
-                t,
-                handler,
-                *args,
-                state,
-                payload_words=payload_words,
-                category=category or f"blocks.{self.name}",
-            )
-        return done
-
-    def ack(self, state) -> None:
-        """Count one acknowledgement against a fan-out's state."""
-        state["need"] -= 1
-        if state["need"] == 0:
-            state["done"].resolve(None)
-
-    def on_node_dead(self, dead: int, manager) -> None:
-        """Crash recovery: ack open fan-outs on the dead member's behalf.
-
-        Handlers that ack through :meth:`_on_ack` keep the pending set
-        exact (``need == len(pending)``); direct :meth:`ack` calls leave
-        it an over-approximation, in which case the dead member may
-        already have acked — the guard below shrinks only when the set
-        is provably exact, so a death can never double-count an ack
-        (the worst case is waiting out a retry that will not come,
-        which is what the non-recovery fabric would do anyway)."""
-        for state in list(self._open):
-            pending = state["pending"]
-            if dead not in pending:
-                continue
-            pending.discard(dead)
-            if state["need"] > len(pending):
-                self.ack(state)
-
-    def post_ack(self, src: int, dst: int, state, category=None) -> None:
-        """Send the ack message back to the fan-out's origin."""
-        self._post(
-            src,
-            dst,
-            self._on_ack,
-            state,
-            payload_words=1,
-            category=category or f"blocks.{self.name}.ack",
-        )
-
-    def _on_ack(self, node, src, state):
-        self.ack(state)
-
-    def _on_ack_tracked(self, node, src, state):
-        state["pending"].discard(src)
-        self.ack(state)
-
-
-class HomeQueue:
-    """FIFO serialization of grants at a home node, one queue per key."""
-
-    def __init__(self):
-        self._state: dict = {}  # key -> {"held": bool, "queue": deque}
-
-    def _entry(self, key):
-        ent = self._state.get(key)
-        if ent is None:
-            ent = {"held": False, "queue": deque()}
-            self._state[key] = ent
-        return ent
-
-    def acquire(self, key, grant) -> None:
-        """Call ``grant()`` now if free, else queue it (handler context)."""
-        ent = self._entry(key)
-        if ent["held"]:
-            ent["queue"].append(grant)
-        else:
-            ent["held"] = True
-            grant()
-
-    def release(self, key) -> None:
-        """Release; the next queued grant (if any) runs immediately."""
-        ent = self._entry(key)
-        if ent["queue"]:
-            ent["queue"].popleft()()
-        else:
-            ent["held"] = False
-
-    def held(self, key) -> bool:
-        return self._entry(key)["held"]
 
 
 class SharerDirectory:
@@ -176,20 +39,3 @@ class SharerDirectory:
     def __contains__(self, item) -> bool:
         rid, node = item
         return node in self._sharers.get(rid, set())
-
-
-class VersionTable:
-    """Monotone per-region versions for revalidation-style protocols."""
-
-    def __init__(self):
-        self._versions: dict[int, int] = {}
-
-    def current(self, rid: int) -> int:
-        return self._versions.get(rid, 0)
-
-    def bump(self, rid: int) -> int:
-        self._versions[rid] = self.current(rid) + 1
-        return self._versions[rid]
-
-    def is_current(self, rid: int, version) -> bool:
-        return self.current(rid) == version

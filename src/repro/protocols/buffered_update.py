@@ -10,16 +10,18 @@ single writer per region per epoch (checked at the home: concurrent
 epoch writers raise).
 
 Implementation-wise this protocol is deliberately thin: sharer
-tracking, fan-out acking, and version bookkeeping all come from
-:mod:`repro.protocols.blocks`, and the table is three rows.
+tracking comes from :mod:`repro.protocols.blocks`, both acked fan-outs
+(writer to homes, home to sharers) are the port's ``fan_out`` +
+``Acks``, and the table is three rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.dsm.transport import Acks
 from repro.protocols.base import ProtocolMisuse, ProtocolSpec
-from repro.protocols.blocks import AckCollector, SharerDirectory, VersionTable
+from repro.protocols.blocks import SharerDirectory
 from repro.protocols.caching import CachedTableProtocol
 from repro.protocols.registry import default_registry
 from repro.sim import Future
@@ -77,11 +79,15 @@ class BufferedUpdateProtocol(CachedTableProtocol):
         n = self.transport.n_procs
         self._dirty: list[set] = [set() for _ in range(n)]
         self._sharers = SharerDirectory()
-        self._versions = VersionTable()
-        self._acks = AckCollector(self.machine, name="BufferedUpdate")
         # home-side: rid -> epoch version of last accepted write
         self._last_writer: dict = {}
         self._epoch = [0] * n
+        # A re-run update would answer its writer twice, and a delayed
+        # duplicate (update or push) must not overwrite a newer epoch's data.
+        port = self.port
+        self._h_update = port.hears(self._on_update, "proto.BufferedUpdate.update_ack")
+        self._h_push = port.answers(self._on_push, "proto.BufferedUpdate.push_ack", "_on_ack")
+        port.watch(("proto.BufferedUpdate.update", "proto.BufferedUpdate.push"))
 
     def _fetch_extra(self, rid: int, src: int):
         self._sharers.register(rid, src)
@@ -98,29 +104,29 @@ class BufferedUpdateProtocol(CachedTableProtocol):
         dirty = sorted(self._dirty[nid])
         self._dirty[nid].clear()
         epoch = self._epoch[nid]
-        done = Future(name=f"bu:ship@{nid}")
-        state = {"need": len(dirty), "done": done}
+        shipped = Acks(done=Future(name=f"bu:ship@{nid}"))  # one answer per region, from its home
+        shipped.waiting.extend(dirty)
         if not dirty:
-            done.resolve(None)
+            shipped.done.resolve(None)
         for rid in dirty:
             region = self.regions.get(rid)
             copy = self._copies[nid][rid]
             data = np.array(copy.data, copy=True)
             if nid == region.home:
-                self._on_update(self.transport.nodes[nid], nid, rid, epoch, data, state)
+                self._on_update(self.transport.nodes[nid], nid, rid, epoch, data, shipped)
             else:
-                self.transport.post(
+                self._post(
                     nid,
                     region.home,
-                    self._on_update,
+                    self._h_update,
                     rid,
                     epoch,
                     data,
-                    state,
+                    shipped,
                     payload_words=region.size,
                     category="proto.BufferedUpdate.update",
                 )
-        yield done
+        yield shipped.done
 
     def act_advance_epoch(self, nid: int):
         self._epoch[nid] += 1
@@ -128,7 +134,7 @@ class BufferedUpdateProtocol(CachedTableProtocol):
         yield  # pragma: no cover - makes this a generator
 
     # -- home side (handler context) -------------------------------------
-    def _on_update(self, node, src, rid, epoch, data, state):
+    def _on_update(self, node, src, rid, epoch, data, shipped):
         key = (rid, epoch)
         prev = self._last_writer.get(key)
         if prev is not None and prev != src:
@@ -139,21 +145,19 @@ class BufferedUpdateProtocol(CachedTableProtocol):
         self._last_writer[key] = src
         region = self.regions.get(rid)
         np.copyto(region.home_data, data)
-        self._versions.bump(rid)
         targets = self._sharers.sharers(rid, exclude=(src, region.home))
-        fanout = self._acks.fan_out(
-            region.home,
-            targets,
-            self._on_push,
-            rid,
-            data,
-            payload_words=region.size,
-            category="proto.BufferedUpdate.push",
-        )
-        fanout.add_callback(lambda _: self._acks.ack(state))
-
-    def _on_push(self, node, src, rid, data, state):
-        copy = self._copies[node.nid].get(rid)
-        if copy is not None:
-            np.copyto(copy.data, data)
-        self._acks.post_ack(node.nid, src, state, category="proto.BufferedUpdate.push_ack")
+        if targets:
+            pushed = Acks(done=Future(name=f"bu:push:{rid}@{region.home}"))
+            pushed.done.add_callback(lambda _: shipped.answer(rid))
+            self.port.fan_out(
+                region.home,
+                targets,
+                self._h_push,
+                rid,
+                data,
+                acks=pushed,
+                payload_words=region.size,
+                category="proto.BufferedUpdate.push",
+            )
+        else:
+            shipped.answer(rid)

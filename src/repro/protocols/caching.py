@@ -36,7 +36,6 @@ class CachedCopyProtocol(Protocol):
     MAP_COLD_COST = 45
     UNMAP_COST = 6
     ALIAS_HOME = True
-    _kit = None  # probed by the frozen protocols/legacy.py (exactly-once fabric only)
 
     def __init__(self, runtime, space):
         super().__init__(runtime, space)
@@ -49,6 +48,7 @@ class CachedCopyProtocol(Protocol):
         self._post = port.post
         self._reply = port.reply
         self._h_fetch = port.idempotent(self._on_fetch)
+        port.watch((f"proto.{self.spec.name}.fetch",))
         self._d_create = Delay(self.CREATE_COST)
 
     # -- data management ----------------------------------------------
@@ -79,7 +79,9 @@ class CachedCopyProtocol(Protocol):
                 category=f"proto.{self.spec.name}.fetch",
             )
             if nid != region.home:
-                np.copyto(copy.data, data)
+                if copy.state != "valid":
+                    np.copyto(copy.data, data)
+                # else a push overtook a delayed reply: what it installed is newer
                 copy.state = "valid"
                 self._after_fetch(nid, copy, extra)
             # else: the home died mid-fetch and this node is the re-homed
@@ -118,6 +120,17 @@ class CachedCopyProtocol(Protocol):
     def _fetch_extra(self, rid: int, src: int):
         """Home-side hook at fetch time (register sharers, return versions)."""
         return None
+
+    # -- sharer-side push (handler context) -------------------------------
+    def _on_push(self, node, src, ack, rid, data):
+        """Fan-out receiver of the update protocols (bound with
+        ``port.answers``): install a pushed region and answer it.  The
+        ``valid`` mark is how :meth:`map` knows a push overtook its reply."""
+        copy = self._copies[node.nid].get(rid)
+        if copy is not None:
+            np.copyto(copy.data, data)
+            copy.state = "valid"
+        ack()
 
     def _after_fetch(self, nid: int, copy: RegionCopy, extra) -> None:
         """Requester-side hook after a fetched copy is installed."""

@@ -85,6 +85,14 @@ class CounterProtocol(CachedTableProtocol):
         super().__init__(runtime, space)
         # rid -> {"held_by": nid|None, "queue": deque[(src, fut)]}
         self._locks: dict[int, dict] = {}
+        # Acquire is a call, commit a notify (DESIGN.md §9), the lock
+        # service's shape: a re-executed acquire would queue the holder
+        # behind itself, a re-run commit would release the next holder.
+        port = self.port
+        self._h_acquire = port.serves(self._on_acquire)
+        self._h_commit = port.hears(self._on_commit, "proto.Counter.commit_ack")
+        self._h_read = port.idempotent(self._on_read)
+        port.watch(("proto.Counter.acquire", "proto.Counter.commit", "proto.Counter.read"))
 
     def _lock_state(self, rid: int) -> dict:
         st = self._locks.get(rid)
@@ -100,20 +108,19 @@ class CounterProtocol(CachedTableProtocol):
     def act_acquire_rmw(self, nid: int, handle):
         """Acquire the home-side serialization point and fetch fresh data."""
         region = handle.region
-        fut = Future(name=f"ctr:{region.rid}@{nid}")
         if nid == region.home:
+            fut = Future(name=f"ctr:{region.rid}@{nid}")
             self._on_acquire(self.transport.nodes[nid], nid, fut, region.rid)
+            data = yield fut
         else:
-            yield from self.transport.request(
+            data = yield from self._rpc(
                 nid,
                 region.home,
-                self._on_acquire,
-                fut,
+                self._h_acquire,
                 region.rid,
                 payload_words=2,
                 category="proto.Counter.acquire",
             )
-        data = yield fut
         if data is not None:
             np.copyto(handle.data, data)
         handle.state = "valid"
@@ -125,10 +132,10 @@ class CounterProtocol(CachedTableProtocol):
         if nid == region.home:
             self._on_commit(self.transport.nodes[nid], nid, region.rid, None)
         else:
-            yield from self.transport.request(
+            yield from self.port.send(
                 nid,
                 region.home,
-                self._on_commit,
+                self._h_commit,
                 region.rid,
                 np.array(handle.data, copy=True),
                 payload_words=region.size,
@@ -138,10 +145,10 @@ class CounterProtocol(CachedTableProtocol):
     def act_fetch_value(self, nid: int, handle):
         """Fetch the current committed value (no serialization)."""
         region = handle.region
-        data = yield from self.transport.rpc(
+        data = yield from self._rpc(
             nid,
             region.home,
-            self._on_read,
+            self._h_read,
             region.rid,
             payload_words=2,
             category="proto.Counter.read",
@@ -164,7 +171,7 @@ class CounterProtocol(CachedTableProtocol):
         if src == region.home:
             fut.resolve(None)  # home copy aliases home_data: already current
         else:
-            self.transport.reply(
+            self._reply(
                 fut,
                 region.home_data.copy(),
                 payload_words=region.size,
@@ -184,7 +191,7 @@ class CounterProtocol(CachedTableProtocol):
 
     def _on_read(self, node, src, fut, rid):
         region = self.regions.get(rid)
-        self.transport.reply(
+        self._reply(
             fut,
             region.home_data.copy(),
             payload_words=region.size,

@@ -78,6 +78,8 @@ class HomeWriteProtocol(CachedTableProtocol):
     def __init__(self, runtime, space):
         super().__init__(runtime, space)
         self._versions: dict[int, int] = {}
+        self._h_check = self.port.idempotent(self._on_check)  # a version compare and a copy
+        self.port.watch(("proto.HomeWrite.check",))
 
     def _fetch_extra(self, rid: int, src: int):
         return self._versions.get(rid, 0)
@@ -105,10 +107,10 @@ class HomeWriteProtocol(CachedTableProtocol):
     def act_revalidate(self, nid: int, handle):
         """Version round trip; refetch the whole region when stale."""
         region = handle.region
-        current = yield from self.transport.rpc(
+        current = yield from self._rpc(
             nid,
             region.home,
-            self._on_check,
+            self._h_check,
             region.rid,
             handle.meta.get("version", -1),
             payload_words=2,
@@ -127,10 +129,10 @@ class HomeWriteProtocol(CachedTableProtocol):
     def _on_check(self, node, src, fut, rid, reader_version):
         version = self._versions.get(rid, 0)
         if version == reader_version:
-            self.transport.reply(fut, None, payload_words=1, category="proto.HomeWrite.ok")
+            self._reply(fut, None, payload_words=1, category="proto.HomeWrite.ok")
         else:
             region = self.regions.get(rid)
-            self.transport.reply(
+            self._reply(
                 fut,
                 (version, region.home_data.copy()),
                 payload_words=region.size,

@@ -113,6 +113,15 @@ class MigratoryProtocol(TableProtocol):
         # home-side: rid -> {"loc": nid, "busy": bool, "queue": deque}
         self._dir: dict[int, dict] = {}
         self._d_create = Delay(self.CREATE_COST)
+        # Every hop is a one-way state change (queue, defer, hand off,
+        # record) that a duplicate must not repeat: all four are heard once.
+        port = self.port = self.transport.port("proto.Migratory")
+        self._post = port.post
+        self._h_request = port.hears(self._on_request, "proto.Migratory.req_ack")
+        self._h_recall = port.hears(self._on_recall, "proto.Migratory.recall_ack")
+        self._h_data = port.hears(self._on_data, "proto.Migratory.data_ack")
+        self._h_moved = port.hears(self._on_moved, "proto.Migratory.moved_ack")
+        port.watch(tuple(f"proto.Migratory.{m}" for m in ("req", "recall", "data", "moved")))
 
     # -- lifecycle ---------------------------------------------------------
     def init_space(self, nid: int):
@@ -175,14 +184,14 @@ class MigratoryProtocol(TableProtocol):
         region = handle.region
         fut = Future(name=f"mig:{region.rid}@{nid}")
         if nid == region.home:
-            self._on_request(self.transport.nodes[nid], nid, fut, region.rid)
+            self._on_request(self.transport.nodes[nid], nid, region.rid, fut)
         else:
-            yield from self.transport.request(
+            yield from self.port.send(
                 nid,
                 region.home,
-                self._on_request,
-                fut,
+                self._h_request,
                 region.rid,
+                fut,
                 payload_words=2,
                 category="proto.Migratory.req",
             )
@@ -208,7 +217,7 @@ class MigratoryProtocol(TableProtocol):
         yield from self.act_release(nid, handle)
 
     # -- home side (handler context) ----------------------------------------
-    def _on_request(self, node, src, fut, rid):
+    def _on_request(self, node, src, rid, fut):
         ent = self._dir[rid]
         if ent["busy"]:
             ent["queue"].append((src, fut))
@@ -224,10 +233,10 @@ class MigratoryProtocol(TableProtocol):
             fut.resolve(None)
             return
         ent["busy"] = True
-        self.transport.post(
+        self._post(
             region.home,
             holder,
-            self._on_recall,
+            self._h_recall,
             rid,
             src,
             fut,
@@ -249,10 +258,10 @@ class MigratoryProtocol(TableProtocol):
         region = copy.region
         data = np.array(copy.data, copy=True)
         copy.state = "invalid"
-        self.transport.post(
+        self._post(
             copy.node,
             dest,
-            self._on_data,
+            self._h_data,
             rid,
             data,
             fut,
@@ -260,10 +269,10 @@ class MigratoryProtocol(TableProtocol):
             category="proto.Migratory.data",
         )
         # tell home the new location
-        self.transport.post(
+        self._post(
             copy.node,
             region.home,
-            self._on_moved,
+            self._h_moved,
             rid,
             dest,
             payload_words=2,

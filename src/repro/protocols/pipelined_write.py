@@ -102,6 +102,14 @@ class PipelinedWriteProtocol(CachedTableProtocol):
         self._phase = [0] * self.transport.n_procs
         self._outstanding = [0] * self.transport.n_procs
         self._drain_futs: list[Future | None] = [None] * self.transport.n_procs
+        # A delta merged twice, or an ack counted twice, corrupts the sum
+        # or the drain: both are heard once.  ``delta_ack`` is this
+        # protocol's own message, so the port's receipts are ``*_heard``.
+        port = self.port
+        self._h_refetch = port.idempotent(self._on_refetch)
+        self._h_delta = port.hears(self._on_delta, "proto.PipelinedWrite.delta_heard")
+        self._h_delta_ack = port.hears(self._on_delta_ack, "proto.PipelinedWrite.delta_ack_heard")
+        port.watch(("proto.PipelinedWrite.refetch", "proto.PipelinedWrite.delta"))
 
     # -- guards (table-referenced) ----------------------------------------
     def g_phase_stale_home(self, nid: int, handle) -> bool:
@@ -119,10 +127,10 @@ class PipelinedWriteProtocol(CachedTableProtocol):
 
     def act_refetch(self, nid: int, handle):
         region = handle.region
-        data = yield from self.transport.rpc(
+        data = yield from self._rpc(
             nid,
             region.home,
-            self._on_refetch,
+            self._h_refetch,
             region.rid,
             payload_words=2,  # request is metadata-only; the reply carries data
             category="proto.PipelinedWrite.refetch",
@@ -133,7 +141,7 @@ class PipelinedWriteProtocol(CachedTableProtocol):
 
     def _on_refetch(self, node, src, fut, rid):
         region = self.regions.get(rid)
-        self.transport.reply(
+        self._reply(
             fut,
             region.home_data.copy(),
             payload_words=region.size,
@@ -178,10 +186,10 @@ class PipelinedWriteProtocol(CachedTableProtocol):
             region.home_data += delta
             self._ack(nid)
         else:
-            yield from self.transport.request(
+            yield from self.port.send(
                 nid,
                 region.home,
-                self._on_delta,
+                self._h_delta,
                 region.rid,
                 delta,
                 nid,
@@ -192,10 +200,10 @@ class PipelinedWriteProtocol(CachedTableProtocol):
     def _on_delta(self, node, src, rid, delta, writer):
         region = self.regions.get(rid)
         region.home_data += delta
-        self.transport.post(
+        self._post(
             node.nid,
             writer,
-            self._on_delta_ack,
+            self._h_delta_ack,
             writer,
             payload_words=1,
             category="proto.PipelinedWrite.delta_ack",

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dsm.transport import Acks
 from repro.protocols.base import ProtocolSpec
 from repro.protocols.caching import CachedTableProtocol
 from repro.protocols.registry import default_registry
@@ -95,6 +96,13 @@ class RaceDetectProtocol(CachedTableProtocol):
         #: confirmed races: (epoch, rid, readers, writers)
         self.races: list = []
         self._d_record = Delay(self.RECORD_COST)
+        # A summary counted twice would open the barrier early, and a
+        # delayed duplicate of an old push must not overwrite a newer one.
+        port = self.port
+        self._h_refetch = port.idempotent(self._on_refetch)
+        self._h_summary = port.hears(self._on_summary, "proto.RaceDetect.summary_ack")
+        self._h_push = port.answers(self._on_push, "proto.RaceDetect.push_ack", "_on_push_ack")
+        port.watch(tuple(f"proto.RaceDetect.{m}" for m in ("refetch", "summary", "push")))
 
     # -- guards / instrumentation actions ---------------------------------
     def g_epoch_stale_remote(self, nid: int, handle) -> bool:
@@ -118,10 +126,10 @@ class RaceDetectProtocol(CachedTableProtocol):
 
     def act_refetch(self, nid: int, handle):
         """Revalidate once per epoch (data pushed at the previous barrier)."""
-        data = yield from self.transport.rpc(
+        data = yield from self._rpc(
             nid,
             handle.region.home,
-            self._on_refetch,
+            self._h_refetch,
             handle.region.rid,
             payload_words=2,
             category="proto.RaceDetect.refetch",
@@ -130,7 +138,7 @@ class RaceDetectProtocol(CachedTableProtocol):
 
     def _on_refetch(self, node, src, fut, rid):
         region = self.regions.get(rid)
-        self.transport.reply(
+        self._reply(
             fut,
             region.home_data.copy(),
             payload_words=region.size,
@@ -142,11 +150,10 @@ class RaceDetectProtocol(CachedTableProtocol):
         epoch = self._epoch[nid]
         touched = self._touched[nid]
         self._touched[nid] = {}
-        pending = len(touched)
-        done = Future(name=f"rd:summary@{nid}")
-        if pending == 0:
-            done.resolve(None)
-        state = {"need": pending, "done": done}
+        heard = Acks(done=Future(name=f"rd:summary@{nid}"))  # one answer per region, from its home
+        heard.waiting.extend(touched)
+        if not touched:
+            heard.done.resolve(None)
         for rid, rec in sorted(touched.items()):
             region = self.regions.get(rid)
             data = handle_data = None
@@ -158,23 +165,23 @@ class RaceDetectProtocol(CachedTableProtocol):
                     payload += region.size
             if nid == region.home:
                 self._on_summary(
-                    self.transport.nodes[nid], nid, rid, epoch, rec["r"], rec["w"], handle_data, state
+                    self.transport.nodes[nid], nid, rid, epoch, rec["r"], rec["w"], handle_data, heard
                 )
             else:
-                self.transport.post(
+                self._post(
                     nid,
                     region.home,
-                    self._on_summary,
+                    self._h_summary,
                     rid,
                     epoch,
                     rec["r"],
                     rec["w"],
                     handle_data,
-                    state,
+                    heard,
                     payload_words=payload,
                     category="proto.RaceDetect.summary",
                 )
-        yield done
+        yield heard.done
 
     def act_close_races(self, nid: int):
         """Homes: detect races, push updates for regions written this epoch."""
@@ -185,7 +192,7 @@ class RaceDetectProtocol(CachedTableProtocol):
         return
         yield  # pragma: no cover - makes this a generator
 
-    def _on_summary(self, node, src, rid, epoch, read, wrote, data, state):
+    def _on_summary(self, node, src, rid, epoch, read, wrote, data, heard):
         agg = self._agg.setdefault((rid, epoch), {"readers": set(), "writers": set()})
         if read:
             agg["readers"].add(src)
@@ -193,9 +200,7 @@ class RaceDetectProtocol(CachedTableProtocol):
             agg["writers"].add(src)
             if data is not None:
                 np.copyto(self.regions.get(rid).home_data, data)
-        state["need"] -= 1
-        if state["need"] <= 0 and not state["done"].resolved:
-            state["done"].resolve(None)
+        heard.answer(rid)
 
     def _close_epoch(self, nid: int, epoch: int):
         pushes = []
@@ -224,33 +229,16 @@ class RaceDetectProtocol(CachedTableProtocol):
             del self._agg[key]
         if not pushes:
             return
-        done = Future(name=f"rd:push@{nid}")
-        state = {"need": sum(len(t) for _, t in pushes), "done": done}
+        acks = Acks(done=Future(name=f"rd:push@{nid}"))
         for region, targets in pushes:
-            data = region.home_data.copy()
-            for t in targets:
-                self.transport.post(
-                    nid,
-                    t,
-                    self._on_push,
-                    region.rid,
-                    data,
-                    state,
-                    payload_words=region.size,
-                    category="proto.RaceDetect.push",
-                )
-        yield done
-
-    def _on_push(self, node, src, rid, data, state):
-        copy = self._copies[node.nid].get(rid)
-        if copy is not None:
-            np.copyto(copy.data, data)
-        self.transport.post(
-            node.nid, src, self._on_push_ack, state, payload_words=1,
-            category="proto.RaceDetect.push_ack",
-        )
-
-    def _on_push_ack(self, node, src, state):
-        state["need"] -= 1
-        if state["need"] == 0:
-            state["done"].resolve(None)
+            self.port.fan_out(
+                nid,
+                targets,
+                self._h_push,
+                region.rid,
+                region.home_data.copy(),
+                acks=acks,
+                payload_words=region.size,
+                category="proto.RaceDetect.push",
+            )
+        yield acks.done

@@ -47,9 +47,10 @@ class ProtocolRegistry:
         return self.get(name).spec
 
     def table_of(self, name: str):
-        """The protocol's declarative :class:`~repro.spec.table.ProtocolTable`,
-        or ``None`` for protocols that predate the table layer.  This is
-        what the model checker and the doc generator consume."""
+        """The protocol's declarative :class:`~repro.spec.table.ProtocolTable`
+        (every shipped protocol has one), or ``None`` for a user protocol
+        written without.  This is what the model checker and the doc
+        generator consume."""
         return getattr(self.get(name), "table", None)
 
     def create(self, name: str, runtime, space) -> Protocol:
@@ -68,8 +69,8 @@ class ProtocolRegistry:
         derived from each protocol's declarative table — a new protocol
         that declares multi-writer access-grained semantics becomes a
         serving (and adaptive-controller) candidate with no list to
-        maintain by hand; table-less legacy protocols are excluded
-        because nothing machine-readable vouches for them.
+        maintain by hand; a protocol registered without a table is
+        excluded because nothing machine-readable vouches for it.
         """
         out = []
         for name in self.names():

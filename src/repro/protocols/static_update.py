@@ -31,8 +31,6 @@ writer is the home; the fall-through row rejects everything else.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.dsm.transport import Acks
 from repro.protocols.base import ProtocolMisuse, ProtocolSpec
 from repro.protocols.caching import CachedTableProtocol
@@ -158,12 +156,3 @@ class StaticUpdateProtocol(CachedTableProtocol):
                     category="proto.StaticUpdate.push",
                 )
             yield acks.done
-
-    # -- sharer side (handler context) -----------------------------------
-    def _on_push(self, node, src, ack, rid, data):
-        """Install a pushed region and answer it."""
-        copy = self._copies[node.nid].get(rid)
-        if copy is not None:
-            np.copyto(copy.data, data)
-            copy.state = "valid"
-        ack()

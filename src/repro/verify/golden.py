@@ -32,6 +32,7 @@ from functools import partial
 
 from repro.dsm.faults import FaultPlan, LinkFaults
 from repro.facade import run_spmd
+from repro.protocols import default_registry
 from repro.sim import Channel, Delay, Future, Simulator
 
 _DUP_SUFFIX = re.compile(r"~\d+")
@@ -104,6 +105,66 @@ def _locked_counter(plan, **run_kw) -> dict:
     return _fingerprint(
         partial(run_spmd, locked_counter_program(8), n_procs=3, fault_plan=plan, **run_kw)
     )
+
+
+def _exercise(protocol: str):
+    """One protocol's characteristic paths on one region: remote fetch,
+    hits, two writes (a home-writer protocol writes at home), barriers
+    (update protocols push there), and an ``Ace_ChangeProtocol`` round
+    trip through a partner and back."""
+    writer = 0 if default_registry.spec(protocol).home_writer else 1
+    partner = "SC" if protocol != "SC" else "StaticUpdate"
+    size = 4
+    boxes: dict = {}
+
+    def prog(ctx):
+        sid = yield from ctx.new_space(protocol)
+        if ctx.nid == 0:
+            boxes["rid"] = yield from ctx.gmalloc(sid, size)
+        yield from ctx.barrier()
+        rid = boxes["rid"]
+        h = yield from ctx.map(rid)
+        first = yield from ctx.read_region(h)
+        yield from ctx.barrier(sid)
+        if ctx.nid == writer:  # the second write exercises the hit path
+            for round_no in (1, 2):
+                yield from ctx.start_write(h)
+                h.data[:] = [round_no * 10 + i for i in range(size)]
+                yield from ctx.end_write(h)
+        yield from ctx.barrier(sid)
+        mid = yield from ctx.read_region(h)  # after the pushes / refetches
+        yield from ctx.barrier(sid)
+        yield from ctx.change_protocol(sid, partner)
+        h2 = yield from ctx.map(rid)
+        under_partner = yield from ctx.read_region(h2)
+        yield from ctx.unmap(h2)
+        yield from ctx.barrier(sid)
+        yield from ctx.change_protocol(sid, protocol)
+        h3 = yield from ctx.map(rid)
+        back = yield from ctx.read_region(h3)
+        yield from ctx.barrier(sid)
+        return first, mid, under_partner, back
+
+    return prog
+
+
+def _proto(protocol: str, **run_kw) -> dict:
+    """The exercise's fingerprint plus every node's results: the pin of a
+    protocol's own messages, one per registered protocol.  Fault-free it
+    drops the trace digest — a wait's future name is in the trace line,
+    and a protocol may rename a wait without moving an event."""
+    results: list = []
+
+    def run(trace):
+        res = run_spmd(_exercise(protocol), n_procs=3, trace=trace, **run_kw)
+        results.extend([[float(x) for x in read] for read in node] for node in res.results)
+        return res
+
+    pin = _fingerprint(run)
+    pin["results"] = results
+    if "fault_plan" not in run_kw:
+        del pin["trace_sha256"]
+    return pin
 
 
 def _serve_adaptive_lossy() -> dict:
@@ -244,6 +305,17 @@ CASES = {
     ),
     "serve_adaptive_drop5": _serve_adaptive_lossy,
 }
+# What the table-vs-legacy oracle compared while protocols/legacy.py existed
+# (captured on the commit that still had it, equal under both registries).
+CASES.update({f"proto_{name}": partial(_proto, name) for name in default_registry.names()})
+# The six protocols that took the port when the oracle went, on a lossy
+# fabric (a seed whose run drops, duplicates and retries): held as exactly
+# as ring_owned_heavy2 holds Owned.
+CASES.update({
+    f"proto_{name}_heavy{seed}": partial(_proto, name, fault_plan=_heavy(seed))
+    for name, seed in (("BufferedUpdate", 7), ("Counter", 0), ("HomeWrite", 7), ("Migratory", 4),
+                       ("PipelinedWrite", 7), ("RaceDetect", 4))
+})
 
 
 def capture_all() -> dict:

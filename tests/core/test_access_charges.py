@@ -45,7 +45,7 @@ from repro.protocols import ProtocolRegistry, default_registry
 from repro.protocols.base import ProtocolMisuse
 from repro.protocols.hw_assisted import HW_SC_COSTS
 from repro.sanitize.dynamic import DynamicChecker
-from repro.sim import DeadlockError, Simulator
+from repro.sim import Simulator
 
 ACCESS_EVENTS = ("start_read", "end_read", "start_write", "end_write")
 
@@ -293,13 +293,7 @@ def _round_trip(protocol: str):
 def test_lead_matches_the_general_wrapper(protocol, plan, plain_registry):
     def outcome(**kw):
         fault_plan = None if plan is None else FaultPlan.drop_retry(plan)
-        try:
-            res = run_spmd(_round_trip(protocol), n_procs=4, fault_plan=fault_plan, **kw)
-        except DeadlockError as stall:
-            # Five protocols send unretried messages and wedge on a lossy
-            # fabric: then the two forms must wedge on the same futures.
-            assert plan is not None, stall
-            return str(stall), None
+        res = run_spmd(_round_trip(protocol), n_procs=4, fault_plan=fault_plan, **kw)
         return (res.results, res.time, res.stats.snapshot()), res.machine.sim.events
 
     led, led_events = outcome()
@@ -331,7 +325,17 @@ def test_general_wrapper_charges_the_whole_lead(plain_registry):
 #: task-context notify blocks until acknowledged (lock release, the SC
 #: and Owned flush on ``change_protocol``), recovery fences the barrier
 _LOCKED = {"BSC/SC", "BSC/custom", "TSP/SC", "ring/HwSC", "ring/SC"}
-_ARMED_DIFFERS = {None: _LOCKED | {"ring/Owned"}, "recover": _LOCKED | {"Water/custom"}}
+#: cells that matched on the parent only because their protocol sent
+#: outside the port — it ignored the armed fabric and hung on its first
+#: loss.  Through the port the same rule costs them (results equal, only
+#: ``time`` moves; armed - plain, ``None`` / ``recover``): TSP/custom
+#: +3,604 (66,690 -> 70,294: Counter's commit), Water/custom +32,480
+#: (82,078 -> 114,558: PipelinedWrite's pipeline serialises on delta
+#: acks), ring/Counter +1,080 / +1,252, ring/Migratory +10,
+#: ring/PipelinedWrite +30.  ROADMAP item 3(b) — an ack of receipt apart
+#: from the grant — is where they leave this set again.
+_NOTIFIES = {"TSP/custom", "Water/custom", "ring/Counter", "ring/Migratory", "ring/PipelinedWrite"}
+_ARMED_DIFFERS = {None: _LOCKED | _NOTIFIES | {"ring/Owned"}, "recover": _LOCKED | _NOTIFIES}
 
 
 def _cells():

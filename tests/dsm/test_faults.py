@@ -664,10 +664,10 @@ def test_protocol_ports_keep_the_handlers_own_stat_name():
 
 def test_only_the_port_names_the_retry_machinery():
     """One owner for "how a message becomes exactly-once": outside
-    dsm/faults.py (+ recovery's sweep, + the frozen legacy snapshot)
-    nothing names the retry kit or the dedup tables."""
+    dsm/faults.py (+ recovery's sweep) nothing names the retry kit or
+    the dedup tables."""
     src = Path(__file__).resolve().parents[2] / "src" / "repro"
-    allowed = {src / "dsm" / "faults.py", src / "dsm" / "recovery.py", src / "protocols" / "legacy.py"}
+    allowed = {src / "dsm" / "faults.py", src / "dsm" / "recovery.py"}
     pattern = re.compile(r"\b(DedupTable|SeenOnce|RetryKit)\b|transport\.kit\b|\b_kit\.")
     offenders = [
         f"{path.relative_to(src)}:{n}: {line.strip()}"
@@ -689,3 +689,14 @@ def test_only_the_port_names_the_retry_machinery():
         if twins.search(line)
     ]
     assert not leaks, "\n".join(leaks)
+    # And one door to the wire: a shipped protocol sends, replies and fans
+    # out through the port it takes at construction (``transport.port(``),
+    # never on the raw fabric — those sends would skip the retries.
+    doors = re.compile(r"transport\.(post|request|rpc|reply|after|defer_post)\b|as_transport\(|AckCollector")
+    side_doors = [
+        f"{path.relative_to(src)}:{n}: {line.strip()}"
+        for path in sorted((src / "protocols").glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if doors.search(line)
+    ]
+    assert not side_doors, "\n".join(side_doors)

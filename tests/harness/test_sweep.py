@@ -7,17 +7,22 @@ import pytest
 
 from repro import cli
 from repro.cli import bench, sweep
-from repro.cli.common import CELL_KEYS, UsageError, build_matrix
+from repro.cli.common import APPS, CELL_KEYS, UsageError, build_matrix
 
 
 def test_build_matrix_cross_product():
     cells = build_matrix(["TSP", "EM3D"], [2, 4], ["none", "canonical"], [0, 1])
     # pairs: TSP-SC, EM3D-SC, EM3D-dynamic, EM3D-static; "none" cells
-    # collapse the seed axis (a fault-free run has no seed to vary)
-    assert len(cells) == 4 * 2 * (1 + 2)
+    # collapse the seed axis (a fault-free run has no seed to vary) —
+    # plus TSP-custom, on the faulted plan only
+    assert len(cells) == 4 * 2 * (1 + 2) + 1 * 2 * 2
     assert all(set(CELL_KEYS) <= set(c) for c in cells)
     none_cells = [c for c in cells if c["plan"] == "none"]
-    assert all(c["seed"] == 0 for c in none_cells)
+    assert all(c["seed"] == 0 and c["variant"] != "custom" for c in none_cells)
+    # every app meets a lossy fabric under its own protocol too
+    faulted = {(c["app"], c["variant"]) for c in build_matrix(APPS, [4], ["canonical"], [0])}
+    assert faulted == {(app, v) for app in APPS for v in ("SC", "custom") if (app, v) != ("EM3D", "custom")} | {
+        ("EM3D", "dynamic"), ("EM3D", "static")}
     # an empty matrix is refused: "all checks passed" over zero cells is a lie
     with pytest.raises(UsageError, match="no cell to run"):
         build_matrix(["TSP"], [2], ["canonical"], [])
@@ -105,8 +110,8 @@ def test_chaos_from_sweep_roundtrip(tmp_path, capsys):
 
 @pytest.mark.slow
 def test_compare_serial_full_matrix(tmp_path):
-    """16-cell acceptance shape: pool and serial physics identical."""
+    """19-cell acceptance shape: pool and serial physics identical."""
     cells = build_matrix(["TSP", "EM3D"], [4], ["none", "canonical"], [0, 1, 2])
-    assert len(cells) == 16
+    assert len(cells) == 19
     records, _ = sweep.sweep(cells, jobs=4)
     assert sweep.compare_serial(cells, records) == []

@@ -1,64 +1,7 @@
-"""Unit tests for the §6 protocol building blocks."""
+"""Unit tests for the §6 protocol building blocks (the acked fan-out is
+the port's: ``tests/dsm/test_faults.py`` holds it on both fabrics)."""
 
-from repro.machine import Machine, MachineConfig
-from repro.protocols.blocks import AckCollector, HomeQueue, SharerDirectory, VersionTable
-from repro.sim import Simulator
-
-
-def test_ack_collector_fans_out_and_resolves():
-    sim = Simulator()
-    machine = Machine(sim, MachineConfig(n_procs=4))
-    acks = AckCollector(machine, name="t")
-    hits = []
-
-    def handler(node, src, payload, state):
-        hits.append((node.nid, payload))
-        acks.post_ack(node.nid, src, state)
-
-    resolved = []
-
-    def driver():
-        done = acks.fan_out(0, [1, 2, 3], handler, "data", payload_words=5)
-        yield done
-        resolved.append(sim.now)
-
-    sim.spawn(driver())
-    sim.run()
-    assert sorted(hits) == [(1, "data"), (2, "data"), (3, "data")]
-    assert resolved and resolved[0] > 0
-    assert machine.stats.get("msg.blocks.t") == 3
-    assert machine.stats.get("msg.blocks.t.ack") == 3
-
-
-def test_ack_collector_empty_targets_immediate():
-    sim = Simulator()
-    machine = Machine(sim, MachineConfig(n_procs=2))
-    acks = AckCollector(machine)
-    done = acks.fan_out(0, [], lambda *a: None)
-    assert done.resolved
-
-
-def test_home_queue_fifo_grants():
-    q = HomeQueue()
-    order = []
-    q.acquire("k", lambda: order.append("a"))
-    q.acquire("k", lambda: order.append("b"))
-    q.acquire("k", lambda: order.append("c"))
-    assert order == ["a"]
-    q.release("k")
-    q.release("k")
-    assert order == ["a", "b", "c"]
-    assert q.held("k")
-    q.release("k")
-    assert not q.held("k")
-
-
-def test_home_queue_keys_independent():
-    q = HomeQueue()
-    got = []
-    q.acquire(1, lambda: got.append(1))
-    q.acquire(2, lambda: got.append(2))
-    assert got == [1, 2]
+from repro.protocols.blocks import SharerDirectory
 
 
 def test_sharer_directory():
@@ -72,13 +15,3 @@ def test_sharer_directory():
     assert (7, 1) in d
     assert (7, 2) not in d
     assert d.sharers(99) == []
-
-
-def test_version_table():
-    v = VersionTable()
-    assert v.current(5) == 0
-    assert v.is_current(5, 0)
-    assert v.bump(5) == 1
-    assert v.bump(5) == 2
-    assert not v.is_current(5, 1)
-    assert v.is_current(5, 2)

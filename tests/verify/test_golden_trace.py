@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.protocols import default_registry
 from repro.verify import golden
 
 _STORED = json.loads((Path(__file__).parent / "golden_traces.json").read_text())
@@ -43,3 +44,10 @@ def test_changed_keys_names_what_a_regeneration_would_move():
 
 def test_no_stale_stored_cases():
     assert set(_STORED) == set(golden.CASES)
+
+
+def test_every_registered_protocol_has_a_pinned_exercise():
+    """The ``proto_<name>`` pins are the per-protocol oracle (they replaced
+    the hand-written twins of protocols/legacy.py): none may be missing."""
+    names = default_registry.names()
+    assert len(names) == 13 and {f"proto_{name}" for name in names} <= set(_STORED)
