@@ -174,7 +174,7 @@ def crash_cell(seed: int, procs: int) -> tuple[int, int]:
 
 def crash_matrix(seeds: list[int], procs: int, art) -> int:
     """Crash-stop one node per cell; recover or abort, deterministically."""
-    from repro.dsm.recovery import Crashed
+    from repro.dsm.recovery import DETECT_WITHIN, Crashed
     from repro.harness.recovery_workload import ring_program
 
     failures = 0
@@ -208,6 +208,10 @@ def crash_matrix(seeds: list[int], procs: int, art) -> int:
             summary = res.backend.transport.recovery.summary()
             if summary["epoch"] != 1 or summary["dead"] != [victim]:
                 problems.append(f"unexpected membership: {summary['dead']} @ epoch {summary['epoch']}")
+            # The detector's latency contract (DESIGN.md §15), crash to declaration.
+            latency = max((e["declared_at"] - at for e in summary["events"]), default=0)
+            if latency > DETECT_WITHIN:
+                problems.append(f"declared +{latency} after the crash, bound {DETECT_WITHIN}")
             # Determinism: the whole faulted run is a pure function of
             # (program, plan) — replay must match cycle for cycle.
             replay = run_spmd(
@@ -234,6 +238,7 @@ def crash_matrix(seeds: list[int], procs: int, art) -> int:
                     "seed": seed,
                     "victim": victim,
                     "crash_at": at,
+                    "detection_latency": latency,
                     "baseline_cycles": baseline.time,
                     "recover_cycles": res.time,
                     "recovery_cycle_cost": res.time - baseline.time,
@@ -251,7 +256,8 @@ def crash_matrix(seeds: list[int], procs: int, art) -> int:
                 print(f"{'':>14} seed {seed}: FAIL — {'; '.join(problems)}")
             else:
                 print(
-                    f"{'':>14} seed {seed}: ok — victim {victim} @ {at}, {res.time} cycles "
+                    f"{'':>14} seed {seed}: ok — victim {victim} @ {at}, declared +{latency}, "
+                    f"{res.time} cycles "
                     f"(+{res.time - baseline.time} over baseline), {rehomed} region(s) "
                     f"re-homed, epoch {summary['epoch']} ({time.time() - t0:.2f}s)"
                 )

@@ -679,6 +679,11 @@ class FaultTransport(Transport):
         deliveries = self._verdict(src, dst, category)
         if deliveries is None:
             return
+        if self.recovery is not None:
+            # An accepted message renews its sender's lease (DESIGN.md §15),
+            # dated at the send: a delayed copy landing after a crash proves
+            # nothing.  The one writer of ``_last_heard`` during a run.
+            self.recovery._last_heard[src] = self.sim.now
         deliver = self._deliver
         for extra in deliveries:
             if extra:

@@ -7,15 +7,15 @@ run still dies.  This module turns a crash into a *handled event*
 (DESIGN.md §15):
 
 :class:`FailureDetector`
-    Lease-style heartbeats riding the ordinary
-    :class:`~repro.dsm.transport.Transport` surface.  Every live node
-    posts a small heartbeat message to every peer each
-    ``HB_INTERVAL`` cycles; the messages go through the fault fabric
-    like any other traffic (they are charged real cycles, can be
-    dropped by the plan's rates, and are silently discarded once their
-    sender's crash cycle passes — which is exactly the detection
-    signal).  A node unheard-from for its seeded, per-node suspicion
-    timeout is declared dead.
+    Leases riding the ordinary :class:`~repro.dsm.transport.Transport`
+    surface.  Every message the fault fabric accepts renews its
+    sender's lease; a live node posts a small heartbeat to every peer
+    only at an ``HB_INTERVAL`` tick since whose predecessor nothing else
+    left it.  Heartbeats go through the fabric like any other traffic
+    (charged real cycles, droppable by the plan's rates, and silently
+    discarded once their sender's crash cycle passes — which is exactly
+    the detection signal).  A node unheard-from for its seeded,
+    per-node suspicion timeout is declared dead.
 :class:`RecoveryManager`
     Owns cluster membership.  On a death declaration it either raises
     a prompt, suspect-attributed :class:`~repro.dsm.faults.StallError`
@@ -39,7 +39,7 @@ Modeling notes
 --------------
 * **Membership is a global oracle.**  Heartbeats are charged to the
   fabric, but suspicion state is centralized (one ``last_heard`` per
-  node, fed by every delivery) rather than replicated per-node — the
+  node, fed by every accepted send) rather than replicated per-node — the
   simulation models the *cost* and *latency* of detection, not a
   consensus protocol.  A node is suspected only when *no* peer has
   heard from it, so random heartbeat drops need a full silent window
@@ -88,6 +88,9 @@ SUSPECT_AFTER = 9000
 #: Range of the seeded per-node suspicion jitter (breaks symmetric
 #: multi-crash declarations into a deterministic order).
 SUSPECT_JITTER = 1024
+#: Crash-to-declaration contract: a lease cannot postdate its node's
+#: crash and the sweep runs every tick (the second interval is slack).
+DETECT_WITHIN = SUSPECT_AFTER + SUSPECT_JITTER + 2 * HB_INTERVAL
 
 
 class RecoveryManager:
@@ -235,30 +238,34 @@ class RecoveryManager:
 
     def _tick(self) -> None:
         now = self.sim.now
-        # Heartbeats: every declared-live node posts to every live peer.
-        # The posts ride the fault fabric — charged, droppable, and
-        # silently discarded once the sender's crash cycle passes.
-        counts = self._counts
-        k_hb = self._k["heartbeats"]
-        for src in sorted(self.live):
-            for dst in sorted(self.live):
-                if dst == src:
-                    continue
-                counts[k_hb] += 1
-                self.transport.post(
-                    src, dst, self._on_hb, payload_words=1, category="recovery.hb"
-                )
+        live = sorted(self.live)
+        last_heard = self._last_heard
+        # Heartbeats: a declared-live node posts a round to every live
+        # peer only if the fabric accepted nothing from it since its
+        # previous round (stamped one send overhead after that tick).
+        # The posts ride the fault fabric — charged, droppable, renewing
+        # the lease where any other message does, and silently discarded
+        # once the sender's crash cycle passes.
+        silent = HB_INTERVAL - self.transport._send_overhead
+        post = self.transport.post
+        for src in live:
+            if now - last_heard[src] < silent:
+                continue
+            self._counts[self._k["heartbeats"]] += len(live) - 1
+            for dst in live:
+                if dst != src:
+                    post(src, dst, self._on_hb, payload_words=1, category="recovery.hb")
         # Suspicion sweep (deterministic order).
-        for nid in sorted(self.live):
-            if now - self._last_heard[nid] > self._suspect_after[nid]:
+        for nid in live:
+            if now - last_heard[nid] > self._suspect_after[nid]:
                 if self._obs is not None:
-                    self._obs.emit(now, "recovery.suspect", nid, -1, now - self._last_heard[nid])
+                    self._obs.emit(now, "recovery.suspect", nid, -1, now - last_heard[nid])
                 self._declare_dead(nid)
         if self._open_tasks:  # a declaration above may have retired the last one
             self._heartbeat = self.sim.timer(HB_INTERVAL, self._tick)
 
     def _on_hb(self, node, src) -> None:
-        self._last_heard[src] = self.sim.now
+        pass  # the fabric renewed the lease when it accepted the message
 
     # ------------------------------------------------------------------
     # death declaration
@@ -320,6 +327,7 @@ class RecoveryManager:
                 "nid": nid,
                 "crash_at": crash_at,
                 "declared_at": now,
+                "last_heard": self._last_heard.get(nid),  # the lease that expired
                 "epoch": self.epoch,
                 "rehomed_regions": len(rehomed),
                 "broken_locks": broken,

@@ -372,15 +372,18 @@ def test_idle_run_keeps_one_retry_timer_and_a_short_heap(monkeypatch):
         return res, max(lengths), {tuple(t) for t in timers}
 
     sweep, tick = RetryKit._sweep.__qualname__, RecoveryManager._tick.__qualname__
-    _, unarmed_max, live = sample()
+    unarmed, unarmed_max, live = sample()
     assert live == {()}
     res, armed_max, live = sample(fault_plan=FaultPlan())
     assert res.stats.get("rel.calls") > 500 and res.time > 10 * RetryPolicy().timeout
     assert live <= {(), (sweep,)}
     assert armed_max <= 2 * unarmed_max
     # (a heartbeat round is a burst of n * (n - 1) posts, so no length bound here)
-    _, _, live = sample(fault_plan=FaultPlan(), on_crash="recover")
+    res, _, live = sample(fault_plan=FaultPlan(), on_crash="recover")
     assert live <= {(), (tick,), tuple(sorted((tick, sweep)))}
+    # ... but a node that is talking sends none: leases ride the traffic
+    assert 4 * res.stats.get("msg.recovery.hb") <= res.stats.get("msg.total")
+    assert res.time == unarmed.time
 
 
 # ---------------------------------------------------------------------------
