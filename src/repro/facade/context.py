@@ -11,6 +11,7 @@ from repro.crl import CRLRuntime
 from repro.dsm import as_transport
 from repro.machine import Machine, MachineConfig
 from repro.sim import Delay, Simulator
+from repro.sim.kernel import _DELAY_POOL as _POOL, _DELAY_POOL_SIZE as _POOL_SIZE
 
 #: An SPMD program: called once per node with its context, returns a generator.
 SPMDProgram = Callable[["NodeContext"], Generator]
@@ -142,7 +143,7 @@ class NodeContext:
 
     def compute(self, cycles: int):
         """Generator: charge local computation time."""
-        yield Delay(cycles)
+        yield _POOL[cycles] if 0 <= cycles < _POOL_SIZE else Delay(cycles)
 
     # -- phase scoping (observability; DESIGN.md §7) --------------------
     # Phases are machine-global, so in an SPMD program only node 0's

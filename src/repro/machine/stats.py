@@ -12,14 +12,27 @@ per call: interning makes every later dict probe an identity-fast
 hash hit and keeps key construction off the per-event path.  Layers
 that bump several counters per simulated message may also grab the
 raw mapping via :meth:`Stats.counter_ref` and update it in place,
-trading a method call per bump for a plain dict operation.
+trading a method call per bump for a C-level dict store (:class:`Counts`).
 """
 
 from __future__ import annotations
 
 import sys
-from collections import Counter
 from contextlib import contextmanager
+
+
+class Counts(dict):
+    """A counting dict: a missing key reads 0 and is not inserted.
+
+    ``__missing__`` is its only method: a Python-level ``__setitem__``,
+    ``__delitem__`` or ``__getitem__`` (``collections.Counter`` has one)
+    would make every ``counts[key] += 1`` a slot-wrapper store at about
+    twice the cost (DESIGN.md §6, "Counting at dict speed")."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        return 0
 
 
 class PhaseScopeError(ValueError):
@@ -96,17 +109,17 @@ class Stats:
     """
 
     def __init__(self):
-        self._counts: Counter = Counter()
+        self._counts = Counts()
         self._phase_stack: list[tuple[str, dict]] = []
         self._node_scopes: dict[int, _NodeStats] = {}
-        #: accumulated per-phase counter deltas: {name: Counter}
-        self.phases: dict[str, Counter] = {}
+        #: accumulated per-phase counter deltas: {name: Counts}
+        self.phases: dict[str, Counts] = {}
 
     def count(self, key: str, n: int = 1) -> None:
         """Add ``n`` to counter ``key``."""
         self._counts[key] += n
 
-    def counter_ref(self) -> Counter:
+    def counter_ref(self) -> Counts:
         """The live underlying mapping, for hot paths that bump several
         counters per event.  Mutate only by incrementing values; the
         reference stays valid for the lifetime of this object
@@ -198,7 +211,9 @@ class Stats:
         name, base = self._phase_stack.pop()
         get = base.get
         delta = {k: d for k, v in self._counts.items() if (d := v - get(k, 0))}
-        self.phases.setdefault(name, Counter()).update(delta)
+        acc = self.phases.setdefault(name, Counts())
+        for k, d in delta.items():
+            acc[k] += d
         return delta
 
     @contextmanager

@@ -31,6 +31,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 
+from repro.machine.stats import Counts
+
 #: Event kinds a MetricsWindow accumulates; everything else is rejected
 #: by one frozenset probe.
 TRACKED_KINDS = frozenset({"msg.send", "rpc.return", "region.state", "task.block"})
@@ -65,9 +67,9 @@ class MetricsWindow:
             "stall": 0,
             "blocks": 0,
             "transitions": 0,
-            "mix": Counter(),
-            "states": Counter(),
-            "rids": Counter(),
+            "mix": Counts(),
+            "states": Counts(),
+            "rids": Counts(),
         }
 
     # -- the hot path ----------------------------------------------------

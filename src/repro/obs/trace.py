@@ -50,9 +50,10 @@ traced.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from typing import NamedTuple
 
+from repro.machine.stats import Counts
 from repro.obs.metrics import TRACKED_KINDS
 
 #: ring slots per event: ts, layer, shape, node, parent + four payload values
@@ -171,7 +172,7 @@ class Histogram:
         self.total = 0
         self.min: int | None = None
         self.max = 0
-        self.buckets: Counter = Counter()
+        self.buckets = Counts()
 
     def add(self, value: int) -> None:
         self.count += 1
@@ -197,7 +198,9 @@ class Histogram:
             self.min = other.min
         if other.max > self.max:
             self.max = other.max
-        self.buckets.update(other.buckets)
+        buckets = self.buckets
+        for b, n in other.buckets.items():  # add, never dict.update's replace
+            buckets[b] += n
         return self
 
     def copy(self) -> "Histogram":
@@ -207,7 +210,7 @@ class Histogram:
         h.total = self.total
         h.min = self.min
         h.max = self.max
-        h.buckets = Counter(self.buckets)
+        h.buckets = Counts(self.buckets)
         return h
 
     def percentile(self, p: float) -> int:

@@ -141,7 +141,7 @@ class Protocol:
         # Pre-computed dispatch flag: the access primitives test it on
         # every shared access, so one attribute probe beats two.
         self.soft = not self.spec.hardware
-        # Hot-path counter plumbing: the live Counter plus memoized
+        # Hot-path counter plumbing: the live Counts mapping plus memoized
         # full key strings, so _count skips the f-string and the stats
         # method call on every protocol event.
         self._counts = runtime.transport.stats.counter_ref()

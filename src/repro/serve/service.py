@@ -42,6 +42,7 @@ from repro.machine.stats import intern_key
 from repro.serve.controller import AdaptiveController, StaticController
 from repro.serve.workload import ServeWorkload, build_traffic, traffic_digest
 from repro.sim import Delay
+from repro.sim.kernel import _DELAY_POOL as _POOL, _DELAY_POOL_SIZE as _POOL_SIZE
 
 
 def serve_program(workload: ServeWorkload, traffic: dict, controller, shared: dict,
@@ -84,33 +85,39 @@ def serve_program(workload: ServeWorkload, traffic: dict, controller, shared: di
         yield from ctx.barrier()
 
         # -- serving epochs --------------------------------------------
-        my_reqs = range(nid, wl.n_requests, n_procs)
+        span = wl.batch * n_procs  # one epoch of requests, all front ends
         per_node = -(-wl.n_requests // n_procs)  # ceil: max slice length
         n_epochs = -(-per_node // wl.batch)
+        think = wl.think_cycles
+        start_read, end_read = ctx.start_read, ctx.end_read
+        start_write, end_write = ctx.start_write, ctx.end_write
         latency = Histogram()
+        record = latency.add
         served = 0
         for e in range(n_epochs):
-            for r in my_reqs[e * wl.batch:(e + 1) * wl.batch]:
-                arr = int(arrival[r])
+            # this node's batch as Python scalars: no numpy scalar per field per request
+            sl = slice(nid + e * span, nid + (e + 1) * span, n_procs)
+            for arr, k, rd, s, v in zip(arrival[sl].tolist(), keys[sl].tolist(),
+                                        is_read[sl].tolist(), shard[sl].tolist(),
+                                        value[sl].tolist()):
                 # arrival wait + think time, one charge: nothing is read between them
-                if wait := max(arr - sim.now, 0) + wl.think_cycles:
-                    yield Delay(wait)
-                k = int(keys[r])
+                if wait := arr - sim.now + think if arr > sim.now else think:
+                    yield _POOL[wait] if wait < _POOL_SIZE else Delay(wait)
                 h = handles.get(k)
                 if h is None:
                     h = yield from ctx.map(rids[k])
                     handles[k] = h
-                if is_read[r]:
-                    yield from ctx.start_read(h)
+                if rd:
+                    yield from start_read(h)
                     _ = h.data[0]
-                    yield from ctx.end_read(h)
-                    counters[read_key[shard[r]]] += 1
+                    yield from end_read(h)
+                    counters[read_key[s]] += 1
                 else:
-                    yield from ctx.start_write(h)
-                    h.data[0] = float(value[r])
-                    yield from ctx.end_write(h)
-                    counters[write_key[shard[r]]] += 1
-                latency.add(sim.now - arr)
+                    yield from start_write(h)
+                    h.data[0] = v
+                    yield from end_write(h)
+                    counters[write_key[s]] += 1
+                record(sim.now - arr)
                 served += 1
             # Control epoch: sample → decide (host-side, zero cycles) →
             # apply.  Both barriers run in every mode, every epoch.

@@ -74,6 +74,8 @@ class ServeWorkload:
             raise ValueError(f"rate must be positive: {self.rate}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1: {self.batch}")
+        if self.think_cycles < 0:
+            raise ValueError(f"think_cycles must be >= 0: {self.think_cycles}")
 
     @classmethod
     def paper_scale(cls) -> "ServeWorkload":

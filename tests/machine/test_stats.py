@@ -1,8 +1,111 @@
 """Unit tests for the stats counters."""
 
+import ast
+import json
+import pickle
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.machine import PhaseScopeError, Stats
+from repro.obs import Histogram, MetricsWindow
+
+
+def _per_event_mappings() -> dict:
+    """Every mapping the simulator writes once per event, by name."""
+    row = MetricsWindow()._new_row()
+    return {
+        "Stats.counter_ref()": Stats().counter_ref(),
+        "Histogram.buckets": Histogram().buckets,
+        **{f"MetricsWindow row[{k!r}]": row[k] for k in ("mix", "states", "rids")},
+    }
+
+
+def test_per_event_mappings_store_at_dict_speed():
+    # A Python-level __setitem__/__delitem__/__getitem__ anywhere in the
+    # MRO (collections.Counter defines __delitem__) replaces the C store
+    # slot and doubles the cost of every `m[key] += 1`.
+    for name, m in _per_event_mappings().items():
+        assert not isinstance(m, Counter), name
+        cls = type(m)
+        for dunder in ("__setitem__", "__delitem__", "__getitem__"):
+            assert getattr(cls, dunder) is getattr(dict, dunder), (name, dunder)
+
+
+def test_simulator_layers_do_not_import_counter():
+    root = Path(repro.__file__).parent
+    layers = ("sim", "machine", "dsm", "core", "protocols", "serve", "facade", "crl", "memory")
+    files = [p for layer in layers for p in sorted((root / layer).rglob("*.py"))]
+    files.append(root / "obs" / "trace.py")
+    offenders = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "collections":
+                if any(alias.name == "Counter" for alias in node.names):
+                    offenders.append(str(path.relative_to(root)))
+            elif isinstance(node, ast.Attribute) and node.attr == "Counter":
+                if isinstance(node.value, ast.Name) and node.value.id == "collections":
+                    offenders.append(str(path.relative_to(root)))
+    assert len(files) > 40
+    assert offenders == []
+
+
+def test_missing_key_reads_zero_without_inserting():
+    s = Stats()
+    counts = s.counter_ref()
+    assert counts["never.counted"] == 0
+    assert s.get("also.never") == 0
+    assert "never.counted" not in counts and "also.never" not in counts
+    assert s.snapshot() == {}
+    counts["hot"] += 1
+    assert dict(counts) == {"hot": 1}
+
+
+def test_two_phase_scopes_accumulate_like_counter_update():
+    s = Stats()
+    expected = Counter()
+    s.count("before", 3)
+    for bumps in ({"b": 2, "a": 1}, {"c": 5, "a": 4}):
+        s.push_phase("iterate")
+        for key, n in bumps.items():
+            s.count(key, n)
+        expected.update(s.pop_phase())
+    assert list(s.phases["iterate"].items()) == list(expected.items())
+    assert s.phases["iterate"] == {"b": 2, "a": 5, "c": 5}
+    assert s.phases["iterate"]["untouched"] == 0
+
+
+def test_histogram_copy_is_independent():
+    # (merge's additive semantics: tests/obs/test_trace.py::
+    # test_histogram_merge_preserves_percentiles, whose streams share a bucket)
+    h = Histogram()
+    h.add(5)
+    c = h.copy()
+    c.add(5)
+    c.add(70)
+    assert type(c.buckets) is type(h.buckets)
+    assert dict(h.buckets) == {3: 1} and h.count == 1
+    assert dict(c.buckets) == {3: 2, 7: 1} and c.count == 3
+
+
+def test_stats_and_counts_pickle_and_json():
+    s = Stats()
+    s.count("msg.total", 7)
+    with s.phase("p"):
+        s.count("ace.map")
+    back = pickle.loads(pickle.dumps(s))
+    assert back.snapshot() == s.snapshot() and back.phases == s.phases
+    counts = back.counter_ref()
+    assert type(counts) is type(s.counter_ref())
+    assert counts["missing"] == 0 and "missing" not in counts
+    counts["msg.total"] += 1
+    assert back.get("msg.total") == 8 and s.get("msg.total") == 7
+    plain = pickle.loads(pickle.dumps(s.counter_ref()))
+    assert type(plain) is type(s.counter_ref()) and plain["missing"] == 0
+    assert json.dumps(s.counter_ref()) == json.dumps(s.snapshot())
+    assert json.loads(json.dumps(s.phases)) == {"p": {"ace.map": 1}}
 
 
 def test_count_and_get():

@@ -72,6 +72,7 @@ def test_arrivals_nondecreasing_and_open_loop():
         {"shift_read_frac": -0.1},
         {"rate": 0.0},
         {"batch": 0},
+        {"think_cycles": -1},  # would index the Delay pool from its end
     ],
 )
 def test_validation_rejects_bad_spec(kwargs):
