@@ -407,7 +407,7 @@ class Machine:
         name = self._rpc_names.get(category)
         if name is None:
             name = self._rpc_names[category] = intern_key("rpc:" + category)
-        fut = Future(name=name)
+        fut = Future(name)  # positional: cheaper than name=name per round trip
         # am_request, inlined: the delegation frame would otherwise sit
         # on the resume path of every round trip in the system.
         yield _POOL[c] if (c := lead + self._send_overhead) < _POOL_SIZE else Delay(c)

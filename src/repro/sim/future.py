@@ -9,9 +9,14 @@ resumes immediately), and may carry either a value or an exception.
 
 from __future__ import annotations
 
+from heapq import heappush as _heappush
+
 from repro.sim.errors import SimulationError
 
 _UNSET = object()
+#: :class:`repro.sim.kernel.Task`, set once by that module at import (no
+#: import cycle).  A blocked task is its own entry in ``_callbacks``.
+_Task = None
 
 
 class Future:
@@ -75,7 +80,24 @@ class Future:
         if callbacks:
             self._callbacks = None
             for fn in callbacks:
-                fn(self)
+                if fn.__class__ is not _Task:
+                    fn(self)
+                    continue
+                # A blocked task: sim.schedule(0, task), inlined.
+                fn._wait_fut = self
+                sim = fn._sim
+                now = sim.now
+                seq = sim._seq
+                sim._seq = seq + 1
+                jitter = sim._jitter
+                ring = sim._ring
+                if jitter is not None:
+                    _heappush(sim._queue, (now, jitter.random(), seq, fn))
+                elif not ring or sim._ring_time == now:
+                    sim._ring_time = now
+                    ring.append((seq, fn))
+                else:
+                    _heappush(sim._queue, (now, seq, fn))
 
     def fail(self, exc: BaseException) -> None:
         """Store an exception; waiters will re-raise it when resumed."""
@@ -100,7 +122,11 @@ class Future:
         callbacks, self._callbacks = self._callbacks, None
         if callbacks:
             for fn in callbacks:
-                fn(self)
+                if fn.__class__ is _Task:
+                    fn._wait_fut = self
+                    fn._sim.schedule(0, fn)
+                else:
+                    fn(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "resolved" if self.resolved else "pending"

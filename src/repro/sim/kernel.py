@@ -70,10 +70,11 @@ requires (see DESIGN.md §6 for the full story):
   before the clock moves or the event is counted.
 * **Released on finish.**  ``Simulator._tasks`` is the table of *live*
   tasks, in spawn order; a task leaves it when it finishes, crashes or
-  is retired.  A task holds no bound method of itself (its waker is
-  made when it actually blocks and dropped when it fires), so a
-  finished task is freed by reference counting alone — spawn-and-join
-  churn leaves nothing for the cyclic collector.
+  is retired.  A task holds no bound method of itself, and no waker
+  object exists: a blocked task is itself the entry in the future's
+  waiter list, dropped when the future fires (``retire`` removes the
+  task).  So a finished task is freed by reference counting alone —
+  spawn-and-join churn leaves nothing for the cyclic collector.
 * **Fail-fast flag.**  ``Future.fail`` on a task's ``done`` future
   records the first failure on the simulator directly and raises it
   through the event that caused it; nothing is scanned per event.
@@ -93,6 +94,7 @@ import random
 from collections import deque
 from typing import Callable, Generator, Iterable
 
+from repro.sim import future as _future
 from repro.sim.errors import DeadlockError, SimulationError
 from repro.sim.future import _UNSET, Future
 
@@ -190,7 +192,8 @@ class Task:
     one another by yielding it.
 
     A task is data: :meth:`Simulator.run` steps it.  Events that resume
-    a task carry the task object itself.
+    a task carry the task object itself, and so does the waiter list of
+    the future it blocks on (:meth:`Future.resolve` schedules it).
     """
 
     __slots__ = ("name", "gen", "done", "blocked_on", "_sim", "_wait_fut", "_send", "_throw")
@@ -207,31 +210,11 @@ class Task:
         self._send = gen.send
         self._throw = gen.throw
 
-    def _on_resolved(self, fut: Future) -> None:
-        """Waker: the future this task blocked on was resolved.
-
-        ``sim.schedule(0, self)``, inlined — future resolution is one
-        of the two hottest kernel entry points.  Registered as a fresh
-        bound method when the task blocks; bound methods compare by
-        ``(self, function)``, so :meth:`Simulator.retire` can still
-        remove it."""
-        self._wait_fut = fut
-        sim = self._sim
-        now = sim.now
-        seq = sim._seq
-        sim._seq = seq + 1
-        jitter = sim._jitter
-        ring = sim._ring
-        if jitter is not None:
-            _heappush(sim._queue, (now, jitter.random(), seq, self))
-        elif not ring or sim._ring_time == now:
-            sim._ring_time = now
-            ring.append((seq, self))
-        else:
-            _heappush(sim._queue, (now, seq, self))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Task {self.name}>"
+
+
+_future._Task = Task  # a blocked task is its own waiter (Future.resolve)
 
 
 class Simulator:
@@ -389,7 +372,8 @@ class Simulator:
         retires it in place of a normal ``StopIteration``.  Retiring a
         task that already finished is a no-op.
 
-        A blocked task's waker is taken off the future it waits on.
+        A blocked task is taken off the waiter list of the future it
+        waits on.
         The task may also have resume events already queued (a
         pre-crash reply "in the wire", a delay it yielded before
         dying).  Those entries hold the task itself and cannot be
@@ -404,8 +388,8 @@ class Simulator:
         fut = task.blocked_on
         if fut is not None:
             waiters = fut._callbacks  # None once cancelled or fired
-            if waiters and task._on_resolved in waiters:
-                waiters.remove(task._on_resolved)
+            if waiters and task in waiters:
+                waiters.remove(task)
             task.blocked_on = None
         task._wait_fut = None
         task._send = _retired_step
@@ -468,44 +452,42 @@ class Simulator:
         draining = False  # see "Draining flag" in the module docstring
         try:
             while True:
-                # -- next event: the (time, seq) minimum of ring and heap
-                if draining and ring:
-                    fn = popleft()[1]
+                # -- next event: the (time, seq) minimum of ring and heap.
+                # A non-empty ring implies a canonical run, so the heap
+                # holds 3-tuples there: seq at index 1.
+                if not ring or not draining and queue and (
+                    (head := queue[0])[0] < self._ring_time
+                    or head[0] == self._ring_time and head[1] < ring[0][0]
+                ):
+                    # The heap's head is next (always, with the ring
+                    # empty): pop it first, and push it back only at an
+                    # ``until`` boundary.
+                    if not queue:
+                        break
+                    entry = heappop(queue)
+                    fn = entry[-1]
                     cls = fn.__class__
-                else:
-                    draining = from_ring = False
-                    if ring:
-                        when = self._ring_time
-                        if not queue or queue[0][0] > when:
-                            draining = from_ring = True
-                        else:
-                            # A non-empty ring implies a canonical run,
-                            # so the heap holds 3-tuples: seq at index 1.
-                            head = queue[0]
-                            from_ring = head[0] == when and head[1] > ring[0][0]
-                    if not from_ring:
-                        if not queue:
-                            break
-                        when = queue[0][0]
+                    if cls is timer_cls:
+                        fn = fn.fn  # its callback: a plain callable
+                        if fn is None:  # cancelled: as if never scheduled
+                            continue
+                    when = entry[0]
                     if until is not None and when > until:
-                        if not from_ring:
-                            head = queue[0][-1]
-                            if head.__class__ is timer_cls and head.fn is None:
-                                heappop(queue)  # a dead timer is no reason to stop
-                                continue
+                        _heappush(queue, entry)
                         self.now = until
                         return until
-                    if from_ring:
-                        fn = popleft()[1]
-                        cls = fn.__class__
-                    else:
-                        fn = heappop(queue)[-1]
-                        cls = fn.__class__
-                        if cls is timer_cls:
-                            fn = fn.fn  # its callback: a plain callable
-                            if fn is None:  # cancelled: as if never scheduled
-                                continue
+                    draining = False
                     self.now = now = when
+                else:
+                    if not draining:
+                        when = self._ring_time
+                        if until is not None and when > until:
+                            self.now = until
+                            return until
+                        draining = not queue or queue[0][0] > when
+                        self.now = now = when
+                    fn = popleft()[1]
+                    cls = fn.__class__
                 fired += 1
                 if cls is not Task:
                     fn()
@@ -556,21 +538,10 @@ class Simulator:
                         del tasks[task.name]
                         task.done.fail(err)
                         break
+                    # Delay first, then Future; a subclass of either, or
+                    # an illegal yield, is the rare case behind both.
                     cls = item.__class__
-                    if cls is not Delay and cls is not Future:
-                        # Rare: a Delay/Future subclass, or an illegal yield.
-                        if isinstance(item, Delay):
-                            cls = Delay
-                        elif not isinstance(item, Future):
-                            del tasks[task.name]
-                            task.done.fail(
-                                SimulationError(
-                                    f"task {task.name} yielded {item!r}; only Delay or Future "
-                                    "may reach the kernel (use 'yield from' for sub-operations)"
-                                )
-                            )
-                            break
-                    if cls is Delay:
+                    if cls is Delay or (cls is not Future and isinstance(item, Delay)):
                         cycles = item.cycles
                         when = now + cycles
                         if trace:
@@ -595,6 +566,15 @@ class Simulator:
                             self.now = now = when
                             value = exc = None
                             continue
+                    elif cls is not Future and not isinstance(item, Future):
+                        del tasks[task.name]
+                        task.done.fail(
+                            SimulationError(
+                                f"task {task.name} yielded {item!r}; only Delay or Future "
+                                "may reach the kernel (use 'yield from' for sub-operations)"
+                            )
+                        )
+                        break
                     elif item._value is not _UNSET or item._exc is not None:
                         if steps > 0 and inline and not ring and (not queue or queue[0][0] > now):
                             steps -= 1
@@ -621,9 +601,9 @@ class Simulator:
                             # name into wait buckets).
                             obs.emit(now, "task.block", -1, -1, task.name, item.name)
                         if item._callbacks is None:
-                            item._callbacks = [task._on_resolved]
+                            item._callbacks = [task]
                         else:
-                            item._callbacks.append(task._on_resolved)
+                            item._callbacks.append(task)
                         break
                     # schedule(cycles, task), inlined.  Delay guarantees
                     # cycles >= 0, so the negative check is moot.

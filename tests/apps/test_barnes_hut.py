@@ -74,3 +74,16 @@ def test_single_proc_matches_reference():
 def test_paper_workload_parameters():
     wl = bh.BHWorkload.paper()
     assert (wl.n_bodies, wl.n_steps, wl.theta, wl.eps) == (16384, 4, 1.0, 0.5)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="race: bh_program has no barrier between a step's read sweep "
+    "(barnes_hut.py l. 253) and its owners' writes, so at 8 nodes a fast "
+    "owner overwrites bodies a slow node has not read yet (ROADMAP item 2)",
+)
+@pytest.mark.parametrize("seed", [6, 17, 3])
+def test_eight_nodes_two_bodies_each_match_reference(seed):
+    wl = bh.BHWorkload(n_bodies=16, n_steps=2, seed=seed)
+    _, state = run_bh(wl, bh.SC_PLAN, backend="crl", n_procs=8)
+    np.testing.assert_allclose(state, bh.reference(wl), rtol=1e-10, atol=1e-12)

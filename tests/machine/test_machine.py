@@ -260,3 +260,40 @@ def test_blocking_handler_promoted_to_task():
     sim.run()
     assert t.done.result() == "slow"
     assert done and done[0] >= 500
+
+
+def test_every_traced_send_is_a_traced_message():
+    """On a traced fabric no send takes the untraced push: each kind is
+    a ``msg.send`` and a ``msg.recv``, counts its two nodes, and a
+    handler's receive is the causal parent of what the handler sends."""
+    sim = Simulator()
+    buf = TraceBuffer(256)
+    m = Machine(sim, MachineConfig(n_procs=4), tracer=buf)
+
+    def on_post(node, src):
+        pass
+
+    def on_req(node, src):
+        m.post(node.nid, 2, on_post, category="t.fwd")
+
+    def on_rpc(node, src, fut):
+        m.reply(fut, node.nid)
+
+    def proc():
+        yield from m.am_request(0, 1, on_req, category="t.req")
+        return (yield from m.rpc(0, 3, on_rpc, category="t.rpc"))
+
+    task = sim.spawn(proc())
+    sim.run()
+    assert task.done.result() == 3
+    events = buf.events()
+    sends = {e.data["category"]: e for e in events if e.kind == "msg.send"}
+    assert sorted(sends) == ["am.reply", "t.fwd", "t.req", "t.rpc"]
+    recvs = {e.parent: e for e in events if e.kind == "msg.recv"}
+    assert sorted(recvs) == sorted(e.eid for e in sends.values())
+    assert sends["t.fwd"].parent == recvs[sends["t.req"].eid].eid
+    per_node = {k: v for k, v in m._counts.items() if k.startswith("node") and v}
+    assert per_node == {
+        "node0.msg.sent": 2, "node1.msg.sent": 1,
+        "node1.msg.recv": 1, "node2.msg.recv": 1, "node3.msg.recv": 1,
+    }

@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
 import gc
+from pathlib import Path
 
 import pytest
 
@@ -371,7 +372,7 @@ def test_retire_finished_is_noop_and_blocked_removes_waker():
     sim.run(until=5)
     sim.retire(done, "overwritten?")
     assert done.done.result() == "mine"
-    assert gate._callbacks == [blocked._on_resolved]
+    assert gate._callbacks == [blocked]  # the task is its own waiter
     sim.retire(blocked, "gone")
     assert gate._callbacks == []
     assert blocked.done.result() == "gone" and blocked.blocked_on is None
@@ -379,6 +380,145 @@ def test_retire_finished_is_noop_and_blocked_removes_waker():
     gate.resolve(None)  # wakes nobody
     assert sim.run() == 9 and sim.events == events + 1
     assert sim.blocked_tasks() == [] and len(sim._tasks) == 0
+
+
+# -- a blocked task is its own waiter ----------------------------------------
+
+
+def _mixed_waiters(jitter_seed, wake):
+    """Tasks ``a`` and ``b`` block on one gate with a plain callback
+    registered between them; ``wake(sim, gate)`` fires it at cycle 10,
+    amid other events due then.  Returns what the run observed."""
+    sim = Simulator(jitter_seed=jitter_seed)
+    gate, log = Future(name="gate"), []
+
+    def note(tag):
+        return lambda *_: log.append((tag, sim.now))
+
+    def waiter(tag):
+        try:
+            value = yield gate
+            log.append((tag, sim.now, value))
+        except KeyError as err:
+            log.append((tag, sim.now, err.args))
+
+    def waker():
+        yield Delay(10)
+        wake(sim, gate)
+        sim.schedule(0, note("after"))
+
+    sim.schedule(100, note("end"))  # keeps the bounded runs from running dry
+    a = sim.spawn(waiter("a"), name="a")
+    sim.run(until=0)  # a blocks first ...
+    gate.add_callback(lambda _fut: sim.schedule(0, note("cb")))  # ... the callback next ...
+    b = sim.spawn(waiter("b"), name="b")  # ... then b
+    sim.spawn(waker(), name="waker")
+    for tag in "pq":
+        sim.schedule(10, note(tag))
+    sim.run(until=5)
+    assert gate._callbacks[0] is a and gate._callbacks[2] is b
+    seq = sim._seq
+    sim.run()
+    return log, sim._seq - seq, sim.events
+
+
+def _three_schedule_0_calls(value=None, exc=None):
+    """The reference wake: what resolve/fail must do, spelled as
+    ``schedule(0, ...)`` per waiter in registration order."""
+    def wake(sim, gate):
+        waiters, gate._callbacks = gate._callbacks, None
+        if exc is None:
+            gate._value = value
+        else:
+            gate._exc = exc
+        for w in waiters:
+            if w.__class__ is Task:
+                w._wait_fut = gate
+                sim.schedule(0, w)
+            else:
+                w(gate)
+    return wake
+
+
+@pytest.mark.parametrize("jitter_seed", [None, 3, 11])
+def test_task_and_callback_waiters_wake_like_three_schedule_0_calls(jitter_seed):
+    resolved = _mixed_waiters(jitter_seed, lambda sim, gate: gate.resolve("v"))
+    assert resolved == _mixed_waiters(jitter_seed, _three_schedule_0_calls("v"))
+    failed = _mixed_waiters(jitter_seed, lambda sim, gate: gate.fail(KeyError("k")))
+    assert failed == _mixed_waiters(jitter_seed, _three_schedule_0_calls(exc=KeyError("k")))
+    if jitter_seed is None:  # registration order, then ring (seq) order
+        log, draws, _ = resolved
+        assert [e[0] for e in log] == ["p", "q", "a", "cb", "b", "after", "end"]
+        assert log[2] == ("a", 10, "v") and failed[0][4] == ("b", 10, ("k",))
+        assert draws == 4  # three waiters, one "after"
+
+
+def test_retire_removes_only_its_own_task_from_mixed_waiters():
+    sim = Simulator()
+    gate, woke = Future(name="gate"), []
+
+    def waiter(tag):
+        woke.append((tag, (yield gate)))
+
+    def cb(fut):
+        woke.append(("cb", fut.result()))
+
+    sim.schedule(9, lambda: gate.resolve("v"))
+    a = sim.spawn(waiter("a"), name="a")
+    sim.run(until=0)
+    gate.add_callback(cb)
+    b = sim.spawn(waiter("b"), name="b")
+    c = sim.spawn(waiter("c"), name="c")
+    sim.run(until=5)
+    assert gate._callbacks == [a, cb, b, c]
+    sim.retire(b, "gone")
+    assert gate._callbacks == [a, cb, c]
+    assert sim.run() == 9
+    assert woke == [("cb", "v"), ("a", "v"), ("c", "v")]  # a callback runs in resolve()
+    assert b.done.result() == "gone" and not sim._tasks
+
+
+def test_task_waiters_leave_no_cyclic_garbage():
+    """With the collector off, tasks that blocked on futures (resolved,
+    failed, or retired while blocked) are freed by refcounting alone."""
+
+    def live_tasks():
+        return [o for o in gc.get_objects() if type(o) is Task]
+
+    gc.collect()
+    before = len(live_tasks())
+    gc.disable()
+    try:
+        sim = Simulator()
+        sim.schedule(100, lambda: None)  # keeps the bounded run from running dry
+        gates = [Future(name=f"g{i}") for i in range(30)]
+
+        def waiter(gate):
+            try:
+                yield gate
+            except KeyError:
+                pass
+
+        stuck = [sim.spawn(waiter(g), name=f"w{i}") for i, g in enumerate(gates)]
+        sim.run(until=0)
+        for i, gate in enumerate(gates):
+            if i % 3 == 0:
+                sim.schedule(i + 1, lambda gate=gate: gate.resolve(None))
+            elif i % 3 == 1:
+                sim.schedule(i + 1, lambda gate=gate: gate.fail(KeyError(i)))
+            else:
+                sim.retire(stuck[i])
+        sim.run()
+        del stuck, gates, gate
+        assert len(live_tasks()) == before
+    finally:
+        gc.enable()
+
+
+def test_no_waker_method_is_left_in_src():
+    src = Path(__file__).resolve().parents[2] / "src"
+    hits = [p for p in src.rglob("*.py") if "_on_resolved" in p.read_text()]
+    assert hits == []
 
 
 def test_default_names_do_not_repeat_after_tasks_finish():
