@@ -53,6 +53,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from heapq import heappush as _heappush
+from inspect import isgeneratorfunction
 from random import Random
 
 from repro.dsm.transport import Port, Transport, as_transport
@@ -621,7 +622,10 @@ class FaultTransport(Transport):
     def _inject(self, src, dst, handler, args, payload_words, category) -> None:
         # The injection instant stays an event of its own (the plan reads
         # ``now`` there), pushed the way Machine._deliver pushes an arrival.
-        fn = partial(self._send, src, dst, handler, args, payload_words, category)
+        # A traced send's causal parent is captured now: by the injection
+        # instant the emitting extent is gone.
+        parent = None if self.tracer is None else self.machine._ctx()
+        fn = partial(self._send, src, dst, handler, args, payload_words, category, parent)
         if not self._send_overhead:  # a same-cycle event belongs on the kernel's ring
             return self.after(0, fn)
         sim = self.sim
@@ -675,7 +679,7 @@ class FaultTransport(Transport):
             self._counts[self._k_dup_reply] += 1
 
     # -- injection point -------------------------------------------------
-    def _send(self, src, dst, handler, args, payload_words, category) -> None:
+    def _send(self, src, dst, handler, args, payload_words, category, parent=None) -> None:
         deliveries = self._verdict(src, dst, category)
         if deliveries is None:
             return
@@ -684,14 +688,19 @@ class FaultTransport(Transport):
             # dated at the send: a delayed copy landing after a crash proves
             # nothing.  The one writer of ``_last_heard`` during a run.
             self.recovery._last_heard[src] = self.sim.now
+        if parent is None and self.tracer is not None:
+            parent = self.machine._ctx()  # a task-context send: read before a delayed copy waits
         deliver = self._deliver
         for extra in deliveries:
+            # ``parent`` goes by keyword, and only to the traced deliver: the
+            # untraced one's 7th positional is ``sender_cycles``.
             if extra:
-                self.sim.schedule(
-                    extra, partial(deliver, src, dst, handler, args, payload_words, category)
-                )
-            else:
+                fn = partial(deliver, src, dst, handler, args, payload_words, category)
+                self.sim.schedule(extra, fn if parent is None else partial(fn, parent=parent))
+            elif parent is None:
                 deliver(src, dst, handler, args, payload_words, category)
+            else:
+                deliver(src, dst, handler, args, payload_words, category, parent=parent)
 
     def _verdict(self, src, dst, category):
         """Decide this message's fate: ``None`` (drop) or extra-delay list."""
@@ -1022,6 +1031,8 @@ class RetryPort(Port):
         self.watch = transport.watchdog.watch  # stall-report metadata
 
     def _shim(self, shim, handler, suffix=None):
+        if isgeneratorfunction(handler):  # the shim would drop the generator it returns
+            raise TypeError(f"{handler.__qualname__}: a RetryPort receiver may not block")
         shim.__name__ = handler.__name__ + (self._suffix if suffix is None else suffix)
         shim.__self__ = handler.__self__
         return shim

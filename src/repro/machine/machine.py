@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from functools import partial
 from heapq import heappush as _heappush
+from inspect import isgeneratorfunction
 from typing import Callable
 
 from repro.machine.config import MachineConfig
@@ -68,6 +69,13 @@ class Machine:
         ``node<i>.msg.*`` counters.  With ``tracer=None`` the class
         methods run unchanged — the disabled path is byte-for-byte the
         pre-observability fast path, so it costs nothing.
+
+    An untraced arrival is the handler call itself: the heap entry is
+    ``partial(handler, node, src, *args)``, and ``handler.<name>`` is
+    counted with ``msg.<category>`` when the message is injected.  A
+    handler that must block is a generator function; that is decided
+    once per handler object, at its first send, and its arrival spawns
+    it as the task ``handler@<nid>``.
     """
 
     HW_BARRIER_COST = 170  # ~5us on a 33MHz node: CM-5 control network barrier
@@ -116,8 +124,6 @@ class Machine:
             # round-trip hot path never builds a "node<i>.rpc.<cat>"
             # string twice; run_summary merges them cluster-wide.
             self._rpc_hist_cache = {}
-            # handler -> (stat key, bare name as msg.recv reports it)
-            self._handler_names: dict = {}
         else:
             self._obs = None
 
@@ -198,14 +204,15 @@ class Machine:
         key = self._msg_keys.get(category)
         if key is None:
             key = self._msg_keys[category] = intern_key("msg", category)
+        hkey, call, _ = self._handler_keys.get(handler) or self._handler_entry(handler)
         counts[key] += 1
+        counts[hkey] += 1
         counts["msg.total"] += 1
         counts["msg.words"] += payload_words
         delay = sender_cycles + self._recv_base + self._per_word * payload_words
-        # The arrival event is a C-level partial rather than a closure:
-        # closing over seven variables would turn them all into cells
-        # and slow the whole delivery path down.
-        fn = partial(self._arrive, self.nodes[dst], src, handler, args)
+        # The arrival event is the handler call itself, a C-level partial:
+        # no runtime frame sits between the heap entry and the handler.
+        fn = partial(call, self.nodes[dst], src, *args)
         # Simulator.schedule(delay, fn), inlined — delivery is the hottest
         # scheduling site outside the kernel itself.  delay is always
         # positive (recv_base includes the network latency), so the
@@ -219,27 +226,28 @@ class Machine:
         else:
             _heappush(sim._queue, (sim.now + delay, seq, fn))
 
-    def _arrive(self, node, src, handler, args) -> None:
-        # Handler stats are keyed by the handler object itself: callers
-        # pass pre-bound methods, so the probe is an identity hit.
-        handler_keys = self._handler_keys
-        hkey = handler_keys.get(handler)
-        if hkey is None:
-            hname = getattr(handler, "__name__", "anon")
-            hkey = handler_keys[handler] = intern_key("handler", hname)
-        self._counts[hkey] += 1
-        result = handler(node, src, *args)
-        if result is not None and hasattr(result, "send"):
-            # Handler needs to block (rare): promote it to a task.
-            self.sim.spawn(result, name=f"handler@{node.nid}")
+    def _handler_entry(self, handler) -> tuple:
+        """``(stat key, arrival callable, bare name)`` for ``handler``, built
+        at its first send.  Entries are keyed by the handler object (callers
+        pass pre-bound methods, so the probe is an identity hit).  A
+        generator-function handler blocks: its arrival spawns it as a task."""
+        hname = getattr(handler, "__name__", "anon")
+        call = partial(self._spawn_handler, handler) if isgeneratorfunction(handler) else handler
+        self._handler_keys[handler] = entry = (intern_key("handler", hname), call, hname)
+        return entry
+
+    def _spawn_handler(self, handler, node, src, *args) -> None:
+        self.sim.spawn(handler(node, src, *args), name=f"handler@{node.nid}")
 
     # -- traced variants (installed over the fast path by __init__) -----
-    # Each mirrors its untraced twin — same counter bumps, same arrival
-    # and resume cycles — plus causal event emission.  They do not fold
-    # (DESIGN.md §6): a post's injection and an rpc's ``lead`` stay
-    # events of their own, because ``msg.send``/``rpc.call`` are stamped
-    # at those instants — which makes the traced fabric the fold's
-    # differential oracle.  Keeping them separate (instead of branching
+    # Each mirrors its untraced twin — same counter bumps at the same
+    # instants (``handler.<name>`` at injection), same arrival and resume
+    # cycles — plus causal event emission; the arrival keeps a frame of
+    # its own only for the ``msg.recv`` emit and the context it publishes.
+    # They do not fold (DESIGN.md §6): a post's injection and an rpc's
+    # ``lead`` stay events of their own, because ``msg.send``/``rpc.call``
+    # are stamped at those instants — which makes the traced fabric the
+    # fold's differential oracle.  Keeping them separate (instead of branching
     # inside the fast path) is what makes tracing-off literally free.
     def _ctx(self) -> int:
         """Current dispatch context (task step or handler receive), or -1.
@@ -281,23 +289,25 @@ class Machine:
             partial(self._deliver_traced, src, dst, handler, args, payload_words, category, parent),
         )
 
-    def _deliver_traced(self, src, dst, handler, args, payload_words, category, parent=-1):
+    def _deliver_traced(self, src, dst, handler, args, payload_words, category, parent=None):
         if not (0 <= dst < self._n_nodes):
             raise ValueError(f"bad destination node {dst}")
-        if parent == -1:
+        if parent is None:  # not captured by the sender: read the context now
             parent = self._ctx()
         counts = self._counts
         key = self._msg_keys.get(category)
         if key is None:
             key = self._msg_keys[category] = intern_key("msg", category)
+        hkey, call, hname = self._handler_keys.get(handler) or self._handler_entry(handler)
         counts[key] += 1
+        counts[hkey] += 1
         counts["msg.total"] += 1
         counts["msg.words"] += payload_words
         counts[self._node_sent[src]] += 1
         counts[self._node_recv[dst]] += 1
         eid = self._obs.emit(self.sim.now, "msg.send", src, parent, dst, category, payload_words)
         delay = self._recv_base + self._per_word * payload_words
-        fn = partial(self._arrive_traced, eid, self.nodes[dst], src, handler, args)
+        fn = partial(self._arrive_traced, eid, hname, call, self.nodes[dst], src, args)
         sim = self.sim
         seq = sim._seq
         sim._seq = seq + 1
@@ -307,25 +317,16 @@ class Machine:
         else:
             _heappush(sim._queue, (sim.now + delay, seq, fn))
 
-    def _arrive_traced(self, parent_eid, node, src, handler, args) -> None:
-        names = self._handler_names
-        named = names.get(handler)
-        if named is None:
-            hname = getattr(handler, "__name__", "anon")
-            named = names[handler] = (intern_key("handler", hname), hname)
-        hkey, hname = named
-        self._counts[hkey] += 1
+    def _arrive_traced(self, parent_eid, hname, call, node, src, args) -> None:
         eid = self._obs.emit(self.sim.now, "msg.recv", node.nid, parent_eid, src, hname)
         buf = self.tracer
         prev_eid, prev_ts = buf.ctx_eid, buf.ctx_ts
         buf.ctx_eid = eid
         buf.ctx_ts = self.sim.now
         try:
-            result = handler(node, src, *args)
+            call(node, src, *args)
         finally:
             buf.ctx_eid, buf.ctx_ts = prev_eid, prev_ts
-        if result is not None and hasattr(result, "send"):
-            self.sim.spawn(result, name=f"handler@{node.nid}")
 
     def _rpc_traced(self, src, dst, handler, *args, payload_words: int = 0, category: str = "am.rpc", lead: int = 0):
         if lead:  # the general form: the caller's charge as its own event

@@ -261,6 +261,24 @@ def test_faults_observable_in_trace():
     assert "rel.retry" in kinds
 
 
+@pytest.mark.parametrize("plan, on_crash", [
+    (FaultPlan(), None),
+    (FaultPlan(), "recover"),
+    (FaultPlan(seed=1, default=LinkFaults(delay=1.0, delay_cycles=300)), None),
+], ids=["quiet", "recover", "delay_all"])
+def test_traced_sends_keep_their_causal_parent_under_a_fault_plan(plan, on_crash):
+    # A post's injection, and a delayed copy's delivery, are events of
+    # their own; the dispatch that sent the message must still be its
+    # msg.send's parent.  Only a recovery heartbeat, sent from a timer
+    # tick, has none.
+    buf = TraceBuffer()
+    run_spmd(make_counter_prog(), n_procs=N_PROCS, fault_plan=plan, on_crash=on_crash, tracer=buf)
+    sends = [ev for ev in buf.events() if ev.kind == "msg.send"]
+    assert any(ev.data["category"] == "ace.sc.inval" for ev in sends)
+    orphans = {ev.data["category"] for ev in sends if ev.parent == -1}
+    assert orphans == (set() if on_crash is None else {"recovery.hb"})
+
+
 # ---------------------------------------------------------------------------
 # liveness: silent stalls become structured reports
 # ---------------------------------------------------------------------------
@@ -421,6 +439,10 @@ class _Svc:
     def _on_tell(self, node, src, x):
         self.heard.append(x)
 
+    def _on_slow_ask(self, node, src, fut, x):
+        yield Delay(100)
+        self._on_ask(node, src, fut, x)
+
 
 def test_plain_port_is_the_transports_own_methods():
     transport = as_transport(Machine(Simulator(), MachineConfig(n_procs=2)))
@@ -436,6 +458,35 @@ def test_plain_port_is_the_transports_own_methods():
     assert port.idempotent(handler) is handler
     assert port.hears(handler, "svc.ack") is handler
     assert port.answers(handler, "svc.ack") is handler
+
+
+def test_plain_port_binds_a_blocking_receiver_as_is():
+    sim = Simulator()
+    svc = _Svc(as_transport(Machine(sim, MachineConfig(n_procs=2))).port("svc"))
+    handler = svc._on_slow_ask
+    assert svc.port.serves(handler) is handler
+    answers = []
+
+    def client():
+        answers.append((yield from svc.port.call(0, 1, handler, 21, category="svc.ask")))
+
+    sim.run_all([client()])
+    assert answers == [42] and svc.served == [21]
+
+
+@pytest.mark.parametrize("bind", [
+    lambda port, h: port.serves(h),
+    lambda port, h: port.idempotent(h),
+    lambda port, h: port.hears(h, "svc.ack"),
+    lambda port, h: port.answers(h, "svc.ack"),
+    lambda port, h: port.answers(h, "svc.ack", "_on_slow_ack"),
+], ids=["serves", "idempotent", "hears", "answers", "answers_named"])
+def test_retry_port_refuses_a_blocking_receiver(bind):
+    # A shim calls its handler and drops the result: a generator
+    # function's body would never run.
+    _, _, svc = _dup_everything()
+    with pytest.raises(TypeError, match="_Svc._on_slow_ask"):
+        bind(svc.port, svc._on_slow_ask)
 
 
 def _dup_everything():

@@ -1,7 +1,12 @@
 """Unit tests for the simulated multicomputer and active messages."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro.machine.machine as machine_module
+import repro.sim.kernel as kernel_module
 from repro.machine import Machine, MachineConfig
 from repro.obs import TraceBuffer
 from repro.sim import Delay, Future, SimulationError, Simulator
@@ -260,6 +265,85 @@ def test_blocking_handler_promoted_to_task():
     sim.run()
     assert t.done.result() == "slow"
     assert done and done[0] >= 500
+
+
+def test_blocking_is_decided_per_handler_object_not_per_name():
+    sim, m = make_machine()
+
+    def handler(node, src, fut):
+        yield Delay(500)
+        m.reply(fut, "slow")
+
+    def plain(node, src, fut):
+        m.reply(fut, "fast")
+
+    plain.__name__ = handler.__name__
+    got = {}
+
+    def caller(dst, h):
+        got[dst] = ((yield from m.rpc(0, dst, h)), sim.now)
+
+    sim.spawn(caller(1, handler))
+    sim.spawn(caller(2, plain))
+    cfg = m.config
+    one_way = cfg.am_send_overhead + cfg.network_latency + cfg.am_receive_overhead
+    sim.run(until=one_way + 1)  # both requests have arrived
+    assert "handler@1" in sim._tasks and "handler@2" not in sim._tasks
+    sim.run()
+    assert got == {1: ("slow", 2 * one_way + 500), 2: ("fast", 2 * one_way)}
+    assert m.stats.get("handler.handler") == 2
+
+
+def test_untraced_arrival_is_the_handler_call():
+    """Outside the kernel, a post and its arrival enter ``post``,
+    ``_deliver`` and the handler: no runtime frame sits between the heap
+    entry and the handler."""
+    sim, m = make_machine()
+
+    def on_post(node, src, x):
+        pass
+
+    m.post(0, 1, on_post, 1)  # the first send builds the handler's entry
+    sim.run()
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename != kernel_module.__file__:
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        m.post(0, 1, on_post, 2)
+        sim.run()
+    finally:
+        sys.setprofile(None)
+    assert entered == ["post", "_deliver", "on_post"]
+
+
+def test_machine_has_no_arrival_frame():
+    assert "def _arrive(" not in Path(machine_module.__file__).read_text()
+
+
+def test_traced_and_untraced_stats_agree_while_a_message_is_in_flight():
+    """``handler.<name>`` is counted at injection on both fabrics, so a run
+    paused mid-flight reads the same counters traced or not (beside the
+    traced fabric's own ``node<i>.msg.*`` keys)."""
+    snaps = []
+    for tracer in (None, TraceBuffer(64)):
+        sim = Simulator()
+        m = Machine(sim, MachineConfig(n_procs=2), tracer=tracer)
+
+        def on_req(node, src):
+            pass
+
+        def proc():
+            yield from m.am_request(0, 1, on_req, category="t.req")
+
+        sim.spawn(proc())
+        sim.run(until=m.config.am_send_overhead + 1)  # injected, not arrived
+        assert m.stats.get("handler.on_req") == 1
+        snaps.append({k: v for k, v in m.stats.snapshot().items() if not k.startswith("node")})
+    assert snaps[0] == snaps[1]
 
 
 def test_every_traced_send_is_a_traced_message():
