@@ -626,14 +626,17 @@ class FaultTransport(Transport):
         # instant the emitting extent is gone.
         parent = None if self.tracer is None else self.machine._ctx()
         fn = partial(self._send, src, dst, handler, args, payload_words, category, parent)
-        if not self._send_overhead:  # a same-cycle event belongs on the kernel's ring
-            return self.after(0, fn)
         sim = self.sim
-        seq = sim._seq
-        sim._seq = seq + 1
         when = sim.now + self._send_overhead
-        jitter = sim._jitter
-        _heappush(sim._queue, (when, seq, fn) if jitter is None else (when, jitter.random(), seq, fn))
+        if sim._jitter is None:
+            bucket = sim._cal.get(when)
+            if bucket is None:
+                sim._cal[when] = [fn]
+                _heappush(sim._times, when)
+            else:
+                bucket.append(fn)
+        else:
+            sim._push(when, fn)
 
     def rpc(self, src, dst, handler, *args, payload_words: int = 0, category: str = "am.rpc", lead: int = 0):
         # NOTE: the *raw* rpc has no retries — on a lossy link it can
@@ -655,19 +658,23 @@ class FaultTransport(Transport):
         counts = self._counts
         key = self._msg_keys.get(category) or self.machine._msg_key(category)
         fn = partial(self._resolve_once, fut, value)
-        # Pushed as Machine.reply pushes (the delay is a full send + receive
-        # overhead: never the ring).
+        # Pushed as Machine.reply pushes.
         sim = self.sim
-        jitter = sim._jitter
         base = sim.now + self._reply_base + self._per_word * payload_words
         for extra in deliveries:
             counts[key] += 1
             counts["msg.total"] += 1
             counts["msg.words"] += payload_words
-            seq = sim._seq
-            sim._seq = seq + 1
             when = base + extra
-            _heappush(sim._queue, (when, seq, fn) if jitter is None else (when, jitter.random(), seq, fn))
+            if sim._jitter is None:
+                bucket = sim._cal.get(when)
+                if bucket is None:
+                    sim._cal[when] = [fn]
+                    _heappush(sim._times, when)
+                else:
+                    bucket.append(fn)
+            else:
+                sim._push(when, fn)
 
     def _resolve_once(self, fut, value) -> None:
         # Duplicated replies, replayed recorded replies, and late

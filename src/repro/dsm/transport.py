@@ -14,7 +14,7 @@ Zero-cost boundary
 attributes: ``transport.rpc`` *is* ``machine.rpc`` (the traced variant
 when observability is on, since the machine swaps those in during its
 own construction).  A call through the transport therefore executes
-the identical code object, with the identical ``(delay, seq)`` draws,
+the identical code object, making the identical schedule calls,
 as a call on the machine — the layer boundary costs no simulated
 cycles and no host-side indirection.  DESIGN.md §8 documents this
 invariant; the golden-trace pins enforce it.
@@ -149,7 +149,7 @@ class Port:
     On an exactly-once fabric (this class, from ``Transport.port``) the
     first two idioms *are* the transport's own bound methods and every
     receive binder returns its argument, so the same code objects run
-    with the same ``(delay, seq)`` draws as if the seam were not there;
+    making the same schedule calls as if the seam were not there;
     a fan-out post carries its ``ack``, which answers with a reply to a
     future — or, when ``answers`` was given an ``ack_name``, with a
     message counted as ``handler.<ack_name>``.  A lossy fabric's

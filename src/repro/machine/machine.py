@@ -70,7 +70,7 @@ class Machine:
         methods run unchanged — the disabled path is byte-for-byte the
         pre-observability fast path, so it costs nothing.
 
-    An untraced arrival is the handler call itself: the heap entry is
+    An untraced arrival is the handler call itself: the queue entry is
     ``partial(handler, node, src, *args)``, and ``handler.<name>`` is
     counted with ``msg.<category>`` when the message is injected.  A
     handler that must block is a generator function; that is decided
@@ -168,7 +168,7 @@ class Machine:
         """Send a message from *handler context* (no task to charge).
 
         The sender-side overhead is folded into the delivery latency,
-        modeling the coprocessor injecting the message: one heap entry,
+        modeling the coprocessor injecting the message: one queue entry,
         at ``now + am_send_overhead + recv_base + per_word * words``.
         """
         self._deliver(src, dst, handler, args, payload_words, category, self._send_overhead)
@@ -188,7 +188,7 @@ class Machine:
         Handler-side deferred work that ends in a send (e.g. the
         invalidation-handler cost before the ack leaves) goes through
         here: nothing can observe the deferral, so the message is one
-        heap entry, ``delay`` cycles after a :meth:`post`'s (the traced
+        queue entry, ``delay`` cycles after a :meth:`post`'s (the traced
         variant keeps the deferral and the injection as events).
         """
         if delay < 0:
@@ -211,20 +211,21 @@ class Machine:
         counts["msg.words"] += payload_words
         delay = sender_cycles + self._recv_base + self._per_word * payload_words
         # The arrival event is the handler call itself, a C-level partial:
-        # no runtime frame sits between the heap entry and the handler.
+        # no runtime frame sits between the queue entry and the handler.
         fn = partial(call, self.nodes[dst], src, *args)
         # Simulator.schedule(delay, fn), inlined — delivery is the hottest
-        # scheduling site outside the kernel itself.  delay is always
-        # positive (recv_base includes the network latency), so the
-        # same-cycle ring never applies here.
+        # scheduling site outside the kernel itself.
         sim = self.sim
-        seq = sim._seq
-        sim._seq = seq + 1
-        jitter = sim._jitter
-        if jitter is not None:
-            _heappush(sim._queue, (sim.now + delay, jitter.random(), seq, fn))
+        when = sim.now + delay
+        if sim._jitter is None:
+            bucket = sim._cal.get(when)
+            if bucket is None:
+                sim._cal[when] = [fn]
+                _heappush(sim._times, when)
+            else:
+                bucket.append(fn)
         else:
-            _heappush(sim._queue, (sim.now + delay, seq, fn))
+            sim._push(when, fn)
 
     def _handler_entry(self, handler) -> tuple:
         """``(stat key, arrival callable, bare name)`` for ``handler``, built
@@ -309,13 +310,16 @@ class Machine:
         delay = self._recv_base + self._per_word * payload_words
         fn = partial(self._arrive_traced, eid, hname, call, self.nodes[dst], src, args)
         sim = self.sim
-        seq = sim._seq
-        sim._seq = seq + 1
-        jitter = sim._jitter
-        if jitter is not None:
-            _heappush(sim._queue, (sim.now + delay, jitter.random(), seq, fn))
+        when = sim.now + delay
+        if sim._jitter is None:
+            bucket = sim._cal.get(when)
+            if bucket is None:
+                sim._cal[when] = [fn]
+                _heappush(sim._times, when)
+            else:
+                bucket.append(fn)
         else:
-            _heappush(sim._queue, (sim.now + delay, seq, fn))
+            sim._push(when, fn)
 
     def _arrive_traced(self, parent_eid, hname, call, node, src, args) -> None:
         eid = self._obs.emit(self.sim.now, "msg.recv", node.nid, parent_eid, src, hname)
@@ -373,13 +377,16 @@ class Machine:
         delay = self._reply_base + self._per_word * payload_words
         fn = partial(self._reply_arrive_traced, eid, category, fut, value)
         sim = self.sim
-        seq = sim._seq
-        sim._seq = seq + 1
-        jitter = sim._jitter
-        if jitter is not None:
-            _heappush(sim._queue, (sim.now + delay, jitter.random(), seq, fn))
+        when = sim.now + delay
+        if sim._jitter is None:
+            bucket = sim._cal.get(when)
+            if bucket is None:
+                sim._cal[when] = [fn]
+                _heappush(sim._times, when)
+            else:
+                bucket.append(fn)
         else:
-            _heappush(sim._queue, (sim.now + delay, seq, fn))
+            sim._push(when, fn)
 
     def _reply_arrive_traced(self, parent_eid, category, fut, value) -> None:
         eid = self._obs.emit(self.sim.now, "msg.recv/reply", -1, parent_eid, category, fut.name)
@@ -427,16 +434,18 @@ class Machine:
         counts["msg.words"] += payload_words
         delay = self._reply_base + self._per_word * payload_words
         fn = fut.resolve if value is None else partial(fut.resolve, value)
-        # Simulator.schedule(delay, fn), inlined; delay > 0 (it includes a
-        # full send + receive overhead), so the ring never applies.
+        # Simulator.schedule(delay, fn), inlined.
         sim = self.sim
-        seq = sim._seq
-        sim._seq = seq + 1
-        jitter = sim._jitter
-        if jitter is not None:
-            _heappush(sim._queue, (sim.now + delay, jitter.random(), seq, fn))
+        when = sim.now + delay
+        if sim._jitter is None:
+            bucket = sim._cal.get(when)
+            if bucket is None:
+                sim._cal[when] = [fn]
+                _heappush(sim._times, when)
+            else:
+                bucket.append(fn)
         else:
-            _heappush(sim._queue, (sim.now + delay, seq, fn))
+            sim._push(when, fn)
 
     # -- control network ---------------------------------------------------
     def hw_barrier(self, nid: int):

@@ -86,18 +86,16 @@ class Future:
                 # A blocked task: sim.schedule(0, task), inlined.
                 fn._wait_fut = self
                 sim = fn._sim
-                now = sim.now
-                seq = sim._seq
-                sim._seq = seq + 1
-                jitter = sim._jitter
-                ring = sim._ring
-                if jitter is not None:
-                    _heappush(sim._queue, (now, jitter.random(), seq, fn))
-                elif not ring or sim._ring_time == now:
-                    sim._ring_time = now
-                    ring.append((seq, fn))
+                if sim._jitter is None:
+                    now = sim.now
+                    bucket = sim._cal.get(now)
+                    if bucket is None:
+                        sim._cal[now] = [fn]
+                        _heappush(sim._times, now)
+                    else:
+                        bucket.append(fn)
                 else:
-                    _heappush(sim._queue, (now, seq, fn))
+                    sim._push(sim.now, fn)
 
     def fail(self, exc: BaseException) -> None:
         """Store an exception; waiters will re-raise it when resumed."""

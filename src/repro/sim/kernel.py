@@ -23,7 +23,7 @@ Per-event overhead bounds every experiment in the repository, so the
 hot path is engineered to allocate nothing beyond what the event model
 requires (see DESIGN.md §6 for the full story):
 
-* **The run loop is the scheduler.**  Heap and ring entries carry the
+* **The run loop is the scheduler.**  Queue entries carry the
   :class:`Task` itself where a resume is due; :meth:`Simulator.run`
   recognises it (``fn.__class__ is Task``) and advances the generator
   in place — wait-value unpacking, ``send``/``throw``, the
@@ -33,41 +33,36 @@ requires (see DESIGN.md §6 for the full story):
   (``jitter_seed``), traced (``tracer=`` / ``trace=``) or bounded
   (``until=``) is decided once per ``run()`` and held in locals; there
   is one loop and one copy of the step for every mode.
-* **Same-cycle ring.**  ``schedule(0, fn)`` — by far the most common
-  call — appends ``(seq, fn)`` to a FIFO deque instead of paying a
-  ``heapq`` push/pop.  Ring and heap entries are merged by the global
-  ``(time, seq)`` order at pop time, so event order is bit-identical
-  to a single heap (``tests/sim/test_kernel_oracle.py`` holds the
-  kernel to exactly that reference).
-* **Lean heap entries.**  Canonical (non-fuzzed) runs store 3-tuples
-  ``(time, seq, fn)``; only fuzzed runs pay for the 4-tuple with the
-  random tie-breaker.  Ordering is ``(time, seq)`` either way.
+* **Calendar.**  The queue is ``_cal``, a dict from cycle to that
+  cycle's *bucket* — a list of its events in schedule order — plus
+  ``_times``, a heap of the plain-int cycles that have one (a calendar
+  queue, after R. Brown, CACM 31(10), 1988).  Scheduling appends to
+  the bucket; the run loop pops ``_times`` once per cycle and drains
+  the bucket by index, leaving it in ``_cal`` meanwhile, so a delay-0
+  event appends to the bucket being drained and runs later in the same
+  cycle.  Appending in call order *is* the global ``(time, seq)``
+  order, so a canonical schedule draws no sequence number and builds no
+  tuple, and event order is bit-identical to a single heap
+  (``tests/sim/test_kernel_oracle.py`` holds the kernel to exactly that
+  reference).  An exception that escapes mid-cycle leaves the unrun
+  rest of the bucket queued for the next ``run()``.
 * **Inline trampoline.**  When a task yields ``Delay(0)`` or an
   already-resolved :class:`Future` and *no other event is pending at
-  the current cycle*, its continuation would be the very next event —
-  so the loop steps the generator again immediately (bounded by
-  ``_TRAMPOLINE_MAX``), skipping the queue round-trip.  The same
-  applies to a nonzero ``Delay`` when every queued event is strictly
-  later than the task's resume time: the loop advances ``now``
-  in place and keeps stepping (disabled under ``run(until=...)``
-  and structured tracing, where the heap path enforces the pause
-  boundary / the pinned ``task.step`` stream).  The pending checks
-  make this unobservable: ordering, cycle counts, and event counts
-  are exactly what the queue would have produced.
-* **Draining flag.**  When the heap holds nothing at the ring's cycle
-  the loop sets a local "still draining" flag and takes every further
-  event straight off the ring — including ones appended mid-drain —
-  without re-comparing ring and heap, until the ring is empty.  Sound
-  because nothing executed at this cycle can put an earlier event on
-  the heap: delay-0 schedules land on the ring (``_ring_time == now``)
-  and positive delays land strictly in the future, which also keeps
-  every drained event inside an ``until`` bound that admitted the
-  first.  The flag is a local, so a run that ends by exception or
-  pause forgets it and the next ``run()`` decides afresh.
+  the current cycle* (the bucket is drained), its continuation would be
+  the very next event — so the loop steps the generator again
+  immediately (bounded by ``_TRAMPOLINE_MAX``), skipping the queue
+  round-trip.  The same applies to a nonzero ``Delay`` when every other
+  bucket is strictly later than the task's resume time: the loop
+  advances ``now`` in place, re-keys the drained bucket to it, and keeps
+  stepping (disabled under ``run(until=...)`` and structured tracing,
+  where the transition enforces the pause boundary / the pinned
+  ``task.step`` stream).  The pending checks make this unobservable:
+  ordering, cycle counts, and event counts are exactly what the queue
+  would have produced.
 * **Cancellable timers.**  :meth:`Simulator.timer` entries carry a
-  :class:`Timer`; the loop tests for one where it pops the heap (timers
-  take a positive delay, so never the ring) and drops a cancelled one
-  before the clock moves or the event is counted.
+  :class:`Timer`; the loop drops a cancelled one before it is counted,
+  and a cycle whose bucket ran no live event gives its clock move back,
+  so a cancelled timer never moves time.
 * **Released on finish.**  ``Simulator._tasks`` is the table of *live*
   tasks, in spawn order; a task leaves it when it finishes, crashes or
   is retired.  A task holds no bound method of itself, and no waker
@@ -81,17 +76,19 @@ requires (see DESIGN.md §6 for the full story):
 * **Pooled delays.**  ``Delay(n)`` for small ``n`` returns a shared
   immutable singleton, so the dominant yield type costs no allocation.
 
-Schedule fuzzing (``jitter_seed``) disables the ring and the
-trampoline: fuzzed runs draw one random tie-breaker per ``schedule``
-call, and both shortcuts would perturb that stream.  Fuzzed schedules
-therefore replay exactly as they always have.
+Schedule fuzzing (``jitter_seed``) disables the trampoline and makes
+each bucket a heap of ``(tie, seq, fn)``: fuzzed runs draw one random
+tie-breaker (and one ``seq``) per schedule call, exactly the stream of
+a single ``(time, tie, seq)`` heap, so fuzzed schedules replay exactly
+as they always have.  The run loop pops those buckets in its
+cycle-transition branch; the canonical per-event path never tests for
+jitter.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
 from typing import Callable, Generator, Iterable
 
 from repro.sim import future as _future
@@ -169,7 +166,7 @@ class Timer:
     """A scheduled callback that can be called off (:meth:`Simulator.timer`).
 
     A live timer is an ordinary event.  A cancelled one is dropped when
-    it reaches the head of the queue: it is never run, never counted in
+    its cycle is drained: it is never run, never counted in
     ``Simulator.events`` and never moves the clock — a run whose tail is
     only cancelled timers ends at its last live event.
     """
@@ -231,9 +228,8 @@ class Simulator:
     __slots__ = (
         "now",
         "events",
-        "_queue",
-        "_ring",
-        "_ring_time",
+        "_cal",
+        "_times",
         "_seq",
         "_tasks",
         "_names",
@@ -263,15 +259,15 @@ class Simulator:
         observation: event order and simulated cycles are bit-identical
         with and without it."""
         self.now: int = 0
-        self.events: int = 0  # events executed (queue pops + inline steps)
-        # Heap of (time, seq, fn) — canonical runs — or
-        # (time, jitter, seq, fn) under schedule fuzzing.  Both orders
-        # reduce to (time, seq); fn is always entry[-1], and is either
-        # a Task to step or a callable to call.
-        self._queue: list = []
-        self._ring: deque = deque()  # FIFO of (seq, fn) at time _ring_time
-        self._ring_time: int = 0
-        self._seq = 0
+        self.events: int = 0  # events executed (queue entries + inline steps)
+        # The calendar: cycle -> bucket of that cycle's entries, each a
+        # Task to step, a Timer or a callable to call.  A canonical
+        # bucket is a FIFO list; a fuzzed one a heap of (tie, seq, fn).
+        # _times heaps the cycles that have a bucket, except the one
+        # run() is draining.
+        self._cal: dict[int, list] = {}
+        self._times: list[int] = []
+        self._seq = 0  # fuzzed runs only: the tie-break after the draw
         # Live tasks by (unique) name, in spawn order.  _names outlives
         # them: one key per spawn ever made.
         self._tasks: dict[str, Task] = {}
@@ -292,18 +288,27 @@ class Simulator:
         """Run ``fn()`` after ``delay`` cycles (0 means "later this cycle")."""
         if delay < 0:
             raise SimulationError(f"negative schedule delay: {delay}")
-        seq = self._seq
-        self._seq = seq + 1
-        if self._jitter is not None:
-            # Fuzzing draws one tie-breaker per schedule call; keep the
-            # stream (and thus every fuzzed schedule) exactly as before
-            # the same-cycle ring existed.
-            heapq.heappush(self._queue, (self.now + delay, self._jitter.random(), seq, fn))
-        elif delay == 0 and (not self._ring or self._ring_time == self.now):
-            self._ring_time = self.now
-            self._ring.append((seq, fn))
+        self._push(self.now + delay, fn)
+
+    def _push(self, when: int, fn) -> None:
+        """Queue ``fn`` at cycle ``when`` (not in the past): the one
+        schedule body.  Hot sites outside the class inline its canonical
+        half and call it only under fuzzing."""
+        jitter = self._jitter
+        if jitter is not None:
+            # One tie-breaker per schedule call: the stream (and thus
+            # every fuzzed schedule) of a single (time, tie, seq) heap.
+            seq = self._seq
+            self._seq = seq + 1
+            fn = (jitter.random(), seq, fn)
+        bucket = self._cal.get(when)
+        if bucket is None:
+            self._cal[when] = [fn]
+            _heappush(self._times, when)
+        elif jitter is None:
+            bucket.append(fn)
         else:
-            heapq.heappush(self._queue, (self.now + delay, seq, fn))
+            _heappush(bucket, fn)
 
     def at(self, time: int, fn: Callable[[], None]) -> None:
         """Run ``fn()`` at absolute ``time`` (must not be in the past)."""
@@ -314,19 +319,14 @@ class Simulator:
     def timer(self, delay: int, fn: Callable[[], None]) -> Timer:
         """``schedule(delay, fn)`` with a handle whose ``cancel()`` calls it off.
 
-        Same ``seq`` draw and tie-break order as :meth:`schedule`.  The
-        delay must be positive: timers live on the heap only, so the
-        same-cycle ring never has to look for one.
+        Same place in its cycle (and, fuzzed, the same tie-breaker
+        draw) as :meth:`schedule`.  The delay must be positive: a timer
+        is set for later, never for the cycle being drained.
         """
         if delay <= 0:
             raise SimulationError(f"a timer needs a positive delay, got {delay}")
         timer = Timer(fn)
-        seq = self._seq
-        self._seq = seq + 1
-        if self._jitter is not None:
-            _heappush(self._queue, (self.now + delay, self._jitter.random(), seq, timer))
-        else:
-            _heappush(self._queue, (self.now + delay, seq, timer))
+        self._push(self.now + delay, timer)
         return timer
 
     # -- task interface -------------------------------------------------
@@ -356,7 +356,7 @@ class Simulator:
         self._tasks[name] = task
         if self._obs is not None:
             self._obs.emit(self.now, "task.spawn", -1, -1, name)
-        self.schedule(0, task)
+        self._push(self.now, task)
         return task
 
     def blocked_tasks(self) -> list[Task]:
@@ -431,9 +431,8 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        queue = self._queue
-        ring = self._ring
-        popleft = ring.popleft
+        cal = self._cal
+        times = self._times
         heappop = heapq.heappop
         timer_cls = Timer
         tasks = self._tasks
@@ -449,49 +448,64 @@ class Simulator:
         leap = inline and until is None and obs is None
         now = self.now  # local mirror: only this loop moves time
         fired = 0  # events this run; folded into self.events on exit
-        draining = False  # see "Draining flag" in the module docstring
+        # The bucket being drained (it stays cal[now] meanwhile), or
+        # None between cycles.  Canonical runs index it: ``cur`` is the
+        # last bucket entered and ``pos`` its next entry.  Fuzzed runs
+        # keep ``cur`` empty, so every event takes the transition branch,
+        # which pops the bucket's heap.  ``prev``/``mark``: the clock
+        # before this cycle and ``fired`` on entering it, to give back a
+        # cycle that ran nothing live.
+        bucket = None
+        cur = ()
+        pos = mark = 0
+        prev = now
         try:
             while True:
-                # -- next event: the (time, seq) minimum of ring and heap.
-                # A non-empty ring implies a canonical run, so the heap
-                # holds 3-tuples there: seq at index 1.
-                if not ring or not draining and queue and (
-                    (head := queue[0])[0] < self._ring_time
-                    or head[0] == self._ring_time and head[1] < ring[0][0]
-                ):
-                    # The heap's head is next (always, with the ring
-                    # empty): pop it first, and push it back only at an
-                    # ``until`` boundary.
-                    if not queue:
+                if pos < len(cur):
+                    fn = cur[pos]
+                    pos += 1
+                elif jitter is not None and bucket:
+                    fn = heappop(bucket)[2]
+                else:
+                    # -- the cycle is drained: retire its bucket ...
+                    if bucket is not None:
+                        del cal[now]
+                        if fired == mark:  # only cancelled timers: time did not move
+                            self.now = now = prev
+                        bucket = None
+                    if not times:
                         break
-                    entry = heappop(queue)
-                    fn = entry[-1]
-                    cls = fn.__class__
+                    # ... and enter the next, unless it lies past ``until``
+                    # and holds a live event (a dead one is dropped).
+                    when = times[0]
+                    if until is not None and when > until:
+                        entries = cal[when] if jitter is None else [e[2] for e in cal[when]]
+                        if any(e.__class__ is not timer_cls or e.fn is not None for e in entries):
+                            self.now = until
+                            return until
+                        heappop(times)
+                        del cal[when]
+                        continue
+                    heappop(times)
+                    bucket = cal[when]
+                    prev = now
+                    self.now = now = when
+                    mark = fired
+                    if jitter is not None:
+                        continue  # the fuzzed branch above pops it
+                    cur = bucket
+                    fn = bucket[0]
+                    pos = 1
+                cls = fn.__class__
+                if cls is not Task:
                     if cls is timer_cls:
                         fn = fn.fn  # its callback: a plain callable
                         if fn is None:  # cancelled: as if never scheduled
                             continue
-                    when = entry[0]
-                    if until is not None and when > until:
-                        _heappush(queue, entry)
-                        self.now = until
-                        return until
-                    draining = False
-                    self.now = now = when
-                else:
-                    if not draining:
-                        when = self._ring_time
-                        if until is not None and when > until:
-                            self.now = until
-                            return until
-                        draining = not queue or queue[0][0] > when
-                        self.now = now = when
-                    fn = popleft()[1]
-                    cls = fn.__class__
-                fired += 1
-                if cls is not Task:
+                    fired += 1
                     fn()
                     continue
+                fired += 1
 
                 # -- step a task: the entry held the Task this event resumes
                 task = fn
@@ -549,21 +563,22 @@ class Simulator:
                         if (
                             steps > 0
                             and inline
-                            and not ring
-                            and (cycles == 0 or leap)
-                            and (not queue or queue[0][0] > when)
+                            and pos == len(cur)
+                            and (cycles == 0 or leap and (not times or times[0] > when))
                         ):
                             # This continuation would be the sole next
-                            # event — every queued event is strictly
-                            # later than ``when`` — so run it now, moving
-                            # time here if the delay is positive.  Event
-                            # count and (time, seq) order are exactly what
-                            # the queue round-trip would have produced.
-                            # (A drain in progress stays valid: the heap is
-                            # strictly later than the new cycle too.)
+                            # event — the bucket is drained and every other
+                            # one strictly later than ``when`` — so run it
+                            # now.  Event count and (time, seq) order are
+                            # exactly what the queue round-trip would have
+                            # produced.  A positive delay moves time here,
+                            # and the drained bucket with it: it stays the
+                            # one same-cycle schedules append to.
                             steps -= 1
                             fired += 1
-                            self.now = now = when
+                            if cycles:
+                                cal[when] = cal.pop(now)
+                                self.now = now = when
                             value = exc = None
                             continue
                     elif cls is not Future and not isinstance(item, Future):
@@ -576,7 +591,7 @@ class Simulator:
                         )
                         break
                     elif item._value is not _UNSET or item._exc is not None:
-                        if steps > 0 and inline and not ring and (not queue or queue[0][0] > now):
+                        if steps > 0 and inline and pos == len(cur):
                             steps -= 1
                             fired += 1
                             exc = item._exc
@@ -607,19 +622,28 @@ class Simulator:
                         break
                     # schedule(cycles, task), inlined.  Delay guarantees
                     # cycles >= 0, so the negative check is moot.
-                    seq = self._seq
-                    self._seq = seq + 1
-                    if jitter is not None:
-                        _heappush(queue, (when, jitter.random(), seq, task))
-                    elif cycles == 0 and (not ring or self._ring_time == now):
-                        self._ring_time = now
-                        ring.append((seq, task))
+                    if jitter is None:
+                        nxt = cal.get(when)
+                        if nxt is None:
+                            cal[when] = [task]
+                            _heappush(times, when)
+                        else:
+                            nxt.append(task)
                     else:
-                        _heappush(queue, (when, seq, task))
+                        self._push(when, task)
                     break
         finally:
             self.events += fired
             self._running = False
+            if bucket is not None:
+                # An exception escaped mid-cycle: the unrun rest of the
+                # bucket stays queued for the next run().
+                if jitter is None:
+                    del bucket[:pos]
+                if bucket:
+                    _heappush(times, now)
+                else:
+                    del cal[now]
         if self._failure is not None:
             raise self._failure
         blocked = self.blocked_tasks()

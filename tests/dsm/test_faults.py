@@ -361,8 +361,10 @@ def test_idle_fault_plan_costs_zero_cycles():
 
 def test_idle_run_keeps_one_retry_timer_and_a_short_heap(monkeypatch):
     """One retry clock: however many reliable calls are in flight, the
-    kernel heap holds one live kit timer (plus the recovery heartbeat),
-    so an armed run's heap stays about as short as an unarmed one's."""
+    kernel's calendar holds one live kit timer (plus the recovery
+    heartbeat), so an armed run's queue stays about as short as an
+    unarmed one's.  Sampled: the entries due after the current cycle (the
+    one being drained also holds entries that already ran)."""
     from repro.apps import em3d
     from repro.dsm.recovery import RecoveryManager
     from repro.sim.kernel import Timer
@@ -375,10 +377,11 @@ def test_idle_run_keeps_one_retry_timer_and_a_short_heap(monkeypatch):
     deliver = Machine._deliver
 
     def sampling_deliver(self, *args, **kwargs):  # once per message, armed or not
-        queue = self.sim._queue
-        lengths.append(len(queue))
-        timers.append(sorted(e[-1].fn.__func__.__qualname__ for e in queue
-                             if e[-1].__class__ is Timer and e[-1].fn is not None))
+        now = self.sim.now
+        later = [e for t, bucket in self.sim._cal.items() if t > now for e in bucket]
+        lengths.append(len(later))
+        timers.append(sorted(e.fn.__func__.__qualname__ for e in later
+                             if e.__class__ is Timer and e.fn is not None))
         deliver(self, *args, **kwargs)
 
     monkeypatch.setattr(Machine, "_deliver", sampling_deliver)

@@ -1,7 +1,7 @@
 """Regression tests for the kernel fast path (DESIGN.md §6).
 
-The same-cycle ring, the inline trampoline, pooled delays, and the
-pre-bound resume thunks are all pure optimizations: every test here
+The calendar's per-cycle buckets, the inline trampoline and pooled
+delays are all pure optimizations: every test here
 pins an ordering or naming property that must hold with them exactly
 as it did with the plain single-heap kernel.
 """
@@ -39,23 +39,23 @@ def test_delay0_tasks_interleave_fifo():
     ]
 
 
-def test_ring_and_heap_merge_by_seq():
-    """Events scheduled at the same cycle through different paths (ring
-    via delay-0, heap via a positive delay landing on that cycle) fire
-    in schedule order."""
+def test_positive_and_zero_delays_share_one_bucket_in_schedule_order():
+    """Events that reach one cycle by different delays (a positive one
+    set earlier, a delay-0 one appended while that cycle is being
+    drained) fire in schedule order: the cycle's bucket is its FIFO."""
     sim = Simulator()
     order = []
 
     def driver():
         yield Delay(5)  # now == 5
-        sim.schedule(1, lambda: order.append("heap-first"))  # heap, t=6
-        yield Delay(1)  # now == 6; resume scheduled after heap-first
+        sim.schedule(1, lambda: order.append("early-first"))  # t=6, set at 5
+        yield Delay(1)  # now == 6; resume queued after early-first
         order.append("task")
-        sim.schedule(0, lambda: order.append("ring-last"))  # ring, t=6
+        sim.schedule(0, lambda: order.append("same-cycle-last"))  # t=6, set at 6
 
     sim.spawn(driver(), name="d")
     sim.run()
-    assert order == ["heap-first", "task", "ring-last"]
+    assert order == ["early-first", "task", "same-cycle-last"]
 
 
 def test_resolved_future_does_not_jump_the_queue():
@@ -173,7 +173,7 @@ def test_run_until_pause_sets_now_even_between_events():
 
 def test_run_until_resume_preserves_ordering():
     """Pausing and resuming must replay the identical event order as an
-    uninterrupted run, including same-cycle ring entries."""
+    uninterrupted run, including delay-0 entries."""
 
     def program(sim, log):
         def task(name, delays):

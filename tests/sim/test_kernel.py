@@ -164,12 +164,12 @@ def test_join_on_task_done():
 def test_mixed_ring_and_heap_ordering():
     """The nonzero-delay fast path must never jump ahead of queued work.
 
-    Task a mixes zero-delay (same-cycle ring) and nonzero-delay (heap)
-    yields while task b holds events in the heap at the same
-    timestamps; the trampoline is only legal when the ring is empty
-    and the heap's next event is later, so the observed interleaving
-    must match the plain queue discipline exactly (ties go to the
-    event scheduled first, ring work drains before later heap events).
+    Task a mixes zero-delay and nonzero-delay yields while task b holds
+    events queued at the same timestamps; the trampoline is only legal
+    when the current cycle's bucket is drained and the next queued
+    cycle is later, so the observed interleaving must match the plain
+    queue discipline exactly (ties go to the event scheduled first,
+    same-cycle work drains before later cycles).
     """
     sim = Simulator()
     order = []
@@ -388,9 +388,10 @@ def test_retire_finished_is_noop_and_blocked_removes_waker():
 def _mixed_waiters(jitter_seed, wake):
     """Tasks ``a`` and ``b`` block on one gate with a plain callback
     registered between them; ``wake(sim, gate)`` fires it at cycle 10,
-    amid other events due then.  Returns what the run observed."""
+    amid other events due then.  Returns what the run observed, with
+    the tail of cycle 10's bucket (in schedule order) as the wake left it."""
     sim = Simulator(jitter_seed=jitter_seed)
-    gate, log = Future(name="gate"), []
+    gate, log, queued = Future(name="gate"), [], []
 
     def note(tag):
         return lambda *_: log.append((tag, sim.now))
@@ -406,6 +407,10 @@ def _mixed_waiters(jitter_seed, wake):
         yield Delay(10)
         wake(sim, gate)
         sim.schedule(0, note("after"))
+        entries = sim._cal[sim.now]
+        if jitter_seed is not None:  # a fuzzed bucket is a heap of (tie, seq, fn)
+            entries = [e[2] for e in sorted(entries, key=lambda e: e[1])]
+        queued.extend(e.name if e.__class__ is Task else "fn" for e in entries[-4:])
 
     sim.schedule(100, note("end"))  # keeps the bounded runs from running dry
     a = sim.spawn(waiter("a"), name="a")
@@ -417,9 +422,8 @@ def _mixed_waiters(jitter_seed, wake):
         sim.schedule(10, note(tag))
     sim.run(until=5)
     assert gate._callbacks[0] is a and gate._callbacks[2] is b
-    seq = sim._seq
     sim.run()
-    return log, sim._seq - seq, sim.events
+    return log, queued, sim.events
 
 
 def _three_schedule_0_calls(value=None, exc=None):
@@ -446,11 +450,12 @@ def test_task_and_callback_waiters_wake_like_three_schedule_0_calls(jitter_seed)
     assert resolved == _mixed_waiters(jitter_seed, _three_schedule_0_calls("v"))
     failed = _mixed_waiters(jitter_seed, lambda sim, gate: gate.fail(KeyError("k")))
     assert failed == _mixed_waiters(jitter_seed, _three_schedule_0_calls(exc=KeyError("k")))
-    if jitter_seed is None:  # registration order, then ring (seq) order
-        log, draws, _ = resolved
+    if jitter_seed is None:  # registration order, then schedule order
+        log, queued, _ = resolved
         assert [e[0] for e in log] == ["p", "q", "a", "cb", "b", "after", "end"]
         assert log[2] == ("a", 10, "v") and failed[0][4] == ("b", 10, ("k",))
-        assert draws == 4  # three waiters, one "after"
+        # A canonical schedule draws no seq: the order lives in the bucket.
+        assert queued == ["a", "fn", "b", "fn"]  # three waiters, one "after"
 
 
 def test_retire_removes_only_its_own_task_from_mixed_waiters():
@@ -600,3 +605,64 @@ def test_live_timer_is_schedule_with_a_handle(jitter_seed):
     assert order(lambda sim: sim.timer) == order(lambda sim: sim.schedule)
     with pytest.raises(SimulationError):
         Simulator().timer(0, lambda: None)
+
+
+# -- one calendar ------------------------------------------------------------
+
+
+def test_canonical_calendar_holds_bare_entries():
+    """A canonical schedule draws no seq and builds no tuple: every
+    bucket is a list of bare callables, Tasks or Timers, keyed by its
+    int cycle, and ``_times`` heaps exactly the cycles not being drained."""
+    from repro.machine import Machine, MachineConfig
+    from repro.sim.kernel import Timer
+
+    sim = Simulator()
+    machine = Machine(sim, MachineConfig(n_procs=2))
+    gate = Future(name="gate")
+    seen = []
+
+    def note(node, src, tag):
+        seen.append((tag, sim.now))
+
+    def worker():
+        yield Delay(3)
+        machine.post(0, 1, note, "post")
+        sim.schedule(0, gate.resolve)
+        yield gate
+        sim.timer(9, lambda: None)
+
+    def waiter():
+        yield gate
+
+    def shape():
+        assert sim._seq == 0
+        assert all(type(t) is int for t in sim._times)
+        for cycle, bucket in sim._cal.items():
+            assert type(cycle) is int and type(bucket) is list and bucket
+            for e in bucket:
+                assert e.__class__ in (Task, Timer) or (callable(e) and type(e) is not tuple)
+        return sorted(sim._times), sorted(sim._cal)
+
+    sim.spawn(worker(), name="w")
+    sim.spawn(waiter(), name="x")
+    sim.schedule(5, lambda: None)
+    assert shape() == ([0, 5], [0, 5])
+    sim.run(until=3)
+    arrival = 3 + machine._reply_base  # post: send overhead + wire + receive
+    assert shape() == ([5, 3 + 9, arrival], [5, 3 + 9, arrival])
+    assert sim.run() == arrival and seen == [("post", arrival)]
+    assert shape() == ([], []) and sim.events == 9
+
+
+def test_no_ring_or_tuple_heap_is_left_in_src():
+    """One queue: the same-cycle ring, the (time, seq, fn) heap and the
+    draining flag are gone from the kernel, and nothing reaches for them."""
+    import re
+
+    src = Path(__file__).resolve().parents[2] / "src" / "repro"
+    kernel_names = re.compile(r"\b_ring\b|_ring_time|\b_queue\b|\bdraining\s*=")
+    on_a_sim = re.compile(r"sim\._(?:ring|ring_time|queue)\b")
+    hits = [p.name for p in (src / "sim").rglob("*.py") if kernel_names.search(p.read_text())]
+    hits += [str(p) for p in src.rglob("*.py") if on_a_sim.search(p.read_text())]
+    assert hits == []

@@ -2,13 +2,13 @@
 
 ``RefSim`` is the scheduler the kernel's fast paths claim to be
 indistinguishable from: one heap ordered by ``(time, seq)``, one pop
-per event, no same-cycle ring, no trampoline, no batched drain, no
-in-loop task stepping.  Generated programs — delays (zero, pooled and
+per event, no per-cycle buckets, no trampoline, no in-loop task
+stepping.  Generated programs — delays (zero, pooled and
 beyond the pool), futures resolved or failed before and after the
 wait, mid-run spawns and joins, plain scheduled callables, timers set
 and cancelled, ``retire`` of blocked / queued / finished tasks, a
-crashing task, deadlocks, and ``run(until=b)`` split at random bounds
-— run on both, and the real
+crashing task (and a second ``run()`` after it), deadlocks, and
+``run(until=b)`` split at random bounds — run on both, and the real
 kernel must match on step order, ``now``, ``events`` and every task's
 result.  Under a ``jitter_seed`` the reference draws the same one
 tie-breaker per ``schedule``, so fuzzed schedules are held to it too.
@@ -200,6 +200,14 @@ def execute(make_sim, program):
         segments.append(("deadlock", [(t.name, t.blocked_on.name) for t in err.blocked_tasks]))
     except Boom as err:
         segments.append(("crash", str(err)))
+    rerun = None
+    if segments[-1][0] == "crash":
+        # What the crash left queued — the rest of its cycle included —
+        # runs on a second run(), which then re-raises the first crash.
+        try:
+            sim.run()
+        except Boom as err:
+            rerun = (str(err), sim.now, sim.events)
     results = []
     for task in env["tasks"]:
         done = task.done
@@ -208,6 +216,7 @@ def execute(make_sim, program):
     return {
         "log": env["log"],
         "segments": segments,
+        "rerun": rerun,
         "now": sim.now,
         "events": sim.events,
         "results": results,
@@ -313,6 +322,16 @@ FIXED = {
         [],
     ),
     "crash_mid_run": ([[("delay", 2), ("crash",)], [("delay", 1), ("delay", 5)], [("wait", 0)]], []),
+    # the crash is the first event of a busy cycle: the rest of it (and
+    # what that schedules at the same cycle) runs on the second run()
+    "crash_mid_cycle_then_run_again": (
+        [
+            [("delay", 2), ("crash",)],
+            [("delay", 2), ("call", 0), ("delay", 0), ("resolve", 0), ("delay", 3)],
+            [("delay", 2), ("wait", 0), ("delay", 1)],
+        ],
+        [],
+    ),
     "deadlock_spawn_order": ([[("wait", 1)], [("delay", 3)], [("spawn", [("wait", 2)]), ("wait", 0)]], []),
     "until_split": (
         [
@@ -349,6 +368,10 @@ def test_fixed_programs_match_reference(case, jitter_seed):
 def test_fixed_programs_reach_what_they_name():
     """The fixed cases must actually end the way their names say."""
     assert check(FIXED["crash_mid_run"])["segments"][-1] == ("crash", "crash t0.1")
+    again = check(FIXED["crash_mid_cycle_then_run_again"])
+    assert again["segments"] == [("crash", "crash t0.1")]
+    assert again["rerun"] == ("crash t0.1", 5, 11)  # ran on to cycle 5, then re-raised
+    assert ("t1", 1, "call", 2) in again["log"]  # cycle 2's rest, after the crash
     assert check(FIXED["deadlock_spawn_order"])["segments"][-1] == (
         "deadlock",
         [("t0", "f1"), ("t2", "f0"), ("t2.0", "f2")],
