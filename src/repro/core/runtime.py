@@ -6,8 +6,8 @@ protocol pointers.  ``direct=True`` on a primitive skips the dispatch
 charge — that is exactly what the compiler's direct-dispatch
 optimization emits when dataflow analysis proves the protocol unique.
 
-``unmap`` and the four access primitives are plain functions that
-*return the protocol's generator*; the dispatch charge travels down as
+``map``, ``unmap`` and the four access primitives are plain functions
+that *return the protocol's generator*; the dispatch charge travels down as
 the hook's ``lead`` argument and the protocol's first fixed charge
 absorbs it (DESIGN.md §6, "One charge per access"): a hit is one
 kernel event, not two.  A caller that owes cycles of its own (AceC's
@@ -327,21 +327,15 @@ class AceRuntime:
     # Figure 3 primitives (what the compiler inserts)
     # ------------------------------------------------------------------
     def map(self, nid: int, rid: int, direct: bool = False, lead: int = 0):
-        """Generator: ``ACE_MAP`` — region id → local handle."""
+        """``ACE_MAP`` (returns the protocol's generator).  Its handle comes
+        back stamped with its ``space``: §4.1's lookup is paid once per map."""
         space = self._space_of_rid(rid)
         self._counts["ace.map"] += 1
         proto = space.protocol
-        handle = yield from proto.map(nid, rid, lead + self._lead if proto.soft and not direct else lead)
-        meta = handle.meta
-        meta["ace_gen"] = space.generation
-        # Cache the region→space resolution on the handle: §4.1's hash
-        # lookup is paid once per map, not on every start/end access.
-        meta["ace_space"] = space
-        return handle
+        return proto.map(nid, rid, lead + self._lead if proto.soft and not direct else lead)
 
-    # Plain functions from here on (module docstring).  Every shared
-    # access in the system funnels through the four access primitives,
-    # so they inline the space lookup rather than share a helper.
+    # Every shared access in the system funnels through the four access
+    # primitives, so they inline the stale check rather than share a helper.
     def unmap(self, nid: int, handle, direct: bool = False, lead: int = 0):
         """``ACE_UNMAP`` (returns the protocol's generator)."""
         space = self._space_of_handle(handle)
@@ -351,9 +345,8 @@ class AceRuntime:
 
     def start_read(self, nid: int, handle, direct: bool = False, lead: int = 0):
         """``ACE_START_READ`` (returns the protocol's generator)."""
-        meta = handle.meta
-        space = meta.get("ace_space")  # stamped, with ace_gen, by map
-        if space is None or meta["ace_gen"] != space.generation:
+        space = handle.space  # stamped, with gen, by the protocol's map
+        if space is None or handle.gen != space.generation:
             raise self._stale_handle(handle)
         self._counts["ace.start_read"] += 1
         proto = space.protocol
@@ -361,9 +354,8 @@ class AceRuntime:
 
     def end_read(self, nid: int, handle, direct: bool = False, lead: int = 0):
         """``ACE_END_READ`` (returns the protocol's generator)."""
-        meta = handle.meta
-        space = meta.get("ace_space")
-        if space is None or meta["ace_gen"] != space.generation:
+        space = handle.space
+        if space is None or handle.gen != space.generation:
             raise self._stale_handle(handle)
         self._counts["ace.end_read"] += 1
         proto = space.protocol
@@ -371,9 +363,8 @@ class AceRuntime:
 
     def start_write(self, nid: int, handle, direct: bool = False, lead: int = 0):
         """``ACE_START_WRITE`` (returns the protocol's generator)."""
-        meta = handle.meta
-        space = meta.get("ace_space")
-        if space is None or meta["ace_gen"] != space.generation:
+        space = handle.space
+        if space is None or handle.gen != space.generation:
             raise self._stale_handle(handle)
         self._counts["ace.start_write"] += 1
         proto = space.protocol
@@ -381,9 +372,8 @@ class AceRuntime:
 
     def end_write(self, nid: int, handle, direct: bool = False, lead: int = 0):
         """``ACE_END_WRITE`` (returns the protocol's generator)."""
-        meta = handle.meta
-        space = meta.get("ace_space")
-        if space is None or meta["ace_gen"] != space.generation:
+        space = handle.space
+        if space is None or handle.gen != space.generation:
             raise self._stale_handle(handle)
         self._counts["ace.end_write"] += 1
         proto = space.protocol
@@ -412,10 +402,7 @@ class AceRuntime:
         return space
 
     def _space_of_handle(self, handle) -> Space:
-        space = handle.meta.get("ace_space")
-        if space is not None:
-            return space
-        return self._space_of_rid(handle.region.rid)
+        return handle.space or self._space_of_rid(handle.region.rid)
 
     def _stale_handle(self, handle) -> ProtocolMisuse:
         space = self._space_of_handle(handle)  # raises for a region no space owns

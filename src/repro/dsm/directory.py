@@ -175,7 +175,7 @@ class DirectoryService:
 
     def entry(self, rid: int) -> DirEntry:
         """Get-or-create the directory entry for ``rid``."""
-        shard = self._shards[self.shard_of(rid)]
+        shard = self._shards[rid % self.n_shards]  # shard_of, inlined
         ent = shard.get(rid)
         if ent is None:
             ent = shard[rid] = DirEntry()
@@ -279,11 +279,11 @@ class DirectoryService:
             )
 
     def _on_grant_ack(self, node, src, rid):
-        region = self.regions.get(rid)
         ent = self.entry(rid)
         ent.busy = False
         ent.grantee = None
-        self._drain(region, ent)
+        if ent.queue:
+            self._drain(self.regions.get(rid), ent)
 
     # ------------------------------------------------------------------
     # recall / invalidation fan-out
@@ -337,7 +337,8 @@ class DirectoryService:
                 self._serve_read(region, ent, pending["src"], pending["fut"])
             else:
                 self._serve_write(region, ent, pending["src"], pending["fut"])
-        self._drain(region, ent)
+        if ent.queue:
+            self._drain(region, ent)
 
     # ------------------------------------------------------------------
     # flush (change-protocol path)

@@ -61,7 +61,6 @@ class ProtocolHooks:
         self.directory = directory
         self.cache = cache
         self.prefix = prefix
-        self._key = f"dir:{prefix}"
         # Requester-side state machine, derived from the protocol table
         # (repro.dsm.msi): the hit states, the home-alias state, the
         # states misses fill into, and what counts as dirty on a flush.
@@ -143,7 +142,7 @@ class ProtocolHooks:
         The runtime-level wrapper already checks *handle*-level
         discipline for every protocol; this cache-level probe
         additionally catches accesses that reach the coherence core on
-        a copy whose ``map_count`` has dropped to zero — possible when
+        a copy whose ``maps`` count has dropped to zero — possible when
         a protocol caches copies across unmaps and hands out a stale
         path.  The probe charges no cycles.
         """
@@ -151,7 +150,7 @@ class ProtocolHooks:
 
         def checked(inner_start, where):
             def start(nid, copy, lead=0):
-                if copy.meta["map_count"] <= 0:
+                if copy.maps <= 0:
                     checker.unmapped_use(nid, copy.rid, where=where)
                 return inner_start(nid, copy, lead)
 
@@ -187,8 +186,9 @@ class ProtocolHooks:
             self._trace_state(nid, region.rid, self._home_state)
         return region.rid
 
-    def map(self, nid: int, rid: int, lead: int = 0):
-        """Generator: map ``rid`` on node ``nid``; returns the RegionCopy."""
+    def map(self, nid: int, rid: int, lead: int = 0, space=None):
+        """Generator: map ``rid`` on node ``nid``; returns the RegionCopy,
+        stamped with the Ace ``space`` it is mapped through (CRL passes none)."""
         copy = self._copies[nid].get(rid)  # only this node's own task installs copies
         if copy is not None:
             yield _POOL[c] if (c := lead + self._c_map_hit) < _POOL_SIZE else Delay(c)
@@ -208,19 +208,21 @@ class ProtocolHooks:
                 )
             copy = self.cache.install(nid, region)
             self._count("map_cold")
-        copy.meta["map_count"] += 1
+        copy.maps += 1
         copy.mapped = True
+        if space is not None:
+            copy.space, copy.gen = space, space.generation
         return copy
 
     def unmap(self, nid: int, copy: RegionCopy, lead: int = 0):
         """Generator: unmap; the copy stays cached (unmapped-region cache)."""
-        if copy.meta["map_count"] <= 0:
+        if copy.maps <= 0:
             raise ProtocolError(f"unmap of unmapped region {copy.rid} on node {nid}")
-        if copy.meta["read_count"] or copy.meta["write_count"]:
+        if copy.reads or copy.writes:
             raise ProtocolError(f"unmap of region {copy.rid} with open accesses on node {nid}")
         yield _POOL[c] if (c := lead + self._c_unmap) < _POOL_SIZE else Delay(c)
-        copy.meta["map_count"] -= 1
-        copy.mapped = copy.meta["map_count"] > 0
+        copy.maps -= 1
+        copy.mapped = copy.maps > 0
         self._counts[self._k_unmap] += 1
 
     # ------------------------------------------------------------------
@@ -228,26 +230,23 @@ class ProtocolHooks:
     # ------------------------------------------------------------------
     def start_read(self, nid: int, copy: RegionCopy, lead: int = 0):
         """Generator: acquire a readable copy (blocks on a miss)."""
-        region = copy.region
         yield _POOL[c] if (c := lead + self._c_start_hit) < _POOL_SIZE else Delay(c)
         # The directory entry is cached on the copy itself (it is
-        # created once per region and never replaced), so the hot path
-        # here (and in the other three access primitives) is a single
-        # dict probe on a dict we need anyway.
-        meta = copy.meta
-        key = self._key
-        ent = meta.get(key)
+        # created once per region and never replaced), so the hit path
+        # here (and in the other three access primitives) reads a slot.
+        ent = copy.ent
         if ent is None:
-            ent = meta[key] = self._entry(region.rid)
+            ent = copy.ent = self._entry(copy.region.rid)
         state = copy.state
         if state in self._read_hit or (
             state == self._home_state and ent.owner is None and not ent.busy
         ):
             if state == self._home_state:
                 ent.home_readers += 1
-            meta["read_count"] += 1
+            copy.reads += 1
             self._counts[self._k_read_hit] += 1
             return
+        region = copy.region
         self._counts[self._k_read_miss] += 1
         if self._obs is not None:
             # Pre-RPC miss marker: attribution reads it as "the next
@@ -282,44 +281,40 @@ class ProtocolHooks:
             if self._obs is not None:
                 self._trace_state(nid, region.rid, copy.state)
             self._send_grant_ack(nid, region)
-        meta["read_count"] += 1
+        copy.reads += 1
 
     def end_read(self, nid: int, copy: RegionCopy, lead: int = 0):
         """Generator: release a read; may fire deferred invalidations."""
-        meta = copy.meta
-        if meta["read_count"] <= 0:
+        if copy.reads <= 0:
             raise ProtocolError(f"end_read without start_read on region {copy.rid} node {nid}")
         yield _POOL[c] if (c := lead + self._c_end_op) < _POOL_SIZE else Delay(c)
-        meta["read_count"] -= 1
+        copy.reads -= 1
         if copy.state == self._home_state:
-            key = self._key
-            ent = meta.get(key)
+            ent = copy.ent
             if ent is None:
-                ent = meta[key] = self._entry(copy.region.rid)
+                ent = copy.ent = self._entry(copy.region.rid)
             ent.home_readers -= 1
-            if ent.home_readers == 0:
+            if ent.home_readers == 0 and ent.queue:
                 self._drain(copy.region, ent)
-        elif meta["read_count"] == 0:
+        elif copy.deferred and copy.reads == 0:
             self._fire_deferred(copy)
 
     def start_write(self, nid: int, copy: RegionCopy, lead: int = 0):
         """Generator: acquire an exclusive copy (blocks until granted)."""
-        region = copy.region
         yield _POOL[c] if (c := lead + self._c_start_hit) < _POOL_SIZE else Delay(c)
-        meta = copy.meta
-        key = self._key
-        ent = meta.get(key)
+        ent = copy.ent
         if ent is None:
-            ent = meta[key] = self._entry(region.rid)
+            ent = copy.ent = self._entry(copy.region.rid)
         state = copy.state
         if state in self._write_hit or (
             state == self._home_state and ent.owner is None and not ent.sharers and not ent.busy
         ):
             if state == self._home_state:
                 ent.home_writing = True
-            meta["write_count"] += 1
+            copy.writes += 1
             self._counts[self._k_write_hit] += 1
             return
+        region = copy.region
         self._counts[self._k_write_miss] += 1
         if self._obs is not None:
             self._obs.emit(self._sim.now, "dsm.miss", nid, -1, region.rid, "write")
@@ -350,24 +345,23 @@ class ProtocolHooks:
             if self._obs is not None:
                 self._trace_state(nid, region.rid, copy.state)
             self._send_grant_ack(nid, region)
-        meta["write_count"] += 1
+        copy.writes += 1
 
     def end_write(self, nid: int, copy: RegionCopy, lead: int = 0):
         """Generator: release a write (copy stays dirty-exclusive; lazy write-back)."""
-        meta = copy.meta
-        if meta["write_count"] <= 0:
+        if copy.writes <= 0:
             raise ProtocolError(f"end_write without start_write on region {copy.rid} node {nid}")
         yield _POOL[c] if (c := lead + self._c_end_op) < _POOL_SIZE else Delay(c)
-        meta["write_count"] -= 1
+        copy.writes -= 1
         if copy.state == self._home_state:
-            key = self._key
-            ent = meta.get(key)
+            ent = copy.ent
             if ent is None:
-                ent = meta[key] = self._entry(copy.region.rid)
-            if meta["write_count"] == 0:
+                ent = copy.ent = self._entry(copy.region.rid)
+            if copy.writes == 0:
                 ent.home_writing = False
-                self._drain(copy.region, ent)
-        elif meta["write_count"] == 0:
+                if ent.queue:
+                    self._drain(copy.region, ent)
+        elif copy.deferred and copy.writes == 0:
             self._fire_deferred(copy)
 
     def flush(self, nid: int, rid: int):

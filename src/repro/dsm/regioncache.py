@@ -109,10 +109,6 @@ class RegionCache:
         if region.home == nid:
             copy.data = region.home_data  # the home's copy aliases canonical storage
             copy.state = self._home_state
-        copy.meta["read_count"] = 0
-        copy.meta["write_count"] = 0
-        copy.meta["map_count"] = 0
-        copy.meta["deferred"] = []
         self.tables[nid][region.rid] = copy
         return copy
 
@@ -135,8 +131,8 @@ class RegionCache:
             # old home's invalidations landed): already satisfied.
             ack(None, self.costs.meta_words, self.costs.inval_handler)
             return
-        if copy.meta["read_count"] or copy.meta["write_count"]:
-            copy.meta["deferred"].append((mode, ack))
+        if copy.reads or copy.writes:
+            copy.deferred += ((mode, ack),)
             self._counts[self._k_inval_deferred] += 1
             return
         self._apply_inval(copy, mode, ack)
@@ -157,6 +153,6 @@ class RegionCache:
         ack(data, region.size if dirty else self.costs.meta_words, self.costs.inval_handler)
 
     def _fire_deferred(self, copy: RegionCopy) -> None:
-        deferred = copy.meta["deferred"]
-        while deferred:
-            self._apply_inval(copy, *deferred.pop(0))
+        deferred, copy.deferred = copy.deferred, ()
+        for mode, ack in deferred:
+            self._apply_inval(copy, mode, ack)

@@ -37,9 +37,18 @@ class RegionCopy:
     Applications read and write through ``copy.data``; the protocol
     governing the region decides when that array is fetched, flushed,
     invalidated, or updated in place.
+
+    The state every access reads is declared here, once: ``reads`` /
+    ``writes`` / ``maps`` (the SC engine's open accesses and maps),
+    ``deferred`` (recalls held until the copy's last access ends),
+    ``ent`` (the SC engine's cached directory entry), and ``space`` /
+    ``gen`` (the Ace space a protocol's ``map`` stamped and its protocol
+    generation then; the runtime refuses a stale one).  ``meta`` holds
+    protocol-private extras only.
     """
 
-    __slots__ = ("region", "node", "data", "state", "mapped", "meta")
+    __slots__ = ("region", "node", "data", "state", "mapped", "meta", "reads", "writes", "maps",
+                 "deferred", "ent", "space", "gen")
 
     def __init__(self, region: Region, node: int):
         self.region = region
@@ -48,6 +57,9 @@ class RegionCopy:
         self.state: str = "invalid"
         self.mapped = False
         self.meta: dict = {}
+        self.reads = self.writes = self.maps = self.gen = 0
+        self.deferred: tuple = ()  # replaced, never mutated: a fresh copy allocates none
+        self.ent = self.space = None
 
     @property
     def rid(self) -> int:

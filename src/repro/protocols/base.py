@@ -183,15 +183,16 @@ class Protocol:
         raise NotImplementedError
 
     def map(self, nid: int, rid: int):
-        """Translate a region id to a local handle (may fetch data)."""
+        """Translate a region id to a local handle (may fetch data),
+        stamped with ``space`` and its ``generation`` as ``gen``."""
         raise NotImplementedError
 
     # -- unmap and the access hooks ------------------------------------------
     def _null_hook(self, nid: int, handle, lead: int = 0):
-        """A null hook: nothing happens but the caller's ``lead``, and
-        without one (direct dispatch, a hardware protocol) the call
-        builds no generator at all."""
-        return self._charge(lead) if lead else ()
+        """A null hook: nothing happens but the caller's ``lead``, as a
+        one-``Delay`` tuple (no generator); without one (direct dispatch,
+        a hardware protocol) the tuple is empty."""
+        return (_POOL[lead] if lead < _POOL_SIZE else Delay(lead),) if lead else ()
 
     unmap = start_read = end_read = start_write = end_write = _null_hook
 
@@ -224,11 +225,6 @@ class Protocol:
         anything parked on it.  ``rehomed`` maps rid -> region for the
         regions whose home just moved.  Base protocols keep no per-node
         state, so the default is a no-op."""
-
-    # -- helpers for subclasses ------------------------------------------------
-    def _charge(self, cycles: int):
-        """Generator: charge handler work to the calling task."""
-        yield _POOL[cycles] if 0 <= cycles < _POOL_SIZE else Delay(cycles)
 
 
 class TableProtocol(Protocol):

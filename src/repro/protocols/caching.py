@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.machine.stats import intern_key
 from repro.memory import RegionCopy
 from repro.protocols.base import _POOL, _POOL_SIZE, Protocol, TableProtocol
 from repro.sim import Delay
@@ -50,6 +51,8 @@ class CachedCopyProtocol(Protocol):
         self._h_fetch = port.idempotent(self._on_fetch)
         port.watch((f"proto.{self.spec.name}.fetch",))
         self._d_create = Delay(self.CREATE_COST)
+        self._k_map_hit = intern_key("proto", self.spec.name, "map_hit")
+        self._k_map_cold = intern_key("proto", self.spec.name, "map_cold")
 
     # -- data management ----------------------------------------------
     def create(self, nid: int, size: int):
@@ -63,32 +66,32 @@ class CachedCopyProtocol(Protocol):
         copy = self._copies[nid].get(rid)  # only this node's own task installs copies
         if copy is not None:
             yield _POOL[c] if (c := lead + self.MAP_HIT_COST) < _POOL_SIZE else Delay(c)
-            self._count("map_hit")
-            copy.mapped = True
-            return copy
-        yield _POOL[c] if (c := lead + self.MAP_COLD_COST) < _POOL_SIZE else Delay(c)
-        region = self.regions.get(rid)
-        copy = self._install(nid, region)
-        if nid != region.home:
-            data, extra = yield from self._rpc(
-                nid,
-                region.home,
-                self._h_fetch,
-                rid,
-                payload_words=2,  # request is metadata-only; the reply carries data
-                category=f"proto.{self.spec.name}.fetch",
-            )
+            self._counts[self._k_map_hit] += 1
+        else:
+            yield _POOL[c] if (c := lead + self.MAP_COLD_COST) < _POOL_SIZE else Delay(c)
+            region = self.regions.get(rid)
+            copy = self._install(nid, region)
             if nid != region.home:
-                if copy.state != "valid":
-                    np.copyto(copy.data, data)
-                # else a push overtook a delayed reply: what it installed is newer
-                copy.state = "valid"
-                self._after_fetch(nid, copy, extra)
-            # else: the home died mid-fetch and this node is the re-homed
-            # successor — on_node_dead already made this copy the home
-            # alias; the retargeted reply must not demote it to "valid".
-        self._count("map_cold")
+                data, extra = yield from self._rpc(
+                    nid,
+                    region.home,
+                    self._h_fetch,
+                    rid,
+                    payload_words=2,  # request is metadata-only; the reply carries data
+                    category=f"proto.{self.spec.name}.fetch",
+                )
+                if nid != region.home:
+                    if copy.state != "valid":
+                        np.copyto(copy.data, data)
+                    # else a push overtook a delayed reply: what it installed is newer
+                    copy.state = "valid"
+                    self._after_fetch(nid, copy, extra)
+                # else: the home died mid-fetch and this node is the re-homed
+                # successor — on_node_dead already made this copy the home
+                # alias; the retargeted reply must not demote it to "valid".
+            self._counts[self._k_map_cold] += 1
         copy.mapped = True
+        copy.space, copy.gen = self.space, self.space.generation
         return copy
 
     def unmap(self, nid: int, handle, lead: int = 0):

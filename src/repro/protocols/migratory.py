@@ -136,7 +136,6 @@ class MigratoryProtocol(TableProtocol):
             copy.data = region.home_data
             copy.state = "valid"
             copy.meta["use"] = 0
-            copy.meta["deferred"] = []
             self._copies[nid][rid] = copy
             self._dir[rid] = {"loc": nid, "busy": False, "queue": deque()}
         return
@@ -150,7 +149,6 @@ class MigratoryProtocol(TableProtocol):
         copy.data = region.home_data
         copy.state = "valid"
         copy.meta["use"] = 0
-        copy.meta["deferred"] = []
         self._copies[nid][region.rid] = copy
         self._dir[region.rid] = {"loc": nid, "busy": False, "queue": deque()}
         return region.rid
@@ -162,9 +160,9 @@ class MigratoryProtocol(TableProtocol):
             region = self.regions.get(rid)
             copy = RegionCopy(region, nid)
             copy.meta["use"] = 0
-            copy.meta["deferred"] = []
             self._copies[nid][rid] = copy
         copy.mapped = True
+        copy.space, copy.gen = self.space, self.space.generation
         return copy
 
     def unmap(self, nid: int, handle, lead: int = 0):
@@ -203,10 +201,10 @@ class MigratoryProtocol(TableProtocol):
 
     def act_release(self, nid: int, handle):
         handle.meta["use"] -= 1
-        if handle.meta["use"] == 0 and handle.meta["deferred"]:
-            for args in handle.meta["deferred"]:
+        if handle.meta["use"] == 0 and handle.deferred:
+            fire, handle.deferred = handle.deferred, ()
+            for args in fire:
                 self._hand_off(handle, *args)
-            handle.meta["deferred"].clear()
         return
         yield  # pragma: no cover - makes this a generator
 
@@ -250,7 +248,7 @@ class MigratoryProtocol(TableProtocol):
         # is still in flight to us (the home can learn about a move before
         # the — larger, hence slower — data message lands).
         if copy.meta["use"] > 0 or copy.state != "valid":
-            copy.meta["deferred"].append((rid, dest, fut))
+            copy.deferred += ((rid, dest, fut),)
             return
         self._hand_off(copy, rid, dest, fut)
 

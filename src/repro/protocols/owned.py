@@ -360,9 +360,9 @@ class OwnedProtocol(TableProtocol):
             region = self.regions.get(rid)
             copy = RegionCopy(region, nid)
             copy.meta["use"] = 0
-            copy.meta["deferred"] = []
             self._copies[nid][rid] = copy
         copy.mapped = True
+        copy.space, copy.gen = self.space, self.space.generation
         return copy
 
     def unmap(self, nid: int, handle, lead: int = 0):
@@ -374,7 +374,6 @@ class OwnedProtocol(TableProtocol):
         copy.data = region.home_data  # the alias IS canonical storage
         copy.state = "home"
         copy.meta["use"] = 0
-        copy.meta["deferred"] = []
         self._copies[nid][region.rid] = copy
         self._entry(region.rid)
         return copy
@@ -499,8 +498,8 @@ class OwnedProtocol(TableProtocol):
 
     def act_release(self, nid: int, handle):
         handle.meta["use"] -= 1
-        if handle.meta["use"] == 0 and handle.meta["deferred"]:
-            fire, handle.meta["deferred"] = handle.meta["deferred"], []
+        if handle.meta["use"] == 0 and handle.deferred:
+            fire, handle.deferred = handle.deferred, ()
             for item in fire:
                 if item[0] == "inval":
                     self._apply_invalidate(nid, handle, item[1])
@@ -703,7 +702,7 @@ class OwnedProtocol(TableProtocol):
         elif copy.meta["use"] > 0:
             # Unanswered until the open access releases; on a lossy
             # fabric the home's retries keep the recall alive meanwhile.
-            copy.meta["deferred"].append(("inval", ack))
+            copy.deferred += (("inval", ack),)
         else:
             self._apply_invalidate(nid, copy, ack)
 
@@ -750,7 +749,7 @@ class OwnedProtocol(TableProtocol):
             )
             return
         if copy.meta["use"] > 0:
-            copy.meta["deferred"].append(("fwd", requester, rfut))
+            copy.deferred += (("fwd", requester, rfut),)
             return
         self._supply(nid, copy, requester, rfut)
 

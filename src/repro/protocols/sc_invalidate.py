@@ -45,12 +45,16 @@ class SCProtocol(Protocol):
         exposes the engine generators as instance attributes instead of
         wrapper generators: ``yield from protocol.start_read(...)``
         drives the engine frame directly, and each resume of a blocked
-        access traverses one generator frame fewer.  Subclasses with
-        their own engine (:class:`HwAssistedSCProtocol`) re-bind.
+        access traverses one generator frame fewer.  ``map`` alone adds
+        this space, which the engine stamps on the handle it returns (a
+        plain function, not a generator: it still takes a ``lead``).
+        Subclasses with their own engine (:class:`HwAssistedSCProtocol`)
+        re-bind.
         """
         self._engine = engine
         self.create = engine.create
-        self.map = engine.map
+        space, engine_map = self.space, engine.map
+        self.map = lambda nid, rid, lead=0: engine_map(nid, rid, lead, space)
         self.unmap = engine.unmap
         self.start_read = engine.start_read
         self.end_read = engine.end_read

@@ -27,8 +27,6 @@ checked run folds nothing.
 
 from __future__ import annotations
 
-import inspect
-
 import pytest
 
 from repro.compiler import OPT_BASE, compile_source, run_compiled
@@ -46,6 +44,7 @@ from repro.protocols.base import ProtocolMisuse
 from repro.protocols.hw_assisted import HW_SC_COSTS
 from repro.sanitize.dynamic import DynamicChecker
 from repro.sim import Simulator
+from repro.sim.kernel import _DELAY_POOL
 
 ACCESS_EVENTS = ("start_read", "end_read", "start_write", "end_write")
 
@@ -171,7 +170,12 @@ def test_null_hook_is_one_event_dispatched_and_nothing_direct():
         yield from made["dispatched"]
 
     run_spmd(program, backend="ace", n_procs=1)
-    assert made["direct"] == () and inspect.isgenerator(made["dispatched"])
+    # dispatched, the null hook is its lead alone: one pooled Delay in a
+    # tuple, which ``yield from`` hands the kernel without a generator
+    lead = _DELAY_POOL[AceConfig().dispatch_cost]
+    assert made["direct"] == ()
+    assert type(made["dispatched"]) is tuple and len(made["dispatched"]) == 1
+    assert made["dispatched"][0] is lead
 
 
 @pytest.mark.parametrize("backend", ["ace", "crl"])

@@ -1,10 +1,16 @@
 """Unit tests for the Ace runtime: spaces, dispatch, protocol changes."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.core.runtime import AceRuntime
 from repro.facade import run_spmd
+from repro.protocols import default_registry
 from repro.protocols.base import ProtocolMisuse
+
+ACCESSES = ("start_read", "end_read", "start_write", "end_write")
 
 
 def test_new_space_is_collective_and_shared():
@@ -80,6 +86,65 @@ def test_stale_handle_after_change_protocol_rejected():
 
     with pytest.raises(ProtocolMisuse, match="stale handle"):
         run_spmd(prog, backend="ace", n_procs=1)
+
+
+def _refuses_every_access(ctx, h):
+    """Generator: every access primitive on ``h`` is refused as stale."""
+    for access in ACCESSES:
+        with pytest.raises(ProtocolMisuse, match="stale handle"):
+            yield from getattr(ctx, access)(h)
+
+
+@pytest.mark.parametrize("protocol", default_registry.names())
+def test_stale_handle_rejected_whichever_protocol_mapped_it(protocol):
+    """Each protocol's ``map`` stamps the handle it returns; after a
+    change the home's and a remote node's old handles are both refused,
+    and a re-map is accepted."""
+    boxes = {}
+
+    def prog(ctx):
+        sid = yield from ctx.new_space(protocol)
+        if ctx.nid == 0:
+            boxes["rid"] = yield from ctx.gmalloc(sid, 2)
+        yield from ctx.barrier()
+        h = yield from ctx.map(boxes["rid"])
+        assert (h.space.sid, h.gen) == (sid, 0)
+        yield from ctx.change_protocol(sid, "Null" if protocol == "SC" else "SC")
+        yield from _refuses_every_access(ctx, h)
+        h = yield from ctx.map(boxes["rid"])
+        return list((yield from ctx.read_region(h)))
+
+    assert run_spmd(prog, backend="ace", n_procs=2).results == [[0.0, 0.0]] * 2
+
+
+@pytest.mark.parametrize("partner", [p for p in default_registry.names() if p != "SC"])
+def test_sc_round_trip_refuses_the_handle_it_hands_back(partner):
+    """SC -> partner -> SC: the SC engine re-maps the *same* copy object,
+    so only the handle's generation tells the old use from the new."""
+    boxes = {}
+
+    def prog(ctx):
+        sid = yield from ctx.new_space("SC")
+        if ctx.nid == 0:
+            boxes["rid"] = yield from ctx.gmalloc(sid, 1)
+        yield from ctx.barrier()
+        h = yield from ctx.map(boxes["rid"])
+        for target in (partner, "SC"):
+            yield from ctx.change_protocol(sid, target)
+        yield from _refuses_every_access(ctx, h)
+        again = yield from ctx.map(boxes["rid"])
+        assert again is h and h.gen == 2
+        if ctx.nid == 1:
+            yield from ctx.write_region(h, [3.0])
+        yield from ctx.barrier()
+        return (yield from ctx.read_region(h))[0]
+
+    assert run_spmd(prog, backend="ace", n_procs=2).results == [3.0, 3.0]
+
+
+def test_map_returns_the_protocols_generator():
+    # the stamp is the protocol's job, so the runtime adds no frame to a map
+    assert not inspect.isgeneratorfunction(AceRuntime.map)
 
 
 def test_change_protocol_to_same_is_cheap_noop():

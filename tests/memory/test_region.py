@@ -1,8 +1,12 @@
 """Unit tests for regions and the region directory."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.memory import Region, RegionCopy, RegionDirectory
 from repro.sim.errors import SimulationError
 
@@ -57,3 +61,29 @@ def test_allocation_order_is_deterministic():
     rids = [d.alloc(home=i % 3, size=1).rid for i in range(10)]
     assert rids == sorted(rids)
     assert [r.rid for r in d.all_regions()] == rids
+
+
+def test_copy_access_state_is_declared_slots():
+    c = RegionCopy(Region(1, home=0, size=2), node=1)
+    assert not hasattr(c, "__dict__")
+    assert (c.reads, c.writes, c.maps, c.deferred) == (0, 0, 0, ())
+    assert c.ent is None and c.space is None and c.meta == {}
+
+
+def test_access_state_lives_in_slots_not_meta_keys():
+    # One name, one place: the per-copy counts, deferred recalls, cached
+    # directory entry and Ace handle stamp are RegionCopy slots.
+    banned = re.compile(
+        r"""["'](read_count|write_count|map_count|ace_space|ace_gen)["']"""
+        r"""|meta\[["']deferred["']\]|f?["']dir:"""
+    )
+    root = Path(repro.__file__).parent
+    files = sorted(root.rglob("*.py"))
+    offenders = [
+        f"{path.relative_to(root)}:{n}"
+        for path in files
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert len(files) > 100
+    assert offenders == []
