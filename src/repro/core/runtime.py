@@ -147,7 +147,7 @@ class AceRuntime:
         """Swap in checker-notifying variants of the annotation primitives.
 
         Mirrors the instance-attribute pattern used by the DSM layers
-        (:meth:`RegionCache._install_checked`): an unchecked runtime
+        (:meth:`ProtocolHooks._install_checked`): an unchecked runtime
         keeps the plain bound methods, so ``check=False`` is strictly
         zero-cost.  The wrappers observe and delegate — they yield no
         extra :class:`Delay`, so even a checked run's simulated clock is

@@ -21,7 +21,7 @@ The core is layered (DESIGN.md §8): :class:`~repro.dsm.transport.Transport`
 
 from repro.dsm.costs import DSMCosts, ACE_SC_COSTS, CRL_COSTS
 from repro.dsm.errors import ProtocolError
-from repro.dsm.transport import SimTransport, Transport, as_transport
+from repro.dsm.transport import Transport, as_transport
 from repro.dsm.faults import (
     FaultPlan,
     FaultTransport,
@@ -62,7 +62,6 @@ __all__ = [
     "RecoveryManager",
     "RegionCache",
     "RetryPolicy",
-    "SimTransport",
     "StallError",
     "StallReport",
     "Transport",

@@ -75,8 +75,7 @@ class CoherenceEngine:
         :class:`~repro.dsm.directory.DirectoryService`).
     checker:
         Optional :class:`~repro.sanitize.dynamic.DynamicChecker`.  When
-        set, the cache reports copy installs/invalidations and the
-        hooks validate mapping discipline on every access — both via
+        set, the hooks validate mapping discipline on every access, via
         the instance-attribute swap pattern, so a checker-less engine
         runs the exact same code paths as before.
     table:
@@ -113,7 +112,6 @@ class CoherenceEngine:
             costs,
             prefix=stats_prefix,
             obs=obs,
-            checker=checker,
             table=self.table,
         )
         self.directory = DirectoryService(

@@ -4,7 +4,7 @@ The paper's runtime assumes a perfectly reliable Active-Messages
 fabric (CM-5 CMAML), so every protocol in the library silently depends
 on exactly-once, in-order delivery.  This module cashes in the
 transport layer's promise that "a recording/fault-injecting shim slots
-in by providing the same eight operations":
+in by providing the same operations":
 
 :class:`FaultPlan`
     A seeded, fully deterministic description of what goes wrong:
@@ -14,8 +14,9 @@ in by providing the same eight operations":
     always — a chaos failure replays from its plan alone.
 :class:`FaultTransport`
     A :class:`~repro.dsm.transport.Transport` wrapping the simulated
-    machine that applies a fault plan at the injection point.  It sets
-    ``reliable = False`` and hands every service a :class:`RetryPort`.
+    machine (or its traced wire) that applies a fault plan at the
+    injection point.  It sets ``reliable = False`` and hands every
+    service a :class:`RetryPort`.
 :class:`RetryPort`
     The lossy-fabric form of :class:`~repro.dsm.transport.Port`, and
     the one place that knows how a message becomes exactly-once: the
@@ -531,14 +532,17 @@ class SeenOnce:
 # the fault transport
 # ---------------------------------------------------------------------------
 class FaultTransport(Transport):
-    """A machine-backed transport that injects a :class:`FaultPlan`.
+    """A transport that injects a :class:`FaultPlan` into the fabric it wraps.
 
     Every send funnels through :meth:`_send`, which asks the plan for a
-    verdict — deliver normally, drop, duplicate, or delay — and then
-    drives the machine's own (possibly traced) delivery path for each
-    surviving copy, so counters, traces, and latency math stay the
-    machine's.  Replies go through a resolve-once gate, since a
-    duplicated or replayed reply must not resolve a future twice.
+    verdict — deliver normally, drop, duplicate, or delay — and hands
+    each surviving copy to the wrapped fabric's wire (``inject`` /
+    ``inject_reply``), so counters, traces and latency math stay that
+    fabric's: on a traced machine every copy is a traced message.  The
+    one tracing fact carried here is a send's causal parent, read at the
+    logical send, because a post's injection and a delayed copy fire
+    from bare scheduled calls.  Replies go through a resolve-once gate,
+    since a duplicated or replayed reply must not resolve a future twice.
 
     The plan is read at construction — a :attr:`FaultPlan.quiet` one can
     never fire, so its verdict is the epoch fence alone — and must not be
@@ -565,23 +569,22 @@ class FaultTransport(Transport):
         self.base = base
         self.plan = plan
         self.machine = machine
-        self.sim = machine.sim
-        self.stats = machine.stats
-        self.tracer = machine.tracer
-        self.nodes = machine.nodes
-        self.n_procs = machine.n_procs
-        self.after = machine.sim.schedule
-        self.hw_barrier = machine.hw_barrier  # control network: always reliable
-        self._deliver = machine._deliver  # the traced variant when tracing is on
-        self._d_send = machine._d_send
+        self.sim = base.sim
+        self.stats = base.stats
+        self.tracer = base.tracer
+        self.nodes = base.nodes
+        self.n_procs = base.n_procs
+        self.after = base.after
+        self.hw_barrier = base.hw_barrier  # control network: always reliable
+        self._inject = base.inject
+        self._inject_reply = base.inject_reply
+        self._cause = base.cause
         self._send_overhead = machine.config.am_send_overhead
-        self._reply_base = machine._reply_base
-        self._per_word = machine._per_word
+        self._d_send = Delay(self._send_overhead)
         self._rng = Random(plan.seed)
         self._shot_hits = [0] * len(plan.one_shots)
         self._quiet = plan.quiet
-        self._counts = machine.stats.counter_ref()
-        self._msg_keys = machine._msg_keys
+        self._counts = base.stats.counter_ref()
         self._k = {
             v: intern_key("fault", v)
             for v in ("drop", "dup", "delay", "crash", "link_down", "stall")
@@ -591,7 +594,7 @@ class FaultTransport(Transport):
         #: Traffic from or to one is discarded at the injection point.
         self.dead: set[int] = set()
         self._k_fenced = intern_key("recovery", "fenced")
-        self._obs = machine.tracer.tracer("faults") if machine.tracer is not None else None
+        self._obs = base.tracer.tracer("faults") if base.tracer is not None else None
         #: bounded in-memory fault log: (cycle, verdict, category, src, dst)
         self.log: list = []
         self.watchdog = LivenessWatchdog(self)
@@ -617,15 +620,12 @@ class FaultTransport(Transport):
         self._send(src, dst, handler, args, payload_words, category)
 
     def post(self, src, dst, handler, *args, payload_words: int = 0, category: str = "am.post"):
-        self._inject(src, dst, handler, args, payload_words, category)
+        self._post(src, dst, handler, args, payload_words, category)
 
-    def _inject(self, src, dst, handler, args, payload_words, category) -> None:
+    def _post(self, src, dst, handler, args, payload_words, category) -> None:
         # The injection instant stays an event of its own (the plan reads
         # ``now`` there), pushed the way Machine._deliver pushes an arrival.
-        # A traced send's causal parent is captured now: by the injection
-        # instant the emitting extent is gone.
-        parent = None if self.tracer is None else self.machine._ctx()
-        fn = partial(self._send, src, dst, handler, args, payload_words, category, parent)
+        fn = partial(self._send, src, dst, handler, args, payload_words, category, self._cause())
         sim = self.sim
         when = sim.now + self._send_overhead
         if sim._jitter is None:
@@ -652,29 +652,16 @@ class FaultTransport(Transport):
         return value
 
     def reply(self, fut, value=None, payload_words: int = 0, category: str = "am.reply"):
-        deliveries = self._verdict(None, None, category)
+        self._reply(None, fut, value, payload_words, category)
+
+    def _reply(self, parent, fut, value, payload_words, category) -> None:
+        # ``parent`` None: the reply is the child of the dispatch at hand.
+        deliveries = _NO_FAULT if self._quiet and not self.dead else self._verdict(None, None, category)
         if deliveries is None:
             return
-        counts = self._counts
-        key = self._msg_keys.get(category) or self.machine._msg_key(category)
-        fn = partial(self._resolve_once, fut, value)
-        # Pushed as Machine.reply pushes.
-        sim = self.sim
-        base = sim.now + self._reply_base + self._per_word * payload_words
-        for extra in deliveries:
-            counts[key] += 1
-            counts["msg.total"] += 1
-            counts["msg.words"] += payload_words
-            when = base + extra
-            if sim._jitter is None:
-                bucket = sim._cal.get(when)
-                if bucket is None:
-                    sim._cal[when] = [fn]
-                    _heappush(sim._times, when)
-                else:
-                    bucket.append(fn)
-            else:
-                sim._push(when, fn)
+        resolve_once = self._resolve_once
+        for extra in deliveries:  # a delayed copy is held on the wire: one event
+            self._inject_reply(resolve_once, fut, value, payload_words, category, extra, parent)
 
     def _resolve_once(self, fut, value) -> None:
         # Duplicated replies, replayed recorded replies, and late
@@ -687,7 +674,7 @@ class FaultTransport(Transport):
 
     # -- injection point -------------------------------------------------
     def _send(self, src, dst, handler, args, payload_words, category, parent=None) -> None:
-        deliveries = self._verdict(src, dst, category)
+        deliveries = _NO_FAULT if self._quiet and not self.dead else self._verdict(src, dst, category)
         if deliveries is None:
             return
         if self.recovery is not None:
@@ -695,19 +682,16 @@ class FaultTransport(Transport):
             # dated at the send: a delayed copy landing after a crash proves
             # nothing.  The one writer of ``_last_heard`` during a run.
             self.recovery._last_heard[src] = self.sim.now
-        if parent is None and self.tracer is not None:
-            parent = self.machine._ctx()  # a task-context send: read before a delayed copy waits
-        deliver = self._deliver
+        inject = self._inject
         for extra in deliveries:
-            # ``parent`` goes by keyword, and only to the traced deliver: the
-            # untraced one's 7th positional is ``sender_cycles``.
             if extra:
-                fn = partial(deliver, src, dst, handler, args, payload_words, category)
-                self.sim.schedule(extra, fn if parent is None else partial(fn, parent=parent))
-            elif parent is None:
-                deliver(src, dst, handler, args, payload_words, category)
+                if parent is None:  # a task-context send: read before the copy waits
+                    parent = self._cause()
+                self.sim.schedule(
+                    extra, partial(inject, src, dst, handler, args, payload_words, category, parent)
+                )
             else:
-                deliver(src, dst, handler, args, payload_words, category, parent=parent)
+                inject(src, dst, handler, args, payload_words, category, parent)
 
     def _verdict(self, src, dst, category):
         """Decide this message's fate: ``None`` (drop) or extra-delay list."""
@@ -939,7 +923,7 @@ class RetryKit:
     def transmit(self, pend: _PendingCall) -> None:
         """(Re)send from handler context — the first attempt pays the
         sender overhead like ``transport.post`` — and (re)arm the timeout."""
-        self._transport._inject(
+        self._transport._post(
             pend.src, pend.dst, pend.handler, pend.args, pend.payload_words, pend.category
         )
         self._arm(pend)
@@ -1033,6 +1017,8 @@ class RetryPort(Port):
         self.open_calls = self._dedup._fut_keys
         self._ack = transport.reply
         self._after = transport.after
+        self._reply_from = transport._reply
+        self._cause = transport._cause
         self._suffix = "" if prefix.startswith("proto.") else "_r"
         self._recovering = transport.recovery is not None
         self.watch = transport.watchdog.watch  # stall-report metadata
@@ -1080,11 +1066,12 @@ class RetryPort(Port):
     def answers(self, handler, ack_category: str, ack_name: str | None = None):
         first, acked = self._seen.first, self._seen.acked
         reply, after = self._ack, self._after
+        reply_from, cause = self._reply_from, self._cause
 
         def ack(key, fut, value=None, payload_words=1, delay=0):
             acked[key] = (value, payload_words)
-            if delay:
-                after(delay, partial(reply, fut, value, payload_words=payload_words, category=ack_category))
+            if delay:  # the ack is sent now, in this context, and leaves later
+                after(delay, partial(reply_from, cause(), fut, value, payload_words, ack_category))
             else:
                 reply(fut, value, payload_words=payload_words, category=ack_category)
 

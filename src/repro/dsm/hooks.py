@@ -146,8 +146,6 @@ class ProtocolHooks:
         a protocol caches copies across unmaps and hands out a stale
         path.  The probe charges no cycles.
         """
-        self._checker = checker
-
         def checked(inner_start, where):
             def start(nid, copy, lead=0):
                 if copy.maps <= 0:

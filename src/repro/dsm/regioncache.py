@@ -39,7 +39,6 @@ class RegionCache:
         costs: DSMCosts,
         prefix: str = "dsm",
         obs=None,
-        checker=None,
         table=None,
     ):
         self.transport = transport
@@ -64,33 +63,6 @@ class RegionCache:
         self._sim = transport.sim
         if transport.recovery is not None:
             self._wb_log = {}
-        if checker is not None:
-            self._install_checked(checker)
-
-    def _install_checked(self, checker) -> None:
-        """Swap in sanitizer-notifying variants of install/invalidate.
-
-        A checker-less cache keeps the original methods, so the dynamic
-        sanitizer is strictly
-        zero-cost when off.  Notifications change no simulated state and
-        charge no cycles, so even a checked run keeps its clock.
-        """
-        self._checker = checker
-        inner_install = self.install
-        inner_apply = self._apply_inval
-
-        def install(nid, region):
-            copy = inner_install(nid, region)
-            checker.cache_installed(nid, region.rid)
-            return copy
-
-        def _apply_inval(copy, mode, ack):
-            inner_apply(copy, mode, ack)
-            if copy.state == "invalid":
-                checker.cache_invalidated(copy.node, copy.region.rid)
-
-        self.install = install
-        self._apply_inval = _apply_inval
 
     # ------------------------------------------------------------------
     # copy management

@@ -3,21 +3,21 @@
 The directory protocol above this layer is pure policy — it decides
 *what* messages to send and *when*, but performs every send, RPC,
 reply, and deferred callback through the narrow interface defined
-here.  Today's only implementation wraps the simulated active-message
-:class:`~repro.machine.machine.Machine`; a real-parallel backend (or a
-recording/fault-injecting shim) slots in by providing the same eight
-operations.
+here.  The simulated active-message
+:class:`~repro.machine.machine.Machine` implements it directly; a
+real-parallel backend (or a recording/fault-injecting shim) slots in by
+providing the same operations.
 
 Zero-cost boundary
 ------------------
-:class:`SimTransport` binds the machine's methods directly as instance
-attributes: ``transport.rpc`` *is* ``machine.rpc`` (the traced variant
-when observability is on, since the machine swaps those in during its
-own construction).  A call through the transport therefore executes
-the identical code object, making the identical schedule calls,
-as a call on the machine — the layer boundary costs no simulated
-cycles and no host-side indirection.  DESIGN.md §8 documents this
-invariant; the golden-trace pins enforce it.
+An untraced machine *is* its transport: :func:`as_transport` returns
+it, so a call through the transport is a call on the machine, with no
+layer in between.  A traced machine is wrapped once in a
+:class:`~repro.obs.wire.TracedTransport`, which hands each message to
+the same machine delivery, and a
+:class:`~repro.dsm.faults.FaultTransport` wraps whichever of the two it
+is given.  DESIGN.md §8 documents this invariant; the golden-trace pins
+enforce it.
 """
 
 from __future__ import annotations
@@ -53,6 +53,18 @@ class Transport:
         traced fabric can keep the causal chain across the deferral.
     ``hw_barrier(nid)``
         Generator: global rendezvous over all nodes.
+
+    and, for a fabric that wraps this one (the wire it hands messages to):
+
+    ``inject(src, dst, handler, args, payload_words, category, parent=None)``
+        Put one message on the wire now, its send overhead already paid.
+    ``inject_reply(resolve, fut, value, payload_words, category, extra=0, parent=None)``
+        :meth:`reply` landing as ``resolve(fut, value)``, ``extra``
+        cycles late (``Future.resolve``, or a resolve-once gate).
+    ``cause()``
+        The causal parent (trace event id, or -1) of a send made now.  A
+        wrapper whose send leaves later reads it at the logical send and
+        passes it as ``parent``; ``None`` means "made now".
 
     plus the attributes ``nodes``, ``n_procs``, ``sim``, ``stats``,
     ``tracer``, and ``machine`` (the underlying machine, or ``None``
@@ -91,8 +103,7 @@ class Transport:
         raise NotImplementedError
 
     def defer_post(self, delay: int, src: int, dst: int, handler: Callable, *args, **kw) -> None:
-        # Generic composition; machine-backed fabrics bind the
-        # machine's own (possibly traced) implementation instead.
+        # Generic composition; the machine and the traced wire have their own.
         self.after(delay, lambda: self.post(src, dst, handler, *args, **kw))
 
     def hw_barrier(self, nid: int):
@@ -249,43 +260,23 @@ class Port:
         pass
 
 
-class SimTransport(Transport):
-    """The simulated active-message machine, behind the fabric interface.
-
-    Every operation is the machine's own bound method — see the module
-    docstring for why this boundary is free.
-    """
-
-    def __init__(self, machine: Machine):
-        self.machine = machine
-        self.sim = machine.sim
-        self.stats = machine.stats
-        self.tracer = machine.tracer
-        self.nodes = machine.nodes
-        self.n_procs = machine.n_procs
-        # Direct bindings: the transport call site resolves one instance
-        # attribute and lands in machine code, traced or not.
-        self.request = machine.am_request
-        self.post = machine.post
-        self.rpc = machine.rpc
-        self.reply = machine.reply
-        self.after = machine.sim.schedule
-        self.defer_post = machine.defer_post
-        self.hw_barrier = machine.hw_barrier
-
-
 def as_transport(fabric) -> Transport:
-    """Coerce a :class:`Machine` or :class:`Transport` to a transport.
+    """The transport of a :class:`Machine` or :class:`Transport`.
 
-    A machine gets one cached :class:`SimTransport` (stored on the
-    machine), so every layer wrapping the same machine shares one
-    transport object.
+    A transport is its own, and so is an untraced machine.  A traced
+    machine gets one :class:`~repro.obs.wire.TracedTransport`, built at
+    the first call and stored on the machine, so every layer on the same
+    machine shares one traced wire.
     """
-    if isinstance(fabric, Transport):
-        return fabric
     if isinstance(fabric, Machine):
+        if fabric.tracer is None:
+            return fabric
         transport = getattr(fabric, "_transport", None)
         if transport is None:
-            transport = fabric._transport = SimTransport(fabric)
+            from repro.obs.wire import TracedTransport  # it builds on this module
+
+            transport = fabric._transport = TracedTransport(fabric)
         return transport
+    if isinstance(fabric, Transport):
+        return fabric
     raise TypeError(f"cannot build a transport from {fabric!r}")

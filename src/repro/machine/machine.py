@@ -61,24 +61,22 @@ class Machine:
     config:
         Cycle-cost model; defaults to the CM-5-flavoured constants.
     tracer:
-        Optional :class:`repro.obs.TraceBuffer`.  When given, message
-        delivery, RPC, and reply paths are **swapped at construction**
-        for traced variants that emit causal ``msg.send``/``msg.recv``
-        and ``rpc.call``/``rpc.return`` events, feed per-category
-        round-trip latency histograms, and bump per-node
-        ``node<i>.msg.*`` counters.  With ``tracer=None`` the class
-        methods run unchanged — the disabled path is byte-for-byte the
-        pre-observability fast path, so it costs nothing.
+        Optional :class:`repro.obs.TraceBuffer`.  The machine only stamps
+        ``hw_barrier`` epochs; its messages are traced by the one
+        :class:`~repro.obs.wire.TracedTransport` ``as_transport`` wraps it in.
 
-    An untraced arrival is the handler call itself: the queue entry is
-    ``partial(handler, node, src, *args)``, and ``handler.<name>`` is
-    counted with ``msg.<category>`` when the message is injected.  A
-    handler that must block is a generator function; that is decided
-    once per handler object, at its first send, and its arrival spawns
-    it as the task ``handler@<nid>``.
+    An untraced machine is its own :class:`~repro.dsm.transport.Transport`
+    (exactly-once, like CMAML).  An arrival is the handler call itself:
+    the queue entry is ``partial(handler, node, src, *args)``, and
+    ``handler.<name>`` is counted with ``msg.<category>`` when the message
+    is injected.  A handler that must block is a generator function; that
+    is decided once per handler object, at its first send, and its
+    arrival spawns it as the task ``handler@<nid>``.
     """
 
     HW_BARRIER_COST = 170  # ~5us on a 33MHz node: CM-5 control network barrier
+    reliable = True
+    recovery = None
 
     def __init__(self, sim: Simulator, config: MachineConfig | None = None, tracer=None):
         self.sim = sim
@@ -102,51 +100,25 @@ class Machine:
         self._n_nodes = len(self.nodes)  # the n_procs property is a frame per message
         self._send_overhead = self.config.am_send_overhead
         self._d_send = Delay(self._send_overhead)
-        # Observability (DESIGN.md §7): decided once, here.  Traced
-        # variants shadow the class methods via instance attributes;
-        # every arrival and resume lands on the fast path's cycle, so
-        # simulated cycles do not move.
+        self.after = sim.schedule
         self.tracer = tracer
-        if tracer is not None:
-            self._obs = tracer.tracer("machine")
-            self._deliver = self._deliver_traced
-            self.rpc = self._rpc_traced
-            self.reply = self._reply_traced
-            self.post = self._post_traced
-            self.defer_post = self._defer_post_traced
-            self._node_sent = [
-                self.stats.node(i).key("msg.sent") for i in range(self.config.n_procs)
-            ]
-            self._node_recv = [
-                self.stats.node(i).key("msg.recv") for i in range(self.config.n_procs)
-            ]
-            # Per-(src, category) RPC histogram handles, cached so the
-            # round-trip hot path never builds a "node<i>.rpc.<cat>"
-            # string twice; run_summary merges them cluster-wide.
-            self._rpc_hist_cache = {}
-        else:
-            self._obs = None
-
-    def _msg_key(self, category: str) -> str:
-        key = self._msg_keys.get(category)
-        if key is None:
-            key = self._msg_keys[category] = intern_key("msg", category)
-        return key
+        self._obs = tracer.tracer("machine") if tracer is not None else None
 
     @property
     def n_procs(self) -> int:
         return self.config.n_procs
 
+    machine = property(lambda self: self)  # the fabric interface's "backing machine"
+
+    def port(self, prefix: str):
+        """The plain :class:`~repro.dsm.transport.Port`: this machine's own methods."""
+        from repro.dsm.transport import Port  # the service layer, built on this one
+
+        return Port(self)
+
     # -- active messages -------------------------------------------------
-    def am_request(
-        self,
-        src: int,
-        dst: int,
-        handler: Callable,
-        *args,
-        payload_words: int = 0,
-        category: str = "am.request",
-    ):
+    def am_request(self, src: int, dst: int, handler: Callable, *args,
+                   payload_words: int = 0, category: str = "am.request"):
         """Generator: inject a message from the *calling task* on ``src``.
 
         Charges the caller the send overhead, then delivers
@@ -156,15 +128,10 @@ class Machine:
         yield self._d_send
         self._deliver(src, dst, handler, args, payload_words, category)
 
-    def post(
-        self,
-        src: int,
-        dst: int,
-        handler: Callable,
-        *args,
-        payload_words: int = 0,
-        category: str = "am.post",
-    ) -> None:
+    request = am_request  # the fabric interface's name for it
+
+    def post(self, src: int, dst: int, handler: Callable, *args,
+             payload_words: int = 0, category: str = "am.post") -> None:
         """Send a message from *handler context* (no task to charge).
 
         The sender-side overhead is folded into the delivery latency,
@@ -173,23 +140,15 @@ class Machine:
         """
         self._deliver(src, dst, handler, args, payload_words, category, self._send_overhead)
 
-    def defer_post(
-        self,
-        delay: int,
-        src: int,
-        dst: int,
-        handler: Callable,
-        *args,
-        payload_words: int = 0,
-        category: str = "am.post",
-    ) -> None:
+    def defer_post(self, delay: int, src: int, dst: int, handler: Callable, *args,
+                   payload_words: int = 0, category: str = "am.post") -> None:
         """``after(delay)`` then :meth:`post`, as one fabric operation.
 
         Handler-side deferred work that ends in a send (e.g. the
         invalidation-handler cost before the ack leaves) goes through
         here: nothing can observe the deferral, so the message is one
-        queue entry, ``delay`` cycles after a :meth:`post`'s (the traced
-        variant keeps the deferral and the injection as events).
+        queue entry, ``delay`` cycles after a :meth:`post`'s (a traced
+        wire keeps the deferral and the injection as events).
         """
         if delay < 0:
             raise SimulationError(f"negative defer_post delay: {delay}")
@@ -239,161 +198,6 @@ class Machine:
 
     def _spawn_handler(self, handler, node, src, *args) -> None:
         self.sim.spawn(handler(node, src, *args), name=f"handler@{node.nid}")
-
-    # -- traced variants (installed over the fast path by __init__) -----
-    # Each mirrors its untraced twin — same counter bumps at the same
-    # instants (``handler.<name>`` at injection), same arrival and resume
-    # cycles — plus causal event emission; the arrival keeps a frame of
-    # its own only for the ``msg.recv`` emit and the context it publishes.
-    # They do not fold (DESIGN.md §6): a post's injection and an rpc's
-    # ``lead`` stay events of their own, because ``msg.send``/``rpc.call``
-    # are stamped at those instants — which makes the traced fabric the
-    # fold's differential oracle.  Keeping them separate (instead of branching
-    # inside the fast path) is what makes tracing-off literally free.
-    def _ctx(self) -> int:
-        """Current dispatch context (task step or handler receive), or -1.
-
-        The ts guard rejects stale contexts: a dispatch that set no
-        context of its own (a bare scheduled partial) inherits one only
-        within the same cycle, where the resulting zero-weight edge is
-        harmless.
-        """
-        buf = self.tracer
-        return buf.ctx_eid if buf.ctx_ts == self.sim.now else -1
-
-    def _post_traced(self, src, dst, handler, *args, payload_words=0, category="am.post"):
-        # The message is injected (counted, ``msg.send``) after the send
-        # overhead; the causal parent is captured *now*, because by the
-        # time the partial fires the emitting extent is gone.
-        self.sim.schedule(
-            self.config.am_send_overhead,
-            partial(
-                self._deliver_traced,
-                src, dst, handler, args, payload_words, category, self._ctx(),
-            ),
-        )
-
-    def _defer_post_traced(self, delay, src, dst, handler, *args, payload_words=0, category="am.post"):
-        # The deferral, then the injection: two events before the
-        # arrival, which lands on the untraced defer_post's cycle.
-        self.sim.schedule(
-            delay,
-            partial(
-                self._post_parent_traced,
-                self._ctx(), src, dst, handler, args, payload_words, category,
-            ),
-        )
-
-    def _post_parent_traced(self, parent, src, dst, handler, args, payload_words, category):
-        self.sim.schedule(
-            self.config.am_send_overhead,
-            partial(self._deliver_traced, src, dst, handler, args, payload_words, category, parent),
-        )
-
-    def _deliver_traced(self, src, dst, handler, args, payload_words, category, parent=None):
-        if not (0 <= dst < self._n_nodes):
-            raise ValueError(f"bad destination node {dst}")
-        if parent is None:  # not captured by the sender: read the context now
-            parent = self._ctx()
-        counts = self._counts
-        key = self._msg_keys.get(category)
-        if key is None:
-            key = self._msg_keys[category] = intern_key("msg", category)
-        hkey, call, hname = self._handler_keys.get(handler) or self._handler_entry(handler)
-        counts[key] += 1
-        counts[hkey] += 1
-        counts["msg.total"] += 1
-        counts["msg.words"] += payload_words
-        counts[self._node_sent[src]] += 1
-        counts[self._node_recv[dst]] += 1
-        eid = self._obs.emit(self.sim.now, "msg.send", src, parent, dst, category, payload_words)
-        delay = self._recv_base + self._per_word * payload_words
-        fn = partial(self._arrive_traced, eid, hname, call, self.nodes[dst], src, args)
-        sim = self.sim
-        when = sim.now + delay
-        if sim._jitter is None:
-            bucket = sim._cal.get(when)
-            if bucket is None:
-                sim._cal[when] = [fn]
-                _heappush(sim._times, when)
-            else:
-                bucket.append(fn)
-        else:
-            sim._push(when, fn)
-
-    def _arrive_traced(self, parent_eid, hname, call, node, src, args) -> None:
-        eid = self._obs.emit(self.sim.now, "msg.recv", node.nid, parent_eid, src, hname)
-        buf = self.tracer
-        prev_eid, prev_ts = buf.ctx_eid, buf.ctx_ts
-        buf.ctx_eid = eid
-        buf.ctx_ts = self.sim.now
-        try:
-            call(node, src, *args)
-        finally:
-            buf.ctx_eid, buf.ctx_ts = prev_eid, prev_ts
-
-    def _rpc_traced(self, src, dst, handler, *args, payload_words: int = 0, category: str = "am.rpc", lead: int = 0):
-        if lead:  # the general form: the caller's charge as its own event
-            yield Delay(lead)
-        name = self._rpc_names.get(category)
-        if name is None:
-            name = self._rpc_names[category] = intern_key("rpc:" + category)
-        obs = self._obs
-        t0 = self.sim.now
-        eid = obs.emit(t0, "rpc.call", src, -1, dst, category)
-        fut = Future(name=name)
-        yield self._d_send
-        self._deliver_traced(src, dst, handler, (fut, *args), payload_words, category, parent=eid)
-        value = yield fut
-        # Round trip as the caller experienced it (send overhead, both
-        # wire legs, handler work) — the trace-level "stall time".
-        # Recorded per node so run_summary can show both the cluster
-        # aggregate (via Histogram.merge) and per-node tails.
-        lat = self.sim.now - t0
-        hist = self._rpc_hist_cache.get((src, category))
-        if hist is None:
-            hist = self._rpc_hist_cache[(src, category)] = self.tracer.hist(
-                f"node{src}.rpc.{category}"
-            )
-        hist.add(lat)
-        obs.emit(self.sim.now, "rpc.return", src, eid, category, lat)
-        return value
-
-    def _reply_traced(self, fut: Future, value=None, payload_words: int = 0, category: str = "am.reply") -> None:
-        counts = self._counts
-        key = self._msg_keys.get(category)
-        if key is None:
-            key = self._msg_keys[category] = intern_key("msg", category)
-        counts[key] += 1
-        counts["msg.total"] += 1
-        counts["msg.words"] += payload_words
-        # Replies carry no explicit src/dst (the future is the address),
-        # so the events sit on the global track; the flow arrow still
-        # links send to receive, and the context parent links the reply
-        # back to the request (or task dispatch) it services.
-        eid = self._obs.emit(
-            self.sim.now, "msg.send/reply", -1, self._ctx(), category, payload_words
-        )
-        delay = self._reply_base + self._per_word * payload_words
-        fn = partial(self._reply_arrive_traced, eid, category, fut, value)
-        sim = self.sim
-        when = sim.now + delay
-        if sim._jitter is None:
-            bucket = sim._cal.get(when)
-            if bucket is None:
-                sim._cal[when] = [fn]
-                _heappush(sim._times, when)
-            else:
-                bucket.append(fn)
-        else:
-            sim._push(when, fn)
-
-    def _reply_arrive_traced(self, parent_eid, category, fut, value) -> None:
-        eid = self._obs.emit(self.sim.now, "msg.recv/reply", -1, parent_eid, category, fut.name)
-        # Stamp the waker: the task.step this resolve wakes will parent
-        # to this receive, carrying the critical path across the wire.
-        fut._obs_eid = eid
-        fut.resolve(value)
 
     def rpc(
         self,
@@ -446,6 +250,38 @@ class Machine:
                 bucket.append(fn)
         else:
             sim._push(when, fn)
+
+    # -- the wire, as a wrapping fabric hands messages to it -------------
+    def inject(self, src, dst, handler, args, payload_words, category, parent=None) -> None:
+        """Put one message on the wire now, its send overhead already paid
+        by the wrapping fabric; ``parent`` is its causal parent (read from
+        :meth:`cause` at the logical send), which the plain wire drops."""
+        self._deliver(src, dst, handler, args, payload_words, category)
+
+    def inject_reply(self, resolve, fut, value, payload_words, category, extra=0, parent=None):
+        """:meth:`reply` landing as ``resolve(fut, value)``, ``extra`` cycles late."""
+        counts = self._counts
+        key = self._msg_keys.get(category)
+        if key is None:
+            key = self._msg_keys[category] = intern_key("msg", category)
+        counts[key] += 1
+        counts["msg.total"] += 1
+        counts["msg.words"] += payload_words
+        fn = partial(resolve, fut, value)
+        sim = self.sim
+        when = sim.now + extra + self._reply_base + self._per_word * payload_words
+        if sim._jitter is None:
+            bucket = sim._cal.get(when)
+            if bucket is None:
+                sim._cal[when] = [fn]
+                _heappush(sim._times, when)
+            else:
+                bucket.append(fn)
+        else:
+            sim._push(when, fn)
+
+    def cause(self) -> int:  # the causal parent of a send made now: the plain wire keeps none
+        return -1
 
     # -- control network ---------------------------------------------------
     def hw_barrier(self, nid: int):

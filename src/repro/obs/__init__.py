@@ -1,7 +1,8 @@
 """Observability: structured causal tracing, attribution, profiling.
 
 See :mod:`repro.obs.trace` for the recording model and the
-zero-cost-when-disabled design, :mod:`repro.obs.export` for JSONL /
+zero-cost-when-disabled design, :mod:`repro.obs.wire` for the traced
+message fabric, :mod:`repro.obs.export` for JSONL /
 Perfetto output and summaries, :mod:`repro.obs.attrib` for exact cycle
 attribution, :mod:`repro.obs.critpath` for critical-path extraction
 and what-if bounds, :mod:`repro.obs.metrics` for windowed time-series

@@ -33,11 +33,11 @@ Tracing follows the same construction-time-resolution discipline as
 at engine/kernel construction**, whether it is traced.  Hot paths hold
 a pre-bound :class:`Tracer` handle (or ``None``) in a slot, so the
 disabled path costs a single local load and branch — no string
-formatting, no dict probe, no call.  The hottest sites go further and
-swap in a *traced variant of the whole method* at construction
-(:class:`~repro.machine.machine.Machine` selects ``_deliver`` /
-``rpc`` / ``reply`` implementations once), so with tracing off the
-executed bytecode is byte-for-byte the pre-observability fast path.
+formatting, no dict probe, no call.  The hottest site, the message
+fabric, goes further: a traced machine is wrapped once in a
+:class:`~repro.obs.wire.TracedTransport`, and an untraced one is its
+own transport, so with tracing off no message path so much as tests
+for a tracer.
 ``repro bench --baseline`` and the golden-trace tests enforce that
 simulated cycles are bit-identical with tracing off *and* on — the
 trace is pure observation and never perturbs scheduling.

@@ -97,7 +97,6 @@ class DynamicChecker:
         self.violations: list = []
         self.sync_rounds = 0
         self.accesses_checked = 0
-        self.counters: dict = {}
 
     # -- synchronization ------------------------------------------------
     def barrier_arrive(self, nid: int) -> None:
@@ -170,16 +169,6 @@ class DynamicChecker:
             self._readers[rid] = {}
         else:
             self._readers.setdefault(rid, {})[nid] = own[nid]
-
-    # -- cache-level notifications (engine integration) -------------------
-    def cache_installed(self, nid: int, rid: int) -> None:
-        """A coherent copy landed in the node's region cache."""
-        # Residency is protocol business, not discipline: recorded only
-        # so the summary can relate races to cold/warm copies.
-        self.counters["cache_install"] = self.counters.get("cache_install", 0) + 1
-
-    def cache_invalidated(self, nid: int, rid: int) -> None:
-        self.counters["cache_invalidate"] = self.counters.get("cache_invalidate", 0) + 1
 
     # -- protocol integration ---------------------------------------------
     def adopt_protocol_race(self, epoch: int, rid: int, readers, writers) -> None:

@@ -352,21 +352,30 @@ def _cells():
             _round_trip(protocol), n_procs=4, **kw)
 
 
+def _off_the_wire(stats):
+    """A run's counters without the traced wire's own ``node<i>.msg.*``."""
+    return {k: v for k, v in stats.snapshot().items() if not (k.startswith("node") and ".msg." in k)}
+
+
 @pytest.mark.parametrize("cell,run", [pytest.param(name, run, id=name) for name, run in _cells()])
 def test_plain_fabric_matches_the_traced_and_the_armed_idle_fabric(cell, run):
-    """The plain fabric folds (one heap entry per post, ``start_miss`` on
-    the send); the traced twins and the fault fabric do not.  They are
-    its differential oracle: same results, same clock, same counters."""
+    """The fold's differential oracle.  The plain fabric folds (one heap
+    entry per post, ``start_miss`` on the send); the traced wire, the
+    fault fabric and the two composed with the sanitizer (the
+    ``armed_idle`` stack) do not.  Each must give the plain run's
+    results and clock, and tracing must not move a counter."""
     plain, traced = run(), run(tracer=TraceBuffer(1 << 18))
     assert repr(traced.results) == repr(plain.results) and traced.time == plain.time
-    counters = traced.stats.snapshot()  # adds node<i>.msg.* to the plain run's
-    assert {k: counters.get(k) for k in plain.stats.snapshot()} == plain.stats.snapshot()
+    assert _off_the_wire(traced.stats) == plain.stats.snapshot()
     # the oracle did not fold (equal only where a cell posts nothing and never misses remotely)
     assert traced.machine.sim.events >= plain.machine.sim.events + (cell != "BSC/custom")
     for crash, differs in _ARMED_DIFFERS.items():
         if cell not in differs:
             armed = run(fault_plan=FaultPlan(), on_crash=crash)
             assert repr(armed.results) == repr(plain.results) and armed.time == plain.time, crash
+            stack = run(fault_plan=FaultPlan(), on_crash=crash, tracer=TraceBuffer(1 << 18), check=True)
+            assert repr(stack.results) == repr(plain.results) and stack.time == plain.time, crash
+            assert _off_the_wire(stack.stats) == armed.stats.snapshot(), crash
 
 
 # ------------------------------------------- (v) checks come before charges

@@ -30,6 +30,7 @@ from repro.dsm import FaultPlan, FaultTransport, OneShot, RetryPolicy, StallErro
 from repro.dsm.transport import Acks, Port
 from repro.dsm.faults import LinkFaults, RetryKit, RetryPort
 from repro.facade import run_spmd
+from repro.harness.experiments import FIG7_WORKLOADS, run_app
 from repro.machine import Machine, MachineConfig
 from repro.obs import TraceBuffer
 from repro.sim import Delay, Future, Simulator
@@ -279,6 +280,33 @@ def test_traced_sends_keep_their_causal_parent_under_a_fault_plan(plan, on_crash
     assert orphans == (set() if on_crash is None else {"recovery.hb"})
 
 
+@pytest.mark.parametrize("variant", ["SC", "custom"])
+@pytest.mark.parametrize("app", sorted(FIG7_WORKLOADS))
+def test_an_armed_trace_traces_every_counted_message(app, variant, monkeypatch):
+    """Every copy the fault fabric keeps crosses the traced wire: each
+    counted message is one ``msg.send`` and one ``msg.recv``, and each
+    reply's receive is what its future was stamped with when resolved —
+    unless a copy already had (a retried call's replayed reply).  The
+    events are emits, not kernel events: cycles do not move."""
+    armed = run_app(app, variant, n_procs=4, fault_plan=FaultPlan())
+    stamps, resolve = set(), Future.resolve
+
+    def stamped(fut, value=None):
+        stamps.add(fut._obs_eid)
+        resolve(fut, value)
+
+    monkeypatch.setattr(Future, "resolve", stamped)
+    buf = TraceBuffer(1 << 20)
+    traced = run_app(app, variant, n_procs=4, fault_plan=FaultPlan(), tracer=buf)
+    events = buf.events()
+    sends = sum(ev.kind == "msg.send" for ev in events)
+    recvs = [ev for ev in events if ev.kind == "msg.recv"]
+    assert sends == len(recvs) == traced.stats.get("msg.total") > 0
+    reply_recvs = {ev.eid for ev in recvs if "future" in ev.data}
+    assert len(reply_recvs - stamps) == traced.stats.get("fault.dup_reply_suppressed") < len(reply_recvs)
+    assert (traced.time, traced.machine.sim.events) == (armed.time, armed.machine.sim.events)
+
+
 # ---------------------------------------------------------------------------
 # liveness: silent stalls become structured reports
 # ---------------------------------------------------------------------------
@@ -329,7 +357,8 @@ def test_no_plan_constructs_no_fault_machinery():
     assert type(transport).__name__ != "FaultTransport"
     engine = res.backend.runtime.sc_engine
     assert type(engine.directory.port) is Port  # the plain port: transport's own methods
-    assert engine.hooks._rpc is transport.rpc
+    assert transport is res.machine  # an untraced machine is its own transport
+    assert engine.hooks._rpc == transport.rpc
     assert not hasattr(engine.cache, "_inval_done")
 
 
@@ -451,10 +480,10 @@ def test_plain_port_is_the_transports_own_methods():
     transport = as_transport(Machine(Simulator(), MachineConfig(n_procs=2)))
     port = transport.port("svc")
     assert type(port) is Port
-    assert port.call is transport.rpc
-    assert port.reply is transport.reply
-    assert port.send is transport.request
-    assert port.post is transport.post
+    assert port.call == transport.rpc
+    assert port.reply == transport.reply
+    assert port.send == transport.request
+    assert port.post == transport.post
     svc = _Svc(port)
     handler = svc._on_ask
     assert port.serves(handler) is handler

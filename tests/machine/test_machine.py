@@ -1,5 +1,6 @@
 """Unit tests for the simulated multicomputer and active messages."""
 
+import re
 import sys
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 import repro.machine.machine as machine_module
 import repro.sim.kernel as kernel_module
+from repro.dsm import as_transport
 from repro.machine import Machine, MachineConfig
 from repro.obs import TraceBuffer
 from repro.sim import Delay, Future, SimulationError, Simulator
@@ -167,7 +169,7 @@ def test_rpc_lead_joins_the_send_overhead(traced):
     the traced one — the same round trip either way."""
     def round_trip(lead):
         sim = Simulator()
-        m = Machine(sim, MachineConfig(n_procs=4), tracer=TraceBuffer(64) if traced else None)
+        m = as_transport(Machine(sim, MachineConfig(n_procs=4), tracer=TraceBuffer(64) if traced else None))
         sent = []
 
         def handler(node, src, fut, x):
@@ -324,6 +326,19 @@ def test_machine_has_no_arrival_frame():
     assert "def _arrive(" not in Path(machine_module.__file__).read_text()
 
 
+def test_one_fabric_is_wrapped_not_shadowed():
+    """Tracing wraps the wire (``repro.obs.wire``): the machine keeps no
+    traced twin and swaps no method in, and the fault fabric reaches the
+    wire through the fabric interface, never the machine's internals."""
+    src = Path(machine_module.__file__).resolve().parents[1]
+    twins = re.compile(r"def \w*_traced\b|self\.\w+ = self\._\w+\s*$", re.M)
+    private = re.compile(r"machine\._(?:deliver|ctx|msg_keys)\b")
+    hits = [str(p) for p in (src / "machine").rglob("*.py") if twins.search(p.read_text())]
+    hits += [str(p) for p in src.rglob("*.py") if "SimTransport" in p.read_text()]
+    hits += [str(p) for p in (src / "dsm").rglob("*.py") if private.search(p.read_text())]
+    assert hits == []
+
+
 def test_traced_and_untraced_stats_agree_while_a_message_is_in_flight():
     """``handler.<name>`` is counted at injection on both fabrics, so a run
     paused mid-flight reads the same counters traced or not (beside the
@@ -332,12 +347,13 @@ def test_traced_and_untraced_stats_agree_while_a_message_is_in_flight():
     for tracer in (None, TraceBuffer(64)):
         sim = Simulator()
         m = Machine(sim, MachineConfig(n_procs=2), tracer=tracer)
+        fabric = as_transport(m)
 
         def on_req(node, src):
             pass
 
         def proc():
-            yield from m.am_request(0, 1, on_req, category="t.req")
+            yield from fabric.request(0, 1, on_req, category="t.req")
 
         sim.spawn(proc())
         sim.run(until=m.config.am_send_overhead + 1)  # injected, not arrived
@@ -353,19 +369,20 @@ def test_every_traced_send_is_a_traced_message():
     sim = Simulator()
     buf = TraceBuffer(256)
     m = Machine(sim, MachineConfig(n_procs=4), tracer=buf)
+    fabric = as_transport(m)
 
     def on_post(node, src):
         pass
 
     def on_req(node, src):
-        m.post(node.nid, 2, on_post, category="t.fwd")
+        fabric.post(node.nid, 2, on_post, category="t.fwd")
 
     def on_rpc(node, src, fut):
-        m.reply(fut, node.nid)
+        fabric.reply(fut, node.nid)
 
     def proc():
-        yield from m.am_request(0, 1, on_req, category="t.req")
-        return (yield from m.rpc(0, 3, on_rpc, category="t.rpc"))
+        yield from fabric.request(0, 1, on_req, category="t.req")
+        return (yield from fabric.rpc(0, 3, on_rpc, category="t.rpc"))
 
     task = sim.spawn(proc())
     sim.run()
