@@ -256,6 +256,8 @@ def bh_program(workload: BHWorkload, plan: dict):
                 pos[i] = h.data[POS]
                 mass[i] = h.data[MASS]
                 yield from end_read(h)
+            # every node's sweep ends before any owner writes this step
+            yield from ctx.barrier(body_space)
             # replicated local tree build
             yield from compute(COST_TREE_PER_BODY * n)
             root = build_tree(pos, mass)

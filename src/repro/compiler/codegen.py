@@ -547,8 +547,8 @@ def bind_node(program: ClosureProgram, ctx, bb, prints, host_data):
     Resolution mirrors the interpreter: runtime-library builtins go
     through the node context (``ctx.barrier`` handles the default-space
     multiplexing), annotation ops through the backend runtime — looked
-    up here, once, so a sanitizer's checked wrappers are what gets
-    bound.  Each factory takes from ``env`` what its function uses.
+    up here, once, so a ``CheckedRuntime``'s observing methods are what
+    gets bound.  Each factory takes from ``env`` what its function uses.
     """
     runtime = ctx.backend.runtime
     funcs: dict = {}

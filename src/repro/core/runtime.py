@@ -59,16 +59,6 @@ class AceRuntime:
         is the flat directory every earlier release ran; serving-scale
         workloads (:mod:`repro.serve`) raise it so home-side state is
         split across independent per-shard tables.
-    check:
-        Enable the dynamic sanitizer: every annotation call is mirrored
-        into a :class:`~repro.sanitize.dynamic.DynamicChecker` (races,
-        use-after-unmap).  Strictly zero-cost when ``False`` — the
-        checked wrappers are installed as instance attributes only when
-        requested, so the default construction path is untouched; even
-        when ``True`` the wrappers charge no cycles, so the simulated
-        clock matches an unchecked run.
-    checker:
-        Supply a pre-built checker instead (implies ``check=True``).
     """
 
     def __init__(
@@ -78,8 +68,6 @@ class AceRuntime:
         config: AceConfig | None = None,
         barrier_algorithm: str = "hw",
         n_dir_shards: int = 1,
-        check: bool = False,
-        checker=None,
     ):
         transport = as_transport(fabric)
         self.transport = transport
@@ -95,17 +83,6 @@ class AceRuntime:
         # (message-level detail comes from the machine layer).
         tracer = transport.tracer
         self._obs = tracer.tracer("runtime") if tracer is not None else None
-        # Dynamic sanitizer (built before the coherence engine so the
-        # cache/hooks layers can report into it).
-        if checker is None and check:
-            from repro.sanitize.dynamic import DynamicChecker
-
-            checker = DynamicChecker(
-                transport.n_procs,
-                obs=tracer.tracer("sanitize") if tracer is not None else None,
-                sim=transport.sim,
-            )
-        self.checker = checker
         # Shared services protocols delegate to — all built over the one
         # transport, so every layer sees the same fabric (and the same
         # traced message path when observability is on).
@@ -115,7 +92,6 @@ class AceRuntime:
             ACE_SC_COSTS,
             stats_prefix="ace.sc",
             n_dir_shards=n_dir_shards,
-            checker=checker,
         )
         self.locks = LockService(transport, self.regions, stats_prefix="ace.lock")
         self._barrier = BarrierService(transport, algorithm=barrier_algorithm)
@@ -129,79 +105,13 @@ class AceRuntime:
         self._lead = self.config.dispatch_cost  # ... or joins the protocol's first charge
         #: The most cycles a caller may add to a primitive's ``lead``: with
         #: the dispatch and the dearest charge they join, still shorter than
-        #: the shortest message (DESIGN.md §6).  0 — nothing folds — under a
-        #: checker, which hears each access at its own cycle.
+        #: the shortest message (DESIGN.md §6).
         cfg = self.machine.config
         room = cfg.network_latency + cfg.am_receive_overhead - 1 - self._lead - DEAREST_LED_CHARGE
-        self.lead_room = max(room, 0) if checker is None else 0
+        self.lead_room = max(room, 0)
         self._d_space_create = Delay(self.config.space_create)
         self._d_gmalloc_extra = Delay(self.config.gmalloc_extra)
         self._d_change_protocol = Delay(self.config.change_protocol)
-        if checker is not None:
-            self._install_checked(checker)
-
-    # ------------------------------------------------------------------
-    # dynamic sanitizer wrappers
-    # ------------------------------------------------------------------
-    def _install_checked(self, checker) -> None:
-        """Swap in checker-notifying variants of the annotation primitives.
-
-        Mirrors the instance-attribute pattern used by the DSM layers
-        (:meth:`ProtocolHooks._install_checked`): an unchecked runtime
-        keeps the plain bound methods, so ``check=False`` is strictly
-        zero-cost.  The wrappers observe and delegate — they yield no
-        extra :class:`Delay`, so even a checked run's simulated clock is
-        bit-identical to an unchecked one.
-
-        Ordering matters for race detection: accesses are recorded
-        *before* the protocol acts (the race exists at the program point
-        of the access, not after coherence traffic resolves it), while
-        map/lock acquisitions are recorded *after* the delegate returns
-        (the resource is only held once the protocol grants it) and lock
-        releases *before* (the happens-before edge is published at the
-        moment of release).
-        """
-        inner_map = self.map
-        inner_unmap = self.unmap
-        inner_rendezvous = self.rendezvous
-        inner_lock = self.lock
-        inner_unlock = self.unlock
-
-        def cmap(nid, rid, direct=False, lead=0):
-            handle = yield from inner_map(nid, rid, direct, lead)
-            checker.map_acquired(nid, handle.region.rid)
-            return handle
-
-        def cunmap(nid, handle, direct=False, lead=0):
-            yield from inner_unmap(nid, handle, direct, lead)
-            checker.unmapped(nid, handle.region.rid)
-
-        def caccess(inner_start, write):
-            def cstart(nid, handle, direct=False, lead=0):
-                checker.access(nid, handle.region.rid, write=write)
-                return inner_start(nid, handle, direct, lead)
-
-            return cstart
-
-        def crendezvous(nid):
-            checker.barrier_arrive(nid)
-            yield from inner_rendezvous(nid)
-
-        def clock(nid, rid, direct=False):
-            yield from inner_lock(nid, rid, direct)
-            checker.lock_acquired(nid, rid)
-
-        def cunlock(nid, rid, direct=False):
-            checker.lock_released(nid, rid)
-            yield from inner_unlock(nid, rid, direct)
-
-        self.map = cmap
-        self.unmap = cunmap
-        self.start_read = caccess(self.start_read, write=False)
-        self.start_write = caccess(self.start_write, write=True)
-        self.rendezvous = crendezvous
-        self.lock = clock
-        self.unlock = cunlock
 
     # ------------------------------------------------------------------
     # Table 2 library routines

@@ -73,11 +73,6 @@ class CoherenceEngine:
     n_dir_shards:
         Directory shard count (see
         :class:`~repro.dsm.directory.DirectoryService`).
-    checker:
-        Optional :class:`~repro.sanitize.dynamic.DynamicChecker`.  When
-        set, the hooks validate mapping discipline on every access, via
-        the instance-attribute swap pattern, so a checker-less engine
-        runs the exact same code paths as before.
     table:
         The :class:`~repro.spec.table.ProtocolTable` the three layers
         derive their state machine from (defaults to
@@ -91,7 +86,6 @@ class CoherenceEngine:
         costs: DSMCosts,
         stats_prefix: str = "dsm",
         n_dir_shards: int = 1,
-        checker=None,
         table=None,
     ):
         transport = as_transport(fabric)
@@ -100,7 +94,6 @@ class CoherenceEngine:
         self.regions = regions
         self.costs = costs
         self.prefix = stats_prefix
-        self.checker = checker
         self.table = table if table is not None else MSI_TABLE
         # One observability handle for the whole engine (None when
         # tracing is off), shared by the layers that emit region state.
@@ -134,7 +127,6 @@ class CoherenceEngine:
             self.cache,
             prefix=stats_prefix,
             obs=obs,
-            checker=checker,
             table=self.table,
         )
         # Crash recovery, when the fabric carries it: the manager prunes

@@ -52,7 +52,6 @@ class ProtocolHooks:
         cache: RegionCache,
         prefix: str = "dsm",
         obs=None,
-        checker=None,
         table=None,
     ):
         self.transport = transport
@@ -131,31 +130,6 @@ class ProtocolHooks:
         self._h_flush = directory._h_flush
         self._local_read_req = directory._on_read_req
         self._local_write_req = directory._on_write_req
-        if checker is not None:
-            self._install_checked(checker)
-
-    def _install_checked(self, checker) -> None:
-        """Swap in access hooks that validate cache-level mapping
-        discipline before delegating (instance-attribute pattern: zero
-        cost when no checker is set).
-
-        The runtime-level wrapper already checks *handle*-level
-        discipline for every protocol; this cache-level probe
-        additionally catches accesses that reach the coherence core on
-        a copy whose ``maps`` count has dropped to zero — possible when
-        a protocol caches copies across unmaps and hands out a stale
-        path.  The probe charges no cycles.
-        """
-        def checked(inner_start, where):
-            def start(nid, copy, lead=0):
-                if copy.maps <= 0:
-                    checker.unmapped_use(nid, copy.rid, where=where)
-                return inner_start(nid, copy, lead)
-
-            return start
-
-        self.start_read = checked(self.start_read, "coherence start_read")
-        self.start_write = checked(self.start_write, "coherence start_write")
 
     # ------------------------------------------------------------------
     # helpers

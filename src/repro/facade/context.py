@@ -24,14 +24,21 @@ class AceBackend:
     straight to the runtime generator in ``__init__`` — the facade
     adds zero generator frames on the per-access path.  Only
     ``barrier`` (which multiplexes on ``sid``) needs an adapter.
+
+    ``check=True`` builds the dynamic sanitizer's
+    :class:`~repro.sanitize.checked.CheckedRuntime` (which also takes a
+    pre-built ``checker``) in place of the plain runtime.
     """
 
     name = "ace"
 
-    def __init__(self, fabric, **runtime_kwargs):
+    def __init__(self, fabric, check: bool = False, **runtime_kwargs):
         transport = self.transport = as_transport(fabric)
         self.machine = transport.machine
-        rt = self.runtime = AceRuntime(transport, **runtime_kwargs)
+        runtime = AceRuntime
+        if check:
+            from repro.sanitize.checked import CheckedRuntime as runtime
+        rt = self.runtime = runtime(transport, **runtime_kwargs)
         self.new_space = rt.new_space
         self.gmalloc = rt.gmalloc
         self.change_protocol = rt.change_protocol

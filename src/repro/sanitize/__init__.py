@@ -6,8 +6,10 @@ access validator (DESIGN.md §11).
   annotation discipline on every CFG path; run post-lowering and again
   post-optimization so pass bugs are caught where they happen.
 * :mod:`repro.sanitize.dynamic` — opt-in vector-clock race and mapping
-  checker threaded through the runtime (``run_spmd(..., check=True)``);
-  strictly zero-cost when off.
+  checker (``run_spmd(..., check=True)``), fed by the one wrapper that
+  observes the runtime's annotation calls,
+  :class:`repro.sanitize.checked.CheckedRuntime`; strictly zero-cost
+  when off.
 """
 
 from repro.sanitize.dynamic import AccessViolation, DynamicChecker, RaceRecord

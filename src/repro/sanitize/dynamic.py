@@ -21,12 +21,12 @@ Also checked:
   ``RaceDetect``, its own epoch reports are adopted into this
   checker's ledger so one report covers both detectors.
 
-Zero-cost when off: the runtime installs its checker wrappers as
-instance attributes only when ``check=True``; the default construction
-path is bit-identical to an unchecked run (``repro bench --gate``
-holds cycle equality).  The wrappers themselves add bookkeeping but no
-:class:`~repro.sim.Delay`, so even a *checked* run reports the same
-simulated cycle count — only wall time pays.
+Zero-cost when off: only ``check=True`` builds the
+:class:`~repro.sanitize.checked.CheckedRuntime` that calls in here; an
+unchecked run executes the plain :class:`~repro.core.runtime.AceRuntime`
+(``repro bench --gate`` holds cycle equality).  The wrapper adds
+bookkeeping but no :class:`~repro.sim.Delay`, so even a *checked* run
+reports the same simulated cycle count — only wall time pays.
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ class AccessViolation:
 class DynamicChecker:
     """Vector-clock race and mapping-discipline checker for one run.
 
-    The runtime calls in at annotation points; nothing here yields or
-    charges cycles, so a checked run's simulated clock matches the
-    unchecked run exactly.
+    The checked runtime calls in at annotation points; nothing here
+    yields or charges cycles, so a checked run's simulated clock matches
+    the unchecked run exactly.
 
     Parameters
     ----------
@@ -87,8 +87,8 @@ class DynamicChecker:
         self.vc = [[0] * n_procs for _ in range(n_procs)]
         for i in range(n_procs):
             self.vc[i][i] = 1
-        self._arrived: set = set()
-        self._lock_vc: dict = {}           # lock rid -> released clock
+        self._sync_vc: dict = {}           # lock rid / ("barrier", round) -> released clock
+        self._round = [0] * n_procs        # per node: the barrier round it is in
         self._last_write: dict = {}        # rid -> (node, clock)
         self._readers: dict = {}           # rid -> {node: clock}
         self._maps: dict = {}              # (nid, rid) -> live map count
@@ -99,31 +99,41 @@ class DynamicChecker:
         self.accesses_checked = 0
 
     # -- synchronization ------------------------------------------------
-    def barrier_arrive(self, nid: int) -> None:
-        """All-arrived: everyone joins everyone, then ticks its own slot."""
-        self._arrived.add(nid)
-        if len(self._arrived) < self.n_procs:
-            return
-        self._arrived.clear()
-        merged = [max(vc[i] for vc in self.vc) for i in range(self.n_procs)]
-        for i in range(self.n_procs):
-            self.vc[i] = list(merged)
-            self.vc[i][i] += 1
-        self.sync_rounds += 1
+    # One happens-before edge for locks and barriers alike: a release
+    # joins the node's clock into the sync object's and ticks the node; an
+    # acquire joins the sync object's clock into the node's.  A barrier
+    # round is a sync object every node releases on the way in and
+    # acquires on the way out, so no arrival is counted — a round a dead
+    # node never reaches still orders the survivors.
+    def _release(self, nid: int, key) -> None:
+        own = self.vc[nid]
+        clock = self._sync_vc.get(key, own)
+        self._sync_vc[key] = [max(a, b) for a, b in zip(clock, own)]
+        own[nid] += 1
+
+    def _acquire(self, nid: int, key) -> None:
+        clock = self._sync_vc.get(key)
+        if clock is not None:
+            self.vc[nid] = [max(a, b) for a, b in zip(self.vc[nid], clock)]
+
+    def barrier_release(self, nid: int) -> None:
+        """Called as the node enters a barrier: publish its clock on the round."""
+        self._release(nid, ("barrier", self._round[nid]))
+
+    def barrier_acquire(self, nid: int) -> None:
+        """Called once the barrier returns: join every arrival's clock."""
+        k = self._round[nid]
+        self._acquire(nid, ("barrier", k))
+        self._round[nid] = k + 1
+        self.sync_rounds = max(self.sync_rounds, k + 1)
 
     def lock_released(self, nid: int, rid: int) -> None:
         """Called as the node releases: publish its clock on the lock."""
-        self._lock_vc[rid] = list(self.vc[nid])
-        self.vc[nid][nid] += 1
+        self._release(nid, rid)
 
     def lock_acquired(self, nid: int, rid: int) -> None:
         """Called once the lock is held: join the last releaser's clock."""
-        prev = self._lock_vc.get(rid)
-        if prev is not None:
-            own = self.vc[nid]
-            for i in range(self.n_procs):
-                if prev[i] > own[i]:
-                    own[i] = prev[i]
+        self._acquire(nid, rid)
 
     # -- mapping discipline ---------------------------------------------
     def map_acquired(self, nid: int, rid: int) -> None:
@@ -135,8 +145,8 @@ class DynamicChecker:
         self._maps[key] = self._maps.get(key, 0) - 1
 
     def unmapped_use(self, nid: int, rid: int, where: str = "access") -> None:
-        """Record a use of an unmapped region (called by the runtime
-        wrapper and by the cache-level hook when it sees a dead copy)."""
+        """Record a use of an unmapped region (called for the runtime's
+        map count and for an SC engine copy whose own ``maps`` is 0)."""
         self._violation(
             "use-after-unmap", rid, nid,
             f"{where} on region {rid} after its last ACE_UNMAP on node {nid}",

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.apps import barnes_hut as bh
-from repro.facade import run_spmd
+from repro.facade import AceBackend, NodeContext, run_spmd
+from repro.machine import Machine, MachineConfig
+from repro.sim import Simulator
 
 SMALL = bh.BHWorkload(n_bodies=24, n_steps=2, seed=17)
 
@@ -76,14 +78,45 @@ def test_paper_workload_parameters():
     assert (wl.n_bodies, wl.n_steps, wl.theta, wl.eps) == (16384, 4, 1.0, 0.5)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="race: bh_program has no barrier between a step's read sweep "
-    "(barnes_hut.py l. 253) and its owners' writes, so at 8 nodes a fast "
-    "owner overwrites bodies a slow node has not read yet (ROADMAP item 2)",
-)
 @pytest.mark.parametrize("seed", [6, 17, 3])
 def test_eight_nodes_two_bodies_each_match_reference(seed):
     wl = bh.BHWorkload(n_bodies=16, n_steps=2, seed=seed)
     _, state = run_bh(wl, bh.SC_PLAN, backend="crl", n_procs=8)
     np.testing.assert_allclose(state, bh.reference(wl), rtol=1e-10, atol=1e-12)
+
+
+class _NoSweepBarrier(NodeContext):
+    """The seeded mutation: every step's post-sweep barrier is dropped —
+    ``bh_program``'s space barriers run init, then (sweep, step end) per
+    step, so the even-numbered ones go."""
+
+    def __init__(self, backend, nid):
+        super().__init__(backend, nid)
+        self.space_barriers = 0
+
+    def barrier(self, sid=None):
+        if sid is not None:
+            self.space_barriers += 1
+            if self.space_barriers % 2 == 0:
+                return
+        yield from super().barrier(sid)
+
+
+@pytest.mark.parametrize("plan", [bh.SC_PLAN, bh.CUSTOM_PLAN], ids=["SC", "custom"])
+def test_checker_reports_the_sweep_race_only_without_the_barrier(plan):
+    """The checker is the race's regression test: 8 nodes x 2 bodies each,
+    where the missing barrier once gave wrong answers."""
+    wl = bh.BHWorkload(n_bodies=16, n_steps=2, seed=6)
+
+    def races(context):
+        sim = Simulator()
+        backend = AceBackend(Machine(sim, MachineConfig(n_procs=8)), check=True)
+        program = bh.bh_program(wl, plan)
+        sim.run_all([program(context(backend, i)) for i in range(8)])
+        (body_space,) = backend.runtime.spaces
+        return backend.runtime.checker.races, set(body_space.regions)
+
+    found, bodies = races(_NoSweepBarrier)
+    assert any(r.kind == "rw" for r in found)
+    assert {r.rid for r in found} == bodies
+    assert races(NodeContext)[0] == []

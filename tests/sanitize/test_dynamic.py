@@ -163,8 +163,10 @@ def test_report_and_summary_render():
 def test_vector_clock_barrier_orders_accesses():
     ck = DynamicChecker(2)
     ck.access(0, 5, write=True)
-    ck.barrier_arrive(0)
-    ck.barrier_arrive(1)
+    ck.barrier_release(0)
+    ck.barrier_release(1)
+    ck.barrier_acquire(0)
+    ck.barrier_acquire(1)
     ck.access(1, 5, write=True)
     assert ck.clean
 
