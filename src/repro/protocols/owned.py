@@ -660,6 +660,16 @@ class OwnedProtocol(TableProtocol):
         if not ent["busy"]:
             return
         pend = ent["pending"]
+        # Only the party the window waits on may close it: a grant window
+        # its grantee, a forward its reader.  Crash recovery can tear down
+        # a window whose grantee survives; that grantee's late ack must not
+        # close the window opened since (nor cut into a recall).
+        if pend is None:
+            waits_on = ent["grantee"]
+        else:
+            waits_on = pend["src"] if pend["kind"] == "f" else None
+        if src != waits_on:
+            return
         if pend is not None and pend["kind"] == "f":
             # record_sharer: the forwarded reader installed its supply
             req = pend["src"]
@@ -804,6 +814,13 @@ class OwnedProtocol(TableProtocol):
             return
         rid, requester, rfut = pend.call_args
         ent = self._entry(rid)
+        cur = ent["pending"]
+        if cur is None or cur["kind"] != "f" or cur["fut"] is not rfut:
+            # A stale forward: its supply landed and its window closed,
+            # only the delivery ack was outstanding.  The window open now
+            # belongs to other work; on_node_dead prunes the dead owner.
+            manager.count("abandoned")
+            return
         if ent["owner"] == dead:
             ent["owner"] = None
         ent["sharers"].discard(dead)
