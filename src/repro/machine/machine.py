@@ -67,11 +67,11 @@ class Machine:
 
     An untraced machine is its own :class:`~repro.dsm.transport.Transport`
     (exactly-once, like CMAML).  An arrival is the handler call itself:
-    the queue entry is ``partial(handler, node, src, *args)``, and
-    ``handler.<name>`` is counted with ``msg.<category>`` when the message
-    is injected.  A handler that must block is a generator function; that
-    is decided once per handler object, at its first send, and its
-    arrival spawns it as the task ``handler@<nid>``.
+    the queue entry is ``partial(handler, node, src, *args)``.  A message
+    is counted at injection on the :class:`~repro.machine.stats.Route` of
+    its (handler, category) pair, built at the first such send.  A handler
+    that must block is a generator function; its arrival spawns it as the
+    task ``handler@<nid>``.
     """
 
     HW_BARRIER_COST = 170  # ~5us on a 33MHz node: CM-5 control network barrier
@@ -86,13 +86,11 @@ class Machine:
         self._barrier_count = 0
         self._barrier_gen = 0
         self._barrier_fut = Future(name="hw_barrier:0")
-        # Hot-path caches: stat keys are built once per distinct
-        # category/handler (not one f-string per message), counters are
-        # bumped through the raw mapping, and the fixed parts of the
-        # message-cost formula are hoisted out of the dataclass.
-        self._counts = self.stats.counter_ref()
-        self._msg_keys: dict = {}
-        self._handler_keys: dict = {}
+        # Hot-path caches: one route per (handler, category) — per category
+        # for replies — and one future name per rpc category, so no key is
+        # built per message; the fixed parts of the message-cost formula
+        # are hoisted out of the dataclass.
+        self._routes: dict = {}
         self._rpc_names: dict = {}
         self._recv_base = self.config.network_latency + self.config.am_receive_overhead
         self._reply_base = self.config.am_send_overhead + self._recv_base
@@ -159,19 +157,13 @@ class Machine:
     def _deliver(self, src, dst, handler, args, payload_words, category, sender_cycles=0) -> None:
         if not (0 <= dst < self._n_nodes):
             raise ValueError(f"bad destination node {dst}")
-        counts = self._counts
-        key = self._msg_keys.get(category)
-        if key is None:
-            key = self._msg_keys[category] = intern_key("msg", category)
-        hkey, call, _ = self._handler_keys.get(handler) or self._handler_entry(handler)
-        counts[key] += 1
-        counts[hkey] += 1
-        counts["msg.total"] += 1
-        counts["msg.words"] += payload_words
+        route = self._routes.get((handler, category)) or self._route(handler, category)
+        route.n += 1
+        route.words += payload_words
         delay = sender_cycles + self._recv_base + self._per_word * payload_words
         # The arrival event is the handler call itself, a C-level partial:
         # no runtime frame sits between the queue entry and the handler.
-        fn = partial(call, self.nodes[dst], src, *args)
+        fn = partial(route.call, self.nodes[dst], src, *args)
         # Simulator.schedule(delay, fn), inlined — delivery is the hottest
         # scheduling site outside the kernel itself.
         sim = self.sim
@@ -186,15 +178,21 @@ class Machine:
         else:
             sim._push(when, fn)
 
-    def _handler_entry(self, handler) -> tuple:
-        """``(stat key, arrival callable, bare name)`` for ``handler``, built
-        at its first send.  Entries are keyed by the handler object (callers
-        pass pre-bound methods, so the probe is an identity hit).  A
-        generator-function handler blocks: its arrival spawns it as a task."""
-        hname = getattr(handler, "__name__", "anon")
+    def _route(self, handler, category):
+        """The route of ``handler``'s messages of ``category`` (``handler``
+        None: of replies), built at the first such send."""
+        if handler is None:
+            route = self._routes[category] = self.stats.route(category)
+        else:
+            call, name = self._handler_call(handler)
+            route = self._routes[(handler, category)] = self.stats.route(category, name, call)
+        return route
+
+    def _handler_call(self, handler) -> tuple:
+        """``(arrival callable, name)`` for ``handler``.  A generator-function
+        handler blocks: its arrival spawns it as a task."""
         call = partial(self._spawn_handler, handler) if isgeneratorfunction(handler) else handler
-        self._handler_keys[handler] = entry = (intern_key("handler", hname), call, hname)
-        return entry
+        return call, getattr(handler, "__name__", "anon")
 
     def _spawn_handler(self, handler, node, src, *args) -> None:
         self.sim.spawn(handler(node, src, *args), name=f"handler@{node.nid}")
@@ -216,10 +214,8 @@ class Machine:
         from a later handler on another node).  ``lead``: cycles the caller
         owes before the send; they join its overhead in one ``Delay`` (§6).
         """
-        name = self._rpc_names.get(category)
-        if name is None:
-            name = self._rpc_names[category] = intern_key("rpc:" + category)
-        fut = Future(name)  # positional: cheaper than name=name per round trip
+        # The name positionally: cheaper than name=name per round trip.
+        fut = Future(self._rpc_names.get(category) or self._rpc_name(category))
         # am_request, inlined: the delegation frame would otherwise sit
         # on the resume path of every round trip in the system.
         yield _POOL[c] if (c := lead + self._send_overhead) < _POOL_SIZE else Delay(c)
@@ -229,13 +225,9 @@ class Machine:
 
     def reply(self, fut: Future, value=None, payload_words: int = 0, category: str = "am.reply") -> None:
         """From handler context: resolve an RPC future after the reply latency."""
-        counts = self._counts
-        key = self._msg_keys.get(category)
-        if key is None:
-            key = self._msg_keys[category] = intern_key("msg", category)
-        counts[key] += 1
-        counts["msg.total"] += 1
-        counts["msg.words"] += payload_words
+        route = self._routes.get(category) or self._route(None, category)
+        route.n += 1
+        route.words += payload_words
         delay = self._reply_base + self._per_word * payload_words
         fn = fut.resolve if value is None else partial(fut.resolve, value)
         # Simulator.schedule(delay, fn), inlined.
@@ -251,6 +243,10 @@ class Machine:
         else:
             sim._push(when, fn)
 
+    def _rpc_name(self, category: str) -> str:
+        """The name of ``category``'s rpc futures, built at its first call."""
+        return self._rpc_names.setdefault(category, intern_key("rpc:" + category))
+
     # -- the wire, as a wrapping fabric hands messages to it -------------
     def inject(self, src, dst, handler, args, payload_words, category, parent=None) -> None:
         """Put one message on the wire now, its send overhead already paid
@@ -260,13 +256,9 @@ class Machine:
 
     def inject_reply(self, resolve, fut, value, payload_words, category, extra=0, parent=None):
         """:meth:`reply` landing as ``resolve(fut, value)``, ``extra`` cycles late."""
-        counts = self._counts
-        key = self._msg_keys.get(category)
-        if key is None:
-            key = self._msg_keys[category] = intern_key("msg", category)
-        counts[key] += 1
-        counts["msg.total"] += 1
-        counts["msg.words"] += payload_words
+        route = self._routes.get(category) or self._route(None, category)
+        route.n += 1
+        route.words += payload_words
         fn = partial(resolve, fut, value)
         sim = self.sim
         when = sim.now + extra + self._reply_base + self._per_word * payload_words

@@ -13,6 +13,8 @@ hash hit and keeps key construction off the per-event path.  Layers
 that bump several counters per simulated message may also grab the
 raw mapping via :meth:`Stats.counter_ref` and update it in place,
 trading a method call per bump for a C-level dict store (:class:`Counts`).
+Messages skip that mapping: each is two slot adds on its :class:`Route`,
+which :class:`Stats` folds in before any read (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -33,6 +35,17 @@ class Counts(dict):
 
     def __missing__(self, key):
         return 0
+
+
+class Route:
+    """One message kind's counts since the last fold: ``n`` messages of
+    ``words`` payload words in all, each counted under ``keys``.  ``call``
+    is the arrival callable of a handler's route (None on a reply's)."""
+
+    __slots__ = ("call", "n", "words", "keys")
+
+    def __init__(self, call, keys: tuple):
+        self.call, self.n, self.words, self.keys = call, 0, 0, keys
 
 
 class PhaseScopeError(ValueError):
@@ -110,6 +123,7 @@ class Stats:
 
     def __init__(self):
         self._counts = Counts()
+        self._routes: list[Route] = []
         self._phase_stack: list[tuple[str, dict]] = []
         self._node_scopes: dict[int, _NodeStats] = {}
         #: accumulated per-phase counter deltas: {name: Counts}
@@ -119,15 +133,34 @@ class Stats:
         """Add ``n`` to counter ``key``."""
         self._counts[key] += n
 
+    def route(self, category: str, handler: str | None = None, call=None) -> Route:
+        """A new :class:`Route` for messages of ``category`` to the handler
+        named ``handler`` (None: replies, which count no ``handler.*``)."""
+        named = () if handler is None else (intern_key("handler", handler),)
+        self._routes.append(route := Route(call, (intern_key("msg", category), *named, "msg.total")))
+        return route
+
+    def _fold(self) -> None:
+        """Move every route's pending counts into the counters."""
+        counts = self._counts
+        for route in self._routes:
+            if n := route.n:
+                for key in route.keys:
+                    counts[key] += n
+                counts["msg.words"] += route.words
+                route.n = route.words = 0
+
     def counter_ref(self) -> Counts:
         """The live underlying mapping, for hot paths that bump several
         counters per event.  Mutate only by incrementing values; the
         reference stays valid for the lifetime of this object
-        (:meth:`reset` clears it in place)."""
+        (:meth:`reset` clears it in place).  It holds no message counts
+        that a route has not folded in yet."""
         return self._counts
 
     def get(self, key: str) -> int:
         """Current value of ``key`` (0 if never counted)."""
+        self._fold()
         return self._counts[key]
 
     def with_prefix(self, prefix: str) -> dict:
@@ -142,9 +175,7 @@ class Stats:
         """
         bare = prefix.rstrip(".")
         dotted = bare + "."
-        return {
-            k: v for k, v in self._counts.items() if k == bare or k.startswith(dotted)
-        }
+        return {k: v for k, v in self.snapshot().items() if k == bare or k.startswith(dotted)}
 
     def by_node(self, prefix: str | None = None) -> dict:
         """Counters grouped by node id: ``{nid: {rest: value}}``.
@@ -158,7 +189,7 @@ class Stats:
         bare = None if prefix is None else prefix.rstrip(".")
         dotted = None if bare is None else bare + "."
         out: dict[int, dict] = {}
-        for key, v in self._counts.items():
+        for key, v in self.snapshot().items():
             if not key.startswith("node"):
                 continue
             head, _, rest = key.partition(".")
@@ -185,7 +216,7 @@ class Stats:
 
     def push_phase(self, name: str) -> None:
         """Begin a named phase (nestable; pops must match pushes)."""
-        self._phase_stack.append((name, dict(self._counts)))
+        self._phase_stack.append((name, self.snapshot()))
 
     def open_phases(self) -> list[str]:
         """Names of the currently open phases, outermost first."""
@@ -210,7 +241,7 @@ class Stats:
             raise PhaseScopeError("pop_phase with no phase pushed", [])
         name, base = self._phase_stack.pop()
         get = base.get
-        delta = {k: d for k, v in self._counts.items() if (d := v - get(k, 0))}
+        delta = {k: d for k, v in self.snapshot().items() if (d := v - get(k, 0))}
         acc = self.phases.setdefault(name, Counts())
         for k, d in delta.items():
             acc[k] += d
@@ -227,19 +258,26 @@ class Stats:
 
     def snapshot(self) -> dict:
         """Copy of every counter, for diffing before/after a phase."""
+        self._fold()
         return dict(self._counts)
 
     def reset(self) -> None:
-        """Zero all counters and forget phases.
+        """Zero all counters and routes and forget phases.
 
         The mapping handed out by :meth:`counter_ref` is cleared **in
         place**, so references held by engines stay live and later
         bumps remain visible through :meth:`get`.
         """
+        self._fold()  # zeroes the routes
         self._counts.clear()
         self._phase_stack.clear()
         self.phases.clear()
 
+    def __getstate__(self) -> dict:
+        # The folded counts travel; the routes (and their handlers) stay.
+        self._fold()
+        return {**self.__dict__, "_routes": []}
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        body = ", ".join(f"{k}={v}" for k, v in sorted(self._counts.items()))
+        body = ", ".join(f"{k}={v}" for k, v in sorted(self.snapshot().items()))
         return f"Stats({body})"

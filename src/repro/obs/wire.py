@@ -37,7 +37,6 @@ from __future__ import annotations
 from functools import partial
 
 from repro.dsm.transport import Transport
-from repro.machine.stats import intern_key
 from repro.sim import Delay, Future
 
 
@@ -62,7 +61,8 @@ class TracedTransport(Transport):
         self._node_sent = [machine.stats.node(i).key("msg.sent") for i in range(self.n_procs)]
         self._node_recv = [machine.stats.node(i).key("msg.recv") for i in range(self.n_procs)]
         self._arrivals: dict = {}  # handler -> its traced arrival
-        self._rpc_names: dict = {}
+        self._rpc_names = machine._rpc_names
+        self._rpc_name = machine._rpc_name
         # Per-(src, category) RPC histograms, cached so a round trip never
         # builds a "node<i>.rpc.<cat>" string twice; run_summary merges them.
         self._rpc_hists: dict = {}
@@ -97,7 +97,7 @@ class TracedTransport(Transport):
     def _arrival(self, handler):
         """``handler``'s traced arrival: ``msg.recv``, then the handler (or
         the task it spawns) with that receive as the dispatch context."""
-        _, call, name = self.machine._handler_entry(handler)
+        call, name = self.machine._handler_call(handler)
         emit, buf, sim = self._emit, self.tracer, self.sim
 
         def arrive(node, src, send_eid, args):
@@ -158,13 +158,10 @@ class TracedTransport(Transport):
     def rpc(self, src, dst, handler, *args, payload_words=0, category="am.rpc", lead=0):
         if lead:  # the caller's charge as its own event: rpc.call is stamped after it
             yield Delay(lead)
-        name = self._rpc_names.get(category)
-        if name is None:
-            name = self._rpc_names[category] = intern_key("rpc:" + category)
         emit, sim = self._emit, self.sim
         t0 = sim.now
         eid = emit(t0, "rpc.call", src, -1, dst, category)
-        fut = Future(name)
+        fut = Future(self._rpc_names.get(category) or self._rpc_name(category))
         yield self._d_send
         self.inject(src, dst, handler, (fut, *args), payload_words, category, eid)
         value = yield fut

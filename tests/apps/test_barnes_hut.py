@@ -11,8 +11,8 @@ from repro.sim import Simulator
 SMALL = bh.BHWorkload(n_bodies=24, n_steps=2, seed=17)
 
 
-def run_bh(workload, plan, backend="ace", n_procs=4):
-    res = run_spmd(bh.bh_program(workload, plan), backend=backend, n_procs=n_procs)
+def run_bh(workload, plan, backend="ace", n_procs=4, check=False):
+    res = run_spmd(bh.bh_program(workload, plan), backend=backend, n_procs=n_procs, check=check)
     return res, bh.collect_results(res, workload)
 
 
@@ -24,6 +24,18 @@ def test_matches_reference(backend, plan):
     res, state = run_bh(SMALL, plan, backend=backend)
     ref = bh.reference(SMALL)
     np.testing.assert_allclose(state, ref, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "backend,plan",
+    [("crl", bh.SC_PLAN), ("ace", bh.SC_PLAN), ("ace", bh.CUSTOM_PLAN)],
+)
+def test_matches_reference_on_eight_nodes(backend, plan):
+    """The race-exposing shape, 8 nodes x 2 bodies: checked on ace, race-free."""
+    wl = bh.BHWorkload(n_bodies=16, n_steps=2, seed=17)
+    res, state = run_bh(wl, plan, backend=backend, n_procs=8, check=backend == "ace")
+    np.testing.assert_allclose(state, bh.reference(wl), rtol=1e-10, atol=1e-12)
+    assert res.checker is None or res.checker.races == []
 
 
 def test_theta_zero_equals_direct_sum():

@@ -9,8 +9,8 @@ from repro.facade import run_spmd
 SMALL = bsc.BSCWorkload(n_block_cols=6, block=3, band=2, seed=9)
 
 
-def run_bsc(workload, plan, backend="ace", n_procs=3):
-    res = run_spmd(bsc.bsc_program(workload, plan), backend=backend, n_procs=n_procs)
+def run_bsc(workload, plan, backend="ace", n_procs=3, check=False):
+    res = run_spmd(bsc.bsc_program(workload, plan), backend=backend, n_procs=n_procs, check=check)
     return res, bsc.collect_results(res, workload)
 
 
@@ -22,6 +22,18 @@ def test_factor_matches_numpy_cholesky(backend, plan):
     res, L = run_bsc(SMALL, plan, backend=backend)
     ref = bsc.reference(SMALL)
     np.testing.assert_allclose(L, ref, rtol=1e-9, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "backend,plan",
+    [("crl", bsc.SC_PLAN), ("ace", bsc.SC_PLAN), ("ace", bsc.CUSTOM_PLAN)],
+)
+def test_factor_matches_numpy_cholesky_on_eight_nodes(backend, plan):
+    """The race-exposing shape, 8 nodes x 2 block columns: checked on ace, race-free."""
+    wl = bsc.BSCWorkload(n_block_cols=16, block=3, band=2, seed=9)
+    res, L = run_bsc(wl, plan, backend=backend, n_procs=8, check=backend == "ace")
+    np.testing.assert_allclose(L, bsc.reference(wl), rtol=1e-9, atol=1e-10)
+    assert res.checker is None or res.checker.races == []
 
 
 def test_factor_reconstructs_matrix():

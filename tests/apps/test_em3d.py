@@ -10,8 +10,8 @@ from repro.facade import run_spmd
 SMALL = em3d.EM3DWorkload(n_e=24, n_h=24, degree=3, pct_remote=0.3, n_iters=3, seed=7)
 
 
-def run_em3d(workload, plan, backend="ace", n_procs=4):
-    res = run_spmd(em3d.em3d_program(workload, plan), backend=backend, n_procs=n_procs)
+def run_em3d(workload, plan, backend="ace", n_procs=4, check=False):
+    res = run_spmd(em3d.em3d_program(workload, plan), backend=backend, n_procs=n_procs, check=check)
     e, h = em3d.collect_results(res, workload)
     return res, e, h
 
@@ -30,6 +30,20 @@ def test_matches_reference(backend, plan):
     e_ref, h_ref = em3d.reference(SMALL, 4)
     np.testing.assert_allclose(e, e_ref, rtol=1e-12)
     np.testing.assert_allclose(h, h_ref, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "backend,plan",
+    [("crl", em3d.SC_PLAN), ("ace", em3d.SC_PLAN), ("ace", em3d.STATIC_PLAN)],
+)
+def test_matches_reference_on_eight_nodes(backend, plan):
+    """The race-exposing shape, 8 nodes x 2 E and 2 H nodes: checked on ace, race-free."""
+    wl = em3d.EM3DWorkload(n_e=16, n_h=16, degree=3, pct_remote=0.3, n_iters=3, seed=7)
+    res, e, h = run_em3d(wl, plan, backend=backend, n_procs=8, check=backend == "ace")
+    e_ref, h_ref = em3d.reference(wl, 8)
+    np.testing.assert_allclose(e, e_ref, rtol=1e-12)
+    np.testing.assert_allclose(h, h_ref, rtol=1e-12)
+    assert res.checker is None or res.checker.races == []
 
 
 def test_single_proc_matches_reference():

@@ -10,8 +10,8 @@ from repro.facade import run_spmd
 SMALL = tsp.TSPWorkload(n_cities=7, prefix_depth=2, seed=5)
 
 
-def run_tsp(workload, plan, backend="ace", n_procs=4):
-    return run_spmd(tsp.tsp_program(workload, plan), backend=backend, n_procs=n_procs)
+def run_tsp(workload, plan, backend="ace", n_procs=4, check=False):
+    return run_spmd(tsp.tsp_program(workload, plan), backend=backend, n_procs=n_procs, check=check)
 
 
 @pytest.mark.parametrize(
@@ -23,6 +23,21 @@ def test_finds_optimal_tour(backend, plan):
     expected = tsp.reference(SMALL)
     for best, _jobs in res.results:
         assert best == pytest.approx(expected)
+
+
+@pytest.mark.parametrize(
+    "backend,plan",
+    [("crl", tsp.SC_PLAN), ("ace", tsp.SC_PLAN), ("ace", tsp.CUSTOM_PLAN)],
+)
+def test_finds_optimal_tour_on_eight_nodes(backend, plan):
+    """The race-exposing shape, 8 nodes x ~2 jobs, checked on ace (whose
+    racy bound reads are intended: the checker reports them)."""
+    wl = tsp.TSPWorkload(n_cities=6, prefix_depth=2, seed=5)
+    assert wl.n_jobs == 20
+    res = run_tsp(wl, plan, backend=backend, n_procs=8, check=backend == "ace")
+    expected = tsp.reference(wl)
+    assert [best for best, _ in res.results] == [pytest.approx(expected)] * 8
+    assert sum(jobs for _, jobs in res.results) == wl.n_jobs
 
 
 def test_all_jobs_processed_exactly_once():

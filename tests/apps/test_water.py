@@ -9,8 +9,8 @@ from repro.facade import run_spmd
 SMALL = water.WaterWorkload(n_molecules=12, n_steps=2, seed=8)
 
 
-def run_water(workload, plan, backend="ace", n_procs=4):
-    res = run_spmd(water.water_program(workload, plan), backend=backend, n_procs=n_procs)
+def run_water(workload, plan, backend="ace", n_procs=4, check=False):
+    res = run_spmd(water.water_program(workload, plan), backend=backend, n_procs=n_procs, check=check)
     return res, water.collect_results(res, workload)
 
 
@@ -22,6 +22,18 @@ def test_matches_reference(backend, plan):
     res, state = run_water(SMALL, plan, backend=backend)
     ref = water.reference(SMALL)
     np.testing.assert_allclose(state, ref, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "backend,plan",
+    [("crl", water.SC_PLAN), ("ace", water.SC_PLAN), ("ace", water.CUSTOM_PLAN)],
+)
+def test_matches_reference_on_eight_nodes(backend, plan):
+    """The race-exposing shape, 8 nodes x 2 molecules, checked on ace
+    (whose intended force-accumulation races the checker reports)."""
+    wl = water.WaterWorkload(n_molecules=16, n_steps=2, seed=8)
+    _, state = run_water(wl, plan, backend=backend, n_procs=8, check=backend == "ace")
+    np.testing.assert_allclose(state, water.reference(wl), rtol=1e-9, atol=1e-12)
 
 
 def test_phase_switching_plan_is_faster():

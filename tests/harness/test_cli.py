@@ -73,6 +73,23 @@ def test_ci_invocation_twins_return_the_documented_exit_code(argv, status, tmp_p
         assert re.search(r"^python -m repro.*: error: .+$", err.splitlines()[-1])
 
 
+def test_docs_check_fails_on_a_dangling_name(tmp_path, monkeypatch, capsys):
+    """A backticked ``Class.attr`` whose attribute the code no longer
+    defines fails ``docs --check``, whatever else is up to date."""
+    from repro.cli import docs
+
+    for name in ("README.md", "DESIGN.md"):
+        (tmp_path / name).write_text((ROOT / name).read_text())
+    monkeypatch.setattr(docs, "ROOT", tmp_path)
+    assert cli.main(["docs", "--check"]) == 0
+    with (tmp_path / "DESIGN.md").open("a") as f:
+        f.write("\nMessages are counted through `Machine._msg_keys` and `Stats.get`.\n")
+    capsys.readouterr()
+    assert cli.main(["docs", "--check"]) == 1
+    out = capsys.readouterr().out
+    assert "DANGLING: DESIGN.md: `Machine._msg_keys`" in out and "Stats.get" not in out
+
+
 def test_seed_sets_parse_or_refuse():
     assert seed_set("0,2,5-7") == [0, 2, 5, 6, 7]
     assert seed_set("4") == [4] and seed_set("3-3") == [3]

@@ -332,7 +332,7 @@ def test_one_fabric_is_wrapped_not_shadowed():
     wire through the fabric interface, never the machine's internals."""
     src = Path(machine_module.__file__).resolve().parents[1]
     twins = re.compile(r"def \w*_traced\b|self\.\w+ = self\._\w+\s*$", re.M)
-    private = re.compile(r"machine\._(?:deliver|ctx|msg_keys)\b")
+    private = re.compile(r"machine\._(?:deliver|ctx|routes)\b")
     hits = [str(p) for p in (src / "machine").rglob("*.py") if twins.search(p.read_text())]
     hits += [str(p) for p in src.rglob("*.py") if "SimTransport" in p.read_text()]
     hits += [str(p) for p in (src / "dsm").rglob("*.py") if private.search(p.read_text())]
@@ -393,7 +393,7 @@ def test_every_traced_send_is_a_traced_message():
     recvs = {e.parent: e for e in events if e.kind == "msg.recv"}
     assert sorted(recvs) == sorted(e.eid for e in sends.values())
     assert sends["t.fwd"].parent == recvs[sends["t.req"].eid].eid
-    per_node = {k: v for k, v in m._counts.items() if k.startswith("node") and v}
+    per_node = {k: v for k, v in m.stats.snapshot().items() if k.startswith("node") and v}
     assert per_node == {
         "node0.msg.sent": 2, "node1.msg.sent": 1,
         "node1.msg.recv": 1, "node2.msg.recv": 1, "node3.msg.recv": 1,

@@ -1,6 +1,7 @@
 """Unit tests for the stats counters."""
 
 import ast
+import io
 import json
 import pickle
 from collections import Counter
@@ -9,8 +10,11 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.machine import PhaseScopeError, Stats
+from repro.apps import em3d
+from repro.facade import run_spmd
+from repro.machine import Machine, MachineConfig, PhaseScopeError, Stats
 from repro.obs import Histogram, MetricsWindow
+from repro.sim import Future, Simulator
 
 
 def _per_event_mappings() -> dict:
@@ -90,21 +94,42 @@ def test_histogram_copy_is_independent():
     assert dict(c.buckets) == {3: 2, 7: 1} and c.count == 3
 
 
+def _callables_pickled(obj) -> list:
+    """Every non-class callable that pickling ``obj`` has to serialize."""
+    found = []
+
+    class Spy(pickle.Pickler):
+        def persistent_id(self, o):
+            if callable(o) and not isinstance(o, type):
+                found.append(o)
+            return None
+
+    Spy(io.BytesIO()).dump(obj)
+    return found
+
+
 def test_stats_and_counts_pickle_and_json():
     s = Stats()
     s.count("msg.total", 7)
     with s.phase("p"):
         s.count("ace.map")
-    back = pickle.loads(pickle.dumps(s))
-    assert back.snapshot() == s.snapshot() and back.phases == s.phases
-    counts = back.counter_ref()
-    assert type(counts) is type(s.counter_ref())
-    assert counts["missing"] == 0 and "missing" not in counts
-    counts["msg.total"] += 1
-    assert back.get("msg.total") == 8 and s.get("msg.total") == 7
-    plain = pickle.loads(pickle.dumps(s.counter_ref()))
-    assert type(plain) is type(s.counter_ref()) and plain["missing"] == 0
-    assert json.dumps(s.counter_ref()) == json.dumps(s.snapshot())
+    # A finished run's Stats: its routes hold every handler it delivered to.
+    wl = em3d.EM3DWorkload(n_e=8, n_h=8, degree=2, n_iters=1, seed=3)
+    ran = run_spmd(em3d.em3d_program(wl, em3d.SC_PLAN), n_procs=2).stats
+    for stats in (s, ran):
+        back = pickle.loads(pickle.dumps(stats))
+        assert back.snapshot() == stats.snapshot() and back.phases == stats.phases
+        assert _callables_pickled(stats) == []
+        counts = back.counter_ref()
+        assert type(counts) is type(stats.counter_ref())
+        assert counts["missing"] == 0 and "missing" not in counts
+        total = stats.get("msg.total")
+        counts["msg.total"] += 1
+        assert back.get("msg.total") == total + 1 and stats.get("msg.total") == total
+        plain = pickle.loads(pickle.dumps(stats.counter_ref()))
+        assert type(plain) is type(stats.counter_ref()) and plain["missing"] == 0
+        assert json.dumps(stats.counter_ref()) == json.dumps(stats.snapshot())
+    assert ran.get("msg.total") > 0 and set(ran.phases) == {"setup", "iterate", "collect"}
     assert json.loads(json.dumps(s.phases)) == {"p": {"ace.map": 1}}
 
 
@@ -260,3 +285,125 @@ def test_reset():
     assert s.snapshot() == {}
     assert s.phases == {}
     assert s.current_phase is None
+
+
+# -- messages are counted on routes and folded in on read ---------------------
+def on_a(node, src):
+    pass
+
+
+def on_rpc(node, src, fut):
+    node.machine.reply(fut, node.nid, payload_words=2, category="t.ack")
+
+
+#: (handler, category, payload words) per message; handler None is a reply
+CASES = {
+    "one_handler_two_categories": [(on_a, "t.x", 2), (on_a, "t.y", 1), (on_a, "t.x", 3), (None, "t.r", 1)],
+    "zero_words": [(on_a, "t.x", 0), (None, "t.r", 0)],
+    "in_flight": [(on_a, "t.x", 4), (on_a, "t.y", 0), (None, "t.r", 1)],
+}
+
+
+def _eager(sends) -> dict:
+    """The counters an eager count of ``sends`` stores, one message at a time."""
+    out: dict = {}
+    for handler, category, words in sends:
+        keys = [f"msg.{category}", "msg.total"]
+        if handler is not None:
+            keys.append(f"handler.{handler.__name__}")
+        for key in keys:
+            out[key] = out.get(key, 0) + 1
+        out["msg.words"] = out.get("msg.words", 0) + words
+    return out
+
+
+def _send(m, sends) -> None:
+    for handler, category, words in sends:
+        if handler is None:
+            m.reply(Future("f"), 1, payload_words=words, category=category)
+        else:
+            m.post(0, 1, handler, payload_words=words, category=category)
+
+
+def _machine():
+    sim = Simulator()
+    m = Machine(sim, MachineConfig(n_procs=2))
+    m.stats.node(1).count("hits")
+    return sim, m
+
+
+def _run(sim, case) -> None:
+    """Run to the end, or (``in_flight``) pause before anything arrives."""
+    sim.run(until=1 if case == "in_flight" else None)
+    assert (sim.now == 1) == (case == "in_flight")
+
+
+def _messages(counts) -> dict:
+    return {k: v for k, v in counts.items() if k.startswith(("msg.", "handler."))}
+
+
+def test_messages_are_not_counted_until_a_read():
+    sim = Simulator()
+    m = Machine(sim, MachineConfig(n_procs=3))
+
+    def proc():
+        m.post(0, 1, on_a, payload_words=2, category="t.post")
+        yield from m.request(0, 2, on_a, category="t.req")
+        return (yield from m.rpc(0, 1, on_rpc, category="t.rpc"))
+
+    task = sim.spawn(proc())
+    sim.run()
+    assert task.done.result() == 1
+    assert _messages(m.stats.counter_ref()) == {}
+    assert m.stats.get("msg.total") == 4
+    assert _messages(m.stats.counter_ref()) == {
+        "msg.t.post": 1, "msg.t.req": 1, "msg.t.rpc": 1, "msg.t.ack": 1,
+        "handler.on_a": 2, "handler.on_rpc": 1, "msg.total": 4, "msg.words": 4,
+    }
+
+
+def _read(stats, read, want) -> bool:
+    """Whether the read path ``read`` returns what the counts ``want`` give."""
+    if read == "get":
+        return {k: stats.get(k) for k in want} == want
+    if read == "snapshot":
+        return stats.snapshot() == want
+    if read == "with_prefix":
+        return stats.with_prefix("msg") == {k: v for k, v in want.items() if k.startswith("msg.")}
+    if read == "by_node":
+        return stats.by_node() == {1: {"hits": 1}}
+    return repr(stats) == "Stats(" + ", ".join(f"{k}={v}" for k, v in sorted(want.items())) + ")"
+
+
+@pytest.mark.parametrize("read", ["get", "snapshot", "with_prefix", "by_node", "repr"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_read_returns_the_eager_counts(case, read):
+    sim, m = _machine()
+    _send(m, CASES[case])
+    _run(sim, case)
+    want = {"node1.hits": 1, **_eager(CASES[case])}
+    assert "msg.words" in want  # present even when every message is zero words
+    assert _read(m.stats, read, want)
+    assert dict(m.stats.counter_ref()) == want
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_nested_phases_and_reset_see_the_eager_counts(case):
+    sends = CASES[case]
+    sim, m = _machine()
+    stats = m.stats
+    with stats.phase("outer"):
+        _send(m, sends[:1])
+        with stats.phase("inner"):
+            _send(m, sends[1:])
+            _run(sim, case)
+    outer, inner = _eager(sends), _eager(sends[1:])
+    # A phase's delta leaves out zeros (``msg.words`` of zero-word messages).
+    assert stats.phases == {
+        "outer": {k: v for k, v in outer.items() if v},
+        "inner": {k: v for k, v in inner.items() if v},
+    }
+    _send(m, sends)
+    stats.reset()  # drops the counts no read has folded in yet, too
+    _send(m, sends[1:])
+    assert stats.snapshot() == inner
