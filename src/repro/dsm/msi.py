@@ -64,7 +64,6 @@ MSI_TABLE = ProtocolTable(
             next="shared",
             actions=("fetch",),
             msg="read_req",
-            effects=("add_sharer", "copy_current"),
             note="costs.start_miss",
         ),
         Transition("node", "excl", "start_write", actions=("hit",), note="costs.start_hit"),
@@ -83,7 +82,6 @@ MSI_TABLE = ProtocolTable(
             next="excl",
             actions=("fetch",),
             msg="write_req",
-            effects=("set_owner", "drop_sharer", "copy_current"),
             note="costs.start_miss",
         ),
         Transition(
@@ -91,7 +89,6 @@ MSI_TABLE = ProtocolTable(
             "*",
             "end_read",
             actions=("release",),
-            effects=("fire_deferred",),
             note="costs.end_op",
         ),
         Transition(
@@ -99,7 +96,6 @@ MSI_TABLE = ProtocolTable(
             "*",
             "end_write",
             actions=("release",),
-            effects=("fire_deferred",),
             note="costs.end_op; copy stays dirty-exclusive (lazy write-back)",
         ),
         # -- node: recall receive side (message events) ------------------
@@ -110,7 +106,6 @@ MSI_TABLE = ProtocolTable(
             next="invalid",
             actions=("writeback", "ack"),
             msg="inval_ack",
-            effects=("write_home",),
             note="costs.inval_handler; dirty data rides the ack",
         ),
         Transition(
@@ -129,7 +124,6 @@ MSI_TABLE = ProtocolTable(
             next="shared",
             actions=("writeback", "ack"),
             msg="inval_ack",
-            effects=("write_home",),
             note="costs.inval_handler; dirty data rides the ack",
         ),
         Transition(
@@ -166,7 +160,6 @@ MSI_TABLE = ProtocolTable(
             next="busy",
             actions=("grant_shared",),
             msg="read_data",
-            effects=("add_sharer",),
             note="costs.dir_handler; busy until grant_ack closes the race window",
         ),
         Transition(
@@ -194,7 +187,6 @@ MSI_TABLE = ProtocolTable(
             next="busy",
             actions=("grant_excl",),
             msg="write_data",
-            effects=("set_owner",),
             note="costs.dir_handler; upgrade ack when the writer already shares",
         ),
         Transition("home", "busy", "read_req", actions=("enqueue",), note="FIFO; no starvation"),
@@ -229,7 +221,6 @@ MSI_TABLE = ProtocolTable(
             "flush",
             actions=("accept_flush",),
             msg="flush_ack",
-            effects=("write_home", "drop_sharer", "clear_owner"),
             note="costs.flush; change-protocol path",
         ),
     ),

@@ -40,7 +40,6 @@ BUFFERED_UPDATE_TABLE = ProtocolTable(
             "end_write",
             cost=4,
             actions=("mark_dirty",),
-            effects=("mark_dirty",),
         ),
         Transition(
             "node",
@@ -48,7 +47,6 @@ BUFFERED_UPDATE_TABLE = ProtocolTable(
             "barrier",
             actions=("ship_dirty", "rendezvous", "advance_epoch"),
             msg="update",
-            effects=("write_home", "push_sharers", "epoch_advance"),
         ),
         Transition(
             "home",

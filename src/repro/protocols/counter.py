@@ -42,7 +42,6 @@ COUNTER_TABLE = ProtocolTable(
             cost=8,
             actions=("acquire_rmw",),
             msg="acquire",
-            effects=("serialize_at_home",),
         ),
         Transition(
             "node",
@@ -51,7 +50,6 @@ COUNTER_TABLE = ProtocolTable(
             cost=8,
             actions=("commit",),
             msg="commit",
-            effects=("home_current", "release_home"),
         ),
         Transition(
             "node",

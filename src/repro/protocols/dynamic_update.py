@@ -50,7 +50,6 @@ DYNAMIC_UPDATE_TABLE = ProtocolTable(
             cost=20,
             actions=("propagate_write",),
             msg="update",
-            effects=("write_home", "push_sharers"),
             note="ship whole region to home; block until sharers ack",
         ),
         Transition(
@@ -59,7 +58,6 @@ DYNAMIC_UPDATE_TABLE = ProtocolTable(
             "update",
             actions=("apply_update", "fan_out"),
             msg="push",
-            effects=("home_current",),
         ),
         Transition(
             "node",
@@ -67,7 +65,6 @@ DYNAMIC_UPDATE_TABLE = ProtocolTable(
             "push",
             actions=("apply_push",),
             msg="push_ack",
-            effects=("copy_current",),
         ),
     ),
     costs={"end_write": 20, "apply": 15},

@@ -38,7 +38,6 @@ HOME_WRITE_TABLE = ProtocolTable(
             cost=10,
             actions=("revalidate",),
             msg="check",
-            effects=("version_check",),
         ),
         Transition(
             "node",
@@ -54,7 +53,6 @@ HOME_WRITE_TABLE = ProtocolTable(
             "end_write",
             cost=4,
             actions=("bump_version",),
-            effects=("version_bump",),
         ),
     ),
     costs={"check": 10, "end_write": 4},

@@ -43,7 +43,7 @@ MIGRATORY_TABLE = ProtocolTable(
     home_states=("idle", "busy"),
     base_state="invalid",
     transitions=(
-        Transition("node", "valid", "start_read", actions=("hit",), effects=("use_open",)),
+        Transition("node", "valid", "start_read", actions=("hit",)),
         Transition(
             "node",
             "*",
@@ -51,9 +51,8 @@ MIGRATORY_TABLE = ProtocolTable(
             cost=25,
             actions=("migrate",),
             msg="req",
-            effects=("acquire_copy",),
         ),
-        Transition("node", "valid", "start_write", actions=("hit",), effects=("use_open",)),
+        Transition("node", "valid", "start_write", actions=("hit",)),
         Transition(
             "node",
             "*",
@@ -61,9 +60,8 @@ MIGRATORY_TABLE = ProtocolTable(
             cost=25,
             actions=("migrate",),
             msg="req",
-            effects=("acquire_copy",),
         ),
-        Transition("node", "*", "end_write", cost=4, actions=("release",), effects=("use_close",)),
+        Transition("node", "*", "end_write", cost=4, actions=("release",)),
         Transition(
             "home",
             "idle",

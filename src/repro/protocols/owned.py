@@ -89,7 +89,6 @@ OWNED_TABLE = ProtocolTable(
             cost=25,
             actions=("fetch_read",),
             msg="read_req",
-            effects=("add_sharer", "copy_current"),
         ),
         Transition("node", "excl", "start_write", actions=("hit",)),
         Transition(
@@ -116,13 +115,12 @@ OWNED_TABLE = ProtocolTable(
             cost=25,
             actions=("fetch_write",),
             msg="write_req",
-            effects=("set_owner", "drop_sharer", "copy_current"),
             note="an owned-state upgrade also lands here; the home sends upgrade_ack",
         ),
         Transition("node", "home", "end_read", cost=4, actions=("release", "close_home_read")),
-        Transition("node", "*", "end_read", cost=4, actions=("release",), effects=("fire_deferred",)),
+        Transition("node", "*", "end_read", cost=4, actions=("release",)),
         Transition("node", "home", "end_write", cost=4, actions=("release", "close_home_write")),
-        Transition("node", "*", "end_write", cost=4, actions=("release",), effects=("fire_deferred",)),
+        Transition("node", "*", "end_write", cost=4, actions=("release",)),
         # -- node: recall receive side ------------------------------------
         Transition(
             "node",
@@ -131,7 +129,6 @@ OWNED_TABLE = ProtocolTable(
             next="invalid",
             actions=("writeback", "ack"),
             msg="inval_ack",
-            effects=("write_home",),
         ),
         Transition(
             "node",
@@ -140,7 +137,6 @@ OWNED_TABLE = ProtocolTable(
             next="invalid",
             actions=("writeback", "ack"),
             msg="inval_ack",
-            effects=("write_home",),
             note="the owner is the only trusted copy; its data rides the ack",
         ),
         Transition("node", "shared", "invalidate", next="invalid", actions=("ack",), msg="inval_ack"),
@@ -152,7 +148,6 @@ OWNED_TABLE = ProtocolTable(
             next="owned",
             actions=("supply",),
             msg="supply",
-            effects=("add_sharer",),
             note="first forwarded reader downgrades the owner excl -> owned",
         ),
         Transition(
@@ -161,7 +156,6 @@ OWNED_TABLE = ProtocolTable(
             "fwd_read",
             actions=("supply",),
             msg="supply",
-            effects=("add_sharer",),
         ),
         # -- home: admission (atomic handler context) ----------------------
         Transition("home", "idle", "read_req", guard="home_writing", actions=("enqueue",)),
@@ -182,7 +176,6 @@ OWNED_TABLE = ProtocolTable(
             next="busy",
             actions=("grant_shared",),
             msg="read_data",
-            effects=("add_sharer",),
         ),
         Transition("home", "idle", "write_req", guard="home_open", actions=("enqueue",)),
         Transition(
@@ -201,7 +194,6 @@ OWNED_TABLE = ProtocolTable(
             next="busy",
             actions=("grant_excl",),
             msg="write_data",
-            effects=("set_owner",),
         ),
         Transition("home", "busy", "read_req", actions=("enqueue",), note="FIFO; no starvation"),
         Transition("home", "busy", "write_req", actions=("enqueue",), note="FIFO; no starvation"),
@@ -233,7 +225,6 @@ OWNED_TABLE = ProtocolTable(
             "flush",
             actions=("accept_flush",),
             msg="flush_ack",
-            effects=("write_home", "drop_sharer", "clear_owner"),
         ),
     ),
     costs={"create": 90, "map": 12, "miss": 25, "end_op": 4, "unmap": 6},

@@ -57,7 +57,6 @@ PIPELINED_WRITE_TABLE = ProtocolTable(
             cost=4,
             actions=("refetch",),
             msg="refetch",
-            effects=("copy_current",),
         ),
         Transition("node", "*", "start_write", cost=6, actions=("open_write",)),
         Transition(
@@ -67,14 +66,12 @@ PIPELINED_WRITE_TABLE = ProtocolTable(
             cost=12,
             actions=("close_write",),
             msg="delta",
-            effects=("delta_to_home",),
         ),
         Transition(
             "node",
             "*",
             "barrier",
             actions=("drain", "rendezvous", "advance_phase"),
-            effects=("drain_outstanding", "epoch_advance"),
         ),
         Transition("home", "idle", "delta", actions=("merge_delta",), msg="delta_ack"),
     ),

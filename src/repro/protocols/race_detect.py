@@ -61,7 +61,6 @@ RACE_DETECT_TABLE = ProtocolTable(
             "barrier",
             actions=("ship_summaries", "rendezvous", "close_races", "rendezvous", "advance_epoch"),
             msg="summary",
-            effects=("summaries_to_home", "race_check", "push_sharers", "epoch_advance"),
         ),
     ),
     costs={"record": 6, "end_op": 2, "refetch_check": 4},

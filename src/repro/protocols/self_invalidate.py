@@ -55,7 +55,6 @@ SELF_INVALIDATE_TABLE = ProtocolTable(
             cost=25,
             actions=("fetch",),
             msg="fetch",
-            effects=("copy_current",),
             note="self-invalidated copy revalidates from the always-current home",
         ),
         # -- writes: same shape; epoch discipline replaces exclusivity ---
@@ -69,7 +68,6 @@ SELF_INVALIDATE_TABLE = ProtocolTable(
             cost=25,
             actions=("fetch",),
             msg="fetch",
-            effects=("copy_current",),
         ),
         # -- write self-downgrade: home is current before the write ends --
         Transition(
@@ -79,7 +77,6 @@ SELF_INVALIDATE_TABLE = ProtocolTable(
             cost=4,
             actions=("writeback_home",),
             msg="wb",
-            effects=("write_home", "epoch_writer"),
             note="synchronous: the writer waits for the home's ack",
         ),
         # -- barrier self-invalidate ---------------------------------------
@@ -88,7 +85,6 @@ SELF_INVALIDATE_TABLE = ProtocolTable(
             "*",
             "barrier",
             actions=("self_invalidate", "rendezvous", "advance_epoch"),
-            effects=("drop_copies", "epoch_advance"),
             note="each node damages its own copies; no fan-out, no sharer lists",
         ),
         # -- the whole directory: an epoch-writer assertion ----------------

@@ -52,7 +52,6 @@ STATIC_UPDATE_TABLE = ProtocolTable(
             guard="home_writer",
             cost=8,
             actions=("mark_dirty",),
-            effects=("mark_dirty",),
         ),
         Transition(
             "node",
@@ -67,7 +66,6 @@ STATIC_UPDATE_TABLE = ProtocolTable(
             "barrier",
             actions=("push_dirty", "rendezvous"),
             msg="push",
-            effects=("push_sharers", "epoch_advance"),
         ),
         Transition(
             "node",
@@ -75,7 +73,6 @@ STATIC_UPDATE_TABLE = ProtocolTable(
             "push",
             actions=("apply_push",),
             msg="push_ack",
-            effects=("copy_current",),
         ),
     ),
     costs={"end_write": 8, "push_setup": 12},

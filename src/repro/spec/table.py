@@ -19,7 +19,7 @@ layer consumes —
 
 A :class:`Transition` row reads::
 
-    Transition(role, state, event, next, guard, actions, cost, msg, effects)
+    Transition(role, state, event, next, guard, actions, cost, msg, note)
 
 ``role``
     ``"node"`` (requester-side copy machine) or ``"home"`` (directory
@@ -46,9 +46,9 @@ A :class:`Transition` row reads::
 ``msg``
     Message category the row emits, if any (documentation and
     model-checker channel bookkeeping).
-``effects``
-    Declarative abstract-state effects for the model checker (small
-    vocabulary interpreted by :mod:`repro.verify.modelcheck`).
+``note``
+    Free text for the rendered reference (which cost a row charges,
+    why a guard exists); outside the fingerprint.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ class Transition:
     actions: tuple[str, ...] = ()
     cost: int = 0
     msg: str | None = None
-    effects: tuple[str, ...] = ()
     note: str = ""
 
     def __post_init__(self):
@@ -94,8 +93,6 @@ class Transition:
         # Tuples, not lists: tables are frozen artifacts.
         if not isinstance(self.actions, tuple):
             object.__setattr__(self, "actions", tuple(self.actions))
-        if not isinstance(self.effects, tuple):
-            object.__setattr__(self, "effects", tuple(self.effects))
 
     @property
     def key(self) -> tuple:
@@ -289,7 +286,7 @@ class ProtocolTable:
         ]
         for t in self.transitions:
             parts.append(
-                repr((t.role, t.state, t.event, t.next, t.guard, t.actions, t.cost, t.msg, t.effects))
+                repr((t.role, t.state, t.event, t.next, t.guard, t.actions, t.cost, t.msg))
             )
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 
