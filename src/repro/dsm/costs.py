@@ -13,7 +13,9 @@ tables are exported:
     Models the Ace runtime's redesigned SC protocol: region ids encode
     home and size, so cold maps allocate locally without a metadata
     message, the map fast path is a cheaper table lookup, and the
-    directory handlers are leaner.  The Ace *dispatch indirection*
+    invalidation handler is leaner.  A home directory handler charges
+    nothing of its own in either table: it runs inside the active
+    message's receive overhead.  The Ace *dispatch indirection*
     (region → space → protocol function pointer, §4.1) is NOT part of
     this table — it is charged by the Ace runtime layer on every
     primitive, which is why coarse-grained applications see the two
@@ -37,7 +39,6 @@ class DSMCosts:
     start_hit: int = 30        # start_read/start_write satisfied locally
     start_miss: int = 55       # requester-side bookkeeping around a miss
     end_op: int = 15           # end_read/end_write local bookkeeping
-    dir_handler: int = 55      # home directory handler body
     inval_handler: int = 40    # invalidate/downgrade handler at a sharer
     flush: int = 45            # flush a dirty copy home (change-protocol path)
     meta_words: int = 3        # payload of a metadata-only message
@@ -50,7 +51,6 @@ class DSMCosts:
 CRL_COSTS = DSMCosts(
     start_hit=40,
     end_op=20,
-    dir_handler=60,
 )
 
 ACE_SC_COSTS = DSMCosts(
@@ -62,7 +62,6 @@ ACE_SC_COSTS = DSMCosts(
     start_hit=18,
     start_miss=45,
     end_op=8,
-    dir_handler=40,
     inval_handler=32,
     flush=40,
 )

@@ -151,7 +151,7 @@ MSI_TABLE = ProtocolTable(
             next="busy",
             actions=("recall_downgrade",),
             msg="downgrade",
-            note="costs.dir_handler; owner's dirty data must come home first",
+            note="handler runs in the AM receive overhead; owner's dirty data must come home first",
         ),
         Transition(
             "home",
@@ -160,7 +160,7 @@ MSI_TABLE = ProtocolTable(
             next="busy",
             actions=("grant_shared",),
             msg="read_data",
-            note="costs.dir_handler; busy until grant_ack closes the race window",
+            note="handler runs in the AM receive overhead; busy until grant_ack closes the race window",
         ),
         Transition(
             "home",
@@ -178,7 +178,7 @@ MSI_TABLE = ProtocolTable(
             next="busy",
             actions=("recall_invalidate",),
             msg="invalidate",
-            note="costs.dir_handler; every remote copy is invalidated",
+            note="handler runs in the AM receive overhead; every remote copy is invalidated",
         ),
         Transition(
             "home",
@@ -187,7 +187,7 @@ MSI_TABLE = ProtocolTable(
             next="busy",
             actions=("grant_excl",),
             msg="write_data",
-            note="costs.dir_handler; upgrade ack when the writer already shares",
+            note="handler runs in the AM receive overhead; upgrade ack when the writer already shares",
         ),
         Transition("home", "busy", "read_req", actions=("enqueue",), note="FIFO; no starvation"),
         Transition("home", "busy", "write_req", actions=("enqueue",), note="FIFO; no starvation"),

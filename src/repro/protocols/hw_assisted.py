@@ -35,7 +35,6 @@ HW_SC_COSTS = DSMCosts(
     start_hit=2,
     start_miss=45,
     end_op=1,
-    dir_handler=40,
     inval_handler=32,
     flush=40,
 )
