@@ -46,6 +46,7 @@ from repro.harness import (
 )
 from repro.protocols import default_registry
 from repro.serve import ServeWorkload, run_serve
+from repro.verify.modelcheck import InvalidationModel, ModelCheckError, Scope, model_for
 
 #: the checkout whose documents are regenerated
 ROOT = Path(__file__).resolve().parents[3]
@@ -120,9 +121,21 @@ def render_design() -> str:
             out.append(f"* messages: {', '.join(f'`{m}`' for m in msgs)}")
         if spec.null_hooks:
             out.append(f"* null hooks: {', '.join(f'`{h}`' for h in sorted(spec.null_hooks))}")
+        if _runs_invalidation_machine(table):
+            out.append(
+                "* home and recall sides: the shared `HomeMachine` and `RecallReceiver`"
+                " (`repro.dsm`), which the model checker runs as shipped"
+            )
         out.append(f"* table fingerprint `{table.fingerprint()}`; certificate: {_cert_status(name, table)}")
         out.append("")
     return "\n".join(out).rstrip()
+
+
+def _runs_invalidation_machine(table) -> bool:
+    try:
+        return isinstance(model_for(table, Scope()), InvalidationModel)
+    except ModelCheckError:
+        return False
 
 
 def _splice(path: Path, body: str) -> tuple[str, str]:

@@ -101,7 +101,6 @@ class CoherenceEngine:
         obs = tracer.tracer("dsm." + stats_prefix) if tracer is not None else None
         self.cache = RegionCache(
             transport,
-            regions,
             costs,
             prefix=stats_prefix,
             obs=obs,

@@ -81,8 +81,8 @@ class ProtocolHooks:
         # Collaborator fast-path references (see module docstring).
         self._copies = cache.tables
         self._entry = directory.entry
-        self._fire_deferred = cache._fire_deferred
-        self._drain = directory._drain
+        self._fire_deferred = cache.fire_deferred
+        self._drain = directory.drain
         # Remote round trips and the grant ack (which closes the home's
         # busy window) go through the directory's port (DESIGN.md §9).
         self._rpc = directory.port.call
@@ -267,7 +267,7 @@ class ProtocolHooks:
                 ent = copy.ent = self._entry(copy.region.rid)
             ent.home_readers -= 1
             if ent.home_readers == 0 and ent.queue:
-                self._drain(copy.region, ent)
+                self._drain(ent)
         elif copy.deferred and copy.reads == 0:
             self._fire_deferred(copy)
 
@@ -332,7 +332,7 @@ class ProtocolHooks:
             if copy.writes == 0:
                 ent.home_writing = False
                 if ent.queue:
-                    self._drain(copy.region, ent)
+                    self._drain(ent)
         elif copy.deferred and copy.writes == 0:
             self._fire_deferred(copy)
 

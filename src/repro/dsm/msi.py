@@ -1,37 +1,33 @@
 """The MSI engine table: one artifact for directory, cache, and hooks.
 
 The coherence engine's state machine — node-side copy states, home-side
-admission, the recall/invalidation handshake — used to live implicitly
-in three layers' string literals ("shared", "excl", "downgrade", ...).
-This module states it once, as a :class:`~repro.spec.table.ProtocolTable`,
-and the layers *derive* their constants from it at construction:
+admission, the recall/invalidation handshake — is stated once, as a
+:class:`~repro.spec.table.ProtocolTable`, and every layer is built from
+it at construction:
 
+* the shared invalidation machines interpret its message rows —
+  :class:`~repro.dsm.directory.HomeMachine` the home rows (admission,
+  recall completion, grant acks) and
+  :class:`~repro.dsm.regioncache.RecallReceiver` the node rows for each
+  recall mode (next state, writeback, ack);
 * :class:`~repro.dsm.hooks.ProtocolHooks` takes the hit states, the
-  fill states a miss installs, and the home-alias state;
-* :class:`~repro.dsm.regioncache.RegionCache` takes the dirty states
-  (which copies write back on recall) and the per-mode next-state maps;
-* :class:`~repro.dsm.directory.DirectoryService` takes the recall mode
-  for each request kind and which modes leave the target a sharer.
+  fill states a miss installs, and the home-alias state through
+  :func:`engine_view`, which validates them — a table without a fill
+  state fails at construction, not mid-run.
 
-Derivation happens once per engine via :func:`engine_view`, which also
-validates coverage — a table missing a recall row or a fill state fails
-at construction, not mid-run.  The per-access fast paths read the
-derived attributes exactly as they read the old literals, so the
-table-driven engine costs zero simulated cycles (cycle costs come from
-:class:`~repro.dsm.costs.DSMCosts`, named in each row's ``note``).
+The per-access fast paths read the derived attributes exactly as they
+read string literals, so the table-driven engine costs zero simulated
+cycles (cycle costs come from :class:`~repro.dsm.costs.DSMCosts`, named
+in each row's ``note``).
 
 ``MSI_TABLE`` doubles as the registration artifact for the two
 engine-bound protocols: ``SC`` is the table verbatim and ``HwSC`` is
 :meth:`~repro.spec.table.ProtocolTable.with_` overriding the name and
 the hardware flag — same machine, different access-check costs.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
-
 from repro.spec.table import ProtocolTable, TableError, Transition
 
 #: recall modes the engine's invalidation handshake understands; the
@@ -151,7 +147,7 @@ MSI_TABLE = ProtocolTable(
             next="busy",
             actions=("recall_downgrade",),
             msg="downgrade",
-            note="handler runs in the AM receive overhead; owner's dirty data must come home first",
+            note="no handler charge; owner's dirty data must come home first",
         ),
         Transition(
             "home",
@@ -160,7 +156,7 @@ MSI_TABLE = ProtocolTable(
             next="busy",
             actions=("grant_shared",),
             msg="read_data",
-            note="handler runs in the AM receive overhead; busy until grant_ack closes the race window",
+            note="no handler charge; busy until grant_ack closes the race window",
         ),
         Transition(
             "home",
@@ -178,7 +174,7 @@ MSI_TABLE = ProtocolTable(
             next="busy",
             actions=("recall_invalidate",),
             msg="invalidate",
-            note="handler runs in the AM receive overhead; every remote copy is invalidated",
+            note="no handler charge; every remote copy is invalidated",
         ),
         Transition(
             "home",
@@ -187,7 +183,7 @@ MSI_TABLE = ProtocolTable(
             next="busy",
             actions=("grant_excl",),
             msg="write_data",
-            note="handler runs in the AM receive overhead; upgrade ack when the writer already shares",
+            note="no handler charge; upgrade ack when the writer already shares",
         ),
         Transition("home", "busy", "read_req", actions=("enqueue",), note="FIFO; no starvation"),
         Transition("home", "busy", "write_req", actions=("enqueue",), note="FIFO; no starvation"),
@@ -239,9 +235,24 @@ HW_SC_TABLE = MSI_TABLE.with_(
 )
 
 
+def home_alias(table: ProtocolTable) -> str:
+    """The home node's alias of canonical storage: the unique state
+    whose hit rows are directory-guarded."""
+    homes = {
+        t.state
+        for ev in ("start_read", "start_write")
+        for t in table.rows("node", ev)
+        if "hit" in t.actions and t.guard is not None
+    }
+    if len(homes) != 1:
+        got = sorted(homes)
+        raise TableError(f"{table.name}: expected one guarded home-alias state, got {got}")
+    return homes.pop()
+
+
 @dataclass(frozen=True)
 class EngineView:
-    """The constants the three engine layers derive from one table."""
+    """The constants the requester-side hooks derive from one table."""
 
     #: node states where ``start_read`` is a local hit (no guard)
     read_hit: tuple[str, ...]
@@ -257,21 +268,15 @@ class EngineView:
     base_state: str
     #: states whose copies are dirty (write back on recall/flush)
     dirty_states: frozenset
-    #: recall mode -> {state: next_state} on the receiving node
-    inval_next: Mapping[str, Mapping[str, str]]
-    #: request kind ("read"/"write") -> recall mode the home fans out
-    recall_mode: Mapping[str, str]
-    #: recall modes after which the target still holds a readable copy
-    sharer_modes: frozenset
 
 
 def engine_view(table: ProtocolTable) -> EngineView:
-    """Derive (and validate) the engine layers' constants from ``table``.
+    """Derive (and validate) the hooks layer's constants from ``table``.
 
     Raises :class:`~repro.spec.table.TableError` when the table does
-    not cover the machine the engine runs — missing recall rows, no
-    fill state for a miss, an ambiguous home alias — so a bad table
-    fails at engine construction rather than mid-simulation.
+    not cover the machine the hooks run — no fill state for a miss, an
+    ambiguous home alias, a recall mode without node rows — so a bad
+    table fails at engine construction rather than mid-simulation.
     """
     # Hit states: unguarded rows whose action is the local fast path.
     read_hit = tuple(
@@ -282,17 +287,7 @@ def engine_view(table: ProtocolTable) -> EngineView:
     )
     if not read_hit or not write_hit:
         raise TableError(f"{table.name}: engine table has no unguarded hit states")
-
-    # The home alias: the unique state whose hits are directory-guarded.
-    homes = {
-        t.state
-        for ev in ("start_read", "start_write")
-        for t in table.rows("node", ev)
-        if "hit" in t.actions and t.guard is not None
-    }
-    if len(homes) != 1:
-        raise TableError(f"{table.name}: expected one guarded home-alias state, got {sorted(homes)}")
-    home_state = homes.pop()
+    home_state = home_alias(table)
 
     # Fill states: the destination of the wildcard fetch rows.
     fills = {}
@@ -302,36 +297,14 @@ def engine_view(table: ProtocolTable) -> EngineView:
             raise TableError(f"{table.name}: expected one fetch row with a fill state for {event}")
         fills[kind] = rows[0].next
 
-    # Recall receive side: per-mode next-state maps and dirty states.
     dirty: set[str] = set()
-    inval_next: dict[str, Mapping[str, str]] = {}
     for mode in RECALL_MODES:
         rows = table.rows("node", mode)
         if not rows:
             raise TableError(f"{table.name}: no node rows for recall mode {mode!r}")
         dirty.update(t.state for t in rows if "writeback" in t.actions)
-        inval_next[mode] = MappingProxyType(table.next_map("node", mode))
     if home_state in dirty:
         raise TableError(f"{table.name}: the home alias cannot be a writeback state")
-
-    # Home fan-out: which mode each request kind recalls with.
-    recall_mode = {}
-    for kind, event in (("read", "read_req"), ("write", "write_req")):
-        for t in table.rows("home", event):
-            for a in t.actions:
-                if a.startswith("recall_"):
-                    mode = a[len("recall_"):]
-                    if mode not in RECALL_MODES:
-                        raise TableError(f"{table.name}: unknown recall mode {mode!r} in {a!r}")
-                    recall_mode[kind] = mode
-        if kind not in recall_mode:
-            raise TableError(f"{table.name}: no recall action on home rows for {event!r}")
-
-    # Modes that leave the target holding a readable copy keep it in
-    # the sharer set after its ack (downgrade, in MSI terms).
-    sharer_modes = frozenset(
-        mode for mode, nm in inval_next.items() if any(s in read_hit for s in nm.values())
-    )
 
     return EngineView(
         read_hit=read_hit,
@@ -341,7 +314,4 @@ def engine_view(table: ProtocolTable) -> EngineView:
         fill_write=fills["write"],
         base_state=table.base_state,
         dirty_states=frozenset(dirty),
-        inval_next=MappingProxyType(inval_next),
-        recall_mode=MappingProxyType(recall_mode),
-        sharer_modes=sharer_modes,
     )

@@ -311,7 +311,7 @@ class RecoveryManager:
         self._sweep_pending(nid)
         # 5. Rebuild directory entries from surviving caches.
         for engine in self._engines:
-            self._rebuild_engine(engine, nid, rehomed)
+            self.rebuild(engine.directory, engine.cache, nid, rehomed)
         # 6. Protocol-specific membership shrink / re-issue.
         for proto in self._protocols:
             proto.on_node_dead(nid, self, rehomed)
@@ -420,47 +420,81 @@ class RecoveryManager:
         self._counts[self._k["retargeted"]] += 1
         self.transport.kit.transmit(pend)
 
+    def recover_forward(self, home, pend, dead: int) -> None:
+        """Sweep a forwarded read in flight between ``home``'s entry and
+        the dead node (a ``register_pending_handler`` target's body).
+
+        Home died (``src``): neutralize; the re-homed rebuild re-admits
+        the requester at the successor.  Owner died (``dst``): the
+        supply will never come — prune the dead owner and re-admit the
+        requester, who is granted from home data (the owner's dirty
+        copy is lost; fail-stop)."""
+        self.cancel(pend)
+        rid, requester, fut = pend.call_args
+        ent = home.entry(rid)
+        cur = ent.pending
+        if pend.src == dead or cur is None or cur["kind"] != "fwd" or cur["fut"] is not fut:
+            # Or a stale forward: its supply landed and its window closed,
+            # only the delivery ack was outstanding; the rebuild prunes.
+            self.count("abandoned")
+            return
+        if ent.owner == dead:
+            ent.owner = None
+        ent.sharers.discard(dead)
+        ent.pending = None
+        ent.busy = False
+        if requester in self.dead:
+            self.count("abandoned")
+            home.drain(ent)
+            return
+        self.count("retargeted")
+        home.request(ent, "read", requester, fut)
+
     # -- 5: directory/cache rebuild --------------------------------------
-    def _rebuild_engine(self, engine, dead: int, rehomed: dict) -> None:
-        directory = engine.directory
-        cache = engine.cache
-        regions = engine.regions
-        counts = self._counts
+    def rebuild(self, home, cache, dead: int, rehomed: dict) -> None:
+        """Prune ``dead`` from one invalidation machine and rebuild its
+        re-homed entries: the engine's (step 5) and Owned's (step 6,
+        from its ``on_node_dead``) run this same code.
+
+        ``home`` is a :class:`~repro.dsm.directory.HomeMachine` and
+        ``cache`` its :class:`~repro.dsm.regioncache.RecallReceiver`."""
         # The dead node's copies are gone; dirty ones are lost state
         # (fail-stop: the home's data is the surviving authority).
         for copy in cache.tables[dead].values():
-            if copy.state in cache._dirty_states:
-                counts[self._k["lost_dirty"]] += 1
+            if copy.state in cache.dirty_states:
+                self._counts[self._k["lost_dirty"]] += 1
         cache.tables[dead].clear()
-        for shard in directory._shards:
-            for rid, ent in shard.items():
-                region = regions.get(rid)
-                # Queued requests from the dead node will never be
-                # collected — drop them.
-                if ent.queue:
-                    ent.queue = type(ent.queue)(
-                        item for item in ent.queue if item[1] != dead
-                    )
-                pending = ent.pending
-                if pending is not None and pending["src"] == dead:
+        for rid, ent in home.entries():
+            # Queued requests from the dead node will never be
+            # collected — drop them.
+            if ent.queue:
+                ent.queue = type(ent.queue)(item for item in ent.queue if item[1] != dead)
+            pending = ent.pending
+            if pending is not None and pending["src"] == dead:
+                if pending["kind"] == "fwd":
+                    # A forwarded read for a dead requester: its grant ack
+                    # will never come; any late supply hits a dead future.
+                    ent.pending = None
+                    ent.busy = False
+                else:
                     # The requester died mid-recall.  The recall itself is
                     # healthy (its home is alive), so let it run to
-                    # completion — the tolerant ack collector sees the
-                    # orphan mark and skips the final serve.
+                    # completion — the ack collector sees the orphan mark
+                    # and skips the final serve.
                     pending["orphan"] = True
-                if ent.busy and ent.pending is None and ent.grantee == dead:
-                    # Grant window whose grantee died before acking.
-                    ent.busy = False
-                    ent.grantee = None
-                if ent.owner == dead:
-                    ent.owner = None
-                ent.sharers.discard(dead)
-                if rid in rehomed:
-                    self._rebuild_rehomed(directory, cache, region, ent, dead)
-                if not ent.busy:
-                    directory._drain(region, ent)
+            if ent.busy and ent.pending is None and ent.grantee == dead:
+                # Grant window whose grantee died before acking.
+                ent.busy = False
+                ent.grantee = None
+            if ent.owner == dead:
+                ent.owner = None
+            ent.sharers.discard(dead)
+            if rid in rehomed:
+                self._rebuild_rehomed(home, cache, ent, dead)
+            if not ent.busy:
+                home.drain(ent)
 
-    def _rebuild_rehomed(self, directory, cache, region, ent, dead: int) -> None:
+    def _rebuild_rehomed(self, home, cache, ent, dead: int) -> None:
         """Reconstruct one re-homed entry at the successor.
 
         Adopt the freshest writer copy, convert the successor's cached
@@ -469,56 +503,61 @@ class RecoveryManager:
         the old home (the requesters' futures are still live; the dedup
         table keeps their eventual replies consistent with retried
         transmissions)."""
+        region = ent.region
         succ = region.home
+        rid = region.rid
+        dirty = cache.dirty_states
         # Freshest-writer adoption: a surviving owner's dirty copy is the
         # authoritative version of the region.  If the owner already
-        # applied a recall — its writeback rode an inval ack the dead
-        # home never processed (it would have been pruned as owner) —
-        # the cache's writeback log still holds that data.
+        # applied a recall — its writeback rode an ack the dead home
+        # never processed (it would have been pruned as owner) — the
+        # writeback log still holds that data.
         if ent.owner is not None:
-            ocopy = cache.tables[ent.owner].get(region.rid)
-            if ocopy is not None and ocopy.state in cache._dirty_states:
+            ocopy = cache.tables[ent.owner].get(rid)
+            if ocopy is not None and ocopy.state in dirty:
                 np.copyto(region.home_data, ocopy.data)
             else:
-                rec = cache._wb_log.get((ent.owner, region.rid))
+                rec = cache._wb_log.get((ent.owner, rid))
                 if rec is not None:
                     np.copyto(region.home_data, rec)
         # The successor's own copy becomes the home alias.
-        scopy = cache.tables[succ].get(region.rid)
+        scopy = cache.tables[succ].get(rid)
         if scopy is None:
             cache.install(succ, region)
         else:
-            if scopy.state in cache._dirty_states:
+            if scopy.state in dirty:
                 np.copyto(region.home_data, scopy.data)
                 if ent.owner == succ:
                     ent.owner = None
             scopy.data = region.home_data
-            scopy.state = cache._home_state
+            scopy.state = cache.home_state
             ent.sharers.discard(succ)
         # The dead home's own open accesses died with it.
         ent.home_readers = 0
         ent.home_writing = False
         # Live in-flight work at the old home: re-admit.  The old home's
-        # recall fan-out (if any) is fully neutralized — its invalidation
-        # sends had the dead node as source, so the sweep cleared their
-        # ack callbacks — which makes outright cancel + re-issue safe
-        # here (unlike the live-home orphan case above).
-        reqs = []
+        # recall fan-out (if any) is fully neutralized — its sends had
+        # the dead node as source, so the sweep cleared their ack
+        # callbacks — which makes outright cancel + re-issue safe here
+        # (unlike the live-home orphan case above).  A forward whose
+        # supply already landed lost only its grant ack: record the
+        # reader.  Requests from the successor itself all crossed the
+        # wire, so the home grants them remote-style (see
+        # DirectoryService.enable_recovery).
         pending = ent.pending
-        if pending is not None:
-            if pending["src"] != dead:
-                reqs.append((pending["kind"], pending["src"], pending["fut"]))
-            ent.pending = None
+        readmit = None
+        if pending is not None and pending["src"] != dead and not pending.get("orphan"):
+            fut = pending["fut"]
+            kind = pending["kind"]
+            if not fut.resolved:
+                readmit = ("read" if kind == "fwd" else kind, pending["src"], fut)
+            elif kind == "fwd":
+                ent.sharers.add(pending["src"])
+        ent.pending = None
         ent.busy = False
         ent.grantee = None
-        # Requests from the successor itself — re-admitted here or still
-        # parked on the old home's queue — are granted remote-style (the
-        # requester is suspended in its remote-miss epilogue): they all
-        # crossed the wire, which is what the directory keys on (see
-        # DirectoryService.enable_recovery).
-        for kind, src, fut in reqs:
-            if not directory._admit(kind, src, fut, region, ent):
-                ent.queue.append((kind, src, fut))
+        if readmit is not None:
+            home.request(ent, *readmit)
 
     # ------------------------------------------------------------------
     # crash-aware hardware barrier (replaces machine.hw_barrier)

@@ -23,15 +23,10 @@ protocol families promise:
     Every terminal state is clean: no undelivered messages, no stuck
     queues, no node blocked forever (deadlock freedom within scope).
 
-The checker is an *abstract* interpreter: it executes table rows — the
-same artifact the runtime interprets and the DSM layers derive their
-constants from — against a small vocabulary of abstract actions and
-guards (``hit``, ``fetch``, ``recall_*``, ``writeback``, ``ack``, …).
-The rows decide everything the table can decide (which states hit,
-what a recall does to each state, whether an ack carries data, what
-the next state is), so a *semantic* mutation of the table — flip the
+The checker interprets table rows — the same artifact the runtime
+interprets — so a *semantic* mutation of the table (flip the
 invalidate row to keep the copy readable, drop the writeback from the
-ack — changes the explored state graph and surfaces as an invariant
+ack) changes the explored state graph and surfaces as an invariant
 violation with a minimal counterexample trace (BFS order guarantees
 minimality in steps).
 
@@ -41,18 +36,23 @@ State spaces at the scopes used here are a few thousand states; the
 hard cap exists only to fail loudly on runaway tables.
 
 Three family models share the search core, selected by the table's
-``sync_model``/``writer_model`` metadata:
+``sync_model``/``writer_model`` metadata.  One of them runs shipped code:
 
 * :class:`InvalidationModel` — MSI / MOESI-style ownership protocols
-  (``writer_model="copy"``), including home-side admission, recall
-  fan-out, grant-in-flight busy windows, deferred invalidations, and
-  cache-to-cache forwarding for owned-state tables;
+  (``writer_model="copy"``).  Its home admission, recall fan-out,
+  grant and forward windows, deferred invalidations and cache-to-cache
+  supply are not modeled: each such step thaws one region into the
+  :class:`~repro.dsm.directory.HomeMachine` or
+  :class:`~repro.dsm.regioncache.RecallReceiver` that SC, HwSC, CRL and
+  Owned run, through an abstract wire.  Only the requester side
+  (access starts, ends and fills) is written here;
 * :class:`BarrierModel` — self-invalidation protocols
   (``sync_model="barrier"``): synchronous write-back self-downgrade,
-  barrier-triggered self-invalidation, epoch visibility;
+  barrier-triggered self-invalidation, epoch visibility — a hand-written
+  abstract interpreter over a small action vocabulary;
 * :class:`UpdateModel` — immediate-propagation update protocols
   (``sync_model="immediate"``): write fan-out with acks, visibility
-  once acknowledged.
+  once acknowledged — likewise hand-written.
 """
 
 from __future__ import annotations
@@ -60,6 +60,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.dsm.directory import DirEntry, HomeMachine
+from repro.dsm.regioncache import RecallReceiver
+from repro.dsm.transport import Acks
+from repro.memory import RegionCopy
 from repro.spec.table import KEEP, ProtocolTable, TableError, WILDCARD
 
 
@@ -230,8 +234,106 @@ def _resolve_next(state: str, nxt: str) -> str:
 # ----------------------------------------------------------------------
 # invalidation family (MSI / MOESI ownership)
 # ----------------------------------------------------------------------
+class _Wire:
+    """The checker's abstract wire for the shared invalidation machines.
+
+    Data is a version number: a grant carries the home's version, a
+    writeback the copy's.  Sends collect in :attr:`sent` and join the
+    state's sorted network when the step freezes.
+    """
+
+    def __init__(self):
+        self.sent: list = []
+        self.homever = 0
+
+    # -- home side
+    def grant(self, region, src, fut, kind, how):
+        if how == "grant":  # the home task's own access opens
+            msg = ("home_grant", region.home, src, region.rid, _NO_PAYLOAD, kind[0])
+        elif how == "upgrade":
+            msg = ("upgrade_ack", region.home, src, region.rid, _NO_PAYLOAD, "")
+        else:
+            msg = (kind + "_data", region.home, src, region.rid, self.homever, "")
+        self.sent.append(msg)
+
+    def recall(self, region, targets, mode, acks):
+        for t in targets:
+            acks.waiting.append(t)
+            self.sent.append((mode, region.home, t, region.rid, _NO_PAYLOAD, ""))
+
+    def forward(self, region, owner, src, fut):
+        self.sent.append(("fwd_read", region.home, owner, region.rid, src, ""))
+
+    def adopt(self, region, data):
+        self.homever = data
+
+    # -- copy side
+    @staticmethod
+    def snapshot(data):
+        return data
+
+    def acked(self, copy, event, answer, data):
+        ver = _NO_PAYLOAD if data is None else data
+        self.sent.append(("inval_ack", copy.node, copy.region.home, copy.region.rid, ver, event))
+
+    def supplied(self, copy, aux, data):
+        self.sent.append(("supply", copy.node, aux, copy.region.rid, data, ""))
+
+    def unheld(self, nid, rid, copy, event, answer, aux):
+        if event == "fwd_read":
+            raise ModelCheckError(f"fwd_read reached node {nid} without a copy to supply")
+        self.sent.append(("inval_ack", nid, copy.region.home, rid, _NO_PAYLOAD, event))
+
+
+class _Region:
+    __slots__ = ("rid", "home")
+
+    def __init__(self, rid, home):
+        self.rid, self.home = rid, home
+
+
+def _thaw_entry(region, d) -> DirEntry:
+    ent = DirEntry.__new__(DirEntry)
+    ent.region = region
+    ent.owner, sharers, ent.busy, pending, queue, hr, hw, ent.grantee = d
+    ent.home_readers, ent.home_writing = hr, hw
+    ent.sharers = set(sharers)
+    ent.queue = deque([(kind, src, None) for kind, src in queue])
+    if pending is None:
+        ent.pending = None
+    else:
+        kind, src, need = pending
+        acks = Acks()
+        acks.waiting = [None] * need
+        ent.pending = {"kind": kind, "src": src, "fut": None, "acks": acks, "remote": False}
+    return ent
+
+
+def _freeze_entry(ent: DirEntry):
+    p = ent.pending
+    if p is not None:
+        p = (p["kind"], p["src"], len(p["acks"].waiting) if "acks" in p else 1)
+    return (
+        ent.owner,
+        tuple(sorted(ent.sharers)),
+        ent.busy,
+        p,
+        tuple((kind, src) for kind, src, _ in ent.queue),
+        ent.home_readers,
+        ent.home_writing,
+        ent.grantee,
+    )
+
+
 class InvalidationModel:
     """Abstract machine for ``writer_model="copy"`` tables.
+
+    The requester side — access starts, ends and fills — is modeled
+    here; everything the home and a recalled or forwarded copy do is the
+    shipped code: each such step thaws one region into a
+    :class:`~repro.dsm.directory.HomeMachine` or
+    :class:`~repro.dsm.regioncache.RecallReceiver` built from the table,
+    runs it through the abstract :class:`_Wire`, and freezes the result.
 
     State layout (all tuples, fully hashable)::
 
@@ -240,8 +342,8 @@ class InvalidationModel:
         copies[n][r] = (state, version, deferred)   deferred: ((event, aux), ...)
         open_[n]     = None | (kind, rid)           kind: r w wr ww  (w*=waiting)
         ops[n]       = operations remaining
-        dirs[r]      = (owner, sharers, busy, pending, queue, home_readers, home_writing)
-                       pending: None | (kind, src, need)
+        dirs[r]      = (owner, sharers, busy, pending, queue, home_readers,
+                        home_writing, grantee)      pending: None | (kind, src, need)
         latest[r]    = newest committed version, wherever it lives —
                        the freshness oracle a lost writeback cannot fool
         net          = sorted tuple of (type, src, dst, rid, payload, tag)
@@ -250,7 +352,8 @@ class InvalidationModel:
     family = "invalidation"
     invariants = ("single_writer", "no_stale_read", "dir_cache_agreement", "quiescence")
 
-    #: vocabulary this model interprets; anything else in a table is an error
+    #: requester-side vocabulary this model interprets; the message rows
+    #: are the shared machines' to validate
     NODE_ACTIONS = {
         "hit",
         "fetch",
@@ -265,20 +368,6 @@ class InvalidationModel:
         "ack",
         "supply",
     }
-    HOME_ACTIONS = {
-        "enqueue",
-        "recall_invalidate",
-        "recall_downgrade",
-        "forward_read",
-        "grant_shared",
-        "grant_excl",
-        "collect_ack",
-        "serve_pending",
-        "drain_queue",
-        "record_sharer",
-        "accept_flush",
-        "send_meta",
-    }
 
     def __init__(self, table: ProtocolTable, scope: Scope):
         self.table = table
@@ -292,23 +381,15 @@ class InvalidationModel:
         if fr is None or fw is None:
             raise ModelCheckError(f"{table.name}: no fetch row for a start hook")
         self.base = table.base_state
-        # recall modes: node-side message events whose rows may write back
-        self.modes = tuple(
-            ev
-            for ev in table.events("node")
-            if ev not in ("start_read", "end_read", "start_write", "end_write", "barrier")
-            and ev not in ("fwd_read",)
-        )
-        self.dirty = frozenset(
-            t.state for ev in self.modes for t in table.rows("node", ev) if "writeback" in t.actions
-        )
-        # modes whose application leaves the target with a readable copy
-        self.sharer_modes = frozenset(
-            mode
-            for mode in self.modes
-            if any(s in self.read_hit for s in self.table.next_map("node", mode).values())
-        )
         self._check_vocabulary()
+        self.wire = _Wire()
+        try:
+            self.home = HomeMachine(table, self.wire)
+            self.cache = RecallReceiver(table, self.wire, scope.nodes)
+        except TableError as exc:
+            raise ModelCheckError(str(exc)) from None
+        self.dirty = self.cache.dirty_states
+        self.regions = tuple(_Region(r, scope.home(r)) for r in range(scope.regions))
 
     def _check_vocabulary(self) -> None:
         for t in self.table.rows("node"):
@@ -318,13 +399,6 @@ class InvalidationModel:
                 if a not in self.NODE_ACTIONS:
                     raise ModelCheckError(
                         f"{self.table.name}: unknown node action {a!r} for the "
-                        f"invalidation model (row {t.state!r}/{t.event!r})"
-                    )
-        for t in self.table.rows("home"):
-            for a in t.actions:
-                if a not in self.HOME_ACTIONS:
-                    raise ModelCheckError(
-                        f"{self.table.name}: unknown home action {a!r} for the "
                         f"invalidation model (row {t.state!r}/{t.event!r})"
                     )
 
@@ -340,9 +414,55 @@ class InvalidationModel:
         )
         open_ = (None,) * sc.nodes
         ops = (sc.ops,) * sc.nodes
-        dirs = ((None, (), False, None, (), 0, False),) * sc.regions
+        dirs = ((None, (), False, None, (), 0, False, None),) * sc.regions
         homever = (0,) * sc.regions
         return (copies, open_, ops, dirs, homever, (0,) * sc.regions, (), 1)
+
+    # -- the shipped machines, one region at a time -----------------------
+    def _home_step(self, s, r, step, *args):
+        """Run ``step(entry, *args)`` — a home event — on region ``r``."""
+        copies, open_, ops, dirs, homever, latest, net, nextver = s
+        wire = self.wire
+        wire.sent = []
+        wire.homever = homever[r]
+        ent = _thaw_entry(self.regions[r], dirs[r])
+        step(ent, *args)
+        dirs = _set(dirs, r, _freeze_entry(ent))
+        if wire.homever != homever[r]:
+            homever = _set(homever, r, wire.homever)
+        if wire.sent:
+            net = tuple(sorted(net + tuple(wire.sent)))
+        return (copies, open_, ops, dirs, homever, latest, net, nextver)
+
+    def _copy_step(self, s, n, r, step, *args):
+        """Run ``step(copy, *args)`` — a recall or forward receipt — on
+        node ``n``'s copy of region ``r``."""
+        copies, open_, ops, dirs, homever, latest, net, nextver = s
+        st, ver, deferred = copies[n][r]
+        copy = RegionCopy.__new__(RegionCopy)
+        copy.region, copy.node, copy.state, copy.data = self.regions[r], n, st, ver
+        copy.reads = copy.writes = 0
+        if open_[n] is not None and open_[n][0] in ("r", "w") and open_[n][1] == r:
+            copy.reads = 1  # in use: the receiver defers
+        copy.deferred = tuple((event, None, aux) for event, aux in deferred)
+        self.cache.tables[n][r] = copy
+        wire = self.wire
+        wire.sent = []
+        step(copy, *args)
+        frozen = (copy.state, copy.data, tuple((event, aux) for event, _, aux in copy.deferred))
+        copies = _set2(copies, n, r, frozen)
+        if wire.sent:
+            net = tuple(sorted(net + tuple(wire.sent)))
+        return (copies, open_, ops, dirs, homever, latest, net, nextver)
+
+    def _receive(self, copy, event, aux):
+        self.cache.receive(copy.node, copy.region.rid, event, None, aux)
+
+    def _collect_ack(self, ent, mode, target, data):
+        """The fan-out's collector: strike one target, then the ack rows."""
+        if ent.pending is not None:
+            ent.pending["acks"].waiting.pop()
+        self.home.on_inval_ack(ent, mode, target, data)
 
     # -- move generation -------------------------------------------------
     def moves(self, s):
@@ -410,24 +530,11 @@ class InvalidationModel:
                 d[6] = False
             dirs = _set(dirs, r, tuple(d))
             state = (copies, open_, ops, dirs, homever, latest, net, nextver)
-            state = self._drain(state, r)
-        else:
-            state = (copies, open_, ops, dirs, homever, latest, net, nextver)
-            state = self._fire_deferred(state, n, r)
+            return (label, self._home_step(state, r, self.home.drain))
+        state = (copies, open_, ops, dirs, homever, latest, net, nextver)
+        if deferred:
+            state = self._copy_step(state, n, r, self.cache.fire_deferred)
         return (label, state)
-
-    def _fire_deferred(self, s, n, r):
-        copies, open_, ops, dirs, homever, latest, net, nextver = s
-        st, ver, deferred = copies[n][r]
-        while deferred:
-            (event, aux), deferred = deferred[0], deferred[1:]
-            copies = _set2(copies, n, r, (st, ver, deferred))
-            s = self._apply_node_msg(
-                (copies, open_, ops, dirs, homever, latest, net, nextver), n, r, event, aux
-            )
-            copies, open_, ops, dirs, homever, latest, net, nextver = s
-            st, ver, deferred = copies[n][r]
-        return (copies, open_, ops, dirs, homever, latest, net, nextver)
 
     # -- node-side guards -------------------------------------------------
     def _match_node(self, st, event, n, r, dir_):
@@ -437,7 +544,7 @@ class InvalidationModel:
         return None
 
     def _node_guard(self, guard, n, r, dir_):
-        owner, sharers, busy, pending, queue, hr, hw = dir_
+        owner, sharers, busy = dir_[:3]
         home = self.scope.home(r)
         if guard == "home_idle":
             return n == home and owner is None and not busy
@@ -449,198 +556,27 @@ class InvalidationModel:
     def _deliver(self, s, i):
         copies, open_, ops, dirs, homever, latest, net, nextver = s
         msg = net[i]
-        net2 = net[:i] + net[i + 1 :]
-        s2 = (copies, open_, ops, dirs, homever, latest, net2, nextver)
+        s2 = (copies, open_, ops, dirs, homever, latest, net[:i] + net[i + 1 :], nextver)
         mtype, src, dst, r, payload, tag = msg
         label = f"deliver {mtype} {src}->{dst} r{r}"
         if mtype in ("read_req", "write_req"):
-            return (label, self._home_request(s2, "r" if mtype == "read_req" else "w", src, r))
-        if mtype in self.modes or mtype == "fwd_read":
-            cp = s2[0][dst][r]
-            if s2[1][dst] is not None and s2[1][dst][0] in ("r", "w") and s2[1][dst][1] == r:
-                # copy in use: defer until the closing end hook
-                deferred = cp[2] + ((mtype, payload),)
-                return (
-                    label + " (deferred)",
-                    (_set2(s2[0], dst, r, (cp[0], cp[1], deferred)),) + s2[1:],
-                )
-            return (label, self._apply_node_msg(s2, dst, r, mtype, payload))
+            return (label, self._home_step(s2, r, self.home.request, mtype[:-4], src, None))
         if mtype == "inval_ack":
-            return (label, self._home_inval_ack(s2, src, r, payload, tag))
+            data = None if payload == _NO_PAYLOAD else payload
+            return (label, self._home_step(s2, r, self._collect_ack, tag, src, data))
+        if mtype == "grant_ack":
+            return (label, self._home_step(s2, r, self.home.on_grant_ack, src))
+        if mtype in self.cache._rows:  # a recall or forward reaches a copy
+            o = open_[dst]
+            if o is not None and o[0] in ("r", "w") and o[1] == r:
+                label += " (deferred)"
+            return (label, self._copy_step(s2, dst, r, self._receive, mtype, payload))
         if mtype in ("read_data", "write_data", "upgrade_ack", "supply"):
             return (label, self._node_fill(s2, dst, r, mtype, payload))
-        if mtype == "grant_ack":
-            return (label, self._home_unbusy(s2, r))
         if mtype == "home_grant":
             # the home task's own admitted access opens
             return (label, (s2[0], _set(s2[1], dst, (tag, r))) + s2[2:])
         raise ModelCheckError(f"{self.table.name}: unroutable message {mtype!r}")
-
-    # node receives a recall / forward message
-    def _apply_node_msg(self, s, n, r, event, aux):
-        copies, open_, ops, dirs, homever, latest, net, nextver = s
-        st, ver, deferred = copies[n][r]
-        rows = self.table.lookup("node", st, event)
-        if not rows:
-            return s  # mutated table: message silently dropped (ack never sent)
-        row = rows[0]
-        home = self.scope.home(r)
-        wb = "writeback" in row.actions
-        if "ack" in row.actions:
-            net = _add(net, ("inval_ack", n, home, r, ver if wb else _NO_PAYLOAD, event))
-        if "supply" in row.actions:
-            # cache-to-cache transfer: the owner answers the forwarded
-            # reader directly; the home's busy window closes when the
-            # reader's grant_ack arrives (like any other grant).
-            net = _add(net, ("supply", n, aux, r, ver, ""))
-        copies = _set2(copies, n, r, (_resolve_next(st, row.next), ver, deferred))
-        return (copies, open_, ops, dirs, homever, latest, net, nextver)
-
-    # home receives a read/write request (or retries one off the queue)
-    def _home_request(self, s, kind, src, r, queued=False):
-        copies, open_, ops, dirs, homever, latest, net, nextver = s
-        owner, sharers, busy, pending, queue, hr, hw = dirs[r]
-        event = "read_req" if kind == "r" else "write_req"
-        home = self.scope.home(r)
-        hstate = "busy" if busy else "idle"
-        row = None
-        for t in self.table.lookup("home", hstate, event):
-            if t.guard is None or self._home_guard(t.guard, src, r, dirs[r], s):
-                row = t
-                break
-        if row is None or "enqueue" in row.actions:
-            if queued:
-                return None  # caller keeps it at the queue head
-            queue = queue + ((kind, src),)
-            return (copies, open_, ops, _set(dirs, r, (owner, sharers, busy, pending, queue, hr, hw)), homever, latest, net, nextver)
-        return self._run_home_row(s, row, kind, src, r)
-
-    def _run_home_row(self, s, row, kind, src, r):
-        copies, open_, ops, dirs, homever, latest, net, nextver = s
-        owner, sharers, busy, pending, queue, hr, hw = dirs[r]
-        home = self.scope.home(r)
-        busy2 = _resolve_next("busy" if busy else "idle", row.next) == "busy"
-        for a in row.actions:
-            if a.startswith("recall_"):
-                mode = a[len("recall_"):]
-                if mode not in self.modes:
-                    raise ModelCheckError(f"{self.table.name}: recall mode {mode!r} has no node rows")
-                targets = []
-                if owner is not None and owner != src:
-                    targets.append(owner)
-                if kind == "w":
-                    targets += [x for x in sharers if x != src and x not in targets]
-                pending = (kind, src, len(targets))
-                for t in targets:
-                    net = _add(net, (mode, home, t, r, _NO_PAYLOAD, ""))
-                busy = busy2
-            elif a == "forward_read":
-                pending = ("f", src, 1)
-                net = _add(net, ("fwd_read", home, owner, r, src, ""))
-                busy = busy2
-            elif a == "grant_shared":
-                if src == home:
-                    hr += 1
-                    net = _add(net, ("home_grant", home, home, r, _NO_PAYLOAD, "r"))
-                else:
-                    sharers = tuple(sorted(set(sharers) | {src}))
-                    busy = busy2
-                    net = _add(net, ("read_data", home, src, r, homever[r], ""))
-            elif a == "grant_excl":
-                if src == home:
-                    hw = True
-                    net = _add(net, ("home_grant", home, home, r, _NO_PAYLOAD, "w"))
-                else:
-                    # an upgrading sharer — or an owner self-upgrading
-                    # from an owned state — keeps its (current) data;
-                    # shipping home data would hand it a stale base.
-                    had = src == owner or src in sharers
-                    sharers = tuple(x for x in sharers if x != src)
-                    owner = src
-                    busy = busy2
-                    if had:
-                        net = _add(net, ("upgrade_ack", home, src, r, _NO_PAYLOAD, ""))
-                    else:
-                        net = _add(net, ("write_data", home, src, r, homever[r], ""))
-        dirs = _set(dirs, r, (owner, sharers, busy, pending, queue, hr, hw))
-        out = (copies, open_, ops, dirs, homever, latest, net, nextver)
-        if not busy:
-            out = self._drain(out, r)
-        return out
-
-    def _home_guard(self, guard, src, r, dir_, s):
-        owner, sharers, busy, pending, queue, hr, hw = dir_
-        home = self.scope.home(r)
-        if guard == "home_writing":
-            return hw and src != home
-        if guard == "home_open":
-            return (hw or hr > 0) and src != home
-        if guard == "owned_elsewhere":
-            return owner is not None and owner != src
-        if guard == "copies_elsewhere":
-            return (owner is not None and owner != src) or any(x != src for x in sharers)
-        if guard == "acks_remaining":
-            return pending is not None and pending[2] > 1
-        raise ModelCheckError(f"{self.table.name}: unknown home guard {guard!r}")
-
-    def _home_inval_ack(self, s, target, r, payload, mode):
-        copies, open_, ops, dirs, homever, latest, net, nextver = s
-        owner, sharers, busy, pending, queue, hr, hw = dirs[r]
-        if payload != _NO_PAYLOAD:
-            homever = _set(homever, r, payload)
-        if owner == target:
-            owner = None
-        sharers = tuple(x for x in sharers if x != target)
-        if mode in self.sharer_modes:
-            sharers = tuple(sorted(set(sharers) | {target}))
-        if pending is None:
-            return (copies, open_, ops, _set(dirs, r, (owner, sharers, busy, pending, queue, hr, hw)), homever, latest, net, nextver)
-        kind, src, need = pending
-        need -= 1
-        if need > 0:
-            pending = (kind, src, need)
-            dirs = _set(dirs, r, (owner, sharers, busy, pending, queue, hr, hw))
-            return (copies, open_, ops, dirs, homever, latest, net, nextver)
-        busy = False
-        pending = None
-        dirs = _set(dirs, r, (owner, sharers, busy, pending, queue, hr, hw))
-        s = (copies, open_, ops, dirs, homever, latest, net, nextver)
-        # the stalled request is served with the grant row of its event
-        row = self._grant_row("read_req" if kind == "r" else "write_req")
-        return self._run_home_row(s, row, kind, src, r)
-
-    def _grant_row(self, event):
-        for t in self.table.rows("home", event):
-            if any(a.startswith("grant_") for a in t.actions):
-                return t
-        raise ModelCheckError(f"{self.table.name}: no grant row for {event!r}")
-
-    def _home_unbusy(self, s, r):
-        copies, open_, ops, dirs, homever, latest, net, nextver = s
-        owner, sharers, busy, pending, queue, hr, hw = dirs[r]
-        if pending is not None and pending[0] == "f":
-            # a forwarded read completed: the requester installed the
-            # owner's supplied copy and is now a sharer (record_sharer)
-            req = pending[1]
-            if req != self.scope.home(r):
-                sharers = tuple(sorted(set(sharers) | {req}))
-        dirs = _set(dirs, r, (owner, sharers, False, None, queue, hr, hw))
-        return self._drain((copies, open_, ops, dirs, homever, latest, net, nextver), r)
-
-    def _drain(self, s, r):
-        while True:
-            copies, open_, ops, dirs, homever, latest, net, nextver = s
-            owner, sharers, busy, pending, queue, hr, hw = dirs[r]
-            if busy or not queue:
-                return s
-            (kind, src), rest = queue[0], queue[1:]
-            dirs = _set(dirs, r, (owner, sharers, busy, pending, rest, hr, hw))
-            served = self._home_request(
-                (copies, open_, ops, dirs, homever, latest, net, nextver), kind, src, r, queued=True
-            )
-            if served is None:
-                return s  # head not admissible yet; leave the queue intact
-            s = served
 
     # node receives grant / supplied data
     def _node_fill(self, s, n, r, mtype, payload):
@@ -650,13 +586,11 @@ class InvalidationModel:
         if mtype == "supply" and n == home:
             # supplying the home *is* a write-back: canonical storage
             # takes the owner's version and the home's own read opens
-            # against it; the home's alias copy keeps its state.
-            d = list(dirs[r])
-            d[5] += 1
-            dirs2 = _set(dirs, r, tuple(d))
+            # against it (the grant ack records it in home_readers); the
+            # home's alias copy keeps its state.
             homever2 = _set(homever, r, payload)
             net2 = _add(net, ("grant_ack", n, home, r, _NO_PAYLOAD, ""))
-            return (copies, _set(s[1], n, ("r", r)), ops, dirs2, homever2, latest, net2, nextver)
+            return (copies, _set(s[1], n, ("r", r)), ops, dirs, homever2, latest, net2, nextver)
         if mtype in ("read_data", "supply"):
             st2 = _resolve_next(st, _fetch_row(self.table, "start_read").next)
             kind = "r"
@@ -706,7 +640,7 @@ class InvalidationModel:
 
     def _agreement(self, s, r):
         copies, open_, ops, dirs, homever, latest, net, nextver = s
-        owner, sharers, busy, pending, queue, hr, hw = dirs[r]
+        owner, sharers, busy, pending, queue, hr, hw, grantee = dirs[r]
         if busy or pending is not None or any(m[3] == r for m in net):
             return None  # transient; judged only at rest
         home = self.scope.home(r)
@@ -750,7 +684,7 @@ class InvalidationModel:
             if ops[n] > 0:
                 return ("quiescence", f"node {n} deadlocked with {ops[n]} op(s) left")
         for r in range(self.scope.regions):
-            owner, sharers, busy, pending, queue, hr, hw = dirs[r]
+            owner, sharers, busy, pending, queue, hr, hw, grantee = dirs[r]
             if busy or pending is not None or queue:
                 return ("quiescence", f"region {r} directory stuck (busy={busy}, queue={len(queue)})")
         return None

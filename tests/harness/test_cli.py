@@ -51,6 +51,7 @@ INVOCATIONS = [
     ("serve --protocol StaticUpdate", 2),  # not a serving candidate
     ("modelcheck --check", 0),
     ("modelcheck SC SelfInvalidate DynamicUpdate --seeded", 0),
+    ("modelcheck SC HwSC --nodes 2 --seeded", 0),
     ("modelcheck Owned --nodes 2 --seeded", 0),
     ("modelcheck StaticUpdate", 2),  # no checker model
     ("docs --check", 0),

@@ -36,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.protocols
-from repro.dsm.faults import FaultPlan, LinkFaults
+from repro.dsm.faults import FaultPlan, LinkFaults, StallError
 from repro.facade import run_spmd
 from repro.protocols.registry import default_registry
 
@@ -152,3 +152,30 @@ def test_switch_mid_stream_survives_lossy_fabric(protocol, seed, drop, dup):
         backend="ace", n_procs=N_PROCS, fault_plan=plan,
     )
     _check(res, protocol)
+
+
+#: Owned -> SC switches the sweep above has been seen to stall: the SC
+#: partner's directory never answers a retried request (``write_req``)
+#: or acknowledges a grant ack.  Each stalls in milliseconds; pinned with
+#: the stall's cycle and category so a directory change that moves either
+#: outcome — fixed, or stalling elsewhere — shows here.
+KNOWN_LOSSY_STALLS = [
+    pytest.param(200, 0.265625, 0.125, 975_627, "ace.sc.write_req ", id="seed200"),
+    pytest.param(49, 0.265625, 0.09375, 898_559, "ace.sc.grant_ack ", id="seed49"),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=StallError, reason="known Owned->SC lossy stall")
+@pytest.mark.parametrize("seed,drop,dup,cycle,category", KNOWN_LOSSY_STALLS)
+def test_owned_switch_known_lossy_stall(seed, drop, dup, cycle, category):
+    boxes: dict = {}
+    plan = FaultPlan(seed=seed, default=LinkFaults(drop=drop, dup=dup))
+    try:
+        res = run_spmd(
+            _switch_under_load_program("Owned", boxes),
+            backend="ace", n_procs=N_PROCS, fault_plan=plan,
+        )
+    except StallError as exc:
+        assert (exc.report.now, exc.report.reason[: len(category)]) == (cycle, category)
+        raise
+    _check(res, "Owned")
