@@ -15,7 +15,8 @@ certificates and are shown only while the certificate's table
 fingerprint still matches the table as it exists today.  ``--check``
 fails if either block is stale, and rewrites nothing.  Either way it
 fails if either document names, in backticks, a ``Class.attr`` whose
-attribute no code under ``src/repro`` defines.
+attribute no code under ``src/repro`` defines, or a bare CamelCase name
+that nothing there, no registered protocol, builtin or ``typing`` defines.
 
 Without ``--check`` it also regenerates EXPERIMENTS.md from live
 harness runs.  Cycle tables come from fresh in-process runs
@@ -28,8 +29,10 @@ with the repo.
 from __future__ import annotations
 
 import ast
+import builtins
 import json
 import re
+import typing
 from functools import cache
 from pathlib import Path
 
@@ -167,11 +170,16 @@ def _definitions() -> tuple[frozenset, frozenset]:
 
 def dangling_names(text: str) -> list[str]:
     """Each backticked ``Class.attr`` in ``text`` whose class is defined in
-    this package and whose attribute is defined nowhere in it."""
+    this package and whose attribute is defined nowhere in it, and each
+    backticked bare CamelCase name that nothing here defines: no class,
+    def or binding in this package, no registered protocol, no builtin
+    and no ``typing`` name."""
     classes, names = _definitions()
     spans = re.findall(r"`([^`\n]+)`", text)
     pairs = [p for span in spans for p in re.findall(r"\b([A-Z]\w*)\.(\w+)", span)]
-    return [f"{cls}.{attr}" for cls, attr in pairs if cls in classes and attr not in names]
+    known = names | set(default_registry.names()) | set(dir(builtins)) | set(dir(typing))
+    bare = [s for s in spans if re.fullmatch(r"[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*", s) and s not in known]
+    return [f"{cls}.{attr}" for cls, attr in pairs if cls in classes and attr not in names] + bare
 
 
 # ---------------------------------------------------------------- EXPERIMENTS.md

@@ -169,10 +169,11 @@ class HomeMachine:
     #: defaults: without recovery the probes are constant-false.
     wire_calls = remote_self = frozenset()
 
-    def __init__(self, table, wire, regions=None, n_shards: int = 1):
+    def __init__(self, table, wire, regions=None, n_shards: int = 1, prefix: str = ""):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self.wire = wire
+        self.prefix = prefix  # its wire's category prefix, named in stall reports
         self.regions = regions
         self.n_shards = n_shards
         self._shards: tuple[dict[int, DirEntry], ...] = tuple({} for _ in range(n_shards))
@@ -399,6 +400,45 @@ class HomeMachine:
             ent.owner = None
         ent.sharers.discard(src)
 
+    # ------------------------------------------------------------------
+    # introspection (liveness watchdog / StallReport)
+    # ------------------------------------------------------------------
+    def dump_state(self) -> list:
+        """Non-quiescent directory entries, as JSON-friendly dicts.
+
+        An entry is interesting to a stall report when it is busy, has
+        queued requests, or is mid-recall or mid-forward — idle entries
+        (the vast majority) are omitted.  A recall reports the acks it
+        awaits; a forward, its reader and whether that read is remote.
+        """
+        out = []
+        for rid, ent in self.entries():
+            pending = ent.pending
+            if not (ent.busy or ent.queue or pending is not None):
+                continue
+            if pending is not None:
+                if pending["kind"] == "fwd":  # waits on its reader's grant ack
+                    waits = {"remote": pending["remote"]}
+                else:  # waits on its recall's acks
+                    waits = {"awaiting_acks": len(pending["acks"].waiting)}
+                pending = {"kind": pending["kind"], "src": pending["src"], **waits}
+            out.append(
+                {
+                    "prefix": self.prefix,
+                    "rid": rid,
+                    "home": ent.region.home,
+                    "busy": ent.busy,
+                    "owner": ent.owner,
+                    "grantee": ent.grantee,
+                    "sharers": sorted(ent.sharers),
+                    "home_readers": ent.home_readers,
+                    "home_writing": ent.home_writing,
+                    "queued": [(kind, src) for kind, src, _ in ent.queue],
+                    "pending": pending,
+                }
+            )
+        return out
+
 
 class DirectoryService(HomeMachine):
     """The coherence engine's home: its port, its handlers, and its wire.
@@ -420,10 +460,9 @@ class DirectoryService(HomeMachine):
         n_shards: int = 1,
         table=None,
     ):
-        super().__init__(table if table is not None else MSI_TABLE, self, regions, n_shards)
+        super().__init__(table if table is not None else MSI_TABLE, self, regions, n_shards, prefix)
         self.transport = transport
         self.costs = costs
-        self.prefix = prefix
         # Stat keys and message categories are interned once here so the
         # handlers never build an f-string (see machine.stats).
         self._counts = transport.stats.counter_ref()
@@ -451,7 +490,7 @@ class DirectoryService(HomeMachine):
         self._h_grant_ack = port.hears(self._on_grant_ack, intern_key(prefix, "grant_ack_ack"))
         # Node-side invalidation handler; see wire_cache.
         self._h_inval_req = None
-        ops = ("read_req", "write_req", "flush", "inval", "map_lookup")
+        ops = ("read_req", "write_req", "flush", "inval", "map_lookup", "grant_ack")
         port.watch(tuple(intern_key(prefix, op) for op in ops), self)
 
     def enable_recovery(self, manager) -> None:
@@ -527,40 +566,3 @@ class DirectoryService(HomeMachine):
     @staticmethod
     def adopt(region, data) -> None:
         np.copyto(region.home_data, data)
-
-    # ------------------------------------------------------------------
-    # introspection (liveness watchdog / StallReport)
-    # ------------------------------------------------------------------
-    def dump_state(self) -> list:
-        """Non-quiescent directory entries, as JSON-friendly dicts.
-
-        An entry is interesting to a stall report when it is busy, has
-        queued requests, or is mid-recall — idle entries (the vast
-        majority) are omitted.
-        """
-        out = []
-        for rid, ent in self.entries():
-            if not (ent.busy or ent.queue or ent.pending is not None):
-                continue
-            pending = None
-            if ent.pending is not None:
-                pending = {
-                    "kind": ent.pending["kind"],
-                    "src": ent.pending["src"],
-                    "awaiting_acks": len(ent.pending["acks"].waiting),
-                }
-            out.append(
-                {
-                    "prefix": self.prefix,
-                    "rid": rid,
-                    "home": ent.region.home,
-                    "busy": ent.busy,
-                    "owner": ent.owner,
-                    "sharers": sorted(ent.sharers),
-                    "home_readers": ent.home_readers,
-                    "home_writing": ent.home_writing,
-                    "queued": [(kind, src) for kind, src, _ in ent.queue],
-                    "pending": pending,
-                }
-            )
-        return out

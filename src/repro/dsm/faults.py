@@ -625,7 +625,7 @@ class FaultTransport(Transport):
     def _post(self, src, dst, handler, args, payload_words, category) -> None:
         # The injection instant stays an event of its own (the plan reads
         # ``now`` there), pushed the way Machine._deliver pushes an arrival.
-        fn = partial(self._send, src, dst, handler, args, payload_words, category, self._cause())
+        fn = (self._send, src, dst, (handler, args, payload_words, category, self._cause()))
         sim = self.sim
         when = sim.now + self._send_overhead
         if sim._jitter is None:
@@ -687,9 +687,7 @@ class FaultTransport(Transport):
             if extra:
                 if parent is None:  # a task-context send: read before the copy waits
                     parent = self._cause()
-                self.sim.schedule(
-                    extra, partial(inject, src, dst, handler, args, payload_words, category, parent)
-                )
+                self.sim.schedule(extra, (inject, src, dst, (handler, args, payload_words, category, parent)))
             else:
                 inject(src, dst, handler, args, payload_words, category, parent)
 
@@ -1071,7 +1069,7 @@ class RetryPort(Port):
         def ack(key, fut, value=None, payload_words=1, delay=0):
             acked[key] = (value, payload_words)
             if delay:  # the ack is sent now, in this context, and leaves later
-                after(delay, partial(reply_from, cause(), fut, value, payload_words, ack_category))
+                after(delay, (reply_from, cause(), fut, (value, payload_words, ack_category)))
             else:
                 reply(fut, value, payload_words=payload_words, category=ack_category)
 

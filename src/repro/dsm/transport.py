@@ -222,7 +222,7 @@ class Port:
 
             def send(fut, value=None, payload_words=1, delay=0):
                 if delay:
-                    after(delay, partial(reply, fut, value, payload_words=payload_words, category=ack_category))
+                    after(delay, (reply, fut, value, (payload_words, ack_category)))
                 else:
                     reply(fut, value, payload_words=payload_words, category=ack_category)
 

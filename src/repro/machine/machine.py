@@ -35,6 +35,8 @@ from repro.machine.stats import Stats, intern_key
 from repro.sim import Delay, Future, SimulationError, Simulator
 from repro.sim.kernel import _DELAY_POOL as _POOL, _DELAY_POOL_SIZE as _POOL_SIZE
 
+_resolve = Future.resolve
+
 
 class Node:
     """One processing node.  Layers stash per-node state in attributes."""
@@ -66,12 +68,14 @@ class Machine:
         :class:`~repro.obs.wire.TracedTransport` ``as_transport`` wraps it in.
 
     An untraced machine is its own :class:`~repro.dsm.transport.Transport`
-    (exactly-once, like CMAML).  An arrival is the handler call itself:
-    the queue entry is ``partial(handler, node, src, *args)``.  A message
-    is counted at injection on the :class:`~repro.machine.stats.Route` of
-    its (handler, category) pair, built at the first such send.  A handler
-    that must block is a generator function; its arrival spawns it as the
-    task ``handler@<nid>``.
+    (exactly-once, like CMAML).  A message is an Active Message: its queue
+    entry is the tuple ``(call, node, src, args)`` and its arrival the call
+    ``call(node, src, *args)``; a reply's is ``(resolve, fut, value, ())``.
+    A message is counted at injection on the
+    :class:`~repro.machine.stats.Route` of its (handler, category) pair,
+    built at the first such send and found by its handler.  A handler that
+    must block is a generator function; its arrival spawns it as the task
+    ``handler@<nid>``.
     """
 
     HW_BARRIER_COST = 170  # ~5us on a 33MHz node: CM-5 control network barrier
@@ -87,10 +91,11 @@ class Machine:
         self._barrier_gen = 0
         self._barrier_fut = Future(name="hw_barrier:0")
         # Hot-path caches: one route per (handler, category) — per category
-        # for replies — and one future name per rpc category, so no key is
-        # built per message; the fixed parts of the message-cost formula
-        # are hoisted out of the dataclass.
+        # for replies — fronted by each handler's first route, so a send
+        # builds no key; one future name per rpc category; the fixed parts
+        # of the message-cost formula, hoisted out of the dataclass.
         self._routes: dict = {}
+        self._handler_routes: dict = {}
         self._rpc_names: dict = {}
         self._recv_base = self.config.network_latency + self.config.am_receive_overhead
         self._reply_base = self.config.am_send_overhead + self._recv_base
@@ -157,13 +162,15 @@ class Machine:
     def _deliver(self, src, dst, handler, args, payload_words, category, sender_cycles=0) -> None:
         if not (0 <= dst < self._n_nodes):
             raise ValueError(f"bad destination node {dst}")
-        route = self._routes.get((handler, category)) or self._route(handler, category)
+        route = self._handler_routes.get(handler)
+        if route is None or route.category is not category:
+            route = self._routes.get((handler, category)) or self._route(handler, category)
         route.n += 1
         route.words += payload_words
         delay = sender_cycles + self._recv_base + self._per_word * payload_words
-        # The arrival event is the handler call itself, a C-level partial:
-        # no runtime frame sits between the queue entry and the handler.
-        fn = partial(route.call, self.nodes[dst], src, *args)
+        # The arrival event is the handler call itself: the run loop calls
+        # the entry as route.call(node, src, *args), with no frame between.
+        fn = (route.call, self.nodes[dst], src, args)
         # Simulator.schedule(delay, fn), inlined — delivery is the hottest
         # scheduling site outside the kernel itself.
         sim = self.sim
@@ -186,6 +193,7 @@ class Machine:
         else:
             call, name = self._handler_call(handler)
             route = self._routes[(handler, category)] = self.stats.route(category, name, call)
+            self._handler_routes.setdefault(handler, route)
         return route
 
     def _handler_call(self, handler) -> tuple:
@@ -229,7 +237,7 @@ class Machine:
         route.n += 1
         route.words += payload_words
         delay = self._reply_base + self._per_word * payload_words
-        fn = fut.resolve if value is None else partial(fut.resolve, value)
+        fn = (_resolve, fut, value, ())
         # Simulator.schedule(delay, fn), inlined.
         sim = self.sim
         when = sim.now + delay
@@ -259,7 +267,7 @@ class Machine:
         route = self._routes.get(category) or self._route(None, category)
         route.n += 1
         route.words += payload_words
-        fn = partial(resolve, fut, value)
+        fn = (resolve, fut, value, ())
         sim = self.sim
         when = sim.now + extra + self._reply_base + self._per_word * payload_words
         if sim._jitter is None:

@@ -40,12 +40,13 @@ class Counts(dict):
 class Route:
     """One message kind's counts since the last fold: ``n`` messages of
     ``words`` payload words in all, each counted under ``keys``.  ``call``
-    is the arrival callable of a handler's route (None on a reply's)."""
+    is the arrival callable of a handler's route (None on a reply's);
+    ``category`` is the message category it counts."""
 
-    __slots__ = ("call", "n", "words", "keys")
+    __slots__ = ("call", "n", "words", "keys", "category")
 
-    def __init__(self, call, keys: tuple):
-        self.call, self.n, self.words, self.keys = call, 0, 0, keys
+    def __init__(self, call, keys: tuple, category: str):
+        self.call, self.n, self.words, self.keys, self.category = call, 0, 0, keys, category
 
 
 class PhaseScopeError(ValueError):
@@ -137,7 +138,8 @@ class Stats:
         """A new :class:`Route` for messages of ``category`` to the handler
         named ``handler`` (None: replies, which count no ``handler.*``)."""
         named = () if handler is None else (intern_key("handler", handler),)
-        self._routes.append(route := Route(call, (intern_key("msg", category), *named, "msg.total")))
+        keys = (intern_key("msg", category), *named, "msg.total")
+        self._routes.append(route := Route(call, keys, category))
         return route
 
     def _fold(self) -> None:

@@ -34,8 +34,6 @@ logical send carries the parent :meth:`TracedTransport.cause` gave then.
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.dsm.transport import Transport
 from repro.sim import Delay, Future
 
@@ -72,7 +70,7 @@ class TracedTransport(Transport):
         context (task step or handler receive), or -1.
 
         The ts guard rejects stale contexts: a dispatch that set no
-        context of its own (a bare scheduled partial) inherits one only
+        context of its own (a bare scheduled call) inherits one only
         within the same cycle, where the resulting zero-weight edge is
         harmless.
         """
@@ -129,8 +127,8 @@ class TracedTransport(Transport):
             buf = self.tracer
             parent = buf.ctx_eid if buf.ctx_ts == now else -1
         eid = self._emit(now, "msg.send/reply", -1, parent, category, payload_words)
-        land = partial(_land, self, eid, category, resolve)
-        self._reply(land, fut, value, payload_words, category, extra, parent)
+        landing = (self, eid, category, resolve, value)
+        self._reply(_land, fut, landing, payload_words, category, extra, parent)
 
     # -- Transport operations -------------------------------------------
     def request(self, src, dst, handler, *args, payload_words=0, category="am.request"):
@@ -144,15 +142,14 @@ class TracedTransport(Transport):
         # The deferral, then the injection: two events before the arrival,
         # which lands on the plain machine's defer_post cycle.
         self.sim.schedule(
-            delay, partial(self._post, self.cause(), src, dst, handler, args, payload_words, category)
+            delay, (self._post, self.cause(), src, (dst, handler, args, payload_words, category))
         )
 
     def _post(self, parent, src, dst, handler, args, payload_words, category) -> None:
         # Injected after the send overhead; the causal parent was captured
         # at the post, since by then the sending dispatch is gone.
         self.sim.schedule(
-            self._send_overhead,
-            partial(self.inject, src, dst, handler, args, payload_words, category, parent),
+            self._send_overhead, (self.inject, src, dst, (handler, args, payload_words, category, parent))
         )
 
     def rpc(self, src, dst, handler, *args, payload_words=0, category="am.rpc", lead=0):
@@ -179,14 +176,16 @@ class TracedTransport(Transport):
         self.inject_reply(Future.resolve, fut, value, payload_words, category)
 
 
-def _land(wire, send_eid, category, resolve, fut, value) -> None:
+def _land(fut, landing) -> None:
     """A traced reply's arrival: ``msg.recv/reply``, then ``resolve(fut, value)``.
 
-    The receive stamps the future (the task.step its resolve wakes parents
-    to it, carrying the critical path across the wire) and is the dispatch
-    context of the callbacks the resolve runs.  A module function: a
-    reply's landing is one partial, with no bound method in it.
+    ``landing`` is ``(wire, send_eid, category, resolve, value)``, carried
+    in the reply's value slot.  The receive stamps the future (the task.step
+    its resolve wakes parents to it, carrying the critical path across the
+    wire) and is the dispatch context of the callbacks the resolve runs.  A
+    module function: a reply's landing binds no method.
     """
+    wire, send_eid, category, resolve, value = landing
     now = wire.sim.now
     eid = fut._obs_eid = wire._emit(now, "msg.recv/reply", -1, send_eid, category, fut.name)
     buf = wire.tracer

@@ -242,7 +242,7 @@ class OwnedProtocol(TableProtocol):
 
     def __init__(self, runtime, space):
         super().__init__(runtime, space)
-        self.home = HomeMachine(self.table, self, self.regions)
+        self.home = HomeMachine(self.table, self, self.regions, prefix="proto.Owned")
         self.cache = RecallReceiver(self.table, self, self.transport.n_procs)
         port = self.port = self.transport.port("proto.Owned")
         self._rpc = port.call
@@ -255,6 +255,8 @@ class OwnedProtocol(TableProtocol):
         self._h_invalidate = port.answers(self._on_invalidate, "proto.Owned.inval_ack")
         self._h_fwd_read = port.answers(self._on_fwd_read, "proto.Owned.fwd_ack")
         self._h_fwd_miss = port.answers(self._on_fwd_miss, "proto.Owned.fwd_miss_ack")
+        ops = ("read_req", "write_req", "flush", "invalidate", "fwd_read", "fwd_miss", "grant_ack")
+        port.watch(tuple("proto.Owned." + op for op in ops), self.home)
         # A home's own fetch is a call in place where no reply can be lost
         # (and under recovery).  On a plain lossy fabric it rides the wire
         # to itself: its grant may be a remote owner's supply, which must

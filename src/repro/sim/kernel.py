@@ -28,8 +28,11 @@ requires (see DESIGN.md §6 for the full story):
   recognises it (``fn.__class__ is Task``) and advances the generator
   in place — wait-value unpacking, ``send``/``throw``, the
   ``Delay``/``Future`` dispatch, re-scheduling — so a task event costs
-  no Python frame beyond the generator's own.  Anything else in an
-  entry is a plain callable and is called.  Whether the run is fuzzed
+  no Python frame beyond the generator's own.  A message is the tuple
+  ``(call, a, b, args)``, an Active Message: its arrival is
+  ``call(a, b, *args)``, one tuple where a ``functools.partial`` would
+  be three allocations.  Anything else in an entry is a plain callable
+  and is called.  Whether the run is fuzzed
   (``jitter_seed``), traced (``tracer=`` / ``trace=``) or bounded
   (``until=``) is decided once per ``run()`` and held in locals; there
   is one loop and one copy of the step for every mode.
@@ -261,7 +264,8 @@ class Simulator:
         self.now: int = 0
         self.events: int = 0  # events executed (queue entries + inline steps)
         # The calendar: cycle -> bucket of that cycle's entries, each a
-        # Task to step, a Timer or a callable to call.  A canonical
+        # Task to step, a Timer, a message (call, a, b, args) to call as
+        # call(a, b, *args), or a callable to call.  A canonical
         # bucket is a FIFO list; a fuzzed one a heap of (tie, seq, fn).
         # _times heaps the cycles that have a bucket, except the one
         # run() is draining.
@@ -285,7 +289,8 @@ class Simulator:
 
     # -- low-level event interface -------------------------------------
     def schedule(self, delay: int, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` after ``delay`` cycles (0 means "later this cycle")."""
+        """Run ``fn()`` after ``delay`` cycles (0 means "later this cycle");
+        a message entry ``(call, a, b, args)`` runs as ``call(a, b, *args)``."""
         if delay < 0:
             raise SimulationError(f"negative schedule delay: {delay}")
         self._push(self.now + delay, fn)
@@ -498,6 +503,11 @@ class Simulator:
                     pos = 1
                 cls = fn.__class__
                 if cls is not Task:
+                    if cls is tuple:  # a message: its arrival is the handler call
+                        fired += 1
+                        call, a, b, args = fn
+                        call(a, b, *args)
+                        continue
                     if cls is timer_cls:
                         fn = fn.fn  # its callback: a plain callable
                         if fn is None:  # cancelled: as if never scheduled

@@ -338,6 +338,49 @@ def test_dead_link_raises_stall_report():
     assert f"next retry due at cycle {report.now}" in report.summary()
 
 
+def test_owned_stall_reports_its_forwarding_entry():
+    """Owned's home registers with the watchdog: a read forwarded to the
+    owner over a link that died after the owner's write stalls with its
+    calls naming the region and the home's entry listed as a forward
+    window, by its reader."""
+    shared = {}
+
+    def prog(ctx):
+        sid = yield from ctx.new_space("Owned")
+        if ctx.nid == 0:
+            shared["rid"] = yield from ctx.gmalloc(sid, 2)
+        yield from ctx.barrier()
+        h = yield from ctx.map(shared["rid"])
+        if ctx.nid == 1:  # node 1 owns the region dirty ...
+            yield from ctx.start_write(h)
+            h.data[:] = 1.0
+            yield from ctx.end_write(h)
+        yield from ctx.barrier()
+        if ctx.nid == 2:  # ... when home 0 forwards node 2's read to it
+            yield Delay(100_000)
+            yield from ctx.start_read(h)
+            yield from ctx.end_read(h)
+        yield from ctx.barrier()
+
+    plan = FaultPlan.none()
+    plan.link_down[(0, 1)] = 50_000
+    with pytest.raises(StallError) as exc:
+        run_spmd(prog, n_procs=3, fault_plan=plan)
+    report = exc.value.report
+    rid = shared["rid"]
+    assert {(c["category"], c["region"]) for c in report.in_flight} == {
+        ("proto.Owned.read_req", rid),
+        ("proto.Owned.fwd_read", rid),
+    }
+    [ent] = report.directory
+    assert (ent["prefix"], ent["rid"], ent["home"], ent["busy"], ent["owner"]) == (
+        "proto.Owned", rid, 0, True, 1
+    )
+    assert ent["pending"] == {"kind": "fwd", "src": 2, "remote": False}
+    assert f"directory[proto.Owned]: region {rid} home 0" in report.summary()
+    assert json.loads(report.to_json())["directory"][0]["pending"]["src"] == 2
+
+
 def test_crashed_node_stalls_survivors_with_report():
     plan = FaultPlan.none()
     plan.crashes[2] = 0  # node 2 never sends or receives a message

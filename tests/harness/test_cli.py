@@ -91,6 +91,27 @@ def test_docs_check_fails_on_a_dangling_name(tmp_path, monkeypatch, capsys):
     assert "DANGLING: DESIGN.md: `Machine._msg_keys`" in out and "Stats.get" not in out
 
 
+def test_docs_check_fails_on_a_bare_name_nothing_defines(tmp_path, monkeypatch, capsys):
+    """A backticked bare CamelCase name fails ``docs --check`` unless a
+    class or def under ``src/repro``, a registered protocol, a builtin
+    or a ``typing`` name defines it."""
+    from repro.cli import docs
+
+    for name in ("README.md", "DESIGN.md"):
+        (tmp_path / name).write_text((ROOT / name).read_text())
+    monkeypatch.setattr(docs, "ROOT", tmp_path)
+    with (tmp_path / "README.md").open("a") as f:
+        f.write("\n`TracedTransport` over `Owned`, raising `TypeError` on a `NamedTuple`.\n")
+    assert cli.main(["docs", "--check"]) == 0
+    with (tmp_path / "README.md").open("a") as f:
+        f.write("\nAn untraced machine used to wrap a `SimTransport`.\n")
+    capsys.readouterr()
+    assert cli.main(["docs", "--check"]) == 1
+    out = capsys.readouterr().out
+    assert "DANGLING: README.md: `SimTransport`" in out
+    assert not any(n in out for n in ("TracedTransport", "Owned", "TypeError", "NamedTuple"))
+
+
 def test_seed_sets_parse_or_refuse():
     assert seed_set("0,2,5-7") == [0, 2, 5, 6, 7]
     assert seed_set("4") == [4] and seed_set("3-3") == [3]

@@ -2,13 +2,15 @@
 
 import re
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import repro.machine.machine as machine_module
 import repro.sim.kernel as kernel_module
-from repro.dsm import as_transport
+from repro.dsm import FaultPlan, FaultTransport, as_transport
+from repro.dsm.transport import Acks
 from repro.machine import Machine, MachineConfig
 from repro.obs import TraceBuffer
 from repro.sim import Delay, Future, SimulationError, Simulator
@@ -205,6 +207,87 @@ def test_stats_count_messages():
     assert m.stats.get("msg.test.cat") == 2
     assert m.stats.get("msg.total") == 2
     assert m.stats.get("msg.words") == 7
+
+
+def test_routes_are_found_by_handler_and_count_by_category():
+    """One handler sent under two categories, interleaved, and a bound
+    method fetched anew for each send: a route is found by its handler,
+    a category it was not built for falls back to the (handler, category)
+    table, and every count is the hand count until ``Stats.reset``."""
+    sim, m = make_machine()
+    got = []
+
+    def on_msg(node, src, i):
+        got.append(("on_msg", node.nid, i))
+
+    class Svc:
+        def on_req(self, node, src, i):
+            got.append(("on_req", node.nid, i))
+
+    svc = Svc()
+    for i in range(6):
+        m.post(0, 1, on_msg, i, payload_words=i, category="t.a" if i % 2 else "t.b")
+        m.post(0, 2, svc.on_req, i, payload_words=2, category="t.b" if i % 2 else "t.a")
+    sim.run()
+    assert sorted(got) == sorted((name, dst, i) for i in range(6) for name, dst in (("on_msg", 1), ("on_req", 2)))
+    assert len(m._handler_routes) == 2 and len(m._routes) == 4
+    snap = m.stats.snapshot()
+    assert {k: v for k, v in snap.items() if k.startswith(("msg.", "handler."))} == {
+        "msg.t.a": 6, "msg.t.b": 6, "handler.on_msg": 6, "handler.on_req": 6,
+        "msg.total": 12, "msg.words": 15 + 12,
+    }
+    m.stats.reset()
+    assert [m.stats.get(k) for k in ("msg.t.a", "handler.on_req", "msg.total", "msg.words")] == [0] * 4
+    m.post(0, 2, svc.on_req, 6, payload_words=3, category="t.b")
+    sim.run()
+    assert [m.stats.get(k) for k in ("msg.t.b", "handler.on_req", "msg.total", "msg.words")] == [1, 1, 1, 3]
+
+
+@pytest.mark.parametrize("ack_name", [None, "on_poll_ack"], ids=["reply_ack", "named_ack"])
+@pytest.mark.parametrize("wire", ["plain", "traced", "faulted"])
+def test_no_wire_puts_a_partial_on_the_calendar(wire, ack_name, monkeypatch):
+    """A post, an rpc and a deferred fan-out ack put message entries
+    ``(call, a, b, args)`` on the calendar, never a ``functools.partial``.
+    Fuzzed, so that every push goes through ``Simulator._push``."""
+    pushed = []
+    push = Simulator._push
+
+    def spy(self, when, fn):
+        pushed.append(fn)
+        push(self, when, fn)
+
+    monkeypatch.setattr(Simulator, "_push", spy)
+    sim = Simulator(jitter_seed=3)
+    m = Machine(sim, MachineConfig(n_procs=3), tracer=TraceBuffer(256) if wire == "traced" else None)
+    fabric = FaultTransport(m, FaultPlan()) if wire == "faulted" else as_transport(m)
+    got = []
+
+    class Svc:  # a retry port binds methods only
+        def on_post(self, node, src, x):
+            got.append(("post", x))
+
+        def on_rpc(self, node, src, fut, x):
+            fabric.reply(fut, x + 1, category="t.rpc_reply")
+
+        def on_poll(self, node, src, ack, x):
+            ack(10 * x, 1, 7)  # value, payload words, and a delay before it leaves
+
+    svc, port = Svc(), fabric.port("t")
+    h_poll = port.answers(svc.on_poll, "t.poll_ack", ack_name)
+    acks = Acks(lambda target, value: got.append(("ack", target, value)), Future(name="polled"))
+
+    def proc():
+        fabric.post(0, 1, svc.on_post, 1, category="t.post")
+        got.append(("rpc", (yield from fabric.rpc(0, 2, svc.on_rpc, 2, category="t.rpc"))))
+        port.fan_out(0, [1, 2], h_poll, 4, acks=acks, category="t.poll")
+        yield acks.done
+
+    sim.run_all([proc()])
+    assert sorted(got) == [("ack", 1, 40), ("ack", 2, 40), ("post", 1), ("rpc", 3)]
+    assert not [e for e in pushed if type(e) is partial]
+    messages = [e for e in pushed if type(e) is tuple]
+    assert not [e for e in messages if type(e[0]) is partial]
+    assert len(messages) >= m.stats.get("msg.total") >= 7  # post, rpc + reply, 2 polls + 2 acks
 
 
 def test_bad_destination_rejected():

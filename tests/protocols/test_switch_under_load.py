@@ -158,7 +158,8 @@ def test_switch_mid_stream_survives_lossy_fabric(protocol, seed, drop, dup):
 #: partner's directory never answers a retried request (``write_req``)
 #: or acknowledges a grant ack.  Each stalls in milliseconds; pinned with
 #: the stall's cycle and category so a directory change that moves either
-#: outcome — fixed, or stalling elsewhere — shows here.
+#: outcome — fixed, or stalling elsewhere — shows here.  Each report names
+#: the stuck region (1) on every call in flight.
 KNOWN_LOSSY_STALLS = [
     pytest.param(200, 0.265625, 0.125, 975_627, "ace.sc.write_req ", id="seed200"),
     pytest.param(49, 0.265625, 0.09375, 898_559, "ace.sc.grant_ack ", id="seed49"),
@@ -177,5 +178,6 @@ def test_owned_switch_known_lossy_stall(seed, drop, dup, cycle, category):
         )
     except StallError as exc:
         assert (exc.report.now, exc.report.reason[: len(category)]) == (cycle, category)
+        assert {call["region"] for call in exc.report.in_flight} == {1}
         raise
     _check(res, "Owned")

@@ -611,9 +611,10 @@ def test_live_timer_is_schedule_with_a_handle(jitter_seed):
 
 
 def test_canonical_calendar_holds_bare_entries():
-    """A canonical schedule draws no seq and builds no tuple: every
-    bucket is a list of bare callables, Tasks or Timers, keyed by its
-    int cycle, and ``_times`` heaps exactly the cycles not being drained."""
+    """A canonical schedule draws no seq and builds no ``(tie, seq, fn)``:
+    every bucket is a list of bare callables, Tasks, Timers or message
+    entries ``(call, a, b, args)``, keyed by its int cycle, and ``_times``
+    heaps exactly the cycles not being drained."""
     from repro.machine import Machine, MachineConfig
     from repro.sim.kernel import Timer
 
@@ -641,7 +642,10 @@ def test_canonical_calendar_holds_bare_entries():
         for cycle, bucket in sim._cal.items():
             assert type(cycle) is int and type(bucket) is list and bucket
             for e in bucket:
-                assert e.__class__ in (Task, Timer) or (callable(e) and type(e) is not tuple)
+                if type(e) is tuple:  # a message, never a fuzzed (tie, seq, fn)
+                    assert len(e) == 4 and callable(e[0]) and type(e[3]) is tuple
+                else:
+                    assert e.__class__ in (Task, Timer) or callable(e)
         return sorted(sim._times), sorted(sim._cal)
 
     sim.spawn(worker(), name="w")

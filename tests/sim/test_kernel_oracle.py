@@ -5,10 +5,11 @@ indistinguishable from: one heap ordered by ``(time, seq)``, one pop
 per event, no per-cycle buckets, no trampoline, no in-loop task
 stepping.  Generated programs — delays (zero, pooled and
 beyond the pool), futures resolved or failed before and after the
-wait, mid-run spawns and joins, plain scheduled callables, timers set
-and cancelled, ``retire`` of blocked / queued / finished tasks, a
-crashing task (and a second ``run()`` after it), deadlocks, and
-``run(until=b)`` split at random bounds — run on both, and the real
+wait, mid-run spawns and joins, plain scheduled callables, message
+entries ``(call, a, b, args)`` pushed the way ``Machine._deliver``
+pushes them, timers set and cancelled, ``retire`` of blocked / queued /
+finished tasks, a crashing task (and a second ``run()`` after it),
+deadlocks, and ``run(until=b)`` split at random bounds — run on both, and the real
 kernel must match on step order, ``now``, ``events`` and every task's
 result.  Under a ``jitter_seed`` the reference draws the same one
 tie-breaker per ``schedule``, so fuzzed schedules are held to it too.
@@ -132,11 +133,36 @@ class RefSim:
 
 
 # ----------------------------------------------------------------- programs
+def push_message(sim, delay, entry):
+    """Queue the message ``entry`` = ``(call, a, b, args)`` ``delay``
+    cycles from now: inline on a canonical calendar, through ``_push``
+    when fuzzed, exactly as ``Machine._deliver`` does.  To the reference
+    it is one scheduled call of ``call(a, b, *args)``."""
+    if isinstance(sim, RefSim):
+        call, a, b, args = entry
+        sim.schedule(delay, lambda: call(a, b, *args))
+        return
+    when = sim.now + delay
+    if sim._jitter is None:
+        bucket = sim._cal.get(when)
+        if bucket is None:
+            sim._cal[when] = [entry]
+            heapq.heappush(sim._times, when)
+        else:
+            bucket.append(entry)
+    else:
+        sim._push(when, entry)
+
+
 def interpret(sim, env, name, script):
     """One task: run ``script`` against ``sim`` (real or reference),
     logging every op with the cycle it executed at."""
     log, futs = env["log"], env["futs"]
     kids, spawned = [], 0
+
+    def arrive(sender, mid, *args):
+        log.append(("message", mid, sender, args, sim.now))
+
     for i, op in enumerate(script):
         log.append((name, i, op[0], sim.now))
         kind = op[0]
@@ -167,6 +193,9 @@ def interpret(sim, env, name, script):
         elif kind == "call":
             cid = env["calls"] = env["calls"] + 1
             sim.schedule(op[1], lambda cid=cid: log.append(("callable", cid, sim.now)))
+        elif kind == "message":
+            mid = env["messages"] = env["messages"] + 1
+            push_message(sim, op[1], (arrive, name, mid, tuple(range(op[2]))))
         elif kind == "timer":
             tid = env["timers_set"] = env["timers_set"] + 1
             env["timers"][op[2]] = sim.timer(op[1], lambda tid=tid: log.append(("timer", tid, sim.now)))
@@ -188,7 +217,10 @@ def execute(make_sim, program):
     scripts, bounds = program
     sim = make_sim()
     futs = [Future(name=f"f{i}") for i in range(N_FUTURES)]
-    env = {"log": [], "futs": futs, "calls": 0, "tasks": [], "timers": [None] * N_TIMERS, "timers_set": 0}
+    env = {
+        "log": [], "futs": futs, "calls": 0, "messages": 0, "tasks": [],
+        "timers": [None] * N_TIMERS, "timers_set": 0,
+    }
     for i, script in enumerate(scripts):
         env["tasks"].append(sim.spawn(interpret(sim, env, f"t{i}", script), name=f"t{i}"))
     segments = []
@@ -221,6 +253,7 @@ def execute(make_sim, program):
         "events": sim.events,
         "results": results,
         "calls": env["calls"],
+        "messages": env["messages"],
     }
 
 
@@ -232,10 +265,13 @@ def check(program, jitter_seed=None):
     # short: then none fired twice, and both sides agree on which did)
     fired = [entry[1] for entry in got["log"] if entry[0] == "callable"]
     assert len(fired) == len(set(fired))
+    arrived = [entry[1] for entry in got["log"] if entry[0] == "message"]
+    assert len(arrived) == len(set(arrived))
     rang = [entry[1] for entry in got["log"] if entry[0] == "timer"]
     assert len(rang) == len(set(rang))  # a timer fires at most once
     if got["segments"][-1][0] != "crash":
         assert sorted(fired) == list(range(1, got["calls"] + 1))
+        assert sorted(arrived) == list(range(1, got["messages"] + 1))
     if jitter_seed is not None:
         assert execute(lambda: Simulator(jitter_seed=jitter_seed), program) == got
     return got
@@ -250,6 +286,7 @@ LEAF_OPS = st.one_of(
     st.tuples(st.just("resolve"), FUTS),
     st.tuples(st.just("fail"), FUTS),
     st.tuples(st.just("call"), st.sampled_from([0, 0, 1, 5])),
+    st.tuples(st.just("message"), st.sampled_from([0, 0, 1, 5]), st.integers(0, 2)),
     st.tuples(st.just("timer"), st.sampled_from([1, 1, 2, 5, 600]), st.integers(0, N_TIMERS - 1)),
     st.tuples(st.just("cancel"), st.integers(0, N_TIMERS - 1)),
 )
@@ -351,6 +388,16 @@ FIXED = {
         ],
         [2, 4, 300],
     ),
+    # messages tie with callables and task resumes at one cycle, before
+    # and after a pause, and one arrives alone in the tail
+    "messages_interleave": (
+        [
+            [("message", 0, 2), ("call", 0), ("delay", 0), ("message", 1, 0), ("delay", 1)],
+            [("message", 1, 1), ("delay", 1), ("message", 0, 0), ("call", 0)],
+            [("delay", 1), ("call", 0), ("message", 5, 2), ("message", 0, 1)],
+        ],
+        [1],
+    ),
     # blocked tasks and nothing but cancelled timers left: still a deadlock
     "deadlock_behind_dead_timer": (
         [[("timer", 600, 0), ("wait", 0)], [("delay", 2), ("cancel", 0)], []],
@@ -381,6 +428,11 @@ def test_fixed_programs_reach_what_they_name():
     timers = check(FIXED["timers_live_and_dead"])
     assert [e[1:] for e in timers["log"] if e[0] == "timer"] == [(2, 1), (5, 5)]
     assert timers["now"] == 5  # not 603: the cancelled tail never moved the clock
+    msgs = check(FIXED["messages_interleave"])
+    assert [e[1:] for e in msgs["log"] if e[0] == "message"] == [
+        (1, "t0", (0, 1), 0), (2, "t1", (0,), 1), (3, "t0", (), 1),
+        (4, "t1", (), 1), (6, "t2", (0,), 1), (5, "t2", (0, 1), 6),
+    ]
     dead = check(FIXED["deadlock_behind_dead_timer"])
     assert dead["segments"][-1] == ("deadlock", [("t0", "f0")]) and dead["now"] == 2
 
