@@ -41,9 +41,7 @@ what the interpreter's op-by-op accumulation gives.
 
 from __future__ import annotations
 
-import linecache
 import math
-from types import CodeType
 
 import numpy as np
 
@@ -52,6 +50,7 @@ from repro.compiler.interp import _BIG, _MATH_COST, OP_COST
 from repro.compiler.ir import ANNOTATION_OPS, Const, FuncIR, ProgramIR
 from repro.sim import Delay
 from repro.sim.kernel import _DELAY_POOL, _DELAY_POOL_SIZE
+from repro.spec.emit import CodeFile
 
 #: what an emitted local holds before its first assignment (reads
 #: raise, like the interpreter's env KeyError path)
@@ -483,24 +482,12 @@ class _Emitter:
 
 
 # ------------------------------------------------------------ compilation
-#: compiled factories cached by exact source text: a program compiled at
+#: compiled factories, one per exact source text: a program compiled at
 #: the four optimization levels shares every function the passes left
 #: alone, and equal text means equal behaviour.  Bounded like the parse
 #: cache so property tests compiling arbitrary programs can't grow it
-#: without limit; ``_LINES`` is the same text as ``linecache`` serves it.
-_CODE_CACHE: dict[str, object] = {}
-_CODE_CACHE_MAX = 1024
-_LINES: list[str] = []
-
-
-def _shifted(code: CodeType, by: int) -> CodeType:
-    """``code`` as if its source began ``by`` lines further down."""
-    return code.replace(
-        co_firstlineno=code.co_firstlineno + by,
-        co_consts=tuple(
-            _shifted(c, by) if isinstance(c, CodeType) else c for c in code.co_consts
-        ),
-    )
+#: without limit.
+_CODE = CodeFile(_FILENAME, _NAMESPACE, limit=1024)
 
 
 class ClosureProgram:
@@ -521,23 +508,14 @@ def compile_closures(ir: ProgramIR) -> ClosureProgram:
     built program needs can be evicted under it.
     """
     sources = {name: _Emitter(fn).source() for name, fn in ir.funcs.items()}
-    misses = sum(text not in _CODE_CACHE for text in set(sources.values()))
-    if len(_CODE_CACHE) + misses > _CODE_CACHE_MAX:
-        _CODE_CACHE.clear()
-        del _LINES[:]  # code objects that outlive their eviction lose their lines
+    _CODE.reserve(sources.values())
+    funcs = {}
     for name, text in sources.items():
-        if text in _CODE_CACHE:
-            continue
         try:
-            code = compile(text, _FILENAME, "exec")
+            funcs[name] = _CODE.factory(text)
         except SyntaxError as err:
             raise AceCompileError(f"{name}: {err.msg} ({_CPYTHON_LIMITS})") from err
-        exec(_shifted(code, len(_LINES)), _NAMESPACE)
-        _CODE_CACHE[text] = _NAMESPACE.pop("_make")
-        _LINES.extend(text.splitlines(True))
-    # mtime None: linecache.checkcache() leaves the entry alone
-    linecache.cache[_FILENAME] = (len(_LINES), None, _LINES, _FILENAME)
-    return ClosureProgram({name: _CODE_CACHE[text] for name, text in sources.items()}, sources)
+    return ClosureProgram(funcs, sources)
 
 
 # ----------------------------------------------------------------- bind

@@ -188,8 +188,7 @@ class AceRuntime:
     def _create_protocol(self, protocol_name: str, space: Space):
         """Instantiate ``protocol_name`` for ``space``.  A hook that
         declares no ``lead`` (a user protocol's plain ``(nid, handle)``
-        generators, a table hook bound straight to its one action) is
-        wrapped once, here, so the access primitives stay branch-free."""
+        generators) is wrapped once, here, so the access primitives stay branch-free."""
         proto = self.registry.create(protocol_name, self, space)
         for name in _LED_HOOKS:
             hook = getattr(proto, name)
@@ -239,7 +238,7 @@ class AceRuntime:
     def map(self, nid: int, rid: int, direct: bool = False, lead: int = 0):
         """``ACE_MAP`` (returns the protocol's generator).  Its handle comes
         back stamped with its ``space``: §4.1's lookup is paid once per map."""
-        space = self._space_of_rid(rid)
+        space = self.region_space.get(rid) or self._space_of_rid(rid)  # no frame on a hit
         self._counts["ace.map"] += 1
         proto = space.protocol
         return proto.map(nid, rid, lead + self._lead if proto.soft and not direct else lead)

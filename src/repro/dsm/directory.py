@@ -45,6 +45,7 @@ from repro.dsm.msi import MSI_TABLE
 from repro.dsm.transport import Acks, Transport
 from repro.machine.stats import intern_key
 from repro.memory import RegionDirectory
+from repro.spec.emit import CodeFile
 from repro.spec.table import KEEP, TableError
 
 
@@ -102,6 +103,11 @@ HOME_GUARDS = {
 _ENQUEUE, _GRANT, _RECALL, _FORWARD = "enqueue", "grant", "recall", "forward"
 
 
+#: every generated ``first`` is a line range of this pseudo-file (a
+#: profiler files it under ``dsm.directory``)
+_CODE = CodeFile("<generated>/repro/dsm/directory.py")
+
+
 def _first_row(table, state: str, event: str):
     """The home rows for ``(state, event)``, and ``first(ent, src, home)``:
     the index of the first whose guard holds (``len(rows)`` for none).
@@ -109,19 +115,18 @@ def _first_row(table, state: str, event: str):
     ``first`` is generated with the guards inline, so a dispatch costs
     one call however many guarded rows precede the match."""
     rows = table.lookup("home", state, event)
-    code = ["def first(ent, src, home):"]
+    code = ["def _make():", f"  def first(ent, src, home):  # {table.name} home rows {state}/{event}"]
     for i, t in enumerate(rows):
         if t.guard is None:
             code.append(f"    return {i}")
             break
         if t.guard not in HOME_GUARDS:
             raise TableError(f"{table.name}: unknown home guard {t.guard!r}")
-        code += [f"    if {HOME_GUARDS[t.guard]}:", f"        return {i}"]
+        code += [f"    if {HOME_GUARDS[t.guard]}:  # {t.guard}", f"      return {i}"]
     else:
         code.append(f"    return {len(rows)}")
-    scope: dict = {}
-    exec(compile("\n".join(code), f"<{table.name} home rows {state}/{event}>", "exec"), scope)
-    return rows, scope["first"]
+    code += ["  return first", ""]
+    return rows, _CODE.factory("\n".join(code))()
 
 
 def _compile_request(table, event: str, state: str) -> tuple:

@@ -43,12 +43,15 @@ class RegionCopy:
     ``deferred`` (recalls held until the copy's last access ends),
     ``ent`` (the SC engine's cached directory entry), and ``space`` /
     ``gen`` (the Ace space a protocol's ``map`` stamped and its protocol
-    generation then; the runtime refuses a stale one).  ``meta`` holds
-    protocol-private extras only.
+    generation then; the runtime refuses a stale one).  So is the state
+    table protocols' actions keep: Migratory's open accesses ``use``,
+    PipelinedWrite's ``phase`` / ``wdepth`` / ``snapshot`` (the outermost
+    write's), HomeWrite's ``version``, RaceDetect's ``epoch`` (-1: unset).
     """
 
-    __slots__ = ("region", "node", "data", "state", "mapped", "meta", "reads", "writes", "maps",
-                 "deferred", "ent", "space", "gen")
+    __slots__ = ("region", "node", "data", "state", "mapped", "reads", "writes", "maps",
+                 "deferred", "ent", "space", "gen", "use", "phase", "wdepth", "snapshot",
+                 "version", "epoch")
 
     def __init__(self, region: Region, node: int):
         self.region = region
@@ -56,10 +59,10 @@ class RegionCopy:
         self.data = np.zeros(region.size, dtype=np.float64)
         self.state: str = "invalid"
         self.mapped = False
-        self.meta: dict = {}
-        self.reads = self.writes = self.maps = self.gen = 0
+        self.reads = self.writes = self.maps = self.gen = self.use = self.wdepth = 0
         self.deferred: tuple = ()  # replaced, never mutated: a fresh copy allocates none
-        self.ent = self.space = None
+        self.ent = self.space = self.snapshot = None
+        self.phase = self.version = self.epoch = -1
 
     @property
     def rid(self) -> int:

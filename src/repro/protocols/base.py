@@ -16,6 +16,7 @@ protocols ... do not allow code motion").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from inspect import isgeneratorfunction
 from typing import Protocol as TypingProtocol, runtime_checkable
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.memory import Region
 from repro.sim import Delay
 from repro.sim.errors import SimulationError
 from repro.sim.kernel import _DELAY_POOL as _POOL, _DELAY_POOL_SIZE as _POOL_SIZE
+from repro.spec.emit import CodeFile
 from repro.spec.table import HOOK_EVENTS, KEEP, WILDCARD, ProtocolTable, TableError
 
 
@@ -227,39 +229,131 @@ class Protocol:
         state, so the default is a no-op."""
 
 
+#: every generated table hook is a line range of this pseudo-file (a
+#: profiler files it under ``protocols``)
+_CODE = CodeFile(
+    "<generated>/repro/protocols/base.py", {"_POOL": _POOL, "_POOL_SIZE": _POOL_SIZE, "Delay": Delay}
+)
+
+
+def hook_source(tbl: ProtocolTable, event: str, refs, blocking) -> str:
+    """The text of ``_make(P)``: ``tbl``'s node rows for ``event`` as one
+    straight-line hook (:class:`TableProtocol` says what it does) over
+    ``P``'s ``refs`` (its ``act_*``/``g_*``, bound once).  An action in
+    ``blocking`` (a generator) runs as ``yield from``, any other is a call."""
+    rows = tbl.rows("node", event)
+    ordered = [t for t in rows if t.state != WILDCARD] + [t for t in rows if t.state == WILDCARD]
+    barrier = event == "barrier"
+    args = "nid" if barrier else "nid, handle"
+    lone = len(ordered) == 1 and ordered[0].state == WILDCARD and not ordered[0].guard
+    entry = tbl.entry_costs.get(event, 0) + (ordered[0].cost if lone else 0)
+    costs = {entry} if barrier else set()
+    if barrier:
+        body = [f"yield d{entry}"] if entry else []
+    elif entry:
+        body = [f"yield _POOL[c] if (c := lead + {entry}) < _POOL_SIZE else Delay(c)"]
+    else:
+        body = ["if lead:", "  yield _POOL[lead] if lead < _POOL_SIZE else Delay(lead)"]
+    if ordered[0].state != WILDCARD:
+        if barrier:
+            raise TableError(f"{tbl.name}: a barrier row names a state, but a barrier has no copy")
+        body.append("st = handle.state")
+    keyword = "if"
+    for t in ordered:
+        test = [f"st == {t.state!r}"] if t.state != WILDCARD else []
+        test += [f"g_{t.guard}({args})"] if t.guard else []
+        row = f"# {t.state} {event}" + (f" [{t.guard}]" if t.guard else "")
+        if test:
+            body.append(f"{keyword} {' and '.join(test)}:  {row}")
+        else:
+            body.append(f"else:  {row}" if keyword == "elif" else row)
+        pad = "  " if test or keyword == "elif" else ""
+        lines = [f"yield d{t.cost}"] if t.cost and not lone else []
+        costs.add(t.cost if lines else 0)
+        lines += [f"{'yield from ' if a in blocking else ''}act_{a}({args})" for a in t.actions]
+        lines += [f"handle.state = {t.next!r}"] if t.next != KEEP else []
+        body += [pad + line for line in lines or ["pass"]]
+        if not test:
+            break
+        keyword = "elif"
+    if not any("yield" in line for line in body):
+        body.append("if 0: yield  # a generator, like every hook")
+    name = f"{tbl.name}_{event}"
+    head = ["def _make(P):", *(f"  {n} = P.{n}" for n in refs)]
+    head += [f"  d{c} = Delay({c})" for c in sorted(costs - {0})]
+    head.append(f"  def {name}({args if barrier else args + ', lead=0'}):")
+    return "\n".join([*head, *("    " + line for line in body), f"  return {name}", ""])
+
+
+#: id(table) -> (table, ((event, the act_*/g_* its rows name), ...),
+#: {(event, *blocking): text}), worked out once per table (which rides
+#: along, so its id is not reused while cached)
+_PLANS: dict[int, tuple] = {}
+
+
+def table_hooks(tbl: ProtocolTable, target) -> dict:
+    """``{event: hook}`` for every hook event with node rows in ``tbl``,
+    compiled once per text and bound to ``target``'s ``act_*``/``g_*``."""
+    plan = _PLANS.get(id(tbl))
+    if plan is None:
+        events = []
+        for event in HOOK_EVENTS:
+            rows = tbl.rows("node", event)
+            refs = {"g_" + t.guard for t in rows if t.guard}
+            refs.update("act_" + a for t in rows for a in t.actions)
+            events += [(event, tuple(sorted(refs)))] if rows else []
+        plan = _PLANS[id(tbl)] = (tbl, tuple(events), {})
+    hooks = {}
+    for event, refs in plan[1]:
+        blocking = []
+        for attr in refs:
+            fn = getattr(target, attr, None)
+            if fn is None:
+                raise TableError(
+                    f"{tbl.name}: table references {attr} but {type(target).__name__} does not define it"
+                )
+            if attr.startswith("act_") and isgeneratorfunction(fn):
+                blocking.append(attr[4:])
+        key = (event, *blocking)
+        text = plan[2].get(key) or plan[2].setdefault(key, hook_source(tbl, event, refs, blocking))
+        hooks[event] = _CODE.factory(text)(target)
+    return hooks
+
+
 class TableProtocol(Protocol):
-    """A protocol whose hook dispatch is *interpreted from its table*.
+    """A protocol whose hooks are *compiled from its table*.
 
     Subclasses declare a class-level :class:`~repro.spec.table.ProtocolTable`
     and implement the table's action primitives as ``act_<name>``
-    generator methods and its guards as ``g_<name>`` predicates (SLICC
-    keeps the same split: tables sequence named code fragments).  At
-    construction the node-role rows are compiled into the hook
-    entry points, so the state machine — which events are handled in
-    which states, what each dispatch charges, which actions fire, what
-    state results — comes from the declarative artifact, and only the
-    primitive bodies remain imperative.
+    methods — a plain method if it never blocks, a generator if it may
+    — and its guards as ``g_<name>`` predicates (SLICC keeps the same
+    split: tables sequence named code fragments).  At construction
+    each hook event with node rows (``barrier`` included) becomes one
+    generated function (:func:`hook_source`), compiled once per text
+    per process and bound to the instance, so the state machine —
+    which events are handled in which states, what each dispatch
+    charges, which actions fire, what state results — comes from the
+    declarative artifact, and only the primitive bodies remain
+    imperative.
 
-    Dispatch semantics, chosen to be cycle-compatible with the
-    hand-written hooks they replaced:
+    Each generated hook, cycle-compatible with the hand-written hooks
+    the tables replaced, does in order:
 
     1. charge the event's *entry cost* (``table.entry_costs``) plus the
        caller's ``lead``, if any, as one ``Delay``;
-    2. read the copy's current state (after the entry charge — a
+    2. read the copy's current state once (after the entry charge — a
        concurrent handler may have moved it during those cycles);
-    3. first matching row wins: explicit-state rows in definition
-       order, then wildcard rows; a row matches when its guard (if
-       any) passes;
-    4. charge the row's cost, run its actions in order, then apply the
-       ``next`` state.
+    3. take the first matching row, as an ``if`` chain: explicit-state
+       rows in definition order, then wildcard rows; a row matches when
+       its guard (if any) passes;
+    4. charge the row's cost, run its actions in order (a plain call,
+       or ``yield from`` a generator), then apply the ``next`` state.
 
     An event whose only row is an unguarded wildcard reads nothing
     between steps 1 and 4, so its entry cost, row cost and lead are a
     single charge.  Events with no rows inherit the base class's null
-    hooks.  A single-row event with no state filter, guard, costs, or
-    state change binds its action *directly* as the hook — the
-    interpreter adds zero frames on such paths (the action takes no
-    ``lead``, so there the runtime charges its dispatch itself).
+    hooks.  A barrier takes no handle and no lead: its guards and
+    actions are ``(nid)``.
     """
 
     #: the declarative core; subclasses must override.
@@ -267,9 +361,6 @@ class TableProtocol(Protocol):
 
     def __init__(self, runtime, space):
         super().__init__(runtime, space)
-        self._compile_table()
-
-    def _compile_table(self) -> None:
         tbl = self.table
         if tbl is None:
             raise TableError(f"{type(self).__name__} declares no ProtocolTable")
@@ -277,99 +368,8 @@ class TableProtocol(Protocol):
             raise TableError(
                 f"{type(self).__name__}: table {tbl.name!r} does not match spec {self.spec.name!r}"
             )
-        for event in HOOK_EVENTS:
-            rows = tbl.rows("node", event)
-            if not rows:
-                continue
-            if event == "barrier":
-                self.barrier = self._compile_barrier(tbl, rows)
-            else:
-                setattr(self, event, self._compile_hook(tbl, event, rows))
-
-    def _resolve(self, kind: str, name: str):
-        try:
-            return getattr(self, kind + name)
-        except AttributeError:
-            raise TableError(
-                f"{self.spec.name}: table references {kind}{name} but "
-                f"{type(self).__name__} does not define it"
-            ) from None
-
-    def _compile_hook(self, tbl: ProtocolTable, event: str, rows):
-        first = tbl.entry_costs.get(event, 0)
-        ordered = [t for t in rows if t.state != WILDCARD] + [
-            t for t in rows if t.state == WILDCARD
-        ]
-        # A lone unguarded wildcard row is always taken and nothing is
-        # read before its cost: it is one charge with the entry cost.
-        row = ordered[0]
-        lone = len(ordered) == 1 and row.state == WILDCARD and not row.guard
-        if lone:
-            first += row.cost
-        compiled = tuple(
-            (
-                None if t.state == WILDCARD else t.state,
-                self._resolve("g_", t.guard) if t.guard else None,
-                Delay(t.cost) if t.cost and not lone else None,
-                tuple(self._resolve("act_", a) for a in t.actions),
-                None if t.next == KEEP else t.next,
-            )
-            for t in ordered
-        )
-        if lone and not first and row.next == KEEP and len(row.actions) == 1:
-            return compiled[0][3][0]  # the action generator IS the hook
-
-        def hook(nid, handle, lead=0):
-            if c := lead + first:
-                yield _POOL[c] if c < _POOL_SIZE else Delay(c)
-            st = handle.state
-            for state, guard, delay, acts, nxt in compiled:
-                if state is not None and st != state:
-                    continue
-                if guard is not None and not guard(nid, handle):
-                    continue
-                if delay is not None:
-                    yield delay
-                for act in acts:
-                    yield from act(nid, handle)
-                if nxt is not None:
-                    handle.state = nxt
-                return
-
-        hook.__name__ = f"{tbl.name}_{event}"
-        return hook
-
-    def _compile_barrier(self, tbl: ProtocolTable, rows):
-        """Barrier rows take no handle: guards/actions are ``(nid)``."""
-        entry = tbl.entry_costs.get("barrier", 0)
-        d_entry = Delay(entry) if entry else None
-        compiled = tuple(
-            (
-                self._resolve("g_", t.guard) if t.guard else None,
-                Delay(t.cost) if t.cost else None,
-                tuple(self._resolve("act_", a) for a in t.actions),
-            )
-            for t in rows
-        )
-        if d_entry is None and len(compiled) == 1:
-            guard, delay, acts = compiled[0]
-            if guard is None and delay is None and len(acts) == 1:
-                return acts[0]
-
-        def barrier(nid, _entry=d_entry, _rows=compiled):
-            if _entry is not None:
-                yield _entry
-            for guard, delay, acts in _rows:
-                if guard is not None and not guard(nid):
-                    continue
-                if delay is not None:
-                    yield delay
-                for act in acts:
-                    yield from act(nid)
-                return
-
-        barrier.__name__ = f"{tbl.name}_barrier"
-        return barrier
+        for event, hook in table_hooks(tbl, self).items():
+            setattr(self, event, hook)
 
     # -- common action primitives ------------------------------------------
     def act_rendezvous(self, nid: int):

@@ -94,8 +94,6 @@ class BufferedUpdateProtocol(CachedTableProtocol):
     # -- actions (table-referenced) ---------------------------------------
     def act_mark_dirty(self, nid: int, handle):
         self._dirty[nid].add(handle.region.rid)
-        return
-        yield  # pragma: no cover - makes this a generator
 
     def act_ship_dirty(self, nid: int):
         """Ship dirty regions to their homes and drain the acks."""
@@ -128,8 +126,6 @@ class BufferedUpdateProtocol(CachedTableProtocol):
 
     def act_advance_epoch(self, nid: int):
         self._epoch[nid] += 1
-        return
-        yield  # pragma: no cover - makes this a generator
 
     # -- home side (handler context) -------------------------------------
     def _on_update(self, node, src, rid, epoch, data, shipped):

@@ -181,7 +181,7 @@ class CachedCopyProtocol(Protocol):
 
 
 class CachedTableProtocol(TableProtocol, CachedCopyProtocol):
-    """Cached-copy data management with table-interpreted hook dispatch.
+    """Cached-copy data management with hooks compiled from the table.
 
     The MRO runs :class:`CachedCopyProtocol`'s constructor (copy
     tables, port) before :class:`TableProtocol` compiles the

@@ -20,8 +20,8 @@ Mechanics
   single writer at a time, e.g. a Barnes-Hut body is written only by
   its owner).
 
-The message rows (``update``/``push``) are not interpreted by the hook
-dispatcher; they declare the home/sharer machines for the model
+The message rows (``update``/``push``) are not compiled into hooks;
+they declare the home/sharer machines for the model
 checker and the protocol reference docs.
 """
 

@@ -83,7 +83,7 @@ class HomeWriteProtocol(CachedTableProtocol):
         return self._versions.get(rid, 0)
 
     def _after_fetch(self, nid: int, copy, extra) -> None:
-        copy.meta["version"] = extra
+        copy.version = extra
 
     # -- guards / actions (table-referenced) ------------------------------
     def g_remote(self, nid: int, handle) -> bool:
@@ -94,13 +94,10 @@ class HomeWriteProtocol(CachedTableProtocol):
             f"HomeWrite: node {nid} wrote region {handle.region.rid} homed at "
             f"{handle.region.home}; this protocol asserts creators own their data"
         )
-        yield  # pragma: no cover - makes this a generator
 
     def act_bump_version(self, nid: int, handle):
         rid = handle.region.rid
         self._versions[rid] = self._versions.get(rid, 0) + 1
-        return
-        yield  # pragma: no cover - makes this a generator
 
     def act_revalidate(self, nid: int, handle):
         """Version round trip; refetch the whole region when stale."""
@@ -110,14 +107,14 @@ class HomeWriteProtocol(CachedTableProtocol):
             region.home,
             self._h_check,
             region.rid,
-            handle.meta.get("version", -1),
+            handle.version,
             payload_words=2,
             category="proto.HomeWrite.check",
         )
         if current is not None:
             version, data = current
             np.copyto(handle.data, data)
-            handle.meta["version"] = version
+            handle.version = version
             handle.state = "valid"
             self._count("refetch")
         else:

@@ -15,13 +15,9 @@ until its matching end call.
 
 Table notes: the per-event *entry* cost (the access-check charge) is
 charged before the copy state is examined — a concurrent hand-off may
-land during those cycles, so match order is check-then-look.  The
-``end_read`` release is deliberately NOT a table row: the seed
-registers ``end_read`` null (so the compiler's direct-dispatch pass
-may delete those calls) while still shipping a release body for
-uncompiled paths — a pre-existing quirk the port preserves verbatim
-rather than silently "fixing" (the table validator rejects null hooks
-with rows, which is exactly why this one stays imperative).
+land during those cycles, so match order is check-then-look.  Both end
+calls release the copy (``use`` counts open accesses), so neither hook
+is null: a deleted ``end_read`` would defer the next recall forever.
 """
 
 from __future__ import annotations
@@ -61,6 +57,7 @@ MIGRATORY_TABLE = ProtocolTable(
             actions=("migrate",),
             msg="req",
         ),
+        Transition("node", "*", "end_read", cost=4, actions=("release",)),
         Transition("node", "*", "end_write", cost=4, actions=("release",)),
         Transition(
             "home",
@@ -85,7 +82,6 @@ MIGRATORY_TABLE = ProtocolTable(
     costs={"create": 90, "map": 12, "start_hit": 10, "miss": 25, "release": 4, "unmap": 4},
     entry_costs={"start_read": 10, "start_write": 10},
     optimizable=True,
-    null_hooks=frozenset({"end_read"}),
     sync_model="access",
     writer_model="copy",
 )
@@ -101,9 +97,6 @@ class MigratoryProtocol(TableProtocol):
     CREATE_COST = MIGRATORY_TABLE.cost("create")
     MAP_COST = MIGRATORY_TABLE.cost("map")
     UNMAP_COST = MIGRATORY_TABLE.cost("unmap")
-    RELEASE_COST = MIGRATORY_TABLE.cost("release")
-    START_HIT_COST = MIGRATORY_TABLE.cost("start_hit")
-    MISS_COST = MIGRATORY_TABLE.cost("miss")
 
     def __init__(self, runtime, space):
         super().__init__(runtime, space)
@@ -128,14 +121,8 @@ class MigratoryProtocol(TableProtocol):
         home seeds itself as the location of the single copy."""
         for rid in self.space.regions:
             region = self.regions.get(rid)
-            if region.home != nid or rid in self._dir:
-                continue
-            copy = RegionCopy(region, nid)
-            copy.data = region.home_data
-            copy.state = "valid"
-            copy.meta["use"] = 0
-            self._copies[nid][rid] = copy
-            self._dir[rid] = {"loc": nid, "busy": False, "queue": deque()}
+            if region.home == nid and rid not in self._dir:
+                self._install_home(nid, region)
         return
         yield  # pragma: no cover - makes this a generator
 
@@ -143,22 +130,21 @@ class MigratoryProtocol(TableProtocol):
     def create(self, nid: int, size: int):
         yield self._d_create
         region = self.regions.alloc(home=nid, size=size)
-        copy = RegionCopy(region, nid)
+        self._install_home(nid, region)
+        return region.rid
+
+    def _install_home(self, nid: int, region) -> None:
+        """The single copy starts at home, aliasing canonical storage."""
+        copy = self._copies[nid][region.rid] = RegionCopy(region, nid)
         copy.data = region.home_data
         copy.state = "valid"
-        copy.meta["use"] = 0
-        self._copies[nid][region.rid] = copy
         self._dir[region.rid] = {"loc": nid, "busy": False, "queue": deque()}
-        return region.rid
 
     def map(self, nid: int, rid: int, lead: int = 0):
         copy = self._copies[nid].get(rid)
         yield _POOL[c] if (c := lead + self.MAP_COST) < _POOL_SIZE else Delay(c)
         if copy is None:
-            region = self.regions.get(rid)
-            copy = RegionCopy(region, nid)
-            copy.meta["use"] = 0
-            self._copies[nid][rid] = copy
+            copy = self._copies[nid][rid] = RegionCopy(self.regions.get(rid), nid)
         copy.mapped = True
         copy.space, copy.gen = self.space, self.space.generation
         return copy
@@ -169,10 +155,8 @@ class MigratoryProtocol(TableProtocol):
 
     # -- guards / actions (table-referenced) --------------------------------
     def act_hit(self, nid: int, handle):
-        handle.meta["use"] += 1
+        handle.use += 1
         self._count("hit")
-        return
-        yield  # pragma: no cover - makes this a generator
 
     def act_migrate(self, nid: int, handle):
         """Pull the single copy here (three-hop home/recall/hand-off)."""
@@ -195,22 +179,14 @@ class MigratoryProtocol(TableProtocol):
         if data is not None:
             np.copyto(handle.data, data)
         handle.state = "valid"
-        handle.meta["use"] += 1
+        handle.use += 1
 
     def act_release(self, nid: int, handle):
-        handle.meta["use"] -= 1
-        if handle.meta["use"] == 0 and handle.deferred:
+        handle.use -= 1
+        if handle.use == 0 and handle.deferred:
             fire, handle.deferred = handle.deferred, ()
             for args in fire:
                 self._hand_off(handle, *args)
-        return
-        yield  # pragma: no cover - makes this a generator
-
-    def end_read(self, nid: int, handle, lead: int = 0):
-        # Registered null (see module docstring) — kept imperative, not
-        # a table row, but identical to the end_write release path.
-        yield _POOL[c] if (c := lead + self.RELEASE_COST) < _POOL_SIZE else Delay(c)
-        yield from self.act_release(nid, handle)
 
     # -- home side (handler context) ----------------------------------------
     def _on_request(self, node, src, rid, fut):
@@ -245,7 +221,7 @@ class MigratoryProtocol(TableProtocol):
         # Defer while the copy is in use, and also while the hand-off data
         # is still in flight to us (the home can learn about a move before
         # the — larger, hence slower — data message lands).
-        if copy.meta["use"] > 0 or copy.state != "valid":
+        if copy.use > 0 or copy.state != "valid":
             copy.deferred += ((rid, dest, fut),)
             return
         self._hand_off(copy, rid, dest, fut)

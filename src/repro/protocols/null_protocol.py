@@ -62,4 +62,3 @@ class NullProtocol(CachedTableProtocol):
             f"homed at {handle.region.home}; the null protocol asserts "
             "writes are home-local"
         )
-        yield  # pragma: no cover - makes this a generator

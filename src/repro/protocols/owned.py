@@ -338,34 +338,24 @@ class OwnedProtocol(TableProtocol):
     def act_hit(self, nid: int, handle):
         handle.reads += 1
         self._count("hit")
-        return
-        yield  # pragma: no cover - makes this a generator
 
     def act_open_home_read(self, nid: int, handle):
         # Atomic with the guard (hit rows charge no row cost): no remote
         # admission can interleave.
         self.home.entry(handle.region.rid).home_readers += 1
-        return
-        yield  # pragma: no cover - makes this a generator
 
     def act_open_home_write(self, nid: int, handle):
         self.home.entry(handle.region.rid).home_writing = True
-        return
-        yield  # pragma: no cover - makes this a generator
 
     def act_close_home_read(self, nid: int, handle):
         ent = self.home.entry(handle.region.rid)
         ent.home_readers -= 1
         self.home.drain(ent)
-        return
-        yield  # pragma: no cover - makes this a generator
 
     def act_close_home_write(self, nid: int, handle):
         ent = self.home.entry(handle.region.rid)
         ent.home_writing = False
         self.home.drain(ent)
-        return
-        yield  # pragma: no cover - makes this a generator
 
     def _fetch(self, nid: int, handle, kind: str, event: str):
         """Request access from the home; install whatever grant arrives."""
@@ -409,8 +399,6 @@ class OwnedProtocol(TableProtocol):
         handle.reads -= 1
         if not handle.reads and handle.deferred:
             self.cache.fire_deferred(handle)
-        return
-        yield  # pragma: no cover - makes this a generator
 
     # -- the wire: handlers (handler context) -----------------------------------
     def _on_grant_ack(self, node, src, ack, rid):

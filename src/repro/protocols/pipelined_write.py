@@ -110,17 +110,15 @@ class PipelinedWriteProtocol(CachedTableProtocol):
 
     # -- guards (table-referenced) ----------------------------------------
     def g_phase_stale_home(self, nid: int, handle) -> bool:
-        return handle.region.home == nid and handle.meta.get("phase") != self._phase[nid]
+        return handle.region.home == nid and handle.phase != self._phase[nid]
 
     def g_phase_stale_remote(self, nid: int, handle) -> bool:
-        return handle.region.home != nid and handle.meta.get("phase") != self._phase[nid]
+        return handle.region.home != nid and handle.phase != self._phase[nid]
 
     # -- reads: revalidate once per phase ---------------------------------
     def act_home_refresh(self, nid: int, handle):
         np.copyto(handle.data, handle.region.home_data)
-        handle.meta["phase"] = self._phase[nid]
-        return
-        yield  # pragma: no cover - makes this a generator
+        handle.phase = self._phase[nid]
 
     def act_refetch(self, nid: int, handle):
         region = handle.region
@@ -133,7 +131,7 @@ class PipelinedWriteProtocol(CachedTableProtocol):
             category="proto.PipelinedWrite.refetch",
         )
         np.copyto(handle.data, data)
-        handle.meta["phase"] = self._phase[nid]
+        handle.phase = self._phase[nid]
         self._count("refetch")
 
     def _on_refetch(self, node, src, fut, rid):
@@ -146,7 +144,7 @@ class PipelinedWriteProtocol(CachedTableProtocol):
         )
 
     def _after_fetch(self, nid: int, copy, extra) -> None:
-        copy.meta["phase"] = self._phase[nid]
+        copy.phase = self._phase[nid]
 
     # -- writes: snapshot, delta, pipeline ----------------------------------
     def act_open_write(self, nid: int, handle):
@@ -157,22 +155,22 @@ class PipelinedWriteProtocol(CachedTableProtocol):
         *optimizable*, so it must tolerate it): a depth counter keeps a
         single snapshot per outermost section.
         """
-        depth = handle.meta.get("wdepth", 0)
-        handle.meta["wdepth"] = depth + 1
+        depth = handle.wdepth
+        handle.wdepth = depth + 1
         if depth > 0:
             return
         # Make sure the copy we diff against is phase-fresh (start_read
         # handles both the home fast path and the remote refetch).
-        if handle.meta.get("phase") != self._phase[nid]:
+        if handle.phase != self._phase[nid]:
             yield from self.start_read(nid, handle)
-        handle.meta["snapshot"] = np.array(handle.data, copy=True)
+        handle.snapshot = np.array(handle.data, copy=True)
 
     def act_close_write(self, nid: int, handle):
-        depth = handle.meta.get("wdepth", 0) - 1
-        handle.meta["wdepth"] = max(depth, 0)
+        depth = handle.wdepth - 1
+        handle.wdepth = max(depth, 0)
         if depth > 0:
             return
-        snapshot = handle.meta.pop("snapshot", None)
+        snapshot, handle.snapshot = handle.snapshot, None
         if snapshot is None:
             snapshot = np.zeros_like(handle.data)
         delta = handle.data - snapshot
@@ -226,8 +224,6 @@ class PipelinedWriteProtocol(CachedTableProtocol):
         for copy in self._copies[nid].values():
             if copy.region.home == nid:
                 np.copyto(copy.data, copy.region.home_data)
-        return
-        yield  # pragma: no cover - makes this a generator
 
     def _drain(self, nid: int):
         if self._outstanding[nid] > 0:

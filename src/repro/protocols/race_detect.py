@@ -105,7 +105,7 @@ class RaceDetectProtocol(CachedTableProtocol):
 
     # -- guards / instrumentation actions ---------------------------------
     def g_epoch_stale_remote(self, nid: int, handle) -> bool:
-        return handle.meta.get("epoch") != self._epoch[nid] and handle.region.home != nid
+        return handle.epoch != self._epoch[nid] and handle.region.home != nid
 
     def _touch(self, nid: int, handle, kind: str):
         yield self._d_record
@@ -113,9 +113,7 @@ class RaceDetectProtocol(CachedTableProtocol):
         rec[kind] = True
 
     def act_mark_epoch(self, nid: int, handle):
-        handle.meta["epoch"] = self._epoch[nid]
-        return
-        yield  # pragma: no cover - makes this a generator
+        handle.epoch = self._epoch[nid]
 
     def act_touch_read(self, nid: int, handle):
         yield from self._touch(nid, handle, "r")
@@ -188,8 +186,6 @@ class RaceDetectProtocol(CachedTableProtocol):
 
     def act_advance_epoch(self, nid: int):
         self._epoch[nid] += 1
-        return
-        yield  # pragma: no cover - makes this a generator
 
     def _on_summary(self, node, src, rid, epoch, read, wrote, data, heard):
         agg = self._agg.setdefault((rid, epoch), {"readers": set(), "writers": set()})

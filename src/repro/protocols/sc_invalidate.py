@@ -15,8 +15,8 @@ hooks are null.
 The protocol's state machine is :data:`~repro.dsm.msi.MSI_TABLE` — the
 same artifact the engine's three layers derive their constants from
 and the model checker verifies.  The class binds the engine's hook
-generators directly (the table is interpreted *by the engine*, not by
-:class:`~repro.protocols.base.TableProtocol` dispatch), so declaring
+generators directly (the table is run *by the engine*, not compiled into
+:class:`~repro.protocols.base.TableProtocol` hooks), so declaring
 it here costs nothing on the access path.
 """
 

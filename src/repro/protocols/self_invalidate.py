@@ -126,8 +126,6 @@ class SelfInvalidateProtocol(CachedTableProtocol):
     # -- actions (table-referenced) ---------------------------------------
     def act_hit(self, nid: int, handle):
         self._count("hit")
-        return
-        yield  # pragma: no cover - makes this a generator
 
     def act_fetch(self, nid: int, handle):
         """Revalidate a self-invalidated copy from the home."""
@@ -174,13 +172,9 @@ class SelfInvalidateProtocol(CachedTableProtocol):
                 dropped += 1
         if dropped:
             self._count("self_invalidate", dropped)
-        return
-        yield  # pragma: no cover - makes this a generator
 
     def act_advance_epoch(self, nid: int):
         self._epoch[nid] += 1
-        return
-        yield  # pragma: no cover - makes this a generator
 
     # -- home side (handler context) --------------------------------------
     def _note_writer(self, rid: int, epoch: int, src: int) -> None:

@@ -115,8 +115,6 @@ class StaticUpdateProtocol(CachedTableProtocol):
 
     def act_mark_dirty(self, nid: int, handle):
         self._dirty[nid].add(handle.region.rid)
-        return
-        yield  # pragma: no cover - makes this a generator
 
     def act_reject_remote_write(self, nid: int, handle):
         region = handle.region
@@ -124,7 +122,6 @@ class StaticUpdateProtocol(CachedTableProtocol):
             f"StaticUpdate: node {nid} wrote region {region.rid} homed at "
             f"{region.home}; this protocol asserts producers own their regions"
         )
-        yield  # pragma: no cover - makes this a generator
 
     def act_push_dirty(self, nid: int):
         """Push dirty home regions to sharers (the barrier's first leg)."""

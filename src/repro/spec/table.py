@@ -5,8 +5,10 @@ user-definable policy*.  Policy should therefore be **data**: this
 module defines the declarative transition-table artifact every other
 layer consumes —
 
-* :class:`~repro.protocols.base.TableProtocol` interprets a table at
-  runtime (hook dispatch is compiled from the rows at construction);
+* :class:`~repro.protocols.base.TableProtocol` is compiled from a
+  table: at construction each hook event's node rows become one
+  generated straight-line function (compiled once per text per process,
+  bound per instance — :mod:`repro.spec.emit`);
 * the DSM layers (:mod:`repro.dsm.directory`,
   :mod:`repro.dsm.regioncache`, :mod:`repro.dsm.hooks`) derive their
   state names, next-state maps, and recall modes from the MSI table in
@@ -34,7 +36,7 @@ A :class:`Transition` row reads::
     Destination state; ``"="`` keeps the current state.
 ``guard``
     Optional predicate name (resolved to a ``g_<name>`` method by the
-    runtime interpreter, and to an abstract predicate by the checker).
+    compiled hooks, and to an abstract predicate by the checker).
 ``actions``
     Ordered action-primitive names (``act_<name>`` methods at runtime;
     abstract transformers in the checker) — the SLICC-style "code
@@ -64,7 +66,7 @@ class TableError(ValueError):
 
 ROLES = ("node", "home")
 
-#: Events the runtime interpreter may compile into hook dispatchers.
+#: Events whose node rows compile into protocol hooks.
 HOOK_EVENTS = ("start_read", "end_read", "start_write", "end_write", "barrier")
 
 WILDCARD = "*"
@@ -188,7 +190,7 @@ class ProtocolTable:
                 raise TableError(f"{name}: null hook {hook!r} has a nonzero entry cost")
 
     # ------------------------------------------------------------------
-    # queries (used by the interpreter, the DSM layers, the checker,
+    # queries (used by the hook compiler, the DSM layers, the checker,
     # and the doc generator)
     # ------------------------------------------------------------------
     def rows(self, role: str | None = None, event: str | None = None) -> tuple[Transition, ...]:

@@ -105,11 +105,11 @@ void main() { print(twice(21)); }
 def test_eviction_cannot_take_a_function_of_the_program_being_built(monkeypatch):
     """The parent's cache skipped segments it already held, then cleared
     itself to make room for the rest and died patching the evicted hits."""
-    monkeypatch.setattr(codegen, "_CODE_CACHE_MAX", 1)
+    monkeypatch.setattr(codegen._CODE, "limit", 1)
     programs = [compile_source(_TWO_FUNCS % k) for k in (2, 3, 2)]
     built = [p.closures() for p in programs]  # every build overflows the bound
     assert built[0].funcs.keys() == {"twice", "main"}
-    assert len(codegen._CODE_CACHE) == 2  # one program's worth survives
+    assert len(codegen._CODE) == 2  # one program's worth survives
     assert [run_compiled(p, n_procs=1).prints for p in programs] == [
         [(0, 42.0)], [(0, 63.0)], [(0, 42.0)],
     ]
@@ -138,7 +138,7 @@ def test_emitted_python_is_printable_next_to_the_ir_listing():
     pick = prog.emitted("pick")
     assert "def f_pick(i_1, p):" in pick and "# line 5" in pick
     assert prog.emitted() == pick + "\n" + prog.emitted("main")
-    assert pick in codegen._CODE_CACHE  # the text is the cache key
+    assert pick in codegen._CODE  # the text is the cache key
     assert "func pick(i$1):" in prog.dump()
 
 
