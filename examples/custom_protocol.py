@@ -5,7 +5,9 @@ full-access-control interface: the home writes a region exactly once,
 then readers cache it forever with no coherence traffic.  Registering
 it takes one class with a `ProtocolSpec` — the Python analog of the
 paper's Figure 1 Tcl script — after which applications select it by
-name like any shipped protocol.
+name like any shipped protocol.  A protocol keeps its own per-copy
+extras on itself (here: the ids of regions already written), since a
+`RegionCopy` only carries the state the shipped protocols declare.
 
     python examples/custom_protocol.py
 """
@@ -39,16 +41,20 @@ class WriteOnceProtocol(CachedCopyProtocol):
         description="freeze after first write; reads are free forever",
     )
 
+    def __init__(self, runtime, space):
+        super().__init__(runtime, space)
+        self.frozen: set[int] = set()  # rids written once; only homes write
+
     def start_write(self, nid, handle):
         if handle.region.home != nid:
             raise ProtocolMisuse("WriteOnce: only the creator may write")
-        if handle.meta.get("frozen"):
+        if handle.rid in self.frozen:
             raise ProtocolMisuse("WriteOnce: region already written once")
         yield Delay(4)
 
     def end_write(self, nid, handle):
         yield Delay(4)
-        handle.meta["frozen"] = True
+        self.frozen.add(handle.rid)
 
 
 def program(ctx):

@@ -47,6 +47,9 @@ class RegionCopy:
     table protocols' actions keep: Migratory's open accesses ``use``,
     PipelinedWrite's ``phase`` / ``wdepth`` / ``snapshot`` (the outermost
     write's), HomeWrite's ``version``, RaceDetect's ``epoch`` (-1: unset).
+    A copy has no other room: a user protocol keeps its own per-copy
+    extras on its instance, keyed by ``(node, rid)`` (or by ``rid`` alone
+    for state only the home touches, as ``examples/custom_protocol.py`` does).
     """
 
     __slots__ = ("region", "node", "data", "state", "mapped", "reads", "writes", "maps",

@@ -15,6 +15,7 @@ protocols ... do not allow code motion").
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from inspect import isgeneratorfunction
 from typing import Protocol as TypingProtocol, runtime_checkable
@@ -278,33 +279,23 @@ def hook_source(tbl: ProtocolTable, event: str, refs, blocking) -> str:
         keyword = "elif"
     if not any("yield" in line for line in body):
         body.append("if 0: yield  # a generator, like every hook")
-    name = f"{tbl.name}_{event}"
+    name = re.sub(r"^\d+|\W", "_", f"{tbl.name}_{event}", flags=re.ASCII)
     head = ["def _make(P):", *(f"  {n} = P.{n}" for n in refs)]
     head += [f"  d{c} = Delay({c})" for c in sorted(costs - {0})]
     head.append(f"  def {name}({args if barrier else args + ', lead=0'}):")
     return "\n".join([*head, *("    " + line for line in body), f"  return {name}", ""])
 
 
-#: id(table) -> (table, ((event, the act_*/g_* its rows name), ...),
-#: {(event, *blocking): text}), worked out once per table (which rides
-#: along, so its id is not reused while cached)
-_PLANS: dict[int, tuple] = {}
-
-
 def table_hooks(tbl: ProtocolTable, target) -> dict:
     """``{event: hook}`` for every hook event with node rows in ``tbl``,
     compiled once per text and bound to ``target``'s ``act_*``/``g_*``."""
-    plan = _PLANS.get(id(tbl))
-    if plan is None:
-        events = []
-        for event in HOOK_EVENTS:
-            rows = tbl.rows("node", event)
-            refs = {"g_" + t.guard for t in rows if t.guard}
-            refs.update("act_" + a for t in rows for a in t.actions)
-            events += [(event, tuple(sorted(refs)))] if rows else []
-        plan = _PLANS[id(tbl)] = (tbl, tuple(events), {})
     hooks = {}
-    for event, refs in plan[1]:
+    for event in HOOK_EVENTS:
+        rows = tbl.rows("node", event)
+        if not rows:
+            continue
+        refs = {"g_" + t.guard for t in rows if t.guard}
+        refs = sorted(refs | {"act_" + a for t in rows for a in t.actions})
         blocking = []
         for attr in refs:
             fn = getattr(target, attr, None)
@@ -314,9 +305,7 @@ def table_hooks(tbl: ProtocolTable, target) -> dict:
                 )
             if attr.startswith("act_") and isgeneratorfunction(fn):
                 blocking.append(attr[4:])
-        key = (event, *blocking)
-        text = plan[2].get(key) or plan[2].setdefault(key, hook_source(tbl, event, refs, blocking))
-        hooks[event] = _CODE.factory(text)(target)
+        hooks[event] = _CODE.factory(hook_source(tbl, event, refs, blocking))(target)
     return hooks
 
 

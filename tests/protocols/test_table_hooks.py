@@ -2,6 +2,7 @@
 compiled once per text, and free of the generator-stub idiom."""
 
 import builtins
+import dataclasses
 import itertools
 import linecache
 import re
@@ -204,6 +205,16 @@ def test_generated_code_is_filed_under_its_layer_and_shows_its_row():
     shown = "".join(traceback.format_exception(exc.type, exc.value, exc.tb))
     assert "yield from act_migrate(nid, handle)" in shown
     assert "else:  # * start_read" in _generated(hook)
+
+
+@pytest.mark.parametrize("name", ["Write-Once", "2PC"])
+def test_a_table_named_by_no_identifier_still_compiles(name):
+    tbl = dataclasses.replace(default_registry.table_of("Migratory"), name=name)
+    spy = Spy(False, {})
+    hook = table_hooks(tbl, spy)["start_read"]
+    assert hook.__name__.isidentifier()
+    list(hook(0, Copy("invalid")))
+    assert spy.log == ["act_migrate"]
 
 
 # ----------------------------------------------------------- no stub idiom
