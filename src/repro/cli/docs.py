@@ -15,8 +15,9 @@ certificates and are shown only while the certificate's table
 fingerprint still matches the table as it exists today.  ``--check``
 fails if either block is stale, and rewrites nothing.  Either way it
 fails if either document names, in backticks, a ``Class.attr`` whose
-attribute no code under ``src/repro`` defines, or a bare CamelCase name
-that nothing there, no registered protocol, builtin or ``typing`` defines.
+attribute no code under ``src/repro`` defines, a bare CamelCase name
+that nothing there, no registered protocol, builtin or ``typing`` defines,
+or a repo path under one of :data:`PATH_ROOTS` that the checkout lacks.
 
 Without ``--check`` it also regenerates EXPERIMENTS.md from live
 harness runs.  Cycle tables come from fresh in-process runs
@@ -53,6 +54,10 @@ from repro.verify.modelcheck import InvalidationModel, ModelCheckError, Scope, m
 
 #: the checkout whose documents are regenerated
 ROOT = Path(__file__).resolve().parents[3]
+#: the checkout this code runs from, where a document's repo paths must exist
+CHECKOUT = ROOT
+#: top-level directories whose backticked paths a document may cite
+PATH_ROOTS = ("tests", "benchmarks", "examples", "perf", "src", "tools")
 BEGIN = re.compile(r"<!-- protocol-reference:begin.*?-->")
 END = "<!-- protocol-reference:end -->"
 STAMP = "<!-- generated by python -m repro docs; edit the protocol tables, not this block -->"
@@ -180,6 +185,22 @@ def dangling_names(text: str) -> list[str]:
     known = names | set(default_registry.names()) | set(dir(builtins)) | set(dir(typing))
     bare = [s for s in spans if re.fullmatch(r"[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*", s) and s not in known]
     return [f"{cls}.{attr}" for cls, attr in pairs if cls in classes and attr not in names] + bare
+
+
+def stale_paths(text: str) -> list[str]:
+    """Each backticked repo path under :data:`PATH_ROOTS` in ``text`` that
+    names nothing in the checkout (a glob, nothing it matches).  A path
+    ends at the first character no file name has, so a ``::test`` or
+    ``:line`` suffix is not part of it."""
+    roots = "|".join(PATH_ROOTS)
+    out = []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        for path in re.findall(rf"(?<![\w./-])((?:{roots})/[\w./*-]*)", span):
+            path = path.rstrip(".")
+            found = next(CHECKOUT.glob(path), None) if "*" in path else (CHECKOUT / path).exists()
+            if not found:
+                out.append(path)
+    return out
 
 
 # ---------------------------------------------------------------- EXPERIMENTS.md
@@ -476,10 +497,11 @@ def configure(parser) -> None:
 
 
 def run(args, art) -> int:
-    stale, dangling = [], []
+    stale, dangling, missing = [], [], []
     for name, body in (("README.md", render_readme()), ("DESIGN.md", render_design())):
         old, new = _splice(ROOT / name, body)
         dangling += [f"{name}: `{n}`" for n in dangling_names(old)]
+        missing += [f"{name}: `{p}`" for p in stale_paths(old)]
         if old == new:
             print(f"{name} up to date")
         elif args.check:
@@ -489,9 +511,11 @@ def run(args, art) -> int:
             print(f"rewrote protocol reference in {name}")
     if dangling:
         print(f"DANGLING: {', '.join(dangling)} — defined nowhere under src/repro")
+    if missing:
+        print(f"MISSING: {', '.join(missing)} — no such path in the checkout")
     if stale:
         print(f"STALE: {', '.join(stale)} — run: PYTHONPATH=src python -m repro docs")
-    if stale or dangling:
+    if stale or dangling or missing:
         return FAILED
     if not args.check:
         (ROOT / "EXPERIMENTS.md").write_text(render_experiments())

@@ -31,7 +31,7 @@ from repro.dsm.faults import (
     StallError,
     StallReport,
 )
-from repro.dsm.msi import HW_SC_TABLE, MSI_TABLE, EngineView, engine_view
+from repro.dsm.msi import HW_SC_TABLE, MSI_TABLE
 from repro.dsm.recovery import Crashed, RecoveryManager
 from repro.dsm.directory import DirEntry, DirectoryService
 from repro.dsm.regioncache import RegionCache
@@ -49,7 +49,6 @@ __all__ = [
     "DSMCosts",
     "DirEntry",
     "DirectoryService",
-    "EngineView",
     "FaultPlan",
     "FaultTransport",
     "HW_SC_TABLE",
@@ -66,5 +65,4 @@ __all__ = [
     "StallReport",
     "Transport",
     "as_transport",
-    "engine_view",
 ]

@@ -13,8 +13,9 @@ classical software-DSM organization — decomposed into four layers
   state, addressed by ``(shard, region)``;
 * :class:`~repro.dsm.regioncache.RegionCache` — per-node remote-copy
   state and the invalidation receive side;
-* :class:`~repro.dsm.hooks.ProtocolHooks` — the requester-side
-  before/after access hook dispatch both backends share.
+* :class:`~repro.dsm.hooks.ProtocolHooks` — the requester side both
+  backends share: create/map/unmap/flush, and the before/after access
+  hooks generated from the table's node rows with this engine's costs.
 
 State model
 -----------
@@ -57,7 +58,7 @@ class CoherenceEngine:
     over one transport, cross-wires the two handler edges that span
     layers (recall → cache, invalidation ack → directory), and exposes
     the hook generators as its own attributes so ``yield from
-    engine.start_read(...)`` drives the hooks frame directly.
+    engine.start_read(...)`` drives the generated hook's frame directly.
 
     Parameters
     ----------
@@ -75,7 +76,8 @@ class CoherenceEngine:
         :class:`~repro.dsm.directory.DirectoryService`).
     table:
         The :class:`~repro.spec.table.ProtocolTable` the three layers
-        derive their state machine from (defaults to
+        are built from — home rows, recall rows and the access rows the
+        hooks are generated from (defaults to
         :data:`~repro.dsm.msi.MSI_TABLE`).
     """
 
@@ -119,14 +121,7 @@ class CoherenceEngine:
         # port carries each ack back to the recall that asked).
         self.directory.wire_cache(self.cache)
         hooks = self.hooks = ProtocolHooks(
-            transport,
-            regions,
-            costs,
-            self.directory,
-            self.cache,
-            prefix=stats_prefix,
-            obs=obs,
-            table=self.table,
+            transport, regions, costs, self.directory, self.cache, self.table, stats_prefix, obs
         )
         # Crash recovery, when the fabric carries it: the manager prunes
         # and re-homes this engine's directory/cache state at each death

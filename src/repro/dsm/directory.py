@@ -195,11 +195,7 @@ class HomeMachine:
         self._ack_serves = tuple("serve_pending" in t.actions for t in rows) + (False,)
         # Recall modes after which the target still holds a readable
         # copy leave it a sharer (downgrade, in MSI terms).
-        read_hit = {
-            t.state
-            for t in table.rows("node", "start_read")
-            if "hit" in t.actions and t.guard is None
-        }
+        read_hit = {t.state for t in table.rows("node", "start_read") if t.runs("hit") and not t.guard}
         modes = {mode for _, rows in self._idle.values() for op, mode, _ in rows if op is _RECALL}
         self._sharer_modes = frozenset(
             m for m in modes if any(s in read_hit for s in table.next_map("node", m).values())
@@ -235,6 +231,63 @@ class HomeMachine:
         """Every ``(rid, entry)``, shard by shard in creation order."""
         for shard in self._shards:
             yield from shard.items()
+
+    # ------------------------------------------------------------------
+    # the home alias's own accesses: the guards and actions of its node
+    # rows, bound into the requester side's generated hooks
+    # ------------------------------------------------------------------
+    ALIAS_HOOKS = (
+        "g_home_idle",
+        "g_home_sole",
+        "act_open_home_read",
+        "act_open_home_write",
+        "act_close_home_read",
+        "act_close_home_write",
+    )
+
+    def bind_alias(self, target) -> None:
+        """Give ``target``, whose table hooks are compiled next, these
+        guards and actions as its own."""
+        for name in self.ALIAS_HOOKS:
+            setattr(target, name, getattr(self, name))
+
+    def _alias_entry(self, handle) -> DirEntry:
+        # the entry is created once per region and never replaced, so
+        # the alias copy caches it
+        ent = handle.ent = self.entry(handle.region.rid)
+        return ent
+
+    def g_home_idle(self, nid: int, handle) -> bool:
+        """The home may read in place: no remote owner, no window open."""
+        ent = handle.ent or self._alias_entry(handle)
+        return ent.owner is None and not ent.busy
+
+    def g_home_sole(self, nid: int, handle) -> bool:
+        """The home may write in place: no remote copy, no window open."""
+        ent = handle.ent or self._alias_entry(handle)
+        return ent.owner is None and not ent.sharers and not ent.busy
+
+    # A hit row runs these with its guard, atomically: no admission can
+    # interleave.
+    def act_open_home_read(self, nid: int, handle) -> None:
+        (handle.ent or self._alias_entry(handle)).home_readers += 1
+
+    def act_open_home_write(self, nid: int, handle) -> None:
+        (handle.ent or self._alias_entry(handle)).home_writing = True
+
+    def act_close_home_read(self, nid: int, handle) -> None:
+        ent = handle.ent or self._alias_entry(handle)
+        ent.home_readers -= 1
+        if not ent.home_readers and ent.queue:
+            self.drain(ent)
+
+    def act_close_home_write(self, nid: int, handle) -> None:
+        if handle.writes:
+            return  # a nested write is still open
+        ent = handle.ent or self._alias_entry(handle)
+        ent.home_writing = False
+        if ent.queue:
+            self.drain(ent)
 
     # ------------------------------------------------------------------
     # admission (read_req / write_req rows)

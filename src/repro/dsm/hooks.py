@@ -1,10 +1,31 @@
-"""ProtocolHooks: the requester-side access hooks over directory + cache.
+"""ProtocolHooks: the requester side over directory + cache.
 
-The generators here are the before/after read/write hook dispatch both
-backends share: CRL's ``rgn_*`` calls and Ace's default SC protocol
-bind these exact generator objects (see :mod:`repro.dsm.coherence`),
-so ``repro.crl`` is a cost-table configuration of the same core, not a
-parallel implementation.
+``create``/``map``/``unmap``/``flush`` are written here; the four access
+hooks are not.  They are :data:`~repro.dsm.msi.MSI_TABLE`'s node rows,
+generated at construction by the one emitter
+(:func:`~repro.spec.emit.table_hooks`) exactly as a
+:class:`~repro.protocols.base.TableProtocol`'s are, with this engine's
+:class:`~repro.dsm.costs.DSMCosts` as entry charges (``start_hit``
+before a start, ``end_op`` before an end), over the requester actions
+below and the home alias's guards and open/close actions, which
+:class:`~repro.dsm.directory.HomeMachine` defines for every invalidation
+wire.  Per row:
+
+* a hit (``hit_read``/``hit_write``) opens the access locally;
+* a cached copy's miss (``fetch_read``/``fetch_write``, the wildcard
+  rows, whose ``next`` is the fill state) asks the home over the wire,
+  with ``start_miss`` riding the request as its ``lead``;
+* the home alias's miss (``fetch_*_home``) calls the home's handler in
+  place and keeps the alias state;
+* ``release_read``/``release_write`` close the access, refuse an
+  unmatched end (:class:`~repro.dsm.errors.ProtocolError`) and fire
+  recalls the open access deferred.
+
+CRL's ``rgn_*`` calls and Ace's SC and HwSC protocols bind the generated
+functions (see :mod:`repro.dsm.coherence`), so ``repro.crl`` is a
+cost-table configuration of the same core, not a parallel
+implementation.  Their text is filed under
+``<generated>/repro/dsm/hooks.py``: a profile names them ``dsm.hooks``.
 
 All public operations are generators to be driven by a node's task
 (``yield from hooks.start_read(nid, copy)``); they charge the cost
@@ -18,30 +39,39 @@ CRL passes none).  The hook's first fixed charge absorbs them into one
 change: the caller's charge costs no kernel event (DESIGN.md §6).
 
 Hot-path notes: the collaborator operations this layer needs per
-access (copy tables, directory entry lookup, transport rpc/post) are
-bound as instance attributes at construction, so the hit path performs
-the same attribute probes the monolithic engine did — the layer split
-costs neither simulated cycles nor host time.
+access (copy tables, transport rpc/post) are bound as instance
+attributes at construction, and the home alias caches its directory
+entry on the copy (``RegionCopy.ent``).
 """
 
 from __future__ import annotations
+
+from functools import partialmethod
 
 import numpy as np
 
 from repro.dsm.costs import DSMCosts
 from repro.dsm.directory import DirectoryService
 from repro.dsm.errors import ProtocolError
-from repro.dsm.msi import MSI_TABLE, engine_view
 from repro.dsm.regioncache import RegionCache
 from repro.dsm.transport import Transport
 from repro.machine.stats import intern_key
 from repro.memory import RegionCopy
 from repro.sim import Delay, Future
 from repro.sim.kernel import _DELAY_POOL as _POOL, _DELAY_POOL_SIZE as _POOL_SIZE
+from repro.spec.emit import CodeFile, table_hooks
+from repro.spec.table import ProtocolTable
+
+#: every engine's generated access hooks are line ranges of this
+#: pseudo-file (a profiler files them under ``dsm.hooks``)
+_CODE = CodeFile(
+    "<generated>/repro/dsm/hooks.py", {"_POOL": _POOL, "_POOL_SIZE": _POOL_SIZE, "Delay": Delay}
+)
 
 
 class ProtocolHooks:
-    """Requester-side create/map/unmap, access, and flush generators."""
+    """Requester-side create/map/unmap and flush generators, the actions
+    of the table's access rows, and the access hooks generated from them."""
 
     def __init__(
         self,
@@ -50,9 +80,9 @@ class ProtocolHooks:
         costs: DSMCosts,
         directory: DirectoryService,
         cache: RegionCache,
+        table: ProtocolTable,
         prefix: str = "dsm",
         obs=None,
-        table=None,
     ):
         self.transport = transport
         self.regions = regions
@@ -60,19 +90,6 @@ class ProtocolHooks:
         self.directory = directory
         self.cache = cache
         self.prefix = prefix
-        # Requester-side state machine, derived from the protocol table
-        # (repro.dsm.msi): the hit states, the home-alias state, the
-        # states misses fill into, and what counts as dirty on a flush.
-        # Bound once at construction — the per-access fast path reads
-        # these attributes exactly as it used to read string literals.
-        view = engine_view(table if table is not None else MSI_TABLE)
-        self._read_hit = view.read_hit
-        self._write_hit = view.write_hit
-        self._home_state = view.home_state
-        self._fill_read = view.fill_read
-        self._fill_write = view.fill_write
-        self._base_state = view.base_state
-        self._dirty_states = view.dirty_states
         # Observability handle (None when tracing is off): region state
         # transitions are emitted from the miss/invalidate paths only —
         # hits change no state, so the hot hit path stays untouched.
@@ -82,7 +99,6 @@ class ProtocolHooks:
         self._copies = cache.tables
         self._entry = directory.entry
         self._fire_deferred = cache.fire_deferred
-        self._drain = directory.drain
         # Remote round trips and the grant ack (which closes the home's
         # busy window) go through the directory's port (DESIGN.md §9).
         self._rpc = directory.port.call
@@ -94,15 +110,13 @@ class ProtocolHooks:
         self._stat_keys: dict[str, str] = {}
         p = prefix
         self._cat_map_lookup = intern_key(p, "map_lookup")
-        self._cat_read_req = intern_key(p, "read_req")
-        self._cat_write_req = intern_key(p, "write_req")
+        self._cat_req = {kind: intern_key(p, kind + "_req") for kind in ("read", "write")}
         self._cat_grant_ack = intern_key(p, "grant_ack")
         self._cat_flush = intern_key(p, "flush")
         # Counters the per-access fast path bumps directly.
         self._k_read_hit = intern_key(p, "read_hit")
-        self._k_read_miss = intern_key(p, "read_miss")
         self._k_write_hit = intern_key(p, "write_hit")
-        self._k_write_miss = intern_key(p, "write_miss")
+        self._k_miss = {kind: intern_key(p, kind + "_miss") for kind in ("read", "write")}
         self._k_map_hit = intern_key(p, "map_hit")
         self._k_unmap = intern_key(p, "unmap")
         # Delay singletons per cost-table entry: the dominant yields of
@@ -113,23 +127,34 @@ class ProtocolHooks:
         self._c_map_hit = Delay(costs.map_hit).cycles
         self._c_map_cold = Delay(costs.map_cold).cycles
         self._c_unmap = Delay(costs.unmap).cycles
-        self._c_start_hit = Delay(costs.start_hit).cycles
         self._d_start_miss = Delay(costs.start_miss)
         # A remote miss hands start_miss to its rpc as ``lead`` — unless crash
         # recovery can re-home the region meanwhile: then the home is read after.
         self._miss_lead = 0 if transport.recovery is not None else self._d_start_miss.cycles
-        self._c_end_op = Delay(costs.end_op).cycles
         self._d_flush = Delay(costs.flush)
         # Home-side handlers, as the directory's stable wire bindings;
         # the home's own misses call the plain handlers in place (a
         # request that never crosses the wire needs no reliability).
         self._h_map_lookup = directory._h_map_lookup
-        self._h_read_req = directory._h_read_req
-        self._h_write_req = directory._h_write_req
+        self._h_req = {"read": directory._h_read_req, "write": directory._h_write_req}
         self._h_grant_ack = directory._h_grant_ack
         self._h_flush = directory._h_flush
-        self._local_read_req = directory._on_read_req
-        self._local_write_req = directory._on_write_req
+        self._local_req = {"read": directory._on_read_req, "write": directory._on_write_req}
+        # The table's states: the home alias, a flush's base and dirty
+        # states, and the fill each remote miss's trace event names (its
+        # row installs it).
+        self._home_state = cache.home_state
+        self._base_state = base = table.base_state
+        self._dirty_states = cache.dirty_states
+        self._fill = {kind: table.next_of("node", base, "start_" + kind) for kind in ("read", "write")}
+        # The four access hooks: the table's node rows, generated with
+        # this engine's entry charges over the actions below and the home
+        # alias's guards and open/close actions.
+        directory.bind_alias(self)
+        hit, end = costs.start_hit, costs.end_op
+        charged = {"start_read": hit, "start_write": hit, "end_read": end, "end_write": end}
+        for event, hook in table_hooks(table.with_(entry_costs=charged), self, _CODE).items():
+            setattr(self, event, hook)
 
     # ------------------------------------------------------------------
     # helpers
@@ -198,142 +223,83 @@ class ProtocolHooks:
         self._counts[self._k_unmap] += 1
 
     # ------------------------------------------------------------------
-    # read / write entry points (called from node tasks)
+    # requester actions (the table's node rows run them; see the module
+    # docstring for the row each belongs to)
     # ------------------------------------------------------------------
-    def start_read(self, nid: int, copy: RegionCopy, lead: int = 0):
-        """Generator: acquire a readable copy (blocks on a miss)."""
-        yield _POOL[c] if (c := lead + self._c_start_hit) < _POOL_SIZE else Delay(c)
-        # The directory entry is cached on the copy itself (it is
-        # created once per region and never replaced), so the hit path
-        # here (and in the other three access primitives) reads a slot.
-        ent = copy.ent
-        if ent is None:
-            ent = copy.ent = self._entry(copy.region.rid)
-        state = copy.state
-        if state in self._read_hit or (
-            state == self._home_state and ent.owner is None and not ent.busy
-        ):
-            if state == self._home_state:
-                ent.home_readers += 1
-            copy.reads += 1
-            self._counts[self._k_read_hit] += 1
-            return
+    def act_hit_read(self, nid: int, copy: RegionCopy) -> None:
+        copy.reads += 1
+        self._counts[self._k_read_hit] += 1
+
+    def act_hit_write(self, nid: int, copy: RegionCopy) -> None:
+        copy.writes += 1
+        self._counts[self._k_write_hit] += 1
+
+    def _fetch(self, kind: str, nid: int, copy: RegionCopy):
+        """Generator: a cached copy's ``kind`` miss — the grant crosses the
+        wire (an upgrade keeps the copy's data); the row installs the fill
+        state its trace event names."""
         region = copy.region
-        self._counts[self._k_read_miss] += 1
+        self._counts[self._k_miss[kind]] += 1
         if self._obs is not None:
             # Pre-RPC miss marker: attribution reads it as "the next
             # directory wait on this node is for this region".
-            self._obs.emit(self._sim.now, "dsm.miss", nid, -1, region.rid, "read")
+            self._obs.emit(self._sim.now, "dsm.miss", nid, -1, region.rid, kind)
         lead = self._miss_lead
-        if not lead or nid == region.home:
+        if not lead:
             yield self._d_start_miss
-        if nid == region.home:
-            fut = Future(name=f"read:{region.rid}@{nid}")
-            self._local_read_req(self._nodes[nid], nid, fut, region.rid)
-            yield fut
-            if copy.state != self._home_state:
-                # Post-recovery only: a re-homed node's copy can sit in
-                # a remote state.  A home-style grant (home_readers now
-                # open) makes it the home view again — end_read closes
-                # the access through the home path.
-                copy.data = region.home_data
-                copy.state = self._home_state
-        else:
-            data = yield from self._rpc(
-                nid,
-                region.home,
-                self._h_read_req,
-                region.rid,
-                payload_words=self.costs.meta_words,
-                category=self._cat_read_req,
-                lead=lead,
-            )
+        data = yield from self._rpc(
+            nid,
+            region.home,
+            self._h_req[kind],
+            region.rid,
+            payload_words=self.costs.meta_words,
+            category=self._cat_req[kind],
+            lead=lead,
+        )
+        if data is not None:
             np.copyto(copy.data, data)
-            copy.state = self._fill_read
-            if self._obs is not None:
-                self._trace_state(nid, region.rid, copy.state)
-            self._send_grant_ack(nid, region)
-        copy.reads += 1
+        if self._obs is not None:
+            self._trace_state(nid, region.rid, self._fill[kind])
+        self._send_grant_ack(nid, region)
+        if kind == "read":
+            copy.reads += 1
+        else:
+            copy.writes += 1
 
-    def end_read(self, nid: int, copy: RegionCopy, lead: int = 0):
-        """Generator: release a read; may fire deferred invalidations."""
+    def _fetch_home(self, kind: str, nid: int, copy: RegionCopy):
+        """Generator: the home alias's ``kind`` access waits its turn, in place."""
+        rid = copy.region.rid
+        self._counts[self._k_miss[kind]] += 1
+        if self._obs is not None:
+            self._obs.emit(self._sim.now, "dsm.miss", nid, -1, rid, kind)
+        yield self._d_start_miss
+        fut = Future(name=f"{kind}:{rid}@{nid}")
+        self._local_req[kind](self._nodes[nid], nid, fut, rid)
+        yield fut
+        if kind == "read":
+            copy.reads += 1
+        else:
+            copy.writes += 1
+
+    act_fetch_read = partialmethod(_fetch, "read")
+    act_fetch_write = partialmethod(_fetch, "write")
+    act_fetch_read_home = partialmethod(_fetch_home, "read")
+    act_fetch_write_home = partialmethod(_fetch_home, "write")
+
+    def act_release_read(self, nid: int, copy: RegionCopy) -> None:
+        """Close a read; the copy's last access fires deferred recalls."""
         if copy.reads <= 0:
             raise ProtocolError(f"end_read without start_read on region {copy.rid} node {nid}")
-        yield _POOL[c] if (c := lead + self._c_end_op) < _POOL_SIZE else Delay(c)
         copy.reads -= 1
-        if copy.state == self._home_state:
-            ent = copy.ent
-            if ent is None:
-                ent = copy.ent = self._entry(copy.region.rid)
-            ent.home_readers -= 1
-            if ent.home_readers == 0 and ent.queue:
-                self._drain(ent)
-        elif copy.deferred and copy.reads == 0:
+        if copy.deferred and not copy.reads:
             self._fire_deferred(copy)
 
-    def start_write(self, nid: int, copy: RegionCopy, lead: int = 0):
-        """Generator: acquire an exclusive copy (blocks until granted)."""
-        yield _POOL[c] if (c := lead + self._c_start_hit) < _POOL_SIZE else Delay(c)
-        ent = copy.ent
-        if ent is None:
-            ent = copy.ent = self._entry(copy.region.rid)
-        state = copy.state
-        if state in self._write_hit or (
-            state == self._home_state and ent.owner is None and not ent.sharers and not ent.busy
-        ):
-            if state == self._home_state:
-                ent.home_writing = True
-            copy.writes += 1
-            self._counts[self._k_write_hit] += 1
-            return
-        region = copy.region
-        self._counts[self._k_write_miss] += 1
-        if self._obs is not None:
-            self._obs.emit(self._sim.now, "dsm.miss", nid, -1, region.rid, "write")
-        lead = self._miss_lead
-        if not lead or nid == region.home:
-            yield self._d_start_miss
-        if nid == region.home:
-            fut = Future(name=f"write:{region.rid}@{nid}")
-            self._local_write_req(self._nodes[nid], nid, fut, region.rid)
-            yield fut
-            if copy.state != self._home_state:
-                # Post-recovery only; see start_read's local branch.
-                copy.data = region.home_data
-                copy.state = self._home_state
-        else:
-            data = yield from self._rpc(
-                nid,
-                region.home,
-                self._h_write_req,
-                region.rid,
-                payload_words=self.costs.meta_words,
-                category=self._cat_write_req,
-                lead=lead,
-            )
-            if data is not None:
-                np.copyto(copy.data, data)
-            copy.state = self._fill_write
-            if self._obs is not None:
-                self._trace_state(nid, region.rid, copy.state)
-            self._send_grant_ack(nid, region)
-        copy.writes += 1
-
-    def end_write(self, nid: int, copy: RegionCopy, lead: int = 0):
-        """Generator: release a write (copy stays dirty-exclusive; lazy write-back)."""
+    def act_release_write(self, nid: int, copy: RegionCopy) -> None:
+        """Close a write (the copy stays dirty-exclusive: lazy write-back)."""
         if copy.writes <= 0:
             raise ProtocolError(f"end_write without start_write on region {copy.rid} node {nid}")
-        yield _POOL[c] if (c := lead + self._c_end_op) < _POOL_SIZE else Delay(c)
         copy.writes -= 1
-        if copy.state == self._home_state:
-            ent = copy.ent
-            if ent is None:
-                ent = copy.ent = self._entry(copy.region.rid)
-            if copy.writes == 0:
-                ent.home_writing = False
-                if ent.queue:
-                    self._drain(ent)
-        elif copy.deferred and copy.writes == 0:
+        if copy.deferred and not copy.writes:
             self._fire_deferred(copy)
 
     def flush(self, nid: int, rid: int):

@@ -48,7 +48,8 @@ class LockService:
         self.machine = transport.machine
         self.regions = regions
         self.prefix = stats_prefix
-        self._key = f"lock:{stats_prefix}"
+        #: rid -> its lock, made at first use
+        self._locks: dict[int, _LockState] = {}
         # Interned once; the acquire/release path builds no f-strings.
         self._k_acquire = intern_key(stats_prefix, "acquire")
         self._k_release = intern_key(stats_prefix, "release")
@@ -84,11 +85,10 @@ class LockService:
         self._hold_hist = tracer.hist(stats_prefix + ".hold") if tracer is not None else None
         self._grant_at: dict = {}
 
-    def _state(self, region) -> _LockState:
-        st = region.meta.get(self._key)
+    def _state(self, rid: int) -> _LockState:
+        st = self._locks.get(rid)
         if st is None:
-            st = _LockState()
-            region.meta[self._key] = st
+            st = self._locks[rid] = _LockState()
         return st
 
     def acquire(self, nid: int, rid: int):
@@ -122,7 +122,7 @@ class LockService:
 
     # -- home-side handlers -------------------------------------------
     def _on_acquire(self, node, src, fut, rid):
-        st = self._state(self.regions.get(rid))
+        st = self._state(rid)
         if st.holder is None:
             st.holder = src
             self._grant(src, fut, rid)
@@ -133,7 +133,7 @@ class LockService:
             self._stats.count(self._k_contended)
 
     def _on_release(self, node, src, rid):
-        st = self._state(self.regions.get(rid))
+        st = self._state(rid)
         if st.holder is None:
             raise LockError(f"release of free lock on region {rid}")
         if st.holder != src:
@@ -160,21 +160,19 @@ class LockService:
         by the in-flight sweep).  Returns the number of broken holds.
         """
         broken = 0
-        for region in self.regions.all_regions():
-            st = region.meta.get(self._key)
-            if st is None:
-                continue
+        for rid in sorted(self._locks):  # rid order: allocation order
+            st = self._locks[rid]
             if any(src == dead for src, _ in st.waiters):
                 st.waiters = deque(item for item in st.waiters if item[0] != dead)
             if st.holder != dead:
                 continue
             broken += 1
             if self._obs is not None:
-                self._obs.emit(self._sim.now, "lock.broken", dead, -1, region.rid)
+                self._obs.emit(self._sim.now, "lock.broken", dead, -1, rid)
             if st.waiters:
                 nxt, fut = st.waiters.popleft()
                 st.holder = nxt
-                self._grant(nxt, fut, region.rid)
+                self._grant(nxt, fut, rid)
             else:
                 st.holder = None
         return broken

@@ -10,15 +10,18 @@ it at construction:
   recall completion, grant acks) and
   :class:`~repro.dsm.regioncache.RecallReceiver` the node rows for each
   recall mode (next state, writeback, ack);
-* :class:`~repro.dsm.hooks.ProtocolHooks` takes the hit states, the
-  fill states a miss installs, and the home-alias state through
-  :func:`engine_view`, which validates them — a table without a fill
-  state fails at construction, not mid-run.
+* its access-hook rows *are* the engine's four access hooks:
+  :class:`~repro.dsm.hooks.ProtocolHooks` compiles them with the one
+  emitter (:func:`~repro.spec.emit.table_hooks`) over its requester
+  actions and the home alias's guards and open/close actions, which
+  :class:`~repro.dsm.directory.HomeMachine` defines for Owned too.
 
-The per-access fast paths read the derived attributes exactly as they
-read string literals, so the table-driven engine costs zero simulated
-cycles (cycle costs come from :class:`~repro.dsm.costs.DSMCosts`, named
-in each row's ``note``).
+Where SC counts by event (``read_hit``/``write_hit``, ``reads``/``writes``)
+a row names an event-specific action — ``hit_read``, ``release_write``;
+:mod:`repro.verify.modelcheck` and the home side read it as its family
+(:meth:`~repro.spec.table.Transition.runs`).  The rows carry no cycle
+costs: each engine charges its own :class:`~repro.dsm.costs.DSMCosts`
+(``start_hit``/``end_op`` on entry, ``start_miss`` in the fetch actions).
 
 ``MSI_TABLE`` doubles as the registration artifact for the two
 engine-bound protocols: ``SC`` is the table verbatim and ``HwSC`` is
@@ -27,13 +30,7 @@ the hardware flag — same machine, different access-check costs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from repro.spec.table import ProtocolTable, TableError, Transition
-
-#: recall modes the engine's invalidation handshake understands; the
-#: table's home rows name them as ``recall_<mode>`` actions and its
-#: node rows handle each as a message event.
-RECALL_MODES = ("invalidate", "downgrade")
 
 MSI_TABLE = ProtocolTable(
     name="SC",
@@ -42,57 +39,55 @@ MSI_TABLE = ProtocolTable(
     home_states=("idle", "busy"),
     base_state="invalid",
     transitions=(
-        # -- node: access hooks -----------------------------------------
-        Transition("node", "shared", "start_read", actions=("hit",), note="costs.start_hit"),
-        Transition("node", "excl", "start_read", actions=("hit",), note="costs.start_hit"),
+        # -- node: access hooks (each engine charges its own DSMCosts on
+        # entry: start_hit before a start row, end_op before an end row) --
+        Transition("node", "shared", "start_read", actions=("hit_read",)),
+        Transition("node", "excl", "start_read", actions=("hit_read",)),
         Transition(
             "node",
             "home",
             "start_read",
             guard="home_idle",
-            actions=("hit",),
+            actions=("hit_read", "open_home_read"),
             note="home alias reads locally unless a remote owner exists",
+        ),
+        Transition(
+            "node",
+            "home",
+            "start_read",
+            actions=("fetch_read_home",),
+            msg="read_req",
+            note="costs.start_miss; the home queues like any reader; its copy stays 'home'",
         ),
         Transition(
             "node",
             "*",
             "start_read",
             next="shared",
-            actions=("fetch",),
+            actions=("fetch_read",),
             msg="read_req",
-            note="costs.start_miss",
+            note="costs.start_miss rides the request",
         ),
-        Transition("node", "excl", "start_write", actions=("hit",), note="costs.start_hit"),
+        Transition("node", "excl", "start_write", actions=("hit_write",)),
         Transition(
             "node",
             "home",
             "start_write",
             guard="home_sole",
-            actions=("hit",),
+            actions=("hit_write", "open_home_write"),
             note="home alias writes locally unless remote copies exist",
         ),
-        Transition(
-            "node",
-            "*",
-            "start_write",
-            next="excl",
-            actions=("fetch",),
-            msg="write_req",
-            note="costs.start_miss",
-        ),
-        Transition(
-            "node",
-            "*",
-            "end_read",
-            actions=("release",),
-            note="costs.end_op",
-        ),
+        Transition("node", "home", "start_write", actions=("fetch_write_home",), msg="write_req"),
+        Transition("node", "*", "start_write", next="excl", actions=("fetch_write",), msg="write_req"),
+        Transition("node", "home", "end_read", actions=("release_read", "close_home_read")),
+        Transition("node", "*", "end_read", actions=("release_read",)),
+        Transition("node", "home", "end_write", actions=("release_write", "close_home_write")),
         Transition(
             "node",
             "*",
             "end_write",
-            actions=("release",),
-            note="costs.end_op; copy stays dirty-exclusive (lazy write-back)",
+            actions=("release_write",),
+            note="copy stays dirty-exclusive (lazy write-back)",
         ),
         # -- node: recall receive side (message events) ------------------
         Transition(
@@ -242,76 +237,9 @@ def home_alias(table: ProtocolTable) -> str:
         t.state
         for ev in ("start_read", "start_write")
         for t in table.rows("node", ev)
-        if "hit" in t.actions and t.guard is not None
+        if t.runs("hit") and t.guard is not None
     }
     if len(homes) != 1:
         got = sorted(homes)
         raise TableError(f"{table.name}: expected one guarded home-alias state, got {got}")
     return homes.pop()
-
-
-@dataclass(frozen=True)
-class EngineView:
-    """The constants the requester-side hooks derive from one table."""
-
-    #: node states where ``start_read`` is a local hit (no guard)
-    read_hit: tuple[str, ...]
-    #: node states where ``start_write`` is a local hit (no guard)
-    write_hit: tuple[str, ...]
-    #: the home node's alias of canonical storage
-    home_state: str
-    #: state a read miss installs its filled copy in
-    fill_read: str
-    #: state a write miss installs its filled copy in
-    fill_write: str
-    #: state flushes and failed copies return to
-    base_state: str
-    #: states whose copies are dirty (write back on recall/flush)
-    dirty_states: frozenset
-
-
-def engine_view(table: ProtocolTable) -> EngineView:
-    """Derive (and validate) the hooks layer's constants from ``table``.
-
-    Raises :class:`~repro.spec.table.TableError` when the table does
-    not cover the machine the hooks run — no fill state for a miss, an
-    ambiguous home alias, a recall mode without node rows — so a bad
-    table fails at engine construction rather than mid-simulation.
-    """
-    # Hit states: unguarded rows whose action is the local fast path.
-    read_hit = tuple(
-        t.state for t in table.rows("node", "start_read") if "hit" in t.actions and t.guard is None
-    )
-    write_hit = tuple(
-        t.state for t in table.rows("node", "start_write") if "hit" in t.actions and t.guard is None
-    )
-    if not read_hit or not write_hit:
-        raise TableError(f"{table.name}: engine table has no unguarded hit states")
-    home_state = home_alias(table)
-
-    # Fill states: the destination of the wildcard fetch rows.
-    fills = {}
-    for kind, event in (("read", "start_read"), ("write", "start_write")):
-        rows = [t for t in table.rows("node", event) if "fetch" in t.actions]
-        if len(rows) != 1 or rows[0].next in ("=",):
-            raise TableError(f"{table.name}: expected one fetch row with a fill state for {event}")
-        fills[kind] = rows[0].next
-
-    dirty: set[str] = set()
-    for mode in RECALL_MODES:
-        rows = table.rows("node", mode)
-        if not rows:
-            raise TableError(f"{table.name}: no node rows for recall mode {mode!r}")
-        dirty.update(t.state for t in rows if "writeback" in t.actions)
-    if home_state in dirty:
-        raise TableError(f"{table.name}: the home alias cannot be a writeback state")
-
-    return EngineView(
-        read_hit=read_hit,
-        write_hit=write_hit,
-        home_state=home_state,
-        fill_read=fills["read"],
-        fill_write=fills["write"],
-        base_state=table.base_state,
-        dirty_states=frozenset(dirty),
-    )

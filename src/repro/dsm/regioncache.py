@@ -16,9 +16,9 @@ protocol is its own, and :mod:`repro.verify.modelcheck` has an
 abstract one.
 
 The copy tables are exposed as :attr:`RecallReceiver.tables` (a list
-of per-node dicts) so the access fast path in
+of per-node dicts) so the map fast path in
 :class:`~repro.dsm.hooks.ProtocolHooks` can probe them directly — the
-layer boundary adds no indirection on the hit path.
+layer boundary adds no indirection on the map path.
 """
 
 from __future__ import annotations
@@ -172,8 +172,14 @@ class RegionCache(RecallReceiver):
     snapshot = staticmethod(np.ndarray.copy)
 
     def acked(self, copy: RegionCopy, event: str, ack, data) -> None:
+        region = copy.region
+        if copy.node == region.home:
+            # Post-recovery only: the re-homed successor's remote-style
+            # copy of its own region returns to the home alias.
+            copy.data = region.home_data
+            copy.state = self.home_state
         # handler work before the ack leaves the node
-        size = copy.region.size if data is not None else self.costs.meta_words
+        size = region.size if data is not None else self.costs.meta_words
         ack(data, size, self.costs.inval_handler)
 
     def unheld(self, nid: int, rid: int, copy, event: str, ack, aux) -> None:

@@ -15,7 +15,7 @@ class Region:
     they copy it into a :class:`RegionCopy` (charging transfer cost).
     """
 
-    __slots__ = ("rid", "home", "size", "home_data", "meta")
+    __slots__ = ("rid", "home", "size", "home_data")
 
     def __init__(self, rid: int, home: int, size: int):
         if size <= 0:
@@ -24,8 +24,6 @@ class Region:
         self.home = home
         self.size = size
         self.home_data = np.zeros(size, dtype=np.float64)
-        # Per-layer metadata slot (directory state, sharer lists, ...).
-        self.meta: dict = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Region {self.rid} home={self.home} size={self.size}>"

@@ -15,9 +15,7 @@ protocols ... do not allow code motion").
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from inspect import isgeneratorfunction
 from typing import Protocol as TypingProtocol, runtime_checkable
 
 import numpy as np
@@ -26,8 +24,8 @@ from repro.memory import Region
 from repro.sim import Delay
 from repro.sim.errors import SimulationError
 from repro.sim.kernel import _DELAY_POOL as _POOL, _DELAY_POOL_SIZE as _POOL_SIZE
-from repro.spec.emit import CodeFile
-from repro.spec.table import HOOK_EVENTS, KEEP, WILDCARD, ProtocolTable, TableError
+from repro.spec.emit import CodeFile, table_hooks
+from repro.spec.table import ProtocolTable, TableError
 
 
 class ProtocolMisuse(SimulationError):
@@ -237,78 +235,6 @@ _CODE = CodeFile(
 )
 
 
-def hook_source(tbl: ProtocolTable, event: str, refs, blocking) -> str:
-    """The text of ``_make(P)``: ``tbl``'s node rows for ``event`` as one
-    straight-line hook (:class:`TableProtocol` says what it does) over
-    ``P``'s ``refs`` (its ``act_*``/``g_*``, bound once).  An action in
-    ``blocking`` (a generator) runs as ``yield from``, any other is a call."""
-    rows = tbl.rows("node", event)
-    ordered = [t for t in rows if t.state != WILDCARD] + [t for t in rows if t.state == WILDCARD]
-    barrier = event == "barrier"
-    args = "nid" if barrier else "nid, handle"
-    lone = len(ordered) == 1 and ordered[0].state == WILDCARD and not ordered[0].guard
-    entry = tbl.entry_costs.get(event, 0) + (ordered[0].cost if lone else 0)
-    costs = {entry} if barrier else set()
-    if barrier:
-        body = [f"yield d{entry}"] if entry else []
-    elif entry:
-        body = [f"yield _POOL[c] if (c := lead + {entry}) < _POOL_SIZE else Delay(c)"]
-    else:
-        body = ["if lead:", "  yield _POOL[lead] if lead < _POOL_SIZE else Delay(lead)"]
-    if ordered[0].state != WILDCARD:
-        if barrier:
-            raise TableError(f"{tbl.name}: a barrier row names a state, but a barrier has no copy")
-        body.append("st = handle.state")
-    keyword = "if"
-    for t in ordered:
-        test = [f"st == {t.state!r}"] if t.state != WILDCARD else []
-        test += [f"g_{t.guard}({args})"] if t.guard else []
-        row = f"# {t.state} {event}" + (f" [{t.guard}]" if t.guard else "")
-        if test:
-            body.append(f"{keyword} {' and '.join(test)}:  {row}")
-        else:
-            body.append(f"else:  {row}" if keyword == "elif" else row)
-        pad = "  " if test or keyword == "elif" else ""
-        lines = [f"yield d{t.cost}"] if t.cost and not lone else []
-        costs.add(t.cost if lines else 0)
-        lines += [f"{'yield from ' if a in blocking else ''}act_{a}({args})" for a in t.actions]
-        lines += [f"handle.state = {t.next!r}"] if t.next != KEEP else []
-        body += [pad + line for line in lines or ["pass"]]
-        if not test:
-            break
-        keyword = "elif"
-    if not any("yield" in line for line in body):
-        body.append("if 0: yield  # a generator, like every hook")
-    name = re.sub(r"^\d+|\W", "_", f"{tbl.name}_{event}", flags=re.ASCII)
-    head = ["def _make(P):", *(f"  {n} = P.{n}" for n in refs)]
-    head += [f"  d{c} = Delay({c})" for c in sorted(costs - {0})]
-    head.append(f"  def {name}({args if barrier else args + ', lead=0'}):")
-    return "\n".join([*head, *("    " + line for line in body), f"  return {name}", ""])
-
-
-def table_hooks(tbl: ProtocolTable, target) -> dict:
-    """``{event: hook}`` for every hook event with node rows in ``tbl``,
-    compiled once per text and bound to ``target``'s ``act_*``/``g_*``."""
-    hooks = {}
-    for event in HOOK_EVENTS:
-        rows = tbl.rows("node", event)
-        if not rows:
-            continue
-        refs = {"g_" + t.guard for t in rows if t.guard}
-        refs = sorted(refs | {"act_" + a for t in rows for a in t.actions})
-        blocking = []
-        for attr in refs:
-            fn = getattr(target, attr, None)
-            if fn is None:
-                raise TableError(
-                    f"{tbl.name}: table references {attr} but {type(target).__name__} does not define it"
-                )
-            if attr.startswith("act_") and isgeneratorfunction(fn):
-                blocking.append(attr[4:])
-        hooks[event] = _CODE.factory(hook_source(tbl, event, refs, blocking))(target)
-    return hooks
-
-
 class TableProtocol(Protocol):
     """A protocol whose hooks are *compiled from its table*.
 
@@ -357,7 +283,7 @@ class TableProtocol(Protocol):
             raise TableError(
                 f"{type(self).__name__}: table {tbl.name!r} does not match spec {self.spec.name!r}"
             )
-        for event, hook in table_hooks(tbl, self).items():
+        for event, hook in table_hooks(tbl, self, _CODE).items():
             setattr(self, event, hook)
 
     # -- common action primitives ------------------------------------------

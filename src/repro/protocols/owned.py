@@ -241,8 +241,9 @@ class OwnedProtocol(TableProtocol):
     flush_keeps_copy = False
 
     def __init__(self, runtime, space):
+        self.home = HomeMachine(self.table, self, runtime.regions, prefix="proto.Owned")
+        self.home.bind_alias(self)  # before the table's hooks are compiled
         super().__init__(runtime, space)
-        self.home = HomeMachine(self.table, self, self.regions, prefix="proto.Owned")
         self.cache = RecallReceiver(self.table, self, self.transport.n_procs)
         port = self.port = self.transport.port("proto.Owned")
         self._rpc = port.call
@@ -325,37 +326,11 @@ class OwnedProtocol(TableProtocol):
         self.home.entry(region.rid)
         return self.cache.install(nid, region)  # the alias IS canonical storage
 
-    # -- guards (table-referenced) ------------------------------------------
-    def g_home_idle(self, nid: int, handle) -> bool:
-        ent = self.home.entry(handle.region.rid)
-        return ent.owner is None and not ent.busy
-
-    def g_home_sole(self, nid: int, handle) -> bool:
-        ent = self.home.entry(handle.region.rid)
-        return ent.owner is None and not ent.sharers and not ent.busy
-
-    # -- actions (table-referenced) -------------------------------------------
+    # -- actions (table-referenced; the home alias's guards and open/close
+    # actions are the home machine's) -------------------------------------
     def act_hit(self, nid: int, handle):
         handle.reads += 1
         self._count("hit")
-
-    def act_open_home_read(self, nid: int, handle):
-        # Atomic with the guard (hit rows charge no row cost): no remote
-        # admission can interleave.
-        self.home.entry(handle.region.rid).home_readers += 1
-
-    def act_open_home_write(self, nid: int, handle):
-        self.home.entry(handle.region.rid).home_writing = True
-
-    def act_close_home_read(self, nid: int, handle):
-        ent = self.home.entry(handle.region.rid)
-        ent.home_readers -= 1
-        self.home.drain(ent)
-
-    def act_close_home_write(self, nid: int, handle):
-        ent = self.home.entry(handle.region.rid)
-        ent.home_writing = False
-        self.home.drain(ent)
 
     def _fetch(self, nid: int, handle, kind: str, event: str):
         """Request access from the home; install whatever grant arrives."""

@@ -13,11 +13,14 @@ Padua), so only direct-dispatch may touch SC calls — and none of its
 hooks are null.
 
 The protocol's state machine is :data:`~repro.dsm.msi.MSI_TABLE` — the
-same artifact the engine's three layers derive their constants from
-and the model checker verifies.  The class binds the engine's hook
-generators directly (the table is run *by the engine*, not compiled into
-:class:`~repro.protocols.base.TableProtocol` hooks), so declaring
-it here costs nothing on the access path.
+same artifact the model checker verifies, and the one the engine is
+built from: its home and recall rows run in the shared invalidation
+machines, and its access rows are the engine's four hooks, generated by
+the one emitter that compiles every
+:class:`~repro.protocols.base.TableProtocol`'s, with the engine's
+:class:`~repro.dsm.costs.DSMCosts` as entry charges.  The class binds
+those generated hooks directly, so declaring it here costs nothing on
+the access path.
 """
 
 from __future__ import annotations

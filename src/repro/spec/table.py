@@ -5,14 +5,15 @@ user-definable policy*.  Policy should therefore be **data**: this
 module defines the declarative transition-table artifact every other
 layer consumes —
 
-* :class:`~repro.protocols.base.TableProtocol` is compiled from a
-  table: at construction each hook event's node rows become one
-  generated straight-line function (compiled once per text per process,
-  bound per instance — :mod:`repro.spec.emit`);
-* the DSM layers (:mod:`repro.dsm.directory`,
-  :mod:`repro.dsm.regioncache`, :mod:`repro.dsm.hooks`) derive their
-  state names, next-state maps, and recall modes from the MSI table in
-  :mod:`repro.dsm.msi`, so home-side and node-side state machines come
+* every protocol's access hooks are compiled from its table — a
+  :class:`~repro.protocols.base.TableProtocol`'s and the coherence
+  engine's (:mod:`repro.dsm.hooks`, from the MSI table in
+  :mod:`repro.dsm.msi`): at construction each hook event's node rows
+  become one generated straight-line function (compiled once per text
+  per process, bound per instance — :mod:`repro.spec.emit`);
+* the invalidation family's home and recall sides
+  (:mod:`repro.dsm.directory`, :mod:`repro.dsm.regioncache`) interpret
+  the message rows, so home-side and node-side state machines come
   from one artifact;
 * the small-scope model checker (:mod:`repro.verify.modelcheck`)
   enumerates all message interleavings directly over the rows;
@@ -99,6 +100,11 @@ class Transition:
     @property
     def key(self) -> tuple:
         return (self.role, self.state, self.event, self.guard)
+
+    def runs(self, action: str) -> bool:
+        """Whether the row runs ``action`` or a specialised form of it:
+        ``hit_read`` is a ``hit``, ``fetch_read_home`` a ``fetch``."""
+        return any(a == action or a.startswith(action + "_") for a in self.actions)
 
 
 def _freeze_map(m: Mapping | None) -> Mapping:
@@ -227,13 +233,6 @@ class ProtocolTable:
                     continue  # explicit rows were added first for s
                 out[s] = s if t.next == KEEP else t.next
         return out
-
-    def states_with(self, event: str, action: str, role: str = "node") -> frozenset:
-        """States whose row for ``event`` runs ``action`` (e.g. the MSI
-        hit states: ``states_with("start_read", "hit")``)."""
-        return frozenset(
-            t.state for t in self.rows(role, event) if action in t.actions and t.state != WILDCARD
-        )
 
     def next_of(self, role: str, state: str, event: str) -> str:
         """The destination state of the first matching row."""

@@ -199,9 +199,7 @@ def _trace(parent: dict, state) -> tuple[str, ...]:
 # shared table derivations
 # ----------------------------------------------------------------------
 def _hit_states(table: ProtocolTable, event: str) -> frozenset:
-    return frozenset(
-        t.state for t in table.rows("node", event) if "hit" in t.actions and t.guard is None
-    )
+    return frozenset(t.state for t in table.rows("node", event) if t.runs("hit") and t.guard is None)
 
 
 def _guarded_hit_states(table: ProtocolTable) -> frozenset:
@@ -209,18 +207,14 @@ def _guarded_hit_states(table: ProtocolTable) -> frozenset:
         t.state
         for ev in ("start_read", "start_write")
         for t in table.rows("node", ev)
-        if "hit" in t.actions and t.guard is not None
+        if t.runs("hit") and t.guard is not None
     )
 
 
-def _is_fetch(row) -> bool:
-    """Tables may specialize the fetch action per hook (``fetch_read``)
-    or per requester (``fetch_read_home``); any of them is a miss."""
-    return any(a == "fetch" or a.startswith("fetch_") for a in row.actions)
-
-
 def _fetch_row(table: ProtocolTable, event: str):
-    rows = [t for t in table.rows("node", event) if _is_fetch(t)]
+    # a fetch may be specialised per hook (``fetch_read``) or per
+    # requester (``fetch_read_home``); any of them is a miss
+    rows = [t for t in table.rows("node", event) if t.runs("fetch")]
     for t in rows:
         if t.state == WILDCARD:
             return t  # the wildcard row names the fill state remote misses use
@@ -356,6 +350,8 @@ class InvalidationModel:
     #: are the shared machines' to validate
     NODE_ACTIONS = {
         "hit",
+        "hit_read",
+        "hit_write",
         "fetch",
         "fetch_read",
         "fetch_write",
@@ -489,18 +485,18 @@ class InvalidationModel:
             return None  # no applicable row: the access cannot start here
         label = f"node{n}: {event} r{r} [{st}]"
         ops2 = _set(ops, n, ops[n] - 1)
-        if "hit" in row.actions:
+        if row.runs("hit"):
             dirs2 = dirs
-            if st == self.home_state:
+            if row.runs("open_home"):  # the home task's own access opens
                 d = list(dirs[r])
-                if kind == "r":
+                if "open_home_read" in row.actions:
                     d[5] += 1
-                else:
+                if "open_home_write" in row.actions:
                     d[6] = True
                 dirs2 = _set(dirs, r, tuple(d))
             copies2 = _set2(copies, n, r, (_resolve_next(st, row.next), ver, deferred))
             return (label + " hit", (copies2, _set(open_, n, (kind, r)), ops2, dirs2, homever, latest, net, nextver))
-        if _is_fetch(row):
+        if row.runs("fetch"):
             msg = (("read_req" if kind == "r" else "write_req"), n, self.scope.home(r), r, _NO_PAYLOAD, "")
             return (
                 label + " miss",
@@ -512,7 +508,9 @@ class InvalidationModel:
         copies, open_, ops, dirs, homever, latest, net, nextver = s
         kind, r = open_[n]
         st, ver, deferred = copies[n][r]
-        label = f"node{n}: end_{'read' if kind == 'r' else 'write'} r{r}"
+        event = "end_read" if kind == "r" else "end_write"
+        row = self._match_node(st, event, n, r, dirs[r])
+        label = f"node{n}: {event} r{r}"
         if kind == "w":
             ver = nextver
             nextver += 1
@@ -522,11 +520,11 @@ class InvalidationModel:
             label += f" (commit v{ver})"
         copies = _set2(copies, n, r, (st, ver, deferred))
         open_ = _set(open_, n, None)
-        if st == self.home_state:
+        if row is not None and row.runs("close_home"):  # the home task's own access closes
             d = list(dirs[r])
-            if kind == "r":
+            if "close_home_read" in row.actions:
                 d[5] -= 1
-            else:
+            if "close_home_write" in row.actions:
                 d[6] = False
             dirs = _set(dirs, r, tuple(d))
             state = (copies, open_, ops, dirs, homever, latest, net, nextver)
@@ -1120,6 +1118,12 @@ def seeded_mutations(table: ProtocolTable) -> list[tuple[str, ProtocolTable]]:
     try:
         j = table.find_row("home", "idle", "write_req", guard="copies_elsewhere")
         out.append(("write-grant-skips-recall", table.mutate(j, guard="owned_elsewhere")))
+    except TableError:
+        pass
+    try:
+        # the home writes in place over remote sharers' copies
+        k = table.find_row("node", "home", "start_write", guard="home_sole")
+        out.append(("home-write-skips-sharers", table.mutate(k, guard="home_idle")))
     except TableError:
         pass
     # Barrier family: drop the synchronous write-back (home never learns

@@ -186,6 +186,49 @@ def test_call_retargeted_inside_its_send_charge_keeps_one_retry_deadline():
         assert res.stats.get("recovery.retargeted") == 1 and not res.stats.get("rel.retry")
 
 
+def test_successor_missing_on_its_new_region_holds_a_copy_until_recalled():
+    """The successor's read begun just before the declaration crosses the
+    wire to itself and is served remote-style (its row installs
+    ``shared``); a remote write's recall then returns the copy to the
+    home alias, and every survivor reads that write."""
+    declared_at = _declared_at()
+    box = {}
+
+    def run(ctx, start):
+        sid = yield from ctx.new_space("SC")
+        if ctx.nid == 2:
+            box["rid"] = yield from ctx.gmalloc(sid, 4)
+        yield from ctx.barrier()
+        h = yield from ctx.map(box["rid"])
+        yield from ctx.barrier()
+        if ctx.nid == 2:
+            return (yield from ctx.compute(20_000))
+        if ctx.nid == 3:  # node 2's successor
+            yield from ctx.compute(start - ctx.machine.sim.now)
+            yield from ctx.read_region(h)
+            box["state"] = h.state
+        yield from ctx.barrier()
+        if ctx.nid == 1:
+            yield from ctx.write_region(h, [1.0, 2.0, 3.0, 4.0])
+        yield from ctx.barrier()
+        return list((yield from ctx.read_region(h)))
+
+    # dispatch + start_hit = 28 cycles read the copy's state before the
+    # declaration; the declaration falls inside start_miss
+    for start in range(declared_at - 72, declared_at - 28, 11):
+        res = run_spmd(
+            lambda ctx: run(ctx, start),
+            n_procs=N_PROCS,
+            fault_plan=FaultPlan.crash(2, 1500),
+            on_crash="recover",
+        )
+        assert box["state"] == "shared", start
+        assert [res.results[n] for n in (0, 1, 3)] == [[1.0, 2.0, 3.0, 4.0]] * 3, start
+        engine = res.backend.runtime.sc_engine
+        copy = engine.copy_of(3, box["rid"])
+        assert copy.state == "home" and copy.data is copy.region.home_data, start
+
+
 def test_recover_is_deterministic():
     plan = FaultPlan.crash(2, at=2200, seed=7)
     a = run_ring("SC", plan, on_crash="recover")

@@ -112,6 +112,27 @@ def test_docs_check_fails_on_a_bare_name_nothing_defines(tmp_path, monkeypatch, 
     assert not any(n in out for n in ("TracedTransport", "Owned", "TypeError", "NamedTuple"))
 
 
+def test_docs_check_fails_on_a_missing_repo_path(tmp_path, monkeypatch, capsys):
+    """A backticked path under ``tests/``, ``tools/``, … that the checkout
+    lacks fails ``docs --check``; a ``::test`` or ``:line`` suffix, and a
+    glob that matches something, pass."""
+    from repro.cli import docs
+
+    for name in ("README.md", "DESIGN.md"):
+        (tmp_path / name).write_text((ROOT / name).read_text())
+    monkeypatch.setattr(docs, "ROOT", tmp_path)
+    with (tmp_path / "DESIGN.md").open("a") as f:
+        f.write("\nSee `tests/compiler/test_passes.py::test_dump_is_readable`,"
+                " `src/repro/dsm/hooks.py:12` and `examples/*.py`.\n")
+    assert cli.main(["docs", "--check"]) == 0
+    with (tmp_path / "DESIGN.md").open("a") as f:
+        f.write("\nThe shapes are pinned in `tests/compiler/test_annotations.py`; see `tools/*.py`.\n")
+    capsys.readouterr()
+    assert cli.main(["docs", "--check"]) == 1
+    out = capsys.readouterr().out
+    assert "MISSING: DESIGN.md: `tests/compiler/test_annotations.py`, DESIGN.md: `tools/*.py`" in out
+
+
 def test_seed_sets_parse_or_refuse():
     assert seed_set("0,2,5-7") == [0, 2, 5, 6, 7]
     assert seed_set("4") == [4] and seed_set("3-3") == [3]

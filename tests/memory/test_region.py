@@ -69,16 +69,17 @@ def test_copy_access_state_is_declared_slots():
     assert (c.reads, c.writes, c.maps, c.deferred) == (0, 0, 0, ())
     assert c.ent is None and c.space is None and c.snapshot is None
     assert (c.use, c.wdepth, c.phase, c.version, c.epoch) == (0, 0, -1, -1, -1)
-    assert not hasattr(c, "meta")
+    assert not hasattr(c, "meta") and not hasattr(c.region, "meta")
 
 
 def test_access_state_lives_in_slots_not_meta_keys():
     # One name, one place: the per-copy counts, deferred recalls, cached
     # directory entry, Ace handle stamp and table protocols' copy state
-    # are RegionCopy slots; a copy has no ``meta`` to hide state in.
+    # are RegionCopy slots; neither a copy nor a region has a ``meta`` to
+    # hide state in (a service keeps its own per-region state, as locks do).
     banned = re.compile(
         r"""["'](read_count|write_count|map_count|ace_space|ace_gen)["']"""
-        r"""|meta\[["']deferred["']\]|f?["']dir:|\b(copy|handle)\.meta\b"""
+        r"""|meta\[["']deferred["']\]|f?["']dir:|\b(copy|handle|region)\.meta\b"""
     )
     root = Path(repro.__file__).parent
     files = sorted(root.rglob("*.py"))

@@ -1,12 +1,14 @@
 """Table hooks are generated code: held to a reference walk of the rows,
 compiled once per text, and free of the generator-stub idiom."""
 
+import ast
 import builtins
 import dataclasses
 import itertools
 import linecache
 import re
 import traceback
+from inspect import isgeneratorfunction
 from pathlib import Path
 
 import pytest
@@ -15,11 +17,14 @@ import repro
 from repro.compiler import OPT_BASE, OPT_DIRECT, OPT_LI, OPT_LI_MC, compile_source, run_compiled
 from repro.core.runtime import AceRuntime
 from repro.core.space import Space
+from repro.crl.runtime import CRLRuntime
+from repro.dsm import hooks as dsm_hooks
 from repro.dsm.directory import HomeMachine
 from repro.machine import Machine, MachineConfig
-from repro.protocols import default_registry
-from repro.protocols.base import Protocol, table_hooks
+from repro.protocols import base, default_registry
+from repro.protocols.base import Protocol
 from repro.sim import Delay, Simulator
+from repro.spec.emit import table_hooks
 from repro.spec.table import HOOK_EVENTS, KEEP, WILDCARD
 
 
@@ -53,9 +58,10 @@ def reference(tbl, event, target, nid, handle, lead):
 class Spy:
     """Every ``act_*`` logs its name (a generator one also yields a
     marker, so its place among the charges shows); every ``g_*``
-    answers from ``verdicts``."""
+    answers from ``verdicts``.  ``blocking``: whether every action is a
+    generator, or the names of those that are."""
 
-    def __init__(self, blocking: bool, verdicts: dict):
+    def __init__(self, blocking, verdicts: dict):
         self.log = []
         self.blocking = blocking
         self.verdicts = verdicts
@@ -65,7 +71,7 @@ class Spy:
             return lambda *args: self.verdicts[name[2:]]
         if not name.startswith("act_"):
             raise AttributeError(name)
-        if self.blocking:
+        if self.blocking if isinstance(self.blocking, bool) else name[4:] in self.blocking:
             def act(*args):
                 self.log.append(name)
                 yield ("ran", name)
@@ -89,29 +95,87 @@ def _cases():
                 yield tbl, event, sorted({t.guard for t in rows if t.guard})
 
 
+def _walks(tbl, event, code, blocking, guards, states, leads):
+    """Each case's (generated, reference) runs: charges, actions, end state."""
+    for state, lead, outcome in itertools.product(
+        states, leads, itertools.product((False, True), repeat=len(guards))
+    ):
+        verdicts = dict(zip(guards, outcome))
+        runs = []
+        for walk in ("generated", "reference"):
+            spy, copy = Spy(blocking, verdicts), Copy(state)
+            if walk == "generated":
+                hook = table_hooks(tbl, spy, code)[event]
+                gen = hook(3) if event == "barrier" else hook(3, copy, lead)
+            else:
+                gen = reference(tbl, event, spy, 3, copy, lead)
+            runs.append((list(gen), spy.log, copy.state))
+        yield (tbl.name, event, state, lead, verdicts, blocking), hook, runs
+
+
 def test_generated_hooks_walk_the_rows_as_the_reference_does():
     tables, checked = set(), 0
     for tbl, event, guards in _cases():
         tables.add(tbl.name)
         states = (None,) if event == "barrier" else tbl.node_states
         leads = (0,) if event == "barrier" else (0, 7)
-        for blocking, state, lead, outcome in itertools.product(
-            (False, True), states, leads, itertools.product((False, True), repeat=len(guards))
-        ):
-            verdicts = dict(zip(guards, outcome))
-            runs = []
-            for walk in ("generated", "reference"):
-                spy, copy = Spy(blocking, verdicts), Copy(state)
-                if walk == "generated":
-                    hook = table_hooks(tbl, spy)[event]
-                    gen = hook(3) if event == "barrier" else hook(3, copy, lead)
-                else:
-                    gen = reference(tbl, event, spy, 3, copy, lead)
-                runs.append((list(gen), spy.log, copy.state))
-            assert runs[0] == runs[1], (tbl.name, event, state, lead, verdicts, blocking)
-            checked += 1
+        for blocking in (False, True):
+            for case, _, runs in _walks(tbl, event, base._CODE, blocking, guards, states, leads):
+                assert runs[0] == runs[1], case
+                checked += 1
     assert len(tables) == 13
     assert checked > 500
+
+
+def _engines():
+    """The three coherence engines: Ace's SC, a HwSC space's, CRL's."""
+    runtime = AceRuntime(Machine(Simulator(), MachineConfig(n_procs=2)))
+    yield runtime.sc_engine
+    yield runtime._create_protocol("HwSC", Space(sid=0)).engine
+    yield CRLRuntime(Machine(Simulator(), MachineConfig(n_procs=2))).engine
+
+
+def test_engine_hooks_walk_the_rows_as_the_reference_does():
+    """SC, HwSC and CRL run their table's access rows, generated with each
+    engine's entry charges: the engine's hook is the very code the rows
+    compile to, and that code walks the rows as the reference does."""
+    costs_seen, checked = set(), 0
+    for engine in _engines():
+        hit, end = engine.costs.start_hit, engine.costs.end_op
+        costs_seen.add((hit, end))
+        tbl = engine.table.with_(
+            entry_costs={"start_read": hit, "start_write": hit, "end_read": end, "end_write": end}
+        )
+        hooks = engine.hooks
+        blocking = {
+            name[4:]
+            for name in dir(hooks)
+            if name.startswith("act_") and isgeneratorfunction(getattr(hooks, name))
+        }
+        assert blocking == {"fetch_read", "fetch_write", "fetch_read_home", "fetch_write_home"}
+        for event in ("start_read", "end_read", "start_write", "end_write"):
+            shipped = getattr(engine, event)
+            assert shipped.__code__.co_filename == "<generated>/repro/dsm/hooks.py"
+            assert "lead" in shipped.__code__.co_varnames
+            guards = sorted({t.guard for t in tbl.rows("node", event) if t.guard})
+            for case, hook, runs in _walks(
+                tbl, event, dsm_hooks._CODE, blocking, guards, tbl.node_states, (0, 7)
+            ):
+                assert hook.__code__ is shipped.__code__, case
+                assert runs[0] == runs[1], case
+                checked += 1
+    assert len(costs_seen) == 3
+    assert checked > 100
+
+
+def test_the_engine_writes_no_access_hook_by_hand():
+    tree = ast.parse(Path(dsm_hooks.__file__).read_text())
+    written = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and re.match(r"(start|end)_", node.name)
+    ]
+    assert written == []
 
 
 def test_a_plain_action_is_called_and_a_generator_is_delegated_to():
@@ -201,7 +265,7 @@ def test_generated_code_is_filed_under_its_layer_and_shows_its_row():
 
     tbl = default_registry.table_of("Migratory")
     with pytest.raises(RuntimeError) as exc:
-        list(table_hooks(tbl, Boom(False, {}))["start_read"](0, Copy("invalid")))
+        list(table_hooks(tbl, Boom(False, {}), base._CODE)["start_read"](0, Copy("invalid")))
     shown = "".join(traceback.format_exception(exc.type, exc.value, exc.tb))
     assert "yield from act_migrate(nid, handle)" in shown
     assert "else:  # * start_read" in _generated(hook)
@@ -211,7 +275,7 @@ def test_generated_code_is_filed_under_its_layer_and_shows_its_row():
 def test_a_table_named_by_no_identifier_still_compiles(name):
     tbl = dataclasses.replace(default_registry.table_of("Migratory"), name=name)
     spy = Spy(False, {})
-    hook = table_hooks(tbl, spy)["start_read"]
+    hook = table_hooks(tbl, spy, base._CODE)["start_read"]
     assert hook.__name__.isidentifier()
     list(hook(0, Copy("invalid")))
     assert spy.log == ["act_migrate"]

@@ -74,6 +74,21 @@ def test_every_seeded_mutation_is_refuted(name):
         assert "counterexample" in rendered and v.invariant in rendered
 
 
+@pytest.mark.parametrize("name", ["SC", "Owned"])
+def test_the_home_alias_opens_and_closes_through_its_row_actions(name):
+    """The checker opens and closes the home's own access from the rows'
+    ``open_home_*``/``close_home_*`` actions, as the shipped hooks do: a
+    table missing any one of them is refuted, never certified."""
+    table, dropped = TABLES[name], []
+    for k, t in enumerate(table.transitions):
+        for a in t.actions:
+            if a.startswith(("open_home_", "close_home_")):
+                broken = table.mutate(k, actions=tuple(x for x in t.actions if x != a))
+                assert not check_table(broken, Scope(nodes=2)).ok, (name, a)
+                dropped.append(a)
+    assert len(dropped) == 4
+
+
 def test_mutation_counterexamples_are_short():
     """BFS guarantees minimal-length traces; the canonical SC mutations
     should all reproduce within a dozen steps at the smallest scope."""

@@ -6,8 +6,9 @@ The checker runs the invalidation family's shipped home and recall code
 mutation of SC's or Owned's table must change what the runtime does
 too.  Each one is built into a real protocol — the SC engine or an
 :class:`~repro.protocols.owned.OwnedProtocol` subclass — and run on one
-fixed 3-node program: two sharers read, a write invalidates them, a
-write-write migration moves the dirty copy, and every node reads last.
+fixed 3-node program: two sharers read, the home's write invalidates
+them, a write-write migration moves the dirty copy, and every node reads
+last.
 The mutated run must give wrong answers or stall.
 """
 
@@ -39,11 +40,12 @@ def _program(name: str, boxes: dict):
         if ctx.nid in (1, 2):  # two sharers
             yield from ctx.read_region(h)
         yield from ctx.barrier(sid)
-        # node 1's write recalls node 2's copy; node 2's then migrates it
-        for writer in (1, 2):
+        # the home's write invalidates both sharers; node 1's fetches the
+        # region and node 2's then migrates the dirty copy
+        for writer, (i, add) in ((0, (2, 5.0)), (1, (0, 10.0)), (2, (1, 20.0))):
             if ctx.nid == writer:
                 yield from ctx.start_write(h)
-                h.data[writer - 1] += 10 * writer
+                h.data[i] += add
                 h.data[SIZE - 1] += 1
                 yield from ctx.end_write(h)
             yield from ctx.barrier(sid)
@@ -85,14 +87,14 @@ CASES = [
 
 
 def test_every_invalidation_mutation_is_covered():
-    assert len(CASES) == 6
+    assert len(CASES) == 8
 
 
 @pytest.mark.parametrize("protocol,label", CASES)
 def test_refuted_mutation_changes_the_shipped_run(protocol, label):
     table = MSI_TABLE if protocol == "SC" else OWNED_TABLE
     clean = _run(protocol, table)
-    assert clean == [[10.0, 20.0, 0.0, 2.0]] * 3  # the unmutated table is right
+    assert clean == [[10.0, 20.0, 5.0, 3.0]] * 3  # the unmutated table is right
     mutated = dict(seeded_mutations(table))[label]
     try:
         got = _run(protocol, mutated)
