@@ -7,7 +7,10 @@ verdicts with minimal counterexample traces.
 
 * default — check the named protocols (or every table-driven protocol
   in the registry) at ``--nodes`` × 1 region × 2 ops; fails on any
-  violation.
+  violation, or on a state space past :data:`MAX_STATES` (one line
+  naming the protocol and scope; the others are still checked).
+  Without names it also lists each registered table no checker model
+  covers as ``uncertified: NAME — reason``, which does not fail.
 * ``--seeded`` — ALSO run every seeded mutation of each table and
   require the checker to *refute* each one, printing its minimal
   counterexample.  A mutation the checker misses fails: this is the
@@ -15,9 +18,9 @@ verdicts with minimal counterexample traces.
 * ``--write-certs`` — record each clean result as a JSON certificate
   under ``src/repro/verify/certs/<name>.json``, keyed by the table's
   content fingerprint (editing any row invalidates the certificate).
-* ``--check`` — verify committed certificates still match the tables
-  as they exist today (fingerprint + ok); fails on drift.  This is the
-  CI mode: cheap, no state enumeration.
+* ``--check`` — re-run each committed certificate's recorded scope;
+  fails unless the result reproduces it exactly (fingerprint, states,
+  transitions, verdict).  This is the CI mode: tens of milliseconds.
 """
 
 from __future__ import annotations
@@ -38,20 +41,25 @@ from repro.verify.modelcheck import (
 
 CERT_DIR = Path(repro.verify.__file__).parent / "certs"
 
+#: a check that enumerates more states than this fails (a runaway scope)
+MAX_STATES = 400_000
 
-def _checkable() -> list[str]:
-    """Protocols that both ship a table and map onto a checker model."""
-    out = []
+
+def _checkable() -> tuple[list[str], dict[str, str]]:
+    """Protocols that both ship a table and map onto a checker model, and
+    why each other registered table does not."""
+    out, uncertified = [], {}
     for name in default_registry.names():
         table = default_registry.table_of(name)
         if table is None:
             continue
         try:
             model_for(table, Scope())
-        except ModelCheckError:
+        except ModelCheckError as exc:
+            uncertified[name] = str(exc).removeprefix(f"{table.name}: ")
             continue
         out.append(name)
-    return out
+    return out, uncertified
 
 
 def _indent(text: str) -> str:
@@ -59,7 +67,7 @@ def _indent(text: str) -> str:
 
 
 def _run_one(name: str, table, scope: Scope):
-    result = check_table(table, scope)
+    result = check_table(table, scope, MAX_STATES)
     print(
         f"{name:16s} {result.family:12s} "
         f"scope={scope.nodes}x{scope.regions}x{scope.ops} "
@@ -77,7 +85,7 @@ def _run_seeded(name: str, table, scope: Scope) -> bool:
         print(f"{name:16s} (no seeded mutations for this family)")
     all_caught = True
     for label, broken in mutations:
-        result = check_table(broken, scope)
+        result = check_table(broken, scope, MAX_STATES)
         all_caught &= not result.ok
         print(f"{name:16s} mutation {label!r}: {'MISSED' if result.ok else 'caught'}")
         print(_indent("the checker certified a known-broken table — it has no teeth"
@@ -101,16 +109,13 @@ def _check_cert(name: str, table) -> bool:
         print(f"{name:16s} NO CERTIFICATE ({path}); run modelcheck --write-certs")
         return False
     cert = json.loads(path.read_text())
-    if cert.get("table_fingerprint") != table.fingerprint():
-        print(
-            f"{name:16s} STALE certificate: table fingerprint "
-            f"{table.fingerprint()} != certified {cert.get('table_fingerprint')}"
-        )
+    again = check_table(table, Scope(**cert["scope"]), MAX_STATES).certificate()
+    drift = [key for key in sorted(again) if again[key] != cert.get(key)]
+    if drift or not again["ok"]:
+        got = ", ".join(k if k == "violations" else f"{k} {cert.get(k)} -> {again[k]}" for k in drift)
+        print(f"{name:16s} STALE certificate ({got or 'violated'}); run modelcheck --write-certs")
         return False
-    if not cert.get("ok"):
-        print(f"{name:16s} certificate records violations; that is not a certificate")
-        return False
-    print(f"{name:16s} certificate valid (fingerprint {cert['table_fingerprint']})")
+    print(f"{name:16s} certificate valid (fingerprint {again['table_fingerprint']}, {again['states']} states)")
     return True
 
 
@@ -126,8 +131,10 @@ def configure(parser) -> None:
 
 
 def run(args, art) -> int:
+    if args.nodes < 1:
+        raise UsageError(f"--nodes must be at least 1, got {args.nodes}")
     scope = Scope(args.nodes)
-    checkable = _checkable()
+    checkable, uncertified = _checkable()
     unknown = [name for name in args.protocols if name not in checkable]
     if unknown:
         raise UsageError(f"no checkable protocol table named {unknown}; choose from {checkable}")
@@ -135,14 +142,21 @@ def run(args, art) -> int:
 
     ok = True
     for name, table in tables.items():
-        if args.check:
-            ok &= _check_cert(name, table)
-            continue
-        result = _run_one(name, table, scope)
-        ok &= result.ok
-        if args.seeded:
-            ok &= _run_seeded(name, table, scope)
-        if args.write_certs:
-            ok &= _write_cert(name, result)
+        try:
+            if args.check:
+                ok &= _check_cert(name, table)
+                continue
+            result = _run_one(name, table, scope)
+            ok &= result.ok
+            if args.seeded:
+                ok &= _run_seeded(name, table, scope)
+            if args.write_certs:
+                ok &= _write_cert(name, result)
+        except ModelCheckError as exc:
+            print(f"{name:16s} NOT CHECKED: {exc}")
+            ok = False
+    if not args.protocols:
+        for name, reason in uncertified.items():
+            print(f"uncertified: {name} — {reason}")
     print("model check:", "ok" if ok else "FAILED")
     return OK if ok else FAILED

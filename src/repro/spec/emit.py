@@ -5,7 +5,9 @@ Three layers generate code: the AceC closures backend
 :class:`~repro.protocols.base.TableProtocol`'s and the coherence
 engine's, :mod:`repro.dsm.hooks`, both by :func:`table_hooks`) and the
 invalidation home machine's guard chains (:mod:`repro.dsm.directory`).
-Each emits the text of a ``def _make(...)`` returning the specialised
+The model checker (:mod:`repro.verify.modelcheck`) is a fourth consumer:
+it binds the hook text a protocol compiles to its own target.  Each
+emits the text of a ``def _make(...)`` returning the specialised
 function and binds what a :class:`CodeFile` hands back; equal text
 means equal behaviour, so a second engine, instance or optimisation
 level compiles nothing.  A file's texts are one :mod:`linecache`

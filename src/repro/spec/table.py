@@ -16,7 +16,8 @@ layer consumes —
   the message rows, so home-side and node-side state machines come
   from one artifact;
 * the small-scope model checker (:mod:`repro.verify.modelcheck`)
-  enumerates all message interleavings directly over the rows;
+  runs the same generated hooks and home and recall machines over
+  every message interleaving;
 * ``python -m repro docs`` renders the protocol reference in
   DESIGN.md/README from the same fields, so the docs cannot drift.
 
@@ -36,12 +37,12 @@ A :class:`Transition` row reads::
 ``next``
     Destination state; ``"="`` keeps the current state.
 ``guard``
-    Optional predicate name (resolved to a ``g_<name>`` method by the
-    compiled hooks, and to an abstract predicate by the checker).
+    Optional predicate name (a ``g_<name>`` method of whatever the
+    compiled hooks are bound to: a protocol, or the checker's target).
 ``actions``
-    Ordered action-primitive names (``act_<name>`` methods at runtime;
-    abstract transformers in the checker) — the SLICC-style "code
-    fragments" the table sequences.
+    Ordered action-primitive names (``act_<name>`` methods of the same
+    target; the checker's move versions instead of data) — the
+    SLICC-style "code fragments" the table sequences.
 ``cost``
     Cycles charged after the row matches (the table's cost
     annotation); per-event *entry* costs charged before matching live

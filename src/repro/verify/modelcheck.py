@@ -23,12 +23,11 @@ protocol families promise:
     Every terminal state is clean: no undelivered messages, no stuck
     queues, no node blocked forever (deadlock freedom within scope).
 
-The checker interprets table rows — the same artifact the runtime
-interprets — so a *semantic* mutation of the table (flip the
-invalidate row to keep the copy readable, drop the writeback from the
-ack) changes the explored state graph and surfaces as an invariant
-violation with a minimal counterexample trace (BFS order guarantees
-minimality in steps).
+The checker runs the code that ships, so a *semantic* mutation of the
+table (flip the invalidate row to keep the copy readable, drop the
+writeback from the ack, drop a hit's use count) changes the explored
+state graph and surfaces as an invariant violation with a minimal
+counterexample trace (BFS order guarantees minimality in steps).
 
 Data is abstracted to monotonically increasing version numbers: each
 committed write mints a fresh version, and staleness is a comparison.
@@ -36,35 +35,38 @@ State spaces at the scopes used here are a few thousand states; the
 hard cap exists only to fail loudly on runaway tables.
 
 Three family models share the search core, selected by the table's
-``sync_model``/``writer_model`` metadata.  One of them runs shipped code:
+``sync_model``/``writer_model`` metadata: :class:`InvalidationModel`
+(MSI / MOESI ownership, ``writer_model="copy"``), :class:`BarrierModel`
+(self-invalidation, ``sync_model="barrier"``) and :class:`UpdateModel`
+(immediate propagation, still a hand-written abstract interpreter).
 
-* :class:`InvalidationModel` — MSI / MOESI-style ownership protocols
-  (``writer_model="copy"``).  Its home admission, recall fan-out,
-  grant and forward windows, deferred invalidations and cache-to-cache
-  supply are not modeled: each such step thaws one region into the
-  :class:`~repro.dsm.directory.HomeMachine` or
-  :class:`~repro.dsm.regioncache.RecallReceiver` that SC, HwSC, CRL and
-  Owned run, through an abstract wire.  Only the requester side
-  (access starts, ends and fills) is written here;
-* :class:`BarrierModel` — self-invalidation protocols
-  (``sync_model="barrier"``): synchronous write-back self-downgrade,
-  barrier-triggered self-invalidation, epoch visibility — a hand-written
-  abstract interpreter over a small action vocabulary;
-* :class:`UpdateModel` — immediate-propagation update protocols
-  (``sync_model="immediate"``): write fan-out with acks, visibility
-  once acknowledged — likewise hand-written.
+The first two run shipped code (:class:`_HookModel`).  Their requester
+side is the access hooks :func:`~repro.spec.emit.table_hooks` generates
+from the table — the text the protocol itself compiles — over a checker
+target whose actions move versions instead of data.  The invalidation
+family's home and recall sides are the
+:class:`~repro.dsm.directory.HomeMachine` and
+:class:`~repro.dsm.regioncache.RecallReceiver` that SC, HwSC, CRL and
+Owned run, through an abstract wire, with the home alias's guards and
+open/close actions bound as at runtime.  Each step thaws one world —
+a copy, its region's directory entry and the wire — runs it and
+freezes the result.  A hook that blocks parks: the state records its
+event and guard answers, and the delivery that answers it re-runs the
+hook's prefix without effects, then resumes the blocked action live.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
+from dataclasses import asdict, dataclass, field
 
 from repro.dsm.directory import DirEntry, HomeMachine
 from repro.dsm.regioncache import RecallReceiver
 from repro.dsm.transport import Acks
 from repro.memory import RegionCopy
-from repro.spec.table import KEEP, ProtocolTable, TableError, WILDCARD
+from repro.sim.kernel import _DELAY_POOL, _DELAY_POOL_SIZE, Delay
+from repro.spec.emit import CodeFile, table_hooks
+from repro.spec.table import WILDCARD, ProtocolTable, TableError
 
 
 class ModelCheckError(Exception):
@@ -122,25 +124,11 @@ class CheckResult:
 
     def certificate(self) -> dict:
         """JSON-friendly record for ``repro/verify/certs/``."""
-        return {
-            "protocol": self.protocol,
-            "family": self.family,
-            "table_fingerprint": self.fingerprint,
-            "scope": {
-                "nodes": self.scope.nodes,
-                "regions": self.scope.regions,
-                "ops": self.scope.ops,
-                "epochs": self.scope.epochs,
-            },
-            "invariants": list(self.invariants),
-            "states": self.states,
-            "transitions": self.transitions,
-            "violations": [
-                {"invariant": v.invariant, "detail": v.detail, "trace": list(v.trace)}
-                for v in self.violations
-            ],
-            "ok": self.ok,
-        }
+        cert = asdict(self)
+        cert.update(table_fingerprint=cert.pop("fingerprint"), invariants=list(self.invariants), ok=self.ok)
+        for v in cert["violations"]:
+            v["trace"] = list(v["trace"])
+        return cert
 
 
 # ----------------------------------------------------------------------
@@ -155,19 +143,14 @@ def _bfs(model, result: CheckResult, max_states: int, stop_at_first: bool) -> Ch
     while frontier:
         state = frontier.popleft()
         bad = model.invariant_violation(state)
+        moves = () if bad else model.moves(state)
+        if not (bad or moves):
+            bad = model.terminal_violation(state)
         if bad is not None:
             result.violations.append(Violation(bad[0], bad[1], _trace(parent, state)))
             if stop_at_first:
                 break
             continue  # don't explore past a broken state
-        moves = model.moves(state)
-        if not moves:
-            bad = model.terminal_violation(state)
-            if bad is not None:
-                result.violations.append(Violation(bad[0], bad[1], _trace(parent, state)))
-                if stop_at_first:
-                    break
-            continue
         for label, nxt in moves:
             edges += 1
             if nxt not in parent:
@@ -196,44 +179,200 @@ def _trace(parent: dict, state) -> tuple[str, ...]:
 
 
 # ----------------------------------------------------------------------
-# shared table derivations
+# the requester side: generated hooks over a checker target
 # ----------------------------------------------------------------------
-def _hit_states(table: ProtocolTable, event: str) -> frozenset:
-    return frozenset(t.state for t in table.rows("node", event) if t.runs("hit") and t.guard is None)
+#: the checker's generated hooks are line ranges of this pseudo-file
+_CODE = CodeFile(
+    "<generated>/repro/verify/modelcheck.py",
+    {"_POOL": _DELAY_POOL, "_POOL_SIZE": _DELAY_POOL_SIZE, "Delay": Delay},
+)
+
+#: what a blocking checker action yields: its hook parks there until the
+#: delivery that answers it
+_PARK = object()
+
+_KIND = {"start_read": "r", "start_write": "w"}
 
 
-def _guarded_hit_states(table: ProtocolTable) -> frozenset:
-    return frozenset(
-        t.state
-        for ev in ("start_read", "start_write")
-        for t in table.rows("node", ev)
-        if t.runs("hit") and t.guard is not None
-    )
+class _Requester:
+    """The target a table's generated hooks run against in the checker.
+
+    Live, an action moves versions on the thawed world and sends through
+    ``wire``.  While a parked hook's prefix is re-run (``live`` False)
+    actions do nothing and guards give back the ``answers`` they gave
+    live.  A blocking action names its family in ``parked`` and yields
+    :data:`_PARK`; the value sent back is its answer.
+    """
+
+    def __init__(self, name: str, wire):
+        self.name = name
+        self.wire = wire
+        self.kind = "r"  # the access a start hook runs for
+        self.live = True
+        self.answers: list = []
+        self.parked = None
+
+    def adopt_alias(self, home: HomeMachine) -> None:
+        """Take the home alias's guards and open/close actions from
+        ``home``, as the shipped wires do: guards recorded for a replay,
+        actions idle during it."""
+        home.bind_alias(self)
+        for name in home.ALIAS_HOOKS:
+            fn = getattr(self, name)
+            setattr(self, name, self._recorded(fn) if name.startswith("g_") else self._quiet(fn))
+
+    def _recorded(self, guard):
+        def g(*args):
+            if self.live:
+                ok = guard(*args)
+                self.answers.append(ok)
+                return ok
+            if not self.answers:
+                raise ModelCheckError(f"{self.name}: a replayed hook asks a guard its live run did not")
+            return self.answers.pop(0)
+        return g
+
+    def _quiet(self, act):
+        def a(*args):
+            if self.live:
+                act(*args)
+        return a
+
+    def run(self, hook, args, answers=None, family=None, reply=None):
+        """Drive ``hook(*args)`` live; its guard answers if it parks, else
+        None.  Given the ``answers`` of a parked run: re-run the prefix
+        without effects to the ``family`` action it parked in, then send
+        that action ``reply`` and finish live.  Anything else a hook
+        yields is a cycle charge, and skipped."""
+        gen = hook(*args)
+        if answers is None:
+            self.live, self.answers = True, []
+            for got in gen:
+                if got is _PARK:
+                    return tuple(self.answers)
+            return None
+        self.live, self.answers = False, list(answers)
+        for got in gen:
+            if got is _PARK:
+                break
+        else:
+            raise ModelCheckError(f"{self.name}: a replayed hook finished without parking")
+        if self.parked != family or self.answers:
+            raise ModelCheckError(f"{self.name}: a replayed hook parks in {self.parked!r}, not {family!r}")
+        self.live = True
+        try:
+            got = gen.send(reply)
+            while got is not _PARK:
+                got = next(gen)
+        except StopIteration:
+            return None
+        raise ModelCheckError(f"{self.name}: a resumed hook parks again in {self.parked!r}")
 
 
-def _fetch_row(table: ProtocolTable, event: str):
-    # a fetch may be specialised per hook (``fetch_read``) or per
-    # requester (``fetch_read_home``); any of them is a miss
-    rows = [t for t in table.rows("node", event) if t.runs("fetch")]
-    for t in rows:
-        if t.state == WILDCARD:
-            return t  # the wildcard row names the fill state remote misses use
-    return rows[0] if rows else None
+class _CopyRequester(_Requester):
+    """The invalidation family's requester actions (SC, HwSC, Owned).
+
+    A hit or a fill opens a use of the copy (``reads``: every open
+    access, as Owned counts them); a release closes one and, at the
+    last, applies the recalls the copy deferred.  A fetch asks the home
+    by message — the home's own request too — and parks until the grant.
+    """
+
+    def __init__(self, name: str, wire, cache: RecallReceiver):
+        super().__init__(name, wire)
+        self.cache = cache
+
+    def act_hit(self, nid: int, copy) -> None:
+        if self.live:
+            copy.reads += 1
+
+    act_hit_read = act_hit_write = act_hit
+
+    def act_fetch(self, nid: int, copy):
+        region = copy.region
+        if self.live:
+            req = "read_req" if self.kind == "r" else "write_req"
+            self.wire.sent.append((req, nid, region.home, region.rid, _NO_PAYLOAD, ""))
+        self.parked = "fetch"
+        mtype, payload = yield _PARK
+        if payload != _NO_PAYLOAD:
+            if copy.state == self.cache.home_state:
+                self.wire.homever = payload  # the alias is canonical storage
+            else:
+                copy.data = payload
+        if mtype != "home_grant":
+            self.wire.sent.append(("grant_ack", nid, region.home, region.rid, _NO_PAYLOAD, ""))
+        copy.reads += 1
+
+    act_fetch_read = act_fetch_write = act_fetch_read_home = act_fetch_write_home = act_fetch
+
+    def act_release(self, nid: int, copy) -> None:
+        if self.live:
+            copy.reads -= 1
+            if copy.deferred and not copy.reads:
+                self.cache.fire_deferred(copy)
+
+    act_release_read = act_release_write = act_release
 
 
-def _resolve_next(state: str, nxt: str) -> str:
-    return state if nxt == KEEP else nxt
+class _EpochRequester(_Requester):
+    """The barrier family's requester actions (SelfInvalidate).
+
+    A miss refetches from the always-current home; a write ends by
+    shipping its version home and waiting for the ack; a barrier drops
+    the node's non-home ``copies`` (their data with them), meets every
+    node and hands the node the next epoch's operations (``ops``).
+    """
+
+    def __init__(self, name: str, wire, base: str):
+        super().__init__(name, wire)
+        self.base = base
+        self.copies: list = []
+        self.ops: list = []
+        self.refill = 0
+
+    def act_hit(self, nid: int, copy) -> None:
+        """The shipped action only counts."""
+
+    def act_fetch(self, nid: int, copy):
+        region = copy.region
+        if self.live:
+            self.wire.sent.append(("fetch", nid, region.home, region.rid, _NO_PAYLOAD, self.kind))
+        self.parked = "fetch"
+        copy.data = yield _PARK
+
+    def act_writeback_home(self, nid: int, copy):
+        region = copy.region
+        if nid == region.home:
+            return  # the alias is canonical storage already
+        if self.live:
+            self.wire.sent.append(("wb", nid, region.home, region.rid, copy.data, ""))
+        self.parked = "writeback_home"
+        yield _PARK
+
+    def act_self_invalidate(self, nid: int) -> None:
+        if self.live:
+            for copy in self.copies:
+                if copy.region.home != nid:
+                    copy.state, copy.data = self.base, 0
+
+    def act_rendezvous(self, nid: int):
+        self.parked = "rendezvous"
+        yield _PARK
+
+    def act_advance_epoch(self, nid: int) -> None:
+        if self.live:
+            self.ops[nid] = self.refill
 
 
-# ----------------------------------------------------------------------
-# invalidation family (MSI / MOESI ownership)
-# ----------------------------------------------------------------------
 class _Wire:
-    """The checker's abstract wire for the shared invalidation machines.
+    """The checker's abstract wire: the sends of a step collect in
+    :attr:`sent` and join the state's sorted network when it freezes,
+    and :attr:`homever` is the stepped region's canonical version.
 
-    Data is a version number: a grant carries the home's version, a
-    writeback the copy's.  Sends collect in :attr:`sent` and join the
-    state's sorted network when the step freezes.
+    The rest is the shared invalidation machines' wire.  Data is a
+    version number: a grant carries the home's version, a writeback the
+    copy's.
     """
 
     def __init__(self):
@@ -279,18 +418,118 @@ class _Wire:
         self.sent.append(("inval_ack", nid, copy.region.home, rid, _NO_PAYLOAD, event))
 
 
-class _Region:
-    __slots__ = ("rid", "home")
-
-    def __init__(self, rid, home):
-        self.rid, self.home = rid, home
+_Region = namedtuple("_Region", "rid home")
 
 
+def _copy(region, n: int) -> RegionCopy:
+    """A copy the checker thaws frozen ones into, step after step."""
+    copy = RegionCopy.__new__(RegionCopy)
+    copy.region, copy.node, copy.writes = region, n, 0
+    return copy
+
+
+class _HookModel:
+    """A model that runs shipped code: each access runs the table's
+    generated hooks over :attr:`target`, on one world the subclass's
+    :meth:`_step` thaws from the state and freezes back.  A state begins
+    ``(copies, open_, ops, homever, latest, net, nextver)``::
+
+        open_[n]   = None | (kind, rid)          an open access, kind r w
+                   | (event, rid, answers)       parked in ``event``'s hook
+                                                 (rid None for a barrier)
+        ops[n]     = operations remaining
+        homever[r] = the home's canonical version
+        latest[r]  = newest committed version, wherever it lives —
+                     the freshness oracle a lost writeback cannot fool
+        net        = sorted tuple of (type, src, dst, rid, payload, tag)
+    """
+
+    def __init__(self, table: ProtocolTable, scope: Scope, target: _Requester):
+        self.table = table
+        self.scope = scope
+        self.base = table.base_state
+        self.regions = tuple(_Region(r, scope.home(r)) for r in range(scope.regions))
+        self.wire = target.wire
+        self.target = target
+        try:
+            self.hooks = table_hooks(table, target, _CODE)
+        except TableError as exc:
+            raise ModelCheckError(str(exc)) from None
+
+    def initial(self):
+        sc = self.scope
+        copies = tuple(
+            tuple((self.home_state if n == sc.home(r) else self.base,) + self.FRESH for r in range(sc.regions))
+            for n in range(sc.nodes)
+        )
+        zeros = (0,) * sc.regions
+        return (copies, (None,) * sc.nodes, (sc.ops,) * sc.nodes, zeros, zeros, (), 1) + self._initial_tail()
+
+    def moves(self, s):
+        out = []
+        for n, slot in enumerate(s[1]):
+            if slot is None:
+                out += self._idle_moves(s, n)
+            elif len(slot) == 2:
+                out.append(self._finish(s, n))
+        return out + [self._deliver(s, i) for i in range(len(s[5]))]
+
+    def _begin(self, s, n, r, kind, when=""):
+        event = "start_read" if kind == "r" else "start_write"
+        label = f"node{n}: {event} r{r} [{s[0][n][r][0]}]{when}"
+        self.target.kind = kind
+        (copies, open_, ops, *rest), parked = self._step(s, n, r, self._run, event)
+        open_ = _set(open_, n, (kind, r) if parked is None else (event, r, parked))
+        label += " hit" if parked is None else " miss"
+        return (label, (copies, open_, _set(ops, n, ops[n] - 1), *rest))
+
+    def _finish(self, s, n):
+        kind, r = s[1][n]
+        event = "end_read" if kind == "r" else "end_write"
+        label = f"node{n}: {event} r{r}"
+        ver = parked = None
+        if kind == "w":  # the application's write commits a fresh version
+            ver = s[6]
+            label += f" (commit v{ver})"
+        if ver is not None or event in self.hooks:
+            s, parked = self._step(s, n, r, self._run, event, ver)
+        copies, open_, ops, homever, latest, net, nextver, *rest = s
+        open_ = _set(open_, n, None if parked is None else (event, r, parked))
+        if ver is not None:
+            latest, nextver = _set(latest, r, ver), ver + 1
+        return (label, (copies, open_, ops, homever, latest, net, nextver, *rest))
+
+    def _resume(self, s, n, r, family, reply):
+        """Deliver ``reply`` to the ``family`` action node ``n``'s hook
+        parked in, for region ``r``; a start's access opens."""
+        slot = s[1][n]
+        if slot is None or len(slot) != 3 or slot[1] != r:
+            raise ModelCheckError(f"{self.table.name}: node {n} has no hook parked for r{r}'s {family}")
+        event, _, answers = slot
+        copies, open_, *rest = self._step(s, n, r, self._run, event, None, answers, family, reply)[0]
+        return (copies, _set(open_, n, (_KIND[event], r) if event in _KIND else None), *rest)
+
+    def _run(self, n, copy, event, ver=None, answers=None, family=None, reply=None):
+        """The application's write commits ``ver`` into ``copy`` (a home
+        alias's is canonical storage), then ``event``'s hook runs — live,
+        or resumed (:meth:`_Requester.run`).  A barrier's takes no copy."""
+        if ver is not None:
+            copy.data = ver
+            if copy.state == self.home_state:
+                self.wire.homever = ver
+        hook = self.hooks.get(event)
+        if hook is None:
+            return None
+        return self.target.run(hook, (n,) if copy is None else (n, copy), answers, family, reply)
+
+
+# ----------------------------------------------------------------------
+# invalidation family (MSI / MOESI ownership)
+# ----------------------------------------------------------------------
 def _thaw_entry(region, d) -> DirEntry:
     ent = DirEntry.__new__(DirEntry)
     ent.region = region
-    ent.owner, sharers, ent.busy, pending, queue, hr, hw, ent.grantee = d
-    ent.home_readers, ent.home_writing = hr, hw
+    ent.owner, sharers, ent.busy, pending, queue, ent.home_readers, ent.home_writing, ent.grantee = d
     ent.sharers = set(sharers)
     ent.queue = deque([(kind, src, None) for kind, src in queue])
     if pending is None:
@@ -307,152 +546,91 @@ def _freeze_entry(ent: DirEntry):
     p = ent.pending
     if p is not None:
         p = (p["kind"], p["src"], len(p["acks"].waiting) if "acks" in p else 1)
-    return (
-        ent.owner,
-        tuple(sorted(ent.sharers)),
-        ent.busy,
-        p,
-        tuple((kind, src) for kind, src, _ in ent.queue),
-        ent.home_readers,
-        ent.home_writing,
-        ent.grantee,
-    )
+    queue = tuple((kind, src) for kind, src, _ in ent.queue)
+    return (ent.owner, tuple(sorted(ent.sharers)), ent.busy, p, queue, ent.home_readers,
+            ent.home_writing, ent.grantee)
 
 
-class InvalidationModel:
+#: deliveries that answer a parked fetch
+_FILLS = frozenset({"read_data", "write_data", "upgrade_ack", "supply", "home_grant"})
+
+
+class InvalidationModel(_HookModel):
     """Abstract machine for ``writer_model="copy"`` tables.
 
-    The requester side — access starts, ends and fills — is modeled
-    here; everything the home and a recalled or forwarded copy do is the
-    shipped code: each such step thaws one region into a
-    :class:`~repro.dsm.directory.HomeMachine` or
-    :class:`~repro.dsm.regioncache.RecallReceiver` built from the table,
-    runs it through the abstract :class:`_Wire`, and freezes the result.
+    Everything is shipped code but the application and the wire: the
+    requester runs the generated hooks over :class:`_CopyRequester`, the
+    home a :class:`~repro.dsm.directory.HomeMachine` and a recalled or
+    forwarded copy a :class:`~repro.dsm.regioncache.RecallReceiver`.  The
+    state (:class:`_HookModel`) ends with ``dirs``, the directory::
 
-    State layout (all tuples, fully hashable)::
-
-        (copies, open_, ops, dirs, homever, latest, net, nextver)
-
-        copies[n][r] = (state, version, deferred)   deferred: ((event, aux), ...)
-        open_[n]     = None | (kind, rid)           kind: r w wr ww  (w*=waiting)
-        ops[n]       = operations remaining
+        copies[n][r] = (state, version, deferred, uses)
+                       deferred: ((event, aux), ...); uses: open accesses
         dirs[r]      = (owner, sharers, busy, pending, queue, home_readers,
                         home_writing, grantee)      pending: None | (kind, src, need)
-        latest[r]    = newest committed version, wherever it lives —
-                       the freshness oracle a lost writeback cannot fool
-        net          = sorted tuple of (type, src, dst, rid, payload, tag)
     """
 
     family = "invalidation"
     invariants = ("single_writer", "no_stale_read", "dir_cache_agreement", "quiescence")
 
-    #: requester-side vocabulary this model interprets; the message rows
-    #: are the shared machines' to validate
-    NODE_ACTIONS = {
-        "hit",
-        "hit_read",
-        "hit_write",
-        "fetch",
-        "fetch_read",
-        "fetch_write",
-        "fetch_read_home",
-        "fetch_write_home",
-        "open_home_read",
-        "open_home_write",
-        "release",
-        "writeback",
-        "ack",
-        "supply",
-    }
-
     def __init__(self, table: ProtocolTable, scope: Scope):
-        self.table = table
-        self.scope = scope
-        self.read_hit = _hit_states(table, "start_read")
-        self.write_hit = _hit_states(table, "start_write")
-        homes = _guarded_hit_states(table)
-        self.home_state = next(iter(homes)) if len(homes) == 1 else None
-        fr = _fetch_row(table, "start_read")
-        fw = _fetch_row(table, "start_write")
-        if fr is None or fw is None:
-            raise ModelCheckError(f"{table.name}: no fetch row for a start hook")
-        self.base = table.base_state
-        self._check_vocabulary()
-        self.wire = _Wire()
+        wire = _Wire()
         try:
-            self.home = HomeMachine(table, self.wire)
-            self.cache = RecallReceiver(table, self.wire, scope.nodes)
+            self.home = HomeMachine(table, wire)
+            self.cache = RecallReceiver(table, wire, scope.nodes)
         except TableError as exc:
             raise ModelCheckError(str(exc)) from None
+        target = _CopyRequester(table.name, wire, self.cache)
+        target.adopt_alias(self.home)
+        super().__init__(table, scope, target)
+        self.home_state = self.cache.home_state
         self.dirty = self.cache.dirty_states
-        self.regions = tuple(_Region(r, scope.home(r)) for r in range(scope.regions))
+        # for the invariants: the states a copy reads or writes in unasked
+        self.read_hit, self.write_hit = (
+            frozenset(t.state for t in table.rows("node", ev) if t.runs("hit") and not t.guard)
+            for ev in ("start_read", "start_write"))
+        for n, copies in enumerate(self.cache.tables):
+            copies.update((region.rid, _copy(region, n)) for region in self.regions)
 
-    def _check_vocabulary(self) -> None:
-        for t in self.table.rows("node"):
-            if t.event in ("end_read", "end_write", "barrier"):
-                continue
-            for a in t.actions:
-                if a not in self.NODE_ACTIONS:
-                    raise ModelCheckError(
-                        f"{self.table.name}: unknown node action {a!r} for the "
-                        f"invalidation model (row {t.state!r}/{t.event!r})"
-                    )
+    #: a copy's frozen tail before any step: version, deferred, uses
+    FRESH = (0, (), 0)
 
-    # -- state construction ---------------------------------------------
-    def initial(self):
-        sc = self.scope
-        copies = tuple(
-            tuple(
-                (self.home_state, 0, ()) if n == sc.home(r) and self.home_state else (self.base, 0, ())
-                for r in range(sc.regions)
-            )
-            for n in range(sc.nodes)
-        )
-        open_ = (None,) * sc.nodes
-        ops = (sc.ops,) * sc.nodes
-        dirs = ((None, (), False, None, (), 0, False, None),) * sc.regions
-        homever = (0,) * sc.regions
-        return (copies, open_, ops, dirs, homever, (0,) * sc.regions, (), 1)
+    def _initial_tail(self):
+        return (((None, (), False, None, (), 0, False, None),) * self.scope.regions,)
 
-    # -- the shipped machines, one region at a time -----------------------
-    def _home_step(self, s, r, step, *args):
-        """Run ``step(entry, *args)`` — a home event — on region ``r``."""
-        copies, open_, ops, dirs, homever, latest, net, nextver = s
+    def _step(self, s, n, r, step, *args):
+        """Run ``step(n, copy, *args)`` on one thawed world — node ``n``'s
+        copy of region ``r`` with its use count, the region's directory
+        entry (``copy.ent``) and the wire — and freeze it; returns the
+        next state and what ``step`` returned."""
+        copies, open_, ops, homever, latest, net, nextver, dirs = s
+        st, ver, deferred, uses = copies[n][r]
+        copy = self.cache.tables[n][r]
+        copy.state, copy.data, copy.reads = st, ver, uses
+        copy.deferred = tuple([(event, None, aux) for event, aux in deferred]) if deferred else ()
+        copy.ent = ent = _thaw_entry(self.regions[r], dirs[r])
         wire = self.wire
         wire.sent = []
         wire.homever = homever[r]
-        ent = _thaw_entry(self.regions[r], dirs[r])
-        step(ent, *args)
+        out = step(n, copy, *args)
+        deferred = tuple([(event, aux) for event, _, aux in copy.deferred]) if copy.deferred else ()
+        copies = _set2(copies, n, r, (copy.state, copy.data, deferred, copy.reads))
         dirs = _set(dirs, r, _freeze_entry(ent))
         if wire.homever != homever[r]:
             homever = _set(homever, r, wire.homever)
         if wire.sent:
             net = tuple(sorted(net + tuple(wire.sent)))
-        return (copies, open_, ops, dirs, homever, latest, net, nextver)
+        return (copies, open_, ops, homever, latest, net, nextver, dirs), out
 
-    def _copy_step(self, s, n, r, step, *args):
-        """Run ``step(copy, *args)`` — a recall or forward receipt — on
-        node ``n``'s copy of region ``r``."""
-        copies, open_, ops, dirs, homever, latest, net, nextver = s
-        st, ver, deferred = copies[n][r]
-        copy = RegionCopy.__new__(RegionCopy)
-        copy.region, copy.node, copy.state, copy.data = self.regions[r], n, st, ver
-        copy.reads = copy.writes = 0
-        if open_[n] is not None and open_[n][0] in ("r", "w") and open_[n][1] == r:
-            copy.reads = 1  # in use: the receiver defers
-        copy.deferred = tuple((event, None, aux) for event, aux in deferred)
-        self.cache.tables[n][r] = copy
-        wire = self.wire
-        wire.sent = []
-        step(copy, *args)
-        frozen = (copy.state, copy.data, tuple((event, aux) for event, _, aux in copy.deferred))
-        copies = _set2(copies, n, r, frozen)
-        if wire.sent:
-            net = tuple(sorted(net + tuple(wire.sent)))
-        return (copies, open_, ops, dirs, homever, latest, net, nextver)
+    def _idle_moves(self, s, n):
+        if not s[2][n]:
+            return []
+        return [self._begin(s, n, r, kind) for r in range(self.scope.regions) for kind in "rw"]
 
-    def _receive(self, copy, event, aux):
-        self.cache.receive(copy.node, copy.region.rid, event, None, aux)
+    # -- the shipped home and recall sides, as step functions ----------------
+    @staticmethod
+    def _home(n, copy, event, *args):
+        event(copy.ent, *args)
 
     def _collect_ack(self, ent, mode, target, data):
         """The fan-out's collector: strike one target, then the ack rows."""
@@ -460,154 +638,32 @@ class InvalidationModel:
             ent.pending["acks"].waiting.pop()
         self.home.on_inval_ack(ent, mode, target, data)
 
-    # -- move generation -------------------------------------------------
-    def moves(self, s):
-        copies, open_, ops, dirs, homever, latest, net, nextver = s
-        out = []
-        for n in range(self.scope.nodes):
-            if open_[n] is None and ops[n] > 0:
-                for r in range(self.scope.regions):
-                    for kind in ("r", "w"):
-                        out.append(self._start(s, n, r, kind))
-            elif open_[n] is not None and open_[n][0] in ("r", "w"):
-                out.append(self._end(s, n))
-        for i, msg in enumerate(net):
-            out.append(self._deliver(s, i))
-        return [m for m in out if m is not None]
+    def _receive(self, n, copy, event, aux):
+        self.cache.receive(n, copy.region.rid, event, None, aux)
 
-    # -- hooks -----------------------------------------------------------
-    def _start(self, s, n, r, kind):
-        copies, open_, ops, dirs, homever, latest, net, nextver = s
-        event = "start_read" if kind == "r" else "start_write"
-        st, ver, deferred = copies[n][r]
-        row = self._match_node(st, event, n, r, dirs[r])
-        if row is None:
-            return None  # no applicable row: the access cannot start here
-        label = f"node{n}: {event} r{r} [{st}]"
-        ops2 = _set(ops, n, ops[n] - 1)
-        if row.runs("hit"):
-            dirs2 = dirs
-            if row.runs("open_home"):  # the home task's own access opens
-                d = list(dirs[r])
-                if "open_home_read" in row.actions:
-                    d[5] += 1
-                if "open_home_write" in row.actions:
-                    d[6] = True
-                dirs2 = _set(dirs, r, tuple(d))
-            copies2 = _set2(copies, n, r, (_resolve_next(st, row.next), ver, deferred))
-            return (label + " hit", (copies2, _set(open_, n, (kind, r)), ops2, dirs2, homever, latest, net, nextver))
-        if row.runs("fetch"):
-            msg = (("read_req" if kind == "r" else "write_req"), n, self.scope.home(r), r, _NO_PAYLOAD, "")
-            return (
-                label + " miss",
-                (copies, _set(open_, n, ("w" + kind, r)), ops2, dirs, homever, latest, _add(net, msg), nextver),
-            )
-        return None
-
-    def _end(self, s, n):
-        copies, open_, ops, dirs, homever, latest, net, nextver = s
-        kind, r = open_[n]
-        st, ver, deferred = copies[n][r]
-        event = "end_read" if kind == "r" else "end_write"
-        row = self._match_node(st, event, n, r, dirs[r])
-        label = f"node{n}: {event} r{r}"
-        if kind == "w":
-            ver = nextver
-            nextver += 1
-            latest = _set(latest, r, ver)
-            if st == self.home_state:
-                homever = _set(homever, r, ver)
-            label += f" (commit v{ver})"
-        copies = _set2(copies, n, r, (st, ver, deferred))
-        open_ = _set(open_, n, None)
-        if row is not None and row.runs("close_home"):  # the home task's own access closes
-            d = list(dirs[r])
-            if "close_home_read" in row.actions:
-                d[5] -= 1
-            if "close_home_write" in row.actions:
-                d[6] = False
-            dirs = _set(dirs, r, tuple(d))
-            state = (copies, open_, ops, dirs, homever, latest, net, nextver)
-            return (label, self._home_step(state, r, self.home.drain))
-        state = (copies, open_, ops, dirs, homever, latest, net, nextver)
-        if deferred:
-            state = self._copy_step(state, n, r, self.cache.fire_deferred)
-        return (label, state)
-
-    # -- node-side guards -------------------------------------------------
-    def _match_node(self, st, event, n, r, dir_):
-        for row in self.table.lookup("node", st, event):
-            if row.guard is None or self._node_guard(row.guard, n, r, dir_):
-                return row
-        return None
-
-    def _node_guard(self, guard, n, r, dir_):
-        owner, sharers, busy = dir_[:3]
-        home = self.scope.home(r)
-        if guard == "home_idle":
-            return n == home and owner is None and not busy
-        if guard == "home_sole":
-            return n == home and owner is None and not sharers and not busy
-        raise ModelCheckError(f"{self.table.name}: unknown node guard {guard!r}")
-
-    # -- message delivery --------------------------------------------------
     def _deliver(self, s, i):
-        copies, open_, ops, dirs, homever, latest, net, nextver = s
-        msg = net[i]
-        s2 = (copies, open_, ops, dirs, homever, latest, net[:i] + net[i + 1 :], nextver)
-        mtype, src, dst, r, payload, tag = msg
+        net = s[5]
+        mtype, src, dst, r, payload, tag = net[i]
+        s = _set(s, 5, net[:i] + net[i + 1 :])
         label = f"deliver {mtype} {src}->{dst} r{r}"
         if mtype in ("read_req", "write_req"):
-            return (label, self._home_step(s2, r, self.home.request, mtype[:-4], src, None))
+            return (label, self._step(s, dst, r, self._home, self.home.request, mtype[:-4], src, None)[0])
         if mtype == "inval_ack":
             data = None if payload == _NO_PAYLOAD else payload
-            return (label, self._home_step(s2, r, self._collect_ack, tag, src, data))
+            return (label, self._step(s, dst, r, self._home, self._collect_ack, tag, src, data)[0])
         if mtype == "grant_ack":
-            return (label, self._home_step(s2, r, self.home.on_grant_ack, src))
+            return (label, self._step(s, dst, r, self._home, self.home.on_grant_ack, src)[0])
         if mtype in self.cache._rows:  # a recall or forward reaches a copy
-            o = open_[dst]
-            if o is not None and o[0] in ("r", "w") and o[1] == r:
+            if s[0][dst][r][3]:
                 label += " (deferred)"
-            return (label, self._copy_step(s2, dst, r, self._receive, mtype, payload))
-        if mtype in ("read_data", "write_data", "upgrade_ack", "supply"):
-            return (label, self._node_fill(s2, dst, r, mtype, payload))
-        if mtype == "home_grant":
-            # the home task's own admitted access opens
-            return (label, (s2[0], _set(s2[1], dst, (tag, r))) + s2[2:])
+            return (label, self._step(s, dst, r, self._receive, mtype, payload)[0])
+        if mtype in _FILLS:
+            return (label, self._resume(s, dst, r, "fetch", (mtype, payload)))
         raise ModelCheckError(f"{self.table.name}: unroutable message {mtype!r}")
-
-    # node receives grant / supplied data
-    def _node_fill(self, s, n, r, mtype, payload):
-        copies, open_, ops, dirs, homever, latest, net, nextver = s
-        st, ver, deferred = copies[n][r]
-        home = self.scope.home(r)
-        if mtype == "supply" and n == home:
-            # supplying the home *is* a write-back: canonical storage
-            # takes the owner's version and the home's own read opens
-            # against it (the grant ack records it in home_readers); the
-            # home's alias copy keeps its state.
-            homever2 = _set(homever, r, payload)
-            net2 = _add(net, ("grant_ack", n, home, r, _NO_PAYLOAD, ""))
-            return (copies, _set(s[1], n, ("r", r)), ops, dirs, homever2, latest, net2, nextver)
-        if mtype in ("read_data", "supply"):
-            st2 = _resolve_next(st, _fetch_row(self.table, "start_read").next)
-            kind = "r"
-        elif mtype == "write_data":
-            st2 = _resolve_next(st, _fetch_row(self.table, "start_write").next)
-            kind = "w"
-        else:  # upgrade_ack keeps the requester's current data
-            st2 = _resolve_next(st, _fetch_row(self.table, "start_write").next)
-            kind = "w"
-            payload = ver
-        ver2 = payload if payload != _NO_PAYLOAD else ver
-        copies = _set2(copies, n, r, (st2, ver2, deferred))
-        open_ = _set(s[1], n, (kind, r))
-        net = _add(net, ("grant_ack", n, self.scope.home(r), r, _NO_PAYLOAD, ""))
-        return (copies, open_, ops, dirs, homever, latest, net, nextver)
 
     # -- invariants --------------------------------------------------------
     def invariant_violation(self, s):
-        copies, open_, ops, dirs, homever, latest, net, nextver = s
+        copies, open_, ops, homever, latest, net, nextver, dirs = s
         for r in range(self.scope.regions):
             writers = [n for n in range(self.scope.nodes) if open_[n] == ("w", r)]
             readers = [n for n in range(self.scope.nodes) if open_[n] == ("r", r)]
@@ -623,7 +679,7 @@ class InvalidationModel:
             # base data must be just as fresh (this is what catches a
             # grant served from a home that never got the writeback).
             for n in readers + writers:
-                st, ver, _d = copies[n][r]
+                st, ver = copies[n][r][:2]
                 obs = homever[r] if st == self.home_state else ver
                 if obs < latest[r]:
                     verb = "reads" if n in readers else "writes over"
@@ -637,16 +693,13 @@ class InvalidationModel:
         return None
 
     def _agreement(self, s, r):
-        copies, open_, ops, dirs, homever, latest, net, nextver = s
+        copies, open_, ops, homever, latest, net, nextver, dirs = s
         owner, sharers, busy, pending, queue, hr, hw, grantee = dirs[r]
         if busy or pending is not None or any(m[3] == r for m in net):
             return None  # transient; judged only at rest
         home = self.scope.home(r)
         for n in range(self.scope.nodes):
-            st, ver, deferred = copies[n][r]
-            if deferred or open_[n] in ((("r", r)), (("w", r))) or (
-                open_[n] is not None and open_[n][1] == r
-            ):
+            if copies[n][r][2] or (open_[n] is not None and open_[n][1] == r):
                 return None
         if owner is not None:
             st = copies[owner][r][0]
@@ -673,7 +726,7 @@ class InvalidationModel:
         return None
 
     def terminal_violation(self, s):
-        copies, open_, ops, dirs, homever, latest, net, nextver = s
+        copies, open_, ops, homever, latest, net, nextver, dirs = s
         if net:
             return ("quiescence", f"terminal state with {len(net)} undelivered message(s)")
         for n in range(self.scope.nodes):
@@ -691,171 +744,112 @@ class InvalidationModel:
 # ----------------------------------------------------------------------
 # barrier family (self-invalidation)
 # ----------------------------------------------------------------------
-class BarrierModel:
+class BarrierModel(_HookModel):
     """Abstract machine for ``sync_model="barrier"`` tables.
 
     Visibility contract: a read observes at least everything committed
     before the most recent global barrier.  The application contract
     (one writer per region per epoch) is enforced by the move
-    generator, matching the protocol's stated usage discipline.
-
-    State layout::
-
-        (copies, open_, ops, epoch, ew, homever, latest, barver, net, nextver)
+    generator, matching the protocol's stated usage discipline.  The
+    requester runs the table's generated hooks over
+    :class:`_EpochRequester`; the home — a fetch server and a write-back
+    sink — is written here.  The state (:class:`_HookModel`) ends with
+    ``(epoch, ew, barver)``::
 
         copies[n][r] = (state, version)
-        open_[n]     = None | (kind, rid) | ("bar",)   kind: r w wr ww wb
         ew[r]        = this epoch's writer (or -1)
+        barver[r]    = the version the last barrier published
     """
 
     family = "barrier"
     invariants = ("single_writer", "no_stale_read", "quiescence")
 
+    #: the state a home's copy is installed in (as the shipped protocols do)
+    home_state = "home"
+
     def __init__(self, table: ProtocolTable, scope: Scope):
-        self.table = table
-        self.scope = scope
-        self.read_hit = _hit_states(table, "start_read")
-        self.write_hit = _hit_states(table, "start_write")
-        fr = _fetch_row(table, "start_read")
-        fw = _fetch_row(table, "start_write")
-        if fr is None or fw is None:
-            raise ModelCheckError(f"{table.name}: barrier model needs fetch rows for both hooks")
-        self.fill_read = fr.next
-        self.fill_write = fw.next
-        self.base = table.base_state
-        homes = _guarded_hit_states(table) or frozenset({"home"})
-        self.home_state = next(iter(homes))
-        ew_rows = table.rows("node", "end_write")
-        self.sync_writeback = any("writeback_home" in t.actions for t in ew_rows)
-        self.end_write_next = ew_rows[0].next if ew_rows else KEEP
-        bar_rows = table.rows("node", "barrier")
-        self.self_invalidate = any("self_invalidate" in t.actions for t in bar_rows)
+        super().__init__(table, scope, _EpochRequester(table.name, _Wire(), table.base_state))
+        if "barrier" not in self.hooks:
+            raise ModelCheckError(f"{table.name}: the barrier model needs barrier rows")
+        self._rows = [[_copy(region, n) for region in self.regions] for n in range(scope.nodes)]
 
-    def initial(self):
-        sc = self.scope
-        copies = tuple(
-            tuple(
-                (self.home_state, 0) if n == sc.home(r) else (self.base, 0)
-                for r in range(sc.regions)
-            )
-            for n in range(sc.nodes)
-        )
-        return (
-            copies,
-            (None,) * sc.nodes,
-            (sc.ops,) * sc.nodes,
-            0,
-            (-1,) * sc.regions,
-            (0,) * sc.regions,
-            (0,) * sc.regions,
-            (0,) * sc.regions,
-            (),
-            1,
-        )
+    #: a copy's frozen tail before any step: its version
+    FRESH = (0,)
 
-    def moves(self, s):
-        copies, open_, ops, epoch, ew, homever, latest, barver, net, nextver = s
-        out = []
-        for n in range(self.scope.nodes):
-            o = open_[n]
-            if o is None:
-                if ops[n] > 0:
-                    for r in range(self.scope.regions):
-                        out.append(self._start(s, n, r, "r"))
-                        if ew[r] in (-1, n):
-                            out.append(self._start(s, n, r, "w"))
-                elif epoch < self.scope.epochs:
-                    out.append(self._enter_barrier(s, n))
-            elif o[0] in ("r", "w"):
-                out.append(self._end(s, n))
-        for i in range(len(net)):
-            out.append(self._deliver(s, i))
-        return [m for m in out if m is not None]
+    def _initial_tail(self):
+        return (0, (-1,) * self.scope.regions, (0,) * self.scope.regions)
 
-    def _start(self, s, n, r, kind):
-        copies, open_, ops, epoch, ew, homever, latest, barver, net, nextver = s
-        st, ver = copies[n][r]
-        event = "start_read" if kind == "r" else "start_write"
-        label = f"node{n}: {event} r{r} [{st}] e{epoch}"
-        hit = st in (self.read_hit if kind == "r" else self.write_hit) or (
-            st == self.home_state and n == self.scope.home(r)
-        )
-        ops2 = _set(ops, n, ops[n] - 1)
-        ew2 = _set(ew, r, n) if kind == "w" else ew
-        if hit:
-            return (label + " hit", (copies, _set(open_, n, (kind, r)), ops2, epoch, ew2, homever, latest, barver, net, nextver))
-        msg = ("fetch", n, self.scope.home(r), r, _NO_PAYLOAD, kind)
-        return (
-            label + " miss",
-            (copies, _set(open_, n, ("w" + kind, r)), ops2, epoch, ew2, homever, latest, barver, _add(net, msg), nextver),
-        )
+    def _step(self, s, n, r, step, *args):
+        """Run ``step(n, copy, *args)`` on node ``n``'s thawed copies, one
+        per region (``copy``: region ``r``'s; None for a barrier) and the
+        wire; returns the next state and what ``step`` returned."""
+        copies, open_, ops, homever, latest, net, nextver, epoch, ew, barver = s
+        t = self.target
+        row = t.copies = self._rows[n]
+        for copy, (st, ver) in zip(row, copies[n]):
+            copy.state, copy.data = st, ver
+        wire = self.wire
+        wire.sent = []
+        if r is not None:
+            wire.homever = homever[r]
+        out = step(n, None if r is None else row[r], *args)
+        frozen = tuple([(c.state, c.data) for c in row])
+        if frozen != copies[n]:
+            copies = _set(copies, n, frozen)
+        if r is not None and wire.homever != homever[r]:
+            homever = _set(homever, r, wire.homever)
+        if wire.sent:
+            net = tuple(sorted(net + tuple(wire.sent)))
+        return (copies, open_, ops, homever, latest, net, nextver, epoch, ew, barver), out
 
-    def _end(self, s, n):
-        copies, open_, ops, epoch, ew, homever, latest, barver, net, nextver = s
-        kind, r = open_[n]
-        st, ver = copies[n][r]
-        if kind == "r":
-            return (f"node{n}: end_read r{r}", (copies, _set(open_, n, None), ops, epoch, ew, homever, latest, barver, net, nextver))
-        ver = nextver
-        nextver += 1
-        latest = _set(latest, r, ver)
-        copies = _set2(copies, n, r, (_resolve_next(st, self.end_write_next), ver))
-        label = f"node{n}: end_write r{r} (commit v{ver})"
-        if n == self.scope.home(r):
-            homever = _set(homever, r, ver)
-            return (label, (copies, _set(open_, n, None), ops, epoch, ew, homever, latest, barver, net, nextver))
-        if self.sync_writeback:
-            net = _add(net, ("wb", n, self.scope.home(r), r, ver, ""))
-            open_ = _set(open_, n, ("wb", r))
-        else:
-            open_ = _set(open_, n, None)  # mutated table: write never reaches home
-        return (label, (copies, open_, ops, epoch, ew, homever, latest, barver, net, nextver))
+    def _idle_moves(self, s, n):
+        if not s[2][n]:
+            return [self._enter_barrier(s, n)] if s[7] < self.scope.epochs else []
+        out, ew, when = [], s[8], f" e{s[7]}"
+        for r in range(self.scope.regions):
+            out.append(self._begin(s, n, r, "r", when))
+            if ew[r] in (-1, n):  # a write only where no other node wrote this epoch
+                label, (*head, ew2, barver) = self._begin(s, n, r, "w", when)
+                out.append((label, (*head, _set(ew2, r, n), barver)))
+        return out
 
     def _enter_barrier(self, s, n):
-        copies, open_, ops, epoch, ew, homever, latest, barver, net, nextver = s
-        if self.self_invalidate:
-            row = tuple(
-                (self.base, 0) if self.scope.home(r) != n else copies[n][r]
-                for r in range(self.scope.regions)
-            )
-            copies = _set(copies, n, row)
-        open_ = _set(open_, n, ("bar",))
-        label = f"node{n}: barrier e{epoch}"
-        if all(o == ("bar",) for o in open_):
+        label = f"node{n}: barrier e{s[7]}"
+        s, parked = self._step(s, n, None, self._run, "barrier")
+        open_ = _set(s[1], n, None if parked is None else ("barrier", None, parked))
+        s = _set(s, 1, open_)
+        if all(o is not None and o[0] == "barrier" for o in open_):
+            # the last one in: every parked barrier hook resumes past its
+            # rendezvous into the next epoch, which publishes ``latest``
+            copies, open_, ops, homever, latest, net, nextver, epoch, ew, barver = s
             epoch += 1
-            barver = latest
-            ew = (-1,) * self.scope.regions
-            open_ = (None,) * self.scope.nodes
-            ops = (self.scope.ops if epoch < self.scope.epochs else 0,) * self.scope.nodes
+            t = self.target
+            t.ops, t.refill = list(ops), self.scope.ops if epoch < self.scope.epochs else 0
+            s = (copies, open_, ops, homever, latest, net, nextver, epoch, (-1,) * self.scope.regions, latest)
+            for m in range(self.scope.nodes):
+                s = self._resume(s, m, None, "rendezvous", None)
+            s = _set(s, 2, tuple(t.ops))
             label += " (released)"
-        return (label, (copies, open_, ops, epoch, ew, homever, latest, barver, net, nextver))
+        return (label, s)
 
     def _deliver(self, s, i):
-        copies, open_, ops, epoch, ew, homever, latest, barver, net, nextver = s
-        msg = net[i]
-        net = net[:i] + net[i + 1 :]
-        mtype, src, dst, r, payload, tag = msg
+        net = s[5]
+        mtype, src, dst, r, payload, tag = net[i]
+        s = _set(s, 5, net[:i] + net[i + 1 :])
         label = f"deliver {mtype} {src}->{dst} r{r}"
-        if mtype == "fetch":
-            net = _add(net, ("data", dst, src, r, homever[r], tag))
-            return (label, (copies, open_, ops, epoch, ew, homever, latest, barver, net, nextver))
+        if mtype == "fetch":  # the home serves its current version
+            return (label, _set(s, 5, _add(s[5], ("data", dst, src, r, s[3][r], tag))))
+        if mtype == "wb":  # the home adopts the write and acks it
+            s = _set(s, 3, _set(s[3], r, payload))
+            return (label, _set(s, 5, _add(s[5], ("wb_ack", dst, src, r, _NO_PAYLOAD, ""))))
         if mtype == "data":
-            kind = tag
-            st2 = self.fill_read if kind == "r" else self.fill_write
-            copies = _set2(copies, dst, r, (st2, payload))
-            open_ = _set(open_, dst, (kind, r))
-            return (label, (copies, open_, ops, epoch, ew, homever, latest, barver, net, nextver))
-        if mtype == "wb":
-            homever = _set(homever, r, payload)
-            net = _add(net, ("wb_ack", dst, src, r, _NO_PAYLOAD, ""))
-            return (label, (copies, open_, ops, epoch, ew, homever, latest, barver, net, nextver))
+            return (label, self._resume(s, dst, r, "fetch", payload))
         if mtype == "wb_ack":
-            open_ = _set(open_, dst, None)
-            return (label, (copies, open_, ops, epoch, ew, homever, latest, barver, net, nextver))
+            return (label, self._resume(s, dst, r, "writeback_home", None))
         raise ModelCheckError(f"{self.table.name}: unroutable message {mtype!r}")
 
     def invariant_violation(self, s):
-        copies, open_, ops, epoch, ew, homever, latest, barver, net, nextver = s
+        copies, open_, ops, homever, latest, net, nextver, epoch, ew, barver = s
         for r in range(self.scope.regions):
             writers = [n for n in range(self.scope.nodes) if open_[n] == ("w", r)]
             if len(writers) > 1:
@@ -873,7 +867,7 @@ class BarrierModel:
         return None
 
     def terminal_violation(self, s):
-        copies, open_, ops, epoch, ew, homever, latest, barver, net, nextver = s
+        net, open_ = s[5], s[1]
         if net:
             return ("quiescence", f"terminal state with {len(net)} undelivered message(s)")
         for n in range(self.scope.nodes):
@@ -933,11 +927,11 @@ class UpdateModel:
             o = open_[n]
             if o is None and ops[n] > 0:
                 for r in range(self.scope.regions):
-                    out.append(self._start(s, n, r, "r"))
+                    out.append(self._begin(s, n, r, "r"))
                     if self._write_free(s, n, r):
-                        out.append(self._start(s, n, r, "w"))
+                        out.append(self._begin(s, n, r, "w"))
             elif o is not None and o[0] in ("r", "w"):
-                out.append(self._end(s, n))
+                out.append(self._finish(s, n))
         for i in range(len(net)):
             out.append(self._deliver(s, i))
         return [m for m in out if m is not None]
@@ -951,12 +945,12 @@ class UpdateModel:
                 return False
         return not any(msg[3] == r and msg[0] in ("upd", "apply", "apply_ack", "upd_done") for msg in net)
 
-    def _start(self, s, n, r, kind):
+    def _begin(self, s, n, r, kind):
         copies, open_, ops, homever, acked, pend, net, nextver = s
         label = f"node{n}: start_{'read' if kind == 'r' else 'write'} r{r}"
         return (label, (copies, _set(open_, n, (kind, r)), _set(ops, n, ops[n] - 1), homever, acked, pend, net, nextver))
 
-    def _end(self, s, n):
+    def _finish(self, s, n):
         copies, open_, ops, homever, acked, pend, net, nextver = s
         kind, r = open_[n]
         if kind == "r":
@@ -1089,73 +1083,56 @@ def check_table(
     return _bfs(model, result, max_states, stop_at_first)
 
 
+#: (label, row key, change) for :func:`seeded_mutations`:
+#: ``drop`` removes an action (and its specialised forms), the rest is
+#: handed to :meth:`~repro.spec.table.ProtocolTable.mutate`
+_MUTATIONS = (
+    # a recall ack without the dirty writeback: the home serves the next
+    # request from stale canonical data
+    ("invalidate-ack-drops-writeback", ("node", "excl", "invalidate", None), {"drop": "writeback"}),
+    # an invalidated dirty copy stays readable after ownership moved
+    ("invalidate-keeps-copy-readable", ("node", "excl", "invalidate", None), {"next": "shared"}),
+    # a read hit on the dirty copy opens no use: a recall applies under it
+    ("read-hit-uncounted", ("node", "excl", "start_read", None), {"drop": "hit", "recalls": True}),
+    # a remote read's end releases nothing: later recalls wait forever
+    ("end-read-unreleased", ("node", WILDCARD, "end_read", None), {"drop": "release", "recalls": True}),
+    # a write granted over remote copies
+    ("write-grant-skips-recall", ("home", "idle", "write_req", "copies_elsewhere"), {"guard": "owned_elsewhere"}),
+    # the home writes in place over remote sharers' copies
+    ("home-write-skips-sharers", ("node", "home", "start_write", "home_sole"), {"guard": "home_idle"}),
+    # barrier family: the home never learns of the write, or stale
+    # copies survive the epoch boundary
+    ("write-back-dropped", ("node", WILDCARD, "end_write", None), {"drop": "writeback_home", "msg": None}),
+    ("self-invalidate-dropped", ("node", WILDCARD, "barrier", None), {"drop": "self_invalidate"}),
+    # update family: the write commits locally but is never pushed
+    ("update-propagation-dropped", ("node", WILDCARD, "end_write", None), {"drop": "propagate_write", "msg": None}),
+)
+
+
 def seeded_mutations(table: ProtocolTable) -> list[tuple[str, ProtocolTable]]:
-    """Deliberately broken variants of an invalidation table.
+    """Deliberately broken variants of a table (:data:`_MUTATIONS`).
 
     Used by ``repro modelcheck --seeded`` and the test suite to
     prove the checker has teeth: each mutation is type-well-formed
     (tables re-validate on construction) but semantically wrong, and
-    the checker must refute every one of them.
+    the checker must refute every one of them.  A mutation applies
+    where its row exists (and runs the action it drops); the
+    ``recalls`` ones only to tables with recall rows.
     """
+    recalls = any(a.startswith("recall_") for t in table.rows("home") for a in t.actions)
     out = []
-    try:
-        i = table.find_row("node", "excl", "invalidate")
-    except TableError:
-        i = None
-    if i is not None:
-        row = table.transitions[i]
-        # 1. flipped invalidate ack: ack without the dirty writeback —
-        #    the home serves the next request from stale canonical data.
-        out.append(
-            (
-                "invalidate-ack-drops-writeback",
-                table.mutate(i, actions=tuple(a for a in row.actions if a != "writeback")),
-            )
-        )
-        # 2. invalidate leaves the copy readable: the old sharer keeps
-        #    hitting locally after ownership moved.
-        out.append(("invalidate-keeps-copy-readable", table.mutate(i, next="shared")))
-    try:
-        j = table.find_row("home", "idle", "write_req", guard="copies_elsewhere")
-        out.append(("write-grant-skips-recall", table.mutate(j, guard="owned_elsewhere")))
-    except TableError:
-        pass
-    try:
-        # the home writes in place over remote sharers' copies
-        k = table.find_row("node", "home", "start_write", guard="home_sole")
-        out.append(("home-write-skips-sharers", table.mutate(k, guard="home_idle")))
-    except TableError:
-        pass
-    # Barrier family: drop the synchronous write-back (home never learns
-    # about the write) or the barrier self-invalidation (stale copies
-    # survive the epoch boundary).
-    for k, t in enumerate(table.transitions):
-        if t.role != "node":
+    for label, key, change in _MUTATIONS:
+        change = dict(change)
+        if change.pop("recalls", False) and not recalls:
             continue
-        if t.event == "end_write" and "writeback_home" in t.actions:
-            out.append(
-                (
-                    "write-back-dropped",
-                    table.mutate(
-                        k, actions=tuple(a for a in t.actions if a != "writeback_home"), msg=None
-                    ),
-                )
-            )
-        if t.event == "barrier" and "self_invalidate" in t.actions:
-            out.append(
-                (
-                    "self-invalidate-dropped",
-                    table.mutate(k, actions=tuple(a for a in t.actions if a != "self_invalidate")),
-                )
-            )
-        # Update family: the write commits locally but is never pushed.
-        if t.event == "end_write" and "propagate_write" in t.actions:
-            out.append(
-                (
-                    "update-propagation-dropped",
-                    table.mutate(
-                        k, actions=tuple(a for a in t.actions if a != "propagate_write"), msg=None
-                    ),
-                )
-            )
+        try:
+            k = table.find_row(*key)
+        except TableError:
+            continue
+        if "drop" in change:
+            row, drop = table.transitions[k], change.pop("drop")
+            if not row.runs(drop):
+                continue
+            change["actions"] = tuple(a for a in row.actions if a != drop and not a.startswith(drop + "_"))
+        out.append((label, table.mutate(k, **change)))
     return out

@@ -54,6 +54,8 @@ INVOCATIONS = [
     ("modelcheck SC HwSC --nodes 2 --seeded", 0),
     ("modelcheck Owned --nodes 2 --seeded", 0),
     ("modelcheck StaticUpdate", 2),  # no checker model
+    ("modelcheck --nodes 0", 2),
+    ("modelcheck SC --nodes -1 --seeded", 2),
     ("docs --check", 0),
     ("lint --static-only --out OUT/lint-static.json", 0),
     ("lint --dynamic-only --procs 2 --out OUT/lint-dynamic.json", 0),
@@ -131,6 +133,53 @@ def test_docs_check_fails_on_a_missing_repo_path(tmp_path, monkeypatch, capsys):
     assert cli.main(["docs", "--check"]) == 1
     out = capsys.readouterr().out
     assert "MISSING: DESIGN.md: `tests/compiler/test_annotations.py`, DESIGN.md: `tools/*.py`" in out
+
+
+def test_modelcheck_past_its_state_cap_is_one_line_and_the_rest_still_run(monkeypatch, capsys):
+    from repro.cli import modelcheck
+
+    monkeypatch.setattr(modelcheck, "MAX_STATES", 1_100)  # SelfInvalidate: 1,387 at 2 nodes
+    assert cli.main(["modelcheck", "SelfInvalidate", "DynamicUpdate"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line for line in lines if "NOT CHECKED" in line] == [
+        "SelfInvalidate   NOT CHECKED: SelfInvalidate: state space exceeded 1100 states"
+        " at scope Scope(nodes=2, regions=1, ops=2, epochs=2)"
+    ]
+    assert any(line.startswith("DynamicUpdate") and line.endswith("ok") for line in lines)
+    assert lines[-1] == "model check: FAILED" and "Traceback" not in captured.err
+
+
+def test_modelcheck_lists_every_uncertified_table_without_failing(capsys):
+    from repro.protocols import default_registry
+
+    assert cli.main(["modelcheck"]) == 0
+    out = capsys.readouterr().out
+    listed = re.findall(r"^uncertified: (\w+) — \S.*$", out, re.M)
+    certified = re.findall(r"^(\w+) +\w+ +scope=.* ok$", out, re.M)
+    assert len(listed) == 8 and len(certified) == 5
+    assert sorted(listed + certified) == sorted(default_registry.names())
+    assert cli.main(["modelcheck", "SC"]) == 0
+    assert "uncertified" not in capsys.readouterr().out
+
+
+def test_modelcheck_check_reruns_the_certified_scope(tmp_path, monkeypatch, capsys):
+    """``--check`` re-enumerates each certificate's scope: a count the
+    tables no longer reproduce fails, even under a matching fingerprint."""
+    from repro.cli import modelcheck
+
+    for path in modelcheck.CERT_DIR.glob("*.json"):
+        (tmp_path / path.name).write_text(path.read_text())
+    monkeypatch.setattr(modelcheck, "CERT_DIR", tmp_path)
+    assert cli.main(["modelcheck", "--check"]) == 0
+    cert = json.loads((tmp_path / "Owned.json").read_text())
+    cert["transitions"] += 1
+    (tmp_path / "Owned.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert cli.main(["modelcheck", "--check"]) == 1
+    out = capsys.readouterr().out
+    assert "Owned            STALE certificate (transitions 2103 -> 2102)" in out
+    assert "SC               certificate valid" in out
 
 
 def test_seed_sets_parse_or_refuse():

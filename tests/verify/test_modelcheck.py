@@ -1,16 +1,19 @@
 """The small-scope model checker: clean tables certify, broken tables refute.
 
-Three batteries:
+Four batteries:
 
 * every table-driven protocol family verifies clean at the default
-  2 nodes x 1 region x 2 ops scope (the certificate scope);
+  2 nodes x 1 region x 2 ops scope (the certificate scope), with the
+  committed certificate's state and transition counts;
 * every seeded mutation — type-well-formed but semantically broken
   tables — is refuted with a minimal counterexample trace, proving the
   checker has teeth (a checker that cannot fail a broken table
   certifies nothing);
 * the committed certificates under ``src/repro/verify/certs/`` are
   pinned to the tables' content fingerprints, so editing any row
-  without re-running ``repro modelcheck --write-certs`` fails CI.
+  without re-running ``repro modelcheck --write-certs`` fails CI;
+* the checker's requester is the generated hook text its protocol
+  compiles, and a replay that strays from the parked run is refused.
 """
 
 from __future__ import annotations
@@ -20,17 +23,24 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.runtime import AceRuntime
+from repro.core.space import Space
+from repro.machine import Machine, MachineConfig
 from repro.protocols.dynamic_update import DYNAMIC_UPDATE_TABLE
 from repro.protocols.owned import OWNED_TABLE
 from repro.protocols.registry import default_registry
 from repro.protocols.self_invalidate import SELF_INVALIDATE_TABLE
 from repro.dsm.msi import MSI_TABLE
+from repro.sim import Simulator
+from repro.spec import emit
 from repro.verify.modelcheck import (
+    _PARK,
     ModelCheckError,
     Scope,
     check_table,
     model_for,
     seeded_mutations,
+    _Requester,
 )
 
 CERT_DIR = Path(__file__).resolve().parents[2] / "src" / "repro" / "verify" / "certs"
@@ -55,8 +65,9 @@ def test_table_verifies_clean_at_certificate_scope(name):
     result = check_table(TABLES[name], Scope(nodes=2, regions=1, ops=2))
     assert result.ok, result.violations[0].render()
     assert result.family == FAMILY[name]
-    assert result.states > 100  # the scope is small, not trivial
     assert result.fingerprint == TABLES[name].fingerprint()
+    cert = json.loads((CERT_DIR / f"{name}.json").read_text())
+    assert (result.states, result.transitions) == (cert["states"], cert["transitions"])
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
@@ -76,9 +87,9 @@ def test_every_seeded_mutation_is_refuted(name):
 
 @pytest.mark.parametrize("name", ["SC", "Owned"])
 def test_the_home_alias_opens_and_closes_through_its_row_actions(name):
-    """The checker opens and closes the home's own access from the rows'
-    ``open_home_*``/``close_home_*`` actions, as the shipped hooks do: a
-    table missing any one of them is refuted, never certified."""
+    """The checker runs the generated hooks, whose ``open_home_*`` and
+    ``close_home_*`` actions are the home machine's, bound as at runtime:
+    a table missing any one of them is refuted, never certified."""
     table, dropped = TABLES[name], []
     for k, t in enumerate(table.transitions):
         for a in t.actions:
@@ -147,3 +158,56 @@ def test_stale_read_has_a_readable_trace():
     text = result.violations[0].render()
     assert "no_stale_read" in text
     assert any(ch.isdigit() for ch in text)  # numbered steps
+
+
+@pytest.mark.parametrize("name", ["Owned", "SelfInvalidate"])
+def test_the_checker_runs_the_hook_text_its_protocol_compiles(name, monkeypatch):
+    """One requester text for run and proof: the hooks the checker
+    generates for a table are, character for character, the ones its
+    shipped protocol generates."""
+    texts = {}
+    real = emit.hook_source
+
+    def spy(tbl, event, refs, blocking):
+        text = real(tbl, event, refs, blocking)
+        if tbl.name == name:  # the runtime builds its default SC engine too
+            texts.setdefault(where, {})[event] = text
+        return text
+
+    monkeypatch.setattr(emit, "hook_source", spy)
+    where = "checker"
+    model_for(TABLES[name], Scope())
+    where = "runtime"
+    AceRuntime(Machine(Simulator(), MachineConfig(n_procs=2)))._create_protocol(name, Space(sid=0))
+    assert texts["checker"] == texts["runtime"]
+    assert {"start_read", "start_write", "end_write"} <= set(texts["checker"])
+
+
+def test_a_replay_that_parks_elsewhere_is_refused():
+    """A parked hook resumes by re-running its prefix; a prefix that now
+    parks in another action, or asks a guard the live run did not, is a
+    checker error, never a silent resumption."""
+
+    class Target(_Requester):
+        verdict = False
+
+        def g_idle(self, nid):
+            return self.verdict
+
+        def park(self, family):
+            self.parked = family
+            yield _PARK
+
+    target = Target("T", wire=None)
+    target.g_idle = target._recorded(target.g_idle)
+
+    def hook(nid):
+        yield from target.park("fetch" if target.g_idle(nid) else "rendezvous")
+
+    answers = target.run(hook, (0,))
+    assert answers == (False,)
+    assert target.run(hook, (0,), answers, "rendezvous", None) is None
+    with pytest.raises(ModelCheckError, match="parks in 'rendezvous', not 'fetch'"):
+        target.run(hook, (0,), answers, "fetch", None)
+    with pytest.raises(ModelCheckError, match="asks a guard"):
+        target.run(hook, (0,), (), "rendezvous", None)

@@ -9,7 +9,8 @@ too.  Each one is built into a real protocol — the SC engine or an
 fixed 3-node program: two sharers read, the home's write invalidates
 them, a write-write migration moves the dirty copy, and every node reads
 last.
-The mutated run must give wrong answers or stall.
+The mutated run must give wrong answers, stall, deadlock or refuse an
+access (:class:`~repro.dsm.errors.ProtocolError`).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 
 from repro.dsm.coherence import CoherenceEngine
 from repro.dsm.costs import ACE_SC_COSTS
+from repro.dsm.errors import ProtocolError
 from repro.dsm.faults import StallError
 from repro.dsm.msi import MSI_TABLE
 from repro.facade import run_spmd
@@ -25,6 +27,7 @@ from repro.protocols.base import Protocol
 from repro.protocols.owned import OWNED_TABLE, OwnedProtocol
 from repro.protocols.registry import ProtocolRegistry
 from repro.protocols.sc_invalidate import SCProtocol
+from repro.sim import DeadlockError
 from repro.verify.modelcheck import seeded_mutations
 
 SIZE = 4
@@ -87,7 +90,7 @@ CASES = [
 
 
 def test_every_invalidation_mutation_is_covered():
-    assert len(CASES) == 8
+    assert len(CASES) == 12
 
 
 @pytest.mark.parametrize("protocol,label", CASES)
@@ -98,6 +101,6 @@ def test_refuted_mutation_changes_the_shipped_run(protocol, label):
     mutated = dict(seeded_mutations(table))[label]
     try:
         got = _run(protocol, mutated)
-    except StallError:
+    except (StallError, DeadlockError, ProtocolError):
         return
     assert got != clean, f"{protocol}/{label}: the shipped run ignored the mutation"
