@@ -131,9 +131,10 @@ def configure(parser) -> None:
 
 
 def run(args, art) -> int:
-    if args.nodes < 1:
-        raise UsageError(f"--nodes must be at least 1, got {args.nodes}")
-    scope = Scope(args.nodes)
+    try:
+        scope = Scope(args.nodes)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     checkable, uncertified = _checkable()
     unknown = [name for name in args.protocols if name not in checkable]
     if unknown:

@@ -20,9 +20,11 @@ Mechanics
   single writer at a time, e.g. a Barnes-Hut body is written only by
   its owner).
 
-The message rows (``update``/``push``) are not compiled into hooks;
-they declare the home/sharer machines for the model
-checker and the protocol reference docs.
+The message rows (``update``/``push``) are not compiled into hooks and
+nothing runs them: they document the home and sharer handlers below for
+the protocol reference.  The model checker runs the ``end_write`` hook
+generated from the node row, over a home of its own that serves the
+update and its fan-out.
 """
 
 from __future__ import annotations

@@ -7,14 +7,13 @@ operations per node), and checks the coherence invariants the paper's
 protocol families promise:
 
 ``single_writer``
-    No region ever has two concurrently open writes, or a reader
-    concurrent with a foreign writer (SWMR, invalidation family).
+    No region ever has two unfinished writes, or a reader concurrent
+    with a foreign writer (SWMR, invalidation family).
 ``no_stale_read``
-    Every open read observes the freshest value its family's
-    visibility contract requires: the latest committed version for
-    ``sync_model="access"``, everything acknowledged for
-    ``"immediate"``, and everything from before the last barrier for
-    ``"barrier"``.
+    Every open access observes at least its family's read floor: the
+    latest committed version for ``sync_model="access"``, every write
+    whose end hook has returned for ``"immediate"``, and everything
+    from before the last barrier for ``"barrier"``.
 ``dir_cache_agreement``
     Whenever a region is quiescent (no messages in flight, no busy
     directory window), the home's owner/sharer records agree with the
@@ -34,25 +33,29 @@ committed write mints a fresh version, and staleness is a comparison.
 State spaces at the scopes used here are a few thousand states; the
 hard cap exists only to fail loudly on runaway tables.
 
-Three family models share the search core, selected by the table's
+Two family models share the search core and one hook runner
+(:class:`_HookModel`), selected by the table's
 ``sync_model``/``writer_model`` metadata: :class:`InvalidationModel`
-(MSI / MOESI ownership, ``writer_model="copy"``), :class:`BarrierModel`
-(self-invalidation, ``sync_model="barrier"``) and :class:`UpdateModel`
-(immediate propagation, still a hand-written abstract interpreter).
+(MSI / MOESI ownership, ``writer_model="copy"``) and
+:class:`PublishModel`, for tables whose home is always current
+(self-invalidation, ``sync_model="barrier"``, and immediate update
+propagation, ``sync_model="immediate"``).
 
-The first two run shipped code (:class:`_HookModel`).  Their requester
-side is the access hooks :func:`~repro.spec.emit.table_hooks` generates
-from the table — the text the protocol itself compiles — over a checker
-target whose actions move versions instead of data.  The invalidation
-family's home and recall sides are the
-:class:`~repro.dsm.directory.HomeMachine` and
+Both run shipped code.  Their requester side is the access hooks
+:func:`~repro.spec.emit.table_hooks` generates from the table — the
+text the protocol itself compiles — over a checker target whose actions
+move versions instead of data.  The invalidation family's home and
+recall sides are the :class:`~repro.dsm.directory.HomeMachine` and
 :class:`~repro.dsm.regioncache.RecallReceiver` that SC, HwSC, CRL and
 Owned run, through an abstract wire, with the home alias's guards and
-open/close actions bound as at runtime.  Each step thaws one world —
-a copy, its region's directory entry and the wire — runs it and
-freezes the result.  A hook that blocks parks: the state records its
-event and guard answers, and the delivery that answers it re-runs the
-hook's prefix without effects, then resumes the blocked action live.
+open/close actions bound as at runtime.  The other family's home is
+written here: it serves fetches and write-backs, or updates and their
+fan-out; the barrier and update families differ only in where a write
+is published.  Each step thaws one world — the stepped node's copies,
+its region's directory entry and the wire — runs it and freezes the
+result.  A hook that blocks parks: the state records its event and
+guard answers, and the delivery that answers it re-runs the hook's
+prefix without effects, then resumes the blocked action live.
 """
 
 from __future__ import annotations
@@ -86,6 +89,11 @@ class Scope:
     regions: int = 1
     ops: int = 2      # operations per node (per epoch, for barrier models)
     epochs: int = 2   # barrier rounds (barrier models only)
+
+    def __post_init__(self):
+        for name in ("nodes", "regions", "ops", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"scope {name} must be at least 1, got {getattr(self, name)}")
 
     def home(self, rid: int) -> int:
         return rid % self.nodes
@@ -193,14 +201,18 @@ _PARK = object()
 
 _KIND = {"start_read": "r", "start_write": "w"}
 
+#: the slots that hold a region's write: open, or parked in its end hook
+_WRITING = ("w", "end_write")
+
 
 class _Requester:
     """The target a table's generated hooks run against in the checker.
 
-    Live, an action moves versions on the thawed world and sends through
-    ``wire``.  While a parked hook's prefix is re-run (``live`` False)
-    actions do nothing and guards give back the ``answers`` they gave
-    live.  A blocking action names its family in ``parked`` and yields
+    Live, an action moves versions on the thawed world — the stepped
+    node's ``copies``, one per region — and sends through ``wire``.
+    While a parked hook's prefix is re-run (``live`` False) actions do
+    nothing and guards give back the ``answers`` they gave live.  A
+    blocking action names its family in ``parked`` and yields
     :data:`_PARK`; the value sent back is its answer.
     """
 
@@ -211,6 +223,7 @@ class _Requester:
         self.live = True
         self.answers: list = []
         self.parked = None
+        self.copies: list = []
 
     def adopt_alias(self, home: HomeMachine) -> None:
         """Take the home alias's guards and open/close actions from
@@ -316,18 +329,20 @@ class _CopyRequester(_Requester):
 
 
 class _EpochRequester(_Requester):
-    """The barrier family's requester actions (SelfInvalidate).
+    """The requester actions of the tables whose home is always current
+    (SelfInvalidate, DynamicUpdate).
 
-    A miss refetches from the always-current home; a write ends by
-    shipping its version home and waiting for the ack; a barrier drops
-    the node's non-home ``copies`` (their data with them), meets every
-    node and hands the node the next epoch's operations (``ops``).
+    A miss refetches from the home.  A write ends by shipping its
+    version home and waiting for the ack (``writeback_home``), or by
+    pushing it to every copy and waiting until each has applied it
+    (``propagate_write``).  A barrier drops the node's non-home copies
+    (their data with them), meets every node and hands the node the
+    next epoch's operations (``ops``).
     """
 
     def __init__(self, name: str, wire, base: str):
         super().__init__(name, wire)
         self.base = base
-        self.copies: list = []
         self.ops: list = []
         self.refill = 0
 
@@ -350,6 +365,21 @@ class _EpochRequester(_Requester):
         self.parked = "writeback_home"
         yield _PARK
 
+    def act_propagate_write(self, nid: int, copy):
+        """The home fans its write out in place; any other writer sends
+        it home (``upd``).  Either way the write waits for every copy."""
+        region = copy.region
+        if nid == region.home:
+            sent = self.wire.push(region, nid, copy.data)
+            if not sent:
+                return  # no other copy to wait for
+        else:
+            sent = [("upd", nid, region.home, region.rid, copy.data, "")]
+        if self.live:
+            self.wire.sent += sent
+        self.parked = "propagate_write"
+        yield _PARK
+
     def act_self_invalidate(self, nid: int) -> None:
         if self.live:
             for copy in self.copies:
@@ -370,14 +400,21 @@ class _Wire:
     :attr:`sent` and join the state's sorted network when it freezes,
     and :attr:`homever` is the stepped region's canonical version.
 
-    The rest is the shared invalidation machines' wire.  Data is a
-    version number: a grant carries the home's version, a writeback the
-    copy's.
+    The rest is the shared invalidation machines' wire and the update
+    family's fan-out.  Data is a version number: a grant carries the
+    home's version, a writeback the copy's.
     """
 
-    def __init__(self):
+    def __init__(self, nodes: int = 0):
+        self.nodes = nodes
         self.sent: list = []
         self.homever = 0
+
+    def push(self, region, writer: int, ver: int) -> list:
+        """The update fan-out: ``ver`` to every copy but the writer's and
+        the home's (every node holds a copy, the worst case)."""
+        return [("apply", region.home, t, region.rid, ver, "")
+                for t in range(self.nodes) if t not in (writer, region.home)]
 
     # -- home side
     def grant(self, region, src, fut, kind, how):
@@ -430,10 +467,11 @@ def _copy(region, n: int) -> RegionCopy:
 
 class _HookModel:
     """A model that runs shipped code: each access runs the table's
-    generated hooks over :attr:`target`, on one world the subclass's
-    :meth:`_step` thaws from the state and freezes back.  A state begins
+    generated hooks over :attr:`target`, on one world :meth:`_step`
+    thaws from the state and freezes back.  A state begins
     ``(copies, open_, ops, homever, latest, net, nextver)``::
 
+        copies[n][r] = (state, version, ...)     the family's frozen copy
         open_[n]   = None | (kind, rid)          an open access, kind r w
                    | (event, rid, answers)       parked in ``event``'s hook
                                                  (rid None for a barrier)
@@ -442,13 +480,22 @@ class _HookModel:
         latest[r]  = newest committed version, wherever it lives —
                      the freshness oracle a lost writeback cannot fool
         net        = sorted tuple of (type, src, dst, rid, payload, tag)
+
+    Every family promises one writer per region (no reader beside it
+    either, if :attr:`exclusive`), every open access at least as fresh
+    as the family's read floor (state slot :attr:`FLOOR`), and a clean
+    end: nothing in flight, nobody stuck, no operation left.
     """
+
+    invariants = ("single_writer", "no_stale_read", "quiescence")
+    exclusive = False
 
     def __init__(self, table: ProtocolTable, scope: Scope, target: _Requester):
         self.table = table
         self.scope = scope
         self.base = table.base_state
         self.regions = tuple(_Region(r, scope.home(r)) for r in range(scope.regions))
+        self._rows = [[_copy(region, n) for region in self.regions] for n in range(scope.nodes)]
         self.wire = target.wire
         self.target = target
         try:
@@ -474,6 +521,53 @@ class _HookModel:
                 out.append(self._finish(s, n))
         return out + [self._deliver(s, i) for i in range(len(s[5]))]
 
+    # -- one world: thaw, step, freeze -------------------------------------
+    def _step(self, s, n, r, step, *args):
+        """Run ``step(n, copy, *args)`` on one thawed world — node ``n``'s
+        copies (``copy``: region ``r``'s, None for a barrier), the
+        region's home record and the wire — and freeze it; returns the
+        next state and what ``step`` returned."""
+        copies, open_, ops, homever, latest, net, nextver, *tail = s
+        row = self.target.copies = self._rows[n]
+        self._thaw(row, copies[n])
+        wire = self.wire
+        wire.sent = []
+        if r is None:
+            out = step(n, None, *args)
+        else:
+            copy = row[r]
+            wire.homever = homever[r]
+            self._thaw_home(copy, tail)
+            out = step(n, copy, *args)
+            if wire.homever != homever[r]:
+                homever = _set(homever, r, wire.homever)
+            tail = self._freeze_home(copy, tail)
+        frozen = self._freeze(row)
+        if frozen != copies[n]:
+            copies = _set(copies, n, frozen)
+        if wire.sent:
+            net = tuple(sorted(net + tuple(wire.sent)))
+        return (copies, open_, ops, homever, latest, net, nextver, *tail), out
+
+    #: a copy's frozen tail before any step: its version
+    FRESH = (0,)
+
+    @staticmethod
+    def _thaw(row, frozen) -> None:
+        for copy, (st, ver) in zip(row, frozen):
+            copy.state, copy.data = st, ver
+
+    @staticmethod
+    def _freeze(row):
+        return tuple([(copy.state, copy.data) for copy in row])
+
+    def _thaw_home(self, copy, tail) -> None:
+        """A family whose home keeps a record per region thaws it here."""
+
+    def _freeze_home(self, copy, tail):
+        return tail
+
+    # -- the application's accesses ----------------------------------------
     def _begin(self, s, n, r, kind, when=""):
         event = "start_read" if kind == "r" else "start_write"
         label = f"node{n}: {event} r{r} [{s[0][n][r][0]}]{when}"
@@ -497,7 +591,8 @@ class _HookModel:
         open_ = _set(open_, n, None if parked is None else (event, r, parked))
         if ver is not None:
             latest, nextver = _set(latest, r, ver), ver + 1
-        return (label, (copies, open_, ops, homever, latest, net, nextver, *rest))
+        s = (copies, open_, ops, homever, latest, net, nextver, *rest)
+        return (label, s if parked is not None else self._ended(s, event, r))
 
     def _resume(self, s, n, r, family, reply):
         """Deliver ``reply`` to the ``family`` action node ``n``'s hook
@@ -507,7 +602,13 @@ class _HookModel:
             raise ModelCheckError(f"{self.table.name}: node {n} has no hook parked for r{r}'s {family}")
         event, _, answers = slot
         copies, open_, *rest = self._step(s, n, r, self._run, event, None, answers, family, reply)[0]
-        return (copies, _set(open_, n, (_KIND[event], r) if event in _KIND else None), *rest)
+        if event in _KIND:
+            return (copies, _set(open_, n, (_KIND[event], r)), *rest)
+        return self._ended((copies, _set(open_, n, None), *rest), event, r)
+
+    def _ended(self, s, event, r):
+        """``event``'s hook has returned for region ``r``."""
+        return s
 
     def _run(self, n, copy, event, ver=None, answers=None, family=None, reply=None):
         """The application's write commits ``ver`` into ``copy`` (a home
@@ -522,35 +623,54 @@ class _HookModel:
             return None
         return self.target.run(hook, (n,) if copy is None else (n, copy), answers, family, reply)
 
+    # -- invariants --------------------------------------------------------
+    #: state slot of the per-region read floor, and what put it there
+    FLOOR = (4, "committed")
+
+    def invariant_violation(self, s):
+        copies, open_, homever = s[0], s[1], s[3]
+        at, why = self.FLOOR
+        floor = s[at]
+        for r in range(self.scope.regions):
+            readers = [n for n, o in enumerate(open_) if o == ("r", r)]
+            writers = [n for n, o in enumerate(open_) if o is not None and o[1] == r and o[0] in _WRITING]
+            if len(writers) > 1:
+                return ("single_writer", f"region {r} has concurrent writers {writers}")
+            if self.exclusive and writers and readers:
+                return (
+                    "single_writer",
+                    f"region {r} has reader(s) {readers} concurrent with writer {writers[0]}",
+                )
+            # Freshness: an open read must see its family's floor; an
+            # open write is a read-modify-write, so its base data must
+            # be just as fresh (this is what catches a grant served
+            # from a home that never got the writeback).
+            for n in readers + writers:
+                st, ver = copies[n][r][:2]
+                obs = homever[r] if st == self.home_state else ver
+                if obs < floor[r]:
+                    verb = "reads" if n in readers else "writes over"
+                    return (
+                        "no_stale_read",
+                        f"node {n} {verb} r{r} at v{obs} while v{floor[r]} is {why}",
+                    )
+        return None
+
+    def terminal_violation(self, s):
+        open_, ops, net = s[1], s[2], s[5]
+        if net:
+            return ("quiescence", f"terminal state with {len(net)} undelivered message(s)")
+        for n in range(self.scope.nodes):
+            if open_[n] is not None:
+                return ("quiescence", f"node {n} stuck in {open_[n]}")
+            if ops[n] > 0:
+                return ("quiescence", f"node {n} deadlocked with {ops[n]} op(s) left")
+        return None
+
 
 # ----------------------------------------------------------------------
 # invalidation family (MSI / MOESI ownership)
 # ----------------------------------------------------------------------
-def _thaw_entry(region, d) -> DirEntry:
-    ent = DirEntry.__new__(DirEntry)
-    ent.region = region
-    ent.owner, sharers, ent.busy, pending, queue, ent.home_readers, ent.home_writing, ent.grantee = d
-    ent.sharers = set(sharers)
-    ent.queue = deque([(kind, src, None) for kind, src in queue])
-    if pending is None:
-        ent.pending = None
-    else:
-        kind, src, need = pending
-        acks = Acks()
-        acks.waiting = [None] * need
-        ent.pending = {"kind": kind, "src": src, "fut": None, "acks": acks, "remote": False}
-    return ent
-
-
-def _freeze_entry(ent: DirEntry):
-    p = ent.pending
-    if p is not None:
-        p = (p["kind"], p["src"], len(p["acks"].waiting) if "acks" in p else 1)
-    queue = tuple((kind, src) for kind, src, _ in ent.queue)
-    return (ent.owner, tuple(sorted(ent.sharers)), ent.busy, p, queue, ent.home_readers,
-            ent.home_writing, ent.grantee)
-
-
 #: deliveries that answer a parked fetch
 _FILLS = frozenset({"read_data", "write_data", "upgrade_ack", "supply", "home_grant"})
 
@@ -562,7 +682,8 @@ class InvalidationModel(_HookModel):
     requester runs the generated hooks over :class:`_CopyRequester`, the
     home a :class:`~repro.dsm.directory.HomeMachine` and a recalled or
     forwarded copy a :class:`~repro.dsm.regioncache.RecallReceiver`.  The
-    state (:class:`_HookModel`) ends with ``dirs``, the directory::
+    state (:class:`_HookModel`) ends with ``dirs``, the directory, and
+    its read floor is ``latest``::
 
         copies[n][r] = (state, version, deferred, uses)
                        deferred: ((event, aux), ...); uses: open accesses
@@ -572,6 +693,7 @@ class InvalidationModel(_HookModel):
 
     family = "invalidation"
     invariants = ("single_writer", "no_stale_read", "dir_cache_agreement", "quiescence")
+    exclusive = True
 
     def __init__(self, table: ProtocolTable, scope: Scope):
         wire = _Wire()
@@ -589,8 +711,8 @@ class InvalidationModel(_HookModel):
         self.read_hit, self.write_hit = (
             frozenset(t.state for t in table.rows("node", ev) if t.runs("hit") and not t.guard)
             for ev in ("start_read", "start_write"))
-        for n, copies in enumerate(self.cache.tables):
-            copies.update((region.rid, _copy(region, n)) for region in self.regions)
+        for copies, row in zip(self.cache.tables, self._rows):
+            copies.update((copy.region.rid, copy) for copy in row)
 
     #: a copy's frozen tail before any step: version, deferred, uses
     FRESH = (0, (), 0)
@@ -598,29 +720,43 @@ class InvalidationModel(_HookModel):
     def _initial_tail(self):
         return (((None, (), False, None, (), 0, False, None),) * self.scope.regions,)
 
-    def _step(self, s, n, r, step, *args):
-        """Run ``step(n, copy, *args)`` on one thawed world — node ``n``'s
-        copy of region ``r`` with its use count, the region's directory
-        entry (``copy.ent``) and the wire — and freeze it; returns the
-        next state and what ``step`` returned."""
-        copies, open_, ops, homever, latest, net, nextver, dirs = s
-        st, ver, deferred, uses = copies[n][r]
-        copy = self.cache.tables[n][r]
-        copy.state, copy.data, copy.reads = st, ver, uses
-        copy.deferred = tuple([(event, None, aux) for event, aux in deferred]) if deferred else ()
-        copy.ent = ent = _thaw_entry(self.regions[r], dirs[r])
-        wire = self.wire
-        wire.sent = []
-        wire.homever = homever[r]
-        out = step(n, copy, *args)
-        deferred = tuple([(event, aux) for event, _, aux in copy.deferred]) if copy.deferred else ()
-        copies = _set2(copies, n, r, (copy.state, copy.data, deferred, copy.reads))
-        dirs = _set(dirs, r, _freeze_entry(ent))
-        if wire.homever != homever[r]:
-            homever = _set(homever, r, wire.homever)
-        if wire.sent:
-            net = tuple(sorted(net + tuple(wire.sent)))
-        return (copies, open_, ops, homever, latest, net, nextver, dirs), out
+    @staticmethod
+    def _thaw(row, frozen) -> None:
+        for copy, (st, ver, deferred, uses) in zip(row, frozen):
+            copy.state, copy.data, copy.reads = st, ver, uses
+            copy.deferred = tuple([(event, None, aux) for event, aux in deferred]) if deferred else ()
+
+    @staticmethod
+    def _freeze(row):
+        return tuple([
+            (copy.state, copy.data,
+             tuple([(event, aux) for event, _, aux in copy.deferred]) if copy.deferred else (), copy.reads)
+            for copy in row])
+
+    def _thaw_home(self, copy, tail) -> None:
+        ent = copy.ent = DirEntry.__new__(DirEntry)
+        ent.region = copy.region
+        (ent.owner, sharers, ent.busy, pending, queue, ent.home_readers, ent.home_writing,
+         ent.grantee) = tail[0][copy.region.rid]
+        ent.sharers = set(sharers)
+        ent.queue = deque([(kind, src, None) for kind, src in queue])
+        if pending is None:
+            ent.pending = None
+        else:
+            kind, src, need = pending
+            acks = Acks()
+            acks.waiting = [None] * need
+            ent.pending = {"kind": kind, "src": src, "fut": None, "acks": acks, "remote": False}
+
+    def _freeze_home(self, copy, tail):
+        ent = copy.ent
+        p = ent.pending
+        if p is not None:
+            p = (p["kind"], p["src"], len(p["acks"].waiting) if "acks" in p else 1)
+        queue = tuple((kind, src) for kind, src, _ in ent.queue)
+        frozen = (ent.owner, tuple(sorted(ent.sharers)), ent.busy, p, queue, ent.home_readers,
+                  ent.home_writing, ent.grantee)
+        return (_set(tail[0], ent.region.rid, frozen),)
 
     def _idle_moves(self, s, n):
         if not s[2][n]:
@@ -663,34 +799,11 @@ class InvalidationModel(_HookModel):
 
     # -- invariants --------------------------------------------------------
     def invariant_violation(self, s):
-        copies, open_, ops, homever, latest, net, nextver, dirs = s
+        bad = super().invariant_violation(s)
         for r in range(self.scope.regions):
-            writers = [n for n in range(self.scope.nodes) if open_[n] == ("w", r)]
-            readers = [n for n in range(self.scope.nodes) if open_[n] == ("r", r)]
-            if len(writers) > 1:
-                return ("single_writer", f"region {r} has concurrent writers {writers}")
-            if writers and readers:
-                return (
-                    "single_writer",
-                    f"region {r} has reader(s) {readers} concurrent with writer {writers[0]}",
-                )
-            # Freshness: an open read must see the newest committed
-            # version; an open write is a read-modify-write, so its
-            # base data must be just as fresh (this is what catches a
-            # grant served from a home that never got the writeback).
-            for n in readers + writers:
-                st, ver = copies[n][r][:2]
-                obs = homever[r] if st == self.home_state else ver
-                if obs < latest[r]:
-                    verb = "reads" if n in readers else "writes over"
-                    return (
-                        "no_stale_read",
-                        f"node {n} {verb} r{r} at v{obs} while v{latest[r]} is committed",
-                    )
-            bad = self._agreement(s, r)
-            if bad is not None:
-                return bad
-        return None
+            if bad is None:
+                bad = self._agreement(s, r)
+        return bad
 
     def _agreement(self, s, r):
         copies, open_, ops, homever, latest, net, nextver, dirs = s
@@ -726,106 +839,89 @@ class InvalidationModel(_HookModel):
         return None
 
     def terminal_violation(self, s):
-        copies, open_, ops, homever, latest, net, nextver, dirs = s
-        if net:
-            return ("quiescence", f"terminal state with {len(net)} undelivered message(s)")
-        for n in range(self.scope.nodes):
-            if open_[n] is not None:
-                return ("quiescence", f"node {n} stuck in {open_[n]}")
-            if ops[n] > 0:
-                return ("quiescence", f"node {n} deadlocked with {ops[n]} op(s) left")
-        for r in range(self.scope.regions):
-            owner, sharers, busy, pending, queue, hr, hw, grantee = dirs[r]
-            if busy or pending is not None or queue:
+        bad = super().terminal_violation(s)
+        for r, (owner, sharers, busy, pending, queue, *_) in enumerate(s[7]):
+            if bad is None and (busy or pending is not None or queue):
                 return ("quiescence", f"region {r} directory stuck (busy={busy}, queue={len(queue)})")
-        return None
+        return bad
 
 
 # ----------------------------------------------------------------------
-# barrier family (self-invalidation)
+# tables whose home is always current: barrier and update families
 # ----------------------------------------------------------------------
-class BarrierModel(_HookModel):
-    """Abstract machine for ``sync_model="barrier"`` tables.
+#: deliveries that answer a parked action, by the action they answer
+_ANSWERS = {"data": "fetch", "wb_ack": "writeback_home", "upd_done": "propagate_write"}
 
-    Visibility contract: a read observes at least everything committed
-    before the most recent global barrier.  The application contract
-    (one writer per region per epoch) is enforced by the move
-    generator, matching the protocol's stated usage discipline.  The
-    requester runs the table's generated hooks over
-    :class:`_EpochRequester`; the home — a fetch server and a write-back
-    sink — is written here.  The state (:class:`_HookModel`) ends with
-    ``(epoch, ew, barver)``::
+
+class PublishModel(_HookModel):
+    """Abstract machine for tables whose home is always current:
+    self-invalidation (``sync_model="barrier"``) and immediate update
+    propagation (``sync_model="immediate"``).
+
+    The requester runs the table's generated hooks over
+    :class:`_EpochRequester`; the home is written here.  It serves
+    fetches and adopts write-backs, or adopts updates and pushes each to
+    every other copy (``apply``), answering the writer once all have
+    applied it.  The two families differ only in where a write is
+    *published*, which makes its version the region's read floor and
+    frees the region for the next writer: at the barrier's release
+    (one writer per region per epoch), or when the write's end hook
+    returns (writes serialized per region).  The state
+    (:class:`_HookModel`) ends with ``(writer, floor, epoch)``::
 
         copies[n][r] = (state, version)
-        ew[r]        = this epoch's writer (or -1)
-        barver[r]    = the version the last barrier published
+        writer[r]    = the node whose write is unpublished (or -1)
+        floor[r]     = the version last published
     """
-
-    family = "barrier"
-    invariants = ("single_writer", "no_stale_read", "quiescence")
 
     #: the state a home's copy is installed in (as the shipped protocols do)
     home_state = "home"
+    FLOOR = (8, "published")
 
     def __init__(self, table: ProtocolTable, scope: Scope):
-        super().__init__(table, scope, _EpochRequester(table.name, _Wire(), table.base_state))
-        if "barrier" not in self.hooks:
+        self.barrier = table.sync_model == "barrier"
+        self.family = "barrier" if self.barrier else "update"
+        super().__init__(table, scope, _EpochRequester(table.name, _Wire(scope.nodes), table.base_state))
+        if self.barrier and "barrier" not in self.hooks:
             raise ModelCheckError(f"{table.name}: the barrier model needs barrier rows")
-        self._rows = [[_copy(region, n) for region in self.regions] for n in range(scope.nodes)]
-
-    #: a copy's frozen tail before any step: its version
-    FRESH = (0,)
 
     def _initial_tail(self):
-        return (0, (-1,) * self.scope.regions, (0,) * self.scope.regions)
+        return ((-1,) * self.scope.regions, (0,) * self.scope.regions, 0)
 
-    def _step(self, s, n, r, step, *args):
-        """Run ``step(n, copy, *args)`` on node ``n``'s thawed copies, one
-        per region (``copy``: region ``r``'s; None for a barrier) and the
-        wire; returns the next state and what ``step`` returned."""
-        copies, open_, ops, homever, latest, net, nextver, epoch, ew, barver = s
-        t = self.target
-        row = t.copies = self._rows[n]
-        for copy, (st, ver) in zip(row, copies[n]):
-            copy.state, copy.data = st, ver
-        wire = self.wire
-        wire.sent = []
-        if r is not None:
-            wire.homever = homever[r]
-        out = step(n, None if r is None else row[r], *args)
-        frozen = tuple([(c.state, c.data) for c in row])
-        if frozen != copies[n]:
-            copies = _set(copies, n, frozen)
-        if r is not None and wire.homever != homever[r]:
-            homever = _set(homever, r, wire.homever)
-        if wire.sent:
-            net = tuple(sorted(net + tuple(wire.sent)))
-        return (copies, open_, ops, homever, latest, net, nextver, epoch, ew, barver), out
+    def _publish(self, s, regions):
+        *head, writer, floor, epoch = s
+        writer, floor, latest = list(writer), list(floor), s[4]
+        for r in regions:
+            writer[r], floor[r] = -1, latest[r]
+        return (*head, tuple(writer), tuple(floor), epoch)
+
+    def _ended(self, s, event, r):
+        return self._publish(s, (r,)) if event == "end_write" and not self.barrier else s
 
     def _idle_moves(self, s, n):
         if not s[2][n]:
-            return [self._enter_barrier(s, n)] if s[7] < self.scope.epochs else []
-        out, ew, when = [], s[8], f" e{s[7]}"
+            return [self._enter_barrier(s, n)] if self.barrier and s[9] < self.scope.epochs else []
+        out, writer = [], s[7]
+        when = f" e{s[9]}" if self.barrier else ""
         for r in range(self.scope.regions):
             out.append(self._begin(s, n, r, "r", when))
-            if ew[r] in (-1, n):  # a write only where no other node wrote this epoch
-                label, (*head, ew2, barver) = self._begin(s, n, r, "w", when)
-                out.append((label, (*head, _set(ew2, r, n), barver)))
+            if writer[r] in (-1, n):  # no other node's write to r is unpublished
+                label, nxt = self._begin(s, n, r, "w", when)
+                out.append((label, _set(nxt, 7, _set(writer, r, n))))
         return out
 
     def _enter_barrier(self, s, n):
-        label = f"node{n}: barrier e{s[7]}"
+        label = f"node{n}: barrier e{s[9]}"
         s, parked = self._step(s, n, None, self._run, "barrier")
         open_ = _set(s[1], n, None if parked is None else ("barrier", None, parked))
         s = _set(s, 1, open_)
         if all(o is not None and o[0] == "barrier" for o in open_):
             # the last one in: every parked barrier hook resumes past its
             # rendezvous into the next epoch, which publishes ``latest``
-            copies, open_, ops, homever, latest, net, nextver, epoch, ew, barver = s
-            epoch += 1
+            epoch = s[9] + 1
             t = self.target
-            t.ops, t.refill = list(ops), self.scope.ops if epoch < self.scope.epochs else 0
-            s = (copies, open_, ops, homever, latest, net, nextver, epoch, (-1,) * self.scope.regions, latest)
+            t.ops, t.refill = list(s[2]), self.scope.ops if epoch < self.scope.epochs else 0
+            s = _set(self._publish(s, range(self.scope.regions)), 9, epoch)
             for m in range(self.scope.nodes):
                 s = self._resume(s, m, None, "rendezvous", None)
             s = _set(s, 2, tuple(t.ops))
@@ -837,198 +933,33 @@ class BarrierModel(_HookModel):
         mtype, src, dst, r, payload, tag = net[i]
         s = _set(s, 5, net[:i] + net[i + 1 :])
         label = f"deliver {mtype} {src}->{dst} r{r}"
+        if mtype in _ANSWERS:
+            return (label, self._resume(s, dst, r, _ANSWERS[mtype], payload))
         if mtype == "fetch":  # the home serves its current version
-            return (label, _set(s, 5, _add(s[5], ("data", dst, src, r, s[3][r], tag))))
-        if mtype == "wb":  # the home adopts the write and acks it
+            sent = [("data", dst, src, r, s[3][r], tag)]
+        elif mtype == "wb":  # the home adopts the write and acks it
             s = _set(s, 3, _set(s[3], r, payload))
-            return (label, _set(s, 5, _add(s[5], ("wb_ack", dst, src, r, _NO_PAYLOAD, ""))))
-        if mtype == "data":
-            return (label, self._resume(s, dst, r, "fetch", payload))
-        if mtype == "wb_ack":
-            return (label, self._resume(s, dst, r, "writeback_home", None))
-        raise ModelCheckError(f"{self.table.name}: unroutable message {mtype!r}")
-
-    def invariant_violation(self, s):
-        copies, open_, ops, homever, latest, net, nextver, epoch, ew, barver = s
-        for r in range(self.scope.regions):
-            writers = [n for n in range(self.scope.nodes) if open_[n] == ("w", r)]
-            if len(writers) > 1:
-                return ("single_writer", f"region {r} has concurrent epoch writers {writers}")
-            for n in range(self.scope.nodes):
-                if open_[n] != ("r", r):
-                    continue
-                st, ver = copies[n][r]
-                obs = homever[r] if st == self.home_state and n == self.scope.home(r) else ver
-                if obs < barver[r]:
-                    return (
-                        "no_stale_read",
-                        f"node {n} reads r{r} at v{obs} after a barrier that published v{barver[r]}",
-                    )
-        return None
-
-    def terminal_violation(self, s):
-        net, open_ = s[5], s[1]
-        if net:
-            return ("quiescence", f"terminal state with {len(net)} undelivered message(s)")
-        for n in range(self.scope.nodes):
-            if open_[n] is not None:
-                return ("quiescence", f"node {n} stuck in {open_[n]}")
-        return None
-
-
-# ----------------------------------------------------------------------
-# update family (immediate propagation)
-# ----------------------------------------------------------------------
-class UpdateModel:
-    """Abstract machine for ``sync_model="immediate"`` tables.
-
-    Every node holds a copy of every region (the worst case for an
-    update protocol); writes are serialized per region by the
-    application, matching the protocol's usage discipline.  Visibility
-    contract: once a write's propagation fan-out is fully acknowledged,
-    every copy reflects it.
-
-    State layout::
-
-        (copies, open_, ops, homever, acked, pend, net, nextver)
-
-        copies[n][r] = version
-        pend[r]      = None | (writer, version, need)
-    """
-
-    family = "update"
-    invariants = ("single_writer", "no_stale_read", "quiescence")
-
-    def __init__(self, table: ProtocolTable, scope: Scope):
-        self.table = table
-        self.scope = scope
-        ew = table.rows("node", "end_write")
-        self.propagates = any(
-            "propagate_write" in t.actions or t.msg == "update" for t in ew
-        )
-
-    def initial(self):
-        sc = self.scope
-        return (
-            ((0,) * sc.regions,) * sc.nodes,
-            (None,) * sc.nodes,
-            (sc.ops,) * sc.nodes,
-            (0,) * sc.regions,
-            (0,) * sc.regions,
-            (None,) * sc.regions,
-            (),
-            1,
-        )
-
-    def moves(self, s):
-        copies, open_, ops, homever, acked, pend, net, nextver = s
-        out = []
-        for n in range(self.scope.nodes):
-            o = open_[n]
-            if o is None and ops[n] > 0:
-                for r in range(self.scope.regions):
-                    out.append(self._begin(s, n, r, "r"))
-                    if self._write_free(s, n, r):
-                        out.append(self._begin(s, n, r, "w"))
-            elif o is not None and o[0] in ("r", "w"):
-                out.append(self._finish(s, n))
-        for i in range(len(net)):
-            out.append(self._deliver(s, i))
-        return [m for m in out if m is not None]
-
-    def _write_free(self, s, n, r):
-        copies, open_, ops, homever, acked, pend, net, nextver = s
-        if pend[r] is not None:
-            return False
-        for m in range(self.scope.nodes):
-            if m != n and open_[m] is not None and open_[m][1] == r and open_[m][0] in ("w", "wu"):
-                return False
-        return not any(msg[3] == r and msg[0] in ("upd", "apply", "apply_ack", "upd_done") for msg in net)
-
-    def _begin(self, s, n, r, kind):
-        copies, open_, ops, homever, acked, pend, net, nextver = s
-        label = f"node{n}: start_{'read' if kind == 'r' else 'write'} r{r}"
-        return (label, (copies, _set(open_, n, (kind, r)), _set(ops, n, ops[n] - 1), homever, acked, pend, net, nextver))
-
-    def _finish(self, s, n):
-        copies, open_, ops, homever, acked, pend, net, nextver = s
-        kind, r = open_[n]
-        if kind == "r":
-            return (f"node{n}: end_read r{r}", (copies, _set(open_, n, None), ops, homever, acked, pend, net, nextver))
-        ver = nextver
-        nextver += 1
-        copies = _set2(copies, n, r, ver)
-        label = f"node{n}: end_write r{r} (commit v{ver})"
-        if self.propagates:
-            net = _add(net, ("upd", n, self.scope.home(r), r, ver, ""))
-            open_ = _set(open_, n, ("wu", r))
+            sent = [("wb_ack", dst, src, r, _NO_PAYLOAD, "")]
+        elif mtype in ("upd", "apply"):  # a copy installs the pushed version
+            s = _set(s, 0, _set2(s[0], dst, r, (s[0][dst][r][0], payload)))
+            if mtype == "apply":
+                sent = [("apply_ack", dst, src, r, _NO_PAYLOAD, "")]
+            else:  # the home's is canonical storage; it pushes the write on
+                s = _set(s, 3, _set(s[3], r, payload))
+                sent = self.wire.push(self.regions[r], src, payload) or [
+                    ("upd_done", dst, src, r, _NO_PAYLOAD, "")]
+        elif mtype == "apply_ack":
+            # writes are serialized, so the region's fan-out is complete
+            # when none of its pushes or acks is still in flight
+            if any(m[3] == r and m[0] in ("apply", "apply_ack") for m in s[5]):
+                return (label, s)
+            writer = s[7][r]
+            if writer == dst:  # the home's own write, pushed in place
+                return (label, self._resume(s, dst, r, "propagate_write", None))
+            sent = [("upd_done", dst, writer, r, _NO_PAYLOAD, "")]
         else:
-            open_ = _set(open_, n, None)
-            acked = _set(acked, r, ver)  # mutated table: claimed visible, never sent
-        return (label, (copies, open_, ops, homever, acked, pend, net, nextver))
-
-    def _deliver(self, s, i):
-        copies, open_, ops, homever, acked, pend, net, nextver = s
-        msg = net[i]
-        net = net[:i] + net[i + 1 :]
-        mtype, src, dst, r, payload, tag = msg
-        label = f"deliver {mtype} {src}->{dst} r{r}"
-        if mtype == "upd":
-            homever = _set(homever, r, payload)
-            if dst != src:
-                copies = _set2(copies, dst, r, payload)
-            targets = [n for n in range(self.scope.nodes) if n not in (src, dst)]
-            if not targets:
-                net = _add(net, ("upd_done", dst, src, r, payload, ""))
-            else:
-                pend = _set(pend, r, (src, payload, len(targets)))
-                for t in targets:
-                    net = _add(net, ("apply", dst, t, r, payload, ""))
-            return (label, (copies, open_, ops, homever, acked, pend, net, nextver))
-        if mtype == "apply":
-            copies = _set2(copies, dst, r, payload)
-            net = _add(net, ("apply_ack", dst, src, r, payload, ""))
-            return (label, (copies, open_, ops, homever, acked, pend, net, nextver))
-        if mtype == "apply_ack":
-            writer, ver, need = pend[r]
-            need -= 1
-            if need > 0:
-                pend = _set(pend, r, (writer, ver, need))
-            else:
-                pend = _set(pend, r, None)
-                net = _add(net, ("upd_done", dst, writer, r, ver, ""))
-            return (label, (copies, open_, ops, homever, acked, pend, net, nextver))
-        if mtype == "upd_done":
-            open_ = _set(open_, dst, None)
-            acked = _set(acked, r, payload)
-            return (label, (copies, open_, ops, homever, acked, pend, net, nextver))
-        raise ModelCheckError(f"{self.table.name}: unroutable message {mtype!r}")
-
-    def invariant_violation(self, s):
-        copies, open_, ops, homever, acked, pend, net, nextver = s
-        for r in range(self.scope.regions):
-            writers = [
-                n for n in range(self.scope.nodes) if open_[n] is not None
-                and open_[n][1] == r and open_[n][0] in ("w", "wu")
-            ]
-            if len(writers) > 1:
-                return ("single_writer", f"region {r} has concurrent writers {writers}")
-            for n in range(self.scope.nodes):
-                if copies[n][r] < acked[r]:
-                    return (
-                        "no_stale_read",
-                        f"node {n} holds r{r} at v{copies[n][r]} after v{acked[r]} fully acked",
-                    )
-        return None
-
-    def terminal_violation(self, s):
-        copies, open_, ops, homever, acked, pend, net, nextver = s
-        if net:
-            return ("quiescence", f"terminal state with {len(net)} undelivered message(s)")
-        for n in range(self.scope.nodes):
-            if open_[n] is not None:
-                return ("quiescence", f"node {n} stuck in {open_[n]}")
-        return None
+            raise ModelCheckError(f"{self.table.name}: unroutable message {mtype!r}")
+        return (label, _set(s, 5, tuple(sorted(s[5] + tuple(sent)))))
 
 
 # ----------------------------------------------------------------------
@@ -1053,10 +984,8 @@ def model_for(table: ProtocolTable, scope: Scope):
     """Pick the family model the table's metadata declares."""
     if table.writer_model == "copy" and table.sync_model == "access":
         return InvalidationModel(table, scope)
-    if table.sync_model == "barrier" and table.writer_model == "epoch":
-        return BarrierModel(table, scope)
-    if table.sync_model == "immediate":
-        return UpdateModel(table, scope)
+    if (table.sync_model, table.writer_model) == ("barrier", "epoch") or table.sync_model == "immediate":
+        return PublishModel(table, scope)
     raise ModelCheckError(
         f"{table.name}: no model for sync_model={table.sync_model!r} "
         f"writer_model={table.writer_model!r}"
@@ -1104,8 +1033,10 @@ _MUTATIONS = (
     # copies survive the epoch boundary
     ("write-back-dropped", ("node", WILDCARD, "end_write", None), {"drop": "writeback_home", "msg": None}),
     ("self-invalidate-dropped", ("node", WILDCARD, "barrier", None), {"drop": "self_invalidate"}),
-    # update family: the write commits locally but is never pushed
+    # update family: the write commits locally but is never pushed, with
+    # the row's message dropped too or kept
     ("update-propagation-dropped", ("node", WILDCARD, "end_write", None), {"drop": "propagate_write", "msg": None}),
+    ("update-action-dropped", ("node", WILDCARD, "end_write", None), {"drop": "propagate_write"}),
 )
 
 

@@ -53,6 +53,7 @@ INVOCATIONS = [
     ("modelcheck SC SelfInvalidate DynamicUpdate --seeded", 0),
     ("modelcheck SC HwSC --nodes 2 --seeded", 0),
     ("modelcheck Owned --nodes 2 --seeded", 0),
+    ("modelcheck DynamicUpdate --nodes 3 --seeded", 0),
     ("modelcheck StaticUpdate", 2),  # no checker model
     ("modelcheck --nodes 0", 2),
     ("modelcheck SC --nodes -1 --seeded", 2),

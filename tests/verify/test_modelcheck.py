@@ -1,6 +1,6 @@
 """The small-scope model checker: clean tables certify, broken tables refute.
 
-Four batteries:
+Five batteries:
 
 * every table-driven protocol family verifies clean at the default
   2 nodes x 1 region x 2 ops scope (the certificate scope), with the
@@ -13,7 +13,11 @@ Four batteries:
   pinned to the tables' content fingerprints, so editing any row
   without re-running ``repro modelcheck --write-certs`` fails CI;
 * the checker's requester is the generated hook text its protocol
-  compiles, and a replay that strays from the parked run is refused.
+  compiles — Owned's, SelfInvalidate's and DynamicUpdate's, one per
+  model family — and a replay that strays from the parked run is
+  refused;
+* a scope that would test nothing (no node, region, operation or
+  epoch) is refused when it is built.
 """
 
 from __future__ import annotations
@@ -160,7 +164,15 @@ def test_stale_read_has_a_readable_trace():
     assert any(ch.isdigit() for ch in text)  # numbered steps
 
 
-@pytest.mark.parametrize("name", ["Owned", "SelfInvalidate"])
+#: the hook events each family's representative table generates
+HOOKED = {
+    "Owned": {"start_read", "start_write", "end_read", "end_write"},
+    "SelfInvalidate": {"start_read", "start_write", "end_write", "barrier"},
+    "DynamicUpdate": {"end_write"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOOKED))
 def test_the_checker_runs_the_hook_text_its_protocol_compiles(name, monkeypatch):
     """One requester text for run and proof: the hooks the checker
     generates for a table are, character for character, the ones its
@@ -180,7 +192,7 @@ def test_the_checker_runs_the_hook_text_its_protocol_compiles(name, monkeypatch)
     where = "runtime"
     AceRuntime(Machine(Simulator(), MachineConfig(n_procs=2)))._create_protocol(name, Space(sid=0))
     assert texts["checker"] == texts["runtime"]
-    assert {"start_read", "start_write", "end_write"} <= set(texts["checker"])
+    assert set(texts["checker"]) == HOOKED[name]
 
 
 def test_a_replay_that_parks_elsewhere_is_refused():
@@ -211,3 +223,12 @@ def test_a_replay_that_parks_elsewhere_is_refused():
         target.run(hook, (0,), answers, "fetch", None)
     with pytest.raises(ModelCheckError, match="asks a guard"):
         target.run(hook, (0,), (), "rendezvous", None)
+
+
+@pytest.mark.parametrize("field", ["nodes", "regions", "ops", "epochs"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_a_scope_that_tests_nothing_is_refused(field, value):
+    """A world with no node, region, operation or barrier round would
+    certify in one state, or fail by accident; it is refused outright."""
+    with pytest.raises(ValueError, match=f"{field} must be at least 1, got {value}"):
+        Scope(**{field: value})

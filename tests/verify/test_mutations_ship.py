@@ -1,15 +1,16 @@
 """A mutation the model checker refutes also breaks the shipped run.
 
-The checker runs the invalidation family's shipped home and recall code
+The checker runs the access hooks each table generates, and the
+invalidation family's shipped home and recall code
 (:class:`~repro.dsm.directory.HomeMachine`,
 :class:`~repro.dsm.regioncache.RecallReceiver`), so each seeded
-mutation of SC's or Owned's table must change what the runtime does
-too.  Each one is built into a real protocol — the SC engine or an
-:class:`~repro.protocols.owned.OwnedProtocol` subclass — and run on one
-fixed 3-node program: two sharers read, the home's write invalidates
-them, a write-write migration moves the dirty copy, and every node reads
-last.
-The mutated run must give wrong answers, stall, deadlock or refuse an
+mutation of SC's, Owned's or DynamicUpdate's table must change what the
+runtime does too.  Each one is built into a real protocol — the SC
+engine, or an :class:`~repro.protocols.owned.OwnedProtocol` or
+:class:`~repro.protocols.dynamic_update.DynamicUpdateProtocol` subclass
+— and run on one fixed 3-node program: two sharers read, the home's
+write invalidates (or updates) them, two more writes follow from the
+other nodes, and every node reads last.  The mutated run must give wrong answers, stall, deadlock or refuse an
 access (:class:`~repro.dsm.errors.ProtocolError`).
 """
 
@@ -24,6 +25,7 @@ from repro.dsm.faults import StallError
 from repro.dsm.msi import MSI_TABLE
 from repro.facade import run_spmd
 from repro.protocols.base import Protocol
+from repro.protocols.dynamic_update import DYNAMIC_UPDATE_TABLE, DynamicUpdateProtocol
 from repro.protocols.owned import OWNED_TABLE, OwnedProtocol
 from repro.protocols.registry import ProtocolRegistry
 from repro.protocols.sc_invalidate import SCProtocol
@@ -73,7 +75,7 @@ def _run(protocol: str, table):
 
     else:
 
-        class Mutated(OwnedProtocol):
+        class Mutated(SHIPPED[protocol][1]):
             pass
 
     Mutated.table = table
@@ -82,20 +84,23 @@ def _run(protocol: str, table):
     return run_spmd(_program(table.name, {}), n_procs=3, registry=registry).results
 
 
-CASES = [
-    (name, label)
-    for name, table in (("SC", MSI_TABLE), ("Owned", OWNED_TABLE))
-    for label, _ in seeded_mutations(table)
-]
+#: protocol -> (its table, the class a mutated table is built into)
+SHIPPED = {
+    "SC": (MSI_TABLE, SCProtocol),
+    "Owned": (OWNED_TABLE, OwnedProtocol),
+    "DynamicUpdate": (DYNAMIC_UPDATE_TABLE, DynamicUpdateProtocol),
+}
+
+CASES = [(name, label) for name, (table, _) in SHIPPED.items() for label, _ in seeded_mutations(table)]
 
 
-def test_every_invalidation_mutation_is_covered():
-    assert len(CASES) == 12
+def test_every_invalidation_and_update_mutation_is_covered():
+    assert len(CASES) == 14
 
 
 @pytest.mark.parametrize("protocol,label", CASES)
 def test_refuted_mutation_changes_the_shipped_run(protocol, label):
-    table = MSI_TABLE if protocol == "SC" else OWNED_TABLE
+    table = SHIPPED[protocol][0]
     clean = _run(protocol, table)
     assert clean == [[10.0, 20.0, 5.0, 3.0]] * 3  # the unmutated table is right
     mutated = dict(seeded_mutations(table))[label]
