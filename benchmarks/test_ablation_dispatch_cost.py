@@ -30,8 +30,8 @@ def _experiment():
     return {"EM3D": em, "BSC": bs}
 
 
-def test_dispatch_indirection_cost(benchmark):
-    results = benchmark.pedantic(_experiment, rounds=1, iterations=1)
+def test_dispatch_indirection_cost():
+    results = _experiment()
     table = [
         (app, w, wo, f"{(w - wo) / w * 100:.1f}%") for app, (w, wo) in sorted(results.items())
     ]
@@ -43,7 +43,6 @@ def test_dispatch_indirection_cost(benchmark):
             table,
         )
     )
-    benchmark.extra_info["rows"] = table
 
     em_overhead = (results["EM3D"][0] - results["EM3D"][1]) / results["EM3D"][0]
     bsc_overhead = (results["BSC"][0] - results["BSC"][1]) / results["BSC"][0]

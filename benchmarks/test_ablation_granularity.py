@@ -54,8 +54,8 @@ def _experiment():
     return fine, coarse
 
 
-def test_user_granularity_avoids_protocol_false_sharing(benchmark):
-    fine, coarse = benchmark.pedantic(_experiment, rounds=1, iterations=1)
+def test_user_granularity_avoids_protocol_false_sharing():
+    fine, coarse = _experiment()
     print()
     print(
         format_table(
@@ -66,8 +66,6 @@ def test_user_granularity_avoids_protocol_false_sharing(benchmark):
         )
     )
     print(f"false-sharing slowdown: {coarse / fine:.2f}x")
-    benchmark.extra_info["fine"] = fine
-    benchmark.extra_info["coarse"] = coarse
     # packing independently-written counters into one unit must cost
     # dearly (ownership ping-pong between the 8 writers)
     assert coarse > 2.0 * fine

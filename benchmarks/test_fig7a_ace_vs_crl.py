@@ -9,8 +9,8 @@ dispatch indirection cancels the runtime-system optimizations (§5.1).
 from repro.harness import BENCH_PROCS, by_app, fig7a_rows, format_table
 
 
-def test_fig7a_ace_vs_crl(benchmark):
-    rows = benchmark.pedantic(fig7a_rows, rounds=1, iterations=1)
+def test_fig7a_ace_vs_crl():
+    rows = fig7a_rows()
     d = by_app(rows)
     table = [
         (app, v["crl"], v["ace"], f"{v['crl'] / v['ace']:.2f}x") for app, v in sorted(d.items())
@@ -23,7 +23,6 @@ def test_fig7a_ace_vs_crl(benchmark):
             table,
         )
     )
-    benchmark.extra_info["rows"] = [tuple(r) for r in rows]
 
     ratios = {app: v["crl"] / v["ace"] for app, v in d.items()}
     # Ace never loses

@@ -9,8 +9,8 @@ about 2x from phase switching.
 from repro.harness import BENCH_PROCS, by_app, fig7b_rows, format_table
 
 
-def test_fig7b_custom_protocols(benchmark):
-    rows = benchmark.pedantic(fig7b_rows, rounds=1, iterations=1)
+def test_fig7b_custom_protocols():
+    rows = fig7b_rows()
     d = by_app(rows)
     table = [
         (app, v["SC"], v["custom"], f"{v['SC'] / v['custom']:.2f}x")
@@ -24,7 +24,6 @@ def test_fig7b_custom_protocols(benchmark):
             table,
         )
     )
-    benchmark.extra_info["rows"] = [tuple(r) for r in rows]
 
     speedups = {app: v["SC"] / v["custom"] for app, v in d.items()}
     # every app improves (or at worst matches)

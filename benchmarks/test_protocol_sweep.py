@@ -31,8 +31,8 @@ def _experiment():
     return out
 
 
-def test_em3d_protocol_sweep(benchmark):
-    times = benchmark.pedantic(_experiment, rounds=1, iterations=1)
+def test_em3d_protocol_sweep():
+    times = _experiment()
     sc = times["SC"]
     print()
     print(
@@ -42,7 +42,6 @@ def test_em3d_protocol_sweep(benchmark):
             [(p, times[p], f"{sc / times[p]:.2f}x") for p in PROTOCOLS],
         )
     )
-    benchmark.extra_info.update(times)
 
     # update protocols all beat SC for this producer-consumer pattern
     for p in ("DynamicUpdate", "StaticUpdate", "BufferedUpdate"):

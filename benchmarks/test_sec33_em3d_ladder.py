@@ -9,8 +9,8 @@ protocol."  Shape: SC < dynamic update < static update.
 from repro.harness import BENCH_PROCS, by_app, format_table, sec33_ladder_rows
 
 
-def test_sec33_em3d_protocol_ladder(benchmark):
-    rows = benchmark.pedantic(sec33_ladder_rows, rounds=1, iterations=1)
+def test_sec33_em3d_protocol_ladder():
+    rows = sec33_ladder_rows()
     v = by_app(rows)["EM3D"]
     table = [
         ("SC (invalidate)", v["SC"], "1.00x"),
@@ -25,7 +25,6 @@ def test_sec33_em3d_protocol_ladder(benchmark):
             table,
         )
     )
-    benchmark.extra_info["rows"] = [tuple(r) for r in rows]
 
     assert v["StaticUpdate"] < v["DynamicUpdate"] < v["SC"]
     assert v["SC"] / v["DynamicUpdate"] > 1.5   # paper: ~3.5

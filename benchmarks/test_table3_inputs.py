@@ -6,11 +6,10 @@ from repro.apps import barnes_hut, bsc, em3d, tsp, water
 from repro.harness import format_table, table3_rows
 
 
-def test_table3_benchmark_inputs(benchmark):
-    rows = benchmark.pedantic(table3_rows, rounds=1, iterations=1)
+def test_table3_benchmark_inputs():
+    rows = table3_rows()
     print()
     print(format_table("Table 3 — benchmark inputs", ["name", "paper input", "bench scale"], rows))
-    benchmark.extra_info["rows"] = rows
 
     # the paper's canonical inputs stay available on every workload class
     assert barnes_hut.BHWorkload.paper().n_bodies == 16384

@@ -20,8 +20,8 @@ from repro.harness.experiments import table4_rows
 ORDER = ["base", "LI", "LI+MC", "LI+MC+DC", "hand"]
 
 
-def test_table4_compiler_optimizations(benchmark):
-    rows = benchmark.pedantic(table4_rows, rounds=1, iterations=1)
+def test_table4_compiler_optimizations():
+    rows = table4_rows()
     d = by_app(rows)
     table = [
         (variant, *[d[app][variant] for app in sorted(d)])
@@ -37,7 +37,6 @@ def test_table4_compiler_optimizations(benchmark):
     )
     slowdowns = {app: d[app]["LI+MC+DC"] / d[app]["hand"] for app in d}
     print("best-compiled / hand:", {a: f"{s:.2f}x" for a, s in slowdowns.items()})
-    benchmark.extra_info["rows"] = [tuple(r) for r in rows]
 
     for app, v in d.items():
         # the ladder is monotone and ends below base

@@ -8,9 +8,9 @@ records, per suite:
   optimizations (the golden-trace tests pin the same property);
 * ``events`` — kernel events executed (``Simulator.events``), summed
   over the suite's runs: deterministic and host-independent, so it is
-  the gate's "no worse" signal;
-* ``wall_s`` / ``events_per_s`` — informational only.  Host time is
-  ``perf/run.py``'s job.
+  the gate's "no worse" signal.
+
+Nothing here reads the host clock: host time is ``perf/run.py``'s job.
 
 ``--baseline`` compares ``rows`` and ``events`` against an earlier
 report; with ``--gate`` (CI, against ``BENCH_seed.json``) a suite the
@@ -22,39 +22,24 @@ plus a 256-request serve run.
 from __future__ import annotations
 
 import json
-import statistics
 import sys
-import time
 
-from repro.cli.common import FAILED, OK, TRACE_RING, UsageError, add_shared, existing_file
+from repro.cli.common import FAILED, OK, add_shared, existing_file
 from repro.cli.serve import run_config, shift_workload
-from repro.harness.experiments import fig7a_runs, fig7b_runs, run_app, table4_runs, trace_run
+from repro.harness.experiments import fig7a_runs, fig7b_runs, table4_runs
 
 
 def _suite(runs) -> dict:
-    """Drain ``(app, label, RunResult)`` runs into one suite record
-    (traced runs also count the trace events they emitted)."""
-    rows, events, emitted = [], 0, 0
-    t0 = time.perf_counter()
+    """Drain ``(app, label, RunResult)`` runs into one suite record."""
+    rows, events = [], 0
     for app, label, res in runs:
         rows.append([app, label, res.time])
         events += res.machine.sim.events
-        if res.tracer is not None:
-            emitted += len(res.tracer) + res.tracer.dropped
-    wall = time.perf_counter() - t0
-    suite = {
-        "wall_s": round(wall, 4),
-        "events": events,
-        "events_per_s": round(events / wall),
-        "rows": rows,
-    }
-    if emitted:
-        suite["events_emitted"] = emitted
-    return suite
+    return {"events": events, "rows": rows}
 
 
-def suite_fig7a(n_procs: int, apps: list[str] | None = None, run=run_app) -> dict:
-    return _suite(fig7a_runs(n_procs, apps, run))
+def suite_fig7a(n_procs: int, apps: list[str] | None = None) -> dict:
+    return _suite(fig7a_runs(n_procs, apps))
 
 
 def suite_fig7b(n_procs: int) -> dict:
@@ -79,45 +64,19 @@ def suite_serve(n_procs: int, requests: int = 2048) -> dict:
 SUITES = {"fig7a": suite_fig7a, "fig7b": suite_fig7b, "serve": suite_serve, "table4": suite_table4}
 
 
-def _repeated(fn, repeat: int, **kw) -> dict:
-    """Run a suite ``repeat`` times; report best-of-N wall with spread.
-
-    Wall-clock numbers on shared CI runners are noisy; min is the
-    standard "closest to true cost" estimator, and the spread block
-    (min/median/max/stddev over all N runs) lets a reader judge how
-    trustworthy a comparison is.  Simulated-cycle rows and kernel event
-    counts must be bit-identical across repeats — the suite result says
-    so if they are not (``nondeterministic: true``), which would be a
-    determinism bug worth more than any perf number.
-    """
-    runs = [fn(**kw) for _ in range(repeat)]
-    walls = [r["wall_s"] for r in runs]
-    best = min(runs, key=lambda r: r["wall_s"])
-    best["spread"] = {
-        "runs": repeat,
-        "min": round(min(walls), 4),
-        "median": round(statistics.median(walls), 4),
-        "max": round(max(walls), 4),
-        "stddev": round(statistics.stdev(walls), 4) if repeat > 1 else 0.0,
-    }
-    if any(r["rows"] != runs[0]["rows"] or r["events"] != runs[0]["events"] for r in runs[1:]):
-        best["nondeterministic"] = True  # pragma: no cover - determinism bug canary
-    return best
-
-
-def run_bench(suites: list[str], n_procs: int, smoke: bool = False, repeat: int = 1) -> dict:
-    report = {"n_procs": n_procs, "smoke": smoke, "repeat": repeat, "suites": {}}
+def run_bench(suites: list[str], n_procs: int, smoke: bool = False) -> dict:
+    report = {"n_procs": n_procs, "smoke": smoke, "suites": {}}
     if smoke:
         # TSP on 2 nodes through the runtime and through the compiler
         # (all four levels + hand), and a tiny serving run: every stack
         # the full suites cover, in seconds
-        report["suites"]["smoke"] = _repeated(suite_fig7a, repeat, n_procs=2, apps=["TSP"])
-        report["suites"]["smoke_table4"] = _repeated(suite_table4, repeat, n_procs=2, apps=["TSP"])
-        report["suites"]["smoke_serve"] = _repeated(suite_serve, repeat, n_procs=2, requests=256)
+        report["suites"]["smoke"] = suite_fig7a(n_procs=2, apps=["TSP"])
+        report["suites"]["smoke_table4"] = suite_table4(n_procs=2, apps=["TSP"])
+        report["suites"]["smoke_serve"] = suite_serve(n_procs=2, requests=256)
         return report
     for name in suites:
         print(f"running suite {name} ...", file=sys.stderr)
-        report["suites"][name] = _repeated(SUITES[name], repeat, n_procs=n_procs)
+        report["suites"][name] = SUITES[name](n_procs=n_procs)
     return report
 
 
@@ -127,9 +86,7 @@ def compare(report: dict, baseline: dict, gate: bool = False) -> list[str]:
     Each line says what the gate holds: simulated-cycle rows must match
     exactly — a kernel change that alters them is a correctness bug,
     and the comparison says so — and ``events``, which is deterministic,
-    is shown against the baseline's.  Wall clock is not compared:
-    baselines travel across hosts and kernels (this run's own
-    ``wall_s`` is in the report; host time is ``perf/run.py``'s job).
+    is shown against the baseline's.
 
     With ``gate=True`` a suite also fails (``REGRESSED``) when the
     baseline has nothing to hold it to — no such suite, or no event
@@ -158,44 +115,10 @@ def compare(report: dict, baseline: dict, gate: bool = False) -> list[str]:
     return lines
 
 
-def trace_overhead(n_procs: int, repeat: int = 1) -> dict:
-    """fig7a with tracing off and on, ``repeat`` times each (interleaved);
-    the tracer's wall factor from the best wall of each side.
-
-    The simulated-cycle rows must be bit-identical — tracing is pure
-    observation; ``cycles_identical`` says whether they were.
-    """
-    def traced(*cell):  # a fresh ring per run, built inside the timed region
-        return trace_run(*cell, capacity=TRACE_RING)[0]
-
-    off, on = [], []
-    for i in range(repeat):
-        print(f"fig7a with tracing off, then on ({i + 1}/{repeat}) ...", file=sys.stderr)
-        off.append(suite_fig7a(n_procs))
-        on.append(suite_fig7a(n_procs, run=traced))
-    off_wall = min(r["wall_s"] for r in off)
-    on_wall = min(r["wall_s"] for r in on)
-    return {
-        "suite": "fig7a",
-        "repeat": repeat,
-        "off_wall_s": off_wall,
-        "on_wall_s": on_wall,
-        "factor": round(on_wall / off_wall, 3),
-        "events_emitted": on[0]["events_emitted"],
-        "cycles_identical": all(r["rows"] == off[0]["rows"] for r in off + on),
-    }
-
-
 def configure(parser) -> None:
     parser.add_argument("--suites", nargs="+", choices=sorted(SUITES), default=sorted(SUITES))
     parser.add_argument("--smoke", action="store_true",
                         help="seconds-long run: TSP on 2 nodes (fig7a, table4) + a small serve run")
-    parser.add_argument("--repeat", type=int, default=1, metavar="N",
-                        help="run each suite N times; record best-of-N wall with "
-                             "min/median/max/stddev spread (default 1)")
-    parser.add_argument("--trace-overhead", action="store_true",
-                        help="run fig7a off+on tracing (best of --repeat), record the wall "
-                             "factor in the report, check cycles identical")
     parser.add_argument("--baseline", type=existing_file, default=None,
                         help="earlier bench report to compare against")
     parser.add_argument("--gate", action="store_true",
@@ -205,33 +128,13 @@ def configure(parser) -> None:
 
 
 def run(args, art) -> int:
-    if args.repeat < 1:
-        raise UsageError(f"--repeat must be >= 1 (got {args.repeat})")
     # Read the baseline up front: a bad file should fail before the
     # suites burn minutes, not after.
     baseline = json.loads(args.baseline.read_text()) if args.baseline else None
-    if args.trace_overhead:
-        report = run_bench([], n_procs=args.procs, repeat=args.repeat)
-        row = report["trace_overhead"] = trace_overhead(args.procs, args.repeat)
-    else:
-        report = run_bench(args.suites, n_procs=args.procs, smoke=args.smoke, repeat=args.repeat)
+    report = run_bench(args.suites, n_procs=args.procs, smoke=args.smoke)
     print(f"wrote {art.write(report)}")
-    if args.trace_overhead:
-        print(
-            f"trace overhead (fig7a, {args.procs} procs, best of {args.repeat}): "
-            f"{row['off_wall_s']:.3f}s off -> {row['on_wall_s']:.3f}s on "
-            f"({row['factor']:.2f}x wall, {row['events_emitted']} events)  "
-            f"cycles {'identical' if row['cycles_identical'] else 'DIFFER (BUG)'}"
-        )
-        return OK if row["cycles_identical"] else FAILED
     for name, suite in report["suites"].items():
-        line = (f"  {name}: {suite['wall_s']:.3f}s, {suite['events']} events, "
-                f"{suite['events_per_s']} events/s")
-        spread = suite["spread"]
-        if spread["runs"] > 1:
-            line += (f"  [best of {spread['runs']}: median {spread['median']:.3f}s, "
-                     f"stddev {spread['stddev']:.3f}s]")
-        print(line)
+        print(f"  {name}: {suite['events']} events")
     if baseline is not None:
         lines = compare(report, baseline, gate=args.gate)
         print(f"vs {args.baseline}:")

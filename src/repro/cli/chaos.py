@@ -46,7 +46,6 @@ fault-induced deviation is ~1 ulp).
 from __future__ import annotations
 
 import json
-import time
 
 import numpy as np
 
@@ -114,14 +113,11 @@ def verify_cells(cells: list[dict], art) -> int:
     for cell in cells:
         app, variant, procs = cell["app"], cell["variant"], cell["procs"]
         if (app, variant, procs) not in baselines:
-            t0 = time.time()
             base = run_app(app, variant, n_procs=procs)
             baselines[app, variant, procs] = canon(app, base.results), base.time
-            print(f"{app} [{variant}] on {procs} nodes, fault-free: {base.time} cycles "
-                  f"({time.time() - t0:.2f}s)")
+            print(f"{app} [{variant}] on {procs} nodes, fault-free: {base.time} cycles")
         plan = PLANS[cell["plan"]](cell["seed"])
         tag = cell_tag(cell)
-        t0 = time.time()
         try:
             res = run_app(app, variant, n_procs=procs, fault_plan=plan)
         except StallError as err:
@@ -148,7 +144,7 @@ def verify_cells(cells: list[dict], art) -> int:
         detail = (
             f"{res.time} cycles, {stats.get('fault.drop')} dropped, "
             f"{stats.get('fault.dup')} duplicated, {stats.get('fault.delay')} delayed, "
-            f"{stats.get('rel.retry')} retries ({time.time() - t0:.2f}s)"
+            f"{stats.get('rel.retry')} retries"
         )
         if problems:
             failures += 1
@@ -179,16 +175,14 @@ def crash_matrix(seeds: list[int], procs: int, art) -> int:
 
     failures = 0
     for proto in CRASH_PROTOCOLS:
-        t0 = time.time()
         baseline = run_spmd(ring_program(proto), n_procs=procs)
-        print(f"{proto:>14} crash-free: {baseline.time} cycles ({time.time() - t0:.2f}s)")
+        print(f"{proto:>14} crash-free: {baseline.time} cycles")
         for seed in seeds:
             victim, at = crash_cell(seed, procs)
             plan = FaultPlan.crash(victim, at, seed=seed)
             tag = f"crash-{proto}-seed{seed}"
 
             # -- recover: survivors finish, bit-identical to baseline --
-            t0 = time.time()
             problems = []
             try:
                 res = run_spmd(
@@ -259,7 +253,7 @@ def crash_matrix(seeds: list[int], procs: int, art) -> int:
                     f"{'':>14} seed {seed}: ok — victim {victim} @ {at}, declared +{latency}, "
                     f"{res.time} cycles "
                     f"(+{res.time - baseline.time} over baseline), {rehomed} region(s) "
-                    f"re-homed, epoch {summary['epoch']} ({time.time() - t0:.2f}s)"
+                    f"re-homed, epoch {summary['epoch']}"
                 )
     return failures
 

@@ -56,6 +56,17 @@ def seed_set(spec: str) -> list[int]:
     return seeds
 
 
+def positive_int(text: str) -> int:
+    """A count of one or more; the argparse ``type=`` of ``--procs`` and ``--requests``."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1 (got {n})")
+    return n
+
+
 def existing_file(path: str) -> Path:
     if not Path(path).is_file():
         raise argparse.ArgumentTypeError(f"{path}: no such file")
@@ -64,7 +75,8 @@ def existing_file(path: str) -> Path:
 
 #: flags that mean the same thing in every subcommand that takes them
 SHARED = {
-    "procs": dict(type=int, default=4, metavar="N", help="simulated processors (default 4)"),
+    "procs": dict(type=positive_int, default=4, metavar="N",
+                  help="simulated processors (default 4)"),
     "apps": dict(nargs="+", choices=APPS + ["all"], default=APPS, metavar="APP",
                  help=f"paper apps, space-separated, from {' '.join(APPS)}, or 'all'"),
     "variants": dict(nargs="+", choices=["SC", "custom", "dynamic", "static"],
@@ -138,8 +150,10 @@ def cell_tag(cell: dict) -> str:
 
 # ---------------------------------------------------------------- artifacts
 def host_fingerprint() -> dict:
-    """Who produced these numbers: wall-clock comparisons across hosts
-    or interpreters are meaningless without this block."""
+    """Which interpreter and platform wrote this report.  Its numbers
+    are deterministic (cycles, kernel events), so this block is for
+    tracing a report to where it ran, not for comparing host time
+    (that is ``perf/run.py``'s job)."""
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),

@@ -20,11 +20,8 @@ that nothing there, no registered protocol, builtin or ``typing`` defines,
 or a repo path under one of :data:`PATH_ROOTS` that the checkout lacks.
 
 Without ``--check`` it also regenerates EXPERIMENTS.md from live
-harness runs.  Cycle tables come from fresh in-process runs
-(deterministic, host-independent); the table4 *throughput* block
-additionally reads the committed ``BENCH_*.json`` reports, so the
-before/after wall-clock story for the closure-codegen backend travels
-with the repo.
+harness runs.  Every table comes from fresh in-process runs, so it is
+deterministic and host-independent.
 """
 
 from __future__ import annotations
@@ -217,10 +214,6 @@ PAPER_TABLE4 = {
 
 LEVELS = ["base", "LI", "LI+MC", "LI+MC+DC", "hand"]
 
-#: the stamped artifact recorded just before the closure-codegen
-#: backend landed: the tree-walking interpreter's throughput
-INTERP_BASELINE = "BENCH_2026-08-05T224018Z.json"
-
 
 def _committed(path: Path):
     """A committed JSON document, or None where the checkout lacks it."""
@@ -228,24 +221,6 @@ def _committed(path: Path):
         return json.loads(path.read_text())
     except (OSError, ValueError):
         return None
-
-
-def table4_throughput():
-    """(before, after) table4 suite blocks from committed bench reports.
-
-    *Before* is the interpreter-era report pinned above; *after* is the
-    newest other stamped report in the repo root that ran table4 (a
-    partial run — one suite, a ``--trace-overhead`` row — has none).
-    Either is None when missing, so EXPERIMENTS.md can still regenerate
-    from a partial checkout.
-    """
-    def suite(path):
-        return (_committed(path) or {}).get("suites", {}).get("table4")
-
-    stamped = sorted(
-        p for p in ROOT.glob("BENCH_*.json") if "seed" not in p.name and p.name != INTERP_BASELINE
-    )
-    return suite(ROOT / INTERP_BASELINE), next(filter(None, map(suite, reversed(stamped))), None)
 
 
 def serve_mix_rows():
@@ -404,25 +379,6 @@ def render_experiments() -> str:
       "parity because branch-and-bound expansion counts shift with incumbent "
       "timing).")
     w("")
-    before, after = table4_throughput()
-    if before and after and before.get("wall_s") and after.get("wall_s"):
-        w("### table4 harness throughput (closure codegen, DESIGN.md §12)")
-        w("")
-        w("Simulated cycles above are backend-invariant; what the closure "
-          "backend changes is how fast the harness produces them "
-          "(wall seconds for the whole 25-run suite, committed "
-          "`BENCH_*.json` artifacts, same host class; kernel events fall "
-          "with every event-folding change, so events/s does not compare):")
-        w("")
-        w(md_table(
-            ["backend", "wall (s)", "kernel events", "vs interp"],
-            [
-                ("tree-walking interpreter (before)", before["wall_s"], before["events"], "1.00x"),
-                ("pre-bound closures (after)", after["wall_s"], after["events"],
-                 f"{before['wall_s'] / after['wall_s']:.2f}x"),
-            ],
-        ))
-        w("")
 
     # -------------------------------------------------- serving
     w("## Serving: adaptive online protocol switching (DESIGN.md §16)")
@@ -470,7 +426,7 @@ def render_experiments() -> str:
     # -------------------------------------------------- ablations
     w("## Ablations (design choices from DESIGN.md §5)")
     w("")
-    w("Run via `pytest benchmarks/ --benchmark-only`:")
+    w("Run via `pytest benchmarks/ -s` (`-s` prints each table):")
     w("")
     w("* `test_ablation_dispatch_cost` — zeroing the space-dispatch charge "
       "speeds fine-grained EM3D far more than coarse-grained BSC, "

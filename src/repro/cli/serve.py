@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import json
 import sys
-import time
 
-from repro.cli.common import FAILED, OK, add_shared
+from repro.cli.common import FAILED, OK, add_shared, positive_int
 from repro.protocols import default_registry
 from repro.serve import AdaptiveController, ServeWorkload, run_serve
 
@@ -46,22 +45,14 @@ def run_config(workload: ServeWorkload, config: str, n_procs: int):
     return run_serve(workload, protocol=config, n_procs=n_procs, n_dir_shards=DIR_SHARDS)
 
 
-def timed_report(workload: ServeWorkload, config: str, n_procs: int) -> dict:
-    t0 = time.perf_counter()
-    _, report = run_config(workload, config, n_procs)
-    report["wall_s"] = round(time.perf_counter() - t0, 4)
-    report["events_per_s"] = round(report["events"] / report["wall_s"]) if report["wall_s"] else None
-    return report
-
-
 def run_compare(workload: ServeWorkload, n_procs: int) -> dict:
     """Every static candidate plus adaptive on the same workload."""
     entries = []
     for name in default_registry.serving_candidates():
         print(f"static {name} ...", file=sys.stderr)
-        entries.append({"config": f"static:{name}", **timed_report(workload, name, n_procs)})
+        entries.append({"config": f"static:{name}", **run_config(workload, name, n_procs)[1]})
     print("adaptive ...", file=sys.stderr)
-    adaptive = {"config": "adaptive", **timed_report(workload, "adaptive", n_procs)}
+    adaptive = {"config": "adaptive", **run_config(workload, "adaptive", n_procs)[1]}
     best_static = min(entries, key=lambda e: e["cycles"])
     return {
         "workload": workload.to_dict(),
@@ -91,7 +82,8 @@ def print_compare(result: dict) -> None:
 
 
 def configure(parser) -> None:
-    parser.add_argument("--requests", type=int, default=2048, help="total requests (default 2048)")
+    parser.add_argument("--requests", type=positive_int, default=2048,
+                        help="total requests (default 2048)")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--protocol", default="SC", choices=default_registry.serving_candidates(),
                       help="uniform static protocol (default SC)")
@@ -109,7 +101,7 @@ def run(args, art) -> int:
         print_compare(result)
         status = OK if result["adaptive_wins"] else FAILED
     else:
-        result = timed_report(workload, "adaptive" if args.adaptive else args.protocol, args.procs)
+        result = run_config(workload, "adaptive" if args.adaptive else args.protocol, args.procs)[1]
         print(json.dumps({k: v for k, v in result.items() if k != "decisions"}, indent=2))
         if args.adaptive:
             print(f"switches: {result['switches']}  final: {result['protocols_final']}")

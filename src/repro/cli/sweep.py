@@ -9,12 +9,11 @@ scheduling (``--compare-serial`` proves it on demand).
 The report carries two views of the same run:
 
 * ``cells`` — one record per cell with its simulated cycles, kernel
-  events, wall clock, and fault/retry counters: what ``chaos
-  --from-sweep`` consumes to re-verify fault tolerance on exactly the
-  swept matrix;
-* ``suites.sweep`` — a ``bench``-shaped block (``wall_s`` / ``events``
-  / ``events_per_s`` / ``rows``), so two sweep reports can be diffed
-  with ``bench --baseline`` and its cycles-identical gate.
+  events and fault/retry counters: what ``chaos --from-sweep``
+  consumes to re-verify fault tolerance on exactly the swept matrix;
+* ``suites.sweep`` — a ``bench``-shaped block (``events`` / ``rows``),
+  so two sweep reports can be diffed with ``bench --baseline`` and its
+  cycles-identical gate.
 
 Cells that stall under an un-maskable fault plan are recorded, and
 fail the run: the offending :class:`~repro.dsm.FaultPlan` and stall
@@ -27,7 +26,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 from multiprocessing import Pool
 
 from repro.cli.common import (
@@ -56,13 +54,11 @@ def run_cell(cell: dict) -> dict:
     """
     fault_plan = PLANS[cell["plan"]](cell["seed"])
     kwargs = {} if cell["plan"] == "none" else {"fault_plan": fault_plan}
-    t0 = time.perf_counter()
     try:
         res = run_app(cell["app"], cell["variant"], n_procs=cell["procs"], **kwargs)
     except StallError as err:
         return {
             **cell,
-            "wall_s": round(time.perf_counter() - t0, 4),
             "stalled": True,
             "fault_plan": fault_plan.to_dict(),
             # through JSON: plain data only crosses the pool's pickle boundary
@@ -70,7 +66,6 @@ def run_cell(cell: dict) -> dict:
         }
     return {
         **cell,
-        "wall_s": round(time.perf_counter() - t0, 4),
         "stalled": False,
         "cycles": res.time,
         "events": res.machine.sim.events,
@@ -83,33 +78,19 @@ def run_cell(cell: dict) -> dict:
     }
 
 
-def sweep(cells: list[dict], jobs: int) -> tuple[list[dict], float]:
-    """Run the matrix; returns (records in cell order, wall seconds)."""
-    t0 = time.perf_counter()
+def sweep(cells: list[dict], jobs: int) -> list[dict]:
+    """Run the matrix; returns the records in cell order."""
     if jobs <= 1:
-        records = [run_cell(c) for c in cells]
-    else:
-        with Pool(processes=min(jobs, len(cells))) as pool:
-            records = pool.map(run_cell, cells)
-    return records, time.perf_counter() - t0
+        return [run_cell(c) for c in cells]
+    with Pool(processes=min(jobs, len(cells))) as pool:
+        return pool.map(run_cell, cells)
 
 
-def merge(records: list[dict], wall: float, jobs: int) -> dict:
+def merge(records: list[dict], jobs: int) -> dict:
     """Fold cell records into the report (see module doc)."""
     events = sum(r["events"] for r in records if not r["stalled"])
     rows = [[*(r[k] for k in CELL_KEYS), "STALL" if r["stalled"] else r["cycles"]] for r in records]
-    return {
-        "jobs": jobs,
-        "cells": records,
-        "suites": {
-            "sweep": {
-                "wall_s": round(wall, 4),
-                "events": events,
-                "events_per_s": round(events / wall) if wall else None,
-                "rows": rows,
-            }
-        },
-    }
+    return {"jobs": jobs, "cells": records, "suites": {"sweep": {"events": events, "rows": rows}}}
 
 
 def compare_serial(cells: list[dict], records: list[dict]) -> list[str]:
@@ -149,12 +130,10 @@ def run(args, art) -> int:
         cells = build_matrix(selected_apps(args), [args.procs], SWEEP_PLANS, args.seeds)
 
     print(f"sweep: {len(cells)} cells on {args.jobs} worker(s)", file=sys.stderr)
-    records, wall = sweep(cells, args.jobs)
-    report = merge(records, wall, args.jobs)
+    records = sweep(cells, args.jobs)
+    report = merge(records, args.jobs)
     print(f"wrote {art.write(report)}")
-    suite = report["suites"]["sweep"]
-    print(f"  sweep: {len(cells)} cells, {suite['wall_s']:.3f}s, "
-          f"{suite['events']} events, {suite['events_per_s']} events/s")
+    print(f"  sweep: {len(cells)} cells, {report['suites']['sweep']['events']} events")
 
     stalled = [r for r in records if r["stalled"]]
     for r in stalled:

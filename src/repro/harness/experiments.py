@@ -129,13 +129,12 @@ def trace_run(
 
 
 # --------------------------------------------------------------- figures 7a, 7b, §3.3
-def fig7a_runs(n_procs: int = BENCH_PROCS, apps: list[str] | None = None, run=run_app):
+def fig7a_runs(n_procs: int = BENCH_PROCS, apps: list[str] | None = None):
     """Ace runtime vs CRL, both running the SC invalidation protocol:
-    yields ``(app, backend, RunResult)``.  ``run`` is the cell runner
-    (:func:`run_app`, or a traced twin with its signature)."""
+    yields ``(app, backend, RunResult)``."""
     for app in apps or FIG7_WORKLOADS:
         for backend in ("crl", "ace"):
-            yield app, backend, run(app, "SC", backend, n_procs)
+            yield app, backend, run_app(app, "SC", backend, n_procs)
 
 
 def fig7b_runs(n_procs: int = BENCH_PROCS):

@@ -72,6 +72,8 @@ class ServeWorkload:
             raise ValueError(f"shift_read_frac must be a fraction: {self.shift_read_frac}")
         if self.rate <= 0:
             raise ValueError(f"rate must be positive: {self.rate}")
+        if self.n_requests < 1:
+            raise ValueError(f"n_requests must be >= 1: {self.n_requests}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1: {self.batch}")
         if self.think_cycles < 0:

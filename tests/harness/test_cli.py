@@ -33,7 +33,12 @@ INVOCATIONS = [
     ("bench --smoke --baseline BENCH_seed.json --gate --out OUT/bench.json", 0),
     ("bench --suites serve --procs 4 --baseline BENCH_seed.json --gate --out OUT/bench.json", 0),
     ("bench --suites serve --procs 2 --baseline BENCH_seed.json --out OUT/bench.json", 1),  # cycles differ
-    ("bench --repeat 0", 2),
+    # a count below 1 is a usage error, not a failed check
+    ("bench --smoke --procs 0", 2),
+    ("sweep --smoke --procs -1", 2),
+    ("chaos --procs 0", 2),
+    ("lint --procs 0", 2),
+    ("trace --procs x", 2),
     ("bench --baseline OUT/missing.json", 2),
     ("sweep --smoke --jobs 1 --compare-serial --out OUT/sweep.json", 0),
     ("chaos --apps TSP --procs 2 --seeds 0 --out OUT/chaos", 0),
@@ -49,6 +54,8 @@ INVOCATIONS = [
     ("serve --requests 128 --procs 2 --adaptive", 0),
     ("serve --requests 256 --procs 2 --compare", 1),  # too short for adaptive to win
     ("serve --protocol StaticUpdate", 2),  # not a serving candidate
+    ("serve --requests 0", 2),
+    ("serve --requests -5 --procs 2", 2),
     ("modelcheck --check", 0),
     ("modelcheck SC SelfInvalidate DynamicUpdate --seeded", 0),
     ("modelcheck SC HwSC --nodes 2 --seeded", 0),
@@ -62,6 +69,7 @@ INVOCATIONS = [
     ("lint --dynamic-only --procs 2 --out OUT/lint-dynamic.json", 0),
     ("profile --apps TSP --variants SC custom --procs 2 --check --out OUT/profiles", 0),
     ("profile --apps TSP --variants dynamic --check", 2),  # only EM3D has it: nothing to check
+    ("profile --procs 0", 2),
     ("trace --apps TSP --procs 2 --out OUT/traces/summaries.json", 0),
     ("nope", 2),
     ("", 2),

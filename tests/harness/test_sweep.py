@@ -48,8 +48,8 @@ def test_run_cell_deterministic_and_pool_invisible():
         dict(app="TSP", variant="SC", procs=2, plan="none", seed=0),
         dict(app="TSP", variant="SC", procs=2, plan="canonical", seed=0),
     ]
-    serial, _ = sweep.sweep(cells, jobs=1)
-    parallel, _ = sweep.sweep(cells, jobs=2)
+    serial = sweep.sweep(cells, jobs=1)
+    parallel = sweep.sweep(cells, jobs=2)
     for s, p in zip(serial, parallel):
         assert (s["cycles"], s["events"]) == (p["cycles"], p["events"])
 
@@ -57,9 +57,10 @@ def test_run_cell_deterministic_and_pool_invisible():
 def test_merged_artifact_is_bench_comparable():
     """The suites.sweep block must satisfy bench.compare()'s schema."""
     cells = [dict(app="TSP", variant="SC", procs=2, plan="none", seed=0)]
-    records, wall = sweep.sweep(cells, jobs=1)
-    report = sweep.merge(records, wall, jobs=1)
+    records = sweep.sweep(cells, jobs=1)
+    report = sweep.merge(records, jobs=1)
     suite = report["suites"]["sweep"]
+    assert set(suite) == {"events", "rows"}
     assert suite["events"] == records[0]["events"]
     assert suite["rows"] == [["TSP", "SC", 2, "none", 0, records[0]["cycles"]]]
     # identical artifacts gate clean through bench's comparator
@@ -113,5 +114,5 @@ def test_compare_serial_full_matrix(tmp_path):
     """19-cell acceptance shape: pool and serial physics identical."""
     cells = build_matrix(["TSP", "EM3D"], [4], ["none", "canonical"], [0, 1, 2])
     assert len(cells) == 19
-    records, _ = sweep.sweep(cells, jobs=4)
+    records = sweep.sweep(cells, jobs=4)
     assert sweep.compare_serial(cells, records) == []

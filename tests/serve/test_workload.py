@@ -73,6 +73,7 @@ def test_arrivals_nondecreasing_and_open_loop():
         {"rate": 0.0},
         {"batch": 0},
         {"think_cycles": -1},  # would index the Delay pool from its end
+        {"n_requests": 0},  # traffic_digest has no argmax of an empty stream
     ],
 )
 def test_validation_rejects_bad_spec(kwargs):
