@@ -13,8 +13,9 @@ records, per suite:
 Nothing here reads the host clock: host time is ``perf/run.py``'s job.
 
 ``--baseline`` compares ``rows`` and ``events`` against an earlier
-report; with ``--gate`` (CI, against ``BENCH_seed.json``) a suite the
-baseline lacks, or one whose event count grew, fails too.  ``--smoke``
+report (one that shares no suite with the run is a usage error); with
+``--gate`` (CI, against ``BENCH_seed.json``) a suite the baseline
+lacks, or one whose event count grew, fails too.  ``--smoke``
 is the seconds-long version: TSP on 2 nodes through fig7a and table4
 plus a 256-request serve run.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 import json
 import sys
 
-from repro.cli.common import FAILED, OK, add_shared, existing_file
+from repro.cli.common import FAILED, OK, UsageError, add_shared, existing_file
 from repro.cli.serve import run_config, shift_workload
 from repro.harness.experiments import fig7a_runs, fig7b_runs, table4_runs
 
@@ -131,6 +132,9 @@ def run(args, art) -> int:
     # Read the baseline up front: a bad file should fail before the
     # suites burn minutes, not after.
     baseline = json.loads(args.baseline.read_text()) if args.baseline else None
+    names = ("smoke", "smoke_table4", "smoke_serve") if args.smoke else args.suites
+    if baseline is not None and not args.gate and not set(names) & set(baseline.get("suites", {})):
+        raise UsageError(f"{args.baseline} shares no suite with {' '.join(names)}: nothing to compare")
     report = run_bench(args.suites, n_procs=args.procs, smoke=args.smoke)
     print(f"wrote {art.write(report)}")
     for name, suite in report["suites"].items():

@@ -234,60 +234,41 @@ class HomeMachine:
 
     # ------------------------------------------------------------------
     # the home alias's own accesses: the guards and actions of its node
-    # rows, bound into the requester side's generated hooks
+    # rows, as effects the requester side's hooks splice
     # ------------------------------------------------------------------
-    ALIAS_HOOKS = (
-        "g_home_idle",
-        "g_home_sole",
-        "act_open_home_read",
-        "act_open_home_write",
-        "act_close_home_read",
-        "act_close_home_write",
-    )
+    #: over ``nid``, ``handle`` and the names :meth:`bind_alias` gives; the
+    #: alias copy caches its entry (``RegionCopy.ent``, created once per
+    #: region).  A hit row opens with its guard: no admission interleaves.
+    ALIAS_EFFECTS = {
+        # the home may read in place: no remote owner, no window open
+        "g_home_idle": "(ent := handle.ent or P._alias_entry(handle)).owner is None and not ent.busy",
+        # the home may write in place: no remote copy, no window open
+        "g_home_sole": "(ent := handle.ent or P._alias_entry(handle)).owner is None"
+        " and not ent.sharers and not ent.busy",
+        "act_open_home_read": "(handle.ent or P._alias_entry(handle)).home_readers += 1",
+        "act_open_home_write": "(handle.ent or P._alias_entry(handle)).home_writing = True",
+        "act_close_home_read": """\
+ent = handle.ent or P._alias_entry(handle)
+ent.home_readers -= 1
+if not ent.home_readers and ent.queue:
+  P._alias_drain(ent)""",
+        "act_close_home_write": """\
+if not handle.writes:  # else a nested write is still open
+  ent = handle.ent or P._alias_entry(handle)
+  ent.home_writing = False
+  if ent.queue:
+    P._alias_drain(ent)""",
+    }
 
-    def bind_alias(self, target) -> None:
-        """Give ``target``, whose table hooks are compiled next, these
-        guards and actions as its own."""
-        for name in self.ALIAS_HOOKS:
-            setattr(target, name, getattr(self, name))
+    def bind_alias(self, target) -> dict:
+        """Give ``target``, whose table hooks are compiled next, the names
+        :data:`ALIAS_EFFECTS` read; returns those effects."""
+        target._alias_entry, target._alias_drain = self._alias_entry, self.drain
+        return self.ALIAS_EFFECTS
 
     def _alias_entry(self, handle) -> DirEntry:
-        # the entry is created once per region and never replaced, so
-        # the alias copy caches it
         ent = handle.ent = self.entry(handle.region.rid)
         return ent
-
-    def g_home_idle(self, nid: int, handle) -> bool:
-        """The home may read in place: no remote owner, no window open."""
-        ent = handle.ent or self._alias_entry(handle)
-        return ent.owner is None and not ent.busy
-
-    def g_home_sole(self, nid: int, handle) -> bool:
-        """The home may write in place: no remote copy, no window open."""
-        ent = handle.ent or self._alias_entry(handle)
-        return ent.owner is None and not ent.sharers and not ent.busy
-
-    # A hit row runs these with its guard, atomically: no admission can
-    # interleave.
-    def act_open_home_read(self, nid: int, handle) -> None:
-        (handle.ent or self._alias_entry(handle)).home_readers += 1
-
-    def act_open_home_write(self, nid: int, handle) -> None:
-        (handle.ent or self._alias_entry(handle)).home_writing = True
-
-    def act_close_home_read(self, nid: int, handle) -> None:
-        ent = handle.ent or self._alias_entry(handle)
-        ent.home_readers -= 1
-        if not ent.home_readers and ent.queue:
-            self.drain(ent)
-
-    def act_close_home_write(self, nid: int, handle) -> None:
-        if handle.writes:
-            return  # a nested write is still open
-        ent = handle.ent or self._alias_entry(handle)
-        ent.home_writing = False
-        if ent.queue:
-            self.drain(ent)
 
     # ------------------------------------------------------------------
     # admission (read_req / write_req rows)

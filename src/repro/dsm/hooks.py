@@ -6,15 +6,16 @@ generated at construction by the one emitter
 (:func:`~repro.spec.emit.table_hooks`) exactly as a
 :class:`~repro.protocols.base.TableProtocol`'s are, with this engine's
 :class:`~repro.dsm.costs.DSMCosts` as entry charges (``start_hit``
-before a start, ``end_op`` before an end), over the requester actions
-below and the home alias's guards and open/close actions, which
-:class:`~repro.dsm.directory.HomeMachine` defines for every invalidation
-wire.  Per row:
+before a start, ``end_op`` before an end).  The rows' actions are
+*effects* (:data:`EFFECTS`, and the home alias's guards and open/close
+actions, :attr:`~repro.dsm.directory.HomeMachine.ALIAS_EFFECTS`), so
+the generated text holds their bodies and calls none of them.  Per row:
 
 * a hit (``hit_read``/``hit_write``) opens the access locally;
 * a cached copy's miss (``fetch_read``/``fetch_write``, the wildcard
   rows, whose ``next`` is the fill state) asks the home over the wire,
-  with ``start_miss`` riding the request as its ``lead``;
+  with ``start_miss`` riding the request as its ``lead`` (charged before
+  the home is read while crash recovery can re-home it);
 * the home alias's miss (``fetch_*_home``) calls the home's handler in
   place and keeps the alias state;
 * ``release_read``/``release_write`` close the access, refuse an
@@ -46,8 +47,6 @@ entry on the copy (``RegionCopy.ent``).
 
 from __future__ import annotations
 
-from functools import partialmethod
-
 import numpy as np
 
 from repro.dsm.costs import DSMCosts
@@ -64,14 +63,64 @@ from repro.spec.table import ProtocolTable
 
 #: every engine's generated access hooks are line ranges of this
 #: pseudo-file (a profiler files them under ``dsm.hooks``)
-_CODE = CodeFile(
-    "<generated>/repro/dsm/hooks.py", {"_POOL": _POOL, "_POOL_SIZE": _POOL_SIZE, "Delay": Delay}
-)
+_CODE = CodeFile("<generated>/repro/dsm/hooks.py", dict(
+    _POOL=_POOL, _POOL_SIZE=_POOL_SIZE, Delay=Delay, Future=Future, ProtocolError=ProtocolError, np=np))
+
+
+def _effects(kind: str) -> dict:
+    """The engine's ``kind`` (``read``/``write``) actions, as effects over
+    ``nid``, ``handle`` and :class:`ProtocolHooks`' names."""
+    uses = kind + "s"
+    return {
+        f"act_hit_{kind}": f"""\
+handle.{uses} += 1
+P._counts[P._k_{kind}_hit] += 1""",
+        # a cached copy's miss: the grant crosses the wire (an upgrade
+        # keeps the copy's data); the row installs the fill state its
+        # trace event names
+        f"act_fetch_{kind}": f"""\
+region = handle.region
+P._counts[P._k_miss["{kind}"]] += 1
+if P._obs is not None:  # attribution: the next directory wait here is this region's
+  P._obs.emit(P._sim.now, "dsm.miss", nid, -1, region.rid, "{kind}")
+if not P._miss_lead:
+  yield P._d_start_miss
+data = yield from P._rpc(
+  nid, region.home, P._h_req["{kind}"], region.rid,
+  payload_words=P.costs.meta_words, category=P._cat_req["{kind}"], lead=P._miss_lead)
+if data is not None:
+  np.copyto(handle.data, data)
+if P._obs is not None:
+  P._obs.emit(P._sim.now, "region.state", nid, -1, region.rid, P._fill["{kind}"])
+P._post(nid, region.home, P._h_grant_ack, region.rid, payload_words=1, category=P._cat_grant_ack)
+handle.{uses} += 1""",
+        # the home alias's miss waits its turn, in place
+        f"act_fetch_{kind}_home": f"""\
+rid = handle.region.rid
+P._counts[P._k_miss["{kind}"]] += 1
+if P._obs is not None:
+  P._obs.emit(P._sim.now, "dsm.miss", nid, -1, rid, "{kind}")
+yield P._d_start_miss
+fut = Future(name=f"{kind}:{{rid}}@{{nid}}")
+P._local_req["{kind}"](P._nodes[nid], nid, fut, rid)
+yield fut
+handle.{uses} += 1""",
+        # the copy's last access fires the recalls it deferred
+        f"act_release_{kind}": f"""\
+if handle.{uses} <= 0:
+  raise ProtocolError(f"end_{kind} without start_{kind} on region {{handle.rid}} node {{nid}}")
+handle.{uses} -= 1
+if handle.deferred and not handle.{uses}:
+  P._fire_deferred(handle)""",
+    }
 
 
 class ProtocolHooks:
-    """Requester-side create/map/unmap and flush generators, the actions
-    of the table's access rows, and the access hooks generated from them."""
+    """Requester-side create/map/unmap and flush generators, and the
+    access hooks generated from the table's rows and :data:`EFFECTS`."""
+
+    #: the access rows' actions, spliced into the generated hooks
+    EFFECTS = {**_effects("read"), **_effects("write")}
 
     def __init__(
         self,
@@ -148,12 +197,12 @@ class ProtocolHooks:
         self._dirty_states = cache.dirty_states
         self._fill = {kind: table.next_of("node", base, "start_" + kind) for kind in ("read", "write")}
         # The four access hooks: the table's node rows, generated with
-        # this engine's entry charges over the actions below and the home
-        # alias's guards and open/close actions.
-        directory.bind_alias(self)
+        # this engine's entry charges, its effects and the home alias's
+        # guards and open/close actions spliced in.
+        self.effects = {**self.EFFECTS, **directory.bind_alias(self)}
         hit, end = costs.start_hit, costs.end_op
         charged = {"start_read": hit, "start_write": hit, "end_read": end, "end_write": end}
-        for event, hook in table_hooks(table.with_(entry_costs=charged), self, _CODE).items():
+        for event, hook in table_hooks(table.with_(entry_costs=charged), self, _CODE, self.effects).items():
             setattr(self, event, hook)
 
     # ------------------------------------------------------------------
@@ -164,10 +213,6 @@ class ProtocolHooks:
         if key is None:
             key = self._stat_keys[event] = intern_key(self.prefix, event)
         self._counts[key] += n
-
-    def _trace_state(self, nid: int, rid: int, state: str) -> None:
-        """Emit a region state transition (callers gate on ``self._obs``)."""
-        self._obs.emit(self._sim.now, "region.state", nid, -1, rid, state)
 
     # ------------------------------------------------------------------
     # allocation and mapping
@@ -180,7 +225,7 @@ class ProtocolHooks:
         self.cache.install(nid, region)
         self._count("create")
         if self._obs is not None:
-            self._trace_state(nid, region.rid, self._home_state)
+            self._obs.emit(self._sim.now, "region.state", nid, -1, region.rid, self._home_state)
         return region.rid
 
     def map(self, nid: int, rid: int, lead: int = 0, space=None):
@@ -222,86 +267,6 @@ class ProtocolHooks:
         copy.mapped = copy.maps > 0
         self._counts[self._k_unmap] += 1
 
-    # ------------------------------------------------------------------
-    # requester actions (the table's node rows run them; see the module
-    # docstring for the row each belongs to)
-    # ------------------------------------------------------------------
-    def act_hit_read(self, nid: int, copy: RegionCopy) -> None:
-        copy.reads += 1
-        self._counts[self._k_read_hit] += 1
-
-    def act_hit_write(self, nid: int, copy: RegionCopy) -> None:
-        copy.writes += 1
-        self._counts[self._k_write_hit] += 1
-
-    def _fetch(self, kind: str, nid: int, copy: RegionCopy):
-        """Generator: a cached copy's ``kind`` miss — the grant crosses the
-        wire (an upgrade keeps the copy's data); the row installs the fill
-        state its trace event names."""
-        region = copy.region
-        self._counts[self._k_miss[kind]] += 1
-        if self._obs is not None:
-            # Pre-RPC miss marker: attribution reads it as "the next
-            # directory wait on this node is for this region".
-            self._obs.emit(self._sim.now, "dsm.miss", nid, -1, region.rid, kind)
-        lead = self._miss_lead
-        if not lead:
-            yield self._d_start_miss
-        data = yield from self._rpc(
-            nid,
-            region.home,
-            self._h_req[kind],
-            region.rid,
-            payload_words=self.costs.meta_words,
-            category=self._cat_req[kind],
-            lead=lead,
-        )
-        if data is not None:
-            np.copyto(copy.data, data)
-        if self._obs is not None:
-            self._trace_state(nid, region.rid, self._fill[kind])
-        self._send_grant_ack(nid, region)
-        if kind == "read":
-            copy.reads += 1
-        else:
-            copy.writes += 1
-
-    def _fetch_home(self, kind: str, nid: int, copy: RegionCopy):
-        """Generator: the home alias's ``kind`` access waits its turn, in place."""
-        rid = copy.region.rid
-        self._counts[self._k_miss[kind]] += 1
-        if self._obs is not None:
-            self._obs.emit(self._sim.now, "dsm.miss", nid, -1, rid, kind)
-        yield self._d_start_miss
-        fut = Future(name=f"{kind}:{rid}@{nid}")
-        self._local_req[kind](self._nodes[nid], nid, fut, rid)
-        yield fut
-        if kind == "read":
-            copy.reads += 1
-        else:
-            copy.writes += 1
-
-    act_fetch_read = partialmethod(_fetch, "read")
-    act_fetch_write = partialmethod(_fetch, "write")
-    act_fetch_read_home = partialmethod(_fetch_home, "read")
-    act_fetch_write_home = partialmethod(_fetch_home, "write")
-
-    def act_release_read(self, nid: int, copy: RegionCopy) -> None:
-        """Close a read; the copy's last access fires deferred recalls."""
-        if copy.reads <= 0:
-            raise ProtocolError(f"end_read without start_read on region {copy.rid} node {nid}")
-        copy.reads -= 1
-        if copy.deferred and not copy.reads:
-            self._fire_deferred(copy)
-
-    def act_release_write(self, nid: int, copy: RegionCopy) -> None:
-        """Close a write (the copy stays dirty-exclusive: lazy write-back)."""
-        if copy.writes <= 0:
-            raise ProtocolError(f"end_write without start_write on region {copy.rid} node {nid}")
-        copy.writes -= 1
-        if copy.deferred and not copy.writes:
-            self._fire_deferred(copy)
-
     def flush(self, nid: int, rid: int):
         """Generator: push/drop the local copy so home data is current.
 
@@ -336,17 +301,5 @@ class ProtocolHooks:
         )
         copy.state = self._base_state
         if self._obs is not None:
-            self._trace_state(nid, rid, copy.state)
+            self._obs.emit(self._sim.now, "region.state", nid, -1, rid, copy.state)
         self._count("flush")
-
-    def _send_grant_ack(self, nid: int, region) -> None:
-        # On a lossy fabric the port retries it (a lost grant ack would
-        # leave the home entry busy forever) and the home re-acks.
-        self._post(
-            nid,
-            region.home,
-            self._h_grant_ack,
-            region.rid,
-            payload_words=1,
-            category=self._cat_grant_ack,
-        )

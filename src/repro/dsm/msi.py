@@ -12,9 +12,10 @@ it at construction:
   recall mode (next state, writeback, ack);
 * its access-hook rows *are* the engine's four access hooks:
   :class:`~repro.dsm.hooks.ProtocolHooks` compiles them with the one
-  emitter (:func:`~repro.spec.emit.table_hooks`) over its requester
-  actions and the home alias's guards and open/close actions, which
-  :class:`~repro.dsm.directory.HomeMachine` defines for Owned too.
+  emitter (:func:`~repro.spec.emit.table_hooks`), splicing in its
+  requester effects and the home alias's guards and open/close
+  actions, which :class:`~repro.dsm.directory.HomeMachine` declares for
+  Owned too.
 
 Where SC counts by event (``read_hit``/``write_hit``, ``reads``/``writes``)
 a row names an event-specific action — ``hit_read``, ``release_write``;

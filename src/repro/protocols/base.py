@@ -263,6 +263,8 @@ class TableProtocol(Protocol):
        its guard (if any) passes;
     4. charge the row's cost, run its actions in order (a plain call,
        or ``yield from`` a generator), then apply the ``next`` state.
+       An action or guard in :attr:`effects` is no call: its text is
+       spliced in place (:func:`~repro.spec.emit.hook_source`).
 
     An event whose only row is an unguarded wildcard reads nothing
     between steps 1 and 4, so its entry cost, row cost and lead are a
@@ -273,6 +275,9 @@ class TableProtocol(Protocol):
 
     #: the declarative core; subclasses must override.
     table: ProtocolTable | None = None
+    #: guards and actions the hooks splice rather than call (Owned's:
+    #: the home alias's, :meth:`~repro.dsm.directory.HomeMachine.bind_alias`)
+    effects: dict = {}
 
     def __init__(self, runtime, space):
         super().__init__(runtime, space)
@@ -283,7 +288,7 @@ class TableProtocol(Protocol):
             raise TableError(
                 f"{type(self).__name__}: table {tbl.name!r} does not match spec {self.spec.name!r}"
             )
-        for event, hook in table_hooks(tbl, self, _CODE).items():
+        for event, hook in table_hooks(tbl, self, _CODE, self.effects).items():
             setattr(self, event, hook)
 
     # -- common action primitives ------------------------------------------

@@ -242,7 +242,7 @@ class OwnedProtocol(TableProtocol):
 
     def __init__(self, runtime, space):
         self.home = HomeMachine(self.table, self, runtime.regions, prefix="proto.Owned")
-        self.home.bind_alias(self)  # before the table's hooks are compiled
+        self.effects = self.home.bind_alias(self)  # before the table's hooks are compiled
         super().__init__(runtime, space)
         self.cache = RecallReceiver(self.table, self, self.transport.n_procs)
         port = self.port = self.transport.port("proto.Owned")
@@ -327,7 +327,7 @@ class OwnedProtocol(TableProtocol):
         return self.cache.install(nid, region)  # the alias IS canonical storage
 
     # -- actions (table-referenced; the home alias's guards and open/close
-    # actions are the home machine's) -------------------------------------
+    # actions are the home machine's effects) -----------------------------
     def act_hit(self, nid: int, handle):
         handle.reads += 1
         self._count("hit")

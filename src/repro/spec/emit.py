@@ -13,12 +13,20 @@ means equal behaviour, so a second engine, instance or optimisation
 level compiles nothing.  A file's texts are one :mod:`linecache`
 pseudo-file: a traceback shows the generated line, and a profiler files
 the code under the file's name.
+
+A hook's guards and actions are calls into its target unless it
+declares them as *effects*: text over ``nid``, ``handle`` and its names,
+written ``P.<name>`` (a guard one expression, an action statements that
+do not ``return``), which :func:`hook_source` splices in place.  The
+*call form*, without effects, is what the model checker runs, over the
+same texts compiled into calls by :func:`effect_calls`.
 """
 
 from __future__ import annotations
 
 import linecache
 import re
+from functools import cache
 from inspect import isgeneratorfunction
 from types import CodeType
 
@@ -79,13 +87,42 @@ class CodeFile:
         return made
 
 
-def hook_source(tbl: ProtocolTable, event: str, refs, blocking) -> str:
+#: a target name an effect reads, ``P.<name>``: bound once in ``_make``
+_TARGET_NAME = re.compile(r"\bP\.(\w+)")
+
+
+@cache
+def _parsed(text: str) -> tuple[str, frozenset]:
+    """An effect's text with its ``P.`` names bare, and those names (once
+    per text: every engine and protocol built splices its effects)."""
+    return _TARGET_NAME.sub(r"\1", text), frozenset(_TARGET_NAME.findall(text))
+
+
+def _factory(name: str, args: str, reads, consts, body) -> str:
+    """The text of ``_make(P)`` binding ``reads`` and ``consts`` once,
+    returning ``def name(args)`` with ``body``."""
+    head = ["def _make(P):", *(f"  {n} = P.{n}" for n in sorted(reads))]
+    head += [f"  d{c} = Delay({c})" for c in sorted(consts)]
+    head.append(f"  def {name}({args}):")
+    return "\n".join([*head, *("    " + line for line in body), f"  return {name}", ""])
+
+
+def hook_source(tbl: ProtocolTable, event: str, refs, blocking, effects=None) -> str:
     """The text of ``_make(P)``: ``tbl``'s node rows for ``event`` as one
     straight-line hook (:class:`~repro.protocols.base.TableProtocol` says
     what it does) over ``P``'s ``refs`` (its ``act_*``/``g_*``, bound
     once).  An action in ``blocking`` (a generator) runs as ``yield
-    from``, any other is a call.  The text reads the kernel's ``Delay``
-    and its pool (``_POOL``, ``_POOL_SIZE``) from its file's namespace."""
+    from``, any other is a call — or, if in ``effects``, spliced.  The
+    text reads the kernel's ``Delay`` and its pool (``_POOL``,
+    ``_POOL_SIZE``) from its file's namespace."""
+    effects = effects or {}
+    reads = {n for n in refs if n not in effects}
+
+    def bare(name: str) -> str:  # an effect's text; the names it reads are bound
+        text, names = _parsed(effects[name])
+        reads.update(names)
+        return text
+
     rows = tbl.rows("node", event)
     ordered = [t for t in rows if t.state != WILDCARD] + [t for t in rows if t.state == WILDCARD]
     barrier = event == "barrier"
@@ -106,7 +143,9 @@ def hook_source(tbl: ProtocolTable, event: str, refs, blocking) -> str:
     keyword = "if"
     for t in ordered:
         test = [f"st == {t.state!r}"] if t.state != WILDCARD else []
-        test += [f"g_{t.guard}({args})"] if t.guard else []
+        if t.guard:
+            g = "g_" + t.guard
+            test.append(f"({bare(g)})" if g in effects else f"{g}({args})")
         row = f"# {t.state} {event}" + (f" [{t.guard}]" if t.guard else "")
         if test:
             body.append(f"{keyword} {' and '.join(test)}:  {row}")
@@ -115,7 +154,11 @@ def hook_source(tbl: ProtocolTable, event: str, refs, blocking) -> str:
         pad = "  " if test or keyword == "elif" else ""
         lines = [f"yield d{t.cost}"] if t.cost and not lone else []
         costs.add(t.cost if lines else 0)
-        lines += [f"{'yield from ' if a in blocking else ''}act_{a}({args})" for a in t.actions]
+        for a in t.actions:
+            if "act_" + a in effects:
+                lines += bare("act_" + a).splitlines()
+            else:
+                lines.append(f"{'yield from ' if a in blocking else ''}act_{a}({args})")
         lines += [f"handle.state = {t.next!r}"] if t.next != KEEP else []
         body += [pad + line for line in lines or ["pass"]]
         if not test:
@@ -124,16 +167,14 @@ def hook_source(tbl: ProtocolTable, event: str, refs, blocking) -> str:
     if not any("yield" in line for line in body):
         body.append("if 0: yield  # a generator, like every hook")
     name = re.sub(r"^\d+|\W", "_", f"{tbl.name}_{event}", flags=re.ASCII)
-    head = ["def _make(P):", *(f"  {n} = P.{n}" for n in refs)]
-    head += [f"  d{c} = Delay({c})" for c in sorted(costs - {0})]
-    head.append(f"  def {name}({args if barrier else args + ', lead=0'}):")
-    return "\n".join([*head, *("    " + line for line in body), f"  return {name}", ""])
+    return _factory(name, args if barrier else args + ", lead=0", reads, costs - {0}, body)
 
 
-def table_hooks(tbl: ProtocolTable, target, code: CodeFile) -> dict:
+def table_hooks(tbl: ProtocolTable, target, code: CodeFile, effects=None) -> dict:
     """``{event: hook}`` for every hook event with node rows in ``tbl``,
-    compiled once per text in ``code`` and bound to ``target``'s
-    ``act_*``/``g_*``."""
+    compiled once per text in ``code`` and bound to ``target``: its
+    ``act_*``/``g_*`` are called, unless ``effects`` declares them."""
+    effects = effects or {}
     hooks = {}
     for event in HOOK_EVENTS:
         rows = tbl.rows("node", event)
@@ -143,12 +184,28 @@ def table_hooks(tbl: ProtocolTable, target, code: CodeFile) -> dict:
         refs = sorted(refs | {"act_" + a for t in rows for a in t.actions})
         blocking = []
         for attr in refs:
-            fn = getattr(target, attr, None)
-            if fn is None:
-                raise TableError(
-                    f"{tbl.name}: table references {attr} but {type(target).__name__} does not define it"
-                )
-            if attr.startswith("act_") and isgeneratorfunction(fn):
+            if attr in effects:
+                blocks = re.search(r"\byield\b", effects[attr])
+            else:
+                fn = getattr(target, attr, None)
+                if fn is None:
+                    raise TableError(
+                        f"{tbl.name}: table references {attr} but {type(target).__name__} does not define it"
+                    )
+                blocks = isgeneratorfunction(fn)
+            if blocks and attr.startswith("act_"):
                 blocking.append(attr[4:])
-        hooks[event] = code.factory(hook_source(tbl, event, refs, blocking))(target)
+        hooks[event] = code.factory(hook_source(tbl, event, refs, blocking, effects))(target)
     return hooks
+
+
+def effect_calls(effects: dict, target, code: CodeFile) -> dict:
+    """``{name: function}``: each effect compiled once per text in
+    ``code`` as the ``(nid, handle)`` call a call-form hook makes, over
+    ``target``'s names — a guard returns its value."""
+    calls = {}
+    for name, effect in effects.items():
+        text, reads = _parsed(effect)
+        body = [f"return {text}"] if name.startswith("g_") else text.splitlines()
+        calls[name] = code.factory(_factory(name, "nid, handle", reads, (), body))(target)
+    return calls

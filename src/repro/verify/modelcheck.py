@@ -68,7 +68,7 @@ from repro.dsm.regioncache import RecallReceiver
 from repro.dsm.transport import Acks
 from repro.memory import RegionCopy
 from repro.sim.kernel import _DELAY_POOL, _DELAY_POOL_SIZE, Delay
-from repro.spec.emit import CodeFile, table_hooks
+from repro.spec.emit import CodeFile, effect_calls, table_hooks
 from repro.spec.table import WILDCARD, ProtocolTable, TableError
 
 
@@ -227,11 +227,10 @@ class _Requester:
 
     def adopt_alias(self, home: HomeMachine) -> None:
         """Take the home alias's guards and open/close actions from
-        ``home``, as the shipped wires do: guards recorded for a replay,
+        ``home``, the effects the shipped wires splice, compiled into the
+        calls the call-form hooks make: guards recorded for a replay,
         actions idle during it."""
-        home.bind_alias(self)
-        for name in home.ALIAS_HOOKS:
-            fn = getattr(self, name)
+        for name, fn in effect_calls(home.bind_alias(self), self, _CODE).items():
             setattr(self, name, self._recorded(fn) if name.startswith("g_") else self._quiet(fn))
 
     def _recorded(self, guard):

@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 from repro import cli
-from repro.cli import bench
+from repro.cli import bench, serve
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -73,3 +73,28 @@ def test_cli_gate_exits_nonzero_without_a_serve_baseline(tmp_path, capsys):
         assert set(suite) == {"events", "rows"} and suite["events"] > 0 and suite["rows"]
     assert report["command"] == "bench" and report["stamp"] and report["host"]["cpus"]
 
+
+def test_cli_baseline_sharing_no_suite_is_a_usage_error(tmp_path, capsys):
+    """Without ``--gate`` a baseline that shares no suite with the run
+    leaves nothing to compare: exit 2 with one line, before any suite runs."""
+    seed = json.loads((ROOT / "BENCH_seed.json").read_text())
+    only = tmp_path / "fig7a.json"
+    only.write_text(json.dumps({"suites": {"fig7a": seed["suites"]["fig7a"]}}))
+    out = tmp_path / "bench.json"
+    assert cli.main(["bench", "--smoke", "--baseline", str(only), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "shares no suite" in captured.err
+    assert not out.exists()
+
+
+def test_fresh_records_have_exactly_the_seed_keys():
+    """Regenerating a seed as EXPERIMENTS.md says changes no key: a fresh
+    bench suite record and a fresh ``serve --compare`` entry carry
+    exactly the committed seeds' keys (no host-clock field survives)."""
+    seed = json.loads((ROOT / "BENCH_seed.json").read_text())
+    fresh = set(bench.suite_serve(n_procs=2, requests=64))
+    assert {name: set(suite) for name, suite in seed["suites"].items()} == dict.fromkeys(seed["suites"], fresh)
+    seed = json.loads((ROOT / "SERVE_seed.json").read_text())
+    entries = serve.run_compare(serve.shift_workload(64), n_procs=2)["entries"]
+    assert {e["config"]: set(e) for e in entries} == {e["config"]: set(e) for e in seed["entries"]}

@@ -3,7 +3,9 @@ compiled once per text, and free of the generator-stub idiom."""
 
 import ast
 import builtins
+import copy
 import dataclasses
+import functools
 import itertools
 import linecache
 import re
@@ -11,6 +13,7 @@ import traceback
 from inspect import isgeneratorfunction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -19,12 +22,15 @@ from repro.core.runtime import AceRuntime
 from repro.core.space import Space
 from repro.crl.runtime import CRLRuntime
 from repro.dsm import hooks as dsm_hooks
-from repro.dsm.directory import HomeMachine
+from repro.dsm.directory import DirEntry, HomeMachine
+from repro.dsm.errors import ProtocolError
 from repro.machine import Machine, MachineConfig
+from repro.machine.stats import Counts
+from repro.memory import Region, RegionCopy
 from repro.protocols import base, default_registry
 from repro.protocols.base import Protocol
-from repro.sim import Delay, Simulator
-from repro.spec.emit import table_hooks
+from repro.sim import Delay, Future, Simulator
+from repro.spec.emit import effect_calls, table_hooks
 from repro.spec.table import HOOK_EVENTS, KEEP, WILDCARD
 
 
@@ -137,9 +143,11 @@ def _engines():
 
 def test_engine_hooks_walk_the_rows_as_the_reference_does():
     """SC, HwSC and CRL run their table's access rows, generated with each
-    engine's entry charges: the engine's hook is the very code the rows
-    compile to, and that code walks the rows as the reference does."""
-    costs_seen, checked = set(), 0
+    engine's entry charges and its effects spliced in: the engine's hook
+    is the very code the rows and effects compile to, its call form walks
+    the rows as the reference does, and the spliced hook does exactly what
+    that call form does over the compiled effects."""
+    costs_seen, checked, spliced = set(), 0, 0
     for engine in _engines():
         hit, end = engine.costs.start_hit, engine.costs.end_op
         costs_seen.add((hit, end))
@@ -147,25 +155,153 @@ def test_engine_hooks_walk_the_rows_as_the_reference_does():
             entry_costs={"start_read": hit, "start_write": hit, "end_read": end, "end_write": end}
         )
         hooks = engine.hooks
+        calls = effect_calls(hooks.effects, hooks, dsm_hooks._CODE)
         blocking = {
-            name[4:]
-            for name in dir(hooks)
-            if name.startswith("act_") and isgeneratorfunction(getattr(hooks, name))
+            name[4:] for name, fn in calls.items() if name.startswith("act_") and isgeneratorfunction(fn)
         }
         assert blocking == {"fetch_read", "fetch_write", "fetch_read_home", "fetch_write_home"}
+        compiled = table_hooks(tbl, hooks, dsm_hooks._CODE, hooks.effects)
+        calling = copy.copy(hooks)
+        for name, fn in calls.items():
+            setattr(calling, name, fn)
+        call_form = table_hooks(tbl, calling, dsm_hooks._CODE)
         for event in ("start_read", "end_read", "start_write", "end_write"):
             shipped = getattr(engine, event)
             assert shipped.__code__.co_filename == "<generated>/repro/dsm/hooks.py"
             assert "lead" in shipped.__code__.co_varnames
+            assert compiled[event].__code__ is shipped.__code__, event
             guards = sorted({t.guard for t in tbl.rows("node", event) if t.guard})
             for case, hook, runs in _walks(
                 tbl, event, dsm_hooks._CODE, blocking, guards, tbl.node_states, (0, 7)
             ):
-                assert hook.__code__ is shipped.__code__, case
+                assert hook.__code__ is call_form[event].__code__, case
                 assert runs[0] == runs[1], case
                 checked += 1
+        spliced += _spliced_does_what_the_calls_do(hooks, tbl)
     assert len(costs_seen) == 3
     assert checked > 100
+    assert spliced == 3 * 2 * 4 * 4 * 4 * 2 * 2 * 2 * 2
+
+
+class _Stand:
+    """One engine's access hooks over logging stand-ins for its port, the
+    home's in-place handlers, its recalls and the alias's directory entry:
+    spliced (``splice``), or in call form over the compiled effects."""
+
+    def __init__(self, hooks, tbl, splice: bool, miss_lead: int):
+        self.log = []
+        self.ent = None
+        t = copy.copy(hooks)
+        t._counts = self.counts = Counts()
+        t._miss_lead = miss_lead
+        t._obs = self
+        t._rpc = self.rpc
+        t._post = functools.partial(self.note, "post")
+        t._local_req = {kind: functools.partial(self.note, kind + " in place") for kind in ("read", "write")}
+        t._fire_deferred = functools.partial(self.note, "fire deferred")
+        t._alias_drain = functools.partial(self.note, "drain")
+        t._alias_entry = self.alias_entry
+        if splice:
+            self.hooks = table_hooks(tbl, t, dsm_hooks._CODE, t.effects)
+        else:
+            for name, fn in effect_calls(t.effects, t, dsm_hooks._CODE).items():
+                setattr(t, name, fn)
+            self.hooks = table_hooks(tbl, t, dsm_hooks._CODE)
+
+    def note(self, what, *args, **kwargs):
+        self.log.append((what, _shown(args), kwargs))
+
+    def emit(self, *args):
+        self.note("emit", *args)
+
+    def rpc(self, *args, **kwargs):
+        self.note("rpc", *args, **kwargs)
+        yield "wire"
+        return np.arange(4.0)
+
+    def alias_entry(self, handle):
+        self.note("alias entry", handle)
+        handle.ent = self.ent
+        return self.ent
+
+    def run(self, event, state, owner, sharers, busy, pending, cached, uses, lead):
+        """Everything the hook does to a fresh copy and entry: what it
+        yields (or the refusal), calls, counts, copy and entry slots."""
+        del self.log[:]
+        self.counts.clear()
+        region = Region(rid=5, home=1, size=4)
+        handle = RegionCopy(region, 1)
+        ent = self.ent = DirEntry(region)
+        ent.owner, ent.sharers, ent.busy = owner, set(sharers), busy
+        ent.home_readers, ent.home_writing = uses, bool(uses)
+        handle.state, handle.reads, handle.writes = state, uses, uses
+        if pending:
+            handle.deferred = (("invalidate", None, None),)
+            ent.queue.append(("read", 2, None))
+        if cached:
+            handle.ent = ent
+        out = []
+        try:
+            for got in self.hooks[event](1, handle, lead):
+                out.append(_shown(got))
+        except ProtocolError as exc:
+            out.append(("refused", str(exc)))
+        copied = (handle.state, handle.reads, handle.writes, handle.deferred, handle.ent is ent, list(handle.data))
+        entry = (ent.owner, sorted(ent.sharers), ent.busy, ent.home_readers, ent.home_writing, len(ent.queue))
+        return out, self.log[:], dict(self.counts), copied, entry
+
+
+def _shown(x):
+    """``x`` with what differs by identity only (charges, futures, the
+    copy and entry) as values."""
+    if isinstance(x, Delay):
+        return ("delay", x.cycles)
+    if isinstance(x, Future):
+        return ("future", x.name)
+    if isinstance(x, (RegionCopy, DirEntry)):
+        return type(x).__name__
+    if isinstance(x, tuple):
+        return tuple(map(_shown, x))
+    return x
+
+
+#: alias entries answering (home_idle, home_sole): yes/yes, yes/no, no/no
+#: (a window open), no/no (a remote owner) — as ``(owner, sharers, busy)``
+_ENTRIES = ((None, (), False), (None, (3,), False), (None, (), True), (3, (), False))
+
+
+def _spliced_does_what_the_calls_do(hooks, tbl) -> int:
+    """Every state x alias entry x pending recall x cached entry x open use
+    x lead, with the engine's miss lead and the recovery-armed one (0)."""
+    seen, checked = set(), 0
+    for miss_lead in (hooks._miss_lead, 0):
+        stands = [_Stand(hooks, tbl, splice, miss_lead) for splice in (True, False)]
+        for event in ("start_read", "end_read", "start_write", "end_write"):
+            for case in itertools.product(
+                tbl.node_states, _ENTRIES, (False, True), (False, True), (0, 1), (0, 7)
+            ):
+                state, (owner, sharers, busy), pending, cached, uses, lead = case
+                got, want = (s.run(event, state, owner, sharers, busy, pending, cached, uses, lead) for s in stands)
+                assert got == want, (tbl.name, miss_lead, event, case)
+                seen.update(what for what, *_ in got[1])
+                seen.update(y[0] for y in got[0] if isinstance(y, tuple))
+                checked += 1
+    assert {"rpc", "post", "read in place", "write in place", "drain", "fire deferred", "alias entry", "emit"} <= seen
+    assert {"refused", "delay", "future"} <= seen
+    return checked
+
+
+def test_engine_text_calls_no_effect_and_yields_from_the_port_only():
+    """The shipped SC/HwSC/CRL hooks hold their effects' bodies: no call
+    to a declared effect, and the one ``yield from`` is the port's call."""
+    for engine in _engines():
+        for event in ("start_read", "end_read", "start_write", "end_write"):
+            text = _generated(getattr(engine, event))
+            called = set(re.findall(r"\b((?:act|g)_\w+)\(", text))
+            assert not called & set(engine.hooks.effects), (engine.table.name, event, called)
+            delegated = re.findall(r"yield from (\w+)\(", text)
+            assert set(delegated) <= {"_rpc"}, (engine.table.name, event, delegated)
+            assert ("yield from _rpc(" in text) == event.startswith("start_"), event
 
 
 def test_the_engine_writes_no_access_hook_by_hand():

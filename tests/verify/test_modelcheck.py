@@ -12,10 +12,10 @@ Five batteries:
 * the committed certificates under ``src/repro/verify/certs/`` are
   pinned to the tables' content fingerprints, so editing any row
   without re-running ``repro modelcheck --write-certs`` fails CI;
-* the checker's requester is the generated hook text its protocol
-  compiles — Owned's, SelfInvalidate's and DynamicUpdate's, one per
-  model family — and a replay that strays from the parked run is
-  refused;
+* the checker's requester is the call form of the generated hook text
+  its protocol compiles — Owned's, SelfInvalidate's and DynamicUpdate's,
+  one per model family — whose shipped text only splices the declared
+  effects in, and a replay that strays from the parked run is refused;
 * a scope that would test nothing (no node, region, operation or
   epoch) is refused when it is built.
 """
@@ -23,6 +23,7 @@ Five batteries:
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -175,15 +176,19 @@ HOOKED = {
 @pytest.mark.parametrize("name", sorted(HOOKED))
 def test_the_checker_runs_the_hook_text_its_protocol_compiles(name, monkeypatch):
     """One requester text for run and proof: the hooks the checker
-    generates for a table are, character for character, the ones its
-    shipped protocol generates."""
-    texts = {}
+    generates for a table are, character for character, the call form of
+    the ones its shipped protocol generates — and what ships is that call
+    form with the protocol's declared effects spliced in, nothing else
+    (Owned's: the home alias's guards and open/close actions)."""
+    calls, compiled = {}, {}
     real = emit.hook_source
 
-    def spy(tbl, event, refs, blocking):
-        text = real(tbl, event, refs, blocking)
+    def spy(tbl, event, refs, blocking, effects=None):
+        text = real(tbl, event, refs, blocking, effects)
         if tbl.name == name:  # the runtime builds its default SC engine too
-            texts.setdefault(where, {})[event] = text
+            call = calls.setdefault(where, {})[event] = real(tbl, event, refs, blocking)
+            compiled.setdefault(where, {})[event] = text
+            assert text == _spliced(call, effects or {}), (where, event)
         return text
 
     monkeypatch.setattr(emit, "hook_source", spy)
@@ -191,8 +196,39 @@ def test_the_checker_runs_the_hook_text_its_protocol_compiles(name, monkeypatch)
     model_for(TABLES[name], Scope())
     where = "runtime"
     AceRuntime(Machine(Simulator(), MachineConfig(n_procs=2)))._create_protocol(name, Space(sid=0))
-    assert texts["checker"] == texts["runtime"]
-    assert set(texts["checker"]) == HOOKED[name]
+    assert calls["checker"] == calls["runtime"]
+    assert compiled["checker"] == calls["checker"]
+    assert set(calls["checker"]) == HOOKED[name]
+    spliced = {event for event, text in compiled["runtime"].items() if text != calls["runtime"][event]}
+    assert spliced == (HOOKED[name] if name == "Owned" else set())
+
+
+def _spliced(call: str, effects: dict) -> str:
+    """``call`` with ``effects`` spliced in by hand: an action's call line
+    becomes its lines at that indent, a guard's call its parenthesized
+    expression, and ``_make`` binds the names left and the ones read."""
+    lines = call.splitlines()
+    refs = {m.group(1) for line in lines if (m := re.fullmatch(r"  (\w+) = P\.\1", line))}
+    reads, body = set(), []
+
+    def bare(name: str) -> str:
+        reads.update(re.findall(r"\bP\.(\w+)", effects[name]))
+        return re.sub(r"\bP\.(\w+)", r"\1", effects[name])
+
+    for line in lines[1 + len(refs):]:
+        act = re.fullmatch(r"(\s*)(?:yield from )?(act_\w+)\(nid, handle\)", line)
+        if act and act.group(2) in effects:
+            body += [act.group(1) + part for part in bare(act.group(2)).splitlines()]
+            continue
+        if re.match(r"\s*(el)?if ", line):
+            line = re.sub(
+                r"\b(g_\w+)\(nid, handle\)",
+                lambda m: f"({bare(m.group(1))})" if m.group(1) in effects else m.group(0),
+                line,
+            )
+        body.append(line)
+    kept = sorted(refs - set(effects) | reads)
+    return "\n".join([lines[0], *(f"  {n} = P.{n}" for n in kept), *body, ""])
 
 
 def test_a_replay_that_parks_elsewhere_is_refused():
