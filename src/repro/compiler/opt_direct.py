@@ -21,13 +21,6 @@ from __future__ import annotations
 
 from repro.compiler.ir import ProgramIR
 
-_HOOK_OF = {
-    "start_read": "start_read",
-    "end_read": "end_read",
-    "start_write": "start_write",
-    "end_write": "end_write",
-}
-
 
 def direct_dispatch(program: ProgramIR, registry) -> tuple[int, int]:
     """Run the pass; returns (n_devirtualized, n_deleted)."""
@@ -42,10 +35,7 @@ def direct_dispatch(program: ProgramIR, registry) -> tuple[int, int]:
                     and ins.protocols is not None
                     and len(ins.protocols) == 1
                 ):
-                    (proto,) = ins.protocols
-                    spec = registry.spec(proto)
-                    hook = _HOOK_OF.get(ins.op)
-                    if hook is not None and spec.optimizable and spec.is_null(hook):
+                    if registry.may_elide(ins.protocols, ins.op):
                         deleted += 1
                         continue  # null handler: remove the call entirely
                     ins.direct = True

@@ -55,12 +55,6 @@ def _call_has_sync(program: ProgramIR, fname: str, seen: set) -> bool:
     return False
 
 
-def _optimizable(ins: Instr, registry) -> bool:
-    if ins.protocols is None:
-        return False
-    return all(registry.spec(p).optimizable for p in ins.protocols)
-
-
 def hoist_loop_invariant(program: ProgramIR, registry) -> int:
     """Run the pass; returns the number of instructions moved."""
     moved = 0
@@ -92,7 +86,7 @@ def _hoist_maps(fn: FuncIR, loop, registry) -> int:
         for ins in block.instrs:
             if (
                 ins.op == "map"
-                and _optimizable(ins, registry)
+                and registry.optimizable(ins.protocols)
                 and (isinstance(ins.args[0], Const) or ins.args[0] not in defs)
             ):
                 _insert_preheader(fn, loop, [ins])
@@ -113,7 +107,7 @@ def _hoist_start_end(fn: FuncIR, loop, registry) -> int:
         if ins.op in ("start_read", "end_read", "start_write", "end_write", "unmap"):
             h = ins.args[0]
             usage.setdefault(h, set()).add(ins.op)
-            opt_ok[h] = opt_ok.get(h, True) and _optimizable(ins, registry)
+            opt_ok[h] = opt_ok.get(h, True) and registry.optimizable(ins.protocols)
 
     moved = 0
     for h, ops in sorted(usage.items()):

@@ -21,12 +21,6 @@ from __future__ import annotations
 from repro.compiler.ir import Const, Instr, ProgramIR, SYNC_BUILTINS
 
 
-def _optimizable(ins: Instr, registry) -> bool:
-    return ins.protocols is not None and all(
-        registry.spec(p).optimizable for p in ins.protocols
-    )
-
-
 def merge_calls(program: ProgramIR, registry) -> int:
     """Run the pass; returns the number of instructions removed/downgraded."""
     removed = 0
@@ -53,7 +47,7 @@ def _merge_maps(block, registry) -> int:
             continue
         if ins.op == "map":
             key = _key(ins.args[0])
-            if key in available and _optimizable(ins, registry):
+            if key in available and registry.optimizable(ins.protocols):
                 block.instrs[i] = Instr(
                     "mov", dst=ins.dst, args=[available[key]], line=ins.line
                 )
@@ -89,14 +83,14 @@ def _merge_start_end(block, registry) -> int:
             if ins.op == "builtin" and ins.args[0].value in SYNC_BUILTINS:
                 pending.clear()
                 continue
-            if ins.op in _PAIRS and _optimizable(ins, registry):
+            if ins.op in _PAIRS and registry.optimizable(ins.protocols):
                 pending[(resolve(ins.args[0]), ins.op)] = i
                 continue
             if ins.op in ("start_read", "start_write"):
                 h = resolve(ins.args[0])
                 end_op = "end_read" if ins.op == "start_read" else "end_write"
                 key = (h, end_op)
-                if key in pending and _optimizable(ins, registry):
+                if key in pending and registry.optimizable(ins.protocols):
                     j = pending.pop(key)
                     del block.instrs[i]
                     del block.instrs[j]

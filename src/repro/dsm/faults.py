@@ -628,15 +628,12 @@ class FaultTransport(Transport):
         fn = (self._send, src, dst, (handler, args, payload_words, category, self._cause()))
         sim = self.sim
         when = sim.now + self._send_overhead
-        if sim._jitter is None:
-            bucket = sim._cal.get(when)
-            if bucket is None:
-                sim._cal[when] = [fn]
-                _heappush(sim._times, when)
-            else:
-                bucket.append(fn)
+        bucket = sim._cal.get(when)
+        if bucket is None:
+            sim._cal[when] = [fn]
+            _heappush(sim._times, when)
         else:
-            sim._push(when, fn)
+            bucket.append(fn)
 
     def rpc(self, src, dst, handler, *args, payload_words: int = 0, category: str = "am.rpc", lead: int = 0):
         # NOTE: the *raw* rpc has no retries — on a lossy link it can

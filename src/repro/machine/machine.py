@@ -175,15 +175,12 @@ class Machine:
         # scheduling site outside the kernel itself.
         sim = self.sim
         when = sim.now + delay
-        if sim._jitter is None:
-            bucket = sim._cal.get(when)
-            if bucket is None:
-                sim._cal[when] = [fn]
-                _heappush(sim._times, when)
-            else:
-                bucket.append(fn)
+        bucket = sim._cal.get(when)
+        if bucket is None:
+            sim._cal[when] = [fn]
+            _heappush(sim._times, when)
         else:
-            sim._push(when, fn)
+            bucket.append(fn)
 
     def _route(self, handler, category):
         """The route of ``handler``'s messages of ``category`` (``handler``
@@ -241,15 +238,12 @@ class Machine:
         # Simulator.schedule(delay, fn), inlined.
         sim = self.sim
         when = sim.now + delay
-        if sim._jitter is None:
-            bucket = sim._cal.get(when)
-            if bucket is None:
-                sim._cal[when] = [fn]
-                _heappush(sim._times, when)
-            else:
-                bucket.append(fn)
+        bucket = sim._cal.get(when)
+        if bucket is None:
+            sim._cal[when] = [fn]
+            _heappush(sim._times, when)
         else:
-            sim._push(when, fn)
+            bucket.append(fn)
 
     def _rpc_name(self, category: str) -> str:
         """The name of ``category``'s rpc futures, built at its first call."""
@@ -270,15 +264,12 @@ class Machine:
         fn = (resolve, fut, value, ())
         sim = self.sim
         when = sim.now + extra + self._reply_base + self._per_word * payload_words
-        if sim._jitter is None:
-            bucket = sim._cal.get(when)
-            if bucket is None:
-                sim._cal[when] = [fn]
-                _heappush(sim._times, when)
-            else:
-                bucket.append(fn)
+        bucket = sim._cal.get(when)
+        if bucket is None:
+            sim._cal[when] = [fn]
+            _heappush(sim._times, when)
         else:
-            sim._push(when, fn)
+            bucket.append(fn)
 
     def cause(self) -> int:  # the causal parent of a send made now: the plain wire keeps none
         return -1

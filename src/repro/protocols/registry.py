@@ -46,6 +46,24 @@ class ProtocolRegistry:
     def spec(self, name: str) -> ProtocolSpec:
         return self.get(name).spec
 
+    def optimizable(self, protocols) -> bool:
+        """Whether the compiler may move or merge a call that may run under
+        any of ``protocols`` (``None``: not known): every one is
+        optimizable (§4.2).  LI and MC rewrite under this rule, and the
+        sanitizer accepts their output under it."""
+        return protocols is not None and all(self.spec(p).optimizable for p in protocols)
+
+    def may_elide(self, protocols, hook: str) -> bool:
+        """Whether direct dispatch may delete a call to ``hook`` under
+        ``protocols``: it has a unique protocol, optimizable, that
+        declares ``hook`` null (§4.2).  The sanitizer accepts a missing
+        call under the same rule."""
+        if protocols is None or len(protocols) != 1:
+            return False
+        (proto,) = protocols
+        spec = self.spec(proto)
+        return spec.optimizable and spec.is_null(hook)
+
     def table_of(self, name: str):
         """The protocol's declarative :class:`~repro.spec.table.ProtocolTable`
         (every shipped protocol has one), or ``None`` for a user protocol

@@ -17,7 +17,6 @@ from repro.sanitize.static_check import (
     Violation,
     check_or_raise,
     check_program,
-    may_elide,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "Violation",
     "check_or_raise",
     "check_program",
-    "may_elide",
 ]

@@ -35,9 +35,11 @@ optimization passes legally relax two things, so post-optimization IR
 is checked **lenient**:
 
 * *Elision* — direct dispatch deletes calls that are null hooks of an
-  optimizable singleton protocol.  :func:`may_elide` mirrors that
-  pass's legality test exactly, so a bare deref or an asymmetric
-  START/END remnant is accepted only where the deletion was legal.
+  optimizable singleton protocol.  The pass and this checker read one
+  rule, :meth:`ProtocolRegistry.may_elide
+  <repro.protocols.registry.ProtocolRegistry.may_elide>`, so a bare
+  deref or an asymmetric START/END remnant is accepted only where the
+  deletion was legal.
 * *Nesting* — call merging rewrites duplicate ``map``\\ s into ``mov``
   aliases, which can fold two independently-annotated accesses onto
   one handle; the result is a nested same-handle START (harmless at
@@ -100,25 +102,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.func}:{self.line}: [{self.rule}] {self.message}"
-
-
-def may_elide(protocols, hook: str, registry) -> bool:
-    """True if a call to ``hook`` under ``protocols`` may legally be
-    deleted by direct dispatch — the exact condition ``opt_direct``
-    gates deletion on (singleton set, optimizable, hook null)."""
-    if protocols is None or len(protocols) != 1:
-        return False
-    (proto,) = protocols
-    spec = registry.spec(proto)
-    return spec.optimizable and spec.is_null(hook)
-
-
-def _optimizable(protocols, registry) -> bool:
-    """Every possible protocol of the access is optimizable — the gate
-    LI and MC rewrite under, hence the gate for accepting their output."""
-    return protocols is not None and all(
-        registry.spec(p).optimizable for p in protocols
-    )
 
 
 # open-access stack entry: (mode, line, optimizable)
@@ -294,7 +277,7 @@ class _FuncChecker:
                 root = self._resolve(state, ins.args[0])
                 maps, stack, lic, mline, known = self._handle(state, root)
                 want = _MODE_OF[op]
-                opt = _optimizable(ins.protocols, reg)
+                opt = reg.optimizable(ins.protocols)
                 conflict = self._open_conflict(stack, lic, opt)
                 if conflict is not None:
                     mode, line = conflict
@@ -310,7 +293,7 @@ class _FuncChecker:
                         f"START_{want.upper()} on handle {root!r} after its "
                         "last UNMAP (no live mapping)",
                     )
-                if not self.strict and may_elide(ins.protocols, "end_" + want, reg):
+                if not self.strict and reg.may_elide(ins.protocols, "end_" + want):
                     # the END may legally never come (deleted as a null
                     # hook): license the mode instead of demanding balance
                     lic = lic | {want}
@@ -330,14 +313,14 @@ class _FuncChecker:
                         break
                 if idx is not None:
                     stack = stack[:idx] + stack[idx + 1:]
-                elif not self.strict and may_elide(ins.protocols, op, reg):
+                elif not self.strict and reg.may_elide(ins.protocols, op):
                     # this END is itself a null hook: a no-op call that
                     # closes nothing (the matching START, if any, opened
                     # a license that persists) — cannot misbehave.
                     pass
                 elif want in lic:
                     lic = lic - {want}
-                elif may_elide(ins.protocols, _START_OF[op], reg) or not known:
+                elif reg.may_elide(ins.protocols, _START_OF[op]) or not known:
                     # START legally deleted by direct dispatch, or a
                     # handle this function cannot account for.
                     pass
@@ -377,7 +360,7 @@ class _FuncChecker:
                         ("start_write",) if op == "deref_store"
                         else ("start_read", "start_write")
                     )
-                    if not any(may_elide(ins.protocols, h, reg) for h in start_hooks):
+                    if not any(reg.may_elide(ins.protocols, h) for h in start_hooks):
                         kind = "write" if op == "deref_store" else "read"
                         self.report(
                             "deref-outside-start", ins.line,

@@ -86,16 +86,13 @@ class Future:
                 # A blocked task: sim.schedule(0, task), inlined.
                 fn._wait_fut = self
                 sim = fn._sim
-                if sim._jitter is None:
-                    now = sim.now
-                    bucket = sim._cal.get(now)
-                    if bucket is None:
-                        sim._cal[now] = [fn]
-                        _heappush(sim._times, now)
-                    else:
-                        bucket.append(fn)
+                now = sim.now
+                bucket = sim._cal.get(now)
+                if bucket is None:
+                    sim._cal[now] = [fn]
+                    _heappush(sim._times, now)
                 else:
-                    sim._push(sim.now, fn)
+                    bucket.append(fn)
 
     def fail(self, exc: BaseException) -> None:
         """Store an exception; waiters will re-raise it when resumed."""

@@ -13,9 +13,9 @@ Nested blocking operations compose with ordinary ``yield from``; the
 kernel only ever sees the two primitive yield types above.
 
 Time is an integer cycle count.  Events at equal times fire in the
-order they were scheduled (a monotone sequence number breaks ties), so
-a run is a pure function of its inputs — the property the hypothesis
-determinism tests pin down.
+order they were scheduled (or, fuzzed, in an order drawn from the
+seed), so a run is a pure function of its inputs — the property the
+hypothesis determinism tests pin down.
 
 Fast path
 ---------
@@ -79,13 +79,14 @@ requires (see DESIGN.md §6 for the full story):
 * **Pooled delays.**  ``Delay(n)`` for small ``n`` returns a shared
   immutable singleton, so the dominant yield type costs no allocation.
 
-Schedule fuzzing (``jitter_seed``) disables the trampoline and makes
-each bucket a heap of ``(tie, seq, fn)``: fuzzed runs draw one random
-tie-breaker (and one ``seq``) per schedule call, exactly the stream of
-a single ``(time, tie, seq)`` heap, so fuzzed schedules replay exactly
-as they always have.  The run loop pops those buckets in its
-cycle-transition branch; the canonical per-event path never tests for
-jitter.
+Schedule fuzzing (``jitter_seed``) disables the trampoline and changes
+nothing else about the calendar: a fuzzed bucket is the same list of
+bare entries.  The order is drawn when an entry is taken, not when it
+is scheduled — the run loop's cycle-transition branch draws one index
+uniformly among the cycle's pending entries (cancelled timers
+included) and takes that entry out.  Same seed, same schedule.  The
+canonical per-event path never tests for jitter, and no module outside
+this one knows fuzzing exists.
 """
 
 from __future__ import annotations
@@ -233,7 +234,6 @@ class Simulator:
         "events",
         "_cal",
         "_times",
-        "_seq",
         "_tasks",
         "_names",
         "_trace",
@@ -265,13 +265,11 @@ class Simulator:
         self.events: int = 0  # events executed (queue entries + inline steps)
         # The calendar: cycle -> bucket of that cycle's entries, each a
         # Task to step, a Timer, a message (call, a, b, args) to call as
-        # call(a, b, *args), or a callable to call.  A canonical
-        # bucket is a FIFO list; a fuzzed one a heap of (tie, seq, fn).
-        # _times heaps the cycles that have a bucket, except the one
-        # run() is draining.
+        # call(a, b, *args), or a callable to call, in schedule order
+        # (fuzzed or not).  _times heaps the cycles that have a bucket,
+        # except the one run() is draining.
         self._cal: dict[int, list] = {}
         self._times: list[int] = []
-        self._seq = 0  # fuzzed runs only: the tie-break after the draw
         # Live tasks by (unique) name, in spawn order.  _names outlives
         # them: one key per spawn ever made.
         self._tasks: dict[str, Task] = {}
@@ -297,23 +295,13 @@ class Simulator:
 
     def _push(self, when: int, fn) -> None:
         """Queue ``fn`` at cycle ``when`` (not in the past): the one
-        schedule body.  Hot sites outside the class inline its canonical
-        half and call it only under fuzzing."""
-        jitter = self._jitter
-        if jitter is not None:
-            # One tie-breaker per schedule call: the stream (and thus
-            # every fuzzed schedule) of a single (time, tie, seq) heap.
-            seq = self._seq
-            self._seq = seq + 1
-            fn = (jitter.random(), seq, fn)
+        schedule body, which hot sites outside the class inline."""
         bucket = self._cal.get(when)
         if bucket is None:
             self._cal[when] = [fn]
             _heappush(self._times, when)
-        elif jitter is None:
-            bucket.append(fn)
         else:
-            _heappush(bucket, fn)
+            bucket.append(fn)
 
     def at(self, time: int, fn: Callable[[], None]) -> None:
         """Run ``fn()`` at absolute ``time`` (must not be in the past)."""
@@ -324,9 +312,10 @@ class Simulator:
     def timer(self, delay: int, fn: Callable[[], None]) -> Timer:
         """``schedule(delay, fn)`` with a handle whose ``cancel()`` calls it off.
 
-        Same place in its cycle (and, fuzzed, the same tie-breaker
-        draw) as :meth:`schedule`.  The delay must be positive: a timer
-        is set for later, never for the cycle being drained.
+        Same place in its cycle as :meth:`schedule`, and, fuzzed, one
+        entry among the cycle's draw whether or not it was cancelled.
+        The delay must be positive: a timer is set for later, never for
+        the cycle being drained.
         """
         if delay <= 0:
             raise SimulationError(f"a timer needs a positive delay, got {delay}")
@@ -457,7 +446,7 @@ class Simulator:
         # None between cycles.  Canonical runs index it: ``cur`` is the
         # last bucket entered and ``pos`` its next entry.  Fuzzed runs
         # keep ``cur`` empty, so every event takes the transition branch,
-        # which pops the bucket's heap.  ``prev``/``mark``: the clock
+        # which draws it from the bucket.  ``prev``/``mark``: the clock
         # before this cycle and ``fired`` on entering it, to give back a
         # cycle that ran nothing live.
         bucket = None
@@ -470,7 +459,12 @@ class Simulator:
                     fn = cur[pos]
                     pos += 1
                 elif jitter is not None and bucket:
-                    fn = heappop(bucket)[2]
+                    # Fuzzed: one uniform draw among the pending entries;
+                    # the last one fills the hole.
+                    i = jitter.randrange(len(bucket))
+                    fn = bucket[i]
+                    bucket[i] = bucket[-1]
+                    bucket.pop()
                 else:
                     # -- the cycle is drained: retire its bucket ...
                     if bucket is not None:
@@ -484,8 +478,7 @@ class Simulator:
                     # and holds a live event (a dead one is dropped).
                     when = times[0]
                     if until is not None and when > until:
-                        entries = cal[when] if jitter is None else [e[2] for e in cal[when]]
-                        if any(e.__class__ is not timer_cls or e.fn is not None for e in entries):
+                        if any(e.__class__ is not timer_cls or e.fn is not None for e in cal[when]):
                             self.now = until
                             return until
                         heappop(times)
@@ -497,7 +490,7 @@ class Simulator:
                     self.now = now = when
                     mark = fired
                     if jitter is not None:
-                        continue  # the fuzzed branch above pops it
+                        continue  # the fuzzed branch above draws from it
                     cur = bucket
                     fn = bucket[0]
                     pos = 1
@@ -632,15 +625,12 @@ class Simulator:
                         break
                     # schedule(cycles, task), inlined.  Delay guarantees
                     # cycles >= 0, so the negative check is moot.
-                    if jitter is None:
-                        nxt = cal.get(when)
-                        if nxt is None:
-                            cal[when] = [task]
-                            _heappush(times, when)
-                        else:
-                            nxt.append(task)
+                    nxt = cal.get(when)
+                    if nxt is None:
+                        cal[when] = [task]
+                        _heappush(times, when)
                     else:
-                        self._push(when, task)
+                        nxt.append(task)
                     break
         finally:
             self.events += fired
@@ -648,8 +638,7 @@ class Simulator:
             if bucket is not None:
                 # An exception escaped mid-cycle: the unrun rest of the
                 # bucket stays queued for the next run().
-                if jitter is None:
-                    del bucket[:pos]
+                del bucket[:pos]
                 if bucket:
                     _heappush(times, now)
                 else:

@@ -170,10 +170,18 @@ def hook_source(tbl: ProtocolTable, event: str, refs, blocking, effects=None) ->
     return _factory(name, args if barrier else args + ", lead=0", reads, costs - {0}, body)
 
 
+#: hook texts by everything :func:`hook_source` reads — the table's name,
+#: the event, its node rows and entry cost, refs, blocking actions and
+#: effect texts — so a second engine or protocol instance writes none
+#: (a ``ProtocolTable`` is no key: its cost maps are unhashable proxies)
+_TEXTS: dict[tuple, str] = {}
+
+
 def table_hooks(tbl: ProtocolTable, target, code: CodeFile, effects=None) -> dict:
     """``{event: hook}`` for every hook event with node rows in ``tbl``,
-    compiled once per text in ``code`` and bound to ``target``: its
-    ``act_*``/``g_*`` are called, unless ``effects`` declares them."""
+    written once per process and compiled once per text in ``code``,
+    bound to ``target``: its ``act_*``/``g_*`` are called, unless
+    ``effects`` declares them."""
     effects = effects or {}
     hooks = {}
     for event in HOOK_EVENTS:
@@ -195,7 +203,12 @@ def table_hooks(tbl: ProtocolTable, target, code: CodeFile, effects=None) -> dic
                 blocks = isgeneratorfunction(fn)
             if blocks and attr.startswith("act_"):
                 blocking.append(attr[4:])
-        hooks[event] = code.factory(hook_source(tbl, event, refs, blocking, effects))(target)
+        key = (tbl.name, event, rows, tbl.entry_costs.get(event, 0), tuple(refs), tuple(blocking),
+               tuple((n, effects[n]) for n in refs if n in effects))
+        text = _TEXTS.get(key)
+        if text is None:
+            text = _TEXTS[key] = hook_source(tbl, event, refs, blocking, effects)
+        hooks[event] = code.factory(text)(target)
     return hooks
 
 

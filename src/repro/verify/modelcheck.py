@@ -972,10 +972,6 @@ def _set2(tup, i, j, value):
     return _set(tup, i, _set(tup[i], j, value))
 
 
-def _add(net, msg):
-    return tuple(sorted(net + (msg,)))
-
-
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------

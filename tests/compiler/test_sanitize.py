@@ -6,7 +6,7 @@ from repro.apps import acec_sources as K
 from repro.compiler.driver import OPT_BASE, OPT_DIRECT, OPT_LI, OPT_LI_MC, compile_source
 from repro.compiler.errors import AnnotationError
 from repro.protocols.registry import default_registry
-from repro.sanitize import Violation, check_or_raise, check_program, may_elide
+from repro.sanitize import Violation, check_or_raise, check_program
 
 ALL_OPTS = [OPT_BASE, OPT_LI, OPT_LI_MC, OPT_DIRECT]
 
@@ -120,8 +120,8 @@ def test_post_optimization_recheck_catches_a_pass_bug():
     for fn in prog.ir.funcs.values():
         for block in fn.blocks.values():
             for i, ins in enumerate(block.instrs):
-                if ins.op in ("end_read", "end_write") and not may_elide(
-                    ins.protocols, ins.op, registry
+                if ins.op in ("end_read", "end_write") and not registry.may_elide(
+                    ins.protocols, ins.op
                 ):
                     del block.instrs[i]
                     mutated = True

@@ -1,5 +1,6 @@
 """Unit tests for the simulated multicomputer and active messages."""
 
+import gc
 import re
 import sys
 from functools import partial
@@ -243,21 +244,43 @@ def test_routes_are_found_by_handler_and_count_by_category():
     assert [m.stats.get(k) for k in ("msg.t.b", "handler.on_req", "msg.total", "msg.words")] == [1, 1, 1, 3]
 
 
+class _NotingBucket(list):
+    """A calendar bucket that notes every entry put in it."""
+
+    def __init__(self, entries, noted):
+        super().__init__(entries)
+        noted.extend(entries)
+        self.noted = noted
+
+    def append(self, entry):
+        self.noted.append(entry)
+        super().append(entry)
+
+
+class _NotingCalendar(dict):
+    """A ``Simulator._cal`` whose buckets note every entry put in them,
+    by whichever scheduling site: each site appends to a bucket or
+    stores a new one."""
+
+    def __init__(self, noted):
+        super().__init__()
+        self.noted = noted
+
+    def __setitem__(self, when, bucket):
+        if type(bucket) is not _NotingBucket:
+            bucket = _NotingBucket(bucket, self.noted)
+        super().__setitem__(when, bucket)
+
+
 @pytest.mark.parametrize("ack_name", [None, "on_poll_ack"], ids=["reply_ack", "named_ack"])
 @pytest.mark.parametrize("wire", ["plain", "traced", "faulted"])
-def test_no_wire_puts_a_partial_on_the_calendar(wire, ack_name, monkeypatch):
+def test_no_wire_puts_a_partial_on_the_calendar(wire, ack_name):
     """A post, an rpc and a deferred fan-out ack put message entries
     ``(call, a, b, args)`` on the calendar, never a ``functools.partial``.
-    Fuzzed, so that every push goes through ``Simulator._push``."""
+    Fuzzed, so that no trampoline step bypasses the calendar."""
     pushed = []
-    push = Simulator._push
-
-    def spy(self, when, fn):
-        pushed.append(fn)
-        push(self, when, fn)
-
-    monkeypatch.setattr(Simulator, "_push", spy)
     sim = Simulator(jitter_seed=3)
+    sim._cal = _NotingCalendar(pushed)
     m = Machine(sim, MachineConfig(n_procs=3), tracer=TraceBuffer(256) if wire == "traced" else None)
     fabric = FaultTransport(m, FaultPlan()) if wire == "faulted" else as_transport(m)
     got = []
@@ -396,12 +419,14 @@ def test_untraced_arrival_is_the_handler_call():
         if event == "call" and frame.f_code.co_filename != kernel_module.__file__:
             entered.append(frame.f_code.co_name)
 
+    gc.disable()  # a collection here would enter the collector's callbacks
     sys.setprofile(profile)
     try:
         m.post(0, 1, on_post, 2)
         sim.run()
     finally:
         sys.setprofile(None)
+        gc.enable()
     assert entered == ["post", "_deliver", "on_post"]
 
 

@@ -388,6 +388,28 @@ def test_a_second_runtime_compiles_nothing(monkeypatch):
     assert len(protos) == 13
 
 
+def test_a_second_runtime_writes_no_hook_text(monkeypatch):
+    """Hook texts are written once per process: a second ``AceRuntime``
+    (its engine) and a second instance of every protocol call
+    ``hook_source`` 0 times; an empty text cache calls it again."""
+    from repro.spec import emit
+
+    def build():
+        runtime = AceRuntime(Machine(Simulator(), MachineConfig(n_procs=2)))
+        return [runtime._create_protocol(n, Space(sid=0)) for n in default_registry.names()]
+
+    written = []
+    real = emit.hook_source
+    monkeypatch.setattr(emit, "hook_source", lambda tbl, event, *a: written.append((tbl.name, event)) or real(tbl, event, *a))
+    build()
+    written.clear()
+    build()
+    assert written == []
+    monkeypatch.setattr(emit, "_TEXTS", {})
+    build()
+    assert ("SC", "start_read") in written and ("Migratory", "start_read") in written
+
+
 def test_generated_code_is_filed_under_its_layer_and_shows_its_row():
     hook = _built("Migratory").start_read
     assert "/repro/protocols/" in hook.__code__.co_filename

@@ -1,5 +1,6 @@
 """``SERVE_seed.json`` is ``serve --compare``'s output on the default
-flags: the same command must still reproduce it, and adaptive must win."""
+flags: the same command must still reproduce every key of it but the
+stamp, and adaptive must win."""
 
 import json
 from pathlib import Path
@@ -14,7 +15,10 @@ def test_serve_compare_reproduces_the_committed_artifact(tmp_path):
     assert cli.main(["serve", "--compare", "--out", str(out)]) == 0  # 0 = adaptive wins
     fresh, seed = json.loads(out.read_text()), json.loads(SEED.read_text())
     assert fresh["adaptive_wins"], fresh["best_static"]
-    for key in ("adaptive_cycles", "best_static", "workload", "n_procs", "n_dir_shards"):
+    # The fresh report adds its host and command; the seed keeps neither.
+    for key in seed.keys() - {"stamp", "entries"}:
         assert fresh[key] == seed[key], (key, fresh[key], seed[key])
-    cycles = {e["config"]: e["cycles"] for e in seed["entries"]}
-    assert {e["config"]: e["cycles"] for e in fresh["entries"]} == cycles
+    assert [e["config"] for e in fresh["entries"]] == [e["config"] for e in seed["entries"]]
+    for got, want in zip(fresh["entries"], seed["entries"]):
+        moved = sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
+        assert not moved, (want["config"], {k: (got.get(k), want.get(k)) for k in moved})

@@ -407,10 +407,9 @@ def _mixed_waiters(jitter_seed, wake):
         yield Delay(10)
         wake(sim, gate)
         sim.schedule(0, note("after"))
-        entries = sim._cal[sim.now]
-        if jitter_seed is not None:  # a fuzzed bucket is a heap of (tie, seq, fn)
-            entries = [e[2] for e in sorted(entries, key=lambda e: e[1])]
-        queued.extend(e.name if e.__class__ is Task else "fn" for e in entries[-4:])
+        # Fuzzed or not, the wake appended to the bucket: its tail is
+        # what the wake and the "after" schedule put there, in order.
+        queued.extend(e.name if e.__class__ is Task else "fn" for e in sim._cal[sim.now][-4:])
 
     sim.schedule(100, note("end"))  # keeps the bounded runs from running dry
     a = sim.spawn(waiter("a"), name="a")
@@ -450,12 +449,12 @@ def test_task_and_callback_waiters_wake_like_three_schedule_0_calls(jitter_seed)
     assert resolved == _mixed_waiters(jitter_seed, _three_schedule_0_calls("v"))
     failed = _mixed_waiters(jitter_seed, lambda sim, gate: gate.fail(KeyError("k")))
     assert failed == _mixed_waiters(jitter_seed, _three_schedule_0_calls(exc=KeyError("k")))
+    log, queued, _ = resolved
+    # The order lives in the bucket, fuzzed or not: three waiters, one "after".
+    assert queued == ["a", "fn", "b", "fn"]
     if jitter_seed is None:  # registration order, then schedule order
-        log, queued, _ = resolved
         assert [e[0] for e in log] == ["p", "q", "a", "cb", "b", "after", "end"]
         assert log[2] == ("a", 10, "v") and failed[0][4] == ("b", 10, ("k",))
-        # A canonical schedule draws no seq: the order lives in the bucket.
-        assert queued == ["a", "fn", "b", "fn"]  # three waiters, one "after"
 
 
 def test_retire_removes_only_its_own_task_from_mixed_waiters():
@@ -600,7 +599,8 @@ def test_live_timer_is_schedule_with_a_handle(jitter_seed):
         for tag in "abcd":
             (arm(sim) if tag == "c" else sim.schedule)(7, lambda tag=tag: log.append((tag, sim.now)))
         sim.run()
-        return log, sim._seq, sim.events
+        # The generator's state after the run: the same draws were made.
+        return log, sim.events, jitter_seed and sim._jitter.getstate()
 
     assert order(lambda sim: sim.timer) == order(lambda sim: sim.schedule)
     with pytest.raises(SimulationError):
@@ -610,15 +610,15 @@ def test_live_timer_is_schedule_with_a_handle(jitter_seed):
 # -- one calendar ------------------------------------------------------------
 
 
-def test_canonical_calendar_holds_bare_entries():
-    """A canonical schedule draws no seq and builds no ``(tie, seq, fn)``:
-    every bucket is a list of bare callables, Tasks, Timers or message
-    entries ``(call, a, b, args)``, keyed by its int cycle, and ``_times``
+def _calendar_shapes(jitter_seed):
+    """Run a post, a wake and a timer, asserting at each pause that every
+    bucket is a list of bare callables, Tasks, Timers or message entries
+    ``(call, a, b, args)``, keyed by its int cycle, and that ``_times``
     heaps exactly the cycles not being drained."""
     from repro.machine import Machine, MachineConfig
     from repro.sim.kernel import Timer
 
-    sim = Simulator()
+    sim = Simulator(jitter_seed=jitter_seed)
     machine = Machine(sim, MachineConfig(n_procs=2))
     gate = Future(name="gate")
     seen = []
@@ -637,12 +637,11 @@ def test_canonical_calendar_holds_bare_entries():
         yield gate
 
     def shape():
-        assert sim._seq == 0
         assert all(type(t) is int for t in sim._times)
         for cycle, bucket in sim._cal.items():
             assert type(cycle) is int and type(bucket) is list and bucket
             for e in bucket:
-                if type(e) is tuple:  # a message, never a fuzzed (tie, seq, fn)
+                if type(e) is tuple:  # a message
                     assert len(e) == 4 and callable(e[0]) and type(e[3]) is tuple
                 else:
                     assert e.__class__ in (Task, Timer) or callable(e)
@@ -659,6 +658,15 @@ def test_canonical_calendar_holds_bare_entries():
     assert shape() == ([], []) and sim.events == 9
 
 
+def test_canonical_calendar_holds_bare_entries():
+    _calendar_shapes(None)
+
+
+def test_fuzzed_calendar_holds_bare_entries():
+    """Fuzzing draws at the pop: its calendar is the canonical one."""
+    _calendar_shapes(3)
+
+
 def test_no_ring_or_tuple_heap_is_left_in_src():
     """One queue: the same-cycle ring, the (time, seq, fn) heap and the
     draining flag are gone from the kernel, and nothing reaches for them."""
@@ -670,3 +678,16 @@ def test_no_ring_or_tuple_heap_is_left_in_src():
     hits = [p.name for p in (src / "sim").rglob("*.py") if kernel_names.search(p.read_text())]
     hits += [str(p) for p in src.rglob("*.py") if on_a_sim.search(p.read_text())]
     assert hits == []
+
+
+def test_only_the_kernel_knows_fuzzing_exists():
+    """Nothing in ``src/repro`` but the kernel reads a simulator's
+    ``_jitter`` or calls its ``_push``: every other scheduling site is
+    the plain append, fuzzed or not.  (A ``self._push`` elsewhere is a
+    method of its own class.)"""
+    import re
+
+    src = Path(__file__).resolve().parents[2] / "src" / "repro"
+    reach = re.compile(r"\._jitter\b|(?<!self)\._push\b")
+    hits = [str(p.relative_to(src)) for p in src.rglob("*.py") if reach.search(p.read_text())]
+    assert hits == ["sim/kernel.py"]

@@ -1,9 +1,9 @@
 """Differential oracle for the event kernel.
 
 ``RefSim`` is the scheduler the kernel's fast paths claim to be
-indistinguishable from: one heap ordered by ``(time, seq)``, one pop
-per event, no per-cycle buckets, no trampoline, no in-loop task
-stepping.  Generated programs — delays (zero, pooled and
+indistinguishable from: one list of entries per cycle, in schedule
+order, the earliest cycle's taken one entry per pop — no trampoline,
+no in-loop task stepping, no calendar index.  Generated programs — delays (zero, pooled and
 beyond the pool), futures resolved or failed before and after the
 wait, mid-run spawns and joins, plain scheduled callables, message
 entries ``(call, a, b, args)`` pushed the way ``Machine._deliver``
@@ -11,10 +11,12 @@ pushes them, timers set and cancelled, ``retire`` of blocked / queued /
 finished tasks, a crashing task (and a second ``run()`` after it),
 deadlocks, and ``run(until=b)`` split at random bounds — run on both, and the real
 kernel must match on step order, ``now``, ``events`` and every task's
-result.  Under a ``jitter_seed`` the reference draws the same one
-tie-breaker per ``schedule``, so fuzzed schedules are held to it too.
-A cancelled timer is, to the reference, an entry taken back out of the
-heap: it drew its ``seq`` and is otherwise as if never scheduled.
+result.  A canonical pop takes the cycle's first entry.  Under a
+``jitter_seed`` each pop is one uniform draw among the cycle's pending
+entries, and the last entry fills the hole, so fuzzed schedules are
+held to it too.  A cancelled timer stays in its list: it counts in
+every draw, and when drawn it is dropped, neither run, counted nor
+moving the clock.
 """
 
 import heapq
@@ -45,34 +47,30 @@ class RefTask:
 
 
 class RefTimer:
-    def __init__(self, heap, entry):
-        self.heap, self.entry = heap, entry
+    def __init__(self, fn):
+        self.fn = fn
 
     def cancel(self):
-        if self.entry in self.heap:  # seq is unique, so == never reaches fn
-            self.heap.remove(self.entry)
-            heapq.heapify(self.heap)
+        self.fn = None
 
 
 class RefSim:
-    """Single-heap reference scheduler (see the module docstring)."""
+    """Per-cycle list reference scheduler (see the module docstring)."""
 
     def __init__(self, jitter_seed=None):
-        self.now = self.events = self._seq = 0
-        self._heap = []
+        self.now = self.events = 0
+        self._cal = {}  # cycle -> its pending entries, in schedule order
         self._live = []
         self._rnd = random.Random(jitter_seed) if jitter_seed is not None else None
         self._failure = None
 
     def schedule(self, delay, fn):
-        tie = self._rnd.random() if self._rnd is not None else 0
-        entry = (self.now + delay, tie, self._seq, fn)
-        heapq.heappush(self._heap, entry)
-        self._seq += 1
-        return entry
+        self._cal.setdefault(self.now + delay, []).append(fn)
 
     def timer(self, delay, fn):
-        return RefTimer(self._heap, self.schedule(delay, fn))
+        timer = RefTimer(fn)
+        self.schedule(delay, timer)
+        return timer
 
     def spawn(self, gen, name):
         task = RefTask(gen, name)
@@ -117,11 +115,30 @@ class RefSim:
                 )
 
     def run(self, until=None):
-        while self._heap:
-            if until is not None and self._heap[0][0] > until:
-                self.now = until
-                return until
-            self.now, _, _, fn = heapq.heappop(self._heap)
+        while self._cal:
+            when = min(self._cal)
+            pending = self._cal[when]
+            if not pending:
+                del self._cal[when]
+                continue
+            if until is not None and when > until:
+                if any(not isinstance(e, RefTimer) or e.fn is not None for e in pending):
+                    self.now = until
+                    return until
+                del self._cal[when]
+                continue
+            if self._rnd is None:
+                fn = pending.pop(0)
+            else:
+                i = self._rnd.randrange(len(pending))
+                fn = pending[i]
+                pending[i] = pending[-1]
+                pending.pop()
+            if isinstance(fn, RefTimer):
+                fn = fn.fn
+                if fn is None:
+                    continue
+            self.now = when
             self.events += 1
             fn()
         if self._failure is not None:
@@ -135,23 +152,20 @@ class RefSim:
 # ----------------------------------------------------------------- programs
 def push_message(sim, delay, entry):
     """Queue the message ``entry`` = ``(call, a, b, args)`` ``delay``
-    cycles from now: inline on a canonical calendar, through ``_push``
-    when fuzzed, exactly as ``Machine._deliver`` does.  To the reference
-    it is one scheduled call of ``call(a, b, *args)``."""
+    cycles from now, appended to its bucket exactly as
+    ``Machine._deliver`` does, fuzzed or not.  To the reference it is
+    one scheduled call of ``call(a, b, *args)``."""
     if isinstance(sim, RefSim):
         call, a, b, args = entry
         sim.schedule(delay, lambda: call(a, b, *args))
         return
     when = sim.now + delay
-    if sim._jitter is None:
-        bucket = sim._cal.get(when)
-        if bucket is None:
-            sim._cal[when] = [entry]
-            heapq.heappush(sim._times, when)
-        else:
-            bucket.append(entry)
+    bucket = sim._cal.get(when)
+    if bucket is None:
+        sim._cal[when] = [entry]
+        heapq.heappush(sim._times, when)
     else:
-        sim._push(when, entry)
+        bucket.append(entry)
 
 
 def interpret(sim, env, name, script):

@@ -192,8 +192,10 @@ def test_the_checker_runs_the_hook_text_its_protocol_compiles(name, monkeypatch)
         return text
 
     monkeypatch.setattr(emit, "hook_source", spy)
+    monkeypatch.setattr(emit, "_TEXTS", {})  # each side writes its texts afresh
     where = "checker"
     model_for(TABLES[name], Scope())
+    emit._TEXTS.clear()
     where = "runtime"
     AceRuntime(Machine(Simulator(), MachineConfig(n_procs=2)))._create_protocol(name, Space(sid=0))
     assert calls["checker"] == calls["runtime"]
