@@ -16,7 +16,18 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.harness.experiments import trace_run  # noqa: E402
-from repro.obs import message_mix, mix_delta, run_summary  # noqa: E402
+from repro.obs import run_summary  # noqa: E402
+
+
+def message_mix(buf):
+    """``{category: [count, words]}`` over the trace's ``msg.send`` events."""
+    mix = {}
+    for ev in buf.events():
+        if ev.kind == "msg.send":
+            slot = mix.setdefault(ev.data["category"], [0, 0])
+            slot[0] += 1
+            slot[1] += ev.data.get("words", 0)
+    return mix
 
 
 def main():
@@ -31,17 +42,18 @@ def main():
         st = runs["static"][2][field]
         print(f"  {field:22s} {sc:>16d} {st:>14d}")
 
-    sc_mix = message_mix(runs["SC"][1])
-    st_mix = message_mix(runs["static"][1])
+    sc_mix, st_mix = message_mix(runs["SC"][1]), message_mix(runs["static"][1])
     print("\nMessage mix by category (count, words):")
     for label, mix in (("SC", sc_mix), ("static", st_mix)):
         print(f"  {label}:")
-        for cat, slot in sorted(mix.items(), key=lambda kv: -kv[1]["count"]):
-            print(f"    {cat:32s} {slot['count']:>6d}  {slot['words']:>6d}")
+        for cat, (count, words) in sorted(mix.items(), key=lambda kv: -kv[1][0]):
+            print(f"    {cat:32s} {count:>6d}  {words:>6d}")
 
     print("\nDelta (SC minus static; positive = SC sends more):")
-    for cat, n in mix_delta(sc_mix, st_mix).items():
-        print(f"    {cat:32s} {n:>+6d}")
+    for cat in sorted(sc_mix.keys() | st_mix.keys()):
+        n = sc_mix.get(cat, [0])[0] - st_mix.get(cat, [0])[0]
+        if n:
+            print(f"    {cat:32s} {n:>+6d}")
 
     sc_cycles = runs["SC"][2]["cycles"]
     st_cycles = runs["static"][2]["cycles"]

@@ -1,7 +1,8 @@
 """The one front door to every check and experiment: ``python -m repro <command>``.
 
-One parser, one argument vocabulary, one artifact writer and one
-exit-code policy (:mod:`repro.cli.common`); each subcommand module
+One parser, one argument vocabulary, one report writer and one
+exit-code policy (:mod:`repro.cli.common`), one report shape and one
+comparator (:mod:`repro.cli.report`); each subcommand module
 contributes ``configure(parser)`` for its own flags and
 ``run(args, artifacts) -> exit code``.  README.md's "Command line"
 section is the user-facing table.

@@ -26,12 +26,12 @@ with results bit-identical to the baseline and the victim's task must
 retire with a ``Crashed`` marker; under ``on_crash="abort"`` the run
 must raise a prompt StallError naming the crashed node first in
 ``report.suspects``.  Every cell is re-run to prove determinism, and
-writes a per-run file recording the epoch transitions, re-homed region
-count, and recovery cycle cost.
+its record's ``recovery`` section holds the epoch transitions, re-homed
+region count, and recovery cycle cost.
 
-On any failure the offending fault plan (and stall report, if any) is
-written as a per-run file, so the run can be reproduced from artifacts
-alone.
+Every run is a record in the one report and every verdict a check.
+An armed run's record carries its fault plan, and a stalled run's its
+stall report, so a failure can be reproduced from the report alone.
 
 Results comparison is exact (numpy-aware) except where an app's return
 value is legitimately schedule-dependent: TSP's per-node ``jobs_done``
@@ -45,21 +45,17 @@ fault-induced deviation is ~1 ulp).
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from repro.cli.common import (
-    FAILED,
-    OK,
     PLANS,
     UsageError,
     add_shared,
     build_matrix,
-    cell_tag,
-    existing_file,
+    report_file,
     selected_apps,
 )
+from repro.cli.report import cell_tag, check, compare, run_record
 from repro.dsm import FaultPlan, StallError
 from repro.facade import run_spmd
 from repro.harness.experiments import run_app
@@ -95,66 +91,57 @@ def equal(a, b, approx: bool = False) -> bool:
     return bool(a == b)
 
 
-def save_repro(art, tag: str, plan: FaultPlan, stall=None) -> None:
-    """What reproduces a failed run: its fault plan and, if it stalled, the report."""
-    art.write(plan.to_dict(), f"{tag}-plan.json")
-    if stall is not None:
-        art.write(stall.to_dict(), f"{tag}-stall.json")
+def injected(faults: dict) -> int:
+    """How many faults a run's plan injected, by its record's counters."""
+    return faults["drop"] + faults["dup"] + faults["delay"]
 
 
-def verify_cells(cells: list[dict], art) -> int:
-    """Run each faulted cell against its fault-free twin; returns the failure count.
+def verify_cells(cells: list[dict], recorded_stalls: frozenset = frozenset()) -> tuple[list, list]:
+    """Run each faulted cell against its fault-free twin; returns the
+    runs (each twin before its first cell) and one check per cell.
 
-    A cell that also carries what a sweep measured (``cycles``,
-    ``stalled``) must reproduce that too.
+    A cell whose tag is in ``recorded_stalls`` (a sweep saw it stall)
+    passes if it stalls again.
     """
-    failures = 0
+    runs, checks = [], []
     baselines: dict = {}
     for cell in cells:
         app, variant, procs = cell["app"], cell["variant"], cell["procs"]
         if (app, variant, procs) not in baselines:
             base = run_app(app, variant, n_procs=procs)
             baselines[app, variant, procs] = canon(app, base.results), base.time
+            runs.append(run_record({**cell, "plan": None, "seed": None}, base))
             print(f"{app} [{variant}] on {procs} nodes, fault-free: {base.time} cycles")
         plan = PLANS[cell["plan"]](cell["seed"])
         tag = cell_tag(cell)
         try:
             res = run_app(app, variant, n_procs=procs, fault_plan=plan)
         except StallError as err:
-            if cell.get("stalled"):
-                print(f"  {tag}: stall reproduced (as recorded)")
-                continue
-            failures += 1
-            print(f"  {tag}: STALL — {err.report.reason}")
-            save_repro(art, tag, plan, err.report)
+            runs.append(run_record(cell, stall=err.report.to_dict(), fault_plan=plan.to_dict()))
+            ok = tag in recorded_stalls
+            checks.append(check(tag, ok, "stall reproduced (as recorded)" if ok else
+                                f"STALL — {err.report.reason}"))
+            print(f"  {tag}: {checks[-1]['detail']}")
             continue
-        problems = []
-        if cell.get("stalled"):
-            problems.append("a stall was recorded; replay completed")
+        runs.append(run_record(cell, res, fault_plan=plan.to_dict()))
+        faults = runs[-1]["faults"]
         base_results, base_time = baselines[app, variant, procs]
+        problems = []
         if not equal(base_results, canon(app, res.results), app in APPROX_APPS):
             problems.append("results differ from fault-free baseline")
-        if cell.get("cycles") not in (None, res.time):
-            problems.append(f"cycles {res.time} != recorded {cell['cycles']}")
-        stats = res.stats
-        idle = cell["plan"] == "none"
-        if idle and (res.time != base_time or stats.get("rel.retry")):
-            # Armed but idle costs zero simulated cycles (DESIGN.md §9).
-            problems.append(f"an idle plan must match the fault-free {base_time} cycles, no retries")
+        if cell["plan"] == "none":
+            if res.time != base_time or faults["retries"]:
+                # Armed but idle costs zero simulated cycles (DESIGN.md §9).
+                problems.append(f"an idle plan must match the fault-free {base_time} cycles, no retries")
+        elif not injected(faults):
+            problems.append("plan injected no faults")  # so it tested nothing
         detail = (
-            f"{res.time} cycles, {stats.get('fault.drop')} dropped, "
-            f"{stats.get('fault.dup')} duplicated, {stats.get('fault.delay')} delayed, "
-            f"{stats.get('rel.retry')} retries"
+            f"{res.time} cycles, {faults['drop']} dropped, {faults['dup']} duplicated, "
+            f"{faults['delay']} delayed, {faults['retries']} retries"
         )
-        if problems:
-            failures += 1
-            print(f"  {tag}: FAIL — {'; '.join(problems)} — {detail}")
-            save_repro(art, tag, plan)
-        else:
-            print(f"  {tag}: ok — {detail}")
-            if not idle and stats.get("fault.drop") + stats.get("fault.dup") == 0:
-                print(f"  {tag}: note — plan injected no faults")
-    return failures
+        checks.append(check(tag, not problems, "; ".join(problems + [detail])))
+        print(f"  {tag}: {'FAIL — ' + '; '.join(problems) if problems else 'ok'} — {detail}")
+    return runs, checks
 
 
 #: Protocols in the crash matrix: the default invalidation protocol,
@@ -168,19 +155,24 @@ def crash_cell(seed: int, procs: int) -> tuple[int, int]:
     return seed % procs, 800 + 700 * (seed % 5)
 
 
-def crash_matrix(seeds: list[int], procs: int, art) -> int:
-    """Crash-stop one node per cell; recover or abort, deterministically."""
+def crash_matrix(seeds: list[int], procs: int) -> tuple[list, list]:
+    """Crash-stop one node per cell; recover or abort, deterministically.
+    Returns the runs (each protocol's crash-free baseline, then its
+    recovered runs) and one check per cell."""
     from repro.dsm.recovery import DETECT_WITHIN, Crashed
     from repro.harness.recovery_workload import ring_program
 
-    failures = 0
+    runs, checks = [], []
     for proto in CRASH_PROTOCOLS:
+        cell = dict(suite="crash", app="ring", variant=proto, procs=procs)
         baseline = run_spmd(ring_program(proto), n_procs=procs)
+        runs.append(run_record(cell, baseline))
         print(f"{proto:>14} crash-free: {baseline.time} cycles")
         for seed in seeds:
             victim, at = crash_cell(seed, procs)
             plan = FaultPlan.crash(victim, at, seed=seed)
-            tag = f"crash-{proto}-seed{seed}"
+            crashed = {**cell, "plan": "crash", "seed": seed}
+            tag = cell_tag(crashed)
 
             # -- recover: survivors finish, bit-identical to baseline --
             problems = []
@@ -189,9 +181,9 @@ def crash_matrix(seeds: list[int], procs: int, art) -> int:
                     ring_program(proto), n_procs=procs, fault_plan=plan, on_crash="recover"
                 )
             except StallError as err:
-                failures += 1
-                print(f"{'':>14} seed {seed}: RECOVER STALLED — {err.report.reason}")
-                save_repro(art, tag, plan, err.report)
+                runs.append(run_record(crashed, stall=err.report.to_dict(), fault_plan=plan.to_dict()))
+                checks.append(check(tag, False, f"RECOVER STALLED — {err.report.reason}"))
+                print(f"{'':>14} seed {seed}: {checks[-1]['detail']}")
                 continue
             for nid in range(procs):
                 if nid == victim:
@@ -226,40 +218,28 @@ def crash_matrix(seeds: list[int], procs: int, art) -> int:
                 abort_detail = {"suspects": suspects, "reason": err.report.reason}
 
             rehomed = sum(e["rehomed_regions"] for e in summary["events"])
-            art.write(
-                {
-                    "protocol": proto,
-                    "seed": seed,
-                    "victim": victim,
-                    "crash_at": at,
-                    "detection_latency": latency,
-                    "baseline_cycles": baseline.time,
-                    "recover_cycles": res.time,
-                    "recovery_cycle_cost": res.time - baseline.time,
-                    "epoch_transitions": summary["epoch"],
-                    "rehomed_regions": rehomed,
-                    "abort": abort_detail,
-                    "recovery": summary,
-                    "plan": plan.to_dict(),
-                    "problems": problems,
-                },
-                f"{tag}.json",
-            )
-            if problems:
-                failures += 1
-                print(f"{'':>14} seed {seed}: FAIL — {'; '.join(problems)}")
-            else:
-                print(
-                    f"{'':>14} seed {seed}: ok — victim {victim} @ {at}, declared +{latency}, "
-                    f"{res.time} cycles "
-                    f"(+{res.time - baseline.time} over baseline), {rehomed} region(s) "
-                    f"re-homed, epoch {summary['epoch']}"
-                )
-    return failures
+            runs.append(run_record(crashed, res, fault_plan=plan.to_dict(), recovery={
+                "victim": victim,
+                "crash_at": at,
+                "detection_latency": latency,
+                "recovery_cycle_cost": res.time - baseline.time,
+                "epoch_transitions": summary["epoch"],
+                "rehomed_regions": rehomed,
+                "abort": abort_detail,
+                "summary": summary,
+            }))
+            checks.append(check(tag, not problems, "; ".join(problems) or (
+                f"victim {victim} @ {at}, declared +{latency}, {res.time} cycles "
+                f"(+{res.time - baseline.time} over baseline), {rehomed} region(s) "
+                f"re-homed, epoch {summary['epoch']}"
+            )))
+            print(f"{'':>14} seed {seed}: {'FAIL' if problems else 'ok'} — {checks[-1]['detail']}")
+    return runs, checks
 
 
-def stall_check(art) -> int:
-    """A permanently dead link must yield a StallReport, not a hang."""
+def stall_check() -> tuple[dict, dict]:
+    """A permanently dead link must yield a StallReport, not a hang:
+    returns the run's record and the check."""
     shared = {}
 
     def prog(ctx):
@@ -274,8 +254,10 @@ def stall_check(art) -> int:
         yield from ctx.barrier()
         return value
 
+    plan = FaultPlan.dead_link(1, 0)
+    cell = dict(suite="chaos", app="dead-link", variant="SC", procs=2, plan="dead_link")
     try:
-        run_spmd(prog, n_procs=2, fault_plan=FaultPlan.dead_link(1, 0))
+        res = run_spmd(prog, n_procs=2, fault_plan=plan)
     except StallError as err:
         report = err.report
         calls = [c for c in report.in_flight if c["region"] is not None]
@@ -284,19 +266,16 @@ def stall_check(art) -> int:
         problem = ("report names no region" if not calls
                    else f"suspects {report.suspects} omit the dead home 0" if 0 not in report.suspects
                    else None)
-        if problem:
-            print(f"stall-check: FAIL — {problem}")
-            art.write(report.to_dict(), "stall-check-report.json")
-            return 1
-        call = calls[0]
-        print(
-            f"stall-check: ok — StallReport names region {call['region']} "
-            f"at home {call['dst']} after {call['attempts']} attempts, "
-            f"suspects {report.suspects}"
+        detail = problem or (
+            f"StallReport names region {calls[0]['region']} at home {calls[0]['dst']} "
+            f"after {calls[0]['attempts']} attempts, suspects {report.suspects}"
         )
-        return 0
+        print(f"stall-check: {'FAIL' if problem else 'ok'} — {detail}")
+        record = run_record(cell, stall=report.to_dict(), fault_plan=plan.to_dict())
+        return record, check("stall-check", not problem, detail)
     print("stall-check: FAIL — dead link did not raise StallError")
-    return 1
+    return (run_record(cell, res, fault_plan=plan.to_dict()),
+            check("stall-check", False, "dead link did not raise StallError"))
 
 
 def configure(parser) -> None:
@@ -305,7 +284,7 @@ def configure(parser) -> None:
                              "none: armed but idle, must match the fault-free run cycle for cycle)")
     parser.add_argument("--no-stall-check", action="store_true",
                         help="skip the dead-link StallReport check")
-    parser.add_argument("--from-sweep", type=existing_file, default=None, metavar="SWEEP_JSON",
+    parser.add_argument("--from-sweep", type=report_file, default=None, metavar="SWEEP_JSON",
                         help="re-verify the faulted cells of a sweep report instead of "
                              "running the built-in matrix")
     parser.add_argument("--crash", action="store_true",
@@ -318,22 +297,26 @@ def configure(parser) -> None:
 def run(args, art) -> int:
     check_stall = not args.no_stall_check
     if args.crash:
-        failures = crash_matrix(args.seeds, args.procs, art)
+        runs, checks = crash_matrix(args.seeds, args.procs)
     elif args.from_sweep is not None:
-        cells = json.loads(args.from_sweep.read_text()).get("cells", [])
-        cells = [c for c in cells if c.get("plan", "none") != "none"]
-        if not cells:
-            raise UsageError(f"{args.from_sweep} has no faulted cell to verify")
-        failures = verify_cells(cells, art)
+        faulted = [r for r in args.from_sweep["runs"] if r["cell"]["plan"] not in (None, "none")]
+        if not faulted:
+            raise UsageError("the sweep report has no faulted cell to verify")
+        stalls = frozenset(cell_tag(r["cell"]) for r in faulted if r["stall"] is not None)
+        runs, checks = verify_cells([r["cell"] for r in faulted], stalls)
+        # the replay and the sweep see the same physics, or somebody's determinism is broken
+        replays = [r for r in runs if r["cell"]["plan"] is not None]
+        for c in compare({"runs": replays}, {"runs": faulted}):
+            checks.append(check(f"{c['name']} replayed", c["ok"], c["detail"]))
+            print(f"  vs the sweep: {c['detail']}")
         check_stall = False  # a replay adds no fault of its own
     else:
-        failures = verify_cells(
-            build_matrix(selected_apps(args), [args.procs], [args.plan], args.seeds), art
-        )
+        cells = build_matrix("chaos", selected_apps(args), [args.procs], [args.plan], args.seeds)
+        runs, checks = verify_cells(cells)
     if check_stall:
-        failures += stall_check(art)
-    if failures:
-        print(f"chaos: {failures} failure(s); artifacts in {art.dir}/")
-        return FAILED
-    print("chaos: all checks passed")
-    return OK
+        record, stalled = stall_check()
+        runs.append(record)
+        checks.append(stalled)
+    failures = sum(not c["ok"] for c in checks)
+    print(f"chaos: {failures} failure(s)" if failures else "chaos: all checks passed")
+    return art.finish(runs, checks)

@@ -1,6 +1,7 @@
 """What every ``python -m repro`` subcommand shares: the argument
-vocabulary, the experiment-cell matrix, the artifact writer and the
-exit codes.  Each exists once, here."""
+vocabulary, the experiment-cell matrix, the report writer and reader
+(the report's shape is :mod:`repro.cli.report`) and the exit codes.
+Each exists once, here."""
 
 from __future__ import annotations
 
@@ -8,9 +9,11 @@ import argparse
 import json
 import os
 import platform
+import sys
 import time
 from pathlib import Path
 
+from repro.cli.report import SCHEMA, validate
 from repro.dsm import FaultPlan
 from repro.harness.experiments import FIG7_WORKLOADS
 
@@ -25,9 +28,6 @@ PLANS = {
     "canonical": FaultPlan.canonical,
     "drop_retry": FaultPlan.drop_retry,
 }
-
-#: cell-record keys that identify a cell (the rest is measurement)
-CELL_KEYS = ("app", "variant", "procs", "plan", "seed")
 
 #: trace ring capacity in events — attribution is exact only if nothing is evicted
 TRACE_RING = 1 << 20
@@ -67,10 +67,12 @@ def positive_int(text: str) -> int:
     return n
 
 
-def existing_file(path: str) -> Path:
-    if not Path(path).is_file():
-        raise argparse.ArgumentTypeError(f"{path}: no such file")
-    return Path(path)
+def report_file(path: str) -> dict:
+    """An earlier report, validated; the argparse ``type=`` of a report argument."""
+    try:
+        return validate(json.loads(Path(path).read_text()))
+    except (OSError, ValueError) as err:
+        raise argparse.ArgumentTypeError(f"{path} is not a schema-{SCHEMA} report: {err}") from None
 
 
 #: flags that mean the same thing in every subcommand that takes them
@@ -86,10 +88,9 @@ SHARED = {
     "seeds": dict(type=seed_set, default=[0], metavar="SET",
                   help="fault-plan seeds: numbers and ranges, e.g. 0,2,5-7 (default 0)"),
     "out": dict(type=Path, default=None, metavar="PATH",
-                help="where artifacts go: PATH.json is the report and per-run files land "
-                     "beside it; any other PATH is a directory holding <command>.json and "
-                     "the per-run files (default <COMMAND>_<stamp>.json and "
-                     "<command>-artifacts/; serve, lint and profile write only when asked)"),
+                help="where the report goes: PATH.json, or <command>.json in the directory "
+                     "PATH (default <COMMAND>_<stamp>.json; serve, lint and profile write "
+                     "only when asked); trace's data files land beside it (default trace-artifacts/)"),
 }
 
 
@@ -119,20 +120,21 @@ def traced_pairs(args) -> list[tuple[str, str]]:
 
 
 # ---------------------------------------------------------------- cell matrix
-def build_matrix(apps: list[str], procs: list[int], plans: list[str], seeds: list[int]) -> list[dict]:
-    """The app × variant × nodes × plan × seed cross product, as plain
-    dicts (picklable, JSON-able).  A faulted plan runs every app under SC
-    and under its custom protocol (EM3D's is named static) plus EM3D's
-    dynamic step.  The idle ``none`` plan, which has no seed axis, keeps to
-    SC and EM3D's ladder until ROADMAP item 3(b): an armed port's notify
-    blocks on its ack, so TSP's and Water's custom cells cannot yet match
-    the fault-free clock."""
+def build_matrix(suite: str, apps: list[str], procs: list[int], plans: list[str],
+                 seeds: list[int]) -> list[dict]:
+    """The app × variant × nodes × plan × seed cross product, as cells
+    of ``suite`` (plain dicts: picklable, JSON-able).  A faulted plan
+    runs every app under SC and under its custom protocol (EM3D's is
+    named static) plus EM3D's dynamic step.  The idle ``none`` plan,
+    which has no seed axis, keeps to SC and EM3D's ladder until ROADMAP
+    item 3(b): an armed port's notify blocks on its ack, so TSP's and
+    Water's custom cells cannot yet match the fault-free clock."""
     pairs = [(app, "SC") for app in apps]
     if "EM3D" in apps:
         pairs += [("EM3D", "dynamic"), ("EM3D", "static")]
     pairs += [(app, "custom") for app in apps if app != "EM3D"]
     cells = [
-        dict(app=app, variant=variant, procs=n, plan=plan, seed=seed)
+        dict(suite=suite, app=app, variant=variant, procs=n, plan=plan, seed=seed)
         for app, variant in pairs
         for n in procs
         for plan in plans
@@ -144,11 +146,7 @@ def build_matrix(apps: list[str], procs: list[int], plans: list[str], seeds: lis
     return cells
 
 
-def cell_tag(cell: dict) -> str:
-    return "-".join(str(cell[k]) for k in CELL_KEYS)
-
-
-# ---------------------------------------------------------------- artifacts
+# ---------------------------------------------------------------- the report
 def host_fingerprint() -> dict:
     """Which interpreter and platform wrote this report.  Its numbers
     are deterministic (cycles, kernel events), so this block is for
@@ -163,25 +161,36 @@ def host_fingerprint() -> dict:
     }
 
 
+#: subcommands that write their report only when ``--out`` asks for it
+WRITE_WHEN_ASKED = ("serve", "lint", "profile")
+
+
 class Artifacts:
-    """Where one invocation's files go (``--out``), and the one place they are written."""
+    """Where one invocation's report goes (``--out``), and the one place it is written."""
 
     def __init__(self, command: str, out: Path | None):
         stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        self.header = {"stamp": stamp, "host": host_fingerprint(), "command": command}
-        self.requested = out is not None
+        self.header = {"schema": SCHEMA, "command": command, "stamp": stamp,
+                       "host": host_fingerprint()}
+        self.writes = out is not None or command not in WRITE_WHEN_ASKED
         if out is None:
             self.report = Path(f"{command.upper()}_{stamp.replace(':', '')}.json")
-            self.dir = Path(f"{command}-artifacts")
         elif out.suffix == ".json":
-            self.report, self.dir = out, out.parent
+            self.report = out
         else:
-            self.report, self.dir = out / f"{command}.json", out
+            self.report = out / f"{command}.json"
 
-    def write(self, payload: dict, name: str | None = None) -> Path:
-        """Write ``payload`` as the report (``name=None``) or as the per-run
-        file ``name``, under the stamp / host / command header."""
-        path = self.dir / name if name else self.report
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({**self.header, **payload}, indent=2, default=repr) + "\n")
-        return path
+    def write(self, runs: list[dict], checks: list[dict]) -> Path:
+        """Write the report of ``runs`` and ``checks`` under the header;
+        a document :func:`~repro.cli.report.validate` refuses is not written."""
+        doc = validate({**self.header, "runs": runs, "checks": checks})
+        self.report.parent.mkdir(parents=True, exist_ok=True)
+        self.report.write_text(json.dumps(doc, indent=2) + "\n")
+        return self.report
+
+    def finish(self, runs: list[dict], checks: list[dict]) -> int:
+        """Write the report, if this invocation writes one; returns the
+        exit code ``checks`` make."""
+        if self.writes:
+            print(f"wrote {self.write(runs, checks)}", file=sys.stderr)
+        return OK if all(c["ok"] for c in checks) else FAILED

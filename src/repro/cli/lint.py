@@ -25,12 +25,17 @@ Three batteries, each with a hard expectation; any deviation fails:
    cycles).
 
 ``--static-only`` runs batteries 1–2, ``--dynamic-only`` battery 3.
+Every expectation is a check in the report; each checked run is a
+record whose ``sanitize`` section holds what the checker found.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.apps import acec_sources as K
-from repro.cli.common import APPS, FAILED, OK, add_shared
+from repro.cli.common import APPS, add_shared
+from repro.cli.report import check, run_record
 from repro.compiler.driver import OPT_BASE, OPT_DIRECT, OPT_LI, OPT_LI_MC, compile_source
 from repro.compiler.errors import AnnotationError
 from repro.facade import run_spmd
@@ -100,47 +105,35 @@ void main() {
 EXPECT_CLEAN = {"BSC", "Barnes-Hut", "EM3D"}
 
 
-def lint_static() -> tuple[list[dict], int]:
-    rows, failures = [], 0
+def lint_static() -> list[dict]:
+    checks = []
     for kernel, source_f in sorted(KERNELS.items()):
         source = source_f()
         for opt in ALL_OPTS:
-            row = {"kernel": kernel, "opt": opt.name, "ok": True, "error": None}
+            error = ""
             try:
                 compile_source(source, opt=opt, sanitize=True)
             except AnnotationError as exc:
-                row["ok"] = False
-                row["error"] = str(exc)
-                failures += 1
-            rows.append(row)
-            status = "clean" if row["ok"] else "VIOLATIONS"
-            print(f"  static {kernel:6s} @ {opt.name:8s} {status}")
-            if row["error"]:
-                print("    " + row["error"].replace("\n", "\n    "))
-    return rows, failures
+                error = str(exc)
+            checks.append(check(f"static {kernel} @ {opt.name}", not error, error or "clean"))
+            print(f"  static {kernel:6s} @ {opt.name:8s} {'VIOLATIONS' if error else 'clean'}")
+            if error:
+                print("    " + error.replace("\n", "\n    "))
+    return checks
 
 
-def lint_fixtures() -> tuple[list[dict], int]:
-    rows, failures = [], 0
+def lint_fixtures() -> list[dict]:
+    checks = []
     for name, (source, rule) in sorted(SEEDED_FIXTURES.items()):
-        row = {"fixture": name, "rule": rule, "ok": False, "diagnostic": None}
         try:
             compile_source(source, sanitize=True)
-            print(f"  fixture {name}: NOT FLAGGED (sanitizer miss)")
-            failures += 1
+            msg, ok = "NOT FLAGGED (sanitizer miss)", False
         except AnnotationError as exc:
-            msg = str(exc)
-            row["diagnostic"] = msg
             # precise: names the rule, the function, and a source line
-            row["ok"] = f"[{rule}]" in msg and "main:" in msg
-            if row["ok"]:
-                first = msg.splitlines()[1].strip()
-                print(f"  fixture {name}: flagged -> {first}")
-            else:
-                print(f"  fixture {name}: flagged but imprecise: {msg}")
-                failures += 1
-        rows.append(row)
-    return rows, failures
+            msg, ok = str(exc), f"[{rule}]" in str(exc) and "main:" in str(exc)
+        checks.append(check(f"fixture {name} flagged [{rule}]", ok, msg))
+        print(f"  fixture {name}: " + (f"flagged -> {msg.splitlines()[1].strip()}" if ok else msg))
+    return checks
 
 
 def _seeded_race_program(state):
@@ -159,41 +152,35 @@ def _seeded_race_program(state):
     return program
 
 
-def _dynamic_row(app: str, expect_clean: bool, base, checked) -> dict:
-    ck = checked.checker
-    return {
-        "app": app,
-        "expect": "clean" if expect_clean else "races-reported",
-        "clean": ck.clean,
-        "races": len(ck.races),
-        "violations": len(ck.violations),
-        "accesses": ck.accesses_checked,
-        "cycles_identical": checked.time == base.time,
-        "ok": checked.time == base.time and ck.clean == expect_clean,
-        "report": [str(r) for r in ck.report()],
-    }
-
-
-def lint_dynamic(n_procs: int) -> tuple[list[dict], int]:
-    rows = []
-    for app in sorted(APPS):
-        row = _dynamic_row(app, app in EXPECT_CLEAN, run_app(app, n_procs=n_procs),
-                           run_app(app, n_procs=n_procs, check=True))
-        rows.append(row)
-        print(
-            f"  dynamic {app:10s} expect={row['expect']:15s} "
-            f"races={row['races']:2d} cycles_ok={row['cycles_identical']} "
-            f"-> {'ok' if row['ok'] else 'FAIL'}"
-        )
-
-    # the seeded race must be caught, at identical cycle count
-    checked = run_spmd(_seeded_race_program({}), n_procs=2, check=True)
-    row = _dynamic_row("seeded-ww-race", False, run_spmd(_seeded_race_program({}), n_procs=2), checked)
-    caught = any(r.kind == "ww" for r in checked.checker.races)
-    row["ok"] = row["ok"] and caught
-    rows.append(row)
-    print(f"  dynamic seeded-ww-race caught={caught} -> {'ok' if row['ok'] else 'FAIL'}")
-    return rows, sum(not r["ok"] for r in rows)
+def lint_dynamic(n_procs: int) -> tuple[list[dict], list[dict]]:
+    """Each app, then the seeded race on 2 nodes, run unchecked and checked:
+    the checked run's record, and the check that it met its expectation
+    at the unchecked run's cycles (the seeded race must be caught as one)."""
+    cases = [(app, app in EXPECT_CLEAN, n_procs, partial(run_app, app, n_procs=n_procs))
+             for app in sorted(APPS)]
+    cases.append(("seeded-ww-race", False, 2,
+                  lambda **kw: run_spmd(_seeded_race_program({}), n_procs=2, **kw)))
+    runs, checks = [], []
+    for name, expect_clean, procs, run_ in cases:
+        base, checked = run_(), run_(check=True)
+        ck = checked.checker
+        ok = checked.time == base.time and ck.clean == expect_clean
+        if name == "seeded-ww-race":
+            ok = ok and any(r.kind == "ww" for r in ck.races)
+        expect = "clean" if expect_clean else "races-reported"
+        runs.append(run_record(dict(suite="lint", app=name, variant="SC", procs=procs), checked,
+                               sanitize={
+                                   "expect": expect,
+                                   "clean": ck.clean,
+                                   "races": len(ck.races),
+                                   "violations": len(ck.violations),
+                                   "accesses": ck.accesses_checked,
+                                   "report": [str(r) for r in ck.report()],
+                               }))
+        detail = f"expect {expect}: {len(ck.races)} races, {checked.time} cycles (unchecked {base.time})"
+        checks.append(check(f"dynamic {name}", ok, detail))
+        print(f"  dynamic {name:14s} {detail} -> {'ok' if ok else 'FAIL'}")
+    return runs, checks
 
 
 def configure(parser) -> None:
@@ -204,22 +191,16 @@ def configure(parser) -> None:
 
 
 def run(args, art) -> int:
-    report: dict = {}
-    failures = 0
+    runs, checks = [], []
     if not args.dynamic_only:
         print("static lint: kernels x optimization levels")
-        report["static"], f = lint_static()
-        failures += f
+        checks += lint_static()
         print("static lint: seeded misannotation fixtures")
-        report["fixtures"], f = lint_fixtures()
-        failures += f
+        checks += lint_fixtures()
     if not args.static_only:
         print(f"dynamic check: SPMD apps on {args.procs} nodes")
-        report["dynamic"], f = lint_dynamic(args.procs)
-        failures += f
-
-    report["failures"] = failures
-    if art.requested:
-        print(f"report written to {art.write(report)}")
+        runs, dynamic = lint_dynamic(args.procs)
+        checks += dynamic
+    failures = sum(not c["ok"] for c in checks)
     print("lint:", "PASS" if failures == 0 else f"FAIL ({failures} problem(s))")
-    return OK if failures == 0 else FAILED
+    return art.finish(runs, checks)

@@ -18,15 +18,17 @@ workload with observability on and prints
 * the **windowed metrics** digest (message mix, stall fraction) fed by
   a :class:`repro.obs.MetricsWindow` attached to the trace ring.
 
-With ``--out`` it also writes one ``<app>-<variant>.profile.json`` per
-run for CI to archive and diff.
+With ``--out`` it writes the report: one run record per pair whose
+``attribution``, ``critical_path`` and ``metrics`` sections hold the
+same numbers, and ``--check``'s verdicts.
 """
 
 from __future__ import annotations
 
 import sys
 
-from repro.cli.common import FAILED, OK, TRACE_RING, add_shared, traced_pairs
+from repro.cli.common import TRACE_RING, add_shared, traced_pairs
+from repro.cli.report import check, run_record
 from repro.harness.experiments import format_table, trace_run
 from repro.obs import MetricsWindow, attribute, critical_path
 
@@ -75,19 +77,18 @@ def print_critpath(cp, res) -> None:
               f"speedup <= {sp if sp is not None else 'inf'}")
 
 
-def check_run(tag, res, attr, cp) -> list[str]:
-    """``--check``: what this run got wrong, in words (empty = nothing)."""
-    failures = []
-    if attr.exact and not attr.reconciles():
-        failures.append(
-            f"{tag}: attribution does not reconcile "
-            f"({sum(attr.buckets.values())} != {attr.total})"
-        )
-    if cp.length > res.time:
-        failures.append(f"{tag}: critical path {cp.length} exceeds makespan {res.time}")
-    if attr.exact and cp.orphaned_edges:
-        failures.append(f"{tag}: {cp.orphaned_edges} orphaned edges with no ring evictions")
-    return failures
+def check_run(tag, res, attr, cp) -> list[dict]:
+    """``--check``: the run's attribution reconciles, and its critical
+    path fits the makespan and, with nothing evicted, has no orphan."""
+    total = sum(attr.buckets.values())
+    return [
+        check(f"{tag} attribution reconciles", not attr.exact or attr.reconciles(),
+              f"{total} of {attr.total} cycles attributed"),
+        check(f"{tag} critical path within makespan", cp.length <= res.time,
+              f"{cp.length} of {res.time} cycles"),
+        check(f"{tag} no orphaned edge", not attr.exact or not cp.orphaned_edges,
+              f"{cp.orphaned_edges} orphaned edges, {attr.dropped} events dropped"),
+    ]
 
 
 def configure(parser) -> None:
@@ -99,7 +100,7 @@ def configure(parser) -> None:
 
 
 def run(args, art) -> int:
-    failures: list[str] = []
+    runs, checks = [], []
     for app, variant in traced_pairs(args):
         metrics = MetricsWindow(width=WINDOW)
         res, buf = trace_run(app, variant, n_procs=args.procs, capacity=TRACE_RING, metrics=metrics)
@@ -111,30 +112,16 @@ def run(args, art) -> int:
         print(f"  metrics: {ms['windows']} windows x {ms['width']} cyc, "
               f"{ms['msgs']} msgs, stall fraction {ms.get('stall_fraction', 0)}\n")
         if args.check:
-            failures += check_run(f"{app}/{variant}", res, attr, cp)
-        if art.requested:
-            path = art.write(
-                {
-                    "app": app,
-                    "variant": variant,
-                    "backend": "ace",
-                    "procs": args.procs,
-                    "cycles": res.time,
-                    "events": len(buf),
-                    "dropped": buf.dropped,
-                    "attribution": attr.to_dict(),
-                    "critical_path": cp.to_dict(top_k=TOP_K),
-                    "metrics": ms,
-                },
-                f"{app.lower()}-{variant.lower()}.profile.json",
-            )
-            print(f"wrote {path}", file=sys.stderr)
-
-    if failures:
+            checks += check_run(f"{app}/{variant}", res, attr, cp)
+        runs.append(run_record(
+            dict(suite="profile", app=app, variant=variant, procs=args.procs), res,
+            attribution=attr.to_dict(), critical_path=cp.to_dict(top_k=TOP_K), metrics=ms,
+        ))
+    failed = [c for c in checks if not c["ok"]]
+    if failed:
         print("CHECK FAILED:", file=sys.stderr)
-        for line in failures:
-            print(f"  {line}", file=sys.stderr)
-        return FAILED
-    if args.check:
+        for c in failed:
+            print(f"  {c['name']}: {c['detail']}", file=sys.stderr)
+    elif args.check:
         print("all profiling checks passed", file=sys.stderr)
-    return OK
+    return art.finish(runs, checks)

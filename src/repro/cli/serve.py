@@ -4,7 +4,8 @@ Runs :mod:`repro.serve` (DESIGN.md §16) on the seeded workload whose
 read fraction drops from 0.95 to 0.1 mid-stream, and prints a report:
 simulated cycles, requests per kilocycle, bucketed completion-latency
 percentiles, per-shard read/write mix, and — in adaptive mode — the
-controller's full decision audit.
+controller's full decision audit.  Each run's record carries that
+report as its ``serve`` section.
 
 ``--compare`` is the adaptive-vs-static experiment: every
 serving-candidate protocol as a uniform static config plus the
@@ -20,7 +21,8 @@ from __future__ import annotations
 import json
 import sys
 
-from repro.cli.common import FAILED, OK, add_shared, positive_int
+from repro.cli.common import add_shared, positive_int
+from repro.cli.report import check, run_record
 from repro.protocols import default_registry
 from repro.serve import AdaptiveController, ServeWorkload, run_serve
 
@@ -45,40 +47,55 @@ def run_config(workload: ServeWorkload, config: str, n_procs: int):
     return run_serve(workload, protocol=config, n_procs=n_procs, n_dir_shards=DIR_SHARDS)
 
 
-def run_compare(workload: ServeWorkload, n_procs: int) -> dict:
-    """Every static candidate plus adaptive on the same workload."""
-    entries = []
-    for name in default_registry.serving_candidates():
-        print(f"static {name} ...", file=sys.stderr)
-        entries.append({"config": f"static:{name}", **run_config(workload, name, n_procs)[1]})
-    print("adaptive ...", file=sys.stderr)
-    adaptive = {"config": "adaptive", **run_config(workload, "adaptive", n_procs)[1]}
-    best_static = min(entries, key=lambda e: e["cycles"])
-    return {
-        "workload": workload.to_dict(),
-        "n_procs": n_procs,
-        "n_dir_shards": DIR_SHARDS,
-        "entries": sorted(entries + [adaptive], key=lambda e: e["cycles"]),
-        "adaptive_cycles": adaptive["cycles"],
-        "best_static": {"config": best_static["config"], "cycles": best_static["cycles"]},
-        "adaptive_wins": adaptive["cycles"] < best_static["cycles"],
-        "adaptive_advantage": round(1 - adaptive["cycles"] / best_static["cycles"], 4),
-    }
+def serve_record(workload: ServeWorkload, config: str, n_procs: int) -> dict:
+    """The record of one :func:`run_config` run, in the cell bench's serve
+    suite gives it; its ``serve`` section is run_serve's report."""
+    res, report = run_config(workload, config, n_procs)
+    for key in ("protocols_initial", "protocols_final", "shard_mix"):  # keyed by shard number
+        report[key] = {str(shard): v for shard, v in report[key].items()}
+    return run_record(dict(suite="serve", app="serve", variant=config, procs=n_procs), res,
+                      serve=report)
 
 
-def print_compare(result: dict) -> None:
+def label(config: str) -> str:
+    """How the comparison names a config: ``adaptive`` or ``static:<protocol>``."""
+    return config if config == "adaptive" else f"static:{config}"
+
+
+def run_compare(workload: ServeWorkload, n_procs: int) -> list[dict]:
+    """Every static candidate plus adaptive on the same workload, fastest first."""
+    runs = []
+    for name in [*default_registry.serving_candidates(), "adaptive"]:
+        print(f"{name} ...", file=sys.stderr)
+        runs.append(serve_record(workload, name, n_procs))
+    return sorted(runs, key=lambda r: r["cycles"])
+
+
+def advantage(runs: list[dict]) -> tuple[dict, dict, float]:
+    """The adaptive run, the fastest static run, and the fraction of the
+    latter's cycles that adaptive saved."""
+    adaptive = next(r for r in runs if r["cell"]["variant"] == "adaptive")
+    best = min((r for r in runs if r is not adaptive), key=lambda r: r["cycles"])
+    return adaptive, best, round(1 - adaptive["cycles"] / best["cycles"], 4)
+
+
+def print_compare(runs: list[dict]) -> dict:
+    """Print the ranking; returns the check that adaptive beat every static config."""
     print(f"{'config':24s} {'cycles':>10s} {'msgs':>8s} {'p99 lat':>10s} {'switches':>8s}")
-    for e in result["entries"]:
+    for r in runs:
+        config, s = r["cell"]["variant"], r["serve"]
         print(
-            f"{e['config']:24s} {e['cycles']:10d} {e['msgs']:8d} "
-            f"{e['latency']['p99']:10d} {e['switches'] if e['config'] == 'adaptive' else '-':>8}"
+            f"{label(config):24s} {r['cycles']:10d} {s['msgs']:8d} "
+            f"{s['latency']['p99']:10d} {s['switches'] if config == 'adaptive' else '-':>8}"
         )
-    adv = result["adaptive_advantage"] * 100
-    verdict = "BEATS" if result["adaptive_wins"] else "DOES NOT BEAT"
-    print(
-        f"adaptive {verdict} best static ({result['best_static']['config']}): "
-        f"{result['adaptive_cycles']} vs {result['best_static']['cycles']} cycles ({adv:+.1f}%)"
+    adaptive, best, adv = advantage(runs)
+    wins = adaptive["cycles"] < best["cycles"]
+    line = (
+        f"adaptive {'BEATS' if wins else 'DOES NOT BEAT'} best static ({label(best['cell']['variant'])}): "
+        f"{adaptive['cycles']} vs {best['cycles']} cycles ({adv * 100:+.1f}%)"
     )
+    print(line)
+    return check("adaptive beats every static config", wins, line)
 
 
 def configure(parser) -> None:
@@ -95,16 +112,14 @@ def configure(parser) -> None:
 
 def run(args, art) -> int:
     workload = shift_workload(args.requests)
-    status = OK
     if args.compare:
-        result = run_compare(workload, args.procs)
-        print_compare(result)
-        status = OK if result["adaptive_wins"] else FAILED
+        runs = run_compare(workload, args.procs)
+        checks = [print_compare(runs)]
     else:
-        result = run_config(workload, "adaptive" if args.adaptive else args.protocol, args.procs)[1]
+        runs = [serve_record(workload, "adaptive" if args.adaptive else args.protocol, args.procs)]
+        checks = []
+        result = runs[0]["serve"]
         print(json.dumps({k: v for k, v in result.items() if k != "decisions"}, indent=2))
         if args.adaptive:
             print(f"switches: {result['switches']}  final: {result['protocols_final']}")
-    if art.requested:
-        print(f"wrote {art.write(result)}", file=sys.stderr)
-    return status
+    return art.finish(runs, checks)

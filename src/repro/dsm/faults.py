@@ -49,7 +49,6 @@ Modeling notes
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -166,7 +165,7 @@ class FaultPlan:
         """
         return cls(seed=seed, default=faults or LinkFaults(), crashes={node: at})
 
-    # -- serialization (chaos artifacts) --------------------------------
+    # -- serialization (run reports) ------------------------------------
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
@@ -178,9 +177,6 @@ class FaultPlan:
             "link_down": {f"{s}->{d}": c for (s, d), c in self.link_down.items()},
             "one_shots": [asdict(s) for s in self.one_shots],
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def describe(self) -> str:
         d = self.default
@@ -224,8 +220,8 @@ class StallReport:
     """Structured picture of a stalled run (what a hang looks like inside).
 
     ``blocked_tasks`` holds the kernel's :class:`~repro.sim.kernel.Task`
-    objects; ``tasks``/``in_flight``/``directory`` are plain dicts safe
-    to JSON-serialize into CI artifacts.
+    objects; ``tasks``/``in_flight``/``directory`` are plain dicts, so
+    :meth:`to_dict` is plain JSON for a run report.
     """
 
     now: int
@@ -275,9 +271,6 @@ class StallReport:
             "in_flight": self.in_flight,
             "directory": self.directory,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True, default=repr)
 
 
 class StallError(DeadlockError):
@@ -357,7 +350,7 @@ class LivenessWatchdog:
             "src": pend.src,
             "dst": pend.dst,
             "region": region,
-            "args": tuple(_short(a) for a in args),
+            "args": [_short(a) for a in args],
             "attempts": pend.attempts,
             "age": self._sim.now - pend.born,
             "deadline": pend.deadline,  # cycle the next retry is due (None: not sent yet)
@@ -383,8 +376,9 @@ class LivenessWatchdog:
 
 
 def _short(value):
-    """Artifact-friendly rendering of one message argument."""
-    if value is None or isinstance(value, (int, float, str, bool)):
+    """Plain-JSON rendering of one message argument (a subclass of a
+    scalar, such as a numpy float, is rendered by its ``repr``)."""
+    if value is None or type(value) in (int, float, str, bool):
         return value
     shape = getattr(value, "shape", None)
     if shape is not None:

@@ -13,8 +13,6 @@ from repro.obs.attrib import Attribution, AttributionError, attribute
 from repro.obs.critpath import WHAT_IF_PRESETS, CriticalPath, critical_path
 from repro.obs.export import (
     cluster_hists,
-    message_mix,
-    mix_delta,
     orphaned_edges,
     per_node_messages,
     run_summary,
@@ -38,8 +36,6 @@ __all__ = [
     "attribute",
     "cluster_hists",
     "critical_path",
-    "message_mix",
-    "mix_delta",
     "orphaned_edges",
     "per_node_messages",
     "run_summary",

@@ -9,16 +9,14 @@ Three consumers, three formats:
   arrows for the causal send→receive edges, complete slices for RPC
   round trips, and B/E slices for application phases.  Simulated
   cycles map 1:1 to the viewer's microseconds;
-* :func:`message_mix` / :func:`run_summary` — the per-(app, protocol)
-  breakdown ``repro trace`` prints: message counts and words by
-  category, stall cycles spent blocked on RPC round trips, and
-  latency-histogram digests.
+* :func:`run_summary` — the per-(app, protocol) breakdown ``repro
+  trace`` prints: message counts by category, stall cycles spent
+  blocked on RPC round trips, and latency-histogram digests.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from pathlib import Path
 
 from repro.obs.trace import Histogram, TraceBuffer, TraceEvent
@@ -157,27 +155,6 @@ def to_perfetto(buf: TraceBuffer, path) -> int:
 
 
 # ---------------------------------------------------------------- summaries
-def message_mix(buf: TraceBuffer) -> dict:
-    """Per-category message counts/words from the surviving trace events.
-
-    Returns ``{category: {"count": n, "words": w}}``.  Prefer the
-    machine's counters for exact totals on long runs (the ring may have
-    dropped early events); this view exists for trace-only analysis
-    and for diffing two traces.
-    """
-    mix: dict[str, dict] = {}
-    for ev in buf.events():
-        if ev.kind != "msg.send" or not isinstance(ev.data, dict):
-            continue
-        cat = ev.data.get("category", "?")
-        slot = mix.get(cat)
-        if slot is None:
-            slot = mix[cat] = {"count": 0, "words": 0}
-        slot["count"] += 1
-        slot["words"] += ev.data.get("words", 0)
-    return mix
-
-
 def cluster_hists(buf: TraceBuffer) -> dict:
     """Buffer histograms with per-node RPC hists folded cluster-wide.
 
@@ -262,7 +239,7 @@ def run_summary(result, buf: TraceBuffer) -> dict:
         "mix": dict(sorted(msg.items(), key=lambda kv: -kv[1])),
         "stall_cycles": stalls,
         "stall_total": sum(stalls.values()),
-        "per_node": per_node_messages(stats),
+        "per_node": {str(nid): slot for nid, slot in per_node_messages(stats).items()},
         "hists": {name: h.summary() for name, h in sorted(cluster_hists(buf).items()) if h.count},
         "events": len(buf),
         "dropped": buf.dropped,
@@ -273,12 +250,3 @@ def run_summary(result, buf: TraceBuffer) -> dict:
         out["metrics"] = buf.metrics.summary(result.time, result.machine.n_procs)
     return out
 
-
-def mix_delta(a: dict, b: dict) -> dict:
-    """Per-category count difference between two :func:`message_mix` views."""
-    delta: Counter = Counter()
-    for cat, slot in a.items():
-        delta[cat] += slot["count"]
-    for cat, slot in b.items():
-        delta[cat] -= slot["count"]
-    return {cat: n for cat, n in sorted(delta.items()) if n}

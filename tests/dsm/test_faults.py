@@ -105,7 +105,7 @@ def test_plan_json_round_trips_link_keys():
     plan.per_link[(2, 0)] = LinkFaults(drop=0.5)
     plan.link_down[(1, 0)] = 100
     plan.one_shots.append(OneShot("delay", category="ace.sc.read_req", nth=2))
-    blob = json.loads(plan.to_json())
+    blob = json.loads(json.dumps(plan.to_dict()))
     assert blob["seed"] == 3
     assert "2->0" in blob["per_link"]
     assert "1->0" in blob["link_down"]
@@ -328,7 +328,7 @@ def test_dead_link_raises_stall_report():
     # request can leave every home entry idle, so just check the shape.
     assert isinstance(report.directory, list)
     # The report serializes: CI uploads it as an artifact.
-    blob = json.loads(report.to_json())
+    blob = json.loads(json.dumps(report.to_dict()))
     assert blob["reason"] == report.reason
     # And the human summary names the stuck home.
     assert "home" in report.summary()
@@ -378,7 +378,7 @@ def test_owned_stall_reports_its_forwarding_entry():
     )
     assert ent["pending"] == {"kind": "fwd", "src": 2, "remote": False}
     assert f"directory[proto.Owned]: region {rid} home 0" in report.summary()
-    assert json.loads(report.to_json())["directory"][0]["pending"]["src"] == 2
+    assert json.loads(json.dumps(report.to_dict()))["directory"][0]["pending"]["src"] == 2
 
 
 def test_crashed_node_stalls_survivors_with_report():

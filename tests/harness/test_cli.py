@@ -200,19 +200,23 @@ def test_seed_sets_parse_or_refuse():
 
 
 def test_out_names_the_report_or_the_directory_and_every_json_is_stamped(tmp_path):
-    # PATH.json: the report itself, per-run files beside it
+    # PATH.json: the report itself, trace's data files beside it
     assert _run("trace --apps TSP --variants SC --procs 2 --out OUT/a/summaries.json", tmp_path) == 0
-    # any other PATH: a directory holding <command>.json and the per-run files
+    # any other PATH: a directory holding <command>.json and the data files
     assert _run("trace --apps TSP --variants SC --procs 2 --out OUT/b", tmp_path) == 0
     for report in (tmp_path / "a" / "summaries.json", tmp_path / "b" / "trace.json"):
         doc = json.loads(report.read_text())
-        assert doc["command"] == "trace" and doc["stamp"] and doc["host"]["cpus"]
-        assert list(doc["runs"]) == ["TSP/SC"]
+        assert doc["schema"] == 1 and doc["command"] == "trace" and doc["stamp"] and doc["host"]["cpus"]
+        assert [(r["cell"]["app"], r["cell"]["variant"]) for r in doc["runs"]] == [("TSP", "SC")]
         assert (report.parent / "tsp-sc.trace.jsonl").exists()
         assert (report.parent / "tsp-sc.perfetto.json").exists()
     assert _run("chaos --crash --procs 3 --seeds 0 --no-stall-check --out OUT/r", tmp_path) == 0
-    cell = json.loads((tmp_path / "r" / "crash-SC-seed0.json").read_text())
-    assert cell["command"] == "chaos" and cell["host"] and cell["problems"] == []
+    doc = json.loads((tmp_path / "r" / "chaos.json").read_text())
+    assert doc["command"] == "chaos" and doc["host"]
+    crashed = next(r for r in doc["runs"] if r["cell"]["variant"] == "SC" and r["cell"]["plan"] == "crash")
+    assert crashed["cell"]["seed"] == 0 and crashed["recovery"]["epoch_transitions"] == 1
+    assert crashed["fault_plan"]["crashes"] and crashed["stall"] is None
+    assert [c["ok"] for c in doc["checks"] if c["name"] == "ring-SC-3-crash-0"] == [True]
 
 
 def test_the_shared_plumbing_exists_once():

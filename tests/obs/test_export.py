@@ -7,8 +7,6 @@ import pytest
 from repro.harness.experiments import trace_run
 from repro.obs import (
     TraceBuffer,
-    message_mix,
-    mix_delta,
     per_node_messages,
     run_summary,
     to_jsonl,
@@ -99,18 +97,17 @@ def test_perfetto_document_shape(tsp_run, tmp_path):
 
 def test_message_mix_agrees_with_counters(tsp_run):
     res, buf = tsp_run
-    mix = message_mix(buf)
+    mix: dict = {}
+    for ev in buf.events():
+        if ev.kind == "msg.send":
+            slot = mix.setdefault(ev.data["category"], {"count": 0, "words": 0})
+            slot["count"] += 1
+            slot["words"] += ev.data.get("words", 0)
     # nothing dropped, so the trace-derived totals equal the counters
     assert sum(slot["count"] for slot in mix.values()) == res.stats.get("msg.total")
     assert sum(slot["words"] for slot in mix.values()) == res.stats.get("msg.words")
     for cat, slot in mix.items():
         assert slot["count"] == res.stats.get("msg." + cat)
-
-
-def test_mix_delta():
-    a = {"x": {"count": 5, "words": 9}, "y": {"count": 2, "words": 2}}
-    b = {"x": {"count": 3, "words": 7}, "z": {"count": 1, "words": 1}}
-    assert mix_delta(a, b) == {"x": 2, "y": 2, "z": -1}
 
 
 def test_per_node_messages(tsp_run):
