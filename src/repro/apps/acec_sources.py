@@ -25,9 +25,9 @@ TSP            Counter + Null    LI/MC on the read-only distance table
 
 Barnes-Hut's tree walk is distilled into per-body interaction lists
 precomputed by the host from the real octree of the initial
-configuration (``repro.apps.barnes_hut.build_tree``) — the shared-
-memory traffic of the force phase is preserved while keeping the
-kernel expressible in a few dozen lines.
+configuration (``repro.apps.barnes_hut.interactions``, the app's own
+batch walk) — the shared-memory traffic of the force phase is
+preserved while keeping the kernel expressible in a few dozen lines.
 """
 
 from __future__ import annotations
@@ -643,61 +643,45 @@ def bh_interactions(wl: BHKernelWL):
 
     Cell interactions are summarized as pseudo-bodies appended after
     the real ones: entry j < n is a body, j >= n indexes the pseudo
-    list (mass + com from the tree walk).
+    rows ``[x, y, z, m]`` (com and mass of the cell).  Returns
+    ``(bodies, partners, offsets, pseudo)``: body i's partners are
+    ``partners[offsets[i]:offsets[i + 1]]``, in the tree walk's visit
+    order, from :func:`repro.apps.barnes_hut.interactions`.
     """
     bodies = bh_mod.init_bodies(
         bh_mod.BHWorkload(n_bodies=wl.n, theta=wl.theta, eps=wl.eps, seed=wl.seed)
     )
     pos = bodies[:, bh_mod.POS].copy()
-    mass = bodies[:, bh_mod.MASS].copy()
-    root = bh_mod.build_tree(pos, mass)
-    lists = []
-    pseudo = []  # (x, y, z, m)
-    for i in range(wl.n):
-        partners = []
-        stack = [root]
-        while stack:
-            cell = stack.pop()
-            if cell.mass == 0.0 or cell.body == i:
-                continue
-            d = cell.com - pos[i]
-            r2 = float(d @ d) + wl.eps**2
-            if cell.body is not None:
-                partners.append(cell.body)
-            elif (2.0 * cell.half) ** 2 < wl.theta**2 * r2:
-                partners.append(wl.n + len(pseudo))
-                pseudo.append((*cell.com, cell.mass))
-            else:
-                stack.extend(c for c in cell.children if c is not None)
-        lists.append(partners)
-    return bodies, lists, pseudo
+    tree = bh_mod.FlatTree(pos, bodies[:, bh_mod.MASS].copy())
+    slot, cells, _ = bh_mod.interactions(tree, pos, range(wl.n), wl.theta, wl.eps)
+    leaf = tree.body[cells]
+    is_cell = leaf < 0
+    partners = np.where(is_cell, wl.n + np.cumsum(is_cell) - 1, leaf)
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(slot, minlength=wl.n))))
+    pseudo = np.column_stack((tree.com[cells[is_cell]], tree.mass[cells[is_cell]]))
+    return bodies, partners, offsets, pseudo
 
 
 def bh_host_data(wl: BHKernelWL) -> dict:
-    bodies, lists, pseudo = bh_interactions(wl)
-    flat = []
-    offsets = [0]
-    for partners in lists:
-        flat.extend(partners)
-        offsets.append(len(flat))
-    pseudo_arr = np.array(pseudo, dtype=float).reshape(-1, 4)
+    bodies, partners, offsets, pseudo = bh_interactions(wl)
+    q = pseudo if len(pseudo) else np.zeros((1, 4))
     return {
         "x0": bodies[:, 0],
         "y0": bodies[:, 1],
         "z0": bodies[:, 2],
         "m0": bodies[:, bh_mod.MASS],
-        "ilist": np.array(flat, dtype=float),
-        "ioff": np.array(offsets, dtype=float),
-        "qx": pseudo_arr[:, 0] if len(pseudo) else np.zeros(1),
-        "qy": pseudo_arr[:, 1] if len(pseudo) else np.zeros(1),
-        "qz": pseudo_arr[:, 2] if len(pseudo) else np.zeros(1),
-        "qm": pseudo_arr[:, 3] if len(pseudo) else np.zeros(1),
+        "ilist": partners.astype(float),
+        "ioff": offsets.astype(float),
+        "qx": q[:, 0],
+        "qy": q[:, 1],
+        "qz": q[:, 2],
+        "qm": q[:, 3],
     }
 
 
 def bh_reference(wl: BHKernelWL) -> np.ndarray:
     """Final [x, y, z, m] per body with the frozen interaction lists."""
-    bodies, lists, pseudo = bh_interactions(wl)
+    bodies, partners, offsets, pseudo = bh_interactions(wl)
     state = bodies[:, [0, 1, 2, 6]].copy()  # x, y, z, m
     vel = np.zeros((wl.n, 3))
     dt = 0.05
@@ -705,13 +689,13 @@ def bh_reference(wl: BHKernelWL) -> np.ndarray:
         pos = state[:, :3].copy()
         forces = np.zeros((wl.n, 3))
         for i in range(wl.n):
-            for j in lists[i]:
+            for j in partners[offsets[i]:offsets[i + 1]].tolist():
                 if j < wl.n:
                     pj = pos[j]
                     mj = state[j, 3]
                 else:
-                    px, py, pz, mj = pseudo[j - wl.n]
-                    pj = np.array([px, py, pz])
+                    pj = pseudo[j - wl.n, :3]
+                    mj = pseudo[j - wl.n, 3]
                 d = pj - pos[i]
                 r2 = d @ d + wl.eps**2
                 forces[i] += mj * d / (r2 * np.sqrt(r2))

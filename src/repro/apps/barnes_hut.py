@@ -9,9 +9,15 @@ The custom plan (Figure 7b) runs bodies under ``DynamicUpdate``:
 owners' writes are pushed to all sharers, so the read sweep is
 entirely local.
 
-Tree build is replicated (each processor builds a local octree from
-the shared positions — local memory, charged as compute), the standard
-structure for DSM N-body codes with update protocols.
+Tree build is replicated: every processor is charged
+``COST_TREE_PER_BODY * n`` cycles for building its local octree from
+the shared positions, the standard structure for DSM N-body codes with
+update protocols.  The host builds one tree per distinct input instead
+of one per node: within one :func:`bh_program` call, trees are keyed by
+the exact bytes of the positions and masses a node read, so a node that
+read different values still gets its own.  Forces come from
+:func:`batch_forces`, one array walk over all of a node's bodies;
+:func:`compute_force` is the scalar walk it must equal bit for bit.
 
 Each body is one region: ``[x, y, z, vx, vy, vz, mass]``.
 """
@@ -66,11 +72,12 @@ def init_bodies(workload: BHWorkload) -> np.ndarray:
 class _Cell:
     """Internal octree cell: center of mass, total mass, children.
 
-    ``center`` is a plain ``(x, y, z)`` float tuple — it is only used
-    for insertion comparisons and child placement, where scalar floats
-    compare and add exactly like the numpy vectors they replaced.
-    ``com`` stays a numpy array: :func:`compute_force` needs vector
-    arithmetic (and its BLAS dot product) on it.
+    The insertion-time tree; :class:`FlatTree` turns it into the arrays
+    the batch walk runs on.  ``center`` is a plain ``(x, y, z)`` float
+    tuple — it is only used for insertion comparisons and child
+    placement, where scalar floats compare and add exactly like numpy
+    vectors.  ``com`` stays a numpy array: :func:`compute_force` needs
+    vector arithmetic (and its BLAS dot product) on it.
     """
 
     __slots__ = ("center", "half", "com", "mass", "children", "body")
@@ -115,8 +122,12 @@ def _insert(cell: _Cell, i: int, pts, depth: int = 0) -> None:
 
 
 def _insert_into_child(cell: _Cell, i: int, pts, depth: int) -> None:
-    if depth > 64:  # coincident points: merge into this leaf chain
-        idx = 0
+    if depth > 64:
+        # Coincident points: geometry cannot separate them, so take the
+        # first free slot (or descend into slot 0, whose split then has
+        # free slots).  Two bodies sent to one slot here used to split
+        # it forever, so no tree that could be built before changes.
+        idx = next((k for k, c in enumerate(cell.children) if c is None), 0)
     else:
         p = pts[i]
         cx, cy, cz = cell.center
@@ -162,7 +173,11 @@ def _summarize(cell: _Cell, pts, masses) -> None:
 
 
 def compute_force(root: _Cell, i: int, pos, theta: float, eps: float):
-    """Barnes-Hut force on body i; returns (force_vec, n_interactions)."""
+    """Barnes-Hut force on body i; returns (force_vec, n_interactions).
+
+    The scalar stack walk: :func:`reference` uses it, and it is the
+    oracle :func:`batch_forces` must equal in every count and byte.
+    """
     # The force accumulation is scalar component math instead of
     # 3-vector numpy ops: each numpy call costs far more than the
     # arithmetic at this size, and per-component operations are
@@ -199,6 +214,97 @@ def compute_force(root: _Cell, i: int, pos, theta: float, eps: float):
     return np.array([fx, fy, fz]), count
 
 
+class FlatTree:
+    """The octree of :func:`build_tree` as arrays, one row per cell in
+    the stack walk's visit order: preorder, children reversed (the walk
+    pushes slots 0..7 and pops the last).  Sorting a body's interacting
+    cells by row index therefore lists them in the order
+    :func:`compute_force` meets them.
+
+    ``com`` (c, 3) and ``mass`` (c,) copy the cells' values exactly;
+    ``open2`` is ``(2.0 * half) ** 2`` computed as the scalar walk does;
+    ``body`` is a leaf's body index, -1 for an internal cell; ``kids``
+    (c, 8) holds each slot's child row, -1 where the slot is empty.
+    """
+
+    __slots__ = ("com", "mass", "open2", "body", "kids")
+
+    def __init__(self, pos: np.ndarray, mass: np.ndarray):
+        order = []
+        stack = [build_tree(pos, mass)]
+        while stack:
+            cell = stack.pop()
+            order.append(cell)
+            if cell.children is not None:
+                stack.extend(c for c in cell.children if c is not None)
+        row = {id(cell): k for k, cell in enumerate(order)}
+        self.com = np.array([cell.com for cell in order])
+        self.mass = np.array([cell.mass for cell in order])
+        self.open2 = np.array([(2.0 * cell.half) ** 2 for cell in order])
+        self.body = np.array([-1 if cell.body is None else cell.body for cell in order])
+        self.kids = np.array([
+            [-1] * 8 if cell.children is None
+            else [-1 if c is None else row[id(c)] for c in cell.children]
+            for cell in order
+        ])
+
+
+def interactions(tree: FlatTree, pos, bodies, theta: float, eps: float):
+    """Every interaction :func:`compute_force` makes for each of ``bodies``,
+    walked level by level over all of them at once.
+
+    Returns ``(slot, cell, terms)`` sorted by slot (an index into
+    ``bodies``), then by cell row, i.e. each body's interactions in
+    visit order; ``terms`` (k, 3) is each one's force contribution.
+    Every operation matches the scalar walk's bit for bit: the same
+    skips before ``r2``, ``r2`` from the batched BLAS dot that equals
+    ``d @ d`` (an einsum or ``(d * d).sum`` does not), and element-wise
+    arithmetic elsewhere.
+    """
+    ee = eps * eps
+    tt = theta * theta
+    bodies = np.asarray(bodies, dtype=np.intp)
+    slot = np.arange(len(bodies))
+    cell = np.zeros(len(bodies), dtype=np.intp)
+    found = [(slot[:0], cell[:0], np.zeros((0, 3)))]  # a node may own no body
+    while cell.size:
+        who = bodies[slot]
+        live = (tree.mass[cell] != 0.0) & (tree.body[cell] != who)
+        slot, cell, who = slot[live], cell[live], who[live]
+        d = tree.com[cell] - pos[who]
+        r2 = (d[:, None, :] @ d[:, :, None]).ravel() + ee
+        hit = (tree.body[cell] >= 0) | (tree.open2[cell] < tt * r2)
+        r2h = r2[hit]
+        terms = (tree.mass[cell[hit], None] * d[hit]) / (r2h * np.sqrt(r2h))[:, None]
+        found.append((slot[hit], cell[hit], terms))
+        kids = tree.kids[cell[~hit]]
+        present = kids >= 0
+        slot = np.broadcast_to(slot[~hit, None], kids.shape)[present]
+        cell = kids[present]
+    slot, cell, terms = (np.concatenate(parts) for parts in zip(*found))
+    order = np.lexsort((cell, slot))
+    return slot[order], cell[order], terms[order]
+
+
+def batch_forces(tree: FlatTree, pos, bodies, theta: float, eps: float):
+    """Forces and interaction counts of ``bodies``: ``(forces (k, 3),
+    counts)``, each row bit-identical to :func:`compute_force`'s."""
+    slot, _, terms = interactions(tree, pos, bodies, theta, eps)
+    counts = np.bincount(slot, minlength=len(bodies))
+    # Each body's sum runs from 0.0 through its terms in visit order,
+    # as the scalar walk's does: a zero row leads every body's run and
+    # cumsum adds strictly left to right (np.sum and np.add.reduce are
+    # pairwise; builtin sum is compensated on 3.12).
+    runs = np.zeros((len(terms) + len(counts), 3))
+    runs[np.arange(len(terms)) + slot + 1] = terms
+    forces = np.empty((len(counts), 3))
+    start = 0
+    for k, end in enumerate(np.cumsum(counts + 1).tolist()):
+        forces[k] = np.cumsum(runs[start:end], axis=0)[-1]
+        start = end
+    return forces, counts.tolist()
+
+
 def reference(workload: BHWorkload) -> np.ndarray:
     """Sequential reference: final body states after n_steps."""
     bodies = init_bodies(workload)
@@ -220,6 +326,7 @@ def bh_program(workload: BHWorkload, plan: dict):
     shared = {"rids": {}}
     init = init_bodies(workload)
     n = workload.n_bodies
+    trees = {}  # (pos bytes, mass bytes) -> FlatTree, for this call only
 
     def program(ctx):
         nid, n_procs = ctx.nid, ctx.n_procs
@@ -258,12 +365,18 @@ def bh_program(workload: BHWorkload, plan: dict):
                 yield from end_read(h)
             # every node's sweep ends before any owner writes this step
             yield from ctx.barrier(body_space)
-            # replicated local tree build
+            # replicated local tree build: charged on every node, built
+            # on the host once per distinct input
             yield from compute(COST_TREE_PER_BODY * n)
-            root = build_tree(pos, mass)
-            # forces + integration for own bodies
-            for i in my_bodies:
-                force, cnt = compute_force(root, i, pos, workload.theta, workload.eps)
+            key = (pos.tobytes(), mass.tobytes())
+            tree = trees.get(key)
+            if tree is None:
+                tree = trees[key] = FlatTree(pos, mass)
+            # forces depend only on the tree and pos, so they are all
+            # computed before the per-body charges and writes
+            forces, counts = batch_forces(tree, pos, my_bodies, workload.theta, workload.eps)
+            # integration for own bodies
+            for i, force, cnt in zip(my_bodies, forces, counts):
                 yield from compute(COST_PER_INTERACTION * cnt)
                 h = handles[i]
                 yield from start_write(h)
