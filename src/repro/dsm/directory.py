@@ -354,7 +354,7 @@ if not handle.writes:  # else a nested write is still open
             # home died, so every surviving ack is structurally stray.
             if self._recovery is None:  # pragma: no cover - acks only while pending
                 raise ProtocolError(f"stray invalidation ack for region {region.rid}")
-            self._recovery.count_stray_ack()
+            self._recovery.count("stray_ack")
             return
         if data is not None:
             self.wire.adopt(region, data)
@@ -520,44 +520,27 @@ class DirectoryService(HomeMachine):
         port = self.port = transport.port(prefix)
         self._reply = port.reply
         self._fan_out = port.fan_out
-        self._h_map_lookup = port.idempotent(self._on_map_lookup)  # pure metadata read
-        self._h_read_req = port.serves(self._on_read_req)
-        self._h_write_req = port.serves(self._on_write_req)
+        # A request whose home died is retargeted to the region's new home.
+        self._h_map_lookup = port.idempotent(self._on_map_lookup, on_dead="retarget")  # a metadata read
+        # A re-run request would be admitted (queued, granted) twice.
+        self._h_read_req = port.serves(self._on_read_req, on_dead="retarget")
+        self._h_write_req = port.serves(self._on_write_req, on_dead="retarget")
         # A retried flush must never re-execute: the home may have granted
         # ownership onward, and the stale writeback would clobber it.
-        self._h_flush = port.serves(self._on_flush)
+        self._h_flush = port.serves(self._on_flush, on_dead="retarget")
+        # A re-run grant ack could close a newer window; to a dead home it
+        # is abandoned (the rebuild resets the window it would have closed).
         self._h_grant_ack = port.hears(self._on_grant_ack, intern_key(prefix, "grant_ack_ack"))
         # Node-side invalidation handler; see wire_cache.
         self._h_inval_req = None
-        ops = ("read_req", "write_req", "flush", "inval", "map_lookup", "grant_ack")
-        port.watch(tuple(intern_key(prefix, op) for op in ops), self)
-
-    def enable_recovery(self, manager) -> None:
-        """Join crash recovery (called via the composing engine when the
-        transport carries a :class:`~repro.dsm.recovery.RecoveryManager`).
-
-        Classifies this directory's message categories for the manager's
-        in-flight sweep; with a manager set, the invalidation ack
-        collector absorbs acks of recalls the manager canceled or
-        orphaned instead of raising.
-        """
-        p = self.prefix
-        manager.register_home_categories(
-            tuple(intern_key(p, op) for op in ("map_lookup", "read_req", "write_req", "flush")),
-            self.regions,
-        )
-        manager.register_push_categories((self._cat_inval,))
-        manager.register_ack_categories((intern_key(p, "grant_ack"),))
-        # A home's own misses call the plain handlers in place, so "came
-        # through the wire shim and is still unanswered" identifies the
-        # re-homed survivors' remote misses.
-        self.join_recovery(manager, self.port)
+        port.watch(self)
 
     def wire_cache(self, cache) -> None:
         """Bind the node-side invalidation handler recalls fan out to; its
-        answer (the writeback, when dirty) comes back as an ``inval_ack``."""
+        answer (the writeback, when dirty) comes back as an ``inval_ack``.
+        A dead target is answered on its behalf, so the recall completes."""
         self._h_inval_req = self.port.answers(
-            cache._on_inval_req, intern_key(self.prefix, "inval_ack"), "_on_inval_ack"
+            cache._on_inval_req, intern_key(self.prefix, "inval_ack"), "_on_inval_ack", on_dead="answer"
         )
 
     # ------------------------------------------------------------------

@@ -22,9 +22,11 @@ in by providing the same operations":
     the one place that knows how a message becomes exactly-once: the
     only user of :class:`RetryKit` (sequence-numbered sends with
     timeout/retry/exponential backoff) and of the ``(src, seq)``
-    receive-side dedup (:class:`DedupTable`, :class:`SeenOnce`).  With
-    faults off none of it exists and the plain port *is* the
-    transport's bound methods.
+    :class:`ReceiptTable`.  Each receive binder states one message's
+    whole contract: what a duplicate does, whether it names a region
+    (its handler's first payload parameter is ``rid``) and its crash
+    fate (``on_dead``).  With faults off none of it exists and the
+    plain port *is* the transport's bound methods.
 :class:`LivenessWatchdog` / :class:`StallReport` / :class:`StallError`
     Retry exhaustion converts a silent stall into a structured report:
     blocked tasks with their wait reasons, every in-flight reliable
@@ -289,10 +291,11 @@ class StallError(DeadlockError):
 class LivenessWatchdog:
     """Turns retry exhaustion into a :class:`StallReport`.
 
-    Services register through their port's ``watch`` at construction
-    (directory state providers, and the message categories whose first
-    argument names a region), so the report can say *which region at
-    which home* is stuck rather than just which task.
+    A call in flight names its region when its receiver does (the port
+    reads that when it binds the receiver), and services register the
+    directories whose busy entries a report dumps through their port's
+    ``watch``, so the report can say *which region at which home* is
+    stuck rather than just which task.
     """
 
     def __init__(self, transport: "FaultTransport"):
@@ -300,14 +303,10 @@ class LivenessWatchdog:
         self._sim = transport.sim
         self.kit: RetryKit | None = None
         self._directories: list = []
-        self._rid_categories: set[str] = set()
 
-    def watch(self, rid_categories, directory=None) -> None:
-        """Declare message categories whose first payload arg is a region
-        id, and optionally a DirectoryService whose busy entries to dump."""
-        self._rid_categories.update(rid_categories)
-        if directory is not None:
-            self._directories.append(directory)
+    def watch(self, directory) -> None:
+        """Dump ``directory``'s non-quiescent entries in every report."""
+        self._directories.append(directory)
 
     def report(self, reason: str) -> StallReport:
         sim = self._sim
@@ -341,15 +340,12 @@ class LivenessWatchdog:
 
     def _describe(self, pend: "_PendingCall") -> dict:
         args = pend.call_args
-        region = None
-        if pend.category in self._rid_categories and args and isinstance(args[0], int):
-            region = args[0]
         return {
             "seq": pend.seq,
             "category": pend.category,
             "src": pend.src,
             "dst": pend.dst,
-            "region": region,
+            "region": args[0] if pend.handler.names_region else None,
             "args": [_short(a) for a in args],
             "attempts": pend.attempts,
             "age": self._sim.now - pend.born,
@@ -387,139 +383,77 @@ def _short(value):
 
 
 # ---------------------------------------------------------------------------
-# home-side dedup
+# receive-side receipts
 # ---------------------------------------------------------------------------
-#: Dedup-table GC: a settled entry may be purged once its seq is below
-#: the retry kit's low watermark (no in-flight call could still produce
-#: a duplicate of it at the sender) AND it has aged past the longest
-#: delay any in-the-wire duplicate could still carry.  Both conditions
-#: are required — a watermark alone misses a fault-delayed duplicate of
-#: an already-settled call, which must hit the recorded-reply path, not
-#: re-execute the handler.
+#: Receipt GC: a row may be purged once its seq is below the retry kit's
+#: low watermark (no in-flight call could still produce a duplicate of it
+#: at the sender) AND it has aged past the longest delay any in-the-wire
+#: duplicate could still carry.  Both conditions are required — a
+#: watermark alone misses a fault-delayed duplicate of an already-settled
+#: call, which must get the recorded answer, not re-execute the handler.
 _GC_LAG = 250_000
-#: Amortization: scan for purgeable entries every this many recordings.
+#: Amortization: scan for purgeable rows every this many admissions.
 _GC_EVERY = 1024
 
 
-class DedupTable:
-    """Exactly-once admission for sequence-numbered reliable requests.
+class ReceiptTable:
+    """Exactly-once admission for one port's reliable messages.
 
-    The home-side half of the reliability contract: a request keyed
-    ``(src, seq)`` is *admitted* once; while its effects are still in
-    flight, duplicates are ignored (the original's reply will come);
-    after the reply is sent, duplicates get the recorded reply
-    re-transmitted without re-executing the handler.  Only wire
-    deliveries reach it (through :meth:`RetryPort.serves`); a node's
-    call to itself runs the plain handler.
+    A message keyed ``(src, seq)`` is admitted once, and its row records
+    the answer it was given: a call's reply, a notify's ack, a fan-out
+    leg's ack, each as ``(value, payload_words, category)``.  The binders
+    of :class:`RetryPort` replay that answer to a duplicate of an
+    answered message and drop a duplicate of an unanswered one (the
+    original's answer will come).  Only wire deliveries reach it; a
+    node's call to itself runs the plain handler.
 
-    Recorded replies are garbage-collected (see ``_GC_LAG``) so the
-    table plateaus instead of growing for the whole run.
+    A row is stamped at admission and again at its answer, and rows are
+    garbage-collected (see ``_GC_LAG``), so the table plateaus instead of
+    growing for the whole run.
     """
 
-    __slots__ = (
-        "_reply",
-        "_counts",
-        "_k_dup",
-        "_k_replay",
-        "_inflight",
-        "_fut_keys",
-        "_sent",
-        "_sim",
-        "_kit",
-        "_since_gc",
-    )
+    __slots__ = ("rows", "open_calls", "_reply", "_sim", "_kit", "_since_gc")
 
-    def __init__(self, transport: Transport, prefix: str):
+    def __init__(self, transport: "FaultTransport"):
+        self.rows: dict = {}  # (src, seq) -> (cycle, answer or None)
+        #: admitted, unanswered calls (fut -> (src, seq)), popped at reply
+        self.open_calls: dict = {}
         self._reply = transport.reply
-        self._counts = transport.stats.counter_ref()
-        self._k_dup = intern_key(prefix, "dup_request")
-        self._k_replay = intern_key(prefix, "replayed_reply")
-        self._inflight: set = set()
-        self._fut_keys: dict = {}  # fut -> (src, seq), popped at reply
-        self._sent: dict = {}  # (src, seq) -> (value, payload_words, category, cycle)
         self._sim = transport.sim
         self._kit = transport.kit
         self._since_gc = 0
 
-    def admit(self, src: int, seq: int, fut: Future) -> bool:
-        """True exactly once per logical request; replays recorded replies."""
-        key = (src, seq)
-        sent = self._sent.get(key)
-        if sent is not None:
-            value, payload_words, category, _stamp = sent
-            self._counts[self._k_replay] += 1
-            self._reply(fut, value, payload_words=payload_words, category=category)
-            return False
-        if key in self._inflight:
-            self._counts[self._k_dup] += 1
-            return False
-        self._inflight.add(key)
-        self._fut_keys[fut] = key
-        return True
-
-    def reply(self, fut: Future, value=None, payload_words: int = 0, category: str = "am.reply"):
-        """Drop-in for ``transport.reply`` that records what was sent."""
-        key = self._fut_keys.pop(fut, None)
-        if key is not None:
-            self._inflight.discard(key)
-            self._sent[key] = (value, payload_words, category, self._sim.now)
+    def admit(self, key, answer=None):
+        """None the first time ``key`` arrives (its row is recorded, with
+        ``answer`` if it is known already); else its ``(cycle, answer)``
+        row, ``answer`` None while unanswered."""
+        rows = self.rows
+        row = rows.get(key)
+        if row is None:
+            rows[key] = (self._sim.now, answer)
             self._since_gc += 1
             if self._since_gc >= _GC_EVERY:
                 self._gc()
+        return row
+
+    def answer(self, key, answer) -> None:
+        self.rows[key] = (self._sim.now, answer)
+
+    def reply(self, fut, value=None, payload_words: int = 0, category: str = "am.reply"):
+        """The port's ``reply``: an admitted call's answer is recorded."""
+        key = self.open_calls.pop(fut, None)
+        if key is not None:
+            self.rows[key] = (self._sim.now, (value, payload_words, category))
         self._reply(fut, value, payload_words=payload_words, category=category)
 
     def _gc(self) -> None:
         self._since_gc = 0
-        watermark = _kit_watermark(self._kit)
+        kit = self._kit
+        watermark = min(kit.pending) if kit.pending else kit._seq  # lowest seq still re-sendable
         horizon = self._sim.now - _GC_LAG
-        sent = self._sent
-        for key in [k for k, v in sent.items() if k[1] < watermark and v[3] < horizon]:
-            del sent[key]
-
-
-def _kit_watermark(kit) -> int:
-    """Lowest seq a sender could still retransmit (no pending → next seq)."""
-    if kit.pending:
-        return min(kit.pending)
-    return kit._seq
-
-
-class SeenOnce:
-    """Receive-side record of acked one-way messages keyed ``(src, seq)``.
-
-    :meth:`first` admits each logical message once; ``acked`` holds the
-    ack a fan-out receiver sent — absent while the request is unapplied
-    or deferred — for replay to duplicates.  Same watermark+age GC as
-    :class:`DedupTable`.
-    """
-
-    __slots__ = ("_seen", "acked", "_sim", "_kit", "_since_gc")
-
-    def __init__(self, transport: "FaultTransport"):
-        self._seen: dict = {}  # (src, seq) -> cycle recorded
-        self.acked: dict = {}  # (src, seq) -> (value, payload_words)
-        self._sim = transport.sim
-        self._kit = transport.kit
-        self._since_gc = 0
-
-    def first(self, src: int, seq: int) -> bool:
-        key = (src, seq)
-        if key in self._seen:
-            return False
-        self._seen[key] = self._sim.now
-        self._since_gc += 1
-        if self._since_gc >= _GC_EVERY:
-            self._gc()
-        return True
-
-    def _gc(self) -> None:
-        self._since_gc = 0
-        watermark = _kit_watermark(self._kit)
-        horizon = self._sim.now - _GC_LAG
-        seen = self._seen
-        for key in [k for k, stamp in seen.items() if k[1] < watermark and stamp < horizon]:
-            del seen[key]
-            self.acked.pop(key, None)
+        rows = self.rows
+        for key in [k for k, (stamp, _) in rows.items() if k[1] < watermark and stamp < horizon]:
+            del rows[key]
 
 
 # ---------------------------------------------------------------------------
@@ -980,16 +914,18 @@ class RetryPort(Port):
     blocks until acknowledged — a lost lock release or barrier notify
     would wedge its receiver), ``post`` and each leg of ``fan_out`` are
     :meth:`RetryKit.post` (the reply to the retried post is the ack),
-    ``reply`` records what it sends.  Each receive binder returns a shim
-    that strips the trailing wire ``seq``; the shim keeps the handler's
-    ``__self__`` (the recovery sweep and the stall report resolve owners
-    through it) and is counted by the machine as ``handler.<name>_r`` —
-    except under a ``proto.*`` prefix, where it keeps the handler's own
-    name.  An ``answers`` shim is ``<name>_r`` wherever the exactly-once
-    ack is a message (so the two exchanges count apart), and
-    ``<name>_rt`` for a core service once crash recovery is armed.  All
-    of these spellings are stat keys that reports and the lossy golden
-    traces already use.
+    ``reply`` records what it sends.  Each receive binder admits through
+    the port's one :class:`ReceiptTable` and returns a shim that strips
+    the trailing wire ``seq``.  The shim carries the message's contract
+    for the layers that sweep or report on calls in flight: ``on_dead``,
+    its crash fate; ``names_region``, whether the handler's first payload
+    parameter is ``rid``; and the handler's ``__self__``, the owner they
+    resolve.  The machine counts it as ``handler.<name>_r`` — except under
+    a ``proto.*`` prefix, where it keeps the handler's own name.  An
+    ``answers`` shim is ``<name>_r`` wherever the exactly-once ack is a
+    message (so the two exchanges count apart), and ``<name>_rt`` for a
+    core service once crash recovery is armed.  All of these spellings
+    are stat keys that reports and the lossy golden traces already use.
     """
 
     lossy = True
@@ -998,12 +934,14 @@ class RetryPort(Port):
         kit = transport.kit
         self.call = self.send = kit.rpc
         self.post = kit.post
-        self._dedup = DedupTable(transport, prefix)
-        self.reply = self._dedup.reply
-        self._seen = SeenOnce(transport)
+        receipts = self._receipts = ReceiptTable(transport)
+        self.reply = receipts.reply
         #: admitted, not-yet-answered wire calls (fut -> (src, seq)): how a
         #: home tells a request that crossed the fabric from a local one
-        self.open_calls = self._dedup._fut_keys
+        self.open_calls = receipts.open_calls
+        self._counts = transport.stats.counter_ref()
+        self._k_dup = intern_key(prefix, "dup_request")
+        self._k_replay = intern_key(prefix, "replayed_reply")
         self._ack = transport.reply
         self._after = transport.after
         self._reply_from = transport._reply
@@ -1012,37 +950,54 @@ class RetryPort(Port):
         self._recovering = transport.recovery is not None
         self.watch = transport.watchdog.watch  # stall-report metadata
 
-    def _shim(self, shim, handler, suffix=None):
+    def _shim(self, shim, handler, lead: int, on_dead, suffix=None):
         if isgeneratorfunction(handler):  # the shim would drop the generator it returns
             raise TypeError(f"{handler.__qualname__}: a RetryPort receiver may not block")
+        code = handler.__code__  # after self and the ``lead`` wire arguments:
+        shim.names_region = code.co_argcount > lead + 1 and code.co_varnames[lead + 1] == "rid"
+        if not (callable(on_dead) or on_dead in ("abandon", "answer")
+                or on_dead == "retarget" and shim.names_region):
+            raise ValueError(f"{handler.__qualname__}: no crash fate {on_dead!r} "
+                             "(retarget needs a handler whose first payload is rid)")
+        shim.on_dead = on_dead
         shim.__name__ = handler.__name__ + (self._suffix if suffix is None else suffix)
         shim.__self__ = handler.__self__
         return shim
 
-    def serves(self, handler):
-        admit = self._dedup.admit
+    def serves(self, handler, on_dead="abandon"):
+        admit, open_calls, replay = self._receipts.admit, self.open_calls, self._ack
+        counts, k_dup, k_replay = self._counts, self._k_dup, self._k_replay
 
         def shim(node, src, fut, *args):
-            if admit(src, args[-1], fut):
+            key = (src, args[-1])
+            row = admit(key)
+            if row is None:
+                open_calls[fut] = key
                 handler(node, src, fut, *args[:-1])
+            elif row[1] is None:  # still being served: its reply will come
+                counts[k_dup] += 1
+            else:
+                counts[k_replay] += 1
+                replay(fut, *row[1])
 
-        return self._shim(shim, handler)
+        return self._shim(shim, handler, 3, on_dead)
 
-    def idempotent(self, handler):
-        return self._shim(lambda node, src, *args: handler(node, src, *args[:-1]), handler)
+    def idempotent(self, handler, on_dead="abandon"):
+        return self._shim(lambda node, src, *args: handler(node, src, *args[:-1]), handler, 3, on_dead)
 
-    def hears(self, handler, ack_category: str):
-        first, ack = self._seen.first, self._ack
+    def hears(self, handler, ack_category: str, on_dead="abandon"):
+        admit, ack = self._receipts.admit, self._ack
+        heard = (None, 1, ack_category)  # the answer, known at admission
 
         def shim(node, src, fut, *args):
             # Re-running could undo later state (release a re-granted
             # lock, clear a newer busy window); a duplicate's original
-            # ack may be what was lost, so every delivery is acked.
-            if first(src, args[-1]):
+            # ack may be what was lost, so the recorded ack is replayed.
+            if admit((src, args[-1]), heard) is None:
                 handler(node, src, *args[:-1])
-            ack(fut, None, payload_words=1, category=ack_category)
+            ack(fut, *heard)
 
-        return self._shim(shim, handler)
+        return self._shim(shim, handler, 2, on_dead)
 
     def fan_out(self, src, targets, handler, *args, acks=None, payload_words=0, category="rel.post"):
         post = self.post
@@ -1052,27 +1007,27 @@ class RetryPort(Port):
                 acks.waiting.append(target)
                 fut.add_callback(partial(acks.heard, target))
 
-    def answers(self, handler, ack_category: str, ack_name: str | None = None):
-        first, acked = self._seen.first, self._seen.acked
+    def answers(self, handler, ack_category: str, ack_name: str | None = None, on_dead="abandon"):
+        admit, record = self._receipts.admit, self._receipts.answer
         reply, after = self._ack, self._after
         reply_from, cause = self._reply_from, self._cause
 
         def ack(key, fut, value=None, payload_words=1, delay=0):
-            acked[key] = (value, payload_words)
+            answer = (value, payload_words, ack_category)
+            record(key, answer)
             if delay:  # the ack is sent now, in this context, and leaves later
-                after(delay, (reply_from, cause(), fut, (value, payload_words, ack_category)))
+                after(delay, (reply_from, cause(), fut, answer))
             else:
                 reply(fut, value, payload_words=payload_words, category=ack_category)
 
         def shim(node, src, fut, *args):
             key = (src, args[-1])
-            if first(src, args[-1]):
+            row = admit(key)
+            if row is None:
                 handler(node, src, partial(ack, key, fut), *args[:-1])
-            elif key in acked:
-                value, payload_words = acked[key]
-                reply(fut, value, payload_words=payload_words, category=ack_category)
+            elif row[1] is not None:
+                reply(fut, *row[1])
             # else unapplied or deferred: the original will answer
 
-        if ack_name is None:
-            return self._shim(shim, handler, "")
-        return self._shim(shim, handler, "_rt" if self._suffix and self._recovering else "_r")
+        suffix = "" if ack_name is None else "_rt" if self._suffix and self._recovering else "_r"
+        return self._shim(shim, handler, 3, on_dead, suffix)

@@ -66,15 +66,17 @@ class LockService:
         # the double-acquire error, or queue the holder behind itself)
         # and makes release an ack'd round trip that runs once (a lost
         # release would hold the lock forever; a re-run one would
-        # release on the *next* holder's behalf).
+        # release on the *next* holder's behalf).  Both follow a dead
+        # home to the region's new one.
         port = transport.port(stats_prefix)
         self._rpc = port.call
         self._send = port.send
         self._reply = port.reply
         self._d_handler = Delay(self.LOCK_HANDLER_COST)
-        self._h_acquire = port.serves(self._on_acquire)
-        self._h_release = port.hears(self._on_release, intern_key(stats_prefix, "rel_ack"))
-        port.watch((self._cat_req, self._cat_rel))
+        self._h_acquire = port.serves(self._on_acquire, on_dead="retarget")
+        self._h_release = port.hears(
+            self._on_release, intern_key(stats_prefix, "rel_ack"), on_dead="retarget"
+        )
         if transport.recovery is not None:
             transport.recovery.register_locks(self)
         # Observability: lock grant/release events plus a hold-time

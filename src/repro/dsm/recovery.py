@@ -24,9 +24,10 @@ run still dies.  This module turns a crash into a *handled event*
     fabric against the dead incarnation, retire the dead task,
     **re-home** every region the dead node was home for onto its
     deterministic rank-order successor, sweep the
-    :class:`~repro.dsm.faults.RetryKit`'s in-flight calls (retarget /
-    fake-ack / abandon per message category), rebuild directory
-    entries from the surviving :class:`~repro.dsm.regioncache`
+    :class:`~repro.dsm.faults.RetryKit`'s in-flight calls (each by the
+    crash fate its receiver was bound with: retarget, answer on the
+    dead target's behalf, abandon, or a bespoke handler), rebuild
+    directory entries from the surviving :class:`~repro.dsm.regioncache`
     copies, shrink collective membership (barriers, ack collectors),
     and break locks the dead node held.
 
@@ -98,8 +99,9 @@ class RecoveryManager:
 
     Constructed by :class:`~repro.dsm.faults.FaultTransport` when an
     ``on_crash`` mode is requested; services and protocols find it as
-    ``transport.recovery`` and register themselves at construction
-    (decided once, at construction).
+    ``transport.recovery`` and register themselves at construction.
+    What happens to each message in flight at a death is declared where
+    its receiver is bound (the port binders' ``on_dead``), not here.
     """
 
     def __init__(self, transport, mode: str):
@@ -124,9 +126,6 @@ class RecoveryManager:
         self._locks: list = []
         self._protocols: list = []
         self._region_dirs: list = []
-        #: category -> ("home", regions) | ("push", None) | ("ack", None)
-        #:             | ("custom", method_name)
-        self._categories: dict = {}
         # Failure-detector state (filled in start()).
         self._last_heard: dict[int, int] = {}
         self._suspect_after: dict[int, int] = {}
@@ -166,40 +165,18 @@ class RecoveryManager:
         """A :class:`~repro.dsm.coherence.CoherenceEngine` joins recovery."""
         self._engines.append(engine)
         self._add_region_dir(engine.regions)
-        engine.directory.enable_recovery(self)
+        # A home's own misses call the plain handlers in place, so "came
+        # through the wire shim and is still unanswered" identifies the
+        # re-homed survivors' remote misses.
+        engine.directory.join_recovery(self, engine.directory.port)
 
     def register_locks(self, service) -> None:
         self._locks.append(service)
         self._add_region_dir(service.regions)
-        self.register_home_categories((service._cat_req, service._cat_rel), service.regions)
 
     def register_protocol(self, proto) -> None:
         self._protocols.append(proto)
         self._add_region_dir(proto.regions)
-
-    def register_home_categories(self, categories, regions) -> None:
-        """Calls in these categories target ``regions.get(args[0]).home``:
-        on a dead destination they are retargeted to the new home."""
-        for cat in categories:
-            self._categories[cat] = ("home", regions)
-
-    def register_push_categories(self, categories) -> None:
-        """Home-to-peer notifies whose ack feeds a fan-out counter: a dead
-        destination is acknowledged on its behalf (fake-ack)."""
-        for cat in categories:
-            self._categories[cat] = ("push", None)
-
-    def register_ack_categories(self, categories) -> None:
-        """Fire-and-forget acknowledgements (grant acks): safe to abandon
-        when their destination dies — the rebuild resets the window they
-        would have closed."""
-        for cat in categories:
-            self._categories[cat] = ("ack", None)
-
-    def register_pending_handler(self, category, method_name: str) -> None:
-        """Category needing bespoke handling: the manager calls
-        ``pend.handler.__self__.<method_name>(self, pend, dead)``."""
-        self._categories[category] = ("custom", method_name)
 
     def _add_region_dir(self, regions) -> None:
         if all(r is not regions for r in self._region_dirs):
@@ -208,10 +185,6 @@ class RecoveryManager:
     def count(self, name: str, n: int = 1) -> None:
         """Bump a recovery counter (participants report their losses here)."""
         self._counts[self._k[name]] += n
-
-    def count_stray_ack(self) -> None:
-        """Tolerant ack collectors report absorbed post-cancel acks here."""
-        self._counts[self._k["stray_ack"]] += 1
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -304,8 +277,8 @@ class RecoveryManager:
         # 3. Directory re-homing: every region homed at the dead node
         #    moves to its deterministic rank-order successor.
         rehomed = self._rehome(nid)
-        # 4. In-flight reliable calls touching the dead node: retarget /
-        #    fake-ack / abandon by category.  (After re-homing, so
+        # 4. In-flight reliable calls touching the dead node: each by its
+        #    receiver's crash fate.  (After re-homing, so
         #    retargets see the new homes; before the entry rebuild, so
         #    fake-acks still find their pending fan-outs.)
         self._sweep_pending(nid)
@@ -390,19 +363,21 @@ class RecoveryManager:
         for pend in sorted(kit.pending.values(), key=lambda p: p.seq):
             if pend.src != dead and pend.dst != dead:
                 continue
-            kind, extra = self._categories.get(pend.category, (None, None))
-            if kind == "custom":
-                getattr(pend.handler.__self__, extra)(self, pend, dead)
-            elif pend.src == dead or kind not in ("home", "push"):
+            fate = pend.handler.on_dead  # the receive shim's, declared at its binder
+            if callable(fate):
+                fate(self, pend, dead)
+            elif pend.src == dead or fate == "abandon":
                 # Neutralize.  Either the caller died (nobody waits for
                 # this ack anymore, and firing its callbacks against
-                # rebuilt state would corrupt it), or this is an "ack" /
-                # unregistered call to the dead node, safe to abandon.
+                # rebuilt state would corrupt it), or the call to the dead
+                # node is safe to abandon (a grant ack: the rebuild resets
+                # the window it would have closed).
                 self.cancel(pend)
                 counts[self._k["abandoned"]] += 1
-            elif kind == "home":
-                self.retarget(pend, extra.get(pend.call_args[0]).home)
-            else:  # "push"
+            elif fate == "retarget":  # its first payload is the region id
+                regions = pend.handler.__self__.regions
+                self.retarget(pend, regions.get(pend.call_args[0]).home)
+            else:  # "answer"
                 # Acknowledge on the dead target's behalf so the fan-out
                 # completes; the resolve settles the call and its
                 # collector prunes the target.
@@ -422,7 +397,7 @@ class RecoveryManager:
 
     def recover_forward(self, home, pend, dead: int) -> None:
         """Sweep a forwarded read in flight between ``home``'s entry and
-        the dead node (a ``register_pending_handler`` target's body).
+        the dead node (Owned's ``fwd_read`` crash fate).
 
         Home died (``src``): neutralize; the re-homed rebuild re-admits
         the requester at the successor.  Owner died (``dst``): the
@@ -543,7 +518,7 @@ class RecoveryManager:
         # supply already landed lost only its grant ack: record the
         # reader.  Requests from the successor itself all crossed the
         # wire, so the home grants them remote-style (see
-        # DirectoryService.enable_recovery).
+        # HomeMachine.wire_calls).
         pending = ent.pending
         readmit = None
         if pending is not None and pending["src"] != dead and not pending.get("orphan"):

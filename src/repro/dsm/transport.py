@@ -172,11 +172,18 @@ class Port:
     The rule for receivers: one that is safe to re-execute (a pure read,
     a set-add) is bound with ``idempotent`` — a duplicate re-replies and
     the sender's resolve-once gate keeps the first.  Anything else is
-    ``serves`` (a duplicate gets the recorded reply, the handler does
-    not run again), ``hears`` (a duplicate is only re-acknowledged) or
-    ``answers`` (a duplicate is dropped until the ack is out, then gets
-    it again).  ``lossy`` says whether a reply can be lost; ``watch``
-    feeds the stall report and here does nothing.
+    ``serves``, ``hears`` or ``answers``: a duplicate of an answered
+    message gets the recorded reply or ack again, a duplicate of an
+    unanswered one is dropped, and the handler never runs twice.  Every
+    binder also takes the message's crash fate, ``on_dead``, for a call
+    in flight to or from a node declared dead: ``"abandon"`` (the
+    default), ``"retarget"`` to the region's new home (its handler's
+    first payload parameter is ``rid``), ``"answer"`` on the dead
+    target's behalf, or a callable ``(manager, pend, dead)``.  Here,
+    where nothing is lost and no recovery runs, the binders return the
+    handler and ignore the fate.  ``lossy`` says whether a reply can be
+    lost; ``watch(directory)`` feeds the stall report and here does
+    nothing.
     """
 
     lossy = False
@@ -193,13 +200,13 @@ class Port:
         self._ack_makers: dict = {}
 
     @staticmethod
-    def serves(handler):
+    def serves(handler, on_dead="abandon"):
         return handler
 
     idempotent = serves
 
     @staticmethod
-    def hears(handler, ack_category: str):
+    def hears(handler, ack_category: str, on_dead="abandon"):
         return handler
 
     def fan_out(self, src, targets, handler, *args, acks=None, payload_words=0, category="am.post"):
@@ -214,7 +221,7 @@ class Port:
                 payload_words=payload_words, category=category,
             )
 
-    def answers(self, handler, ack_category: str, ack_name: str | None = None):
+    def answers(self, handler, ack_category: str, ack_name: str | None = None, on_dead="abandon"):
         """Bind a fan-out receiver.  Its ``ack`` travels as a reply, or —
         given ``ack_name`` — as a message counted ``handler.<ack_name>``."""
         if ack_name is None:
@@ -256,7 +263,7 @@ class Port:
         return handler
 
     @staticmethod
-    def watch(rid_categories, directory=None) -> None:
+    def watch(directory) -> None:
         pass
 
 

@@ -148,12 +148,13 @@ class Protocol:
         self._counts = runtime.transport.stats.counter_ref()
         self._count_keys: dict = {}
         # Crash recovery, when the fabric carries it (None everywhere
-        # else — the Transport class default): the protocol registers
-        # its message categories for the manager's in-flight sweep and
-        # gets on_node_dead() at each death declaration.
+        # else — the Transport class default): the protocol gets
+        # on_node_dead() at each death declaration.  What happens to
+        # each of its messages in flight is its receive binder's
+        # ``on_dead``.
         self._recovery = runtime.transport.recovery
         if self._recovery is not None:
-            self._register_recovery(self._recovery)
+            self._recovery.register_protocol(self)
 
     # -- identity -------------------------------------------------------
     @property
@@ -209,17 +210,6 @@ class Protocol:
         yield from self.runtime.locks.release(nid, rid)
 
     # -- crash recovery --------------------------------------------------------
-    def _register_recovery(self, manager) -> None:
-        """Join crash recovery (called at construction when the transport
-        carries a :class:`~repro.dsm.recovery.RecoveryManager`).
-
-        Subclasses with their own message protocol override this to
-        classify their categories (home/push/ack/custom) for the
-        manager's in-flight sweep; the base registration only delivers
-        :meth:`on_node_dead`.
-        """
-        manager.register_protocol(self)
-
     def on_node_dead(self, dead: int, manager, rehomed: dict) -> None:
         """Membership shrink at a death declaration (plain method, handler
         context): prune the dead node from protocol state and repair

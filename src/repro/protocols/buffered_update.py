@@ -85,7 +85,6 @@ class BufferedUpdateProtocol(CachedTableProtocol):
         port = self.port
         self._h_update = port.hears(self._on_update, "proto.BufferedUpdate.update_ack")
         self._h_push = port.answers(self._on_push, "proto.BufferedUpdate.push_ack", "_on_ack")
-        port.watch(("proto.BufferedUpdate.update", "proto.BufferedUpdate.push"))
 
     def _fetch_extra(self, rid: int, src: int):
         self._sharers.register(rid, src)

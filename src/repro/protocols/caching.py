@@ -43,13 +43,13 @@ class CachedCopyProtocol(Protocol):
         self._copies: list[dict[int, RegionCopy]] = [dict() for _ in range(self.transport.n_procs)]
         # The fabric, through the reliability seam (DESIGN.md §9).  The
         # fetch handler is idempotent (metadata read + set-add in
-        # _fetch_extra): a retransmitted fetch simply re-replies.
+        # _fetch_extra): a retransmitted fetch simply re-replies, and a
+        # fetch whose home died is retargeted to the region's new home.
         port = self.port = self.transport.port(f"proto.{self.spec.name}")
         self._rpc = port.call
         self._post = port.post
         self._reply = port.reply
-        self._h_fetch = port.idempotent(self._on_fetch)
-        port.watch((f"proto.{self.spec.name}.fetch",))
+        self._h_fetch = port.idempotent(self._on_fetch, on_dead="retarget")
         self._d_create = Delay(self.CREATE_COST)
         self._k_map_hit = intern_key("proto", self.spec.name, "map_hit")
         self._k_map_cold = intern_key("proto", self.spec.name, "map_cold")
@@ -139,12 +139,6 @@ class CachedCopyProtocol(Protocol):
         """Requester-side hook after a fetched copy is installed."""
 
     # -- crash recovery ---------------------------------------------------
-    def _register_recovery(self, manager) -> None:
-        super()._register_recovery(manager)
-        # A fetch whose home died is retargeted to the region's new home
-        # (the handler is idempotent, so a duplicate delivery is safe).
-        manager.register_home_categories((f"proto.{self.spec.name}.fetch",), self.regions)
-
     def on_node_dead(self, dead: int, manager, rehomed: dict) -> None:
         """Base shrink for cached-copy protocols: the dead node's copies
         are gone, and the successor's copy of a re-homed region becomes

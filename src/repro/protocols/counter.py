@@ -89,8 +89,7 @@ class CounterProtocol(CachedTableProtocol):
         port = self.port
         self._h_acquire = port.serves(self._on_acquire)
         self._h_commit = port.hears(self._on_commit, "proto.Counter.commit_ack")
-        self._h_read = port.idempotent(self._on_read)
-        port.watch(("proto.Counter.acquire", "proto.Counter.commit", "proto.Counter.read"))
+        self._h_read = port.idempotent(self._on_read)  # a copy
 
     def _lock_state(self, rid: int) -> dict:
         st = self._locks.get(rid)

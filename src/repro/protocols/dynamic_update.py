@@ -99,10 +99,12 @@ class DynamicUpdateProtocol(CachedTableProtocol):
         # after update K+1 (the writer only blocks per update), and
         # re-applying it would roll home data back — so it is served
         # once and duplicates get the recorded ack.  Pushes likewise: a
-        # delayed duplicate must not overwrite a newer one.
-        self._h_update = self.port.serves(self._on_update)
+        # delayed duplicate must not overwrite a newer one.  An update
+        # follows a dead home to the new one; a push to a dead sharer is
+        # answered on its behalf, so the fan-out completes.
+        self._h_update = self.port.serves(self._on_update, on_dead="retarget")
         self._h_apply = self.port.answers(
-            self._on_apply, "proto.DynamicUpdate.push_ack", "_on_apply_ack"
+            self._on_apply, "proto.DynamicUpdate.push_ack", "_on_apply_ack", on_dead="answer"
         )
 
     def _fetch_extra(self, rid: int, src: int):
@@ -177,11 +179,6 @@ class DynamicUpdateProtocol(CachedTableProtocol):
         ack()
 
     # -- crash recovery ---------------------------------------------------
-    def _register_recovery(self, manager) -> None:
-        super()._register_recovery(manager)
-        manager.register_home_categories(("proto.DynamicUpdate.update",), self.regions)
-        manager.register_push_categories(("proto.DynamicUpdate.push",))
-
     def on_node_dead(self, dead: int, manager, rehomed: dict) -> None:
         """Shrink the sharer sets and finish fan-outs a dead home stranded.
 

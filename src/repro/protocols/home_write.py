@@ -77,7 +77,6 @@ class HomeWriteProtocol(CachedTableProtocol):
         super().__init__(runtime, space)
         self._versions: dict[int, int] = {}
         self._h_check = self.port.idempotent(self._on_check)  # a version compare and a copy
-        self.port.watch(("proto.HomeWrite.check",))
 
     def _fetch_extra(self, rid: int, src: int):
         return self._versions.get(rid, 0)

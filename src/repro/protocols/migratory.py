@@ -112,7 +112,6 @@ class MigratoryProtocol(TableProtocol):
         self._h_recall = port.hears(self._on_recall, "proto.Migratory.recall_ack")
         self._h_data = port.hears(self._on_data, "proto.Migratory.data_ack")
         self._h_moved = port.hears(self._on_moved, "proto.Migratory.moved_ack")
-        port.watch(tuple(f"proto.Migratory.{m}" for m in ("req", "recall", "data", "moved")))
 
     # -- lifecycle ---------------------------------------------------------
     def init_space(self, nid: int):

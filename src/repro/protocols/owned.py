@@ -249,15 +249,24 @@ class OwnedProtocol(TableProtocol):
         self._rpc = port.call
         self._reply = port.reply
         self._fan_out = port.fan_out
-        self._h_read_req = port.serves(self.home._on_read_req)
-        self._h_write_req = port.serves(self.home._on_write_req)
-        self._h_flush = port.serves(self._on_flush)
+        # Requests and flushes run once (a re-run one is admitted twice, or
+        # clobbers a newer owner) and follow a dead home to the new one.
+        self._h_read_req = port.serves(self.home._on_read_req, on_dead="retarget")
+        self._h_write_req = port.serves(self.home._on_write_req, on_dead="retarget")
+        self._h_flush = port.serves(self._on_flush, on_dead="retarget")
+        # A re-run grant ack could close a newer window; to a dead home it
+        # is abandoned (the rebuild resets the window it would have closed).
         self._h_grant_ack = port.answers(self._on_grant_ack, "proto.Owned.grant_ack_ok")
-        self._h_invalidate = port.answers(self._on_invalidate, "proto.Owned.inval_ack")
-        self._h_fwd_read = port.answers(self._on_fwd_read, "proto.Owned.fwd_ack")
+        # An invalidation's answer is the writeback (a re-run one would
+        # answer without it); a dead target is answered on its behalf.
+        self._h_invalidate = port.answers(self._on_invalidate, "proto.Owned.inval_ack", on_dead="answer")
+        # A re-run forward would supply twice, a re-run bounce re-admit the
+        # read twice.  A forward touching a dead node: _recover_fwd_read.
+        self._h_fwd_read = port.answers(
+            self._on_fwd_read, "proto.Owned.fwd_ack", on_dead=self._recover_fwd_read
+        )
         self._h_fwd_miss = port.answers(self._on_fwd_miss, "proto.Owned.fwd_miss_ack")
-        ops = ("read_req", "write_req", "flush", "invalidate", "fwd_read", "fwd_miss", "grant_ack")
-        port.watch(tuple("proto.Owned." + op for op in ops), self.home)
+        port.watch(self.home)
         # A home's own fetch is a call in place where no reply can be lost
         # (and under recovery).  On a plain lossy fabric it rides the wire
         # to itself: its grant may be a remote owner's supply, which must
@@ -443,16 +452,6 @@ class OwnedProtocol(TableProtocol):
         answer()
 
     # -- crash recovery ---------------------------------------------------
-    def _register_recovery(self, manager) -> None:
-        super()._register_recovery(manager)
-        manager.register_home_categories(
-            ("proto.Owned.read_req", "proto.Owned.write_req", "proto.Owned.flush"),
-            self.regions,
-        )
-        manager.register_push_categories(("proto.Owned.invalidate",))
-        manager.register_ack_categories(("proto.Owned.grant_ack",))
-        manager.register_pending_handler("proto.Owned.fwd_read", "_recover_fwd_read")
-
     def _recover_fwd_read(self, manager, pend, dead: int) -> None:
         """Sweep handler for an in-flight forward touching the dead node."""
         manager.recover_forward(self.home, pend, dead)

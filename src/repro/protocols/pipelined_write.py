@@ -103,10 +103,9 @@ class PipelinedWriteProtocol(CachedTableProtocol):
         # or the drain: both are heard once.  ``delta_ack`` is this
         # protocol's own message, so the port's receipts are ``*_heard``.
         port = self.port
-        self._h_refetch = port.idempotent(self._on_refetch)
+        self._h_refetch = port.idempotent(self._on_refetch)  # a copy of home data
         self._h_delta = port.hears(self._on_delta, "proto.PipelinedWrite.delta_heard")
         self._h_delta_ack = port.hears(self._on_delta_ack, "proto.PipelinedWrite.delta_ack_heard")
-        port.watch(("proto.PipelinedWrite.refetch", "proto.PipelinedWrite.delta"))
 
     # -- guards (table-referenced) ----------------------------------------
     def g_phase_stale_home(self, nid: int, handle) -> bool:

@@ -98,10 +98,9 @@ class RaceDetectProtocol(CachedTableProtocol):
         # A summary counted twice would open the barrier early, and a
         # delayed duplicate of an old push must not overwrite a newer one.
         port = self.port
-        self._h_refetch = port.idempotent(self._on_refetch)
+        self._h_refetch = port.idempotent(self._on_refetch)  # a copy of home data
         self._h_summary = port.hears(self._on_summary, "proto.RaceDetect.summary_ack")
         self._h_push = port.answers(self._on_push, "proto.RaceDetect.push_ack", "_on_push_ack")
-        port.watch(tuple(f"proto.RaceDetect.{m}" for m in ("refetch", "summary", "push")))
 
     # -- guards / instrumentation actions ---------------------------------
     def g_epoch_stale_remote(self, nid: int, handle) -> bool:

@@ -19,18 +19,20 @@ even constructed and the reliable fast paths stay installed.
 
 from __future__ import annotations
 
+import inspect
 import json
+import re
+from itertools import permutations
+from pathlib import Path
 
 import pytest
-
-import re
-from pathlib import Path
 
 from repro.dsm import FaultPlan, FaultTransport, OneShot, RetryPolicy, StallError, as_transport
 from repro.dsm.transport import Acks, Port
 from repro.dsm.faults import LinkFaults, RetryKit, RetryPort
-from repro.facade import run_spmd
+from repro.facade import AceBackend, NodeContext, run_spmd
 from repro.harness.experiments import FIG7_WORKLOADS, run_app
+from repro.harness.recovery_workload import ring_program
 from repro.machine import Machine, MachineConfig
 from repro.obs import TraceBuffer
 from repro.sim import Delay, Future, Simulator
@@ -381,6 +383,58 @@ def test_owned_stall_reports_its_forwarding_entry():
     assert json.loads(json.dumps(report.to_dict()))["directory"][0]["pending"]["src"] == 2
 
 
+def _region_argument(pend):
+    """The region id a pending call hands its receiving handler, or None
+    if that handler takes no ``rid``: read off the handler's own
+    parameters (the shim keeps its owner and, suffix aside, its name)."""
+    shim = pend.handler
+    owner, name = shim.__self__, shim.__name__
+    if not hasattr(owner, name):  # a ``_r`` / ``_rt`` stat spelling
+        name = name.rsplit("_", 1)[0]
+    params = list(inspect.signature(getattr(owner, name)).parameters)
+    if "rid" not in params:
+        return None
+    lead = 3 if params[2] in ("fut", "ack") else 2  # node, src[, fut | ack]
+    return pend.call_args[params.index("rid") - lead]
+
+
+@pytest.mark.parametrize(
+    "protocol", ["SC", "Owned", "DynamicUpdate", "SelfInvalidate", "Counter", "PipelinedWrite"]
+)
+def test_a_stall_names_the_region_of_every_call_whose_receiver_takes_one(protocol):
+    """Every dead link of the 4-node ring, dying at its start or mid-run,
+    under both barriers: each call in flight at the stall names its region
+    exactly when its receiving handler takes a ``rid`` — DynamicUpdate's
+    update and push and SelfInvalidate's write-back included, which no
+    service declared for the report — and ``_on_delta_ack`` and barrier
+    notifies, which take none, name nothing."""
+    named, unnamed = set(), set()
+    for link in permutations(range(4), 2):
+        for barrier in ("hw", "dissemination"):
+            for at in (0, 2500, 5000):
+                sim = Simulator()
+                fabric = FaultTransport(
+                    Machine(sim, MachineConfig(n_procs=4)), FaultPlan.dead_link(*link, at=at),
+                    retry_policy=RetryPolicy(timeout=500, max_timeout=2000, max_attempts=3),
+                )
+                backend = AceBackend(fabric, barrier_algorithm=barrier)
+                prog = ring_program(protocol)
+                try:
+                    sim.run_all([prog(NodeContext(backend, i)) for i in range(4)], prefix="proc")
+                except StallError as exc:
+                    for call in exc.report.in_flight:
+                        pend = fabric.kit.pending[call["seq"]]
+                        assert call["region"] == _region_argument(pend), (link, barrier, at, call)
+                        (unnamed if call["region"] is None else named).add(call["category"])
+    assert "barrier.notify" in unnamed and named and not named & unnamed
+    assert {
+        "DynamicUpdate": {"proto.DynamicUpdate.update", "proto.DynamicUpdate.push"},
+        "SelfInvalidate": {"proto.SelfInvalidate.wb"},
+        "PipelinedWrite": {"proto.PipelinedWrite.delta"},
+    }.get(protocol, set()) <= named
+    assert (protocol == "PipelinedWrite") == ("proto.PipelinedWrite.delta_ack" in unnamed)
+
+
 def test_crashed_node_stalls_survivors_with_report():
     plan = FaultPlan.none()
     plan.crashes[2] = 0  # node 2 never sends or receives a message
@@ -694,9 +748,8 @@ def test_sweep_answers_for_a_dead_target_and_the_collector_completes():
     machine = Machine(sim, MachineConfig(n_procs=3))
     transport = FaultTransport(machine, FaultPlan.crash(2, at=0), on_crash="recover")
     manager = transport.recovery
-    manager.register_push_categories(("svc.poll",))
     svc = _Svc(transport.port("svc"))
-    svc.h_poll = svc.port.answers(svc._on_poll, "svc.poll_ack", "_on_poll_ack")
+    svc.h_poll = svc.port.answers(svc._on_poll, "svc.poll_ack", "_on_poll_ack", on_dead="answer")
     acks = svc.poll(0, [1, 2], 4)
     sim.run(until=2000)  # node 1 answered; node 2 crash-stopped at cycle 0
     assert svc.answers == [(1, 40)] and acks.waiting == [2]
@@ -705,6 +758,19 @@ def test_sweep_answers_for_a_dead_target_and_the_collector_completes():
     assert transport.stats.get("recovery.fake_acks") == 1
     assert not transport.kit.pending
     assert sim.run() == 2000  # nothing left to retry: no timer holds the clock
+
+
+def test_a_binder_refuses_a_crash_fate_it_cannot_keep():
+    """``on_dead`` is a fate the sweep knows, or a callable; a retarget
+    needs a region to follow, so its handler's first payload is ``rid``."""
+    _, _, svc = _dup_everything()
+    assert svc.port.serves(svc._on_ask).on_dead == "abandon"
+    assert svc.port.hears(svc._on_tell, "svc.ack", on_dead="answer").on_dead == "answer"
+    assert not svc.port.serves(svc._on_ask).names_region  # its payload is ``x``
+    with pytest.raises(ValueError, match="_Svc._on_ask"):
+        svc.port.serves(svc._on_ask, on_dead="retarget")
+    with pytest.raises(ValueError, match="'rehome'"):
+        svc.port.answers(svc._on_poll, "svc.ack", on_dead="rehome")
 
 
 def _armings(kit, pend):
@@ -794,10 +860,10 @@ def test_protocol_ports_keep_the_handlers_own_stat_name():
 def test_only_the_port_names_the_retry_machinery():
     """One owner for "how a message becomes exactly-once": outside
     dsm/faults.py (+ recovery's sweep) nothing names the retry kit or
-    the dedup tables."""
+    the receipt table."""
     src = Path(__file__).resolve().parents[2] / "src" / "repro"
     allowed = {src / "dsm" / "faults.py", src / "dsm" / "recovery.py"}
-    pattern = re.compile(r"\b(DedupTable|SeenOnce|RetryKit)\b|transport\.kit\b|\b_kit\.")
+    pattern = re.compile(r"\b(ReceiptTable|RetryKit)\b|transport\.kit\b|\b_kit\.")
     offenders = [
         f"{path.relative_to(src)}:{n}: {line.strip()}"
         for path in sorted(src.rglob("*.py"))

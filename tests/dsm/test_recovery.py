@@ -12,7 +12,7 @@ workload (``repro.harness.recovery_workload``):
   armed recovery manager never declares anyone dead;
 * **zero cost when off** — without ``on_crash`` no recovery machinery
   is even constructed;
-* the dedup tables the fabric leans on are **bounded** (watermark+age
+* the receipt table the fabric leans on is **bounded** (watermark+age
   GC) rather than growing for the whole run.
 """
 
@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dsm import Crashed, FaultPlan, StallError
-from repro.dsm.faults import DedupTable, LinkFaults, SeenOnce, _GC_EVERY, _GC_LAG
+from repro.dsm import Crashed, FaultPlan, FaultTransport, StallError
+from repro.dsm.faults import LinkFaults, _GC_EVERY, _GC_LAG
 from repro.dsm.recovery import DETECT_WITHIN, HB_INTERVAL
 from repro.facade import run_spmd
 from repro.harness.experiments import run_app
@@ -31,7 +31,9 @@ from repro.harness.recovery_workload import (
     locked_counter_program,
     ring_program,
 )
+from repro.machine import Machine, MachineConfig
 from repro.obs import TraceBuffer
+from repro.sim import Simulator
 
 N_PROCS = 4
 ROUNDS = 4
@@ -397,76 +399,83 @@ def test_a_crash_is_declared_inside_the_latency_bound(victim):
 # ---------------------------------------------------------------------------
 
 
-class _StubTransport:
-    """The slice of Transport the dedup structures touch."""
+class _Receiver:
+    """One call, one notify and one fan-out receiver, each region-first."""
 
-    class _Sim:
-        now = 0
+    def __init__(self, port):
+        self.port = port
+        self.runs = 0  # handler executions: a duplicate must not add one
 
-    class _Kit:
-        def __init__(self):
-            self.pending: dict = {}
-            self._seq = 0
+    def _on_call(self, node, src, fut, rid):
+        self.runs += 1
+        self.port.reply(fut, rid, payload_words=1, category="test.answer")
 
-    class _Stats:
-        @staticmethod
-        def counter_ref():
-            from collections import defaultdict
+    def _on_note(self, node, src, rid):
+        self.runs += 1
 
-            return defaultdict(int)
+    def _on_leg(self, node, src, ack, rid):
+        self.runs += 1
+        ack(rid)
 
-    def __init__(self):
-        self.sim = self._Sim()
-        self.kit = self._Kit()
-        self.stats = self._Stats()
 
-    def reply(self, fut, value=None, payload_words=0, category="am.reply"):
-        pass
+def _drive_receipts_to_a_plateau(binders):
+    """Drive settled messages through ``binders`` (names of ``Port``
+    binders, taken in turn) and check the one ``(src, seq)`` receipt
+    table behind them: it is purged behind the retry kit's watermark and
+    age, so it plateaus, and each binder's recent duplicate still gets
+    its recorded answer without re-running its handler."""
+    sim = Simulator()
+    transport = FaultTransport(Machine(sim, MachineConfig(n_procs=2)), FaultPlan())
+    sent = []
+    transport.reply = lambda fut, value=None, payload_words=0, category="": sent.append((category, value))
+    port = transport.port("test")
+    svc = _Receiver(port)
+    bind = {
+        "serves": (lambda: port.serves(svc._on_call), "test.answer", True),
+        "hears": (lambda: port.hears(svc._on_note, "test.note_ack"), "test.note_ack", False),
+        "answers": (lambda: port.answers(svc._on_leg, "test.leg_ack"), "test.leg_ack", True),
+    }
+    shims = [bind[b][0]() for b in binders]
+    kit, rows = transport.kit, port._receipts.rows
+    step = 200  # cycles between settled messages
+
+    def deliver(seq):
+        shims[seq % len(shims)](None, 0, object(), seq, seq)
+
+    def drive(n):
+        for _ in range(n):
+            seq = kit._seq
+            deliver(seq)
+            kit._seq = seq + 1  # settled: nothing pending below _seq
+            sim.now += step
+
+    warm = _GC_LAG // step + _GC_EVERY  # rows young enough to keep + GC slack
+    drive(4 * warm)
+    size_a = len(rows)
+    drive(4 * warm)
+    assert size_a <= warm + 1
+    assert len(rows) <= warm + 1  # plateau: doubling the run does not grow it
+    assert not port.open_calls  # every admitted call was answered
+    # Correctness survives GC: each binder's recent duplicate replays the
+    # answer it recorded, and no handler runs again.
+    runs = svc.runs
+    for seq in range(kit._seq - len(shims), kit._seq):
+        _, category, echoes = bind[binders[seq % len(shims)]]
+        del sent[:]
+        deliver(seq)
+        assert sent == [(category, seq if echoes else None)]
+    assert svc.runs == runs == 8 * warm
+    return transport
 
 
 def test_dedup_table_plateaus():
-    tr = _StubTransport()
-    table = DedupTable(tr, "test")
-    step = 200  # cycles between settled requests
-
-    def drive(n):
-        for _ in range(n):
-            seq = tr.kit._seq
-            fut = object()
-            assert table.admit(0, seq, fut)
-            tr.kit._seq = seq + 1  # settled: nothing pending below _seq
-            table.reply(fut, None)
-            tr.sim.now += step
-
-    warm = _GC_LAG // step + _GC_EVERY  # entries young enough to keep + GC slack
-    drive(4 * warm)
-    size_a = len(table._sent)
-    drive(4 * warm)
-    size_b = len(table._sent)
-    assert size_a <= warm + 1
-    assert size_b <= warm + 1  # plateau: doubling the run does not grow it
-    # Correctness survives GC: a recent settled duplicate still replays.
-    assert not table.admit(0, tr.kit._seq - 1, object())
+    """A served call's receipt ages out; its recent duplicate replays."""
+    transport = _drive_receipts_to_a_plateau(["serves"])
+    assert transport.stats.get("test.replayed_reply") == 1
 
 
 def test_seen_once_plateaus():
-    tr = _StubTransport()
-    seen = SeenOnce(tr)
-    step = 200
-
-    def drive(n):
-        for _ in range(n):
-            seq = tr.kit._seq
-            assert seen.first(0, seq)
-            assert not seen.first(0, seq)  # immediate duplicate is caught
-            seen.acked[(0, seq)] = (None, 1)  # the ack a fan-out receiver recorded
-            tr.kit._seq = seq + 1
-            tr.sim.now += step
-
-    warm = _GC_LAG // step + _GC_EVERY
-    drive(4 * warm)
-    size_a = len(seen._seen)
-    drive(4 * warm)
-    assert size_a <= warm + 1
-    assert len(seen._seen) <= warm + 1
-    assert seen.acked.keys() <= seen._seen.keys()  # recorded acks age out with their entry
+    """A heard or fanned-out message's receipt (its ack) ages out the same
+    way in the same table; only a call's replay is counted."""
+    transport = _drive_receipts_to_a_plateau(["hears", "answers"])
+    assert transport.stats.get("test.replayed_reply") == 0
