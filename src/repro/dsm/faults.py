@@ -352,19 +352,21 @@ class LivenessWatchdog:
             "deadline": pend.deadline,  # cycle the next retry is due (None: not sent yet)
         }
 
-    def trip(self, pend: "_PendingCall") -> None:
-        """Raise a :class:`StallError` for an exhausted call.
+    def trip(self, pend: "_PendingCall", dead: int | None = None) -> None:
+        """Raise a :class:`StallError` for an exhausted call, or for one
+        abandoned at node ``dead``'s death while a live caller waits on it.
 
-        Called from the retry sweeper's event, so the raise propagates out of
-        :meth:`Simulator.run` — the run terminates with a report
-        instead of spinning or hanging.
+        Called from the retry sweeper's event or the recovery sweep, so
+        the raise propagates out of :meth:`Simulator.run` — the run
+        terminates with a report instead of spinning or hanging.
         """
         desc = self._describe(pend)
         region = "" if desc["region"] is None else f" for region {desc['region']}"
-        reason = (
-            f"{desc['category']}{region} from node {desc['src']} to node {desc['dst']} "
-            f"unacknowledged after {pend.attempts} attempts"
+        why = (
+            f"unacknowledged after {pend.attempts} attempts" if dead is None
+            else f"abandoned: node {dead} died while node {pend.src} waits on it"
         )
+        reason = f"{desc['category']}{region} from node {desc['src']} to node {desc['dst']} {why}"
         report = self.report(reason)
         # The tripping call's destination leads the suspect list.
         report.suspects = [pend.dst] + [s for s in report.suspects if s != pend.dst]
@@ -876,6 +878,14 @@ class RetryKit:
             self._sweep_at = _NEVER
             for fifo in self._fifos:
                 fifo.clear()
+
+    def awaited(self, pend: _PendingCall) -> bool:
+        """Whether anything but :meth:`settle` waits for the call's answer
+        (a task blocked on it, a fan-out's collector)."""
+        settle = self.settle
+        return any(
+            not (type(fn) is partial and fn.func == settle) for fn in pend.fut._callbacks or ()
+        )
 
     def _sweep(self) -> None:
         now = self._sweep_at = self._sim.now  # a retransmit below must not re-wake

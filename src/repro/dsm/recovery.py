@@ -371,7 +371,10 @@ class RecoveryManager:
                 # this ack anymore, and firing its callbacks against
                 # rebuilt state would corrupt it), or the call to the dead
                 # node is safe to abandon (a grant ack: the rebuild resets
-                # the window it would have closed).
+                # the window it would have closed) — unless a live caller
+                # waits on it, who would wait forever: that ends the run.
+                if pend.src != dead and kit.awaited(pend):
+                    self.transport.watchdog.trip(pend, dead)
                 self.cancel(pend)
                 counts[self._k["abandoned"]] += 1
             elif fate == "retarget":  # its first payload is the region id

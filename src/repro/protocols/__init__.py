@@ -25,15 +25,18 @@ Shipped protocols
 ``PipelinedWrite``  buffered delta writes drained/verified at barriers
 ``RaceDetect``      Larus-style per-epoch data-race checking (§2.1)
 ``HwSC``            SC with hardware access-fault control (§6, Typhoon)
-``BufferedUpdate``  any-writer batched updates, built from §6's blocks
+``BufferedUpdate``  any-writer batched updates, assembled from §6's blocks
 ``SelfInvalidate``  barrier self-invalidation with write self-downgrade
 ``Owned``           MOESI-style owned state; dirty owners supply readers
 ==================  =====================================================
 
-The §6 protocol building blocks: the acked fan-out is the port's
-``fan_out`` + :class:`~repro.dsm.transport.Acks` (every protocol reaches
-the wire through its port, so it survives a lossy fabric);
-:mod:`repro.protocols.blocks` holds the sharer directory.
+The §6 protocol building blocks of the cached-copy protocols live in
+:mod:`repro.protocols.caching`: :class:`~repro.protocols.caching.CachedCopyProtocol`
+holds the fetch and refetch handlers, the acked push (one sender over
+the port's ``fan_out`` + :class:`~repro.dsm.transport.Acks`, so it
+survives a lossy fabric, and one receiver), the epoch counter and the
+one-writer-per-epoch check; :class:`~repro.protocols.caching.UpdateProtocol`
+adds the update tables' sharer record and home update.
 """
 
 from repro.protocols.base import Handle, Protocol, ProtocolSpec

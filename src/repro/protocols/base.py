@@ -109,10 +109,11 @@ class Handle(TypingProtocol):
 class Protocol:
     """Base class for protocols: null hooks and common plumbing.
 
-    Subclasses set a class-level ``spec`` and override the hooks they
-    need.  All hook methods are generators driven by the owning node's
-    task; the base implementations charge nothing and do nothing, so a
-    subclass only pays for what it customizes.
+    Subclasses set a class-level ``spec`` — or a ``table``, from which
+    the spec is derived — and override the hooks they need.  All hook
+    methods are generators driven by the owning node's task; the base
+    implementations charge nothing and do nothing, so a subclass only
+    pays for what it customizes.
 
     ``map``/``unmap`` and the four access hooks may declare a third
     parameter, ``lead``: the runtime's dispatch cycles, which the hook
@@ -132,6 +133,13 @@ class Protocol:
     """
 
     spec = ProtocolSpec(name="Abstract", optimizable=False)
+
+    def __init_subclass__(cls, **kw):
+        """A class body that sets ``table`` gets its ``spec`` derived from it."""
+        super().__init_subclass__(**kw)
+        table = cls.__dict__.get("table")
+        if table is not None:
+            cls.spec = ProtocolSpec.from_table(table)
 
     def __init__(self, runtime, space):
         self.runtime = runtime
@@ -274,10 +282,6 @@ class TableProtocol(Protocol):
         tbl = self.table
         if tbl is None:
             raise TableError(f"{type(self).__name__} declares no ProtocolTable")
-        if tbl.name != self.spec.name:
-            raise TableError(
-                f"{type(self).__name__}: table {tbl.name!r} does not match spec {self.spec.name!r}"
-            )
         for event, hook in table_hooks(tbl, self, _CODE, self.effects).items():
             setattr(self, event, hook)
 

@@ -1,4 +1,4 @@
-"""Buffered update protocol — built from the §6 building blocks.
+"""Buffered update protocol — assembled from the §6 building blocks.
 
 Fills the gap between the two update protocols the paper evaluates:
 ``DynamicUpdate`` propagates on *every* write (low latency, chatty) and
@@ -9,10 +9,14 @@ to its home, which forwards to the sharers.  The application asserts a
 single writer per region per epoch (checked at the home: concurrent
 epoch writers raise).
 
-Implementation-wise this protocol is deliberately thin: sharer
-tracking comes from :mod:`repro.protocols.blocks`, both acked fan-outs
-(writer to homes, home to sharers) are the port's ``fan_out`` +
-``Acks``, and the table is three rows.
+This protocol is deliberately thin: the sharer record and the home
+update (adopt, push to the sharers, answer the writer) are
+:class:`~repro.protocols.caching.UpdateProtocol`'s; the epoch counter,
+the one-writer-per-epoch check and the acked push are
+:class:`~repro.protocols.caching.CachedCopyProtocol`'s.  What is left
+is the writer's leg — one port ``post`` per dirty region, answered
+into an :class:`~repro.dsm.transport.Acks` collector — and a table of
+three rows.
 """
 
 from __future__ import annotations
@@ -20,9 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dsm.transport import Acks
-from repro.protocols.base import ProtocolMisuse, ProtocolSpec
-from repro.protocols.blocks import SharerDirectory
-from repro.protocols.caching import CachedTableProtocol
+from repro.protocols.caching import UpdateProtocol
 from repro.protocols.registry import default_registry
 from repro.sim import Future
 from repro.spec import ProtocolTable, Transition
@@ -66,29 +68,19 @@ BUFFERED_UPDATE_TABLE = ProtocolTable(
 
 
 @default_registry.register
-class BufferedUpdateProtocol(CachedTableProtocol):
+class BufferedUpdateProtocol(UpdateProtocol):
     """Any-writer batched updates, shipped once per barrier epoch."""
 
     table = BUFFERED_UPDATE_TABLE
-    spec = ProtocolSpec.from_table(BUFFERED_UPDATE_TABLE)
 
     def __init__(self, runtime, space):
         super().__init__(runtime, space)
-        n = self.transport.n_procs
-        self._dirty: list[set] = [set() for _ in range(n)]
-        self._sharers = SharerDirectory()
-        # home-side: rid -> epoch version of last accepted write
-        self._last_writer: dict = {}
-        self._epoch = [0] * n
+        self._dirty: list[set] = [set() for _ in range(self.transport.n_procs)]
         # A re-run update would answer its writer twice, and a delayed
         # duplicate (update or push) must not overwrite a newer epoch's data.
         port = self.port
         self._h_update = port.hears(self._on_update, "proto.BufferedUpdate.update_ack")
         self._h_push = port.answers(self._on_push, "proto.BufferedUpdate.push_ack", "_on_ack")
-
-    def _fetch_extra(self, rid: int, src: int):
-        self._sharers.register(rid, src)
-        return None
 
     # -- actions (table-referenced) ---------------------------------------
     def act_mark_dirty(self, nid: int, handle):
@@ -123,34 +115,8 @@ class BufferedUpdateProtocol(CachedTableProtocol):
                 )
         yield shipped.done
 
-    def act_advance_epoch(self, nid: int):
-        self._epoch[nid] += 1
-
     # -- home side (handler context) -------------------------------------
     def _on_update(self, node, src, rid, epoch, data, shipped):
-        key = (rid, epoch)
-        prev = self._last_writer.get(key)
-        if prev is not None and prev != src:
-            raise ProtocolMisuse(
-                f"BufferedUpdate: nodes {prev} and {src} both wrote region {rid} "
-                f"in epoch {epoch}; this protocol asserts one writer per epoch"
-            )
-        self._last_writer[key] = src
-        region = self.regions.get(rid)
-        np.copyto(region.home_data, data)
-        targets = self._sharers.sharers(rid, exclude=(src, region.home))
-        if targets:
-            pushed = Acks(done=Future(name=f"bu:push:{rid}@{region.home}"))
-            pushed.done.add_callback(lambda _: shipped.answer(rid))
-            self.port.fan_out(
-                region.home,
-                targets,
-                self._h_push,
-                rid,
-                data,
-                acks=pushed,
-                payload_words=region.size,
-                category="proto.BufferedUpdate.push",
-            )
-        else:
-            shipped.answer(rid)
+        self._check_epoch_writer(rid, epoch, src)
+        pushed = self._update_home(src, rid, data, f"bu:push:{rid}@{node.nid}")
+        pushed.done.add_callback(lambda _: shipped.answer(rid))

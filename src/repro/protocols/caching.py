@@ -1,23 +1,38 @@
 """Shared machinery for custom protocols that keep per-node cached copies.
 
 Most custom protocols (Null, the update family, HomeWrite,
-PipelinedWrite) share a shape: regions are fetched whole from their
-home on first map and cached locally; the protocols differ in *when* a
-cached copy is refreshed or pushed.  :class:`CachedCopyProtocol`
-factors out the copy tables, the map fast path, and the home-side
-fetch handler; subclasses hook :meth:`_fetch_extra` (home-side
-registration at fetch time — e.g. recording a sharer) and
-:meth:`_after_fetch` (requester-side install bookkeeping).
+PipelinedWrite, RaceDetect, SelfInvalidate) share a shape: regions are
+fetched whole from their home on first map and cached locally; the
+protocols differ in *when* a cached copy is refreshed or pushed.
+:class:`CachedCopyProtocol` holds what they would otherwise each
+repeat — the §6 "library of protocol building blocks" for this family:
+
+* the copy tables, the map fast path and the home's fetch handler;
+  subclasses hook :meth:`~CachedCopyProtocol._fetch_extra` (home-side
+  registration at fetch time) and
+  :meth:`~CachedCopyProtocol._after_fetch` (requester-side install
+  bookkeeping);
+* the ``refetch`` action and the home's refetch handler (a copy of
+  home data);
+* the acked push: one sender, :meth:`~CachedCopyProtocol._send_push`
+  (the port's ``fan_out`` with an :class:`~repro.dsm.transport.Acks`
+  collector), and its receiver :meth:`~CachedCopyProtocol._on_push`;
+* the barrier epoch counter and the home's one-writer-per-epoch check.
+
+:class:`UpdateProtocol` adds the sharer record the three update tables
+(StaticUpdate, DynamicUpdate, BufferedUpdate) push to, filled at fetch
+and pruned at a death, and their common home update.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.dsm.transport import Acks
 from repro.machine.stats import intern_key
 from repro.memory import RegionCopy
-from repro.protocols.base import _POOL, _POOL_SIZE, Protocol, TableProtocol
-from repro.sim import Delay
+from repro.protocols.base import _POOL, _POOL_SIZE, Protocol, ProtocolMisuse, TableProtocol
+from repro.sim import Delay, Future
 
 
 class CachedCopyProtocol(Protocol):
@@ -40,7 +55,12 @@ class CachedCopyProtocol(Protocol):
 
     def __init__(self, runtime, space):
         super().__init__(runtime, space)
-        self._copies: list[dict[int, RegionCopy]] = [dict() for _ in range(self.transport.n_procs)]
+        n = self.transport.n_procs
+        self._copies: list[dict[int, RegionCopy]] = [dict() for _ in range(n)]
+        #: each node's barrier epoch, and the home's record of who wrote
+        #: a region in an epoch: (rid, epoch) -> writer nid
+        self._epoch = [0] * n
+        self._epoch_writer: dict = {}
         # The fabric, through the reliability seam (DESIGN.md §9).  The
         # fetch handler is idempotent (metadata read + set-add in
         # _fetch_extra): a retransmitted fetch simply re-replies, and a
@@ -124,11 +144,65 @@ class CachedCopyProtocol(Protocol):
         """Home-side hook at fetch time (register sharers, return versions)."""
         return None
 
-    # -- sharer-side push (handler context) -------------------------------
+    # -- revalidation: ``refetch`` rows, served through ``self._h_refetch``
+    def act_refetch(self, nid: int, handle):
+        """Overwrite a copy with its home's data."""
+        region = handle.region
+        data = yield from self._rpc(
+            nid,
+            region.home,
+            self._h_refetch,
+            region.rid,
+            payload_words=2,  # request is metadata-only; the reply carries data
+            category=f"proto.{self.spec.name}.refetch",
+        )
+        np.copyto(handle.data, data)
+
+    def _on_refetch(self, node, src, fut, rid):
+        """The home's answer to a refetch: a copy of home data."""
+        region = self.regions.get(rid)
+        self._reply(
+            fut,
+            region.home_data.copy(),
+            payload_words=region.size,
+            category=f"proto.{self.spec.name}.refetch_data",
+        )
+
+    # -- epochs (handler context at the home) -----------------------------
+    def act_advance_epoch(self, nid: int):
+        self._epoch[nid] += 1
+
+    def _check_epoch_writer(self, rid: int, epoch: int, src: int) -> None:
+        """The epoch-writer protocols' assertion, checked at the home."""
+        key = (rid, epoch)
+        prev = self._epoch_writer.get(key)
+        if prev is not None and prev != src:
+            raise ProtocolMisuse(
+                f"{self.spec.name}: nodes {prev} and {src} both wrote region {rid} "
+                f"in epoch {epoch}; this protocol asserts one writer per epoch"
+            )
+        self._epoch_writer[key] = src
+
+    # -- the acked push ----------------------------------------------------
+    def _send_push(self, src: int, targets, region, data, acks: Acks) -> None:
+        """Push ``data`` for ``region`` from ``src`` to ``targets`` (every
+        caller sorts them) through ``self._h_push``, the subclass's
+        ``port.answers`` binding of :meth:`_on_push`; ``acks`` collects
+        one answer each."""
+        self.port.fan_out(
+            src,
+            targets,
+            self._h_push,
+            region.rid,
+            data,
+            acks=acks,
+            payload_words=region.size,
+            category=f"proto.{self.spec.name}.push",
+        )
+
     def _on_push(self, node, src, ack, rid, data):
-        """Fan-out receiver of the update protocols (bound with
-        ``port.answers``): install a pushed region and answer it.  The
-        ``valid`` mark is how :meth:`map` knows a push overtook its reply."""
+        """Install a pushed region and answer it.  The ``valid`` mark is
+        how :meth:`map` knows a push overtook its reply."""
         copy = self._copies[node.nid].get(rid)
         if copy is not None:
             np.copyto(copy.data, data)
@@ -183,3 +257,35 @@ class CachedTableProtocol(TableProtocol, CachedCopyProtocol):
     table-driven library protocols derive from this.
     """
 
+
+class UpdateProtocol(CachedTableProtocol):
+    """The update tables' base: the home records who fetched each region
+    (its sharers), pushes to them, and forgets a dead one."""
+
+    def __init__(self, runtime, space):
+        super().__init__(runtime, space)
+        self._sharers: dict[int, set[int]] = {}
+
+    def _fetch_extra(self, rid: int, src: int):
+        self._sharers.setdefault(rid, set()).add(src)
+        return None
+
+    def _update_home(self, writer: int, rid: int, data, name: str) -> Acks:
+        """A write reaching the home: adopt ``data``, push it to every
+        sharer but the writer and the home, and return the collector,
+        whose ``done`` (a future called ``name``) resolves once all have
+        answered — at once if there is nobody to push to."""
+        region = self.regions.get(rid)
+        np.copyto(region.home_data, data)
+        acks = Acks(done=Future(name=name))
+        targets = sorted(self._sharers.get(rid, set()) - {writer, region.home})
+        if targets:
+            self._send_push(region.home, targets, region, data, acks)
+        else:
+            acks.done.resolve(None)
+        return acks
+
+    def on_node_dead(self, dead: int, manager, rehomed: dict) -> None:
+        super().on_node_dead(dead, manager, rehomed)
+        for sharers in self._sharers.values():
+            sharers.discard(dead)

@@ -22,7 +22,6 @@ from collections import deque
 
 import numpy as np
 
-from repro.protocols.base import ProtocolSpec
 from repro.protocols.caching import CachedTableProtocol
 from repro.protocols.registry import default_registry
 from repro.sim import Future
@@ -77,7 +76,6 @@ class CounterProtocol(CachedTableProtocol):
     """Home-serialized fetch/modify/commit for small hot regions."""
 
     table = COUNTER_TABLE
-    spec = ProtocolSpec.from_table(COUNTER_TABLE)
 
     def __init__(self, runtime, space):
         super().__init__(runtime, space)

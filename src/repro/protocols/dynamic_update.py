@@ -32,10 +32,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dsm.transport import Acks
-from repro.protocols.base import ProtocolSpec
-from repro.protocols.caching import CachedTableProtocol
+from repro.protocols.caching import UpdateProtocol
 from repro.protocols.registry import default_registry
-from repro.sim import Future
 from repro.spec import ProtocolTable, Transition
 
 DYNAMIC_UPDATE_TABLE = ProtocolTable(
@@ -78,18 +76,16 @@ DYNAMIC_UPDATE_TABLE = ProtocolTable(
 
 
 @default_registry.register
-class DynamicUpdateProtocol(CachedTableProtocol):
+class DynamicUpdateProtocol(UpdateProtocol):
     """Write-through-with-multicast update protocol."""
 
     table = DYNAMIC_UPDATE_TABLE
-    spec = ProtocolSpec.from_table(DYNAMIC_UPDATE_TABLE)
 
     END_WRITE_COST = DYNAMIC_UPDATE_TABLE.cost("end_write")
     APPLY_COST = DYNAMIC_UPDATE_TABLE.cost("apply")
 
     def __init__(self, runtime, space):
         super().__init__(runtime, space)
-        self._sharers: dict[int, set[int]] = {}
         #: recovery-active only: writer -> {"rid", "data", "acks"} for
         #: the update whose fan-out has not fully acked (a writer blocks
         #: per update, so at most one each; a dead home strands these
@@ -103,13 +99,9 @@ class DynamicUpdateProtocol(CachedTableProtocol):
         # follows a dead home to the new one; a push to a dead sharer is
         # answered on its behalf, so the fan-out completes.
         self._h_update = self.port.serves(self._on_update, on_dead="retarget")
-        self._h_apply = self.port.answers(
+        self._h_push = self.port.answers(
             self._on_apply, "proto.DynamicUpdate.push_ack", "_on_apply_ack", on_dead="answer"
         )
-
-    def _fetch_extra(self, rid: int, src: int):
-        self._sharers.setdefault(rid, set()).add(src)
-        return None
 
     def act_propagate_write(self, nid: int, handle):
         """Push the written region to home + all sharers; wait for acks."""
@@ -117,8 +109,8 @@ class DynamicUpdateProtocol(CachedTableProtocol):
         self._count("propagate")
         data = np.array(handle.data, copy=True)
         if nid == region.home:
-            # Home's copy aliases home_data: canonical store already current.
-            yield self._push(region, data, exclude=nid, name=f"du:{region.rid}@{nid}").done
+            # Home's copy aliases home_data: adopting ``data`` rewrites it in place.
+            yield self._update_home(nid, region.rid, data, f"du:{region.rid}@{nid}").done
         else:
             yield from self._rpc(
                 nid,
@@ -132,9 +124,7 @@ class DynamicUpdateProtocol(CachedTableProtocol):
 
     # -- home side (handler context) -------------------------------------
     def _on_update(self, node, src, fut, rid, data):
-        region = self.regions.get(rid)
-        np.copyto(region.home_data, data)
-        acks = self._push(region, data, exclude=src, name=f"du:{rid}@home")
+        acks = self._update_home(src, rid, data, f"du:{rid}@home")
         acks.done.add_callback(
             lambda _: self._reply(
                 fut, None, payload_words=1, category="proto.DynamicUpdate.update_ack"
@@ -147,40 +137,14 @@ class DynamicUpdateProtocol(CachedTableProtocol):
             self._open_updates[src] = {"rid": rid, "data": data, "acks": acks}
             acks.done.add_callback(lambda _fut: self._open_updates.pop(src, None))
 
-    def _push(self, region, data, exclude: int, name: str) -> Acks:
-        """Multicast ``data`` to every sharer except ``exclude``; the
-        returned collector's ``done`` resolves when all have answered."""
-        acks = Acks(done=Future(name=name))
-        targets = sorted(self._sharers.get(region.rid, set()) - {exclude, region.home})
-        if targets:
-            self._push_to(region, targets, data, acks)
-        else:
-            acks.done.resolve(None)
-        return acks
-
-    def _push_to(self, region, targets, data, acks: Acks) -> None:
-        self.port.fan_out(
-            region.home,
-            targets,
-            self._h_apply,
-            region.rid,
-            data,
-            acks=acks,
-            payload_words=region.size,
-            category="proto.DynamicUpdate.push",
-        )
-
     def _on_apply(self, node, src, ack, rid, data):
-        """Install a pushed update and answer it."""
-        copy = self._copies[node.nid].get(rid)
-        if copy is not None:
-            np.copyto(copy.data, data)
-            copy.state = "valid"
-        ack()
+        """:meth:`_on_push` under this protocol's own handler name, which
+        its ``handler._on_apply*`` stat keys carry."""
+        self._on_push(node, src, ack, rid, data)
 
     # -- crash recovery ---------------------------------------------------
     def on_node_dead(self, dead: int, manager, rehomed: dict) -> None:
-        """Shrink the sharer sets and finish fan-outs a dead home stranded.
+        """Finish the fan-outs a dead home stranded.
 
         Pushes *to* a dead sharer were fake-acked by the manager's sweep
         (their collector already heard them); pushes *from* a dead home
@@ -190,8 +154,6 @@ class DynamicUpdateProtocol(CachedTableProtocol):
         carries exactly the in-flight update's contents.
         """
         super().on_node_dead(dead, manager, rehomed)
-        for sharers in self._sharers.values():
-            sharers.discard(dead)
         for _key, entry in sorted(self._open_updates.items()):
             acks = entry["acks"]
             if not acks.waiting or entry["rid"] not in rehomed:
@@ -200,9 +162,6 @@ class DynamicUpdateProtocol(CachedTableProtocol):
             for t in waiting:
                 if t in manager.dead:
                     acks.answer(t)
-            self._push_to(
-                rehomed[entry["rid"]],
-                [t for t in waiting if t not in manager.dead],
-                entry["data"],
-                Acks(acks.answer),
-            )
+            region = rehomed[entry["rid"]]
+            alive = [t for t in waiting if t not in manager.dead]
+            self._send_push(region.home, alive, region, entry["data"], Acks(acks.answer))

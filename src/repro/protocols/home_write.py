@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.protocols.base import ProtocolMisuse, ProtocolSpec
+from repro.protocols.base import ProtocolMisuse
 from repro.protocols.caching import CachedTableProtocol
 from repro.protocols.registry import default_registry
 from repro.spec import ProtocolTable, Transition
@@ -69,7 +69,6 @@ class HomeWriteProtocol(CachedTableProtocol):
     """Single-writer-at-home; readers revalidate cached copies by version."""
 
     table = HOME_WRITE_TABLE
-    spec = ProtocolSpec.from_table(HOME_WRITE_TABLE)
 
     CHECK_COST = HOME_WRITE_TABLE.cost("check")
 

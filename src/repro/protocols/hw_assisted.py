@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from repro.dsm import CoherenceEngine, DSMCosts
 from repro.dsm.msi import HW_SC_TABLE
-from repro.protocols.base import ProtocolSpec
 from repro.protocols.registry import default_registry
 from repro.protocols.sc_invalidate import SCProtocol
 
@@ -45,7 +44,6 @@ class HwAssistedSCProtocol(SCProtocol):
     """Sequentially consistent invalidation with hardware access checks."""
 
     table = HW_SC_TABLE
-    spec = ProtocolSpec.from_table(HW_SC_TABLE)
 
     def __init__(self, runtime, space):
         super().__init__(runtime, space)

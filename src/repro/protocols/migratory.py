@@ -27,7 +27,7 @@ from collections import deque
 import numpy as np
 
 from repro.memory import RegionCopy
-from repro.protocols.base import _POOL, _POOL_SIZE, ProtocolSpec, TableProtocol
+from repro.protocols.base import _POOL, _POOL_SIZE, TableProtocol
 from repro.protocols.registry import default_registry
 from repro.sim import Delay, Future
 from repro.spec import ProtocolTable, Transition
@@ -92,7 +92,6 @@ class MigratoryProtocol(TableProtocol):
     """Exclusive, migrating single copy per region."""
 
     table = MIGRATORY_TABLE
-    spec = ProtocolSpec.from_table(MIGRATORY_TABLE)
 
     CREATE_COST = MIGRATORY_TABLE.cost("create")
     MAP_COST = MIGRATORY_TABLE.cost("map")

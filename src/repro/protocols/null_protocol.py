@@ -17,7 +17,7 @@ home-writer assertion.
 
 from __future__ import annotations
 
-from repro.protocols.base import ProtocolMisuse, ProtocolSpec
+from repro.protocols.base import ProtocolMisuse
 from repro.protocols.caching import CachedTableProtocol
 from repro.protocols.registry import default_registry
 from repro.spec import ProtocolTable, Transition
@@ -51,7 +51,6 @@ class NullProtocol(CachedTableProtocol):
     """No coherence: local data stays local; remote reads get a snapshot."""
 
     table = NULL_TABLE
-    spec = ProtocolSpec.from_table(NULL_TABLE)
 
     def g_remote(self, nid: int, handle) -> bool:
         return handle.region.home != nid

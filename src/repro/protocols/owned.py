@@ -51,7 +51,7 @@ import numpy as np
 from repro.dsm.directory import DirectoryService, HomeMachine
 from repro.dsm.regioncache import RecallReceiver
 from repro.memory import RegionCopy
-from repro.protocols.base import _POOL, _POOL_SIZE, ProtocolSpec, TableProtocol
+from repro.protocols.base import _POOL, _POOL_SIZE, TableProtocol
 from repro.protocols.registry import default_registry
 from repro.sim import Delay, Future
 from repro.spec import ProtocolTable, Transition
@@ -229,7 +229,6 @@ class OwnedProtocol(TableProtocol):
     """
 
     table = OWNED_TABLE
-    spec = ProtocolSpec.from_table(OWNED_TABLE)
 
     CREATE_COST = OWNED_TABLE.cost("create")
     MAP_COST = OWNED_TABLE.cost("map")

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.protocols.base import ProtocolSpec
 from repro.protocols.caching import CachedTableProtocol
 from repro.protocols.registry import default_registry
 from repro.sim import Future
@@ -88,7 +87,6 @@ class PipelinedWriteProtocol(CachedTableProtocol):
     """Accumulating pipelined writes; per-phase read revalidation."""
 
     table = PIPELINED_WRITE_TABLE
-    spec = ProtocolSpec.from_table(PIPELINED_WRITE_TABLE)
 
     ALIAS_HOME = False  # home works on a private copy; deltas merge into truth
     SNAPSHOT_COST = PIPELINED_WRITE_TABLE.cost("snapshot")
@@ -120,27 +118,9 @@ class PipelinedWriteProtocol(CachedTableProtocol):
         handle.phase = self._phase[nid]
 
     def act_refetch(self, nid: int, handle):
-        region = handle.region
-        data = yield from self._rpc(
-            nid,
-            region.home,
-            self._h_refetch,
-            region.rid,
-            payload_words=2,  # request is metadata-only; the reply carries data
-            category="proto.PipelinedWrite.refetch",
-        )
-        np.copyto(handle.data, data)
+        yield from super().act_refetch(nid, handle)
         handle.phase = self._phase[nid]
         self._count("refetch")
-
-    def _on_refetch(self, node, src, fut, rid):
-        region = self.regions.get(rid)
-        self._reply(
-            fut,
-            region.home_data.copy(),
-            payload_words=region.size,
-            category="proto.PipelinedWrite.refetch_data",
-        )
 
     def _after_fetch(self, nid: int, copy, extra) -> None:
         copy.phase = self._phase[nid]

@@ -29,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dsm.transport import Acks
-from repro.protocols.base import ProtocolSpec
 from repro.protocols.caching import CachedTableProtocol
 from repro.protocols.registry import default_registry
 from repro.sim import Delay, Future
@@ -76,7 +75,6 @@ class RaceDetectProtocol(CachedTableProtocol):
     """Epoch-based happens-before race checker with update semantics."""
 
     table = RACE_DETECT_TABLE
-    spec = ProtocolSpec.from_table(RACE_DETECT_TABLE)
 
     RECORD_COST = RACE_DETECT_TABLE.cost("record")
     SUMMARY_WORDS = 4
@@ -87,7 +85,6 @@ class RaceDetectProtocol(CachedTableProtocol):
         # Dynamic sanitizer, if the runtime carries one: protocol-level
         # race verdicts are folded into its unified report.
         self._checker = getattr(runtime, "checker", None)
-        self._epoch = [0] * n
         # per node: rid -> {"r": bool, "w": bool}
         self._touched: list[dict] = [dict() for _ in range(n)]
         # home-side per-epoch aggregation: (rid, epoch) -> {"readers": set, "writers": set}
@@ -119,27 +116,6 @@ class RaceDetectProtocol(CachedTableProtocol):
 
     def act_touch_write(self, nid: int, handle):
         yield from self._touch(nid, handle, "w")
-
-    def act_refetch(self, nid: int, handle):
-        """Revalidate once per epoch (data pushed at the previous barrier)."""
-        data = yield from self._rpc(
-            nid,
-            handle.region.home,
-            self._h_refetch,
-            handle.region.rid,
-            payload_words=2,
-            category="proto.RaceDetect.refetch",
-        )
-        np.copyto(handle.data, data)
-
-    def _on_refetch(self, node, src, fut, rid):
-        region = self.regions.get(rid)
-        self._reply(
-            fut,
-            region.home_data.copy(),
-            payload_words=region.size,
-            category="proto.RaceDetect.refetch_data",
-        )
 
     # -- epoch close (the barrier row's action pipeline) ------------------
     def act_ship_summaries(self, nid: int):
@@ -183,9 +159,6 @@ class RaceDetectProtocol(CachedTableProtocol):
         """Homes: detect races, push updates for regions written this epoch."""
         yield from self._close_epoch(nid, self._epoch[nid])
 
-    def act_advance_epoch(self, nid: int):
-        self._epoch[nid] += 1
-
     def _on_summary(self, node, src, rid, epoch, read, wrote, data, heard):
         agg = self._agg.setdefault((rid, epoch), {"readers": set(), "writers": set()})
         if read:
@@ -225,14 +198,5 @@ class RaceDetectProtocol(CachedTableProtocol):
             return
         acks = Acks(done=Future(name=f"rd:push@{nid}"))
         for region, targets in pushes:
-            self.port.fan_out(
-                nid,
-                targets,
-                self._h_push,
-                region.rid,
-                region.home_data.copy(),
-                acks=acks,
-                payload_words=region.size,
-                category="proto.RaceDetect.push",
-            )
+            self._send_push(nid, targets, region, region.home_data.copy(), acks)
         yield acks.done

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.protocols.base import ProtocolMisuse, ProtocolSpec
 from repro.protocols.caching import CachedTableProtocol
 from repro.protocols.registry import default_registry
 from repro.spec import ProtocolTable, Transition
@@ -111,16 +110,13 @@ class SelfInvalidateProtocol(CachedTableProtocol):
     """Barrier-triggered self-invalidation with write self-downgrade."""
 
     table = SELF_INVALIDATE_TABLE
-    spec = ProtocolSpec.from_table(SELF_INVALIDATE_TABLE)
 
     def __init__(self, runtime, space):
         super().__init__(runtime, space)
-        n = self.transport.n_procs
-        self._epoch = [0] * n
-        # The directory, in its entirety: (rid, epoch) -> writer nid.
-        self._epoch_writer: dict = {}
-        # A late duplicate of an old epoch's write-back must not clobber
-        # newer canonical data: served once, duplicates get the old ack.
+        # The directory, in its entirety, is the base's epoch-writer
+        # record.  A late duplicate of an old epoch's write-back must not
+        # clobber newer canonical data: served once, duplicates get the
+        # old ack.
         self._h_writeback = self.port.serves(self._on_writeback)
 
     # -- actions (table-referenced) ---------------------------------------
@@ -148,7 +144,7 @@ class SelfInvalidateProtocol(CachedTableProtocol):
         if nid == region.home:
             # The home copy aliases canonical storage: the data is
             # already in place, only the epoch contract is checked.
-            self._note_writer(region.rid, epoch, nid)
+            self._check_epoch_writer(region.rid, epoch, nid)
             return
         self._count("writeback")
         data = np.array(handle.data, copy=True)
@@ -173,22 +169,9 @@ class SelfInvalidateProtocol(CachedTableProtocol):
         if dropped:
             self._count("self_invalidate", dropped)
 
-    def act_advance_epoch(self, nid: int):
-        self._epoch[nid] += 1
-
     # -- home side (handler context) --------------------------------------
-    def _note_writer(self, rid: int, epoch: int, src: int) -> None:
-        key = (rid, epoch)
-        prev = self._epoch_writer.get(key)
-        if prev is not None and prev != src:
-            raise ProtocolMisuse(
-                f"SelfInvalidate: nodes {prev} and {src} both wrote region {rid} "
-                f"in epoch {epoch}; this protocol asserts one writer per epoch"
-            )
-        self._epoch_writer[key] = src
-
     def _on_writeback(self, node, src, fut, rid, epoch, data):
-        self._note_writer(rid, epoch, src)
+        self._check_epoch_writer(rid, epoch, src)
         np.copyto(self.regions.get(rid).home_data, data)
         self._reply(fut, None, payload_words=1, category="proto.SelfInvalidate.wb_ack")
 

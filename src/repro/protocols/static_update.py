@@ -32,8 +32,8 @@ writer is the home; the fall-through row rejects everything else.
 from __future__ import annotations
 
 from repro.dsm.transport import Acks
-from repro.protocols.base import ProtocolMisuse, ProtocolSpec
-from repro.protocols.caching import CachedTableProtocol
+from repro.protocols.base import ProtocolMisuse
+from repro.protocols.caching import UpdateProtocol
 from repro.protocols.registry import default_registry
 from repro.sim import Delay, Future
 from repro.spec import ProtocolTable, Transition
@@ -85,18 +85,16 @@ STATIC_UPDATE_TABLE = ProtocolTable(
 
 
 @default_registry.register
-class StaticUpdateProtocol(CachedTableProtocol):
+class StaticUpdateProtocol(UpdateProtocol):
     """Falsafi-style static update: home pushes dirty regions at barriers."""
 
     table = STATIC_UPDATE_TABLE
-    spec = ProtocolSpec.from_table(STATIC_UPDATE_TABLE)
 
     END_WRITE_COST = STATIC_UPDATE_TABLE.cost("end_write")
     PUSH_SETUP_COST = STATIC_UPDATE_TABLE.cost("push_setup")
 
     def __init__(self, runtime, space):
         super().__init__(runtime, space)
-        self._sharers: dict[int, set[int]] = {}
         self._dirty: list[set[int]] = [set() for _ in range(self.transport.n_procs)]
         self._d_push_setup = Delay(self.PUSH_SETUP_COST)
         # A delayed duplicate of a previous barrier's push must not
@@ -104,10 +102,6 @@ class StaticUpdateProtocol(CachedTableProtocol):
         self._h_push = self.port.answers(
             self._on_push, "proto.StaticUpdate.push_ack", "_on_push_ack"
         )
-
-    def _fetch_extra(self, rid: int, src: int):
-        self._sharers.setdefault(rid, set()).add(src)
-        return None
 
     # -- guards / actions (table-referenced) ------------------------------
     def g_home_writer(self, nid: int, handle) -> bool:
@@ -139,14 +133,5 @@ class StaticUpdateProtocol(CachedTableProtocol):
             acks = Acks(done=Future(name=f"su:barrier@{nid}"))
             for region, targets in pushes:
                 self._count("push", len(targets))
-                self.port.fan_out(
-                    nid,
-                    targets,
-                    self._h_push,
-                    region.rid,
-                    region.home_data.copy(),
-                    acks=acks,
-                    payload_words=region.size,
-                    category="proto.StaticUpdate.push",
-                )
+                self._send_push(nid, targets, region, region.home_data.copy(), acks)
             yield acks.done

@@ -1,5 +1,5 @@
 """Tests for the §6-extension protocols: RaceDetect, HwSC, BufferedUpdate,
-and the protocol building blocks."""
+and the epoch-writer check BufferedUpdate shares with SelfInvalidate."""
 
 import pytest
 
@@ -218,11 +218,13 @@ def test_buffered_update_batches_multiple_writes():
     assert res.stats.get("msg.proto.BufferedUpdate.update") == 1
 
 
-def test_buffered_update_two_writers_same_epoch_raises():
+@pytest.mark.parametrize("protocol", ["BufferedUpdate", "SelfInvalidate"])
+def test_buffered_update_two_writers_same_epoch_raises(protocol):
+    """Both epoch-writer tables go through the one home-side check."""
     boxes = {}
 
     def prog(ctx):
-        sid = yield from ctx.new_space("BufferedUpdate")
+        sid = yield from ctx.new_space(protocol)
         if ctx.nid == 0:
             boxes["rid"] = yield from ctx.gmalloc(sid, 1)
         yield from ctx.barrier(sid)
@@ -233,5 +235,6 @@ def test_buffered_update_two_writers_same_epoch_raises():
         yield from ctx.end_write(h)
         yield from ctx.barrier(sid)
 
-    with pytest.raises(ProtocolMisuse, match="one writer per epoch"):
+    misuse = rf"^{protocol}: nodes \d and \d both wrote .* one writer per epoch$"
+    with pytest.raises(ProtocolMisuse, match=misuse):
         run_spmd(prog, backend="ace", n_procs=2)

@@ -198,3 +198,36 @@ def test_null_protocol_remote_read_gets_snapshot():
 
     res = run_spmd(prog, backend="ace", n_procs=2)
     assert res.results[1] == 123.0
+
+
+@pytest.mark.parametrize("protocol", ["StaticUpdate", "DynamicUpdate", "BufferedUpdate"])
+def test_update_tables_share_one_sharer_record(protocol):
+    """The three update tables keep one sharer record: a node that
+    fetches a region registers at its home, a push skips the writer and
+    the home, and a dead sharer is forgotten."""
+    boxes = {}
+    writer = 0 if protocol == "StaticUpdate" else 1  # StaticUpdate: homes write
+
+    def prog(ctx):
+        sid = yield from ctx.new_space(protocol)
+        if ctx.nid == 0:
+            boxes["sid"] = sid
+            boxes["rid"] = yield from ctx.gmalloc(sid, 1)
+        yield from ctx.barrier(sid)
+        h = yield from ctx.map(boxes["rid"])
+        yield from ctx.barrier(sid)
+        if ctx.nid == writer:
+            yield from ctx.start_write(h)
+            h.data[0] = 7.0
+            yield from ctx.end_write(h)
+        yield from ctx.barrier(sid)
+        return float(h.data[0])
+
+    res = run_spmd(prog, backend="ace", n_procs=4)
+    assert res.results == [7.0] * 4
+    proto = res.backend.runtime.spaces[boxes["sid"]].protocol
+    rid = boxes["rid"]
+    assert proto._sharers == {rid: {1, 2, 3}}
+    assert res.stats.get(f"msg.proto.{protocol}.push") == len({1, 2, 3} - {writer})
+    proto.on_node_dead(2, None, {})
+    assert proto._sharers == {rid: {1, 3}}
