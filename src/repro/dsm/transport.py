@@ -42,7 +42,8 @@ class Transport:
     ``rpc(src, dst, handler, *args, payload_words=, category=, lead=0)``
         Generator: request/reply round trip; the handler receives a
         ``Future`` first and must eventually :meth:`reply` to it.
-        ``lead``: cycles the caller owes before the send (may join it).
+        ``lead``: cycles the caller owes before the send (the plain
+        machine adds them to the request's send overhead).
     ``reply(fut, value=None, payload_words=, category=)``
         Resolve an RPC future after the reply latency.
     ``after(delay, fn)``

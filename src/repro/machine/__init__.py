@@ -4,9 +4,9 @@ Models the paper's evaluation platform — a 32-node Thinking Machines
 CM-5 running CMAML active messages — as a configurable cost model on
 top of :mod:`repro.sim`.  All higher layers (the CRL baseline, the Ace
 runtime, every protocol) communicate exclusively through
-:meth:`Machine.am_request` / :meth:`Machine.am_reply`, mirroring the
-paper's claim that "Ace is portable to any system that supports an
-Active Messages mechanism".
+:meth:`Machine.am_request` / :meth:`Machine.rpc` / :meth:`Machine.reply`,
+mirroring the paper's claim that "Ace is portable to any system that
+supports an Active Messages mechanism".
 """
 
 from repro.machine.config import MachineConfig

@@ -33,7 +33,6 @@ from typing import Callable
 from repro.machine.config import MachineConfig
 from repro.machine.stats import Stats, intern_key
 from repro.sim import Delay, Future, SimulationError, Simulator
-from repro.sim.kernel import _DELAY_POOL as _POOL, _DELAY_POOL_SIZE as _POOL_SIZE
 
 _resolve = Future.resolve
 
@@ -124,12 +123,12 @@ class Machine:
                    payload_words: int = 0, category: str = "am.request"):
         """Generator: inject a message from the *calling task* on ``src``.
 
-        Charges the caller the send overhead, then delivers
-        ``handler(dst_node, src, *args)`` after the network latency.
-        Returns as soon as the message is injected (one-way send).
+        The message is counted, and a bad destination refused, at the call;
+        it leaves after the send overhead, which is charged to the caller,
+        and ``handler(dst_node, src, *args)`` runs after the network latency.
         """
+        self._deliver(src, dst, handler, args, payload_words, category, self._send_overhead)
         yield self._d_send
-        self._deliver(src, dst, handler, args, payload_words, category)
 
     request = am_request  # the fabric interface's name for it
 
@@ -217,16 +216,15 @@ class Machine:
         The handler receives a :class:`Future` as its first payload
         argument and must eventually call :meth:`reply` on it (possibly
         from a later handler on another node).  ``lead``: cycles the caller
-        owes before the send; they join its overhead in one ``Delay`` (§6).
+        owes before the send; they ride the request, pushed at the call with
+        its send overhead (§6), so a round trip is three events.
         """
         # The name positionally: cheaper than name=name per round trip.
         fut = Future(self._rpc_names.get(category) or self._rpc_name(category))
-        # am_request, inlined: the delegation frame would otherwise sit
-        # on the resume path of every round trip in the system.
-        yield _POOL[c] if (c := lead + self._send_overhead) < _POOL_SIZE else Delay(c)
-        self._deliver(src, dst, handler, (fut, *args), payload_words, category)
-        value = yield fut
-        return value
+        self._deliver(
+            src, dst, handler, (fut, *args), payload_words, category, lead + self._send_overhead
+        )
+        return (yield fut)
 
     def reply(self, fut: Future, value=None, payload_words: int = 0, category: str = "am.reply") -> None:
         """From handler context: resolve an RPC future after the reply latency."""

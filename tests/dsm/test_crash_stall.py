@@ -89,3 +89,26 @@ def test_abandoned_call_nobody_waits_on_stays_silent(bounded, monkeypatch):
     assert [nid for nid, r in enumerate(result.results) if r is not None and nid != victim] == [
         nid for nid in range(N_PROCS) if nid != victim
     ]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND in CHANGES.md: ring_program synchronizes with ctx.barrier(), "
+    "not its space's barrier, so BufferedUpdate's and RaceDetect's barrier-hook work never "
+    "runs on the ring and node 1's crash at cycle 1,500 goes unseen (4,411 / 4,911 cycles, "
+    "the crash-free runs)",
+)
+@pytest.mark.parametrize("protocol", ["BufferedUpdate", "RaceDetect"])
+def test_a_crash_in_a_barrier_hook_table_is_observed(bounded, protocol):
+    """Node 1 dies mid-ring: the run declares its death or stalls naming it."""
+    try:
+        result = run_spmd(
+            ring_program(protocol),
+            n_procs=N_PROCS,
+            fault_plan=FaultPlan.crash(1, 1500, seed=1),
+            on_crash="recover",
+        )
+    except StallError as err:
+        assert err.report.suspects[0] == 1
+    else:
+        assert result.stats.get("recovery.epochs") >= 1

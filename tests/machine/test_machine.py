@@ -117,30 +117,36 @@ def test_post_from_handler_context_chains():
     assert t.done.result() == "data-from-3"
 
 
-# -- one event per hop (DESIGN.md §6): a message from handler context is
-# one heap entry, whatever sender-side cycles precede its injection
+# -- one event per hop (DESIGN.md §6): a message is one heap entry,
+# whatever sender-side cycles precede its injection
 @pytest.mark.parametrize("words", [0, 16])
 def test_post_and_defer_post_arrive_at_the_closed_form_time_in_one_event(words):
+    """And ``am_request``'s message: the task's send charge is its own
+    ``Delay``, which it yields after the message has left."""
     cfg = MachineConfig()
     one_way = (cfg.am_send_overhead + cfg.network_latency + cfg.am_receive_overhead
                + cfg.per_word_transfer * words)
-    for defer in (0, 37):
+    for send in ("post", "defer_post", "am_request"):
         sim, m = make_machine()
         arrivals = []
 
         def handler(node, src, value):
             arrivals.append((sim.now, node.nid, src, value))
 
-        if defer:
-            m.defer_post(defer, 0, 2, handler, "v", payload_words=words, category="test.cat")
-        else:
-            m.post(0, 2, handler, "v", payload_words=words, category="test.cat")
+        kw = dict(payload_words=words, category="test.cat")
+        defer = 37 if send == "defer_post" else 0
+        if send == "defer_post":
+            m.defer_post(defer, 0, 2, handler, "v", **kw)
+        elif send == "post":
+            m.post(0, 2, handler, "v", **kw)
+        else:  # the calling task's first step sends, then owes the overhead
+            assert next(m.am_request(0, 2, handler, "v", **kw)) == Delay(cfg.am_send_overhead)
         # counted at the call: the message exists from here on
         assert (m.stats.get("msg.test.cat"), m.stats.get("msg.total")) == (1, 1)
         assert m.stats.get("msg.words") == words
         sim.run()
         assert arrivals == [(defer + one_way, 2, 0, "v")]
-        assert sim.events == 1, f"{'defer_post' if defer else 'post'}: {sim.events} events"
+        assert sim.events == 1, f"{send}: {sim.events} events"
 
 
 def test_reply_is_one_event():
@@ -162,35 +168,54 @@ def test_post_rejects_a_bad_destination_or_delay_at_the_call_site():
         m.defer_post(10, 0, -1, lambda node, src: None)
     with pytest.raises(SimulationError, match="negative"):
         m.defer_post(-1, 0, 1, lambda node, src: None)
+    for send in (m.am_request, m.rpc):  # a task's send: at its first step
+        with pytest.raises(ValueError, match="destination"):
+            next(send(0, 2, lambda node, src: None))
     assert m.stats.get("msg.total") == 0 and sim.run() == 0 and sim.events == 0
+
+
+def _rpc_round_trip(traced, lead=0, words=0):
+    """``((value, resume cycle), [handler cycle], events after the caller's
+    start)`` of one ``rpc`` on a fresh plain or traced fabric."""
+    sim = Simulator()
+    m = as_transport(Machine(sim, MachineConfig(n_procs=4), tracer=TraceBuffer(64) if traced else None))
+    handled = []
+
+    def handler(node, src, fut, x):
+        handled.append(sim.now)
+        m.reply(fut, x * 2)
+
+    def caller():
+        return (yield from m.rpc(0, 3, handler, 21, payload_words=words, lead=lead)), sim.now
+
+    task = sim.spawn(caller())
+    sim.run()
+    return task.done.result(), handled, sim.events - 1
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
 def test_rpc_lead_joins_the_send_overhead(traced):
-    """``lead`` cycles are charged before the send: folded into the send
-    overhead's ``Delay`` on the plain fabric, an event of their own on
-    the traced one — the same round trip either way."""
-    def round_trip(lead):
-        sim = Simulator()
-        m = as_transport(Machine(sim, MachineConfig(n_procs=4), tracer=TraceBuffer(64) if traced else None))
-        sent = []
-
-        def handler(node, src, fut, x):
-            sent.append(sim.now)
-            m.reply(fut, x * 2)
-
-        def caller():
-            return (yield from m.rpc(0, 3, handler, 21, lead=lead)), sim.now
-
-        task = sim.spawn(caller())
-        sim.run()
-        return task.done.result(), sent, sim.events
-
+    """``lead`` cycles are charged before the send: they ride the request
+    with the send overhead on the plain fabric, and are an event of their
+    own on the traced one — the same round trip either way."""
     cfg = MachineConfig()
     one_way = cfg.am_send_overhead + cfg.network_latency + cfg.am_receive_overhead
-    (value, at), sent, events = round_trip(45)
+    (value, at), sent, events = _rpc_round_trip(traced, lead=45)
     assert (value, at, sent) == (42, 45 + 2 * one_way, [45 + one_way])
-    assert events == round_trip(0)[2] + (1 if traced else 0)
+    assert events == _rpc_round_trip(traced)[2] + (1 if traced else 0)
+
+
+@pytest.mark.parametrize("words", [0, 16])
+@pytest.mark.parametrize("lead", [0, 45])
+def test_plain_rpc_is_three_events(lead, words):
+    """Request arrives | reply arrives | caller wakes: the caller's lead and
+    send overhead ride the request, which leaves at the call."""
+    cfg = MachineConfig()
+    one_way = cfg.am_send_overhead + cfg.network_latency + cfg.am_receive_overhead
+    (value, resumed), handled, events = _rpc_round_trip(False, lead, words)
+    assert (value, events) == (42, 3)
+    assert handled == [lead + one_way + cfg.per_word_transfer * words]
+    assert resumed == _rpc_round_trip(True, lead, words)[0][1] == handled[0] + one_way
 
 
 def test_stats_count_messages():
@@ -322,6 +347,7 @@ def test_bad_destination_rejected():
     sim.spawn(sender())
     with pytest.raises(ValueError, match="destination"):
         sim.run()
+    assert sim.now == 0  # refused at the send, before the overhead is charged
 
 
 def test_hw_barrier_releases_all_at_once():
