@@ -42,9 +42,10 @@ Modeling notes
   task keeps running locally (the kernel cannot kill a generator
   mid-yield), but it can no longer be heard — the usual fail-stop
   abstraction for a machine whose network interface died.
-* **The control network stays reliable.**  ``hw_barrier`` models the
-  CM-5's dedicated barrier network, which had its own flow control;
-  faults apply to the data network only.
+* **The control network stays reliable.**  The hardware barrier
+  (:class:`~repro.dsm.barrier.BarrierService`) models the CM-5's
+  dedicated barrier network, which had its own flow control and sends
+  nothing through this fabric; faults apply to the data network only.
 * **Replies** carry no explicit source/destination (the future is the
   address), so only category-default fault rates apply to them.
 """
@@ -367,9 +368,12 @@ class LivenessWatchdog:
             else f"abandoned: node {dead} died while node {pend.src} waits on it"
         )
         reason = f"{desc['category']}{region} from node {desc['src']} to node {desc['dst']} {why}"
+        self.stall(reason, pend.dst)  # the tripping call's destination leads the suspects
+
+    def stall(self, reason: str, suspect: int) -> None:
+        """Raise a :class:`StallError` whose report names ``suspect`` first."""
         report = self.report(reason)
-        # The tripping call's destination leads the suspect list.
-        report.suspects = [pend.dst] + [s for s in report.suspects if s != pend.dst]
+        report.suspects = [suspect] + [s for s in report.suspects if s != suspect]
         raise StallError(report)
 
 
@@ -505,7 +509,6 @@ class FaultTransport(Transport):
         self.nodes = base.nodes
         self.n_procs = base.n_procs
         self.after = base.after
-        self.hw_barrier = base.hw_barrier  # control network: always reliable
         self._inject = base.inject
         self._inject_reply = base.inject_reply
         self._cause = base.cause
@@ -531,9 +534,8 @@ class FaultTransport(Transport):
         self.retry_policy = retry_policy or RetryPolicy()
         self.kit = RetryKit(self, self.retry_policy, self.watchdog)
         if on_crash is not None:
-            # Constructed last so the manager can wrap a fully-initialized
-            # transport surface (hw_barrier).  Services built
-            # on top of this transport find it as ``self.recovery`` and
+            # Constructed last, over a fully-initialized transport.  Services
+            # built on top of this transport find it as ``self.recovery`` and
             # register themselves — with on_crash unset this attribute
             # stays the Transport class default (None) and no recovery
             # code exists anywhere in the run.
@@ -544,11 +546,7 @@ class FaultTransport(Transport):
     def port(self, prefix: str) -> "RetryPort":
         return RetryPort(self, prefix)
 
-    # -- Transport operations -------------------------------------------
-    def request(self, src, dst, handler, *args, payload_words: int = 0, category: str = "am.request"):
-        yield self._d_send
-        self._send(src, dst, handler, args, payload_words, category)
-
+    # -- Transport operations (task-context sends are the port's) ---------
     def post(self, src, dst, handler, *args, payload_words: int = 0, category: str = "am.post"):
         self._post(src, dst, handler, args, payload_words, category)
 
@@ -564,19 +562,6 @@ class FaultTransport(Transport):
             _heappush(sim._times, when)
         else:
             bucket.append(fn)
-
-    def rpc(self, src, dst, handler, *args, payload_words: int = 0, category: str = "am.rpc", lead: int = 0):
-        # NOTE: the *raw* rpc has no retries — on a lossy link it can
-        # block forever.  Fault-hardened layers use ``self.kit.rpc``;
-        # this path exists for protocols that have not been hardened
-        # (they are simply not chaos-safe).
-        if lead:  # never folded here: the plan reads ``now`` at the injection instant
-            yield Delay(lead)
-        fut = Future(name="rpc:" + category)
-        yield self._d_send
-        self._send(src, dst, handler, (fut, *args), payload_words, category)
-        value = yield fut
-        return value
 
     def reply(self, fut, value=None, payload_words: int = 0, category: str = "am.reply"):
         self._reply(None, fut, value, payload_words, category)
@@ -815,7 +800,7 @@ class RetryKit:
 
     def rpc(self, src, dst, handler, *args, payload_words: int = 0, category: str = "rel.rpc", lead: int = 0):
         """Generator: reliable request/reply round trip (drop-in for rpc)."""
-        if lead:  # as FaultTransport.rpc: the caller's charge stays its own event
+        if lead:  # never folded here: the plan reads ``now`` at the injection instant
             yield Delay(lead)
         fut = Future(name="rel:" + category)
         pend = self._track(fut, src, dst, handler, args, payload_words, category)

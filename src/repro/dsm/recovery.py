@@ -62,13 +62,11 @@ Modeling notes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from random import Random
 
 import numpy as np
 
 from repro.machine.stats import intern_key
-from repro.sim.future import _UNSET, Future
 
 
 @dataclass(frozen=True)
@@ -124,6 +122,7 @@ class RecoveryManager:
         # Registered participants.
         self._engines: list = []
         self._locks: list = []
+        self._barriers: list = []
         self._protocols: list = []
         self._region_dirs: list = []
         # Failure-detector state (filled in start()).
@@ -149,14 +148,6 @@ class RecoveryManager:
         del counts  # counter_ref retained via self._counts
         tracer = transport.tracer
         self._obs = tracer.tracer("recovery") if tracer is not None else None
-        # Crash-aware hardware barrier: replace the transport's binding
-        # *before* any service binds it (services are constructed after
-        # the transport, so they pick this up).
-        self._bar_arrived: set[int] = set()
-        self._bar_gen = 0
-        self._bar_fut = Future(name="recovery:hw_barrier:0")
-        self._hw_cost = transport.machine.HW_BARRIER_COST
-        transport.hw_barrier = self._hw_barrier
 
     # ------------------------------------------------------------------
     # registration (construction-time, from services and protocols)
@@ -173,6 +164,10 @@ class RecoveryManager:
     def register_locks(self, service) -> None:
         self._locks.append(service)
         self._add_region_dir(service.regions)
+
+    def register_barrier(self, service) -> None:
+        """A :class:`~repro.dsm.barrier.BarrierService` shrinks with the membership."""
+        self._barriers.append(service)
 
     def register_protocol(self, proto) -> None:
         self._protocols.append(proto)
@@ -247,15 +242,12 @@ class RecoveryManager:
         now = self.sim.now
         crash_at = self.transport.plan.crashes.get(nid)
         if self.mode == "abort":
-            from repro.dsm.faults import StallError
-
             silent = now - self._last_heard[nid]
-            report = self.transport.watchdog.report(
+            self.transport.watchdog.stall(
                 f"failure detector: node {nid} silent for {silent} cycles"
-                + (f" (crash-stop at cycle {crash_at})" if crash_at is not None else "")
+                + (f" (crash-stop at cycle {crash_at})" if crash_at is not None else ""),
+                nid,
             )
-            report.suspects = [nid] + [s for s in report.suspects if s != nid]
-            raise StallError(report)
         self._finalize_death(nid, crash_at, now)
 
     def _finalize_death(self, nid: int, crash_at, now: int) -> None:
@@ -292,7 +284,9 @@ class RecoveryManager:
         broken = 0
         for service in self._locks:
             broken += service.break_dead(nid, self)
-        self._check_barrier()
+        # 8. Leave every barrier: one the survivors wait in releases.
+        for barrier in self._barriers:
+            barrier.leave(nid)
         if self._obs is not None:
             self._obs.emit(self.sim.now, "recovery.complete", nid, -1, self.epoch, len(rehomed))
         self.events.append(
@@ -536,42 +530,6 @@ class RecoveryManager:
         ent.grantee = None
         if readmit is not None:
             home.request(ent, *readmit)
-
-    # ------------------------------------------------------------------
-    # crash-aware hardware barrier (replaces machine.hw_barrier)
-    # ------------------------------------------------------------------
-    def _hw_barrier(self, nid: int):
-        """Generator: rendezvous released when every *live* node arrived.
-
-        ``arrived`` may be a superset of ``live`` (a node can arrive and
-        then be declared dead); the release rule is
-        ``live ⊆ arrived``, re-checked at every arrival and at every
-        death declaration, so a crash inside a barrier epoch releases
-        the survivors instead of stranding them."""
-        if nid in self.dead:
-            # A declared-dead task still running host-side: park it (its
-            # retirement is imminent or already swept past this frame).
-            yield Future(name="recovery:dead_barrier")
-            return
-        self._bar_arrived.add(nid)
-        self.transport.stats.count("barrier.hw_arrive")
-        fut = self._bar_fut
-        self._check_barrier()
-        yield fut
-
-    def _check_barrier(self) -> None:
-        if not self._bar_arrived or not self.live <= self._bar_arrived:
-            return
-        released = self._bar_fut
-        self._bar_gen += 1
-        self._bar_fut = Future(name=f"recovery:hw_barrier:{self._bar_gen}")
-        self._bar_arrived = set()
-        self.sim.schedule(self._hw_cost, partial(self._release_barrier, released))
-
-    @staticmethod
-    def _release_barrier(released: Future) -> None:
-        if released._value is _UNSET and released._exc is None:
-            released.resolve(None)
 
     # ------------------------------------------------------------------
     # introspection (chaos artifacts)

@@ -52,8 +52,6 @@ class Transport:
     ``defer_post(delay, src, dst, handler, *args, ...)``
         ``after(delay)`` followed by ``post`` as one operation, so a
         traced fabric can keep the causal chain across the deferral.
-    ``hw_barrier(nid)``
-        Generator: global rendezvous over all nodes.
 
     and, for a fabric that wraps this one (the wire it hands messages to):
 
@@ -74,7 +72,9 @@ class Transport:
     ``reliable`` declares the delivery contract: ``True`` promises
     exactly-once delivery, as the CM-5's CMAML does.  Services do not
     branch on it — they take a :meth:`port` at construction, and the
-    port implements the contract for its fabric (DESIGN.md §9).
+    port implements the contract for its fabric (DESIGN.md §9).  A lossy
+    fabric offers no ``request``/``rpc`` of its own: its task-context
+    sends and round trips belong to its port.
     """
 
     machine: object | None = None
@@ -106,9 +106,6 @@ class Transport:
     def defer_post(self, delay: int, src: int, dst: int, handler: Callable, *args, **kw) -> None:
         # Generic composition; the machine and the traced wire have their own.
         self.after(delay, lambda: self.post(src, dst, handler, *args, **kw))
-
-    def hw_barrier(self, nid: int):
-        raise NotImplementedError
 
 
 class Acks:

@@ -298,15 +298,11 @@ def run_spmd(
         fabric = FaultTransport(machine, fault_plan, retry_policy=retry_policy, on_crash=on_crash)
     be = factory(fabric, **backend_kwargs)
     ctxs = [NodeContext(be, i) for i in range(n_procs)]
-    if on_crash is None:
-        results = sim.run_all((program(ctx) for ctx in ctxs), prefix="proc")
-    else:
-        # The recovery manager needs the task handles (to retire a dead
-        # node's task with a Crashed result), so spawn explicitly.
-        tasks = [sim.spawn(program(ctx), name=f"proc{i}") for i, ctx in enumerate(ctxs)]
-        fabric.recovery.start(tasks)
-        sim.run()
-        results = [t.done.result() for t in tasks]
+    tasks = [sim.spawn(program(ctx), name=f"proc{i}") for i, ctx in enumerate(ctxs)]
+    if on_crash is not None:
+        fabric.recovery.start(tasks)  # it retires a dead node's task with a Crashed result
+    sim.run()
+    results = [t.done.result() for t in tasks]
     # A leftover push_phase would misattribute everything counted after
     # it; surface the imbalance at the run boundary with the open stack
     # (machine.stats.PhaseScopeError) instead of silently mis-scoping.

@@ -1,4 +1,4 @@
-"""The simulated multicomputer: nodes, active messages, hardware barrier.
+"""The simulated multicomputer: nodes and active messages.
 
 Modeling decisions (documented here because they shape every number the
 benchmarks print):
@@ -19,8 +19,9 @@ benchmarks print):
   park continuation state in the protocol's tables — the classical
   directory-protocol structure.
 * **The control network exists.**  The CM-5 had a dedicated control
-  network for barriers; CRL uses it.  :meth:`Machine.hw_barrier` models
-  it as a fixed-cost global rendezvous.
+  network for barriers; CRL uses it.  It carries no messages, so the
+  machine holds only its cost, ``HW_BARRIER_COST`` after the last
+  arrival; the rendezvous is :class:`repro.dsm.barrier.BarrierService`.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ class Machine:
     config:
         Cycle-cost model; defaults to the CM-5-flavoured constants.
     tracer:
-        Optional :class:`repro.obs.TraceBuffer`.  The machine only stamps
-        ``hw_barrier`` epochs; its messages are traced by the one
+        Optional :class:`repro.obs.TraceBuffer`.  The machine emits
+        nothing itself; its messages are traced by the one
         :class:`~repro.obs.wire.TracedTransport` ``as_transport`` wraps it in.
 
     An untraced machine is its own :class:`~repro.dsm.transport.Transport`
@@ -86,9 +87,6 @@ class Machine:
         self.config = config or MachineConfig()
         self.nodes = [Node(self, i) for i in range(self.config.n_procs)]
         self.stats = Stats()
-        self._barrier_count = 0
-        self._barrier_gen = 0
-        self._barrier_fut = Future(name="hw_barrier:0")
         # Hot-path caches: one route per (handler, category) — per category
         # for replies — fronted by each handler's first route, so a send
         # builds no key; one future name per rpc category; the fixed parts
@@ -104,7 +102,6 @@ class Machine:
         self._d_send = Delay(self._send_overhead)
         self.after = sim.schedule
         self.tracer = tracer
-        self._obs = tracer.tracer("machine") if tracer is not None else None
 
     @property
     def n_procs(self) -> int:
@@ -271,37 +268,3 @@ class Machine:
 
     def cause(self) -> int:  # the causal parent of a send made now: the plain wire keeps none
         return -1
-
-    # -- control network ---------------------------------------------------
-    def hw_barrier(self, nid: int):
-        """Generator: global barrier over all nodes via the control network.
-
-        Every node must call this the same number of times; the cost is
-        a fixed ``HW_BARRIER_COST`` after the last arrival.
-        """
-        self._barrier_count += 1
-        self.stats.count("barrier.hw_arrive")
-        obs = self._obs
-        epoch = self._barrier_gen
-        if obs is not None:
-            arrive_eid = obs.emit(self.sim.now, "barrier.arrive", nid, -1, epoch)
-        fut = self._barrier_fut
-        if self._barrier_count == self.n_procs:
-            self._barrier_count = 0
-            self._barrier_gen += 1
-            self._barrier_fut = Future(name=f"hw_barrier:{self._barrier_gen}")
-            released = fut
-            if obs is None:
-                self.sim.schedule(self.HW_BARRIER_COST, lambda: released.resolve(None))
-            else:
-                # The release is caused by the *last* arrival — this
-                # one — so the edge carries exactly HW_BARRIER_COST and
-                # every woken task.step parents to the release.
-                def _release():
-                    released._obs_eid = obs.emit(
-                        self.sim.now, "barrier.release", -1, arrive_eid, epoch
-                    )
-                    released.resolve(None)
-
-                self.sim.schedule(self.HW_BARRIER_COST, _release)
-        yield fut

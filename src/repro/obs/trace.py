@@ -84,9 +84,9 @@ FIELDS: dict[str, tuple | str] = {
     "msg.recv/reply": ("category", "future"),
     "rpc.call": ("dst", "category"),
     "rpc.return": ("category", "lat"),
-    "barrier.arrive": ("epoch",),  # machine (hw) and dsm barrier layers
-    "barrier.release": ("epoch",),
     # dsm
+    "barrier.arrive": ("epoch",),  # hw and dissemination alike
+    "barrier.release": ("epoch",),
     "region.state": ("rid", "state"),
     "dsm.miss": ("rid", "op"),
     "lock.request": ("rid",),

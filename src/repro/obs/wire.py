@@ -49,7 +49,6 @@ class TracedTransport(Transport):
         self.nodes = machine.nodes
         self.n_procs = machine.n_procs
         self.after = machine.sim.schedule
-        self.hw_barrier = machine.hw_barrier
         self._emit = machine.tracer.tracer("machine").emit
         self._deliver = machine._deliver
         self._reply = machine.inject_reply

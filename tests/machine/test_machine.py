@@ -300,7 +300,7 @@ class _NotingCalendar(dict):
 @pytest.mark.parametrize("ack_name", [None, "on_poll_ack"], ids=["reply_ack", "named_ack"])
 @pytest.mark.parametrize("wire", ["plain", "traced", "faulted"])
 def test_no_wire_puts_a_partial_on_the_calendar(wire, ack_name):
-    """A post, an rpc and a deferred fan-out ack put message entries
+    """A post, a call and a deferred fan-out ack put message entries
     ``(call, a, b, args)`` on the calendar, never a ``functools.partial``.
     Fuzzed, so that no trampoline step bypasses the calendar."""
     pushed = []
@@ -315,18 +315,19 @@ def test_no_wire_puts_a_partial_on_the_calendar(wire, ack_name):
             got.append(("post", x))
 
         def on_rpc(self, node, src, fut, x):
-            fabric.reply(fut, x + 1, category="t.rpc_reply")
+            port.reply(fut, x + 1, category="t.rpc_reply")
 
         def on_poll(self, node, src, ack, x):
             ack(10 * x, 1, 7)  # value, payload words, and a delay before it leaves
 
     svc, port = Svc(), fabric.port("t")
+    h_rpc = port.serves(svc.on_rpc)
     h_poll = port.answers(svc.on_poll, "t.poll_ack", ack_name)
     acks = Acks(lambda target, value: got.append(("ack", target, value)), Future(name="polled"))
 
     def proc():
         fabric.post(0, 1, svc.on_post, 1, category="t.post")
-        got.append(("rpc", (yield from fabric.rpc(0, 2, svc.on_rpc, 2, category="t.rpc"))))
+        got.append(("rpc", (yield from port.call(0, 2, h_rpc, 2, category="t.rpc"))))
         port.fan_out(0, [1, 2], h_poll, 4, acks=acks, category="t.poll")
         yield acks.done
 
@@ -348,38 +349,6 @@ def test_bad_destination_rejected():
     with pytest.raises(ValueError, match="destination"):
         sim.run()
     assert sim.now == 0  # refused at the send, before the overhead is charged
-
-
-def test_hw_barrier_releases_all_at_once():
-    sim, m = make_machine(n=4)
-    release_times = []
-
-    def proc(nid):
-        yield Delay(nid * 10)  # staggered arrival
-        yield from m.hw_barrier(nid)
-        release_times.append((nid, sim.now))
-
-    sim.run_all((proc(i) for i in range(4)), prefix="p")
-    times = {t for _, t in release_times}
-    assert len(times) == 1
-    assert times.pop() == 30 + Machine.HW_BARRIER_COST
-
-
-def test_hw_barrier_repeated_generations():
-    sim, m = make_machine(n=3)
-    log = []
-
-    def proc(nid):
-        for it in range(3):
-            yield Delay(1 + nid)
-            yield from m.hw_barrier(nid)
-            log.append((it, nid, sim.now))
-
-    sim.run_all((proc(i) for i in range(3)), prefix="p")
-    # within each iteration all three procs release at the same time
-    for it in range(3):
-        times = {t for i, n, t in log if i == it}
-        assert len(times) == 1
 
 
 def test_blocking_handler_promoted_to_task():

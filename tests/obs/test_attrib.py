@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.harness.experiments import trace_run
-from repro.obs import attribute
+from repro.dsm.faults import FaultPlan
+from repro.harness.experiments import run_app, trace_run
+from repro.obs import TraceBuffer, attribute
 from repro.obs.attrib import BUCKETS, classify_wait, phase_intervals
+from repro.obs.critpath import critical_path
 
 #: Every paper app in both protocol flavours — attribution must
 #: reconcile exactly on all of them (the tentpole acceptance bar).
@@ -91,6 +93,7 @@ def test_classify_wait_buckets():
     assert classify_wait("lock:7@2") == ("lock", 7, None)
     assert classify_wait("read:3@1") == ("dir", 3, None)
     assert classify_wait("hw_barrier:5")[0] == "barrier"
+    assert classify_wait("barrier:left@3")[0] == "barrier"
     assert classify_wait("done:proc2")[0] == "join"
     assert classify_wait("ctr:4@0") == ("msg", 4, None)
     assert classify_wait("bu:ship")[0] == "msg"
@@ -127,3 +130,28 @@ def test_inexact_when_ring_wrapped():
     attr = attribute(buf, res.time, 2)  # must not raise despite evictions
     assert not attr.exact
     assert attr.dropped == buf.dropped
+
+
+def _barrier_profile(**run_kw):
+    """Traced EM3D/SC on 4 nodes: attribution buckets, ``barrier.*``
+    event count and critical-path categories."""
+    buf = TraceBuffer(capacity=1 << 20)
+    res = run_app("EM3D", "SC", n_procs=4, tracer=buf, **run_kw)
+    assert buf.dropped == 0
+    n_barrier = sum(ev.kind.startswith("barrier.") for ev in buf.events())
+    return (
+        res.time,
+        attribute(buf, res.time, 4).buckets,
+        n_barrier,
+        critical_path(buf, res.time).by_category,
+    )
+
+
+def test_armed_recovery_attributes_barrier_waits_like_a_plain_run():
+    """Crash recovery shrinks the one hardware barrier's membership, so an
+    armed run's barrier waits are ``barrier`` waits with a ``barrier``
+    critical-path edge, exactly as on the plain fabric."""
+    plain = _barrier_profile()
+    armed = _barrier_profile(fault_plan=FaultPlan(), on_crash="recover")
+    assert plain[1]["barrier"] > 0 and plain[2] > 0 and plain[3]["barrier"] > 0
+    assert armed == plain
