@@ -37,8 +37,6 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 
-import numpy as np
-
 from repro.dsm.costs import DSMCosts
 from repro.dsm.errors import ProtocolError
 from repro.dsm.msi import MSI_TABLE
@@ -587,4 +585,4 @@ class DirectoryService(HomeMachine):
 
     @staticmethod
     def adopt(region, data) -> None:
-        np.copyto(region.home_data, data)
+        region.home_data[...] = data

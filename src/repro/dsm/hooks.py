@@ -47,8 +47,6 @@ entry on the copy (``RegionCopy.ent``).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.dsm.costs import DSMCosts
 from repro.dsm.directory import DirectoryService
 from repro.dsm.errors import ProtocolError
@@ -64,7 +62,7 @@ from repro.spec.table import ProtocolTable
 #: every engine's generated access hooks are line ranges of this
 #: pseudo-file (a profiler files them under ``dsm.hooks``)
 _CODE = CodeFile("<generated>/repro/dsm/hooks.py", dict(
-    _POOL=_POOL, _POOL_SIZE=_POOL_SIZE, Delay=Delay, Future=Future, ProtocolError=ProtocolError, np=np))
+    _POOL=_POOL, _POOL_SIZE=_POOL_SIZE, Delay=Delay, Future=Future, ProtocolError=ProtocolError))
 
 
 def _effects(kind: str) -> dict:
@@ -89,7 +87,7 @@ data = yield from P._rpc(
   nid, region.home, P._h_req["{kind}"], region.rid,
   payload_words=P.costs.meta_words, category=P._cat_req["{kind}"], lead=P._miss_lead)
 if data is not None:
-  np.copyto(handle.data, data)
+  handle.data[...] = data
 if P._obs is not None:
   P._obs.emit(P._sim.now, "region.state", nid, -1, region.rid, P._fill["{kind}"])
 P._post(nid, region.home, P._h_grant_ack, region.rid, payload_words=1, category=P._cat_grant_ack)

@@ -64,9 +64,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-import numpy as np
-
 from repro.machine.stats import intern_key
+from repro.sim.kernel import Timer
 
 
 @dataclass(frozen=True)
@@ -207,6 +206,7 @@ class RecoveryManager:
     def _tick(self) -> None:
         now = self.sim.now
         live = sorted(self.live)
+        epoch, quiet = self.epoch, self._quiescent()
         last_heard = self._last_heard
         # Heartbeats: a declared-live node posts a round to every live
         # peer only if the fabric accepted nothing from it since its
@@ -229,8 +229,26 @@ class RecoveryManager:
                 if self._obs is not None:
                     self._obs.emit(now, "recovery.suspect", nid, -1, now - last_heard[nid])
                 self._declare_dead(nid)
-        if self._open_tasks:  # a declaration above may have retired the last one
+        # A declaration above may have retired the last task; a quiescent
+        # run stops here and ends in the kernel's DeadlockError.
+        if self._open_tasks and not (quiet and self.epoch == epoch):
             self._heartbeat = self.sim.timer(HB_INTERVAL, self._tick)
+
+    def _quiescent(self) -> bool:
+        """Whether only heartbeats could ever happen again: every open task
+        waits on a future, no live node has a crash still to be detected
+        (its declaration may release them), and the calendar holds no live
+        entry but this tick — read before this tick's round, so the last
+        round has landed; a round held on the wire defers the stop."""
+        if not self.live.isdisjoint(self.transport.plan.crashes) or any(
+            t.blocked_on is None and not t.done.resolved for t in self._tasks
+        ):
+            return False
+        me = self._heartbeat
+        return all(
+            e is me or (e.__class__ is Timer and e.fn is None)
+            for bucket in self.sim._cal.values() for e in bucket
+        )
 
     def _on_hb(self, node, src) -> None:
         pass  # the fabric renewed the lease when it accepted the message
@@ -487,18 +505,18 @@ class RecoveryManager:
         if ent.owner is not None:
             ocopy = cache.tables[ent.owner].get(rid)
             if ocopy is not None and ocopy.state in dirty:
-                np.copyto(region.home_data, ocopy.data)
+                region.home_data[...] = ocopy.data
             else:
                 rec = cache._wb_log.get((ent.owner, rid))
                 if rec is not None:
-                    np.copyto(region.home_data, rec)
+                    region.home_data[...] = rec
         # The successor's own copy becomes the home alias.
         scopy = cache.tables[succ].get(rid)
         if scopy is None:
             cache.install(succ, region)
         else:
             if scopy.state in dirty:
-                np.copyto(region.home_data, scopy.data)
+                region.home_data[...] = scopy.data
                 if ent.owner == succ:
                     ent.owner = None
             scopy.data = region.home_data

@@ -183,6 +183,18 @@ class Histogram:
             self.max = value
         self.buckets[value.bit_length()] += 1
 
+    @classmethod
+    def of(cls, values: list) -> "Histogram":
+        """The histogram of ``values``, built in one pass: equal, buckets'
+        order included, to :meth:`add`-ing them one by one."""
+        h = cls()
+        if values:
+            h.count, h.total, h.min, h.max = len(values), sum(values), min(values), max(values)
+            buckets = h.buckets
+            for value in values:
+                buckets[value.bit_length()] += 1
+        return h
+
     def merge(self, other: "Histogram") -> "Histogram":
         """Fold ``other`` into this histogram in place; returns ``self``.
 

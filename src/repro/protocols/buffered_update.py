@@ -21,8 +21,6 @@ three rows.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.dsm.transport import Acks
 from repro.protocols.caching import UpdateProtocol
 from repro.protocols.registry import default_registry
@@ -98,7 +96,7 @@ class BufferedUpdateProtocol(UpdateProtocol):
         for rid in dirty:
             region = self.regions.get(rid)
             copy = self._copies[nid][rid]
-            data = np.array(copy.data, copy=True)
+            data = copy.data.copy()
             if nid == region.home:
                 self._on_update(self.transport.nodes[nid], nid, rid, epoch, data, shipped)
             else:

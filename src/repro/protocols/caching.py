@@ -26,7 +26,7 @@ and pruned at a death, and their common home update.
 
 from __future__ import annotations
 
-import numpy as np
+from functools import partial
 
 from repro.dsm.transport import Acks
 from repro.machine.stats import intern_key
@@ -73,6 +73,8 @@ class CachedCopyProtocol(Protocol):
         self._d_create = Delay(self.CREATE_COST)
         self._k_map_hit = intern_key("proto", self.spec.name, "map_hit")
         self._k_map_cold = intern_key("proto", self.spec.name, "map_cold")
+        self._cat_fetch, self._cat_fetch_data, self._cat_refetch, self._cat_refetch_data, self._cat_push = map(
+            partial(intern_key, "proto", self.spec.name), ("fetch", "fetch_data", "refetch", "refetch_data", "push"))
 
     # -- data management ----------------------------------------------
     def create(self, nid: int, size: int):
@@ -98,11 +100,11 @@ class CachedCopyProtocol(Protocol):
                     self._h_fetch,
                     rid,
                     payload_words=2,  # request is metadata-only; the reply carries data
-                    category=f"proto.{self.spec.name}.fetch",
+                    category=self._cat_fetch,
                 )
                 if nid != region.home:
                     if copy.state != "valid":
-                        np.copyto(copy.data, data)
+                        copy.data[...] = data
                     # else a push overtook a delayed reply: what it installed is newer
                     copy.state = "valid"
                     self._after_fetch(nid, copy, extra)
@@ -124,7 +126,7 @@ class CachedCopyProtocol(Protocol):
             if self.ALIAS_HOME:
                 copy.data = region.home_data
             else:
-                np.copyto(copy.data, region.home_data)
+                copy.data[...] = region.home_data
             copy.state = "home"
         self._copies[nid][region.rid] = copy
         return copy
@@ -137,7 +139,7 @@ class CachedCopyProtocol(Protocol):
             fut,
             (region.home_data.copy(), extra),
             payload_words=region.size,
-            category=f"proto.{self.spec.name}.fetch_data",
+            category=self._cat_fetch_data,
         )
 
     def _fetch_extra(self, rid: int, src: int):
@@ -154,9 +156,9 @@ class CachedCopyProtocol(Protocol):
             self._h_refetch,
             region.rid,
             payload_words=2,  # request is metadata-only; the reply carries data
-            category=f"proto.{self.spec.name}.refetch",
+            category=self._cat_refetch,
         )
-        np.copyto(handle.data, data)
+        handle.data[...] = data
 
     def _on_refetch(self, node, src, fut, rid):
         """The home's answer to a refetch: a copy of home data."""
@@ -165,7 +167,7 @@ class CachedCopyProtocol(Protocol):
             fut,
             region.home_data.copy(),
             payload_words=region.size,
-            category=f"proto.{self.spec.name}.refetch_data",
+            category=self._cat_refetch_data,
         )
 
     # -- epochs (handler context at the home) -----------------------------
@@ -197,7 +199,7 @@ class CachedCopyProtocol(Protocol):
             data,
             acks=acks,
             payload_words=region.size,
-            category=f"proto.{self.spec.name}.push",
+            category=self._cat_push,
         )
 
     def _on_push(self, node, src, ack, rid, data):
@@ -205,7 +207,7 @@ class CachedCopyProtocol(Protocol):
         how :meth:`map` knows a push overtook its reply."""
         copy = self._copies[node.nid].get(rid)
         if copy is not None:
-            np.copyto(copy.data, data)
+            copy.data[...] = data
             copy.state = "valid"
         ack()
 
@@ -225,7 +227,7 @@ class CachedCopyProtocol(Protocol):
                 if self.ALIAS_HOME:
                     copy.data = region.home_data
                 else:
-                    np.copyto(copy.data, region.home_data)
+                    copy.data[...] = region.home_data
                 copy.state = "home"
 
     # -- lifecycle -------------------------------------------------------
@@ -276,7 +278,7 @@ class UpdateProtocol(CachedTableProtocol):
         whose ``done`` (a future called ``name``) resolves once all have
         answered — at once if there is nobody to push to."""
         region = self.regions.get(rid)
-        np.copyto(region.home_data, data)
+        region.home_data[...] = data
         acks = Acks(done=Future(name=name))
         targets = sorted(self._sharers.get(rid, set()) - {writer, region.home})
         if targets:

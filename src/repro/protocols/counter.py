@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 from repro.protocols.caching import CachedTableProtocol
 from repro.protocols.registry import default_registry
 from repro.sim import Future
@@ -117,7 +115,7 @@ class CounterProtocol(CachedTableProtocol):
                 category="proto.Counter.acquire",
             )
         if data is not None:
-            np.copyto(handle.data, data)
+            handle.data[...] = data
         handle.state = "valid"
         self._count("rmw")
 
@@ -132,7 +130,7 @@ class CounterProtocol(CachedTableProtocol):
                 region.home,
                 self._h_commit,
                 region.rid,
-                np.array(handle.data, copy=True),
+                handle.data.copy(),
                 payload_words=region.size,
                 category="proto.Counter.commit",
             )
@@ -148,7 +146,7 @@ class CounterProtocol(CachedTableProtocol):
             payload_words=2,
             category="proto.Counter.read",
         )
-        np.copyto(handle.data, data)
+        handle.data[...] = data
         handle.state = "valid"
 
     # -- home side (handler context) -------------------------------------
@@ -177,7 +175,7 @@ class CounterProtocol(CachedTableProtocol):
         region = self.regions.get(rid)
         st = self._lock_state(rid)
         if data is not None:
-            np.copyto(region.home_data, data)
+            region.home_data[...] = data
         st["held_by"] = None
         if st["queue"]:
             nxt, fut = st["queue"].popleft()

@@ -29,8 +29,6 @@ update and its fan-out.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.dsm.transport import Acks
 from repro.protocols.caching import UpdateProtocol
 from repro.protocols.registry import default_registry
@@ -107,7 +105,7 @@ class DynamicUpdateProtocol(UpdateProtocol):
         """Push the written region to home + all sharers; wait for acks."""
         region = handle.region
         self._count("propagate")
-        data = np.array(handle.data, copy=True)
+        data = handle.data.copy()
         if nid == region.home:
             # Home's copy aliases home_data: adopting ``data`` rewrites it in place.
             yield self._update_home(nid, region.rid, data, f"du:{region.rid}@{nid}").done

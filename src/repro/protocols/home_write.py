@@ -16,8 +16,6 @@ invalidation fan-out for cheap version checks.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.protocols.base import ProtocolMisuse
 from repro.protocols.caching import CachedTableProtocol
 from repro.protocols.registry import default_registry
@@ -111,7 +109,7 @@ class HomeWriteProtocol(CachedTableProtocol):
         )
         if current is not None:
             version, data = current
-            np.copyto(handle.data, data)
+            handle.data[...] = data
             handle.version = version
             handle.state = "valid"
             self._count("refetch")

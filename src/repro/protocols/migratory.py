@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 from repro.memory import RegionCopy
 from repro.protocols.base import _POOL, _POOL_SIZE, TableProtocol
 from repro.protocols.registry import default_registry
@@ -175,7 +173,7 @@ class MigratoryProtocol(TableProtocol):
             )
         data = yield fut
         if data is not None:
-            np.copyto(handle.data, data)
+            handle.data[...] = data
         handle.state = "valid"
         handle.use += 1
 
@@ -226,7 +224,7 @@ class MigratoryProtocol(TableProtocol):
 
     def _hand_off(self, copy: RegionCopy, rid: int, dest: int, fut: Future) -> None:
         region = copy.region
-        data = np.array(copy.data, copy=True)
+        data = copy.data.copy()
         copy.state = "invalid"
         self._post(
             copy.node,
@@ -251,7 +249,7 @@ class MigratoryProtocol(TableProtocol):
 
     def _on_data(self, node, src, rid, data, fut):
         if node.nid == self.regions.get(rid).home:
-            np.copyto(self.regions.get(rid).home_data, data)
+            self.regions.get(rid).home_data[...] = data
             fut.resolve(None)
         else:
             fut.resolve(data)

@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.dsm.directory import DirectoryService, HomeMachine
 from repro.dsm.regioncache import RecallReceiver
+from repro.machine.stats import intern_key
 from repro.memory import RegionCopy
 from repro.protocols.base import _POOL, _POOL_SIZE, TableProtocol
 from repro.protocols.registry import default_registry
@@ -248,6 +249,7 @@ class OwnedProtocol(TableProtocol):
         self._rpc = port.call
         self._reply = port.reply
         self._fan_out = port.fan_out
+        self._cat_req = {"r": intern_key("proto.Owned", "read_req"), "w": intern_key("proto.Owned", "write_req")}
         # Requests and flushes run once (a re-run one is admitted twice, or
         # clobbers a newer owner) and follow a dead home to the new one.
         self._h_read_req = port.serves(self.home._on_read_req, on_dead="retarget")
@@ -297,7 +299,7 @@ class OwnedProtocol(TableProtocol):
             copy = copies.pop(rid)
             dirty = copy.state in ("excl", "owned")
             if dirty or copy.state == "shared":
-                data = np.array(copy.data, copy=True) if dirty else None
+                data = copy.data.copy() if dirty else None
                 copy.state = "invalid"
                 yield from self._rpc(
                     nid,
@@ -360,13 +362,13 @@ class OwnedProtocol(TableProtocol):
                 self._h_read_req if kind == "r" else self._h_write_req,
                 region.rid,
                 payload_words=2,
-                category=f"proto.Owned.{'read' if kind == 'r' else 'write'}_req",
+                category=self._cat_req[kind],
             )
         tag, data = val
         if data is not None:
             # read_data / write_data / supply; "upgrade" and "grant"
             # carry no data (the requester's copy is already current)
-            np.copyto(handle.data, data)
+            handle.data[...] = data
         if tag != "grant":
             # Close the home's busy window; for forwarded reads this is
             # also what records us as a sharer (record_sharer row).

@@ -114,7 +114,7 @@ class PipelinedWriteProtocol(CachedTableProtocol):
 
     # -- reads: revalidate once per phase ---------------------------------
     def act_home_refresh(self, nid: int, handle):
-        np.copyto(handle.data, handle.region.home_data)
+        handle.data[...] = handle.region.home_data
         handle.phase = self._phase[nid]
 
     def act_refetch(self, nid: int, handle):
@@ -142,7 +142,7 @@ class PipelinedWriteProtocol(CachedTableProtocol):
         # handles both the home fast path and the remote refetch).
         if handle.phase != self._phase[nid]:
             yield from self.start_read(nid, handle)
-        handle.snapshot = np.array(handle.data, copy=True)
+        handle.snapshot = handle.data.copy()
 
     def act_close_write(self, nid: int, handle):
         depth = handle.wdepth - 1
@@ -202,7 +202,7 @@ class PipelinedWriteProtocol(CachedTableProtocol):
         # Home copies must pick up deltas merged by other writers.
         for copy in self._copies[nid].values():
             if copy.region.home == nid:
-                np.copyto(copy.data, copy.region.home_data)
+                copy.data[...] = copy.region.home_data
 
     def _drain(self, nid: int):
         if self._outstanding[nid] > 0:

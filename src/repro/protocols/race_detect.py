@@ -26,8 +26,6 @@ discipline (note the barrier row's five-step epoch-close pipeline).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.dsm.transport import Acks
 from repro.protocols.caching import CachedTableProtocol
 from repro.protocols.registry import default_registry
@@ -133,7 +131,7 @@ class RaceDetectProtocol(CachedTableProtocol):
             if rec["w"]:
                 copy = self._copies[nid].get(rid)
                 if copy is not None:
-                    handle_data = np.array(copy.data, copy=True)
+                    handle_data = copy.data.copy()
                     payload += region.size
             if nid == region.home:
                 self._on_summary(
@@ -166,7 +164,7 @@ class RaceDetectProtocol(CachedTableProtocol):
         if wrote:
             agg["writers"].add(src)
             if data is not None:
-                np.copyto(self.regions.get(rid).home_data, data)
+                self.regions.get(rid).home_data[...] = data
         heard.answer(rid)
 
     def _close_epoch(self, nid: int, epoch: int):

@@ -30,8 +30,6 @@ the table makes the checker report a stale read — see
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.protocols.caching import CachedTableProtocol
 from repro.protocols.registry import default_registry
 from repro.spec import ProtocolTable, Transition
@@ -135,7 +133,7 @@ class SelfInvalidateProtocol(CachedTableProtocol):
             payload_words=2,
             category="proto.SelfInvalidate.fetch",
         )
-        np.copyto(handle.data, data)
+        handle.data[...] = data
 
     def act_writeback_home(self, nid: int, handle):
         """Ship the written region home and wait for the ack."""
@@ -147,7 +145,7 @@ class SelfInvalidateProtocol(CachedTableProtocol):
             self._check_epoch_writer(region.rid, epoch, nid)
             return
         self._count("writeback")
-        data = np.array(handle.data, copy=True)
+        data = handle.data.copy()
         yield from self._rpc(
             nid,
             region.home,
@@ -172,7 +170,7 @@ class SelfInvalidateProtocol(CachedTableProtocol):
     # -- home side (handler context) --------------------------------------
     def _on_writeback(self, node, src, fut, rid, epoch, data):
         self._check_epoch_writer(rid, epoch, src)
-        np.copyto(self.regions.get(rid).home_data, data)
+        self.regions.get(rid).home_data[...] = data
         self._reply(fut, None, payload_words=1, category="proto.SelfInvalidate.wb_ack")
 
     # flush_node: the inherited default (drop non-home copies) is exact —

@@ -91,8 +91,8 @@ def serve_program(workload: ServeWorkload, traffic: dict, controller, shared: di
         think = wl.think_cycles
         start_read, end_read = ctx.start_read, ctx.end_read
         start_write, end_write = ctx.start_write, ctx.end_write
-        latency = Histogram()
-        record = latency.add
+        latency = []  # one Histogram at return: an append per request
+        record = latency.append
         served = 0
         for e in range(n_epochs):
             # this node's batch as Python scalars: no numpy scalar per field per request
@@ -132,7 +132,7 @@ def serve_program(workload: ServeWorkload, traffic: dict, controller, shared: di
                 for k in wl.keys_of_shard(s):
                     handles.pop(k, None)  # generation bumped: stale
         yield from ctx.barrier()
-        return {"served": served, "latency": latency}
+        return {"served": served, "latency": Histogram.of(latency)}
 
     return program
 

@@ -33,7 +33,8 @@ from repro.harness.recovery_workload import (
 )
 from repro.machine import Machine, MachineConfig
 from repro.obs import TraceBuffer
-from repro.sim import Simulator
+from repro.sim import Future, Simulator
+from repro.sim.errors import DeadlockError
 
 N_PROCS = 4
 ROUNDS = 4
@@ -392,6 +393,43 @@ def test_a_crash_is_declared_inside_the_latency_bound(victim):
         # ack, retried); what the fabric discards must not renew it.
         assert [e for e in transport.log
                 if e[1] == "crash" and e[3] == victim and e[2] != "recovery.hb"]
+
+
+def _stuck(ctx):
+    """Node 0 waits on a future nobody resolves; the others wait at a barrier for it."""
+    if ctx.nid == 0:
+        yield Future(name="never")
+    yield from ctx.barrier()
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"tracer": TraceBuffer()}], ids=("plain", "traced"))
+def test_a_quiescent_armed_run_ends_in_the_kernels_deadlock(monkeypatch, kwargs):
+    # Once only heartbeats could happen the detector stops ticking: the
+    # armed run ends as the plain run does, naming the same waits.  The
+    # bound is in simulated cycles: a detector ticking forever stops at
+    # it and returns instead of raising.
+    with pytest.raises(DeadlockError) as plain:
+        run_spmd(_stuck, n_procs=2)
+    run, ends = Simulator.run, []
+
+    def bounded(self, until=None):
+        try:
+            return run(self, 20 * HB_INTERVAL)
+        finally:
+            ends.append(self.now)
+
+    monkeypatch.setattr(Simulator, "run", bounded)
+    with pytest.raises(DeadlockError) as armed:
+        run_spmd(_stuck, n_procs=2, fault_plan=FaultPlan(), on_crash="recover", **kwargs)
+    assert armed.value.wait_reasons == plain.value.wait_reasons
+    (end,) = ends
+    assert HB_INTERVAL < end < 2 * HB_INTERVAL  # the first tick's round, landed
+
+
+def test_a_crash_still_ahead_keeps_the_detector_watching():
+    # Node 0's crash, declared, shrinks the barrier the others wait at.
+    res = run_spmd(_stuck, n_procs=3, fault_plan=FaultPlan.crash(0, 5 * HB_INTERVAL), on_crash="recover")
+    assert isinstance(res.results[0], Crashed) and res.results[1:] == [None, None]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 import repro
 from repro.apps import em3d
+from repro.dsm.hooks import ProtocolHooks
 from repro.facade import run_spmd
 from repro.machine import Machine, MachineConfig, PhaseScopeError, Stats
 from repro.obs import Histogram, MetricsWindow
@@ -38,10 +39,17 @@ def test_per_event_mappings_store_at_dict_speed():
             assert getattr(cls, dunder) is getattr(dict, dunder), (name, dunder)
 
 
+#: the packages a simulated event runs through
+_SIM_LAYERS = ("sim", "machine", "dsm", "core", "protocols", "serve", "facade", "crl", "memory")
+
+
+def _layer_files(root: Path) -> list:
+    return [p for layer in _SIM_LAYERS for p in sorted((root / layer).rglob("*.py"))]
+
+
 def test_simulator_layers_do_not_import_counter():
     root = Path(repro.__file__).parent
-    layers = ("sim", "machine", "dsm", "core", "protocols", "serve", "facade", "crl", "memory")
-    files = [p for layer in layers for p in sorted((root / layer).rglob("*.py"))]
+    files = _layer_files(root)
     files.append(root / "obs" / "trace.py")
     offenders = []
     for path in files:
@@ -53,6 +61,38 @@ def test_simulator_layers_do_not_import_counter():
                 if isinstance(node.value, ast.Name) and node.value.id == "collections":
                     offenders.append(str(path.relative_to(root)))
     assert len(files) > 40
+    assert offenders == []
+
+
+def _dispatched_copies(tree) -> list:
+    """Line numbers of ``np.copyto(...)`` and ``np.array(..., copy=True)``
+    calls: NumPy function dispatch where a buffer store or ``.copy()``
+    does the same work."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "copyto" or node.func.attr == "array" and any(
+                kw.arg == "copy" and getattr(kw.value, "value", None) is True for kw in node.keywords
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_payloads_move_by_buffer_store():
+    """Every region payload on the message path lands with ``dst[...] =
+    src`` and is snapshotted with ``x.copy()`` (DESIGN.md §6 "Copying at
+    buffer speed"), in the simulator layers and the engine's spliced
+    access effects alike."""
+    root = Path(repro.__file__).parent
+    offenders = [
+        f"{path.relative_to(root)}:{line}"
+        for path in _layer_files(root)
+        for line in _dispatched_copies(ast.parse(path.read_text(), str(path)))
+    ]
+    for name, text in ProtocolHooks.EFFECTS.items():
+        body = "def effect():\n" + "".join("  " + line + "\n" for line in text.splitlines())
+        offenders += [f"ProtocolHooks.EFFECTS[{name!r}]:{line - 1}" for line in _dispatched_copies(ast.parse(body))]
+    assert _dispatched_copies(ast.parse("np.copyto(a, b)\nnp.array(a, copy=True)\nnp.array(a)")) == [1, 2]
     assert offenders == []
 
 

@@ -255,3 +255,16 @@ def test_histogram_copy_is_independent():
     c.add(1000)
     assert h.count == 1 and h.max == 3
     assert c.count == 2 and c.max == 1000
+
+
+@pytest.mark.parametrize("values", [[], [0], [0, 1, 3, 9, 120, 4096, 2, 2, 7, 513, 513]])
+def test_histogram_of_equals_adding_each(values):
+    # serve records a latency as a list append and builds the Histogram
+    # once: its report must be what add-ing each value gave.
+    added = Histogram()
+    for v in values:
+        added.add(v)
+    built = Histogram.of(values)
+    assert (built.count, built.total, built.min, built.max) == (added.count, added.total, added.min, added.max)
+    assert list(built.buckets.items()) == list(added.buckets.items())
+    assert built.summary() == added.summary()

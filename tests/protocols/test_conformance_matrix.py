@@ -28,11 +28,13 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+import sys
 
 import pytest
 
 import repro.protocols
 from repro.facade import run_spmd
+from repro.machine import Machine
 from repro.protocols.registry import default_registry
 
 # Import every module in the protocols package before enumerating the
@@ -93,8 +95,9 @@ def _base_state_violations(engine, rid: int, n_procs: int, label: str) -> list:
     return bad
 
 
-@pytest.mark.parametrize("protocol", default_registry.names())
-def test_change_protocol_round_trip(protocol):
+def _round_trip(protocol: str):
+    """Run ``P → partner → P``; returns the run, the region and the
+    directory base-state violations seen after each SC flush."""
     partner = _partner(protocol)
     writer = _writer(protocol)
     boxes: dict = {}
@@ -134,11 +137,78 @@ def test_change_protocol_round_trip(protocol):
         back = yield from ctx.read_region(h3)
         return list(mid), list(back)
 
-    res = run_spmd(prog, backend="ace", n_procs=N_PROCS)
+    return run_spmd(prog, backend="ace", n_procs=N_PROCS), boxes["rid"], violations
+
+
+@pytest.mark.parametrize("protocol", default_registry.names())
+def test_change_protocol_round_trip(protocol):
+    partner = _partner(protocol)
+    res, rid, violations = _round_trip(protocol)
     assert violations == []
     for nid, (mid, back) in enumerate(res.results):
         assert mid == VALUES, f"node {nid} read {mid} under {partner} after {protocol} flush"
         assert back == VALUES, f"node {nid} read {back} back under {protocol}"
     # After both flushes the home copy is the region's base data.
-    region = res.backend.runtime.regions.get(boxes["rid"])
+    region = res.backend.runtime.regions.get(rid)
     assert list(region.home_data) == VALUES
+
+
+@pytest.mark.parametrize("protocol", default_registry.names())
+def test_every_message_category_is_interned(protocol, monkeypatch):
+    """Each send's category is the one interned object built at setup,
+    so the fabric's route lookup is an identity check, never a string
+    built and hashed per send."""
+    sent = []  # held alive: a second equal string cannot intern to itself
+    deliver, reply = Machine._deliver, Machine.reply
+
+    def spy_deliver(self, src, dst, handler, args, payload_words, category, *rest):
+        sent.append(category)
+        deliver(self, src, dst, handler, args, payload_words, category, *rest)
+
+    def spy_reply(self, fut, value=None, payload_words=0, category="am.reply"):
+        sent.append(category)
+        reply(self, fut, value, payload_words=payload_words, category=category)
+
+    monkeypatch.setattr(Machine, "_deliver", spy_deliver)
+    monkeypatch.setattr(Machine, "reply", spy_reply)
+    _round_trip(protocol)
+    assert sent
+    bad = sorted({c for c in sent if sys.intern(c) is not c})
+    assert bad == [], f"{protocol} sends categories built per send: {bad}"
+
+
+@pytest.mark.parametrize(
+    "protocol, fill",
+    [("SC", "remote read miss"), ("DynamicUpdate", "push"), ("Migratory", "hand-off")],
+)
+def test_a_fill_writes_the_copy_in_place(protocol, fill):
+    """A fill stores into the copy's own buffer: ``handle.data`` is the
+    array the node held before it, now holding the writer's values."""
+    boxes: dict = {}
+    seen = []
+
+    def prog(ctx):
+        sid = yield from ctx.new_space(protocol)
+        if ctx.nid == 0:
+            boxes["rid"] = yield from ctx.gmalloc(sid, len(VALUES))
+        yield from ctx.barrier()
+        h = yield from ctx.map(boxes["rid"])  # node 1 fetches: a DynamicUpdate sharer
+        before = h.data
+        yield from ctx.barrier()
+        if ctx.nid == 0:
+            yield from ctx.start_write(h)
+            h.data[:] = VALUES
+            yield from ctx.end_write(h)  # a DynamicUpdate home pushes to node 1
+        yield from ctx.barrier()
+        if ctx.nid == 1:
+            migrate = protocol == "Migratory"
+            yield from (ctx.start_write if migrate else ctx.start_read)(h)
+            seen.append((h.data is before, list(h.data)))
+            yield from (ctx.end_write if migrate else ctx.end_read)(h)
+        yield from ctx.barrier()
+
+    res = run_spmd(prog, backend="ace", n_procs=N_PROCS)
+    assert seen == [(True, VALUES)], f"{protocol} {fill}: rebound or wrong"
+    category = {"SC": "msg.ace.sc.read_req", "DynamicUpdate": "msg.proto.DynamicUpdate.push",
+                "Migratory": "msg.proto.Migratory.req"}[protocol]
+    assert res.stats.get(category) > 0, f"no {fill} happened"
