@@ -777,6 +777,7 @@ class RetryKit:
         self._levels = [(t, fifos[t]) for t in timeouts]  # by attempt number
         self._sweeper = None  # the kernel Timer, live while _sweep_at is a cycle
         self._sweep_at = _NEVER
+        self._fut_names: dict = {}  # category -> its futures' name, built at first call
 
     def _track(self, fut, src, dst, handler, call_args, payload_words, category) -> _PendingCall:
         seq = self._seq
@@ -802,7 +803,7 @@ class RetryKit:
         """Generator: reliable request/reply round trip (drop-in for rpc)."""
         if lead:  # never folded here: the plan reads ``now`` at the injection instant
             yield Delay(lead)
-        fut = Future(name="rel:" + category)
+        fut = Future(self._fut_names.get(category) or self._fut_name(category))
         pend = self._track(fut, src, dst, handler, args, payload_words, category)
         yield self._d_send
         pend.attempts = 1
@@ -823,12 +824,16 @@ class RetryKit:
         category: str = "rel.post",
     ) -> Future:
         """Ack'd one-way send from handler context; returns the ack future."""
-        fut = Future(name="rel:" + category)
+        fut = Future(self._fut_names.get(category) or self._fut_name(category))
         pend = self._track(fut, src, dst, handler, args, payload_words, category)
         fut.add_callback(partial(self.settle, pend))
         pend.attempts = 1
         self.transmit(pend)
         return fut
+
+    def _fut_name(self, category: str) -> str:
+        """The name of ``category``'s call futures, built at its first call."""
+        return self._fut_names.setdefault(category, intern_key("rel:" + category))
 
     def transmit(self, pend: _PendingCall) -> None:
         """(Re)send from handler context — the first attempt pays the

@@ -28,8 +28,6 @@ class MachineConfig:
         Wire/switch latency for the first word of a message.
     per_word_transfer:
         Additional cycles per 8-byte payload word (bulk-transfer rate).
-    handler_cost:
-        Base cost of executing a (non-trivial) protocol handler body.
     """
 
     n_procs: int = 32
@@ -37,7 +35,6 @@ class MachineConfig:
     am_receive_overhead: int = 40
     network_latency: int = 100
     per_word_transfer: int = 4
-    handler_cost: int = 30
 
     def __post_init__(self):
         if self.n_procs < 1:
@@ -47,7 +44,6 @@ class MachineConfig:
             "am_receive_overhead",
             "network_latency",
             "per_word_transfer",
-            "handler_cost",
         ):
             if getattr(self, field) < 0:
                 raise ValueError(f"{field} must be non-negative")

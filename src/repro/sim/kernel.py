@@ -73,6 +73,14 @@ requires (see DESIGN.md §6 for the full story):
   waiter list, dropped when the future fires (``retire`` removes the
   task).  So a finished task is freed by reference counting alone —
   spawn-and-join churn leaves nothing for the cyclic collector.
+* **The collector sits the run out.**  :meth:`Simulator.run` turns
+  CPython's automatic cyclic collection off for the run and restores
+  the caller's setting on every exit (return, ``until`` pause,
+  ``DeadlockError``, a task crash); a caller that had it off keeps it
+  off.  This rests on a contract for everything that runs inside a
+  simulation: no cyclic garbage that grows with the run's events.  A
+  handler that leaves a reference cycle per message holds that memory
+  until ``run()`` returns (``tests/verify/test_no_cyclic_garbage.py``).
 * **Fail-fast flag.**  ``Future.fail`` on a task's ``done`` future
   records the first failure on the simulator directly and raises it
   through the event that caused it; nothing is scanned per event.
@@ -91,6 +99,7 @@ this one knows fuzzing exists.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import random
 from typing import Callable, Generator, Iterable
@@ -453,6 +462,10 @@ class Simulator:
         cur = ()
         pos = mark = 0
         prev = now
+        # Nothing a run creates is cyclic garbage (DESIGN.md §6), so the
+        # collector would only re-walk live state: it sits the run out.
+        collect = gc.isenabled()
+        gc.disable()
         try:
             while True:
                 if pos < len(cur):
@@ -633,6 +646,8 @@ class Simulator:
                         nxt.append(task)
                     break
         finally:
+            if collect:
+                gc.enable()
             self.events += fired
             self._running = False
             if bucket is not None:

@@ -827,6 +827,29 @@ def test_a_call_has_one_live_arming_and_stale_deadlines_are_skipped():
     assert svc.served == [21]
 
 
+def test_a_categorys_reliable_futures_share_one_name():
+    """Like the plain machine's rpc futures, a reliable call's future is
+    named once per category, so a traced ``task.block`` holds no fresh
+    string per call; the names keep the ``rel:`` prefix attribution reads."""
+    sim = Simulator()
+    transport = FaultTransport(Machine(sim, MachineConfig(n_procs=2)), FaultPlan())
+    svc = _Svc(transport.port("svc"))
+    h_ask, h_tell = svc.port.serves(svc._on_ask), svc.port.hears(svc._on_tell, "svc.ack")
+
+    def client(x):
+        yield from svc.port.call(0, 1, h_ask, x, category="svc.ask")
+
+    for x in (1, 2):
+        sim.spawn(client(x), name=f"c{x}")
+    sim.run(until=0)  # both calls built their futures and are paying the send
+    asked = [pend.fut.name for pend in transport.kit.pending.values()]
+    told = [svc.port.post(0, 1, h_tell, x, category="svc.tell").name for x in (1, 2)]
+    assert asked == ["rel:svc.ask"] * 2 and asked[0] is asked[1]
+    assert told == ["rel:svc.tell"] * 2 and told[0] is told[1]
+    sim.run()
+    assert sorted(svc.served) == [1, 2] and svc.heard == [1, 2]
+
+
 def test_the_plan_is_read_at_construction():
     """A quiet plan's verdict is the fence alone; a plan given its faults
     before the transport exists is honoured like any other."""

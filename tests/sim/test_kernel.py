@@ -519,6 +519,49 @@ def test_task_waiters_leave_no_cyclic_garbage():
         gc.enable()
 
 
+def _collector_probe(ending: str):
+    """A simulator whose run ends by ``ending``, and the list its task
+    and its callback append ``gc.isenabled()`` to while they run."""
+    sim = Simulator()
+    seen = []
+
+    def task():
+        seen.append(gc.isenabled())
+        yield Delay(10)
+        seen.append(gc.isenabled())
+        if ending == "crash":
+            raise KeyError("crash")
+        if ending == "deadlock":
+            yield Future(name="never")
+
+    sim.spawn(task(), name="probe")
+    sim.schedule(5, lambda: seen.append(gc.isenabled()))
+    return sim, seen
+
+
+_ENDINGS = {
+    "return": lambda sim: sim.run(),
+    "until": lambda sim: sim.run(until=7),
+    "deadlock": lambda sim: pytest.raises(DeadlockError, sim.run),
+    "crash": lambda sim: pytest.raises(KeyError, sim.run),
+}
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False], ids=["caller-on", "caller-off"])
+@pytest.mark.parametrize("ending", sorted(_ENDINGS))
+def test_run_pauses_the_collector_and_restores_the_callers_setting(ending, caller_enabled):
+    sim, seen = _collector_probe(ending)
+    if not caller_enabled:
+        gc.disable()
+    try:
+        _ENDINGS[ending](sim)
+        assert gc.isenabled() is caller_enabled
+    finally:
+        gc.enable()
+    assert seen and not any(seen)  # every task step and callback ran with it off
+    assert not sim._running
+
+
 def test_no_waker_method_is_left_in_src():
     src = Path(__file__).resolve().parents[2] / "src"
     hits = [p for p in src.rglob("*.py") if "_on_resolved" in p.read_text()]
